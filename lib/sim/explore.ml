@@ -580,13 +580,28 @@ end
    lookup on a cached hash instead of a deep [Value.hash]/[Value.equal] walk
    over the whole configuration.
 
-   The cells are maintained *incrementally* along tree edges. Configurations
-   are persistent — every transition [Array.copy]s the touched array and
-   shares all other elements — so a physical diff of child against parent
-   pinpoints the components that changed in O(#procs + #objs) pointer
-   comparisons, and only those are re-interned. There is no "unapply" pass:
-   backtracking is free because each node holds its own immutable [fpc] and
-   the parent's is untouched.
+   The cells are maintained *incrementally* along tree edges, and each edge
+   pays for what it changed, not for the size of what it touched:
+
+   - A process cell is built from cached component cells — the todo list,
+     ⟨next_op, local⟩, the pending operation's head ⟨inv0, op_index⟩ and its
+     response chain (responses so far, newest first, as a cons-chain). An
+     access extends the chain by one [I.pair] and re-pairs the pending and
+     process cells; the todo and local cells change only when an operation
+     starts or returns. No edge re-interns a whole response list.
+
+   - The object segment is summarized by two additive hashes (see
+     {!Fingerprint.component_hi}): one position-salted term per object over
+     ⟨object cell, history cell, access count⟩, so an access replaces one
+     term instead of re-hashing every object.
+
+   This is the one key definition. The interpreted flat path keeps it in an
+   immutable [fpc] per node: configurations are persistent — every
+   transition [Array.copy]s the touched array and shares all other elements
+   — so a physical diff of child against parent pinpoints the components
+   that changed, and backtracking is free because the parent's [fpc] is
+   untouched. The compiled kernel keeps the same cells in mutable arrays and
+   restores them on backtrack.
 
    Per-process components deliberately exclude the pid itself (the position
    in the key carries it; under symmetry, the canonical position), and a
@@ -597,11 +612,48 @@ end
 
 module I = Value.Intern
 
+(* Process components. The todo cell changes only when an operation
+   starts, the local cell ⟨next_op, local⟩ only when one returns. An idle
+   process's pending cell is [I.unit]; a pending one's is ⟨head, chain⟩,
+   and the chain of no responses is [I.unit] too, so every component stays
+   injective. *)
+let todo_cell ist todo = I.list ist (List.map (I.intern ist) todo)
+
+let local_cell ist ~next_op local =
+  I.pair ist (I.int ist next_op) (I.intern ist local)
+
+let head_cell ist ~inv0 ~op_index =
+  I.pair ist (I.intern ist inv0) (I.int ist op_index)
+
+let chain_cell ist resps_rev =
+  List.fold_right
+    (fun r chain -> I.pair ist (I.intern ist r) chain)
+    resps_rev (I.unit ist)
+
+let ctl_cell ist ~todo_c ~local_c = I.pair ist todo_c local_c
+let pend_cell ist ~head_c ~chain_c = I.pair ist head_c chain_c
+let proc_cell ist ~ctl_c ~pend_c = I.pair ist ctl_c pend_c
+
+(* One object's terms in the two additive lanes. *)
+let obj_term_hi o oc hc a = Fingerprint.component_hi o (I.id oc) (I.id hc) a
+let obj_term_lo o oc hc a = Fingerprint.component_lo o (I.id oc) (I.id hc) a
+
+type pcells = {
+  todo_c : I.cell;
+  local_c : I.cell;
+  head_c : I.cell;  (* meaningful only while an operation is pending *)
+  chain_c : I.cell;
+  cell : I.cell;  (* the process cell itself *)
+}
+
 type fpc = {
   src : cfg;  (* the configuration these cells fingerprint *)
   obj_cells : I.cell array;
   hist_cells : I.cell array;
-  proc_cells : I.cell array;
+  sum_hi : int;  (* additive hash of the object segment, two lanes *)
+  sum_lo : int;
+  pparts : pcells array;
+  proc_cells : I.cell array;  (* [pparts.(p).cell], as the encoder wants *)
   ops_cells : I.cell array;  (* per proc: cons-chain of completed-op cells *)
 }
 
@@ -610,22 +662,63 @@ let fp_op_cell ist (o : Exec.op) =
     [ I.int ist o.op_index; I.intern ist o.inv; I.intern ist o.resp;
       I.int ist o.steps ]
 
-let fp_proc_cell ist pr =
-  I.list ist
-    [
-      I.list ist (List.map (I.intern ist) pr.todo);
-      I.int ist pr.next_op;
-      (match pr.pending with
-      | None -> I.unit ist
-      | Some pd ->
-        I.list ist
-          (I.intern ist pd.inv0
-          :: I.int ist pd.op_index
-          :: List.map (I.intern ist) pd.resps_rev));
-      I.intern ist pr.local;
-    ]
-
 let fp_hist_cell ist h = I.list ist (List.map (I.intern ist) h)
+
+let resps_of pr = match pr.pending with None -> [] | Some pd -> pd.resps_rev
+
+let assemble_pcells ist ~todo_c ~local_c ~head_c ~chain_c pending =
+  let pend_c =
+    if pending then pend_cell ist ~head_c ~chain_c else I.unit ist
+  in
+  {
+    todo_c;
+    local_c;
+    head_c;
+    chain_c;
+    cell = proc_cell ist ~ctl_c:(ctl_cell ist ~todo_c ~local_c) ~pend_c;
+  }
+
+let pcells_of ist pr =
+  let head_c =
+    match pr.pending with
+    | None -> I.unit ist
+    | Some pd -> head_cell ist ~inv0:pd.inv0 ~op_index:pd.op_index
+  in
+  assemble_pcells ist
+    ~todo_c:(todo_cell ist pr.todo)
+    ~local_c:(local_cell ist ~next_op:pr.next_op pr.local)
+    ~head_c
+    ~chain_c:(chain_cell ist (resps_of pr))
+    (Option.is_some pr.pending)
+
+(* [old] fingerprints [pr]; reuse every component [pr'] shares physically
+   with it. A response chain that grew by one response costs one pair. *)
+let pcells_advance ist old pr pr' =
+  let todo_c =
+    if pr'.todo == pr.todo then old.todo_c else todo_cell ist pr'.todo
+  in
+  let local_c =
+    if pr'.local == pr.local && pr'.next_op = pr.next_op then old.local_c
+    else local_cell ist ~next_op:pr'.next_op pr'.local
+  in
+  let head_c =
+    match (pr.pending, pr'.pending) with
+    | _, None -> old.head_c
+    | Some pd, Some pd' when pd'.inv0 == pd.inv0 && pd'.op_index = pd.op_index
+      ->
+      old.head_c
+    | _, Some pd' -> head_cell ist ~inv0:pd'.inv0 ~op_index:pd'.op_index
+  in
+  let rs = resps_of pr and rs' = resps_of pr' in
+  let chain_c =
+    if rs' == rs then old.chain_c
+    else
+      match rs' with
+      | r :: tl when tl == rs -> I.pair ist (I.intern ist r) old.chain_c
+      | _ -> chain_cell ist rs'
+  in
+  assemble_pcells ist ~todo_c ~local_c ~head_c ~chain_c
+    (Option.is_some pr'.pending)
 
 (* Build from scratch — the root of an exploration (or of a worker's
    subtree: intern states are per-domain, so cells never cross domains). *)
@@ -635,32 +728,35 @@ let fpc_of_cfg ist cfg =
     (fun (o : Exec.op) ->
       ops_cells.(o.proc) <- I.pair ist (fp_op_cell ist o) ops_cells.(o.proc))
     (List.rev cfg.ops_rev);
+  let obj_cells = Array.map (I.intern ist) cfg.objs in
+  let hist_cells = Array.map (fp_hist_cell ist) cfg.hist in
+  let sum_hi = ref 0 and sum_lo = ref 0 in
+  Array.iteri
+    (fun o oc ->
+      sum_hi := !sum_hi + obj_term_hi o oc hist_cells.(o) cfg.acc.(o);
+      sum_lo := !sum_lo + obj_term_lo o oc hist_cells.(o) cfg.acc.(o))
+    obj_cells;
+  let pparts = Array.map (pcells_of ist) cfg.procs in
   {
     src = cfg;
-    obj_cells = Array.map (I.intern ist) cfg.objs;
-    hist_cells = Array.map (fp_hist_cell ist) cfg.hist;
-    proc_cells = Array.map (fp_proc_cell ist) cfg.procs;
+    obj_cells;
+    hist_cells;
+    sum_hi = !sum_hi;
+    sum_lo = !sum_lo;
+    pparts;
+    proc_cells = Array.map (fun pc -> pc.cell) pparts;
     ops_cells;
   }
 
-(* Re-intern exactly the indices where the child array's element is not
-   physically the parent's. Immediate values (e.g. [Value.Unit]) compare by
-   value under [!=], and a false "changed" on a block merely re-interns to
-   the same cell — the diff is conservative, never wrong. *)
-let update_cells cells olds news f =
-  if olds == news then cells
-  else begin
-    let out = ref cells in
-    Array.iteri
-      (fun i x ->
-        if x != Array.unsafe_get olds i then begin
-          if !out == cells then out := Array.copy cells;
-          !out.(i) <- f x
-        end)
-      news;
-    !out
-  end
+(* Copy-on-write store: [a] is [orig] until the first write. *)
+let cow_set a orig i x =
+  if !a == orig then a := Array.copy orig;
+  Array.unsafe_set !a i x
 
+(* Only indices whose child element is not physically the parent's are
+   re-interned. Immediate values (e.g. [Value.Unit]) compare by value under
+   [!=], and a false "changed" on a block merely re-interns to the same
+   cell — the diff is conservative, never wrong. *)
 let fpc_advance ist fpc cfg' =
   if fpc.src == cfg' then fpc
   else begin
@@ -675,13 +771,47 @@ let fpc_advance ist fpc cfg' =
         a
       | _ -> fpc.ops_cells
     in
+    let obj_cells = ref fpc.obj_cells and hist_cells = ref fpc.hist_cells in
+    let sum_hi = ref fpc.sum_hi and sum_lo = ref fpc.sum_lo in
+    if cfg'.objs != src.objs || cfg'.hist != src.hist || cfg'.acc != src.acc
+    then
+      for o = 0 to Array.length cfg'.objs - 1 do
+        let oc = fpc.obj_cells.(o) and hc = fpc.hist_cells.(o) in
+        let a = src.acc.(o) and a' = cfg'.acc.(o) in
+        let oc' =
+          if cfg'.objs.(o) != src.objs.(o) then I.intern ist cfg'.objs.(o)
+          else oc
+        in
+        let hc' =
+          if cfg'.hist.(o) != src.hist.(o) then fp_hist_cell ist cfg'.hist.(o)
+          else hc
+        in
+        if oc' != oc || hc' != hc || a' <> a then begin
+          if oc' != oc then cow_set obj_cells fpc.obj_cells o oc';
+          if hc' != hc then cow_set hist_cells fpc.hist_cells o hc';
+          sum_hi := !sum_hi - obj_term_hi o oc hc a + obj_term_hi o oc' hc' a';
+          sum_lo := !sum_lo - obj_term_lo o oc hc a + obj_term_lo o oc' hc' a'
+        end
+      done;
+    let pparts = ref fpc.pparts and proc_cells = ref fpc.proc_cells in
+    if cfg'.procs != src.procs then
+      Array.iteri
+        (fun p pr' ->
+          let pr = src.procs.(p) in
+          if pr' != pr then begin
+            let pc = pcells_advance ist fpc.pparts.(p) pr pr' in
+            cow_set pparts fpc.pparts p pc;
+            cow_set proc_cells fpc.proc_cells p pc.cell
+          end)
+        cfg'.procs;
     {
       src = cfg';
-      obj_cells = update_cells fpc.obj_cells src.objs cfg'.objs (I.intern ist);
-      hist_cells =
-        update_cells fpc.hist_cells src.hist cfg'.hist (fp_hist_cell ist);
-      proc_cells =
-        update_cells fpc.proc_cells src.procs cfg'.procs (fp_proc_cell ist);
+      obj_cells = !obj_cells;
+      hist_cells = !hist_cells;
+      sum_hi = !sum_hi;
+      sum_lo = !sum_lo;
+      pparts = !pparts;
+      proc_cells = !proc_cells;
       ops_cells;
     }
   end
@@ -1027,26 +1157,41 @@ let step_state (t : _ tracker) st ~trace_rev cfg cfg' =
 (* --- flat fingerprint encoding -----------------------------------------------
 
    The hot-path representation of a dedup key: a fixed-size scratch
-   [int array] of interned-cell ids and raw scalars, hashed into a ⟨hi, lo⟩
-   124-bit {!Wfc_spec.Fingerprint} and probed in an open-addressing table —
-   no boxed key is allocated, no hashtable bucket or list cell is built, no
-   structural equality is ever walked, and (unlike [T_intern], which interns
-   the composite key itself) nothing is added to the intern state per probe.
+   [int array] of interned-cell ids, additive segment hashes and raw
+   scalars, hashed into a ⟨hi, lo⟩ 124-bit {!Wfc_spec.Fingerprint} and
+   probed in an open-addressing table — no boxed key is allocated, no
+   hashtable bucket or list cell is built, no structural equality is ever
+   walked, and (unlike [T_intern], which interns the composite key itself)
+   nothing is added to the intern state per probe.
 
-   Layout, mirroring [key_of_cfg]'s content exactly:
+   Layout — one layout, filled by the interpreted flat path from an [fpc]
+   and by the compiled kernel from its own mutable cells:
 
-     per object   : [obj_cell; hist_cell; acc]                (3·n_objs)
+     objects      : [sum_hi; sum_lo]                              (2)
      per process  : [proc_cell; ops_cell; crashed; stuck; sleep]  (5·n_procs)
      scalars      : [events; crashes_left; recoveries_left; glitches_left]
      tracker      : [tracker cell id, or -1]
 
+   The object segment is not spelled out: [sum_hi]/[sum_lo] are the sums,
+   modulo 2^63, of one position-salted 62-bit mix per object of
+   ⟨object cell id, history cell id, access count⟩, one sum per mixer lane
+   ({!Fingerprint.component_hi}/[component_lo]). An access subtracts its
+   object's old term and adds the new one, so a probe hashes
+   2 + 5·n_procs + 5 ints whatever the number of objects. The process cell
+   is ⟨⟨todo, ⟨next_op, local⟩⟩, pending⟩ with pending = ⟨⟨inv0, op_index⟩,
+   response chain⟩ or unit, all from cached component cells (see
+   [pcells]), so keeping it current costs O(1) cell lookups per access.
+
    Every per-process component has a FIXED width of five ints, so symmetry
    canonicalization is an in-place insertion sort of five-int records within
    each class segment — no allocation there either. Cell ids are unique
-   within the owning intern state, so two encodings are equal iff the boxed
-   interned keys would have been equal: flat and boxed prune identically
-   (up to 124-bit fingerprint collisions, which hash compaction treats as
-   negligible). *)
+   within the owning intern state, so the per-process and scalar parts are
+   equal iff the boxed interned keys' parts are. The object sums are
+   Zobrist-style hashes: two configurations whose object segments differ
+   agree on both sums only by a collision of two independent 63-bit lanes,
+   and the whole buffer is then folded into 124 bits. Both steps are hash
+   compaction, treated as negligible exactly like the final fingerprint, so
+   flat and boxed prune identically. *)
 
 type flat_ctx = {
   ist : I.state;
@@ -1056,10 +1201,10 @@ type flat_ctx = {
   mutable bloom : Fingerprint.Bloom.t option;  (* probabilistic tier *)
 }
 
-let flat_create ?ist ~n_objs ~n_procs ~tier2 ~bloom_bits_log2 () =
+let flat_create ?ist ~n_procs ~tier2 ~bloom_bits_log2 () =
   {
     ist = (match ist with Some s -> s | None -> I.create ());
-    buf = Array.make ((3 * n_objs) + (5 * n_procs) + 5) 0;
+    buf = Array.make (2 + (5 * n_procs) + 5) 0;
     tmp = Array.make 5 0;
     table = (if tier2 then None else Some (Fingerprint.Table.create ()));
     bloom =
@@ -1092,25 +1237,19 @@ let sort_records buf tmp ~base ~lo ~hi =
     Array.blit tmp 0 buf (base + (5 * (!j + 1))) 5
   done
 
-(* Fill the scratch buffer from a set of cell/scalar components and hash it.
-   Zero allocation. Shared verbatim by the boxed flat path (components come
-   from an [fpc] cache over persistent configurations) and the compiled
-   kernel (components are the engine's own mutable arrays): both feed the
-   same per-ist cell ids, so they key identically. *)
-let encode_flat_parts fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
-    ~crashed ~stuck ~events ~crashes_left ~recoveries_left ~glitches_left
-    ~sleep ~classes ~tracker_id =
+(* Fill the scratch buffer from the key's components and hash it. Zero
+   allocation. Shared verbatim by the boxed flat path (components come from
+   an [fpc] cache over persistent configurations) and the compiled kernel
+   (components are the engine's own mutable arrays): both feed the same
+   per-ist cell ids and the same additive sums, so they key identically. *)
+let encode_flat_parts fx ~sum_hi ~sum_lo ~proc_cells ~ops_cells ~crashed
+    ~stuck ~events ~crashes_left ~recoveries_left ~glitches_left ~sleep
+    ~classes ~tracker_id =
   let buf = fx.buf in
-  let n_objs = Array.length obj_cells in
   let nprocs = Array.length proc_cells in
-  let j = ref 0 in
-  for o = 0 to n_objs - 1 do
-    buf.(!j) <- I.id obj_cells.(o);
-    buf.(!j + 1) <- I.id hist_cells.(o);
-    buf.(!j + 2) <- acc.(o);
-    j := !j + 3
-  done;
-  let base = !j in
+  buf.(0) <- sum_hi;
+  buf.(1) <- sum_lo;
+  let base = 2 in
   let put slot p =
     let k = base + (5 * slot) in
     buf.(k) <- I.id proc_cells.(p);
@@ -1143,20 +1282,20 @@ let encode_flat_parts fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells ~acc
           sort_records buf fx.tmp ~base ~lo:seg ~hi:!slot
       end
     done);
-  j := base + (5 * nprocs);
-  buf.(!j) <- events;
-  buf.(!j + 1) <- crashes_left;
-  buf.(!j + 2) <- recoveries_left;
-  buf.(!j + 3) <- glitches_left;
-  buf.(!j + 4) <- tracker_id;
-  Fingerprint.hash_array buf ~len:(!j + 5)
+  let j = base + (5 * nprocs) in
+  buf.(j) <- events;
+  buf.(j + 1) <- crashes_left;
+  buf.(j + 2) <- recoveries_left;
+  buf.(j + 3) <- glitches_left;
+  buf.(j + 4) <- tracker_id;
+  Fingerprint.hash_array buf ~len:(j + 5)
 
 let encode_flat fx fpc cfg ~sleep ~classes ~tracker_id =
-  encode_flat_parts fx ~obj_cells:fpc.obj_cells ~hist_cells:fpc.hist_cells
-    ~proc_cells:fpc.proc_cells ~ops_cells:fpc.ops_cells ~acc:cfg.acc
-    ~crashed:cfg.crashed ~stuck:cfg.stuck ~events:cfg.events
-    ~crashes_left:cfg.crashes_left ~recoveries_left:cfg.recoveries_left
-    ~glitches_left:cfg.glitches_left ~sleep ~classes ~tracker_id
+  encode_flat_parts fx ~sum_hi:fpc.sum_hi ~sum_lo:fpc.sum_lo
+    ~proc_cells:fpc.proc_cells ~ops_cells:fpc.ops_cells ~crashed:cfg.crashed
+    ~stuck:cfg.stuck ~events:cfg.events ~crashes_left:cfg.crashes_left
+    ~recoveries_left:cfg.recoveries_left ~glitches_left:cfg.glitches_left
+    ~sleep ~classes ~tracker_id
 
 type dtables =
   | T_value of unit VH.t
@@ -1193,9 +1332,7 @@ let probe_dedup dd ~t ~nodes cfg sleep st fpcur =
         let tabs =
           if dd.use_flat then
             T_flat
-              (flat_create
-                 ~n_objs:(Array.length cfg.objs)
-                 ~n_procs:(Array.length cfg.procs) ~tier2:dd.tier2
+              (flat_create ~n_procs:(Array.length cfg.procs) ~tier2:dd.tier2
                  ~bloom_bits_log2:dd.bloom_bits_log2 ())
           else if dd.use_intern then T_intern (I.create (), I.H.create 256)
           else T_value (VH.create 256)
@@ -1566,13 +1703,25 @@ let default_dedup_threshold = 64
      restores — the OCaml call stack is the undo journal, so an edge
      allocates no configuration at all.
 
-   - Duplicate-state fingerprints reuse [encode_flat_parts] over the
-     engine's own cell arrays. Below the activation threshold no cell is
-     ever built (mirroring the boxed path's lazy [fpc]); at activation the
-     cells are rebuilt from scratch and maintained incrementally from there
-     on. A frame that entered before activation has no cell saves, so when
-     it backtracks it marks the cache invalid and the next probe rebuilds —
-     a bounded number of O(state) rebuilds, paid only around the activation
+   - Duplicate-state fingerprints are the flat key of [encode_flat_parts]
+     over the engine's own cells: per process the component cells of
+     [pcells] (todo, ⟨next_op, local⟩, pending head, response chain) and
+     the process and completed-ops cells built from them, plus the two
+     additive object sums. An edge updates only what it changed — an access
+     extends its process's response chain by the row's interned response
+     cell, re-pairs the pending and process cells, and swaps one object's
+     term in each sum; the todo and local cells are rebuilt only when an
+     operation starts or returns — and saves the old cells and sums next to
+     the configuration slots it restores. A probe therefore costs
+     O(n_procs), independent of the number of objects and of how long the
+     pending operations have run. The tracker's fingerprint cell is passed
+     down the recursion and re-interned only below an edge that changed the
+     tracker state. Below the activation threshold no cell is ever built
+     (mirroring the boxed path's lazy [fpc]); at activation the cells are
+     rebuilt from scratch and maintained incrementally from there on. A
+     frame that entered before activation has no cell saves, so when it
+     backtracks it marks the cache invalid and the next probe rebuilds — a
+     bounded number of O(state) rebuilds, paid only around the activation
      frontier.
 
    Everything observable is replicated exactly: visit order, counter
@@ -1639,6 +1788,11 @@ type mut_state = {
   ms_steps : int array;
   ms_resps : Value.t list array;
   ms_node : (Value.t * Value.t) Program.t array;
+  ms_todo_cells : I.cell array;
+  ms_local_cells : I.cell array;
+  ms_ctl_cells : I.cell array;
+  ms_head_cells : I.cell array;
+  ms_chain_cells : I.cell array;
   ms_proc_cells : I.cell array;
   ms_ops_cells : I.cell array;
   ms_hist_cells : I.cell array;
@@ -1715,6 +1869,11 @@ let fresh_mut_state ~n_objs ~n_procs ~unit_cell ~empty_hist =
     ms_steps = Array.make n_procs 0;
     ms_resps = Array.make n_procs [];
     ms_node = Array.make n_procs (Program.Return (Value.unit, Value.unit));
+    ms_todo_cells = Array.make n_procs unit_cell;
+    ms_local_cells = Array.make n_procs unit_cell;
+    ms_ctl_cells = Array.make n_procs unit_cell;
+    ms_head_cells = Array.make n_procs unit_cell;
+    ms_chain_cells = Array.make n_procs unit_cell;
     ms_proc_cells = Array.make n_procs unit_cell;
     ms_ops_cells = Array.make n_procs unit_cell;
     ms_hist_cells = Array.make n_objs empty_hist;
@@ -1804,13 +1963,20 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
   let ops_rev = ref [] in
   (* Fingerprint cells over the mutable state. [obj_cells] is maintained
      unconditionally — successor cells come for free out of the transition
-     rows and double as the table keys. The per-proc cells only exist once
-     the dedup tables activate ([cells_valid]); a frame decides at entry
-     whether it maintains them ([track] below) and a non-tracking backtrack
-     invalidates the cache for the next probe to rebuild. *)
+     rows and double as the table keys. The per-proc component cells and the
+     object sums only exist once the dedup tables activate ([cells_valid]);
+     a frame decides at entry whether it maintains them ([track] below) and
+     a non-tracking backtrack invalidates the cache for the next probe to
+     rebuild. *)
   let hist_cells = ms.ms_hist_cells in
-  let proc_cells = ms.ms_proc_cells in
-  let ops_cells = ms.ms_ops_cells in
+  let todo_cells = ms.ms_todo_cells
+  and local_cells = ms.ms_local_cells
+  and ctl_cells = ms.ms_ctl_cells
+  and head_cells = ms.ms_head_cells
+  and chain_cells = ms.ms_chain_cells
+  and proc_cells = ms.ms_proc_cells
+  and ops_cells = ms.ms_ops_cells in
+  let sum_hi = ref 0 and sum_lo = ref 0 in
   let no_flags = ms.ms_no_flags in
   let cells_valid = ref false in
   let cls_at depth =
@@ -1831,23 +1997,41 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     if i < 8 then Array.unsafe_get (Array.unsafe_get cc.cc_decisions p) i
     else { Faults.proc = p; kind = Faults.Step i }
   in
-  let mut_proc_cell p =
-    I.list ist
-      [
-        I.list ist (List.map (I.intern ist) todo.(p));
-        I.int ist next_op.(p);
-        (if haspend.(p) then
-           I.list ist
-             (I.intern ist p_inv0.(p)
-             :: I.int ist p_opidx.(p)
-             :: List.map (I.intern ist) p_resps.(p))
-         else unit_cell);
-        I.intern ist local.(p);
-      ]
+  (* Re-derive [p]'s process cell from its component cells. *)
+  let set_proc_cell p =
+    Array.unsafe_set proc_cells p
+      (proc_cell ist
+         ~ctl_c:(Array.unsafe_get ctl_cells p)
+         ~pend_c:
+           (if Array.unsafe_get haspend p then
+              pend_cell ist
+                ~head_c:(Array.unsafe_get head_cells p)
+                ~chain_c:(Array.unsafe_get chain_cells p)
+            else unit_cell))
+  in
+  let set_ctl_cell p =
+    Array.unsafe_set ctl_cells p
+      (ctl_cell ist
+         ~todo_c:(Array.unsafe_get todo_cells p)
+         ~local_c:(Array.unsafe_get local_cells p))
   in
   let rebuild_cells () =
+    sum_hi := 0;
+    sum_lo := 0;
+    for o = 0 to n_objs - 1 do
+      sum_hi := !sum_hi + obj_term_hi o obj_cells.(o) hist_cells.(o) acc.(o);
+      sum_lo := !sum_lo + obj_term_lo o obj_cells.(o) hist_cells.(o) acc.(o)
+    done;
     for p = 0 to n_procs - 1 do
-      proc_cells.(p) <- mut_proc_cell p;
+      todo_cells.(p) <- todo_cell ist todo.(p);
+      local_cells.(p) <- local_cell ist ~next_op:next_op.(p) local.(p);
+      set_ctl_cell p;
+      if haspend.(p) then begin
+        head_cells.(p) <-
+          head_cell ist ~inv0:p_inv0.(p) ~op_index:p_opidx.(p);
+        chain_cells.(p) <- chain_cell ist p_resps.(p)
+      end;
+      set_proc_cell p;
       ops_cells.(p) <- unit_cell
     done;
     List.iter
@@ -1855,6 +2039,16 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
         ops_cells.(o.proc) <- I.pair ist (fp_op_cell ist o) ops_cells.(o.proc))
       (List.rev !ops_rev);
     cells_valid := true
+  in
+  (* The tracker's fingerprint cell id. [go] carries it down the recursion
+     and an edge passes it on whenever the tracker state is physically
+     unchanged, so it is re-interned only below edges that changed the
+     state; [no_tid] marks "not computed yet". *)
+  let no_tid = min_int in
+  let tracker_id st =
+    match t.fingerprint with
+    | Some fp -> I.id (I.intern ist (fp st))
+    | None -> -1
   in
   (* One integer compare per node stands in for the full dedup-activation
      test: [probe] is only entered once [c.nodes] reaches the floor, and the
@@ -1869,7 +2063,7 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
         else if Option.is_some dd.tables then 0
         else dd.threshold)
   in
-  let probe sleep st =
+  let probe sleep tracker_id =
     match dd with
     | None -> false
     | Some dd ->
@@ -1885,21 +2079,16 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
           | Some (T_value _ | T_intern _) -> assert false
           | None ->
             let fx =
-              flat_create ~ist ~n_objs ~n_procs ~tier2:dd.tier2
+              flat_create ~ist ~n_procs ~tier2:dd.tier2
                 ~bloom_bits_log2:dd.bloom_bits_log2 ()
             in
             dd.tables <- Some (T_flat fx);
             fx
         in
         if not !cells_valid then rebuild_cells ();
-        let tracker_id =
-          match t.fingerprint with
-          | Some fp -> I.id (I.intern ist (fp st))
-          | None -> -1
-        in
         let hi, lo =
-          encode_flat_parts fx ~obj_cells ~hist_cells ~proc_cells ~ops_cells
-            ~acc ~crashed:no_flags ~stuck:no_flags ~events:!events
+          encode_flat_parts fx ~sum_hi:!sum_hi ~sum_lo:!sum_lo ~proc_cells
+            ~ops_cells ~crashed:no_flags ~stuck:no_flags ~events:!events
             ~crashes_left:0 ~recoveries_left:0 ~glitches_left:0 ~sleep
             ~classes:dd.classes ~tracker_id
         in
@@ -1956,7 +2145,7 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
      classifications depend only on untouched per-process state and
      untouched objects, so the POR prepass copies them instead of
      re-resolving rows. Root and non-POR frames pass [-1] (all dirty). *)
-  let rec go cl_par dirty sleep trace_rev st =
+  let rec go cl_par dirty sleep trace_rev st tid =
     memcheck ();
     let mask = ref 0 in
     for p = n_procs - 1 downto 0 do
@@ -1993,9 +2182,13 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       if c.overflow_trace = None then
         c.overflow_trace <- Some (List.rev trace_rev)
     end
-    else if c.nodes >= !probe_floor && probe sleep st then
-      c.pruned <- c.pruned + 1
-    else begin
+    else
+      let tid =
+        if tid = no_tid && c.nodes >= !probe_floor then tracker_id st else tid
+      in
+      if c.nodes >= !probe_floor && probe sleep tid then
+        c.pruned <- c.pruned + 1
+      else begin
       (* Under POR every runnable process is classified up front (the
          independence relation needs all of them); without POR each process
          is classified right before expansion, preserving the boxed path's
@@ -2040,7 +2233,7 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
               ret_child p cl
                 (if opts.por then 1 lsl p else -1)
                 (Array.unsafe_get cl.cnode p)
-                child_sleep trace_rev st
+                child_sleep trace_rev st tid
             | k ->
               let node = Array.unsafe_get cl.cnode p in
               let row = Array.unsafe_get cl.crow p in
@@ -2076,10 +2269,10 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
               end;
               let cells = row.Step_table.cells in
               for j = 0 to n_alts - 1 do
-                let qc = (Array.unsafe_get cells (2 * j)) in
-                acc_child p cl child_dirty node fresh obj qc (I.value qc)
-                  (I.value (Array.unsafe_get cells ((2 * j) + 1)))
-                  j child_sleep trace_rev st
+                acc_child p cl child_dirty node fresh obj
+                  (Array.unsafe_get cells (2 * j))
+                  (Array.unsafe_get cells ((2 * j) + 1))
+                  j child_sleep trace_rev st tid
               done);
             explored := !explored lor (1 lsl p)
           end
@@ -2088,7 +2281,7 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     end
   (* A fresh operation whose program returns without touching a base object:
      one completion child, no object mutation. *)
-  and ret_child p cl child_dirty node child_sleep trace_rev st =
+  and ret_child p cl child_dirty node child_sleep trace_rev st tid =
     match node with
     | Program.Invoke _ -> assert false
     | Program.Return (resp, local') ->
@@ -2098,6 +2291,9 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       let s_nextop = (Array.unsafe_get next_op (p)) and s_local = (Array.unsafe_get local (p)) in
       let s_ops = !ops_rev in
       let s_opsc = (Array.unsafe_get ops_cells (p)) and s_pc = (Array.unsafe_get proc_cells (p)) in
+      let s_todoc = Array.unsafe_get todo_cells p
+      and s_localc = Array.unsafe_get local_cells p
+      and s_ctlc = Array.unsafe_get ctl_cells p in
       let track = !cells_valid in
       let inv0, todo' =
         match s_todo with inv :: tl -> (inv, tl) | [] -> assert false
@@ -2119,7 +2315,11 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       Array.unsafe_set local (p) (local');
       if track then begin
         ops_cells.(p) <- I.pair ist (fp_op_cell ist op) s_opsc;
-        proc_cells.(p) <- mut_proc_cell p
+        Array.unsafe_set todo_cells p (todo_cell ist todo');
+        Array.unsafe_set local_cells p
+          (local_cell ist ~next_op:(s_nextop + 1) local');
+        set_ctl_cell p;
+        set_proc_cell p
       end;
       incr events;
       let st' =
@@ -2128,7 +2328,7 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
             (Op_completed { op; pending = live_pending_mut () })
         else st
       in
-      go cl child_dirty child_sleep tr st';
+      go cl child_dirty child_sleep tr st' (if st' == st then tid else no_tid);
       decr events;
       ops_rev := s_ops;
       Array.unsafe_set todo (p) (s_todo);
@@ -2136,16 +2336,22 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       Array.unsafe_set local (p) (s_local);
       if track then begin
         Array.unsafe_set ops_cells (p) (s_opsc);
-        Array.unsafe_set proc_cells (p) (s_pc)
+        Array.unsafe_set proc_cells (p) (s_pc);
+        Array.unsafe_set todo_cells p s_todoc;
+        Array.unsafe_set local_cells p s_localc;
+        Array.unsafe_set ctl_cells p s_ctlc
       end
       else cells_valid := false
-  (* One base access: apply the row's alternative [j] in place, advance the
-     program through the response memo, recurse, restore. *)
-  and acc_child p cl child_dirty node fresh obj qc q' resp j child_sleep
-      trace_rev st =
+  (* One base access: apply the row's alternative [j] (successor cell [qc],
+     response cell [rc]) in place, advance the program through the response
+     memo, recurse, restore. *)
+  and acc_child p cl child_dirty node fresh obj qc rc j child_sleep trace_rev
+      st tid =
     c.nodes <- c.nodes + 1;
     let tr = dec p j :: trace_rev in
+    let q' = I.value qc and resp = I.value rc in
     let s_q = (Array.unsafe_get objs (obj)) and s_qc = (Array.unsafe_get obj_cells (obj)) in
+    let s_acc = Array.unsafe_get acc obj in
     let s_todo = (Array.unsafe_get todo (p)) in
     let s_nextop = (Array.unsafe_get next_op (p)) and s_local = (Array.unsafe_get local (p)) in
     let s_haspend = (Array.unsafe_get haspend (p)) and s_inv0 = (Array.unsafe_get p_inv0 (p)) in
@@ -2154,6 +2360,12 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     let s_node = (Array.unsafe_get p_node (p)) in
     let s_ops = !ops_rev in
     let s_opsc = (Array.unsafe_get ops_cells (p)) and s_pc = (Array.unsafe_get proc_cells (p)) in
+    let s_todoc = Array.unsafe_get todo_cells p
+    and s_localc = Array.unsafe_get local_cells p
+    and s_ctlc = Array.unsafe_get ctl_cells p
+    and s_headc = Array.unsafe_get head_cells p
+    and s_chainc = Array.unsafe_get chain_cells p in
+    let s_sum_hi = !sum_hi and s_sum_lo = !sum_lo in
     let track = !cells_valid in
     let inv0, op_index, started, steps_done, resps_rev =
       if fresh then
@@ -2163,7 +2375,7 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     in
     Array.unsafe_set objs (obj) (q');
     Array.unsafe_set obj_cells (obj) (qc);
-    Array.unsafe_set acc (obj) ((Array.unsafe_get acc (obj)) + 1);
+    Array.unsafe_set acc (obj) (s_acc + 1);
     if fresh then
       Array.unsafe_set todo (p) ((match s_todo with _ :: tl -> tl | [] -> assert false));
     let next = Program.step node resp in
@@ -2185,8 +2397,15 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
         Array.unsafe_set haspend (p) (false);
         Array.unsafe_set next_op (p) (op_index + 1);
         Array.unsafe_set local (p) (local');
-        if track then
+        if track then begin
           Array.unsafe_set ops_cells (p) (I.pair ist (fp_op_cell ist op) s_opsc);
+          if fresh then
+            Array.unsafe_set todo_cells p
+              (todo_cell ist (Array.unsafe_get todo p));
+          Array.unsafe_set local_cells p
+            (local_cell ist ~next_op:(op_index + 1) local');
+          set_ctl_cell p
+        end;
         Some op
       | Program.Invoke _ ->
         Array.unsafe_set haspend (p) (true);
@@ -2196,9 +2415,27 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
         Array.unsafe_set p_steps (p) (steps_done + 1);
         Array.unsafe_set p_resps (p) (resp :: resps_rev);
         Array.unsafe_set p_node (p) (next);
+        if track then
+          if fresh then begin
+            Array.unsafe_set todo_cells p
+              (todo_cell ist (Array.unsafe_get todo p));
+            set_ctl_cell p;
+            Array.unsafe_set head_cells p (head_cell ist ~inv0 ~op_index);
+            Array.unsafe_set chain_cells p (I.pair ist rc unit_cell)
+          end
+          else Array.unsafe_set chain_cells p (I.pair ist rc s_chainc);
         None
     in
-    if track then Array.unsafe_set proc_cells p (mut_proc_cell p);
+    if track then begin
+      let hc = Array.unsafe_get hist_cells obj in
+      sum_hi :=
+        s_sum_hi - obj_term_hi obj s_qc hc s_acc
+        + obj_term_hi obj qc hc (s_acc + 1);
+      sum_lo :=
+        s_sum_lo - obj_term_lo obj s_qc hc s_acc
+        + obj_term_lo obj qc hc (s_acc + 1);
+      set_proc_cell p
+    end;
     incr events;
     let st' =
       match completed with
@@ -2207,11 +2444,11 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
           (Op_completed { op; pending = live_pending_mut () })
       | _ -> st
     in
-    go cl child_dirty child_sleep tr st';
+    go cl child_dirty child_sleep tr st' (if st' == st then tid else no_tid);
     decr events;
     Array.unsafe_set objs (obj) (s_q);
     Array.unsafe_set obj_cells (obj) (s_qc);
-    Array.unsafe_set acc (obj) ((Array.unsafe_get acc (obj)) - 1);
+    Array.unsafe_set acc (obj) (s_acc);
     Array.unsafe_set todo (p) (s_todo);
     Array.unsafe_set next_op (p) (s_nextop);
     Array.unsafe_set local (p) (s_local);
@@ -2225,11 +2462,18 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     ops_rev := s_ops;
     if track then begin
       Array.unsafe_set ops_cells (p) (s_opsc);
-      Array.unsafe_set proc_cells (p) (s_pc)
+      Array.unsafe_set proc_cells (p) (s_pc);
+      Array.unsafe_set todo_cells p s_todoc;
+      Array.unsafe_set local_cells p s_localc;
+      Array.unsafe_set ctl_cells p s_ctlc;
+      Array.unsafe_set head_cells p s_headc;
+      Array.unsafe_set chain_cells p s_chainc;
+      sum_hi := s_sum_hi;
+      sum_lo := s_sum_lo
     end
     else cells_valid := false
   in
-  go (cls_at 0) (-1) 0 [] t.root;
+  go (cls_at 0) (-1) 0 [] t.root no_tid;
   cc.cc_pool <- Some ms
 
 (* Worker-failure taxonomy for the supervised pool: [User_error] tags an

@@ -24,9 +24,12 @@
       alternatives are computed {e once} per node and shared between the
       independence check and child generation;
     - {b flat-state fingerprinting} ([flat]): the dedup key is a flat
-      [int array] of interned-cell ids hashed into a fixed-width ⟨hi, lo⟩
-      124-bit fingerprint ({!Wfc_spec.Fingerprint}) probed in an
-      open-addressing table — no boxed key is ever built on the hot path.
+      [int array] of interned-cell ids and two additive object-segment
+      sums, hashed into a fixed-width ⟨hi, lo⟩ 124-bit fingerprint
+      ({!Wfc_spec.Fingerprint}) probed in an open-addressing table — no
+      boxed key is ever built on the hot path, and an edge updates only
+      the key components it changed, so a probe's cost does not grow with
+      the number of base objects or the length of pending operations.
       Runs that outgrow [?mem_budget_mb] migrate the table into a constant-
       memory Bloom filter instead of dropping dedup entirely, and in
       frontier mode the pending-subtree queue spills to disk beyond a small
@@ -79,7 +82,8 @@ type options = {
           why it is safe to have on by default in {!fast}. *)
   flat : bool;
       (** flat-state hot path: encode the configuration as a contiguous
-          [int array] of interned-cell ids, fingerprint it with
+          [int array] of interned-cell ids, with the base objects folded
+          into two position-salted additive sums, fingerprint it with
           {!Wfc_spec.Fingerprint.hash_array} and probe the fixed-width
           ⟨hi, lo⟩ pair in an open-addressing table (or its Bloom second
           tier under memory pressure) — replacing the boxed

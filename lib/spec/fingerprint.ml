@@ -35,6 +35,26 @@ let fold_array ~seed mult a ~len =
 let hash_array a ~len =
   (fold_array ~seed:0x9E3779B9 m1 a ~len, fold_array ~seed:0x85EBCA6B m2 a ~len)
 
+(* --- additive segment hashing ------------------------------------------------
+
+   A segment of k fixed-width components (the engine's per-object
+   ⟨state, history, access count⟩ triples) hashes to the sum, modulo 2^63,
+   of one mix per component, in each of two lanes. The mix is salted by the
+   component's position, so the sum is a Zobrist-style hash: updating one
+   component subtracts its old mix and adds its new one, and modular
+   subtraction undoes an addition bit for bit. A fold over the whole segment
+   would cost O(k) per probe; the sum costs O(1) per changed component.
+
+   Each lane's term is four chained rounds of that lane's mixer from its own
+   seed (distinct from [hash_array]'s), so the two lanes are independent
+   functions of the component, and a collision between two segments that
+   differ needs both 63-bit sums to agree. *)
+let component ~seed mult pos a b c =
+  mix mult (mix mult (mix mult (mix mult seed pos) a) b) c
+
+let component_hi pos a b c = component ~seed:0x6A09E667 m1 pos a b c
+let component_lo pos a b c = component ~seed:0x3C6EF372 m2 pos a b c
+
 (* 62-bit string hash used as the checkpoint body digest: the two lanes of
    the underlying structural hash folded together. One pass, no allocation,
    ~6x faster than MD5 on checkpoint-sized bodies and with 62 bits still

@@ -1,13 +1,31 @@
 (** Fixed-width fingerprints and the flat dedup tables built on them.
 
     The exploration engine's flat hot path encodes a configuration as a
-    small [int array] of interned-cell ids and scalars, hashes it into a
-    ⟨hi, lo⟩ pair of 62-bit lanes (~124 bits total, splitmix64-family
-    avalanche mixers with two independent seeds), and probes that pair in
-    an open-addressing {!Table} — no boxed key is ever built, no structural
-    equality is ever walked. At 124 bits, fingerprint equality is treated
-    as state equality (hash compaction: the collision probability for a
-    10^9-state run is ≈ 2^-64).
+    small [int array], hashes it into a ⟨hi, lo⟩ pair of 62-bit lanes
+    (~124 bits total, splitmix64-family avalanche mixers with two
+    independent seeds), and probes that pair in an open-addressing {!Table}
+    — no boxed key is ever built, no structural equality is ever walked.
+
+    The array has a fixed layout whose length does not grow with the number
+    of base objects:
+    - two additive sums standing for the whole object segment. Each object
+      contributes one position-salted term over ⟨state cell id, history
+      cell id, access count⟩ per lane ({!component_hi}, {!component_lo}),
+      summed modulo 2^63. An access swaps one term, and backtracking
+      restores the two saved sums;
+    - five ints per process: the id of its process cell, the id of its
+      completed-ops cell, and its crashed, stuck and sleep bits. The process
+      cell is interned from cached component cells — todo list,
+      ⟨next_op, local⟩, pending head ⟨inv0, op_index⟩ and response chain —
+      so an access re-interns O(1) cells, never a whole response list;
+    - the event count, the fault budgets and the tracker's cell id.
+
+    Collisions: the object sums are Zobrist-style. Two configurations whose
+    object segments differ agree on both sums only when two independent
+    63-bit lanes collide at once, and the array is then folded into 124
+    bits. Both steps are hash compaction. Fingerprint equality is treated as
+    state equality; for a 10^9-state run the collision probability is
+    ≈ 2^-64.
 
     {!Bloom} is the constant-memory second tier for runs that outgrow
     their memory budget: membership answers become "possibly seen", so an
@@ -18,6 +36,19 @@ val hash_array : int array -> len:int -> int * int
 (** [hash_array a ~len] folds [a.(0 .. len-1)] into a ⟨hi, lo⟩ fingerprint.
     Position-sensitive in both lanes; only the first [len] elements are
     read. Both lanes are non-negative. *)
+
+val component_hi : int -> int -> int -> int -> int
+(** [component_hi pos a b c] is the hi-lane term of the three-int component
+    ⟨a, b, c⟩ at position [pos] of an additive segment: a 62-bit mix,
+    salted by [pos], so equal components at different positions get
+    unrelated terms. A segment's lane hash is the sum of its components'
+    terms (OCaml [int] arithmetic, modulo 2^63); changing one component
+    subtracts its old term and adds its new one, and subtracting a term
+    undoes adding it exactly. *)
+
+val component_lo : int -> int -> int -> int -> int
+(** The lo-lane term: the same shape through the second mixer and an
+    independent seed. *)
 
 val hash_string : string -> int
 (** One-pass 62-bit digest of a string (both mixer lanes folded together).

@@ -292,6 +292,171 @@ let prop_compile_parity =
       assert_compiled_interp_parity ~msg:"qcheck" impl wls;
       true)
 
+(* --- compiled kernel vs interpreted on wide, long-operation shapes ---------- *)
+
+(* The shapes the incremental fingerprint targets: a Theorem 5 output (many
+   base objects, operations of ~20 accesses) and the universal construction
+   under a tracker (long operations, tracker state changing at every
+   completion). Both engines key on the same incrementally maintained
+   cells, so every count must match exactly. *)
+let check_counts ~msg (a : Explore.stats) (b : Explore.stats) =
+  Alcotest.(check int) (msg ^ ": nodes") a.Explore.nodes b.Explore.nodes;
+  Alcotest.(check int) (msg ^ ": leaves") a.Explore.leaves b.Explore.leaves;
+  Alcotest.(check int) (msg ^ ": pruned") a.Explore.pruned b.Explore.pruned;
+  Alcotest.(check int)
+    (msg ^ ": sleep_skips")
+    a.Explore.sleep_skips b.Explore.sleep_skips
+
+let interpreted = { Explore.fast with Explore.compile = false }
+
+let verdict_string = function
+  | Check.Verified v -> Fmt.str "verified/%d" v.Check.executions
+  | Check.Falsified _ -> "falsified"
+  | Check.Unknown _ -> "unknown"
+
+let test_theorem5_compile_parity () =
+  let source =
+    match Protocols.of_name ~procs:3 "cas-ids" with
+    | Ok impl -> impl
+    | Error e -> Alcotest.fail e
+  in
+  let strategy =
+    match
+      Wfc_core.Theorem5.strategy_for
+        (Catalog.find ~ports:2 "test-and-set").Catalog.spec
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let compiled =
+    match Wfc_core.Theorem5.eliminate_registers ~strategy source with
+    | Ok r -> r.Wfc_core.Theorem5.compiled
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "wide configurations" true
+    (Array.length compiled.Implementation.objects > 20);
+  (* The default activation threshold exercises the lazy cell rebuild, 0
+     keys every node from the root. POR alone leaves dedup little to do on
+     these vectors, so the dedup-only engine is compared too. *)
+  let pruned = ref 0 in
+  List.iter
+    (fun (v : Check.vector) ->
+      List.iter
+        (fun (name, engine, dedup_threshold) ->
+          let run options =
+            Explore.run compiled ~workloads:v.Check.workloads ~options
+              ~dedup_threshold ()
+          in
+          let si = run { engine with Explore.compile = false } in
+          pruned := !pruned + si.Explore.pruned;
+          check_counts
+            ~msg:(Fmt.str "vector %d %s threshold %d" v.Check.pos name
+                    dedup_threshold)
+            si (run engine))
+        [
+          ("fast", Explore.fast, 0);
+          ("fast", Explore.fast, Explore.default_dedup_threshold);
+          ("dedup-only", { Explore.fast with Explore.por = false }, 0);
+        ])
+    (Check.vectors ~repeat:false compiled);
+  Alcotest.(check bool) "dedup pruned" true (!pruned > 0);
+  Alcotest.(check string) "verdict"
+    (verdict_string (Check.verify ~engine:interpreted ~repeat:false compiled))
+    (verdict_string (Check.verify ~engine:Explore.fast ~repeat:false compiled))
+
+(* A linearizability tracker for fetch-and-add: the state is the set of
+   target states some linearization of the completed operations reaches,
+   each paired with the pending invocations it already linearized early.
+   Exact enough to reject a wrong response, and its state changes at every
+   completion — which is what the kernel's tracker-cell reuse must get
+   right. *)
+let faa_tracker ~modulus ~verdicts =
+  let add s inv =
+    match inv with
+    | Value.Pair (_, Value.Int d) -> (s + d) mod modulus
+    | _ -> Alcotest.fail "faa_tracker: not a fetch-add"
+  in
+  let canon configs = List.sort_uniq compare configs in
+  let event configs ~trace_rev:_ = function
+    | Explore.Op_completed { op; pending } ->
+      let inv = op.Exec.inv and resp = op.Exec.resp in
+      (* linearize any subset of the pending ops (early), then [op] *)
+      let rec early acc = function
+        | [] -> acc
+        | (p, pinv) :: rest ->
+          let acc =
+            acc
+            @ List.filter_map
+                (fun (s, lin) ->
+                  if List.mem_assoc p lin then None
+                  else Some (add s pinv, (p, Value.Int s) :: lin))
+                acc
+          in
+          early acc rest
+      in
+      canon
+        (List.filter_map
+           (fun (s, lin) ->
+             match List.assoc_opt op.Exec.proc lin with
+             | Some r ->
+               (* already linearized early: its guessed response must hold *)
+               if Value.equal r resp then
+                 Some (s, List.remove_assoc op.Exec.proc lin)
+               else None
+             | None ->
+               if Value.equal resp (Value.Int s) then Some (add s inv, lin)
+               else None)
+           (early configs pending))
+    | Explore.Proc_crashed _ | Explore.Proc_wedged _ -> configs
+  in
+  {
+    Explore.root = [ (0, []) ];
+    event;
+    at_leaf =
+      (fun configs ~trace_rev:_ _ ->
+        verdicts := (configs <> []) :: !verdicts);
+    fingerprint =
+      Some
+        (fun configs ->
+          Value.list
+            (List.map
+               (fun (s, lin) ->
+                 Value.pair (Value.int s)
+                   (Value.list
+                      (List.map (fun (p, r) -> Value.pair (Value.int p) r) lin)))
+               configs));
+  }
+
+let test_universal_tracker_parity () =
+  let modulus = 5 in
+  let target = Rmw.fetch_add_mod ~ports:2 ~modulus in
+  let impl = Wfc_consensus.Universal.construct ~target ~procs:2 ~cells:10 () in
+  let workloads =
+    [| [ Ops.fetch_add 1; Ops.fetch_add 2 ]; [ Ops.fetch_add 3; Ops.fetch_add 1 ] |]
+  in
+  let run options =
+    let verdicts = ref [] in
+    let stats =
+      Explore.run impl ~workloads ~options
+        ~tracker:(faa_tracker ~modulus ~verdicts) ()
+    in
+    (stats, List.rev !verdicts)
+  in
+  let si, vi = run interpreted in
+  let sc, vc = run Explore.fast in
+  Alcotest.(check bool) "dedup engaged" true (sc.Explore.pruned > 0);
+  check_counts ~msg:"universal faa" si sc;
+  Alcotest.(check (list bool)) "per-leaf verdicts" vi vc;
+  Alcotest.(check bool) "every leaf linearizable" true (List.for_all Fun.id vc);
+  match
+    Wfc_linearize.Engine.verify impl ~workloads
+      ~mode:(Wfc_linearize.Engine.Incremental { compositional = true })
+      ()
+  with
+  | Ok _ -> ()
+  | Error v ->
+    Alcotest.failf "engine verdict: %a" Wfc_linearize.Engine.pp_violation v
+
 (* --- downstream verdict parity --------------------------------------------- *)
 
 let flat_engine = Explore.fast
@@ -487,6 +652,105 @@ let test_hash_sensitivity () =
     (Fingerprint.hash_string "wfc-checkpoint/1"
     <> Fingerprint.hash_string "wfc-checkpoint/2")
 
+(* --- additive segment hashing ---------------------------------------------- *)
+
+let segment_sums comps =
+  Array.fold_left
+    (fun (h, l) (pos, a, b, c) ->
+      (h + Fingerprint.component_hi pos a b c,
+       l + Fingerprint.component_lo pos a b c))
+    (0, 0) comps
+
+let test_segment_update_revert () =
+  let rng = Random.State.make [| 0x5E6 |] in
+  let comp pos =
+    (pos, Random.State.int rng 1000, Random.State.int rng 1000,
+     Random.State.int rng 50)
+  in
+  for _ = 1 to 200 do
+    let comps = Array.init 8 comp in
+    let hi0, lo0 = segment_sums comps in
+    let i = Random.State.int rng 8 in
+    let ((pos, a, b, c) as old) = comps.(i) in
+    let ((_, a', b', c') as nw) = (pos, a + 1 + Random.State.int rng 5, b, c + 1) in
+    (* incremental update: subtract the old term, add the new one *)
+    let hi1 =
+      hi0 - Fingerprint.component_hi pos a b c + Fingerprint.component_hi pos a' b' c'
+    and lo1 =
+      lo0 - Fingerprint.component_lo pos a b c + Fingerprint.component_lo pos a' b' c'
+    in
+    comps.(i) <- nw;
+    Alcotest.(check (pair int int)) "update matches recomputation"
+      (segment_sums comps) (hi1, lo1);
+    Alcotest.(check bool) "update moves both lanes" true (hi1 <> hi0 && lo1 <> lo0);
+    (* revert *)
+    let hi2 =
+      hi1 - Fingerprint.component_hi pos a' b' c' + Fingerprint.component_hi pos a b c
+    and lo2 =
+      lo1 - Fingerprint.component_lo pos a' b' c' + Fingerprint.component_lo pos a b c
+    in
+    comps.(i) <- old;
+    Alcotest.(check (pair int int)) "revert restores both sums" (hi0, lo0) (hi2, lo2)
+  done
+
+let test_segment_positions_salted () =
+  let a = (17, 3, 1) and b = (42, 3, 2) in
+  let at pos (x, y, z) = (pos, x, y, z) in
+  let hi, lo = segment_sums [| at 0 a; at 1 b; at 2 a |] in
+  let hi', lo' = segment_sums [| at 0 b; at 1 a; at 2 a |] in
+  Alcotest.(check bool) "swap changes the hi lane" true (hi <> hi');
+  Alcotest.(check bool) "swap changes the lo lane" true (lo <> lo');
+  (* an equal component at two positions does not cancel out *)
+  let hi_eq, lo_eq = segment_sums [| at 0 a; at 1 a |] in
+  Alcotest.(check bool) "repeated component does not vanish" true
+    ((hi_eq, lo_eq) <> (0, 0))
+
+(* A random walk over configurations of 6 objects, each step changing one
+   component the way an edge does (new state cell, access count + 1), with
+   occasional jumps: ~10^5 distinct configurations, and no two may share
+   their ⟨hi, lo⟩ pair of sums. *)
+let test_segment_collision_probe () =
+  let rng = Random.State.make [| 0xC011 |] in
+  let k = 6 in
+  let cur = Array.init k (fun _ -> (Random.State.int rng 8, 0, 0)) in
+  let hi = ref 0 and lo = ref 0 in
+  let recompute () =
+    let h, l =
+      segment_sums (Array.mapi (fun pos (a, b, c) -> (pos, a, b, c)) cur)
+    in
+    hi := h;
+    lo := l
+  in
+  recompute ();
+  let seen = Hashtbl.create 200_000 in
+  let configs = ref 0 and collisions = ref 0 in
+  for step = 1 to 100_000 do
+    if step mod 997 = 0 then begin
+      Array.iteri
+        (fun i _ -> cur.(i) <- (Random.State.int rng 8, Random.State.int rng 3, 0))
+        cur;
+      recompute ()
+    end
+    else begin
+      let o = Random.State.int rng k in
+      let ((_, b, c) as old) = cur.(o) in
+      let nw = (Random.State.int rng 8, b, c + 1) in
+      let term f (x, y, z) = f o x y z in
+      hi := !hi - term Fingerprint.component_hi old + term Fingerprint.component_hi nw;
+      lo := !lo - term Fingerprint.component_lo old + term Fingerprint.component_lo nw;
+      cur.(o) <- nw
+    end;
+    let key = Array.to_list cur in
+    match Hashtbl.find_opt seen (!hi, !lo) with
+    | Some k' -> if k' <> key then incr collisions
+    | None ->
+      incr configs;
+      Hashtbl.add seen (!hi, !lo) key
+  done;
+  Alcotest.(check bool) "probe covers ~10^5 configurations" true
+    (!configs > 90_000);
+  Alcotest.(check int) "no equal ⟨hi, lo⟩ pairs" 0 !collisions
+
 let () =
   Alcotest.run "wfc_flat"
     [
@@ -511,6 +775,13 @@ let () =
           Alcotest.test_case "Check.verify agrees with compile off" `Quick
             test_verdict_parity_no_compile;
         ] );
+      ( "wide/tracked parity",
+        [
+          Alcotest.test_case "Theorem 5 output: compiled = interpreted" `Quick
+            test_theorem5_compile_parity;
+          Alcotest.test_case "universal faa under a tracker" `Quick
+            test_universal_tracker_parity;
+        ] );
       ( "bloom tier",
         [
           Alcotest.test_case "only prunes, downgrades completeness" `Quick
@@ -525,5 +796,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_table_oracle;
           Alcotest.test_case "iter is complete" `Quick test_table_iter_complete;
           Alcotest.test_case "hash sensitivity" `Quick test_hash_sensitivity;
+          Alcotest.test_case "segment update then revert" `Quick
+            test_segment_update_revert;
+          Alcotest.test_case "segment positions are salted" `Quick
+            test_segment_positions_salted;
+          Alcotest.test_case "segment collision probe" `Quick
+            test_segment_collision_probe;
         ] );
     ]
