@@ -412,9 +412,8 @@ let explore_workloads () =
 let engine_variants () =
   [
     ("naive", Explore.naive);
-    ("dedup", { Explore.naive with Explore.dedup = true });
+    ("dedup", { Explore.naive with Explore.dedup = Exact });
     ("por", { Explore.naive with Explore.por = true });
-    ("fast-boxed", { Explore.fast with Explore.flat = false });
     ("fast", Explore.fast);
     ("fast-par", Explore.parallel ());
   ]
@@ -500,7 +499,6 @@ let baseline_e10_fast key path =
            !in_e10
            && contains l {|"engine": "fast"|}
            && not (contains l {|"fast-par"|})
-           && not (contains l {|"fast-boxed"|})
          then
            match float_field l key with
            | Some v -> result := Some v
@@ -923,29 +921,21 @@ let linearize_engine_report () =
   List.iter (fun s -> Fmt.pr "GUARD FAILED: %s@." s) !guard_failures;
   !guard_failures = []
 
-(* --- CX: state-space compaction (hash-consing + symmetry) ---------------------
+(* --- CX: state-space compaction (process symmetry) -----------------------------
 
-   One timed Explore.run per ⟨workload, compaction config⟩, dumped as
-   BENCH_compact.json. The three configs isolate each layer: [fast] (dedup +
-   POR, structural fingerprints), [fast+intern] (hash-consed incremental
-   keys — same pruning decisions, cheaper probes), [fast+intern+symmetry]
-   (canonical keys under permutation of interchangeable processes). The
-   report doubles as a guard: interning may never change the node count,
-   symmetry may never increase it, the three configs must agree with
-   Check.verify's verdict on every guard protocol, and at least one
+   One timed Explore.run per ⟨workload, dedup mode⟩, dumped as
+   BENCH_compact.json. [exact] is [Explore.fast] with pid-exact dedup keys,
+   [symmetric] is [Explore.fast] itself (keys canonicalized under
+   permutations of interchangeable processes). The report doubles as a
+   guard: symmetry may never increase the node count, both modes must agree
+   with Check.verify's verdict on every guard protocol, and at least one
    ≥3-process symmetric workload must show a ≥2x node cut; any breach makes
    the runner exit nonzero (the CI step runs `bench/main.exe cx`). *)
 
 let cx_engines () =
   [
-    (* flat pinned off on the first three rows so each isolates exactly one
-       layer; the last row turns on the flat fingerprint path on top *)
-    ( "fast",
-      { Explore.fast with Explore.intern = false; symmetry = false; flat = false }
-    );
-    ("fast+intern", { Explore.fast with Explore.symmetry = false; flat = false });
-    ("fast+intern+symmetry", { Explore.fast with Explore.flat = false });
-    ("fast+flat", Explore.fast);
+    ("exact", { Explore.fast with Explore.dedup = Exact });
+    ("symmetric", Explore.fast);
   ]
 
 let cx_workloads () =
@@ -1034,8 +1024,7 @@ let compact_report () =
     List.map
       (fun (name, impl, workloads) ->
         Fmt.pr "%s:@." name;
-        let base_nodes = ref 0 and intern_nodes = ref 0 in
-        let sym_nodes = ref 0 in
+        let base_nodes = ref 0 in
         let rows =
           List.map
             (fun (ename, options) ->
@@ -1052,9 +1041,7 @@ let compact_report () =
                   (Gc.minor_words () -. g0) /. float_of_int s.Explore.nodes
                 else 0.0
               in
-              if String.equal ename "fast" then base_nodes := s.Explore.nodes;
-              if String.equal ename "fast+intern" then
-                intern_nodes := s.Explore.nodes;
+              if String.equal ename "exact" then base_nodes := s.Explore.nodes;
               let cut =
                 if s.Explore.nodes = 0 then 1.0
                 else float_of_int !base_nodes /. float_of_int s.Explore.nodes
@@ -1064,12 +1051,12 @@ let compact_report () =
               in
               Fmt.pr
                 "  %-22s %9d nodes %8d leaves %8d pruned %9.3f ms %12.0f \
-                 nodes/s %7.1f mw/node (nodes x%.2f vs fast)@."
+                 nodes/s %7.1f mw/node (nodes x%.2f vs exact)@."
                 ename s.Explore.nodes s.Explore.leaves s.Explore.pruned
                 (wall *. 1e3) nodes_per_s mwpn cut;
               ( (ename, s, cut),
                 Fmt.str
-                  {|        {"engine": %S, "nodes": %d, "leaves": %d, "pruned": %d, "sleep_skips": %d, "max_events": %d, "wall_s": %.6f, "nodes_per_s": %.0f, "minor_words_per_node": %.1f, "node_cut_vs_fast": %.3f}|}
+                  {|        {"engine": %S, "nodes": %d, "leaves": %d, "pruned": %d, "sleep_skips": %d, "max_events": %d, "wall_s": %.6f, "nodes_per_s": %.0f, "minor_words_per_node": %.1f, "node_cut_vs_exact": %.3f}|}
                   ename s.Explore.nodes s.Explore.leaves s.Explore.pruned
                   s.Explore.sleep_skips s.Explore.max_events wall nodes_per_s
                   mwpn cut ))
@@ -1077,28 +1064,13 @@ let compact_report () =
         in
         List.iter
           (fun ((ename, s, cut), _) ->
-            match ename with
-            | "fast+intern" ->
-              if s.Explore.nodes <> !base_nodes then
-                fail
-                  "%s: fast+intern visited %d nodes, fast visited %d \
-                   (interning must not change pruning decisions)"
-                  name s.Explore.nodes !base_nodes
-            | "fast+intern+symmetry" ->
-              sym_nodes := s.Explore.nodes;
-              if s.Explore.nodes > !intern_nodes then
+            if String.equal ename "symmetric" then begin
+              if s.Explore.nodes > !base_nodes then
                 fail "%s: symmetry increased nodes (%d > %d)" name
-                  s.Explore.nodes !intern_nodes;
+                  s.Explore.nodes !base_nodes;
               if impl.Implementation.procs >= 3 && cut > !best_cut then
                 best_cut := cut
-            | "fast+flat" ->
-              if s.Explore.nodes <> !sym_nodes then
-                fail
-                  "%s: fast+flat visited %d nodes, boxed fast+intern+symmetry \
-                   visited %d (the flat path must not change pruning \
-                   decisions)"
-                  name s.Explore.nodes !sym_nodes
-            | _ -> ())
+            end)
           rows;
         Fmt.str "    {\"name\": %S, \"engines\": [\n%s\n    ]}" name
           (String.concat ",\n" (List.map snd rows)))
@@ -1109,13 +1081,13 @@ let compact_report () =
       "no >=3-process symmetric workload reached a 2x node cut (best %.2fx)"
       !best_cut;
   (* verdict parity: the full checker must reach the same verdict under every
-     compaction config *)
+     dedup mode *)
   let verdict_str = function
     | Check.Verified _ -> "verified"
     | Check.Falsified _ -> "falsified"
     | Check.Unknown _ -> "unknown"
   in
-  Fmt.pr "verdict parity (Check.verify under each config):@.";
+  Fmt.pr "verdict parity (Check.verify under each dedup mode):@.";
   let json_verdicts =
     List.map
       (fun (name, impl, expected) ->
@@ -1150,7 +1122,7 @@ let compact_report () =
   let json =
     Fmt.str
       "{\n\
-      \  \"schema\": \"wfc-bench-compact/2\",\n\
+      \  \"schema\": \"wfc-bench-compact/3\",\n\
        %s\n\
       \  \"workloads\": [\n\
        %s\n\
@@ -1256,8 +1228,11 @@ let resume_report () =
     segments res_execs ref_execs (verdict_str reference) (verdict_str resumed);
   (* overhead guard: E10 universal fetch-and-add, checkpoint armed at a 5 s
      interval that never elapses — only the frontier-mode bookkeeping is
-     measured. min-of-9 wall clocks; 0.5 ms absolute slack absorbs timer
-     noise on a ~15 ms run *)
+     measured. An armed run always walks the interpreted engine (the
+     compiled kernel does not checkpoint), so the plain run is pinned to it
+     too ([compile = false]): otherwise the guard would time the kernel
+     against the interpreter. min-of-9 wall clocks; 0.5 ms absolute slack
+     absorbs timer noise on a ~15 ms run *)
   let uimpl =
     Universal.construct
       ~target:(Rmw.fetch_add_mod ~ports:2 ~modulus:5)
@@ -1280,14 +1255,15 @@ let resume_report () =
     done;
     (!best_w, Option.get !last)
   in
+  let interpreted = { Explore.fast with Explore.compile = false } in
   let plain_w, plain_s =
     best (fun () ->
-        Explore.run uimpl ~workloads:uworkloads ~options:Explore.fast ())
+        Explore.run uimpl ~workloads:uworkloads ~options:interpreted ())
   in
   let ck_path = Filename.temp_file "wfc_rs_overhead" ".ck" in
   let armed_w, armed_s =
     best (fun () ->
-        Explore.run uimpl ~workloads:uworkloads ~options:Explore.fast
+        Explore.run uimpl ~workloads:uworkloads ~options:interpreted
           ~checkpoint:(ck_path, 5.0) ())
   in
   if Sys.file_exists ck_path then Sys.remove ck_path;
@@ -1788,7 +1764,7 @@ let ex =
     [
       Test.make ~name:"naive DFS" (staged (bench Explore.naive));
       Test.make ~name:"dedup"
-        (staged (bench { Explore.naive with Explore.dedup = true }));
+        (staged (bench { Explore.naive with Explore.dedup = Exact }));
       Test.make ~name:"por"
         (staged (bench { Explore.naive with Explore.por = true }));
       Test.make ~name:"fast (dedup+por)" (staged (bench Explore.fast));

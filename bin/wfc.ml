@@ -106,20 +106,10 @@ let witness_out_arg =
   let doc = "On violation, store the shrunk replayable witness to $(docv)." in
   Arg.(value & opt (some string) None & info [ "witness" ] ~docv:"FILE" ~doc)
 
-let no_intern_arg =
-  let doc =
-    "Disable hash-consed (interned) duplicate-state keys and fall back to \
-     deep structural fingerprints. Escape hatch for debugging the engine; \
-     verdicts are identical either way, interning is only faster. Implies \
-     $(b,--no-symmetry) and disables the flat fingerprint path (which \
-     encodes interned-cell ids)."
-  in
-  Arg.(value & flag & info [ "no-intern" ] ~doc)
-
 let no_compile_arg =
   let doc =
     "Disable the compiled step kernel (interned transition tables driving \
-     an in-place configuration) and run the boxed interpreter instead. \
+     an in-place configuration) and run the interpreted engine instead. \
      Escape hatch for debugging the engine; verdicts, counts and traces \
      are identical either way, compilation is only faster."
   in
@@ -128,9 +118,10 @@ let no_compile_arg =
 let no_symmetry_arg =
   let doc =
     "Disable process-symmetry reduction (merging schedules that differ only \
-     by a permutation of equal-input processes of a symmetric protocol). \
-     Escape hatch for debugging; verdicts are identical either way, \
-     symmetry only shrinks the explored state space."
+     by a permutation of equal-input processes of a symmetric protocol): \
+     duplicate states are keyed pid-exactly. Escape hatch for debugging; \
+     verdicts are identical either way, symmetry only shrinks the explored \
+     state space."
   in
   Arg.(value & flag & info [ "no-symmetry" ] ~doc)
 
@@ -168,9 +159,7 @@ let mem_budget_arg =
      migrates exact duplicate-state tables into Bloom filters and spills \
      pending frontier entries to disk: the search finishes, but dedup \
      becomes probabilistic, so a clean pass reports UNKNOWN instead of \
-     VERIFIED (violations found are still definitive). With \
-     $(b,--no-intern) the boxed engine instead evicts tables (oldest \
-     domain first) and degrades to undeduped exploration."
+     VERIFIED (violations found are still definitive)."
   in
   Arg.(value & opt (some int) None & info [ "mem-budget" ] ~docv:"MB" ~doc)
 
@@ -245,21 +234,15 @@ let arm_interrupt () =
    fleet run is a drop-in replacement in scripts and CI. *)
 let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
     ~witness_file ~checkpoint verdict =
-  let pp_pressure ?(probabilistic = false) () ppf (r : Check.report) =
+  let pp_pressure ppf (r : Check.report) =
     if r.Check.degraded > 0 then
       Fmt.pf ppf "@.degraded: absorbed %d worker failure/stall event(s)."
         r.Check.degraded;
     if r.Check.evictions > 0 then
-      if probabilistic then
-        Fmt.pf ppf
-          "@.memory pressure: migrated %d duplicate-state table(s) to \
-           the probabilistic Bloom tier."
-          r.Check.evictions
-      else
-        Fmt.pf ppf
-          "@.memory pressure: evicted %d duplicate-state table(s); parts \
-           of the search ran undeduped."
-          r.Check.evictions
+      Fmt.pf ppf
+        "@.memory pressure: migrated %d duplicate-state table(s) to the \
+         probabilistic Bloom tier."
+        r.Check.evictions
   in
   match verdict with
   | Check.Verified r ->
@@ -268,7 +251,7 @@ let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
        (%d input vectors, longest run %d events, max %d accesses per \
        op).%a@."
       r.Check.executions r.Check.vectors r.Check.max_events
-      r.Check.max_op_steps (pp_pressure ()) r;
+      r.Check.max_op_steps pp_pressure r;
     0
   | Check.Falsified v ->
     Fmt.pr "VIOLATION: %a@." Check.pp_violation v;
@@ -308,13 +291,12 @@ let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
              (match degrade with Some d -> " --degrade " ^ d | None -> "")
              f
          | None -> " — raise --budget/--deadline for a verdict.")
-      (pp_pressure ~probabilistic ())
-      partial;
+      pp_pressure partial;
     2
 
 let verify_cmd =
   let run name procs crashes recoveries glitches degrade budget deadline_s
-      witness_file no_intern no_symmetry no_compile ckpt_file ckpt_interval
+      witness_file no_symmetry no_compile ckpt_file ckpt_interval
       resume_file mem_budget_mb =
     let impl = make_protocol ~procs name in
     let faults =
@@ -325,8 +307,7 @@ let verify_cmd =
     let engine =
       {
         Wfc_sim.Explore.fast with
-        intern = not no_intern;
-        symmetry = not (no_symmetry || no_intern);
+        dedup = (if no_symmetry then Wfc_sim.Explore.Exact else Symmetric);
         compile = not no_compile;
       }
     in
@@ -355,11 +336,11 @@ let verify_cmd =
          "Exhaustively check a consensus protocol, optionally under a fault \
           adversary and/or an exploration budget")
     Term.(
-      const (fun n p c r g d b dl w ni ns nc cf ci rf mb ->
-          Stdlib.exit (run n p c r g d b dl w ni ns nc cf ci rf mb))
+      const (fun n p c r g d b dl w ns nc cf ci rf mb ->
+          Stdlib.exit (run n p c r g d b dl w ns nc cf ci rf mb))
       $ protocol_arg $ procs_arg $ crashes_arg $ recoveries_arg $ glitches_arg
       $ degrade_arg $ budget_arg $ deadline_arg $ witness_out_arg
-      $ no_intern_arg $ no_symmetry_arg $ no_compile_arg $ checkpoint_arg
+      $ no_symmetry_arg $ no_compile_arg $ checkpoint_arg
       $ checkpoint_interval_arg $ resume_arg $ mem_budget_arg)
 
 (* --- serve / worker: the distributed fleet ---------------------------------- *)
@@ -822,11 +803,9 @@ let checkpoint_cmd =
       | None -> ());
       Fmt.pr "  processes     %d@."
         (Array.length ck.Wfc_sim.Checkpoint.workloads);
-      Fmt.pr "  engine        dedup=%b por=%b domains=%d intern=%b \
-              symmetry=%b flat=%b@."
-        e.Wfc_sim.Checkpoint.dedup e.Wfc_sim.Checkpoint.por
-        e.Wfc_sim.Checkpoint.domains e.Wfc_sim.Checkpoint.intern
-        e.Wfc_sim.Checkpoint.symmetry e.Wfc_sim.Checkpoint.flat;
+      Fmt.pr "  engine        dedup=%s por=%b domains=%d@."
+        (Wfc_sim.Checkpoint.dedup_to_string e.Wfc_sim.Checkpoint.dedup)
+        e.Wfc_sim.Checkpoint.por e.Wfc_sim.Checkpoint.domains;
       Fmt.pr "  fuel          %d@." ck.Wfc_sim.Checkpoint.fuel;
       (match ck.Wfc_sim.Checkpoint.budget_left with
       | Some b -> Fmt.pr "  budget left   %d nodes@." b

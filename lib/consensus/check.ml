@@ -317,15 +317,7 @@ let verify_values ~domain ?(subsets = true) ?(repeat = true)
                 | Some (path, _) ->
                   let ck =
                     Wfc_sim.Checkpoint.make ~meta:vec_meta
-                      ~engine:
-                        {
-                          Wfc_sim.Checkpoint.dedup = engine.Wfc_sim.Explore.dedup;
-                          por = engine.Wfc_sim.Explore.por;
-                          domains = engine.Wfc_sim.Explore.domains;
-                          intern = engine.Wfc_sim.Explore.intern;
-                          symmetry = engine.Wfc_sim.Explore.symmetry;
-                          flat = engine.Wfc_sim.Explore.flat;
-                        }
+                      ~engine:(Wfc_sim.Explore.engine_of_options engine)
                       ~fuel:
                         (Option.value fuel
                            ~default:Wfc_sim.Explore.default_fuel)

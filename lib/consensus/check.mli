@@ -44,7 +44,7 @@ type report = {
       (** supervised-pool degradation events absorbed (worker crashes and
           stall requeues, see {!Wfc_sim.Explore.stats}) *)
   evictions : int;
-      (** dedup-table evictions forced by the memory watchdog *)
+      (** dedup tables the memory watchdog migrated to the Bloom tier *)
 }
 
 type verdict =
@@ -75,14 +75,14 @@ val verify :
 (** [engine] (default {!Wfc_sim.Explore.fast}) selects the exploration
     engine options. Agreement/validity/wait-freedom are timing-insensitive,
     so duplicate-state pruning and partial-order reduction are sound here and
-    on by default — as are hash-consed dedup keys ([intern]) and
-    process-symmetry reduction ([symmetry]; agreement and validity are
-    invariant under permuting equal-input participants, and it only
-    activates for implementations declaring
-    {!Wfc_program.Implementation.symmetric}). Pass {!Wfc_sim.Explore.naive}
-    to force the unreduced search (the property suite asserts both give the
-    same verdict), or clear individual fields — [wfc verify --no-intern /
-    --no-symmetry] does exactly that.
+    on by default, with the dedup key canonicalized under process symmetry
+    ([dedup = Symmetric]; agreement and validity are invariant under
+    permuting equal-input participants, and it only activates for
+    implementations declaring {!Wfc_program.Implementation.symmetric}). Pass
+    {!Wfc_sim.Explore.naive} to force the unreduced search (the property
+    suite asserts both give the same verdict), or change individual fields —
+    [wfc verify --no-symmetry] selects [dedup = Exact], [--no-compile] clears
+    [compile].
     [report.executions] counts the executions the engine actually visited.
     [par_threshold] governs the lazy domain pool exactly as in
     {!Wfc_sim.Explore.run} — with [engine.domains > 1], small per-vector
@@ -143,8 +143,9 @@ val verify :
     from a SIGINT handler) makes the verdict
     [Unknown {reason = "interrupted"}] after a final checkpoint flush.
     [mem_budget_mb] arms the engine's memory watchdog ({!Wfc_sim.Explore}):
-    dedup tables are evicted under heap pressure and the count is surfaced
-    as [report.evictions]. *)
+    under heap pressure dedup tables migrate to the probabilistic Bloom tier
+    (a clean sweep then reports [Unknown]) and the count is surfaced as
+    [report.evictions]. *)
 
 val verify_values :
   domain:Wfc_spec.Value.t list ->

@@ -262,7 +262,7 @@ type pending_op = {
   pop : Exec.op option;  (* the completed record, for witness decoration *)
 }
 
-module VH = Hashtbl.Make (struct
+module Value_tbl = Hashtbl.Make (struct
   type t = Value.t
 
   let equal = Value.equal
@@ -295,13 +295,13 @@ let closure ~spec ~count frontier ~pending =
   match pending with
   | [] -> frontier
   | _ ->
-    let seen = VH.create 32 in
+    let seen = Value_tbl.create 32 in
     let out = ref [] in
     let todo = Queue.create () in
     let push c =
       let k = config_key c in
-      if not (VH.mem seen k) then begin
-        VH.add seen k ();
+      if not (Value_tbl.mem seen k) then begin
+        Value_tbl.add seen k ();
         out := c :: !out;
         Queue.add c todo
       end
@@ -343,12 +343,12 @@ let closure ~spec ~count frontier ~pending =
    invocation is [inv] — already unwrapped for addressed histories). *)
 let advance ~spec ~count frontier ~(op : Exec.op) ~key ~port ~inv ~pending =
   let cl = closure ~spec ~count frontier ~pending in
-  let seen = VH.create 32 in
+  let seen = Value_tbl.create 32 in
   let out = ref [] in
   let push c =
     let k = config_key c in
-    if not (VH.mem seen k) then begin
-      VH.add seen k ();
+    if not (Value_tbl.mem seen k) then begin
+      Value_tbl.add seen k ();
       out := c :: !out
     end
   in

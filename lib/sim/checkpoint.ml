@@ -1,15 +1,22 @@
 open Wfc_spec
 
-(* Mirror of Explore.options — Checkpoint sits below Explore (Witness depends
-   on Explore, Explore depends on Checkpoint), so it cannot name that type. *)
-type engine = {
-  dedup : bool;
-  por : bool;
-  domains : int;
-  intern : bool;
-  symmetry : bool;
-  flat : bool;
-}
+(* Defined here and re-exported by Explore: Checkpoint sits below Explore
+   (Witness depends on Explore, Explore depends on Checkpoint), so the
+   serialized mirror of Explore.options needs the type first. *)
+type dedup = Off | Exact | Symmetric
+
+let dedup_to_string = function
+  | Off -> "off"
+  | Exact -> "exact"
+  | Symmetric -> "symmetric"
+
+let dedup_of_string = function
+  | "off" -> Some Off
+  | "exact" -> Some Exact
+  | "symmetric" -> Some Symmetric
+  | _ -> None
+
+type engine = { dedup : dedup; por : bool; domains : int }
 
 type counts = {
   leaves : int;
@@ -92,52 +99,32 @@ let make ?(meta = []) ~engine ~fuel ?budget_left ~faults ~workloads ~counts
 (* --- serialization -----------------------------------------------------------
 
    Line-oriented text in the wfc-witness/1 style, reusing the Faults line
-   codec for the adversary and workloads. The digest line covers the
-   canonical body (everything after it): [of_string] re-serializes what it
-   parsed and compares, so any corruption that changes the meaning of the
-   file — even one surviving the parser — is refused.
+   codec for the adversary and workloads. The digest line carries
+   [Fingerprint.hash_string] of the canonical body (everything after it):
+   [of_string] re-serializes what it parsed and compares, so any corruption
+   that changes the meaning of the file — even one surviving the parser — is
+   refused. Files of earlier formats (wfc-checkpoint/1 and /2, whose engine
+   lines described since-deleted engine options) are refused by name. *)
 
-   Two versions coexist. wfc-checkpoint/1 carried an MD5 hex digest and no
-   flat/spilled/probabilistic fields; wfc-checkpoint/2 digests the body with
-   [Fingerprint.hash_string] (16 hex chars) and adds those fields. [save]
-   always writes v2; [of_string] still parses v1 (new fields default to
-   zero, digest verified as MD5 against the v1 body serialization). *)
+let header = "wfc-checkpoint/3"
 
-let header = "wfc-checkpoint/2"
-let header_v1 = "wfc-checkpoint/1"
-
-let body_lines ?(version = 2) t =
+let body_lines t =
   let b = Buffer.create 512 in
   let line fmt = Fmt.kstr (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   List.iter (fun (k, v) -> line "meta %s %s" k v) t.meta;
-  if version >= 2 then
-    line "engine dedup=%d por=%d domains=%d intern=%d symmetry=%d flat=%d"
-      (Bool.to_int t.engine.dedup) (Bool.to_int t.engine.por) t.engine.domains
-      (Bool.to_int t.engine.intern)
-      (Bool.to_int t.engine.symmetry)
-      (Bool.to_int t.engine.flat)
-  else
-    line "engine dedup=%d por=%d domains=%d intern=%d symmetry=%d"
-      (Bool.to_int t.engine.dedup) (Bool.to_int t.engine.por) t.engine.domains
-      (Bool.to_int t.engine.intern)
-      (Bool.to_int t.engine.symmetry);
+  line "engine dedup=%s por=%d domains=%d"
+    (dedup_to_string t.engine.dedup)
+    (Bool.to_int t.engine.por) t.engine.domains;
   line "fuel %d" t.fuel;
   (match t.budget_left with Some n -> line "budget %d" n | None -> ());
   let c = t.counts in
-  if version >= 2 then
-    line
-      "counts leaves=%d nodes=%d max_events=%d max_op_steps=%d overflows=%d \
-       pruned=%d sleep_skips=%d degraded=%d evictions=%d spilled=%d \
-       probabilistic=%d"
-      c.leaves c.nodes c.max_events c.max_op_steps c.overflows c.pruned
-      c.sleep_skips c.degraded c.evictions c.spilled
-      (Bool.to_int c.probabilistic)
-  else
-    line
-      "counts leaves=%d nodes=%d max_events=%d max_op_steps=%d overflows=%d \
-       pruned=%d sleep_skips=%d degraded=%d evictions=%d"
-      c.leaves c.nodes c.max_events c.max_op_steps c.overflows c.pruned
-      c.sleep_skips c.degraded c.evictions;
+  line
+    "counts leaves=%d nodes=%d max_events=%d max_op_steps=%d overflows=%d \
+     pruned=%d sleep_skips=%d degraded=%d evictions=%d spilled=%d \
+     probabilistic=%d"
+    c.leaves c.nodes c.max_events c.max_op_steps c.overflows c.pruned
+    c.sleep_skips c.degraded c.evictions c.spilled
+    (Bool.to_int c.probabilistic);
   line "max_accesses %s"
     (String.concat "|" (Array.to_list (Array.map string_of_int c.max_accesses)));
   line "%s" (Faults.budgets_line t.faults);
@@ -156,28 +143,27 @@ let to_string t =
 
 let ( let* ) = Result.bind
 
-let kv_fields body =
-  String.split_on_char ' ' body
-  |> List.filter (fun w -> w <> "")
-  |> List.filter_map (fun w ->
-         match String.split_on_char '=' w with
-         | [ k; v ] -> Option.map (fun n -> (k, n)) (int_of_string_opt v)
-         | _ -> None)
+(* The [key=value] field [k] of a line body, converted by [parse]. *)
+let field body k parse =
+  let fields =
+    String.split_on_char ' ' body
+    |> List.filter_map (fun w ->
+           match String.split_on_char '=' w with
+           | [ k; v ] -> Some (k, v)
+           | _ -> None)
+  in
+  match Option.bind (List.assoc_opt k fields) parse with
+  | Some v -> Ok v
+  | None -> Error (Fmt.str "missing field %s in %S" k body)
 
 let parse_kv_ints body keys =
-  let fields = kv_fields body in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | k :: rest -> (
-      match List.assoc_opt k fields with
-      | Some n -> go (n :: acc) rest
-      | None -> Error (Fmt.str "missing field %s in %S" k body))
+    | k :: rest ->
+      let* n = field body k int_of_string_opt in
+      go (n :: acc) rest
   in
   go [] keys
-
-(* fields absent from v1 files: default, never an error *)
-let kv_default body key default =
-  Option.value (List.assoc_opt key (kv_fields body)) ~default
 
 let of_string s =
   let lines =
@@ -185,11 +171,14 @@ let of_string s =
     |> List.map String.trim
     |> List.filter (fun l -> l <> "" && l.[0] <> '#')
   in
-  let* version =
+  let* () =
     match lines with
-    | h :: _ when h = header -> Ok 2
-    | h :: _ when h = header_v1 -> Ok 1
-    | _ -> Error (Fmt.str "expected %s (or %s) header" header header_v1)
+    | h :: _ when h = header -> Ok ()
+    | h :: _ when String.starts_with ~prefix:"wfc-checkpoint/" h ->
+      Error
+        (Fmt.str "unsupported checkpoint format %s (this build reads %s)" h
+           header)
+    | _ -> Error (Fmt.str "expected %s header" header)
   in
   let lines = List.tl lines in
   let* digest, lines =
@@ -225,22 +214,10 @@ let of_string s =
         Ok ()
       | None -> Error (Fmt.str "bad meta line %S" l))
     | "engine" ->
-      let* fields =
-        parse_kv_ints body [ "dedup"; "por"; "domains"; "intern"; "symmetry" ]
-      in
-      (match fields with
-      | [ dedup; por; domains; intern; symmetry ] ->
-        engine :=
-          Some
-            {
-              dedup = dedup <> 0;
-              por = por <> 0;
-              domains;
-              intern = intern <> 0;
-              symmetry = symmetry <> 0;
-              flat = kv_default body "flat" 0 <> 0;
-            }
-      | _ -> assert false);
+      let* dedup = field body "dedup" dedup_of_string in
+      let* por = field body "por" int_of_string_opt in
+      let* domains = field body "domains" int_of_string_opt in
+      engine := Some { dedup; por = por <> 0; domains };
       Ok ()
     | "fuel" -> (
       match int_of_string_opt body with
@@ -259,22 +236,22 @@ let of_string s =
         parse_kv_ints body
           [
             "leaves"; "nodes"; "max_events"; "max_op_steps"; "overflows";
-            "pruned"; "sleep_skips"; "degraded"; "evictions";
+            "pruned"; "sleep_skips"; "degraded"; "evictions"; "spilled";
+            "probabilistic";
           ]
       in
       (match fields with
       | [
        leaves; nodes; max_events; max_op_steps; overflows; pruned; sleep_skips;
-       degraded; evictions;
+       degraded; evictions; spilled; probabilistic;
       ] ->
         counts :=
           Some
             {
               leaves; nodes; max_events; max_op_steps;
               max_accesses = [||];
-              overflows; pruned; sleep_skips; degraded; evictions;
-              spilled = kv_default body "spilled" 0;
-              probabilistic = kv_default body "probabilistic" 0 <> 0;
+              overflows; pruned; sleep_skips; degraded; evictions; spilled;
+              probabilistic = probabilistic <> 0;
             }
       | _ -> assert false);
       Ok ()
@@ -381,20 +358,13 @@ let of_string s =
       frontier = List.rev !frontier;
     }
   in
-  let body = body_lines ~version t in
   let given = String.lowercase_ascii (String.trim digest) in
-  let matches =
-    if version = 1 then given = Digest.to_hex (Digest.string body)
-    else
-      match int_of_string_opt ("0x" ^ given) with
-      | Some d -> d = Fingerprint.hash_string body
-      | None -> false
-  in
-  if matches then Ok t
-  else
+  match int_of_string_opt ("0x" ^ given) with
+  | Some d when d = Fingerprint.hash_string (body_lines t) -> Ok t
+  | _ ->
     Error
       (Fmt.str "checkpoint digest mismatch (%s file corrupted or edited)"
-         (if version = 1 then header_v1 else header))
+         header)
 
 (* --- file I/O ---------------------------------------------------------------- *)
 
@@ -439,16 +409,12 @@ let load path =
 
 (* --- resume validation ------------------------------------------------------- *)
 
-let engine_equal a b =
-  a.dedup = b.dedup && a.por = b.por && a.domains = b.domains
-  && a.intern = b.intern && a.symmetry = b.symmetry && a.flat = b.flat
-
 let workloads_equal a b =
   Array.length a = Array.length b
   && Array.for_all2 (List.equal Value.equal) a b
 
 let describe_mismatch t ~engine ~fuel ~faults ~workloads =
-  if not (engine_equal t.engine engine) then
+  if t.engine <> engine then
     Some "engine options differ from the checkpointed run"
   else if t.fuel <> fuel then
     Some (Fmt.str "fuel differs (checkpoint %d, run %d)" t.fuel fuel)

@@ -11,25 +11,30 @@
 
     The file format is line-oriented text in the wfc-witness/1 style and
     reuses the {!Faults} line codec (fault budgets, degradations, workloads,
-    decision traces). A [digest] line covers the canonical body — a
-    {!Wfc_spec.Fingerprint.hash_string} digest in the current
-    wfc-checkpoint/2 format, MD5 in the legacy /1 format, which still
-    parses. {!of_string} refuses files whose digest does not match, and
+    decision traces). The header is [wfc-checkpoint/3]; a [digest] line
+    carries the {!Wfc_spec.Fingerprint.hash_string} digest of the canonical
+    body. {!of_string} refuses files whose digest does not match and files
+    of the earlier /1 and /2 formats (naming the header found), and
     {!describe_mismatch} lets {!Explore.run} refuse to resume a checkpoint
     against a different problem. *)
 
 open Wfc_spec
 
-type engine = {
-  dedup : bool;
-  por : bool;
-  domains : int;
-  intern : bool;
-  symmetry : bool;
-  flat : bool;
-}
-(** Mirror of [Explore.options] (this module sits below [Explore] in the
-    dependency order, so it cannot name that type). *)
+(** Duplicate-state pruning mode, re-exported as [Explore.dedup] (this
+    module sits below [Explore] in the dependency order, so the type lives
+    here). *)
+type dedup =
+  | Off  (** no pruning *)
+  | Exact  (** prune revisited configurations, keyed pid-exactly *)
+  | Symmetric
+      (** like [Exact], with the key canonicalized under permutations of
+          interchangeable processes (see [Explore.Symmetry]) *)
+
+val dedup_to_string : dedup -> string
+(** ["off"], ["exact"] or ["symmetric"] — the spelling in the file. *)
+
+type engine = { dedup : dedup; por : bool; domains : int }
+(** The serialized fields of [Explore.options]. *)
 
 type counts = {
   leaves : int;

@@ -1,37 +1,12 @@
 open Wfc_spec
 open Wfc_program
 
-type options = {
-  dedup : bool;
-  por : bool;
-  domains : int;
-  intern : bool;
-  symmetry : bool;
-  flat : bool;
-  compile : bool;
-}
+type dedup = Checkpoint.dedup = Off | Exact | Symmetric
 
-let naive =
-  {
-    dedup = false;
-    por = false;
-    domains = 1;
-    intern = false;
-    symmetry = false;
-    flat = false;
-    compile = false;
-  }
+type options = { dedup : dedup; por : bool; domains : int; compile : bool }
 
-let fast =
-  {
-    dedup = true;
-    por = true;
-    domains = 1;
-    intern = true;
-    symmetry = true;
-    flat = true;
-    compile = true;
-  }
+let naive = { dedup = Off; por = false; domains = 1; compile = false }
+let fast = { dedup = Symmetric; por = true; domains = 1; compile = true }
 
 let parallel ?domains () =
   let domains =
@@ -437,73 +412,6 @@ let leaf_of_cfg cfg =
     accesses = cfg.acc;
   }
 
-(* --- duplicate-state fingerprints -------------------------------------------
-
-   The fingerprint deliberately drops the timing fields ([started],
-   [start_step]/[end_step]) so that interleavings converging to the same
-   configuration merge; it keeps everything a timing-insensitive leaf
-   predicate can observe: object states, per-process control (todo suffix,
-   pending continuation identified by ⟨inv0, responses so far⟩, local state),
-   completed operations' values and step counts, the fault bookkeeping
-   (crashed/stuck flags, remaining budgets, staleness histories), and the
-   event/access totals (which also makes fuel and max-accesses accounting
-   exact — states at different depths never merge). The active sleep set is
-   part of the key: combining sleep sets with state caching is only sound
-   when a cached state was explored under the same (or smaller) sleep set,
-   and keying on the exact set is the simple sound choice. *)
-
-module VH = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-let fp_proc pr =
-  Value.list
-    [
-      Value.list pr.todo;
-      Value.int pr.next_op;
-      (match pr.pending with
-      | None -> Value.unit
-      | Some pd ->
-        Value.list (pd.inv0 :: Value.int pd.op_index :: pd.resps_rev));
-      pr.local;
-    ]
-
-let fp_op (o : Exec.op) =
-  Value.list
-    [ Value.int o.proc; Value.int o.op_index; o.inv; o.resp; Value.int o.steps ]
-
-(* Completed operations enter the fingerprint in the canonical
-   ⟨proc, op_index⟩ order (unique per op), not completion order: schedules
-   that completed the same operations with the same values merge even when
-   they retired them in a different order — completion order is already
-   outside the engine's soundness envelope. *)
-let fp_ops ops =
-  List.map fp_op
-    (List.sort
-       (fun (a : Exec.op) (b : Exec.op) ->
-         compare (a.proc, a.op_index) (b.proc, b.op_index))
-       ops)
-
-let fingerprint ~sleep cfg =
-  Value.list
-    [
-      Value.list (Array.to_list cfg.objs);
-      Value.list (List.map fp_proc (Array.to_list cfg.procs));
-      Value.list (fp_ops cfg.ops_rev);
-      Value.int cfg.events;
-      Value.list (List.map Value.int (Array.to_list cfg.acc));
-      Value.list (List.map Value.bool (Array.to_list cfg.crashed));
-      Value.int cfg.crashes_left;
-      Value.int cfg.recoveries_left;
-      Value.int cfg.glitches_left;
-      Value.list (List.map Value.bool (Array.to_list cfg.stuck));
-      Value.list (List.map Value.list (Array.to_list cfg.hist));
-      Value.int sleep;
-    ]
-
 (* --- process-symmetry reduction ---------------------------------------------
 
    Two configurations that differ only by a permutation π of interchangeable
@@ -575,10 +483,10 @@ end
 
 (* --- interned, incremental fingerprints --------------------------------------
 
-   The hash-consed twin of [fingerprint]: every component of the key is an
-   [Value.Intern.cell], so the dedup probe is a physical-equality hashtable
-   lookup on a cached hash instead of a deep [Value.hash]/[Value.equal] walk
-   over the whole configuration.
+   Every component of the dedup key is a [Value.Intern.cell] (or, for the
+   base objects, an additive hash over cell ids), so the key is a handful of
+   integers (see "flat fingerprint encoding" below) instead of a deep
+   [Value.t] walked by [Value.hash]/[Value.equal].
 
    The cells are maintained *incrementally* along tree edges, and each edge
    pays for what it changed, not for the size of what it touched:
@@ -607,8 +515,7 @@ end
    in the key carries it; under symmetry, the canonical position), and a
    process's completed operations form a cons-chain extended by one cell
    when an edge retires an operation — completion order across processes
-   never enters the key, matching [fp_ops]'s canonical ⟨proc, op_index⟩
-   order in the legacy path. *)
+   never enters the key. *)
 
 module I = Value.Intern
 
@@ -815,65 +722,6 @@ let fpc_advance ist fpc cfg' =
       ops_cells;
     }
   end
-
-(* Assemble the probe key. Mirrors [fingerprint]'s content exactly (object
-   states + staleness histories + access counts, per-process control +
-   completed ops + crashed/stuck flags + sleep bit, event count and fault
-   budgets), but groups everything per-process so that symmetry can permute
-   whole process components. Under [classes], each class's components are
-   emitted in cell-id order at the class's fixed positions — any total order
-   on the multiset yields the same canonical sequence, and [I.compare_id]
-   is O(1). *)
-let key_of_cfg ist fpc cfg ~sleep ~classes ~tracker_cell =
-  let objs_part =
-    I.list ist
-      (List.init (Array.length fpc.obj_cells) (fun o ->
-           I.list ist
-             [ fpc.obj_cells.(o); fpc.hist_cells.(o); I.int ist cfg.acc.(o) ]))
-  in
-  let composite p =
-    I.list ist
-      [
-        fpc.proc_cells.(p);
-        fpc.ops_cells.(p);
-        I.bool ist cfg.crashed.(p);
-        I.bool ist cfg.stuck.(p);
-        I.bool ist (sleep land (1 lsl p) <> 0);
-      ]
-  in
-  let nprocs = Array.length cfg.procs in
-  let procs_part =
-    match classes with
-    | None -> I.list ist (List.init nprocs composite)
-    | Some rep ->
-      (* Emit classes at the representative's position, members sorted.
-         Class sizes are fixed for the whole run, so positions still
-         determine which class a component belongs to. *)
-      let out = ref [] in
-      for p = nprocs - 1 downto 0 do
-        if rep.(p) = p then begin
-          let members = ref [] in
-          for q = nprocs - 1 downto p do
-            if rep.(q) = p then members := composite q :: !members
-          done;
-          out := List.sort I.compare_id !members @ !out
-        end
-      done;
-      I.list ist !out
-  in
-  let scalars =
-    I.list ist
-      [
-        I.int ist cfg.events;
-        I.int ist cfg.crashes_left;
-        I.int ist cfg.recoveries_left;
-        I.int ist cfg.glitches_left;
-      ]
-  in
-  let base = I.list ist [ objs_part; procs_part; scalars ] in
-  match tracker_cell with
-  | None -> base
-  | Some c -> I.pair ist base c
 
 (* --- partial-order reduction (source-set style) ------------------------------
 
@@ -1097,14 +945,7 @@ let counts_of_counters (c : counters) =
   }
 
 let engine_of_options (o : options) =
-  {
-    Checkpoint.dedup = o.dedup;
-    por = o.por;
-    domains = o.domains;
-    intern = o.intern;
-    symmetry = o.symmetry;
-    flat = o.flat;
-  }
+  { Checkpoint.dedup = o.dedup; por = o.por; domains = o.domains }
 
 (* [compile] is not serialized: the compiled kernel changes how the tree is
    walked, never which tree is walked, so resuming a checkpoint under either
@@ -1114,9 +955,6 @@ let options_of_engine (e : Checkpoint.engine) =
     dedup = e.Checkpoint.dedup;
     por = e.Checkpoint.por;
     domains = e.Checkpoint.domains;
-    intern = e.Checkpoint.intern;
-    symmetry = e.Checkpoint.symmetry;
-    flat = e.Checkpoint.flat;
     compile = true;
   }
 
@@ -1145,27 +983,34 @@ let step_state (t : _ tracker) st ~trace_rev cfg cfg' =
     t.event st ~trace_rev (Op_completed { op = o; pending = live_pending cfg' })
   | _ -> st
 
-(* Per-domain duplicate-state machinery. The tables (and, in interned mode,
-   the intern state whose cells key them) are allocated lazily, only once
-   the domain has visited [threshold] nodes: on trees smaller than that the
-   table can never pay for its own allocation, let alone the per-node
-   fingerprinting — that was the E3-sticky3-tree regression, where a
-   4096-bucket table plus deep fingerprints served a 15-node tree. States
-   visited before activation are simply never cached, which is sound
-   (pruning only ever happens on a hit). *)
-
 (* --- flat fingerprint encoding -----------------------------------------------
 
-   The hot-path representation of a dedup key: a fixed-size scratch
-   [int array] of interned-cell ids, additive segment hashes and raw
-   scalars, hashed into a ⟨hi, lo⟩ 124-bit {!Wfc_spec.Fingerprint} and
-   probed in an open-addressing table — no boxed key is allocated, no
-   hashtable bucket or list cell is built, no structural equality is ever
-   walked, and (unlike [T_intern], which interns the composite key itself)
-   nothing is added to the intern state per probe.
+   The dedup key deliberately drops the timing fields ([started],
+   [start_step]/[end_step]) so that interleavings converging to the same
+   configuration merge; it keeps everything a timing-insensitive leaf
+   predicate can observe: object states, per-process control (todo suffix,
+   pending continuation identified by ⟨inv0, responses so far⟩, local state),
+   completed operations' values and step counts, the fault bookkeeping
+   (crashed/stuck flags, remaining budgets, staleness histories), and the
+   event/access totals (which also makes fuel and max-accesses accounting
+   exact — states at different depths never merge). The active sleep set is
+   part of the key: combining sleep sets with state caching is only sound
+   when a cached state was explored under the same (or smaller) sleep set,
+   and keying on the exact set is the simple sound choice. Completed
+   operations enter per process, in ⟨proc, op_index⟩ order, not completion
+   order: schedules that completed the same operations with the same values
+   merge even when they retired them in a different order — completion
+   order is already outside the engine's soundness envelope.
 
-   Layout — one layout, filled by the interpreted flat path from an [fpc]
-   and by the compiled kernel from its own mutable cells:
+   The key is a fixed-size scratch [int array] of interned-cell ids,
+   additive segment hashes and raw scalars, hashed into a ⟨hi, lo⟩ 124-bit
+   {!Wfc_spec.Fingerprint} and probed in an open-addressing table — no boxed
+   key is allocated, no hashtable bucket or list cell is built, no
+   structural equality is ever walked, and nothing is added to the intern
+   state per probe.
+
+   Layout — one layout, filled by the interpreted path from an [fpc] and by
+   the compiled kernel from its own mutable cells:
 
      objects      : [sum_hi; sum_lo]                              (2)
      per process  : [proc_cell; ops_cell; crashed; stuck; sleep]  (5·n_procs)
@@ -1185,13 +1030,13 @@ let step_state (t : _ tracker) st ~trace_rev cfg cfg' =
    Every per-process component has a FIXED width of five ints, so symmetry
    canonicalization is an in-place insertion sort of five-int records within
    each class segment — no allocation there either. Cell ids are unique
-   within the owning intern state, so the per-process and scalar parts are
-   equal iff the boxed interned keys' parts are. The object sums are
-   Zobrist-style hashes: two configurations whose object segments differ
-   agree on both sums only by a collision of two independent 63-bit lanes,
-   and the whole buffer is then folded into 124 bits. Both steps are hash
-   compaction, treated as negligible exactly like the final fingerprint, so
-   flat and boxed prune identically. *)
+   within the owning intern state, so two configurations agree on the
+   per-process and scalar parts iff their components are equal values. The
+   object sums are Zobrist-style hashes: two configurations whose object
+   segments differ agree on both sums only by a collision of two
+   independent 63-bit lanes, and the whole buffer is then folded into 124
+   bits. Both steps are hash compaction, treated as negligible (≈2^-64
+   collision risk at 10^9 states). *)
 
 type flat_ctx = {
   ist : I.state;
@@ -1211,6 +1056,14 @@ let flat_create ?ist ~n_procs ~tier2 ~bloom_bits_log2 () =
       (if tier2 then Some (Fingerprint.Bloom.create ~bits_log2:bloom_bits_log2 ())
        else None);
   }
+
+(* Probe the exact tier, or the Bloom tier once the watchdog demoted this
+   context. *)
+let flat_mem_or_add fx ~hi ~lo =
+  match (fx.table, fx.bloom) with
+  | Some tbl, _ -> Fingerprint.Table.mem_or_add tbl ~hi ~lo
+  | None, Some bl -> Fingerprint.Bloom.mem_or_add bl ~hi ~lo
+  | None, None -> false
 
 (* Sort the five-int records in [buf.(base + 5*lo) .. buf.(base + 5*hi - 1)]
    lexicographically, in place. Class segments are tiny (≤ n_procs), so
@@ -1238,7 +1091,7 @@ let sort_records buf tmp ~base ~lo ~hi =
   done
 
 (* Fill the scratch buffer from the key's components and hash it. Zero
-   allocation. Shared verbatim by the boxed flat path (components come from
+   allocation. Shared verbatim by the interpreted path (components come from
    an [fpc] cache over persistent configurations) and the compiled kernel
    (components are the engine's own mutable arrays): both feed the same
    per-ist cell ids and the same additive sums, so they key identically. *)
@@ -1266,8 +1119,9 @@ let encode_flat_parts fx ~sum_hi ~sum_lo ~proc_cells ~ops_cells ~crashed
   | Some rep ->
     (* Emit each class's members contiguously at the representative's
        position and canonicalize by sorting the segment — any fixed total
-       order on the record multiset yields the same canonical sequence as
-       the boxed path's cell-id sort. *)
+       order on the record multiset yields one canonical sequence. Class
+       sizes are fixed for the whole run, so positions still determine which
+       class a record belongs to. *)
     let slot = ref 0 in
     for p = 0 to nprocs - 1 do
       if rep.(p) = p then begin
@@ -1297,108 +1151,55 @@ let encode_flat fx fpc cfg ~sleep ~classes ~tracker_id =
     ~recoveries_left:cfg.recoveries_left ~glitches_left:cfg.glitches_left
     ~sleep ~classes ~tracker_id
 
-type dtables =
-  | T_value of unit VH.t
-  | T_intern of I.state * unit I.H.t
-  | T_flat of flat_ctx
-
+(* Per-domain duplicate-state machinery. The flat context (and the intern
+   state whose cells key it) is allocated lazily, only once the domain has
+   visited [threshold] nodes: on trees smaller than that the table can never
+   pay for its own allocation, let alone the per-node fingerprinting — that
+   was the E3-sticky3-tree regression, where a 4096-bucket table plus deep
+   fingerprints served a 15-node tree. States visited before activation are
+   simply never cached, which is sound (pruning only ever happens on a
+   hit). *)
 type dedup_ctx = {
   threshold : int;
-  use_intern : bool;
-  use_flat : bool;
   bloom_bits_log2 : int;
   classes : int array option;  (* symmetry classes, if active *)
-  mutable tables : dtables option;
-  mutable evicted : bool;
-      (* the memory watchdog dropped this domain's tables: keep exploring
-         undeduped rather than OOM — sound, pruning only ever happens on a
-         hit *)
+  mutable flat : flat_ctx option;
   mutable tier2 : bool;
-      (* flat contexts only: the watchdog demoted this domain to the Bloom
-         tier — dedup answers become probabilistic instead of vanishing *)
+      (* the watchdog demoted this domain to the Bloom tier — dedup answers
+         become probabilistic instead of vanishing *)
 }
+
+(* The domain's flat context, created on first use. *)
+let flat_of ?ist dd ~n_procs =
+  match dd.flat with
+  | Some fx -> fx
+  | None ->
+    let fx =
+      flat_create ?ist ~n_procs ~tier2:dd.tier2
+        ~bloom_bits_log2:dd.bloom_bits_log2 ()
+    in
+    dd.flat <- Some fx;
+    fx
 
 (* Probe (and record) the current state. Returns ⟨already seen?, advanced
    fingerprint cache for the children⟩. Below the activation threshold this
    is a no-op — no table, no intern state, no fingerprint is ever built. *)
 let probe_dedup dd ~t ~nodes cfg sleep st fpcur =
-  if dd.evicted || (Option.is_none dd.tables && nodes < dd.threshold) then
-    (false, None)
+  if Option.is_none dd.flat && nodes < dd.threshold then (false, None)
   else begin
-    let tables =
-      match dd.tables with
-      | Some tabs -> tabs
-      | None ->
-        let tabs =
-          if dd.use_flat then
-            T_flat
-              (flat_create ~n_procs:(Array.length cfg.procs) ~tier2:dd.tier2
-                 ~bloom_bits_log2:dd.bloom_bits_log2 ())
-          else if dd.use_intern then T_intern (I.create (), I.H.create 256)
-          else T_value (VH.create 256)
-        in
-        dd.tables <- Some tabs;
-        tabs
+    let fx = flat_of dd ~n_procs:(Array.length cfg.procs) in
+    let fpc =
+      match fpcur with
+      | Some f -> fpc_advance fx.ist f cfg
+      | None -> fpc_of_cfg fx.ist cfg
     in
-    (match tables with
-    | T_flat fx ->
-      let fpc =
-        match fpcur with
-        | Some f -> fpc_advance fx.ist f cfg
-        | None -> fpc_of_cfg fx.ist cfg
-      in
-      let tracker_id =
-        match t.fingerprint with
-        | Some fp -> I.id (I.intern fx.ist (fp st))
-        | None -> -1
-      in
-      let hi, lo =
-        encode_flat fx fpc cfg ~sleep ~classes:dd.classes ~tracker_id
-      in
-      let revisited =
-        match (fx.table, fx.bloom) with
-        | Some tbl, _ -> Fingerprint.Table.mem_or_add tbl ~hi ~lo
-        | None, Some bl -> Fingerprint.Bloom.mem_or_add bl ~hi ~lo
-        | None, None -> false
-      in
-      (revisited, Some fpc)
-    | T_value tbl ->
-      let key =
-        match t.fingerprint with
-        | Some fp -> Value.pair (fingerprint ~sleep cfg) (fp st)
-        | None -> (* dedup is disabled upstream in this case *)
-          fingerprint ~sleep cfg
-      in
-      let revisited =
-        if VH.mem tbl key then true
-        else begin
-          VH.add tbl key ();
-          false
-        end
-      in
-      (revisited, None)
-    | T_intern (ist, tbl) ->
-      let fpc =
-        match fpcur with
-        | Some f -> fpc_advance ist f cfg
-        | None -> fpc_of_cfg ist cfg
-      in
-      let tracker_cell =
-        match t.fingerprint with
-        | Some fp -> Some (I.intern ist (fp st))
-        | None -> None
-      in
-      let key =
-        key_of_cfg ist fpc cfg ~sleep ~classes:dd.classes ~tracker_cell
-      in
-      let revisited =
-        if I.H.mem tbl key then true
-        else begin
-          I.H.add tbl key ();
-          false
-        end
-      in
-      (revisited, Some fpc))
+    let tracker_id =
+      match t.fingerprint with
+      | Some fp -> I.id (I.intern fx.ist (fp st))
+      | None -> -1
+    in
+    let hi, lo = encode_flat fx fpc cfg ~sleep ~classes:dd.classes ~tracker_id in
+    (flat_mem_or_add fx ~hi ~lo, Some fpc)
   end
 
 (* One node of the search: handle leaf/limits/fuel/dedup bookkeeping in [c],
@@ -1602,12 +1403,13 @@ let replay_prefix impl root trace =
 
    Long exhaustive runs die of dedup tables, not of the DFS stack: the
    tables grow with the number of distinct states. When the major heap
-   crosses the budget, domains drop their tables oldest-first (domain 0 — the
+   crosses the budget, domains demote their exact table to the
+   constant-memory Bloom tier oldest-first (domain 0 — the
    coordinating/expansion domain, whose table has been filling the longest —
-   before any worker) and continue undeduped instead of OOMing. [evict_upto]
-   only ever grows; each domain polls it and sacrifices itself when its id
-   falls below the mark. Bumps are rate-limited so the GC can actually
-   reclaim one table before the next is sacrificed. *)
+   before any worker) instead of OOMing. [evict_upto] only ever grows; each
+   domain polls it and demotes itself when its id falls below the mark.
+   Bumps are rate-limited so the GC can actually reclaim one table before
+   the next is demoted. *)
 
 type memwatch = {
   budget_words : int;
@@ -1622,44 +1424,32 @@ let mem_sample mw ~domain_id c (dd : dedup_ctx option) =
     if now -. last > 0.25 && Atomic.compare_and_set mw.last_bump last now then
       Atomic.incr mw.evict_upto
   end;
-  (* checked after the bump so the sacrificed domain reacts on the very
-     sample that detected the pressure, not one sample period later *)
+  (* checked after the bump so the demoted domain reacts on the very sample
+     that detected the pressure, not one sample period later *)
   match dd with
-  | Some dd when (not dd.evicted) && Atomic.get mw.evict_upto > domain_id ->
-    if dd.use_flat then begin
-      (* Flat contexts degrade to the Bloom tier instead of giving up dedup:
-         migrate the exact table's fingerprints into a constant-memory Bloom
-         filter and free the table. Dedup answers become probabilistic from
-         here on — the run's completeness is downgraded, never its
-         falsifications. Idempotent: once on tier 2 there is nothing left to
-         shed (the Bloom is constant-size), so repeated pressure moves on to
-         other domains. *)
-      if not dd.tier2 then begin
-        dd.tier2 <- true;
-        c.evictions <- c.evictions + 1;
-        c.probabilistic <- true;
-        match dd.tables with
-        | Some (T_flat fx) when fx.bloom = None ->
-          let bl =
-            Fingerprint.Bloom.create ~bits_log2:dd.bloom_bits_log2 ()
-          in
-          (match fx.table with
-          | Some tbl ->
-            Fingerprint.Table.iter
-              (fun ~hi ~lo -> ignore (Fingerprint.Bloom.mem_or_add bl ~hi ~lo))
-              tbl
-          | None -> ());
-          fx.table <- None;
-          fx.bloom <- Some bl
-        | _ -> ()
-        (* tables not yet allocated: they will start on the Bloom tier *)
-      end
-    end
-    else begin
-      dd.tables <- None;
-      dd.evicted <- true;
-      c.evictions <- c.evictions + 1
-    end
+  | Some dd when (not dd.tier2) && Atomic.get mw.evict_upto > domain_id -> (
+    (* Migrate the exact table's fingerprints into a constant-memory Bloom
+       filter and free the table. Dedup answers become probabilistic from
+       here on — the run's completeness is downgraded, never its
+       falsifications. Idempotent: once on tier 2 there is nothing left to
+       shed (the Bloom is constant-size), so repeated pressure moves on to
+       other domains. *)
+    dd.tier2 <- true;
+    c.evictions <- c.evictions + 1;
+    c.probabilistic <- true;
+    match dd.flat with
+    | Some fx when fx.bloom = None ->
+      let bl = Fingerprint.Bloom.create ~bits_log2:dd.bloom_bits_log2 () in
+      (match fx.table with
+      | Some tbl ->
+        Fingerprint.Table.iter
+          (fun ~hi ~lo -> ignore (Fingerprint.Bloom.mem_or_add bl ~hi ~lo))
+          tbl
+      | None -> ());
+      fx.table <- None;
+      fx.bloom <- Some bl
+    | _ -> ()
+    (* context not yet allocated: it will start on the Bloom tier *))
   | _ -> ()
 
 let resolve_faults ?faults ~max_crashes () =
@@ -1683,10 +1473,9 @@ let default_dedup_threshold = 64
 
 (* --- the compiled kernel -----------------------------------------------------
 
-   A second sequential DFS over the *same* tree, specialised for the
-   configurations the flat engine already covers: one domain, intern + flat
-   on, no fault adversary, no checkpointing. Three things change relative to
-   [visit], none of them which tree is walked:
+   A second sequential DFS over the *same* tree, specialised for the common
+   case: one domain, no fault adversary, no checkpointing. Three things
+   change relative to [visit], none of them which tree is walked:
 
    - Transitions come from [Step_table] rows — per (interned state, port,
      invocation) lists compiled by running the interpreted spec once — so the
@@ -1717,7 +1506,7 @@ let default_dedup_threshold = 64
      pending operations have run. The tracker's fingerprint cell is passed
      down the recursion and re-interned only below an edge that changed the
      tracker state. Below the activation threshold no cell is ever built
-     (mirroring the boxed path's lazy [fpc]); at activation the cells are
+     (mirroring the interpreted path's lazy [fpc]); at activation the cells are
      rebuilt from scratch and maintained incrementally from there on. A
      frame that entered before activation has no cell saves, so when it
      backtracks it marks the cache invalid and the next probe rebuilds — a
@@ -2052,51 +1841,28 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
   in
   (* One integer compare per node stands in for the full dedup-activation
      test: [probe] is only entered once [c.nodes] reaches the floor, and the
-     floor tracks activation state (threshold while the tables are pending,
-     0 once they exist, max_int when dedup is off or evicted). *)
+     floor tracks activation state (threshold while the context is
+     pending, 0 once it exists, max_int when dedup is off). *)
   let probe_floor =
     ref
       (match dd with
       | None -> max_int
-      | Some dd ->
-        if dd.evicted then max_int
-        else if Option.is_some dd.tables then 0
-        else dd.threshold)
+      | Some dd -> if Option.is_some dd.flat then 0 else dd.threshold)
   in
   let probe sleep tracker_id =
     match dd with
     | None -> false
     | Some dd ->
-      if dd.evicted then begin
-        probe_floor := max_int;
-        false
-      end
-      else begin
-        probe_floor := 0;
-        let fx =
-          match dd.tables with
-          | Some (T_flat fx) -> fx
-          | Some (T_value _ | T_intern _) -> assert false
-          | None ->
-            let fx =
-              flat_create ~ist ~n_procs ~tier2:dd.tier2
-                ~bloom_bits_log2:dd.bloom_bits_log2 ()
-            in
-            dd.tables <- Some (T_flat fx);
-            fx
-        in
-        if not !cells_valid then rebuild_cells ();
-        let hi, lo =
-          encode_flat_parts fx ~sum_hi:!sum_hi ~sum_lo:!sum_lo ~proc_cells
-            ~ops_cells ~crashed:no_flags ~stuck:no_flags ~events:!events
-            ~crashes_left:0 ~recoveries_left:0 ~glitches_left:0 ~sleep
-            ~classes:dd.classes ~tracker_id
-        in
-        match (fx.table, fx.bloom) with
-        | Some tbl, _ -> Fingerprint.Table.mem_or_add tbl ~hi ~lo
-        | None, Some bl -> Fingerprint.Bloom.mem_or_add bl ~hi ~lo
-        | None, None -> false
-      end
+      probe_floor := 0;
+      let fx = flat_of ~ist dd ~n_procs in
+      if not !cells_valid then rebuild_cells ();
+      let hi, lo =
+        encode_flat_parts fx ~sum_hi:!sum_hi ~sum_lo:!sum_lo ~proc_cells
+          ~ops_cells ~crashed:no_flags ~stuck:no_flags ~events:!events
+          ~crashes_left:0 ~recoveries_left:0 ~glitches_left:0 ~sleep
+          ~classes:dd.classes ~tracker_id
+      in
+      flat_mem_or_add fx ~hi ~lo
   in
   let live_pending_mut () =
     let out = ref [] in
@@ -2527,11 +2293,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
     {
       options with
       por = options.por && Faults.is_none faults;
-      dedup = options.dedup && Option.is_some t.fingerprint;
-      (* The flat encoding is made of interned-cell ids: no intern, no flat.
-         It silently degrades to the boxed path rather than erroring, so
-         [fast with intern = false] keeps meaning something. *)
-      flat = options.flat && options.intern;
+      dedup = (if Option.is_some t.fingerprint then options.dedup else Off);
     }
   in
   (* Symmetry narrows further: the implementation must declare its program
@@ -2540,24 +2302,21 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
      -defined and we cannot check it is invariant under pid permutation, so
      the sound composition with trackers is exact pid-ordered keys. *)
   let classes =
-    if opts.dedup && opts.intern && opts.symmetry && not user_tracker then
+    if opts.dedup = Symmetric && not user_tracker then
       Option.map Symmetry.classes (Symmetry.of_impl impl ~workloads)
     else None
   in
   let mk_dd () =
-    if opts.dedup then
+    if opts.dedup = Off then None
+    else
       Some
         {
           threshold = dedup_threshold;
-          use_intern = opts.intern;
-          use_flat = opts.flat;
           bloom_bits_log2;
           classes;
-          tables = None;
-          evicted = false;
+          flat = None;
           tier2 = false;
         }
-    else None
   in
   let lim = make_limiter ?budget ?deadline_s ?interrupt () in
   let memwatch =
@@ -2587,7 +2346,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
   if n_domains = 1 && not ckpt_armed then begin
     let c = fresh_counters n_objs in
     let dd = mk_dd () in
-    if opts.compile && opts.flat && Faults.is_none faults then begin
+    if opts.compile && Faults.is_none faults then begin
       (* The compiled kernel walks the same tree with the same counters and
          dedup decisions; it is engaged only where that parity holds by
          construction — see the kernel's header comment. *)

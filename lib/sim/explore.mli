@@ -7,15 +7,29 @@
     workloads (consensus checking over all input vectors, the §4.2 access
     bounds behind König's bound D, Theorem 5 pipelines) revisit the same
     configuration over and over along different schedules. This module keeps
-    the naive engine's semantics and statistics contract while adding four
-    independent optimizations:
+    the naive engine's semantics and statistics contract while adding these
+    optimizations:
 
-    - {b duplicate-state pruning} ([dedup]): configurations are fingerprinted
-      — object states, per-process control state (todo suffix, pending
-      continuation identified by its invocation + responses so far, local
-      state), completed operations' {e values} and step counts, crash
+    - {b duplicate-state pruning} ([dedup = Exact]): configurations are
+      fingerprinted — object states, per-process control state (todo suffix,
+      pending continuation identified by its invocation + responses so far,
+      local state), completed operations' {e values} and step counts, crash
       bookkeeping, event and access totals — and a revisited fingerprint cuts
-      the whole subtree ([stats.pruned] counts the cuts);
+      the whole subtree ([stats.pruned] counts the cuts). The key is a flat
+      [int array] of interned-cell ids and two additive object-segment sums,
+      hashed into a fixed-width ⟨hi, lo⟩ 124-bit fingerprint
+      ({!Wfc_spec.Fingerprint}) probed in an open-addressing table — no
+      boxed key is ever built on the hot path, and an edge updates only the
+      key components it changed, so a probe's cost does not grow with the
+      number of base objects or the length of pending operations. Runs that
+      outgrow [?mem_budget_mb] migrate the table into a constant-memory
+      Bloom filter instead of dropping dedup, and in frontier mode the
+      pending-subtree queue spills to disk beyond a small in-RAM window; a
+      Bloom-tier run reports [Partial Probabilistic] instead of
+      [Exhaustive];
+    - {b process-symmetry reduction} ([dedup = Symmetric]): the same key,
+      canonicalized under permutations of interchangeable processes (see
+      {!Symmetry});
     - {b partial-order reduction} ([por]): a source-set/sleep-set rule
       explores only one order of two adjacent steps when they are commuting
       deterministic accesses — to {e different} base objects, or state-
@@ -23,18 +37,6 @@
       sibling subtrees skipped); each process's poised step and its
       alternatives are computed {e once} per node and shared between the
       independence check and child generation;
-    - {b flat-state fingerprinting} ([flat]): the dedup key is a flat
-      [int array] of interned-cell ids and two additive object-segment
-      sums, hashed into a fixed-width ⟨hi, lo⟩ 124-bit fingerprint
-      ({!Wfc_spec.Fingerprint}) probed in an open-addressing table — no
-      boxed key is ever built on the hot path, and an edge updates only
-      the key components it changed, so a probe's cost does not grow with
-      the number of base objects or the length of pending operations.
-      Runs that outgrow [?mem_budget_mb] migrate the table into a constant-
-      memory Bloom filter instead of dropping dedup entirely, and in
-      frontier mode the pending-subtree queue spills to disk beyond a small
-      in-RAM window; a Bloom-tier run reports
-      [Partial Probabilistic] instead of [Exhaustive];
     - {b multicore fan-out} ([domains]): the top of the tree is expanded
       breadth-first and the frontier subtrees are explored on a pool of
       OCaml 5 domains, with per-domain statistics merged at the end
@@ -50,72 +52,55 @@
     the completion {e order} of concurrent operations, nor the number of
     leaves/nodes visited. Callers whose leaf predicate reads timestamps
     (linearizability, safeness/regularity of registers) must keep
-    [dedup = false] and [por = false]; they can still use [domains]. POR is
+    [dedup = Off] and [por = false]; they can still use [domains]. POR is
     additionally switched off automatically when [max_crashes > 0] (a crash
     is a per-process transition the sleep-set rule does not commute). *)
 
 open Wfc_program
 open Wfc_spec
 
+type dedup = Checkpoint.dedup =
+  | Off  (** no duplicate-state pruning *)
+  | Exact  (** prune revisited configurations, keyed pid-exactly *)
+  | Symmetric
+      (** like [Exact], with the key canonicalized under permutations of
+          interchangeable processes, so schedules differing only by a pid
+          permutation within a class merge. The reduction needs the
+          implementation to declare
+          {!Wfc_program.Implementation.symmetric}, every base spec to be
+          port-oblivious, no user tracker, and at least two processes with
+          equal workloads and equal initial locals (see {!Symmetry});
+          otherwise the keys stay pid-exact, as under [Exact] — which is why
+          it is safe as the default in {!fast}. *)
+
 type options = {
-  dedup : bool;  (** prune subtrees of revisited configurations *)
+  dedup : dedup;  (** duplicate-state pruning mode *)
   por : bool;  (** source-set dynamic partial-order reduction *)
   domains : int;  (** size of the exploration pool; 1 = sequential *)
-  intern : bool;
-      (** hash-consed dedup keys: fingerprints are maintained incrementally
-          as {!Wfc_spec.Value.Intern} cells along tree edges (only the
-          components a transition touched are re-interned, detected by
-          physical diff of the persistent configuration arrays), and the
-          dedup probe becomes a physical-equality lookup on a cached hash
-          instead of a deep [Value.hash]/[Value.equal] walk. Purely a
-          representation change: the same states merge. No effect unless
-          [dedup] is on. *)
-  symmetry : bool;
-      (** process-symmetry reduction: canonicalize the dedup {e key} (never
-          the configuration) under permutations of interchangeable
-          processes, so schedules differing only by a pid permutation within
-          a class merge. Active only when [dedup] and [intern] are on, the
-          implementation declares {!Wfc_program.Implementation.symmetric},
-          every base spec is port-oblivious, no user tracker is supplied,
-          and at least two processes have equal workloads and equal initial
-          locals (see {!Symmetry}). Otherwise silently a no-op — which is
-          why it is safe to have on by default in {!fast}. *)
-  flat : bool;
-      (** flat-state hot path: encode the configuration as a contiguous
-          [int array] of interned-cell ids, with the base objects folded
-          into two position-salted additive sums, fingerprint it with
-          {!Wfc_spec.Fingerprint.hash_array} and probe the fixed-width
-          ⟨hi, lo⟩ pair in an open-addressing table (or its Bloom second
-          tier under memory pressure) — replacing the boxed
-          [Value.t]-keyed hash table. Same states merge (cell ids are
-          unique within an intern state), up to a ≈2^-64 hash-compaction
-          collision risk at 10^9 states. Effective only when [dedup] and
-          [intern] are both on. *)
   compile : bool;
-      (** compiled step kernel: run the sequential flat DFS on a single
-          mutable configuration with an undo log (apply the step in place,
-          recurse, revert on backtrack — no per-edge [Array.copy] fan-out),
-          answer base-object invocations from lazily compiled
+      (** compiled step kernel: run the sequential DFS on a single mutable
+          configuration with an undo log (apply the step in place, recurse,
+          revert on backtrack — no per-edge [Array.copy] fan-out), answer
+          base-object invocations from lazily compiled
           {!Wfc_spec.Step_table} transition tables instead of applying the
           spec's transition closure, and memoize program continuations per
           ⟨node, response⟩ via {!Wfc_program.Program.step} so re-exploring a
           prefix never re-runs the free monad. Purely a representation
           change: node visit order, counters, leaf observations, pruning
-          decisions and verdicts are bit-identical to the boxed path (the
-          parity suite in [test/test_flat.ml] asserts this). Engaged only
-          where that parity is already guaranteed: sequential ([domains =
-          1]), [flat] (hence [intern]) on, no fault adversary, no
-          checkpointing — in every other configuration the engine silently
-          falls back to the boxed path. *)
+          decisions and verdicts are bit-identical to the interpreted path
+          (the parity suite in [test/test_flat.ml] asserts this). Engaged
+          only where that parity is already guaranteed: sequential
+          ([domains = 1]), no fault adversary, no checkpointing — in every
+          other configuration the engine runs the interpreted path. *)
 }
 
 val naive : options
-(** All reductions off, sequential: bit-for-bit the behaviour (visit order,
-    statistics) of {!Exec.explore}. *)
+(** All reductions off, sequential, interpreted: bit-for-bit the behaviour
+    (visit order, statistics) of {!Exec.explore}. *)
 
 val fast : options
-(** [dedup] + [por] + [intern] + [symmetry] + [flat] + [compile],
-    sequential. The right choice for timing-insensitive verdicts. *)
+(** [dedup = Symmetric] + [por] + [compile], sequential. The right choice
+    for timing-insensitive verdicts. *)
 
 val parallel : ?domains:int -> unit -> options
 (** [fast] plus a domain pool (default:
@@ -137,12 +122,13 @@ val options_of_engine : Checkpoint.engine -> options
     Soundness: exploration always proceeds on real configurations — traces,
     witnesses and leaves keep their un-permuted pids, and replayability is
     untouched. Only the dedup key is canonicalized, by emitting each class's
-    per-process fingerprint components in a fixed total order (interned cell
-    id). A state π-equivalent to a visited one is then pruned; its subtree
-    is the π-image of the visited subtree, and every timing-insensitive
-    verdict in this library (consensus agreement/validity, wait-freedom
-    fuel, per-object access bounds) is invariant under renaming processes
-    within a class of equal inputs, so verdicts are unchanged. *)
+    per-process fingerprint records in a fixed total order (lexicographic on
+    their interned-cell ids). A state π-equivalent to a visited one is then
+    pruned; its subtree is the π-image of the visited subtree, and every
+    timing-insensitive verdict in this library (consensus
+    agreement/validity, wait-freedom fuel, per-object access bounds) is
+    invariant under renaming processes within a class of equal inputs, so
+    verdicts are unchanged. *)
 module Symmetry : sig
   type t
 
@@ -170,7 +156,7 @@ type partial_reason =
           if a checkpoint sink is armed, a final checkpoint was flushed
           before returning *)
   | Probabilistic
-      (** the run finished, but the memory watchdog forced the flat dedup
+      (** the run finished, but the memory watchdog forced the dedup
           table onto the Bloom tier at some point: every state was visited
           {e unless} a Bloom false positive wrongly pruned a genuinely new
           state's subtree. A found violation is still a real violation;
@@ -203,11 +189,9 @@ type stats = {
           verdict is unaffected; [> 0] means the run limped home on fewer
           domains than requested. *)
   evictions : int;
-      (** memory-watchdog actions ([?mem_budget_mb]): on the flat path the
-          exact fingerprint table was migrated into its constant-memory
-          Bloom tier (completeness degrades to [Partial Probabilistic]);
-          on the boxed path the dedup table was dropped and the domain fell
-          back to undeduped — but alive — exploration *)
+      (** memory-watchdog actions ([?mem_budget_mb]): domains whose exact
+          fingerprint table was migrated into its constant-memory Bloom tier
+          (completeness degrades to [Partial Probabilistic]) *)
   spilled : int;
       (** frontier work items demoted to disk ({!Frontier}) instead of held
           materialized in RAM; each is re-read and replayed when taken *)
@@ -242,7 +226,7 @@ val to_exec_stats : stats -> Exec.stats
     only accesses strictly between completions, so these observations are
     identical on the representative and the skipped interleavings: [por]
     is sound under a tracker. Duplicate-state pruning is sound only when
-    the tracker state is part of the dedup key, so [dedup] is switched off
+    the tracker state is part of the dedup key, so [dedup] is switched [Off]
     automatically unless the tracker supplies a [fingerprint]. *)
 
 type path_event =
@@ -383,12 +367,10 @@ val run :
 
     [mem_budget_mb] arms the memory watchdog: every 1024 nodes a domain
     samples the major heap, and past the budget dedup state is shed
-    ([stats.evictions]) instead of OOM. On the flat path the exact
+    ([stats.evictions]) instead of OOM: oldest domain first, the exact
     fingerprint table migrates into a Bloom filter of [2^bloom_bits_log2]
     bits (default {!Wfc_spec.Fingerprint.Bloom.default_bits_log2}) and the
-    run's clean sweep becomes [Partial Probabilistic]; on the boxed path
-    tables are dropped oldest-domain-first, degrading to undeduped — but
-    alive — exploration. In frontier mode (checkpoint sink or large pool
+    run's clean sweep becomes [Partial Probabilistic]. In frontier mode (checkpoint sink or large pool
     expansions) an armed watchdog additionally spills pending subtrees
     beyond a small in-RAM window to a disk file as decision-trace prefixes
     ([stats.spilled]), re-materialized by replay when taken.

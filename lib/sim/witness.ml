@@ -37,12 +37,11 @@ let pp ppf w =
    fixpoint, then the fault budgets are trimmed to what the final trace
    actually uses. *)
 
-(* Interned keys speed the re-search up; symmetry stays off — shrinking
-   replays concrete traces, so the search should see exactly the pid-exact
-   state space the trace was found in. *)
+(* Dedup speeds the re-search up; symmetry stays off — shrinking replays
+   concrete traces, so the search should see exactly the pid-exact state
+   space the trace was found in. *)
 let search_options =
-  { Explore.dedup = true; por = false; domains = 1; intern = true;
-    symmetry = false; flat = true; compile = true }
+  { Explore.dedup = Exact; por = false; domains = 1; compile = true }
 
 let find_bad impl ~bad ~budget ~faults workloads =
   let found = ref None in

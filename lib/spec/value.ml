@@ -239,7 +239,6 @@ module Intern = struct
   let hash c = c.chash
   let id c = c.id
   let equal (a : cell) (b : cell) = a == b
-  let compare_id (a : cell) (b : cell) = Int.compare a.id b.id
 
   (* [build] is only run on a miss, so hits allocate nothing. [h] must equal
      [structural_hash (build ())]; the constructors below maintain this by

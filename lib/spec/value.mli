@@ -106,10 +106,6 @@ module Intern : sig
   (** Physical equality. Within one state, [equal (intern st a) (intern st b)]
       iff [Value.equal a b]. *)
 
-  val compare_id : cell -> cell -> int
-  (** Total order on cells of one state by {!id}. Any fixed total order works
-      for canonical sorting; this one is O(1). *)
-
   val intern : state -> t -> cell
   (** Bottom-up interning of an arbitrary value. *)
 

@@ -388,13 +388,14 @@ let test_par_threshold () =
       [ Ops.read; Ops.write Value.truth; Ops.read ];
     |]
   in
-  (* [dedup_threshold:0] pins dedup activation to the root in both runs:
-     with the lazy default the sequential drain and the per-worker tables
-     would activate at different points and visit different leaf counts. *)
+  (* Dedup off: per-worker dedup tables make the leaf count depend on which
+     worker reaches a state first, and leaf counts are outside the
+     soundness envelope. Without dedup every leaf is visited exactly once,
+     so the count is exact on both sides. *)
   let run ?par_threshold () =
     Explore.run impl ~workloads
-      ~options:(Explore.parallel ~domains:2 ())
-      ?par_threshold ~dedup_threshold:0 ()
+      ~options:{ (Explore.parallel ~domains:2 ()) with dedup = Off }
+      ?par_threshold ()
   in
   (* tiny tree, default threshold: the pool must NOT spin up *)
   let seq = run () in

@@ -121,10 +121,9 @@ let assert_equiv ?fuel ?max_crashes impl workloads =
         naive_set (leaf_set leaves);
       check_same_invariants ~msg naive_stats s)
     [
-      ("dedup", { Explore.naive with dedup = true });
+      ("dedup", { Explore.naive with dedup = Exact });
       ("por", { Explore.naive with por = true });
-      ("dedup-nointern", { Explore.fast with intern = false; symmetry = false });
-      ("fast", { Explore.fast with symmetry = false });
+      ("fast", { Explore.fast with dedup = Exact });
     ];
   let s_sym, sym_leaves =
     collect ?fuel ?max_crashes ~options:Explore.fast ~proj:value_proj impl
@@ -273,7 +272,7 @@ let test_dedup_strictly_prunes () =
   let naive, _ = collect ~options:Explore.naive ~proj:value_proj impl workloads in
   let dedup, _ =
     collect
-      ~options:{ Explore.naive with dedup = true }
+      ~options:{ Explore.naive with dedup = Exact }
       ~proj:value_proj impl workloads
   in
   let fast, _ = collect ~options:Explore.fast ~proj:value_proj impl workloads in
@@ -298,7 +297,7 @@ let test_dedup_threshold_laziness () =
      and no table is ever allocated — yet the observations are identical *)
   let impl = rw_impl ~procs:2 ~bits:2 ~coin:false in
   let workloads = [| [ wr 0 true; wr 0 false ]; [ wr 1 true; wr 1 false ] |] in
-  let options = { Explore.fast with por = false; symmetry = false } in
+  let options = { Explore.fast with por = false; dedup = Exact } in
   let eager, eager_leaves = collect ~options ~proj:value_proj impl workloads in
   let deferred, deferred_leaves =
     collect ~dedup_threshold:Explore.default_dedup_threshold ~options
@@ -357,7 +356,7 @@ let test_symmetry_node_reduction () =
   let workloads = Array.make 3 [ Ops.propose Value.truth ] in
   let nosym, _ =
     collect
-      ~options:{ Explore.fast with symmetry = false }
+      ~options:{ Explore.fast with dedup = Exact }
       ~proj:value_proj impl workloads
   in
   let sym, _ = collect ~options:Explore.fast ~proj:value_proj impl workloads in
@@ -382,7 +381,7 @@ let test_symmetry_verdict_parity () =
   let engines =
     [
       ("naive", Explore.naive);
-      ("fast-nosym", { Explore.fast with symmetry = false });
+      ("fast-nosym", { Explore.fast with dedup = Exact });
       ("fast", Explore.fast);
     ]
   in

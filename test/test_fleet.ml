@@ -21,12 +21,9 @@ module Protocols = Wfc_consensus.Protocols
 
 let engine =
   {
-    Checkpoint.dedup = true;
+    Checkpoint.dedup = Checkpoint.Exact;
     por = true;
     domains = 1;
-    intern = true;
-    symmetry = false;
-    flat = false;
   }
 
 let sample_faults =

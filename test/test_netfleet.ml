@@ -376,12 +376,9 @@ let test_queue_resume_passes_checkpoint () =
      receive it as its resume point *)
   let engine =
     {
-      Checkpoint.dedup = true;
+      Checkpoint.dedup = Checkpoint.Exact;
       por = true;
       domains = 1;
-      intern = true;
-      symmetry = false;
-      flat = false;
     }
   in
   let faults =

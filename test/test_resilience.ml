@@ -81,12 +81,9 @@ let sample_checkpoint () =
     ~meta:[ ("protocol", "cas"); ("check.vector", "3") ]
     ~engine:
       {
-        Checkpoint.dedup = true;
+        Checkpoint.dedup = Checkpoint.Exact;
         por = false;
         domains = 2;
-        intern = true;
-        symmetry = false;
-        flat = true;
       }
     ~fuel:10_000 ~budget_left:1234 ~faults
     ~workloads:
@@ -174,62 +171,86 @@ let test_checkpoint_mismatch_detected () =
   in
   Alcotest.(check bool) "adversary mismatch reported" true (wrong_faults <> None)
 
-(* The legacy wfc-checkpoint/1 format (MD5 digest, no flat/spilled/
-   probabilistic fields) must still parse, with the new fields at their
-   defaults — and re-serialize as /2. *)
-let test_checkpoint_v1_still_parses () =
+(* Every dedup mode survives the text codec, and a resume refuses a
+   checkpoint taken under another mode. *)
+let test_checkpoint_dedup_modes_roundtrip () =
   let ck = sample_checkpoint () in
+  List.iter
+    (fun mode ->
+      let name = Checkpoint.dedup_to_string mode in
+      let ck =
+        { ck with Checkpoint.engine = { ck.Checkpoint.engine with dedup = mode } }
+      in
+      let s = Checkpoint.to_string ck in
+      Alcotest.(check bool)
+        (name ^ ": engine line names the mode")
+        true
+        (List.mem
+           (Fmt.str "engine dedup=%s por=0 domains=2" name)
+           (String.split_on_char '\n' s));
+      match Checkpoint.of_string s with
+      | Error e -> Alcotest.failf "%s: round-trip failed: %s" name e
+      | Ok ck' ->
+        Alcotest.(check string) (name ^ ": mode preserved") name
+          (Checkpoint.dedup_to_string ck'.Checkpoint.engine.Checkpoint.dedup);
+        Alcotest.(check string) (name ^ ": canonical form stable") s
+          (Checkpoint.to_string ck'))
+    [ Checkpoint.Off; Checkpoint.Exact; Checkpoint.Symmetric ]
+
+let test_resume_refuses_other_mode () =
+  let impl = cas3 () in
+  let path = temp_ck () in
+  let stats =
+    Explore.run impl ~workloads:workloads3 ~options:Explore.fast ~budget:20
+      ~checkpoint:(path, 3600.) ()
+  in
+  Alcotest.(check bool) "budget cut the run" true
+    (completeness_of stats <> Explore.Exhaustive);
   let ck =
-    {
-      ck with
-      Checkpoint.engine = { ck.Checkpoint.engine with Checkpoint.flat = false };
-      counts =
-        { ck.Checkpoint.counts with Checkpoint.spilled = 0;
-          probabilistic = false };
-    }
+    match Checkpoint.load path with
+    | Ok ck -> ck
+    | Error e -> Alcotest.failf "checkpoint load failed: %s" e
   in
-  (* reconstruct the v1 serialization: same body with the pre-/2 engine and
-     counts lines, MD5 digest, /1 header *)
+  Sys.remove path;
+  Alcotest.(check string) "checkpoint records the mode" "symmetric"
+    (Checkpoint.dedup_to_string ck.Checkpoint.engine.Checkpoint.dedup);
+  List.iter
+    (fun mode ->
+      let options = { Explore.fast with dedup = mode } in
+      match
+        Explore.run impl ~workloads:workloads3 ~options ~resume_from:ck ()
+      with
+      | _ ->
+        Alcotest.failf "resume under dedup=%s accepted"
+          (Checkpoint.dedup_to_string mode)
+      | exception Invalid_argument _ -> ())
+    [ Explore.Off; Explore.Exact ]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Files of the earlier formats are refused, and the error names the header
+   that was found. *)
+let test_checkpoint_legacy_headers_refused () =
   let body =
-    match String.split_on_char '\n' (Checkpoint.to_string ck) with
-    | _header :: _digest :: rest ->
-      rest
-      |> List.map (fun l ->
-             if String.length l >= 7 && String.sub l 0 7 = "engine " then
-               "engine dedup=1 por=0 domains=2 intern=1 symmetry=0"
-             else if String.length l >= 7 && String.sub l 0 7 = "counts " then
-               "counts leaves=42 nodes=999 max_events=12 max_op_steps=3 \
-                overflows=0 pruned=7 sleep_skips=1 degraded=2 evictions=1"
-             else l)
-      |> String.concat "\n"
-    | _ -> Alcotest.fail "unexpected checkpoint serialization"
+    match String.split_on_char '\n' (Checkpoint.to_string (sample_checkpoint ())) with
+    | _header :: rest -> String.concat "\n" rest
+    | [] -> Alcotest.fail "empty checkpoint serialization"
   in
-  let v1 =
-    "wfc-checkpoint/1\ndigest "
-    ^ Digest.to_hex (Digest.string body)
-    ^ "\n" ^ body
-  in
-  (match Checkpoint.of_string v1 with
-  | Error e -> Alcotest.failf "v1 checkpoint refused: %s" e
-  | Ok ck' ->
-    Alcotest.(check bool) "flat defaults to false" false
-      ck'.Checkpoint.engine.Checkpoint.flat;
-    Alcotest.(check int) "spilled defaults to 0" 0
-      ck'.Checkpoint.counts.Checkpoint.spilled;
-    Alcotest.(check bool) "probabilistic defaults to false" false
-      ck'.Checkpoint.counts.Checkpoint.probabilistic;
-    Alcotest.(check int) "v1 counts parsed" 42
-      ck'.Checkpoint.counts.Checkpoint.leaves;
-    Alcotest.(check bool) "re-serializes as /2" true
-      (String.length (Checkpoint.to_string ck') > 16
-      && String.sub (Checkpoint.to_string ck') 0 16 = "wfc-checkpoint/2"));
-  (* a corrupted v1 body is still refused by its MD5 digest *)
-  let tampered =
-    String.map (fun c -> if c = '9' then '8' else c) v1
-  in
-  match Checkpoint.of_string tampered with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "tampered v1 body accepted"
+  List.iter
+    (fun header ->
+      match Checkpoint.of_string (header ^ "\n" ^ body) with
+      | Ok _ -> Alcotest.failf "%s file accepted" header
+      | Error e ->
+        Alcotest.(check bool)
+          (Fmt.str "error %S names %s" e header)
+          true
+          (contains e header))
+    [ "wfc-checkpoint/1"; "wfc-checkpoint/2" ]
 
 let test_checkpoint_meta_validation () =
   match
@@ -237,12 +258,9 @@ let test_checkpoint_meta_validation () =
       ~meta:[ ("bad key", "v") ]
       ~engine:
         {
-          Checkpoint.dedup = false;
+          Checkpoint.dedup = Checkpoint.Off;
           por = false;
           domains = 1;
-          intern = false;
-          symmetry = false;
-          flat = false;
         }
       ~fuel:1 ~faults:Faults.none ~workloads:[| [] |]
       ~counts:(Checkpoint.zero_counts ~n_objs:0)
@@ -522,23 +540,9 @@ let test_mem_watchdog_evicts_and_finishes () =
     (stats.Explore.evictions >= 1);
   (* Bloom false positives can only prune more, never less — and on a state
      space this small (2^23-bit filter) there are effectively none *)
-  Alcotest.(check int) "Bloom tier loses no coverage here"
-    deduped.Explore.leaves stats.Explore.leaves;
-  (* boxed path: tables are dropped and the run degrades to undeduped but
-     stays exhaustive *)
-  let boxed =
-    Explore.run impl ~workloads:workloads3
-      ~options:{ Explore.fast with flat = false } ~mem_budget_mb:1 ()
-  in
   ignore (Sys.opaque_identity ballast.(0));
-  (match completeness_of boxed with
-  | Explore.Exhaustive -> ()
-  | Explore.Partial _ -> Alcotest.fail "boxed eviction must not cut the run");
-  Alcotest.(check bool) "boxed path evicted under pressure" true
-    (boxed.Explore.evictions >= 1);
-  (* undeduped fallback explores at least as much as the deduped engine *)
-  Alcotest.(check bool) "fallback loses no coverage" true
-    (boxed.Explore.leaves >= deduped.Explore.leaves)
+  Alcotest.(check int) "Bloom tier loses no coverage here"
+    deduped.Explore.leaves stats.Explore.leaves
 
 (* --- Check-level: verdict parity across interruption ----------------------- *)
 
@@ -631,8 +635,10 @@ let () =
             test_checkpoint_digest_rejects_tampering;
           Alcotest.test_case "parser total under mutation" `Quick
             test_checkpoint_of_string_total;
-          Alcotest.test_case "legacy v1 format parses" `Quick
-            test_checkpoint_v1_still_parses;
+          Alcotest.test_case "dedup modes round-trip" `Quick
+            test_checkpoint_dedup_modes_roundtrip;
+          Alcotest.test_case "legacy headers refused" `Quick
+            test_checkpoint_legacy_headers_refused;
           Alcotest.test_case "problem mismatch detected" `Quick
             test_checkpoint_mismatch_detected;
           Alcotest.test_case "meta validation" `Quick
@@ -651,6 +657,8 @@ let () =
             test_explore_budget_checkpoint_resume;
           Alcotest.test_case "interrupt flushes and resumes" `Quick
             test_explore_interrupt_flush_and_resume;
+          Alcotest.test_case "resume refuses another mode" `Quick
+            test_resume_refuses_other_mode;
         ] );
       ( "supervised pool",
         [

@@ -116,7 +116,7 @@ let prop_intern_sharing =
     (QCheck.pair value_arb value_arb) (fun (a, b) ->
       let ca = I.intern intern_st a and cb = I.intern intern_st b in
       Value.equal a b = I.equal ca cb
-      && I.equal ca cb = (I.compare_id ca cb = 0))
+      && I.equal ca cb = (I.id ca = I.id cb))
 
 let prop_intern_constructors =
   QCheck.Test.make ~name:"smart constructors agree with intern"
