@@ -1228,11 +1228,8 @@ let resume_report () =
     segments res_execs ref_execs (verdict_str reference) (verdict_str resumed);
   (* overhead guard: E10 universal fetch-and-add, checkpoint armed at a 5 s
      interval that never elapses — only the frontier-mode bookkeeping is
-     measured. An armed run always walks the interpreted engine (the
-     compiled kernel does not checkpoint), so the plain run is pinned to it
-     too ([compile = false]): otherwise the guard would time the kernel
-     against the interpreter. min-of-9 wall clocks; 0.5 ms absolute slack
-     absorbs timer noise on a ~15 ms run *)
+     measured, since both runs walk the same kernel. min-of-9 wall clocks;
+     0.5 ms absolute slack absorbs timer noise *)
   let uimpl =
     Universal.construct
       ~target:(Rmw.fetch_add_mod ~ports:2 ~modulus:5)
@@ -1255,15 +1252,14 @@ let resume_report () =
     done;
     (!best_w, Option.get !last)
   in
-  let interpreted = { Explore.fast with Explore.compile = false } in
   let plain_w, plain_s =
     best (fun () ->
-        Explore.run uimpl ~workloads:uworkloads ~options:interpreted ())
+        Explore.run uimpl ~workloads:uworkloads ~options:Explore.fast ())
   in
   let ck_path = Filename.temp_file "wfc_rs_overhead" ".ck" in
   let armed_w, armed_s =
     best (fun () ->
-        Explore.run uimpl ~workloads:uworkloads ~options:interpreted
+        Explore.run uimpl ~workloads:uworkloads ~options:Explore.fast
           ~checkpoint:(ck_path, 5.0) ())
   in
   if Sys.file_exists ck_path then Sys.remove ck_path;

@@ -106,15 +106,6 @@ let witness_out_arg =
   let doc = "On violation, store the shrunk replayable witness to $(docv)." in
   Arg.(value & opt (some string) None & info [ "witness" ] ~docv:"FILE" ~doc)
 
-let no_compile_arg =
-  let doc =
-    "Disable the compiled step kernel (interned transition tables driving \
-     an in-place configuration) and run the interpreted engine instead. \
-     Escape hatch for debugging the engine; verdicts, counts and traces \
-     are identical either way, compilation is only faster."
-  in
-  Arg.(value & flag & info [ "no-compile" ] ~doc)
-
 let no_symmetry_arg =
   let doc =
     "Disable process-symmetry reduction (merging schedules that differ only \
@@ -296,7 +287,7 @@ let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
 
 let verify_cmd =
   let run name procs crashes recoveries glitches degrade budget deadline_s
-      witness_file no_symmetry no_compile ckpt_file ckpt_interval
+      witness_file no_symmetry ckpt_file ckpt_interval
       resume_file mem_budget_mb =
     let impl = make_protocol ~procs name in
     let faults =
@@ -308,7 +299,6 @@ let verify_cmd =
       {
         Wfc_sim.Explore.fast with
         dedup = (if no_symmetry then Wfc_sim.Explore.Exact else Symmetric);
-        compile = not no_compile;
       }
     in
     let resume = load_resume ~name ~procs resume_file in
@@ -336,11 +326,11 @@ let verify_cmd =
          "Exhaustively check a consensus protocol, optionally under a fault \
           adversary and/or an exploration budget")
     Term.(
-      const (fun n p c r g d b dl w ns nc cf ci rf mb ->
-          Stdlib.exit (run n p c r g d b dl w ns nc cf ci rf mb))
+      const (fun n p c r g d b dl w ns cf ci rf mb ->
+          Stdlib.exit (run n p c r g d b dl w ns cf ci rf mb))
       $ protocol_arg $ procs_arg $ crashes_arg $ recoveries_arg $ glitches_arg
       $ degrade_arg $ budget_arg $ deadline_arg $ witness_out_arg
-      $ no_symmetry_arg $ no_compile_arg $ checkpoint_arg
+      $ no_symmetry_arg $ checkpoint_arg
       $ checkpoint_interval_arg $ resume_arg $ mem_budget_arg)
 
 (* --- serve / worker: the distributed fleet ---------------------------------- *)

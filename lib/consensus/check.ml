@@ -317,7 +317,7 @@ let verify_values ~domain ?(subsets = true) ?(repeat = true)
                 | Some (path, _) ->
                   let ck =
                     Wfc_sim.Checkpoint.make ~meta:vec_meta
-                      ~engine:(Wfc_sim.Explore.engine_of_options engine)
+                      ~engine
                       ~fuel:
                         (Option.value fuel
                            ~default:Wfc_sim.Explore.default_fuel)

@@ -81,8 +81,7 @@ val verify :
     implementations declaring {!Wfc_program.Implementation.symmetric}). Pass
     {!Wfc_sim.Explore.naive} to force the unreduced search (the property
     suite asserts both give the same verdict), or change individual fields —
-    [wfc verify --no-symmetry] selects [dedup = Exact], [--no-compile] clears
-    [compile].
+    [wfc verify --no-symmetry] selects [dedup = Exact].
     [report.executions] counts the executions the engine actually visited.
     [par_threshold] governs the lazy domain pool exactly as in
     {!Wfc_sim.Explore.run} — with [engine.domains > 1], small per-vector

@@ -96,7 +96,6 @@ let serve ?subsets ?repeat ?domain ?(max_crashes = 0) ?faults ?fuel ?budget
     | None -> Faults.crashes max_crashes
   in
   let fuel = Option.value fuel ~default:Explore.default_fuel in
-  let eng = Explore.engine_of_options engine in
   let n_objs = Array.length impl.Implementation.objects in
   let vecs =
     Array.of_list (Check.vectors ?subsets ?repeat ?domain impl)
@@ -144,7 +143,7 @@ let serve ?subsets ?repeat ?domain ?(max_crashes = 0) ?faults ?fuel ?budget
               it taken with different subsets/repeat/domain settings?"
              v0 (Array.length vecs));
       (match
-         Checkpoint.describe_mismatch ck ~engine:eng ~fuel ~faults
+         Checkpoint.describe_mismatch ck ~engine ~fuel ~faults
            ~workloads:vecs.(v0 - 1).Check.workloads
        with
       | Some why -> invalid_arg (Fmt.str "Fleet: cannot resume: %s" why)
@@ -196,7 +195,7 @@ let serve ?subsets ?repeat ?domain ?(max_crashes = 0) ?faults ?fuel ?budget
     let job =
       Checkpoint.make
         ~meta:(meta @ [ ("check.vector", string_of_int vec) ])
-        ~engine:eng ~fuel ~faults
+        ~engine ~fuel ~faults
         ~workloads:vecs.(vec - 1).Check.workloads
         ~counts:(Checkpoint.zero_counts ~n_objs) ~frontier ()
     in
@@ -367,7 +366,7 @@ let serve ?subsets ?repeat ?domain ?(max_crashes = 0) ?faults ?fuel ?budget
                 List.rev_append r.shard.job.Checkpoint.frontier !frontier)
           !orphans;
         let ck =
-          Checkpoint.make ~meta:vec_meta ~engine:eng ~fuel
+          Checkpoint.make ~meta:vec_meta ~engine ~fuel
             ?budget_left:!budget_left ~faults
             ~workloads:vecs.(i).Check.workloads ~counts:vstates.(i).counts
             ~frontier:!frontier ()

@@ -75,7 +75,7 @@ let exec_shard impl ~(job : Checkpoint.t) ?quantum ?interrupt
   match
     Explore.run impl ~workloads ~fuel:job.Checkpoint.fuel ~faults
       ?budget:quantum
-      ~options:(Explore.options_of_engine job.Checkpoint.engine)
+      ~options:job.Checkpoint.engine
       ~on_leaf_trace:(fun trace leaf ->
         incr leaves;
         (match Wfc_consensus.Check.check_leaf ~inputs leaf with

@@ -2,7 +2,7 @@ open Wfc_spec
 
 (* Defined here and re-exported by Explore: Checkpoint sits below Explore
    (Witness depends on Explore, Explore depends on Checkpoint), so the
-   serialized mirror of Explore.options needs the type first. *)
+   engine options, which a checkpoint stores whole, are defined first. *)
 type dedup = Off | Exact | Symmetric
 
 let dedup_to_string = function

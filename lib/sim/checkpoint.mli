@@ -34,7 +34,7 @@ val dedup_to_string : dedup -> string
 (** ["off"], ["exact"] or ["symmetric"] — the spelling in the file. *)
 
 type engine = { dedup : dedup; por : bool; domains : int }
-(** The serialized fields of [Explore.options]. *)
+(** The engine options, re-exported as [Explore.options]. *)
 
 type counts = {
   leaves : int;

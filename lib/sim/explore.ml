@@ -3,10 +3,10 @@ open Wfc_program
 
 type dedup = Checkpoint.dedup = Off | Exact | Symmetric
 
-type options = { dedup : dedup; por : bool; domains : int; compile : bool }
+type options = Checkpoint.engine = { dedup : dedup; por : bool; domains : int }
 
-let naive = { dedup = Off; por = false; domains = 1; compile = false }
-let fast = { dedup = Symmetric; por = true; domains = 1; compile = true }
+let naive = { dedup = Off; por = false; domains = 1 }
+let fast = { dedup = Symmetric; por = true; domains = 1 }
 
 let parallel ?domains () =
   let domains =
@@ -97,319 +97,6 @@ let null_tracker =
     event = (fun () ~trace_rev:_ _ -> ());
     at_leaf = (fun () ~trace_rev:_ _ -> ());
     fingerprint = Some (fun () -> Value.unit);
-  }
-
-(* --- configurations ---------------------------------------------------------
-
-   Same persistent representation as [Exec], with one addition: a pending
-   operation remembers the base responses it has received so far
-   ([resps_rev]). Programs are deterministic functions of (proc, invocation,
-   local-at-invocation), so ⟨inv0, resps_rev⟩ pins the continuation [node]
-   exactly — which is what lets a configuration be fingerprinted even though
-   [node] contains closures. (A glitched response enters [resps_rev] like an
-   honest one: the continuation depends on what the program saw, not on
-   whether the object really said it.) *)
-
-type pend = {
-  inv0 : Value.t;
-  op_index : int;
-  node : (Value.t * Value.t) Program.t;
-  steps_done : int;
-  started : int;
-  resps_rev : Value.t list;
-}
-
-type prec = {
-  todo : Value.t list;
-  next_op : int;
-  pending : pend option;
-  local : Value.t;
-}
-
-type cfg = {
-  objs : Value.t array;
-  procs : prec array;
-  ops_rev : Exec.op list;
-  events : int;
-  acc : int array;
-  crashed : bool array;
-  crashes_left : int;
-  recoveries_left : int;
-  glitches_left : int;
-  stuck : bool array;
-  hist : Value.t list array;
-  faults : Faults.t;
-}
-
-let initial_cfg impl ~workloads =
-  if Array.length workloads <> impl.Implementation.procs then
-    invalid_arg "Explore: workloads length must equal impl.procs";
-  let n_objs = Array.length impl.Implementation.objects in
-  {
-    objs = Array.map snd impl.Implementation.objects;
-    procs =
-      Array.mapi
-        (fun p todo ->
-          {
-            todo;
-            next_op = 0;
-            pending = None;
-            local = impl.Implementation.local_init p;
-          })
-        workloads;
-    ops_rev = [];
-    events = 0;
-    acc = Array.make n_objs 0;
-    crashed = Array.make (Array.length workloads) false;
-    crashes_left = 0;
-    recoveries_left = 0;
-    glitches_left = 0;
-    stuck = Array.make (Array.length workloads) false;
-    hist = Array.make n_objs [];
-    faults = Faults.none;
-  }
-
-let with_faults cfg (f : Faults.t) =
-  {
-    cfg with
-    faults = f;
-    crashes_left = f.Faults.max_crashes;
-    recoveries_left = f.Faults.max_recoveries;
-    glitches_left = f.Faults.max_glitches;
-  }
-
-let enabled cfg =
-  let out = ref [] in
-  for p = Array.length cfg.procs - 1 downto 0 do
-    let pr = cfg.procs.(p) in
-    if
-      (not cfg.crashed.(p))
-      && (not cfg.stuck.(p))
-      && (pr.pending <> None || pr.todo <> [])
-    then out := p :: !out
-  done;
-  !out
-
-let recoverable cfg =
-  if cfg.recoveries_left <= 0 then []
-  else begin
-    let out = ref [] in
-    for p = Array.length cfg.procs - 1 downto 0 do
-      let pr = cfg.procs.(p) in
-      if
-        cfg.crashed.(p)
-        && (not cfg.stuck.(p))
-        && (pr.pending <> None || pr.todo <> [])
-      then out := p :: !out
-    done;
-    !out
-  end
-
-let crash cfg p =
-  let crashed = Array.copy cfg.crashed in
-  crashed.(p) <- true;
-  { cfg with crashed; crashes_left = cfg.crashes_left - 1; events = cfg.events + 1 }
-
-let recover cfg p =
-  let crashed = Array.copy cfg.crashed in
-  crashed.(p) <- false;
-  let pr = cfg.procs.(p) in
-  let pr' =
-    match pr.pending with
-    | None -> pr
-    | Some pd -> { pr with todo = pd.inv0 :: pr.todo; pending = None }
-  in
-  let procs = Array.copy cfg.procs in
-  procs.(p) <- pr';
-  {
-    cfg with
-    crashed;
-    procs;
-    recoveries_left = cfg.recoveries_left - 1;
-    events = cfg.events + 1;
-  }
-
-let wedge cfg p =
-  let stuck = Array.copy cfg.stuck in
-  stuck.(p) <- true;
-  { cfg with stuck; events = cfg.events + 1 }
-
-let set_proc procs p pr' =
-  let procs' = Array.copy procs in
-  procs'.(p) <- pr';
-  procs'
-
-let push_hist cfg obj q' =
-  let q = cfg.objs.(obj) in
-  if Value.equal q q' || not (Faults.tracks_history cfg.faults obj) then
-    cfg.hist
-  else begin
-    let depth = Faults.stale_depth cfg.faults obj in
-    let hist = Array.copy cfg.hist in
-    hist.(obj) <- List.filteri (fun i _ -> i < depth) (q :: hist.(obj));
-    hist
-  end
-
-let continue cfg p ~objs ~acc ~hist ~glitches_left ~inv0 ~op_index ~started
-    ~steps ~resps_rev ~todo node =
-  match node with
-  | Program.Return (resp, local') ->
-    let completed =
-      {
-        Exec.proc = p;
-        op_index;
-        inv = inv0;
-        resp;
-        start_step = started;
-        end_step = cfg.events;
-        steps;
-      }
-    in
-    let pr' = { todo; next_op = op_index + 1; pending = None; local = local' } in
-    {
-      cfg with
-      objs;
-      procs = set_proc cfg.procs p pr';
-      ops_rev = completed :: cfg.ops_rev;
-      events = cfg.events + 1;
-      acc;
-      hist;
-      glitches_left;
-    }
-  | Program.Invoke _ ->
-    let pd = { inv0; op_index; node; steps_done = steps; started; resps_rev } in
-    let pr' = { cfg.procs.(p) with todo; pending = Some pd } in
-    {
-      cfg with
-      objs;
-      procs = set_proc cfg.procs p pr';
-      events = cfg.events + 1;
-      acc;
-      hist;
-      glitches_left;
-    }
-
-let poised impl cfg p =
-  let pr = cfg.procs.(p) in
-  match pr.pending with
-  | Some pd ->
-    Some
-      ( pd.inv0,
-        pd.op_index,
-        pd.started,
-        pd.steps_done,
-        pd.resps_rev,
-        pr.todo,
-        pd.node )
-  | None -> (
-    match pr.todo with
-    | [] -> None
-    | inv :: rest ->
-      Some
-        ( inv,
-          pr.next_op,
-          cfg.events,
-          0,
-          [],
-          rest,
-          impl.Implementation.program ~proc:p ~inv pr.local ))
-
-let bad_step impl cfg p obj inv =
-  let spec, _ = impl.Implementation.objects.(obj) in
-  raise
-    (Type_spec.Bad_step
-       (Fmt.str "proc %d: invocation %a disabled on object %d (%s) in state %a"
-          p Value.pp inv obj spec.Type_spec.name Value.pp cfg.objs.(obj)))
-
-let invoke_children cfg p ~inv0 ~op_index ~started ~steps_done ~resps_rev
-    ~todo ~obj k alts =
-  List.map
-    (fun (q', resp) ->
-      (* pure reads leave the state unchanged: share the parent's array
-         instead of copying just to write back the same value (the
-         incremental fingerprint diff then sees no change either). The test
-         is physical on purpose — well-behaved specs return the argument
-         state itself for reads, and a structural walk over a large state
-         would cost more than the copy it saves. *)
-      let objs =
-        if q' == cfg.objs.(obj) then cfg.objs
-        else begin
-          let objs = Array.copy cfg.objs in
-          objs.(obj) <- q';
-          objs
-        end
-      in
-      let acc = Array.copy cfg.acc in
-      acc.(obj) <- acc.(obj) + 1;
-      let hist = push_hist cfg obj q' in
-      continue cfg p ~objs ~acc ~hist ~glitches_left:cfg.glitches_left ~inv0
-        ~op_index ~started ~steps:(steps_done + 1)
-        ~resps_rev:(resp :: resps_rev) ~todo (k resp))
-    alts
-
-let step_alternatives impl cfg p =
-  match poised impl cfg p with
-  | None -> []
-  | Some (inv0, op_index, started, steps_done, resps_rev, todo, node) -> (
-    match node with
-    | Program.Return _ ->
-      [
-        continue cfg p ~objs:cfg.objs ~acc:cfg.acc ~hist:cfg.hist
-          ~glitches_left:cfg.glitches_left ~inv0 ~op_index ~started
-          ~steps:steps_done ~resps_rev ~todo node;
-      ]
-    | Program.Invoke { obj; inv; k; _ } ->
-      let spec, _ = impl.Implementation.objects.(obj) in
-      let port = impl.Implementation.port_map ~proc:p ~obj in
-      let alts = Type_spec.alternatives spec cfg.objs.(obj) ~port ~inv in
-      if alts = [] then bad_step impl cfg p obj inv;
-      invoke_children cfg p ~inv0 ~op_index ~started ~steps_done ~resps_rev
-        ~todo ~obj k alts)
-
-let glitch_alternatives impl cfg p =
-  if cfg.glitches_left <= 0 then []
-  else
-    match poised impl cfg p with
-    | None -> []
-    | Some (inv0, op_index, started, steps_done, resps_rev, todo, node) -> (
-      match node with
-      | Program.Return _ -> []
-      | Program.Invoke { obj; inv; k; _ } -> (
-        match Faults.degradation_of cfg.faults obj with
-        | None -> []
-        | Some d ->
-          let spec, _ = impl.Implementation.objects.(obj) in
-          let port = impl.Implementation.port_map ~proc:p ~obj in
-          let q = cfg.objs.(obj) in
-          let alts_at qs =
-            try Type_spec.alternatives spec qs ~port ~inv
-            with Type_spec.Bad_step _ -> []
-          in
-          let resps =
-            Faults.glitch_responses ~alts:(alts_at q) ~alts_at ~q
-              ~hist:cfg.hist.(obj) d
-          in
-          List.filter_map
-            (fun resp ->
-              let acc = Array.copy cfg.acc in
-              acc.(obj) <- acc.(obj) + 1;
-              match
-                continue cfg p ~objs:cfg.objs ~acc ~hist:cfg.hist
-                  ~glitches_left:(cfg.glitches_left - 1) ~inv0 ~op_index
-                  ~started ~steps:(steps_done + 1)
-                  ~resps_rev:(resp :: resps_rev) ~todo (k resp)
-              with
-              | cfg' -> Some ((obj, inv, resp), cfg')
-              | exception Value.Type_error _ -> None)
-            resps))
-
-let leaf_of_cfg cfg =
-  {
-    Exec.objects = cfg.objs;
-    locals = Array.map (fun pr -> pr.local) cfg.procs;
-    ops = List.rev cfg.ops_rev;
-    events = cfg.events;
-    accesses = cfg.acc;
   }
 
 (* --- process-symmetry reduction ---------------------------------------------
@@ -503,13 +190,8 @@ end
      ⟨object cell, history cell, access count⟩, so an access replaces one
      term instead of re-hashing every object.
 
-   This is the one key definition. The interpreted flat path keeps it in an
-   immutable [fpc] per node: configurations are persistent — every
-   transition [Array.copy]s the touched array and shares all other elements
-   — so a physical diff of child against parent pinpoints the components
-   that changed, and backtracking is free because the parent's [fpc] is
-   untouched. The compiled kernel keeps the same cells in mutable arrays and
-   restores them on backtrack.
+   The kernel keeps these cells in mutable arrays next to the configuration
+   and restores them on backtrack.
 
    Per-process components deliberately exclude the pid itself (the position
    in the key carries it; under symmetry, the canonical position), and a
@@ -544,263 +226,12 @@ let proc_cell ist ~ctl_c ~pend_c = I.pair ist ctl_c pend_c
 (* One object's terms in the two additive lanes. *)
 let obj_term_hi o oc hc a = Fingerprint.component_hi o (I.id oc) (I.id hc) a
 let obj_term_lo o oc hc a = Fingerprint.component_lo o (I.id oc) (I.id hc) a
-
-type pcells = {
-  todo_c : I.cell;
-  local_c : I.cell;
-  head_c : I.cell;  (* meaningful only while an operation is pending *)
-  chain_c : I.cell;
-  cell : I.cell;  (* the process cell itself *)
-}
-
-type fpc = {
-  src : cfg;  (* the configuration these cells fingerprint *)
-  obj_cells : I.cell array;
-  hist_cells : I.cell array;
-  sum_hi : int;  (* additive hash of the object segment, two lanes *)
-  sum_lo : int;
-  pparts : pcells array;
-  proc_cells : I.cell array;  (* [pparts.(p).cell], as the encoder wants *)
-  ops_cells : I.cell array;  (* per proc: cons-chain of completed-op cells *)
-}
-
 let fp_op_cell ist (o : Exec.op) =
   I.list ist
     [ I.int ist o.op_index; I.intern ist o.inv; I.intern ist o.resp;
       I.int ist o.steps ]
 
 let fp_hist_cell ist h = I.list ist (List.map (I.intern ist) h)
-
-let resps_of pr = match pr.pending with None -> [] | Some pd -> pd.resps_rev
-
-let assemble_pcells ist ~todo_c ~local_c ~head_c ~chain_c pending =
-  let pend_c =
-    if pending then pend_cell ist ~head_c ~chain_c else I.unit ist
-  in
-  {
-    todo_c;
-    local_c;
-    head_c;
-    chain_c;
-    cell = proc_cell ist ~ctl_c:(ctl_cell ist ~todo_c ~local_c) ~pend_c;
-  }
-
-let pcells_of ist pr =
-  let head_c =
-    match pr.pending with
-    | None -> I.unit ist
-    | Some pd -> head_cell ist ~inv0:pd.inv0 ~op_index:pd.op_index
-  in
-  assemble_pcells ist
-    ~todo_c:(todo_cell ist pr.todo)
-    ~local_c:(local_cell ist ~next_op:pr.next_op pr.local)
-    ~head_c
-    ~chain_c:(chain_cell ist (resps_of pr))
-    (Option.is_some pr.pending)
-
-(* [old] fingerprints [pr]; reuse every component [pr'] shares physically
-   with it. A response chain that grew by one response costs one pair. *)
-let pcells_advance ist old pr pr' =
-  let todo_c =
-    if pr'.todo == pr.todo then old.todo_c else todo_cell ist pr'.todo
-  in
-  let local_c =
-    if pr'.local == pr.local && pr'.next_op = pr.next_op then old.local_c
-    else local_cell ist ~next_op:pr'.next_op pr'.local
-  in
-  let head_c =
-    match (pr.pending, pr'.pending) with
-    | _, None -> old.head_c
-    | Some pd, Some pd' when pd'.inv0 == pd.inv0 && pd'.op_index = pd.op_index
-      ->
-      old.head_c
-    | _, Some pd' -> head_cell ist ~inv0:pd'.inv0 ~op_index:pd'.op_index
-  in
-  let rs = resps_of pr and rs' = resps_of pr' in
-  let chain_c =
-    if rs' == rs then old.chain_c
-    else
-      match rs' with
-      | r :: tl when tl == rs -> I.pair ist (I.intern ist r) old.chain_c
-      | _ -> chain_cell ist rs'
-  in
-  assemble_pcells ist ~todo_c ~local_c ~head_c ~chain_c
-    (Option.is_some pr'.pending)
-
-(* Build from scratch — the root of an exploration (or of a worker's
-   subtree: intern states are per-domain, so cells never cross domains). *)
-let fpc_of_cfg ist cfg =
-  let ops_cells = Array.make (Array.length cfg.procs) (I.unit ist) in
-  List.iter
-    (fun (o : Exec.op) ->
-      ops_cells.(o.proc) <- I.pair ist (fp_op_cell ist o) ops_cells.(o.proc))
-    (List.rev cfg.ops_rev);
-  let obj_cells = Array.map (I.intern ist) cfg.objs in
-  let hist_cells = Array.map (fp_hist_cell ist) cfg.hist in
-  let sum_hi = ref 0 and sum_lo = ref 0 in
-  Array.iteri
-    (fun o oc ->
-      sum_hi := !sum_hi + obj_term_hi o oc hist_cells.(o) cfg.acc.(o);
-      sum_lo := !sum_lo + obj_term_lo o oc hist_cells.(o) cfg.acc.(o))
-    obj_cells;
-  let pparts = Array.map (pcells_of ist) cfg.procs in
-  {
-    src = cfg;
-    obj_cells;
-    hist_cells;
-    sum_hi = !sum_hi;
-    sum_lo = !sum_lo;
-    pparts;
-    proc_cells = Array.map (fun pc -> pc.cell) pparts;
-    ops_cells;
-  }
-
-(* Copy-on-write store: [a] is [orig] until the first write. *)
-let cow_set a orig i x =
-  if !a == orig then a := Array.copy orig;
-  Array.unsafe_set !a i x
-
-(* Only indices whose child element is not physically the parent's are
-   re-interned. Immediate values (e.g. [Value.Unit]) compare by value under
-   [!=], and a false "changed" on a block merely re-interns to the same
-   cell — the diff is conservative, never wrong. *)
-let fpc_advance ist fpc cfg' =
-  if fpc.src == cfg' then fpc
-  else begin
-    let src = fpc.src in
-    let ops_cells =
-      (* Same physical completion detector as [step_state]: an edge retires
-         at most one operation. *)
-      match cfg'.ops_rev with
-      | o :: rest when rest == src.ops_rev ->
-        let a = Array.copy fpc.ops_cells in
-        a.(o.proc) <- I.pair ist (fp_op_cell ist o) a.(o.proc);
-        a
-      | _ -> fpc.ops_cells
-    in
-    let obj_cells = ref fpc.obj_cells and hist_cells = ref fpc.hist_cells in
-    let sum_hi = ref fpc.sum_hi and sum_lo = ref fpc.sum_lo in
-    if cfg'.objs != src.objs || cfg'.hist != src.hist || cfg'.acc != src.acc
-    then
-      for o = 0 to Array.length cfg'.objs - 1 do
-        let oc = fpc.obj_cells.(o) and hc = fpc.hist_cells.(o) in
-        let a = src.acc.(o) and a' = cfg'.acc.(o) in
-        let oc' =
-          if cfg'.objs.(o) != src.objs.(o) then I.intern ist cfg'.objs.(o)
-          else oc
-        in
-        let hc' =
-          if cfg'.hist.(o) != src.hist.(o) then fp_hist_cell ist cfg'.hist.(o)
-          else hc
-        in
-        if oc' != oc || hc' != hc || a' <> a then begin
-          if oc' != oc then cow_set obj_cells fpc.obj_cells o oc';
-          if hc' != hc then cow_set hist_cells fpc.hist_cells o hc';
-          sum_hi := !sum_hi - obj_term_hi o oc hc a + obj_term_hi o oc' hc' a';
-          sum_lo := !sum_lo - obj_term_lo o oc hc a + obj_term_lo o oc' hc' a'
-        end
-      done;
-    let pparts = ref fpc.pparts and proc_cells = ref fpc.proc_cells in
-    if cfg'.procs != src.procs then
-      Array.iteri
-        (fun p pr' ->
-          let pr = src.procs.(p) in
-          if pr' != pr then begin
-            let pc = pcells_advance ist fpc.pparts.(p) pr pr' in
-            cow_set pparts fpc.pparts p pc;
-            cow_set proc_cells fpc.proc_cells p pc.cell
-          end)
-        cfg'.procs;
-    {
-      src = cfg';
-      obj_cells = !obj_cells;
-      hist_cells = !hist_cells;
-      sum_hi = !sum_hi;
-      sum_lo = !sum_lo;
-      pparts = !pparts;
-      proc_cells = !proc_cells;
-      ops_cells;
-    }
-  end
-
-(* --- partial-order reduction (source-set style) ------------------------------
-
-   Each node classifies every runnable process's next transition ONCE into a
-   [pstep]: the POR kind plus everything needed to generate its children —
-   the base-object alternatives are computed here and reused for generation,
-   never recomputed. The branch set at a node is the source set: enabled
-   processes minus the sleep set; members of the sleep set have their
-   subtrees excluded before any child configuration is constructed.
-
-   Two processes are independent at a configuration when both next accesses
-   are deterministic single-alternative steps and either (a) they target
-   different objects, or (b) they target the same object and both leave its
-   state unchanged (read-read commutation: the two orders reach literally
-   identical configurations — same object states, same responses, same
-   access counts and histories — only per-op timestamps differ, and those
-   are outside the soundness envelope). Zero-access completions and
-   nondeterministic accesses are conservatively dependent with
-   everything. *)
-
-type acc_kind = { obj : int; det : bool; pure_read : bool }
-type next_kind = Pure | Acc of acc_kind
-
-type pstep = {
-  kind : next_kind;
-  inv0 : Value.t;
-  op_index : int;
-  started : int;
-  steps_done : int;
-  resps_rev : Value.t list;
-  todo : Value.t list;
-  node : (Value.t * Value.t) Program.t;
-  alts : (Value.t * Value.t) list;  (* cached; [] for [Pure] *)
-}
-
-let pstep_of impl cfg p =
-  match poised impl cfg p with
-  | None -> None
-  | Some (inv0, op_index, started, steps_done, resps_rev, todo, node) ->
-    let kind, alts =
-      match node with
-      | Program.Return _ -> (Pure, [])
-      | Program.Invoke { obj; inv; _ } ->
-        let spec, _ = impl.Implementation.objects.(obj) in
-        let port = impl.Implementation.port_map ~proc:p ~obj in
-        let alts = Type_spec.alternatives spec cfg.objs.(obj) ~port ~inv in
-        let det, pure_read =
-          match alts with
-          | [ (q', _) ] ->
-            (true, q' == cfg.objs.(obj) || Value.equal q' cfg.objs.(obj))
-          | _ -> (false, false)
-        in
-        (Acc { obj; det; pure_read }, alts)
-    in
-    Some
-      { kind; inv0; op_index; started; steps_done; resps_rev; todo; node; alts }
-
-(* Children of a classified step — reuses the alternatives [pstep_of]
-   already computed instead of walking the spec again. *)
-let children_of_pstep impl cfg p ps =
-  match ps.node with
-  | Program.Return _ ->
-    [
-      continue cfg p ~objs:cfg.objs ~acc:cfg.acc ~hist:cfg.hist
-        ~glitches_left:cfg.glitches_left ~inv0:ps.inv0 ~op_index:ps.op_index
-        ~started:ps.started ~steps:ps.steps_done ~resps_rev:ps.resps_rev
-        ~todo:ps.todo ps.node;
-    ]
-  | Program.Invoke { obj; inv; k; _ } ->
-    if ps.alts = [] then bad_step impl cfg p obj inv;
-    invoke_children cfg p ~inv0:ps.inv0 ~op_index:ps.op_index
-      ~started:ps.started ~steps_done:ps.steps_done ~resps_rev:ps.resps_rev
-      ~todo:ps.todo ~obj k ps.alts
-
-let independent (nexts : pstep option array) p q =
-  match (nexts.(p), nexts.(q)) with
-  | Some { kind = Acc a; _ }, Some { kind = Acc b; _ } ->
-    a.det && b.det && (a.obj <> b.obj || (a.pure_read && b.pure_read))
-  | _ -> false
 
 (* --- graceful degradation ----------------------------------------------------
 
@@ -944,44 +375,7 @@ let counts_of_counters (c : counters) =
     probabilistic = c.probabilistic;
   }
 
-let engine_of_options (o : options) =
-  { Checkpoint.dedup = o.dedup; por = o.por; domains = o.domains }
-
-(* [compile] is not serialized: the compiled kernel changes how the tree is
-   walked, never which tree is walked, so resuming a checkpoint under either
-   setting is sound. Resumed runs default it on. *)
-let options_of_engine (e : Checkpoint.engine) =
-  {
-    dedup = e.Checkpoint.dedup;
-    por = e.Checkpoint.por;
-    domains = e.Checkpoint.domains;
-    compile = true;
-  }
-
-(* The ⟨proc, target-level invocation⟩ of every live pending operation:
-   invoked, not yet returned, process neither crashed nor stuck. Only these
-   attempts can still complete as-is (a recovery restarts the operation with
-   a fresh invocation), which is what a tracker's early-linearization
-   reasoning depends on. *)
-let live_pending cfg =
-  let out = ref [] in
-  for p = Array.length cfg.procs - 1 downto 0 do
-    if (not cfg.crashed.(p)) && not cfg.stuck.(p) then
-      match cfg.procs.(p).pending with
-      | Some pd -> out := (p, pd.inv0) :: !out
-      | None -> ()
-  done;
-  !out
-
-(* Tracker state across a step/glitch edge: an [Op_completed] event exactly
-   when the edge retired an operation. [continue] either prepends to
-   [ops_rev] or leaves it physically untouched, so the physical comparison
-   is an exact completion detector. *)
-let step_state (t : _ tracker) st ~trace_rev cfg cfg' =
-  match cfg'.ops_rev with
-  | o :: rest when rest == cfg.ops_rev ->
-    t.event st ~trace_rev (Op_completed { op = o; pending = live_pending cfg' })
-  | _ -> st
+let engine_of_options (o : options) : Checkpoint.engine = o
 
 (* --- flat fingerprint encoding -----------------------------------------------
 
@@ -1009,8 +403,7 @@ let step_state (t : _ tracker) st ~trace_rev cfg cfg' =
    structural equality is ever walked, and nothing is added to the intern
    state per probe.
 
-   Layout — one layout, filled by the interpreted path from an [fpc] and by
-   the compiled kernel from its own mutable cells:
+   Layout, filled by the kernel from its own mutable cells:
 
      objects      : [sum_hi; sum_lo]                              (2)
      per process  : [proc_cell; ops_cell; crashed; stuck; sleep]  (5·n_procs)
@@ -1024,8 +417,8 @@ let step_state (t : _ tracker) st ~trace_rev cfg cfg' =
    object's old term and adds the new one, so a probe hashes
    2 + 5·n_procs + 5 ints whatever the number of objects. The process cell
    is ⟨⟨todo, ⟨next_op, local⟩⟩, pending⟩ with pending = ⟨⟨inv0, op_index⟩,
-   response chain⟩ or unit, all from cached component cells (see
-   [pcells]), so keeping it current costs O(1) cell lookups per access.
+   response chain⟩ or unit, all from cached component cells, so keeping it
+   current costs O(1) cell lookups per access.
 
    Every per-process component has a FIXED width of five ints, so symmetry
    canonicalization is an in-place insertion sort of five-int records within
@@ -1091,10 +484,7 @@ let sort_records buf tmp ~base ~lo ~hi =
   done
 
 (* Fill the scratch buffer from the key's components and hash it. Zero
-   allocation. Shared verbatim by the interpreted path (components come from
-   an [fpc] cache over persistent configurations) and the compiled kernel
-   (components are the engine's own mutable arrays): both feed the same
-   per-ist cell ids and the same additive sums, so they key identically. *)
+   allocation. [crashed] and [stuck] are pid bitmasks. *)
 let encode_flat_parts fx ~sum_hi ~sum_lo ~proc_cells ~ops_cells ~crashed
     ~stuck ~events ~crashes_left ~recoveries_left ~glitches_left ~sleep
     ~classes ~tracker_id =
@@ -1107,8 +497,8 @@ let encode_flat_parts fx ~sum_hi ~sum_lo ~proc_cells ~ops_cells ~crashed
     let k = base + (5 * slot) in
     buf.(k) <- I.id proc_cells.(p);
     buf.(k + 1) <- I.id ops_cells.(p);
-    buf.(k + 2) <- Bool.to_int crashed.(p);
-    buf.(k + 3) <- Bool.to_int stuck.(p);
+    buf.(k + 2) <- (crashed lsr p) land 1;
+    buf.(k + 3) <- (stuck lsr p) land 1;
     buf.(k + 4) <- (sleep lsr p) land 1
   in
   (match classes with
@@ -1144,13 +534,6 @@ let encode_flat_parts fx ~sum_hi ~sum_lo ~proc_cells ~ops_cells ~crashed
   buf.(j + 4) <- tracker_id;
   Fingerprint.hash_array buf ~len:(j + 5)
 
-let encode_flat fx fpc cfg ~sleep ~classes ~tracker_id =
-  encode_flat_parts fx ~sum_hi:fpc.sum_hi ~sum_lo:fpc.sum_lo
-    ~proc_cells:fpc.proc_cells ~ops_cells:fpc.ops_cells ~crashed:cfg.crashed
-    ~stuck:cfg.stuck ~events:cfg.events ~crashes_left:cfg.crashes_left
-    ~recoveries_left:cfg.recoveries_left ~glitches_left:cfg.glitches_left
-    ~sleep ~classes ~tracker_id
-
 (* Per-domain duplicate-state machinery. The flat context (and the intern
    state whose cells key it) is allocated lazily, only once the domain has
    visited [threshold] nodes: on trees smaller than that the table can never
@@ -1181,157 +564,6 @@ let flat_of ?ist dd ~n_procs =
     dd.flat <- Some fx;
     fx
 
-(* Probe (and record) the current state. Returns ⟨already seen?, advanced
-   fingerprint cache for the children⟩. Below the activation threshold this
-   is a no-op — no table, no intern state, no fingerprint is ever built. *)
-let probe_dedup dd ~t ~nodes cfg sleep st fpcur =
-  if Option.is_none dd.flat && nodes < dd.threshold then (false, None)
-  else begin
-    let fx = flat_of dd ~n_procs:(Array.length cfg.procs) in
-    let fpc =
-      match fpcur with
-      | Some f -> fpc_advance fx.ist f cfg
-      | None -> fpc_of_cfg fx.ist cfg
-    in
-    let tracker_id =
-      match t.fingerprint with
-      | Some fp -> I.id (I.intern fx.ist (fp st))
-      | None -> -1
-    in
-    let hi, lo = encode_flat fx fpc cfg ~sleep ~classes:dd.classes ~tracker_id in
-    (flat_mem_or_add fx ~hi ~lo, Some fpc)
-  end
-
-(* One node of the search: handle leaf/limits/fuel/dedup bookkeeping in [c],
-   then hand each child configuration (with its sleep set, extended decision
-   trace and advanced tracker state) to [recurse]. Both the sequential DFS
-   and the frontier expansion are instances of this. *)
-let visit impl opts ~fuel ~dd ~lim ~t c on_leaf ~recurse cfg sleep
-    trace_rev st fpcur =
-  let procs = enabled cfg in
-  let recs = recoverable cfg in
-  if lim.active then check_limits lim;
-  if procs = [] then begin
-    c.leaves <- c.leaves + 1;
-    if cfg.events > c.max_events then c.max_events <- cfg.events;
-    List.iter
-      (fun (o : Exec.op) ->
-        if o.steps > c.max_op_steps then c.max_op_steps <- o.steps)
-      cfg.ops_rev;
-    Array.iteri
-      (fun i a -> if a > c.max_accesses.(i) then c.max_accesses.(i) <- a)
-      cfg.acc;
-    on_leaf trace_rev (leaf_of_cfg cfg) st
-  end;
-  if procs <> [] || recs <> [] then begin
-    if cfg.events >= fuel then begin
-      if procs <> [] then begin
-        c.overflows <- c.overflows + 1;
-        if c.overflow_trace = None then
-          c.overflow_trace <- Some (List.rev trace_rev)
-      end
-    end
-    else
-      let revisited, fpc_next =
-        match dd with
-        | None -> (false, None)
-        | Some dd -> probe_dedup dd ~t ~nodes:c.nodes cfg sleep st fpcur
-      in
-      if revisited then c.pruned <- c.pruned + 1
-      else begin
-        (* Classify each runnable process's next transition once: the POR
-           kind for independence queries AND the cached alternatives for
-           child generation below. *)
-        let nexts =
-          if opts.por then
-            Array.init (Array.length cfg.procs) (fun p ->
-                if cfg.crashed.(p) || cfg.stuck.(p) then None
-                else pstep_of impl cfg p)
-          else [||]
-        in
-        let explored = ref 0 in
-        let derail = Faults.can_derail cfg.faults in
-        List.iter
-          (fun p ->
-            if sleep land (1 lsl p) <> 0 then
-              c.sleep_skips <- c.sleep_skips + 1
-            else begin
-              let child_sleep =
-                if not opts.por then 0
-                else begin
-                  let earlier = sleep lor !explored in
-                  let s = ref 0 in
-                  List.iter
-                    (fun q ->
-                      if
-                        q <> p
-                        && earlier land (1 lsl q) <> 0
-                        && independent nexts p q
-                      then s := !s lor (1 lsl q))
-                    procs;
-                  !s
-                end
-              in
-              let children () =
-                if opts.por then
-                  match nexts.(p) with
-                  | Some ps -> children_of_pstep impl cfg p ps
-                  | None -> []
-                else step_alternatives impl cfg p
-              in
-              (match children () with
-              | alts ->
-                List.iteri
-                  (fun i cfg' ->
-                    c.nodes <- c.nodes + 1;
-                    let tr =
-                      { Faults.proc = p; kind = Faults.Step i } :: trace_rev
-                    in
-                    recurse cfg' child_sleep tr
-                      (step_state t st ~trace_rev:tr cfg cfg')
-                      fpc_next)
-                  alts
-              | exception (Type_spec.Bad_step _ | Value.Type_error _)
-                when derail ->
-                c.nodes <- c.nodes + 1;
-                let tr =
-                  { Faults.proc = p; kind = Faults.Wedge } :: trace_rev
-                in
-                recurse (wedge cfg p) 0 tr
-                  (t.event st ~trace_rev:tr (Proc_wedged p))
-                  fpc_next);
-              List.iteri
-                (fun i ((_ : int * Value.t * Value.t), cfg') ->
-                  c.nodes <- c.nodes + 1;
-                  let tr =
-                    { Faults.proc = p; kind = Faults.Glitch i } :: trace_rev
-                  in
-                  recurse cfg' 0 tr
-                    (step_state t st ~trace_rev:tr cfg cfg')
-                    fpc_next)
-                (glitch_alternatives impl cfg p);
-              if cfg.crashes_left > 0 then begin
-                c.nodes <- c.nodes + 1;
-                let tr =
-                  { Faults.proc = p; kind = Faults.Crash } :: trace_rev
-                in
-                recurse (crash cfg p) 0 tr
-                  (t.event st ~trace_rev:tr (Proc_crashed p))
-                  fpc_next
-              end;
-              explored := !explored lor (1 lsl p)
-            end)
-          procs;
-        List.iter
-          (fun p ->
-            c.nodes <- c.nodes + 1;
-            recurse (recover cfg p) 0
-              ({ Faults.proc = p; kind = Faults.Recover } :: trace_rev)
-              st fpc_next)
-          recs
-      end
-  end
-
 let stats_of c ~domains_used ~lim =
   {
     leaves = c.leaves;
@@ -1355,49 +587,6 @@ let stats_of c ~domains_used ~lim =
       | None -> if c.probabilistic then Partial Probabilistic else Exhaustive);
     overflow_trace = c.overflow_trace;
   }
-
-(* --- prefix replay -----------------------------------------------------------
-
-   Re-materialize the configuration a decision-trace prefix reaches, using
-   the same transition functions the search used to produce it. This is what
-   turns a checkpoint's frontier — trace prefixes — back into live subtree
-   roots on resume. *)
-let replay_prefix impl root trace =
-  let fail fmt = Fmt.kstr (fun s -> Error s) fmt in
-  let rec go cfg trace_rev = function
-    | [] -> Ok (cfg, trace_rev)
-    | ({ Faults.proc = p; kind } as d) :: rest ->
-      if p < 0 || p >= Array.length cfg.procs then
-        fail "replay: no process p%d" p
-      else
-        let next =
-          match kind with
-          | Faults.Step i -> (
-            match step_alternatives impl cfg p with
-            | alts -> (
-              match List.nth_opt alts i with
-              | Some cfg' -> Ok cfg'
-              | None -> fail "replay: p%d has no step alternative %d" p i)
-            | exception (Type_spec.Bad_step _ | Value.Type_error _) ->
-              fail "replay: p%d cannot step" p)
-          | Faults.Glitch i -> (
-            match List.nth_opt (glitch_alternatives impl cfg p) i with
-            | Some (_, cfg') -> Ok cfg'
-            | None -> fail "replay: p%d has no glitch alternative %d" p i)
-          | Faults.Crash ->
-            if cfg.crashes_left > 0 && List.mem p (enabled cfg) then
-              Ok (crash cfg p)
-            else fail "replay: p%d cannot crash here" p
-          | Faults.Recover ->
-            if List.mem p (recoverable cfg) then Ok (recover cfg p)
-            else fail "replay: p%d cannot recover here" p
-          | Faults.Wedge -> Ok (wedge cfg p)
-        in
-        (match next with
-        | Ok cfg' -> go cfg' (d :: trace_rev) rest
-        | Error _ as e -> e)
-  in
-  go root [] trace
 
 (* --- memory watchdog ---------------------------------------------------------
 
@@ -1471,11 +660,16 @@ let default_par_threshold = 4096
    a table can never win; well over, a single pruned subtree pays for it. *)
 let default_dedup_threshold = 64
 
-(* --- the compiled kernel -----------------------------------------------------
+(* --- the kernel ---------------------------------------------------------------
 
-   A second sequential DFS over the *same* tree, specialised for the common
-   case: one domain, no fault adversary, no checkpointing. Three things
-   change relative to [visit], none of them which tree is walked:
+   The one traversal. It walks the execution tree of {!Exec.explore} —
+   scheduler choices, nondeterministic base-object responses and, under a
+   fault adversary, crashes, recoveries, read glitches and wedges — in the
+   same order: at each node, for each enabled process in pid order, its step
+   children (or one wedge child when a derailing adversary pushed it off its
+   envelope), then its glitches, then its crash; recoveries of crashed
+   processes come last. A configuration with no enabled process is a leaf,
+   and still goes on to expand its recoveries.
 
    - Transitions come from [Step_table] rows — per (interned state, port,
      invocation) lists compiled by running the interpreted spec once — so the
@@ -1484,7 +678,7 @@ let default_dedup_threshold = 64
      intern state that persists across runs. Program continuations advance
      through [Program.step]'s per-node memo keyed on those (physically
      stable) canonical responses, so a program closure also runs at most once
-     per (node, response).
+     per (node, response). Glitched responses are interned the same way.
 
    - There is one mutable configuration instead of a persistent copy-on-write
      fan-out. Each edge saves the handful of slots it is about to clobber in
@@ -1493,30 +687,35 @@ let default_dedup_threshold = 64
      allocates no configuration at all.
 
    - Duplicate-state fingerprints are the flat key of [encode_flat_parts]
-     over the engine's own cells: per process the component cells of
-     [pcells] (todo, ⟨next_op, local⟩, pending head, response chain) and
-     the process and completed-ops cells built from them, plus the two
-     additive object sums. An edge updates only what it changed — an access
-     extends its process's response chain by the row's interned response
-     cell, re-pairs the pending and process cells, and swaps one object's
-     term in each sum; the todo and local cells are rebuilt only when an
-     operation starts or returns — and saves the old cells and sums next to
-     the configuration slots it restores. A probe therefore costs
-     O(n_procs), independent of the number of objects and of how long the
-     pending operations have run. The tracker's fingerprint cell is passed
-     down the recursion and re-interned only below an edge that changed the
-     tracker state. Below the activation threshold no cell is ever built
-     (mirroring the interpreted path's lazy [fpc]); at activation the cells are
-     rebuilt from scratch and maintained incrementally from there on. A
+     over the engine's own cells: per process the component cells (todo,
+     ⟨next_op, local⟩, pending head, response chain) and the process and
+     completed-ops cells built from them, plus the two additive object sums
+     over ⟨object, history, access count⟩. An edge updates only what it
+     changed — an access extends its process's response chain by the row's
+     interned response cell, re-pairs the pending and process cells, and
+     swaps one object's term in each sum; the todo and local cells are
+     rebuilt only when an operation starts, returns or is restarted by a
+     recovery — and saves the old cells and sums next to the configuration
+     slots it restores. A probe therefore costs O(n_procs), independent of
+     the number of objects and of how long the pending operations have run.
+     The tracker's fingerprint cell is passed down the recursion and
+     re-interned only below an edge that changed the tracker state. Below
+     the activation threshold no cell is ever built; at activation the cells
+     are rebuilt from scratch and maintained incrementally from there on. A
      frame that entered before activation has no cell saves, so when it
      backtracks it marks the cache invalid and the next probe rebuilds — a
      bounded number of O(state) rebuilds, paid only around the activation
      frontier.
 
-   Everything observable is replicated exactly: visit order, counter
-   bookkeeping, sleep-set and dedup decisions, limiter/memcheck cadence,
-   tracker events, leaf snapshots, and the error messages of disabled
-   steps. *)
+   - Frontier mode. One call explores one work item ⟨decision-trace prefix,
+     sleep set, tracker state⟩. It first applies the prefix in place with
+     the same edge functions, checking each decision the way {!Exec.replay}
+     does; a prefix edge is not counted, not probed and fires no tracker
+     event. Every edge adds exactly one event, so a node's depth is
+     [!events], and with [cut] one level below the item its children are
+     handed to [on_cut] instead of explored: that is how the frontier is
+     expanded breadth-first, checkpointed, spilled and handed to the pool.
+     A plain sequential run is the item ⟨[], ∅, root⟩ with no cut. *)
 
 (* Per-depth classification scratch as parallel arrays, pooled so the hot
    path never allocates a classification: [ck] is 0 for a program that
@@ -1550,23 +749,18 @@ let fresh_cls n_procs =
     cobj = Array.make n_procs 0;
   }
 
-(* Per-domain, per-implementation persistent compilation state: the intern
-   state, the transition tables keyed on it, the port map, and the program
-   memos all survive across runs — a verify invocation that explores many
-   workloads of one implementation compiles each row and program node once.
-   Keyed on physical identity of the implementation record; a tiny LRU keeps
-   unrelated implementations (e.g. property-test streams) from pinning each
-   other's tables. *)
 (* The kernel's entire mutable configuration as parallel arrays, pooled
-   across runs (sizes are fixed per implementation): a run borrows the pool,
-   re-initializes the few slots the root defines, and returns it on normal
-   completion. Reentrancy (a leaf callback starting another exploration of
-   the same implementation) and abandoned runs (an exception unwinding past
-   the borrow) simply find the pool empty and allocate fresh. *)
+   across calls (sizes are fixed per implementation): a call borrows the
+   pool, re-initializes it to the root configuration, and returns it on
+   normal completion. Reentrancy (a leaf callback starting another
+   exploration of the same implementation) and abandoned calls (an exception
+   unwinding past the borrow) simply find the pool empty and allocate
+   fresh. *)
 type mut_state = {
   ms_objs : Value.t array;
   ms_obj_cells : I.cell array;
   ms_acc : int array;
+  ms_hist : Value.t list array;
   ms_todo : Value.t list array;
   ms_next_op : int array;
   ms_local : Value.t array;
@@ -1585,13 +779,23 @@ type mut_state = {
   ms_proc_cells : I.cell array;
   ms_ops_cells : I.cell array;
   ms_hist_cells : I.cell array;
-  ms_no_flags : bool array;
   mutable ms_cls : cls array;
       (* per-depth classification scratch; entries are only ever read for
          processes classified at the current node, so stale slots from a
          previous node at the same depth are never observed *)
 }
 
+(* Per-domain, per-implementation persistent compilation state: the intern
+   state, the transition tables keyed on it, the port map, and the program
+   memos all survive across runs — a verify invocation that explores many
+   workloads of one implementation compiles each row and program node once.
+   Keyed on physical identity of the implementation record; a tiny LRU keeps
+   unrelated implementations (e.g. property-test streams) from pinning each
+   other's tables. Each domain of the pool has its own, and [top_node]
+   builds that domain's program nodes, so [Program.step] memo writes stay on
+   one domain unless a program hands every caller the same node; then two
+   domains may race on its memo, which can only lose a cache entry, since
+   continuations are pure. *)
 type compiled_ctx = {
   cc_impl : Implementation.t;
   cc_ist : I.state;
@@ -1602,8 +806,7 @@ type compiled_ctx = {
          are deterministic functions of exactly that triple — the same
          contract the fingerprint already leans on — so memoizing is
          invisible. *)
-  cc_rootvals : Value.t array;  (* snd impl.objects — the usual root states *)
-  cc_rootcells : I.cell array;
+  cc_rootcells : I.cell array;  (* the root states of [impl.objects] *)
   cc_decisions : Faults.decision array array;
       (* [p].(i), i < 8: preallocated step-decision records so trace conses
          don't allocate a fresh record and [Step] block per edge *)
@@ -1621,7 +824,6 @@ let compiled_ctx_of impl =
     let ist = I.create () in
     let n_procs = impl.Implementation.procs in
     let n_objs = Array.length impl.Implementation.objects in
-    let rootvals = Array.map snd impl.Implementation.objects in
     let cc =
       {
         cc_impl = impl;
@@ -1632,8 +834,8 @@ let compiled_ctx_of impl =
             impl.Implementation.objects;
         cc_ports = Array.init n_procs (fun _ -> Array.make n_objs min_int);
         cc_topmemo = Array.make n_procs [];
-        cc_rootvals = rootvals;
-        cc_rootcells = Array.map (I.intern ist) rootvals;
+        cc_rootcells =
+          Array.map (fun (_, q0) -> I.intern ist q0) impl.Implementation.objects;
         cc_decisions =
           Array.init n_procs (fun p ->
               Array.init 8 (fun i -> { Faults.proc = p; kind = Faults.Step i }));
@@ -1648,6 +850,7 @@ let fresh_mut_state ~n_objs ~n_procs ~unit_cell ~empty_hist =
     ms_objs = Array.make n_objs Value.unit;
     ms_obj_cells = Array.make n_objs unit_cell;
     ms_acc = Array.make n_objs 0;
+    ms_hist = Array.make n_objs [];
     ms_todo = Array.make n_procs [];
     ms_next_op = Array.make n_procs 0;
     ms_local = Array.make n_procs Value.unit;
@@ -1657,7 +860,7 @@ let fresh_mut_state ~n_objs ~n_procs ~unit_cell ~empty_hist =
     ms_started = Array.make n_procs 0;
     ms_steps = Array.make n_procs 0;
     ms_resps = Array.make n_procs [];
-    ms_node = Array.make n_procs (Program.Return (Value.unit, Value.unit));
+    ms_node = Array.make n_procs dummy_node;
     ms_todo_cells = Array.make n_procs unit_cell;
     ms_local_cells = Array.make n_procs unit_cell;
     ms_ctl_cells = Array.make n_procs unit_cell;
@@ -1666,13 +869,12 @@ let fresh_mut_state ~n_objs ~n_procs ~unit_cell ~empty_hist =
     ms_proc_cells = Array.make n_procs unit_cell;
     ms_ops_cells = Array.make n_procs unit_cell;
     ms_hist_cells = Array.make n_objs empty_hist;
-    ms_no_flags = Array.make n_procs false;
     ms_cls = [||];
   }
 
 (* Lazy: [port_map] is only contractually total on the (proc, obj) pairs the
-   programs actually reach, so it is consulted exactly where the boxed path
-   would have consulted it. *)
+   programs actually reach, so it is consulted exactly where the reference
+   semantics consults it. *)
 let port_of cc p obj =
   let v = cc.cc_ports.(p).(obj) in
   if v <> min_int then v
@@ -1697,21 +899,20 @@ let top_node cc p ~inv ~local =
   find cc.cc_topmemo.(p)
 
 (* Every index the kernel's hot frames use is established by a loop bound
-   ([0 .. n_procs-1]), by the pool-growth check in [nexts_at], or by the
-   bounds-checked [cc_tables.(obj)] load in [classify] (which validates a
-   program node's object index before any unchecked use), so the kernel
-   reads and writes arrays unchecked. *)
-let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
-    ~user_tracker ~want_leaf c ~emit_leaf ~memcheck root =
+   ([0 .. n_procs-1]), by the pool-growth check in [cls_at], by the range
+   check on a prefix decision's pid, or by the bounds-checked
+   [cc_tables.(obj)] load in [classify_into] (which validates a program
+   node's object index before any unchecked use), so the kernel reads and
+   writes arrays unchecked. *)
+let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
+    ~(dd : dedup_ctx option) ~lim ~t ~user_tracker ~want_leaf c ~emit_leaf
+    ~on_node ~prefix ~sleep ~st ~cut ~on_cut =
   let cc = compiled_ctx_of impl in
   let ist = cc.cc_ist in
-  let n_objs = Array.length root.objs in
-  let n_procs = Array.length root.procs in
+  let n_objs = Array.length cc.cc_rootcells in
+  let n_procs = impl.Implementation.procs in
   let unit_cell = I.unit ist in
   let empty_hist = fp_hist_cell ist [] in
-  (* The single mutable configuration, as parallel arrays borrowed from the
-     per-implementation pool (the root never has a pending operation, so the
-     p_* pending slots may keep stale dummies). *)
   let ms =
     match cc.cc_pool with
     | Some ms ->
@@ -1722,6 +923,7 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
   let objs = ms.ms_objs
   and obj_cells = ms.ms_obj_cells
   and acc = ms.ms_acc
+  and hist = ms.ms_hist
   and todo = ms.ms_todo
   and next_op = ms.ms_next_op
   and local = ms.ms_local
@@ -1732,31 +934,42 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
   and p_steps = ms.ms_steps
   and p_resps = ms.ms_resps
   and p_node = ms.ms_node in
+  (* The root configuration; a pending slot is meaningful only while
+     [haspend] is set, so stale ones may stay. *)
   for o = 0 to n_objs - 1 do
-    let q0 = root.objs.(o) in
-    let qc =
-      if q0 == cc.cc_rootvals.(o) then cc.cc_rootcells.(o) else I.intern ist q0
-    in
+    let qc = cc.cc_rootcells.(o) in
     obj_cells.(o) <- qc;
     objs.(o) <- I.value qc;
-    acc.(o) <- 0
+    acc.(o) <- 0;
+    hist.(o) <- [];
+    ms.ms_hist_cells.(o) <- empty_hist
   done;
   for p = 0 to n_procs - 1 do
-    let pr = root.procs.(p) in
-    todo.(p) <- pr.todo;
-    next_op.(p) <- pr.next_op;
-    local.(p) <- pr.local;
+    todo.(p) <- workloads.(p);
+    next_op.(p) <- 0;
+    local.(p) <- impl.Implementation.local_init p;
     haspend.(p) <- false
   done;
   let events = ref 0 in
   let ops_rev = ref [] in
+  (* Fault state: crashed and wedged processes as pid bitmasks, the
+     adversary's remaining budgets, and per object how many overwritten
+     states stale reads look back over (0: no history is kept). *)
+  let crashed = ref 0 and stuck = ref 0 in
+  let crashes_left = ref faults.Faults.max_crashes
+  and recoveries_left = ref faults.Faults.max_recoveries
+  and glitches_left = ref faults.Faults.max_glitches in
+  let hist_depth = Array.init n_objs (Faults.stale_depth faults) in
+  let derail = Faults.can_derail faults in
+  let faulty = faults.Faults.max_glitches > 0 || faults.Faults.max_crashes > 0 in
+  let plen = Array.length prefix in
   (* Fingerprint cells over the mutable state. [obj_cells] is maintained
      unconditionally — successor cells come for free out of the transition
-     rows and double as the table keys. The per-proc component cells and the
-     object sums only exist once the dedup tables activate ([cells_valid]);
-     a frame decides at entry whether it maintains them ([track] below) and
-     a non-tracking backtrack invalidates the cache for the next probe to
-     rebuild. *)
+     rows and double as the table keys. The per-proc component cells, the
+     history cells and the object sums only exist once the dedup tables
+     activate ([cells_valid]); a frame decides at entry whether it maintains
+     them ([track] below) and a non-tracking backtrack invalidates the cache
+     for the next probe to rebuild. *)
   let hist_cells = ms.ms_hist_cells in
   let todo_cells = ms.ms_todo_cells
   and local_cells = ms.ms_local_cells
@@ -1766,11 +979,10 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
   and proc_cells = ms.ms_proc_cells
   and ops_cells = ms.ms_ops_cells in
   let sum_hi = ref 0 and sum_lo = ref 0 in
-  let no_flags = ms.ms_no_flags in
   let cells_valid = ref false in
   let cls_at depth =
     let pool = ms.ms_cls in
-    if depth < Array.length pool then (Array.unsafe_get pool (depth))
+    if depth < Array.length pool then Array.unsafe_get pool depth
     else begin
       let len = Array.length pool in
       let pool' =
@@ -1808,6 +1020,7 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     sum_hi := 0;
     sum_lo := 0;
     for o = 0 to n_objs - 1 do
+      if hist_depth.(o) > 0 then hist_cells.(o) <- fp_hist_cell ist hist.(o);
       sum_hi := !sum_hi + obj_term_hi o obj_cells.(o) hist_cells.(o) acc.(o);
       sum_lo := !sum_lo + obj_term_lo o obj_cells.(o) hist_cells.(o) acc.(o)
     done;
@@ -1858,27 +1071,35 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       if not !cells_valid then rebuild_cells ();
       let hi, lo =
         encode_flat_parts fx ~sum_hi:!sum_hi ~sum_lo:!sum_lo ~proc_cells
-          ~ops_cells ~crashed:no_flags ~stuck:no_flags ~events:!events
-          ~crashes_left:0 ~recoveries_left:0 ~glitches_left:0 ~sleep
-          ~classes:dd.classes ~tracker_id
+          ~ops_cells ~crashed:!crashed ~stuck:!stuck ~events:!events
+          ~crashes_left:!crashes_left ~recoveries_left:!recoveries_left
+          ~glitches_left:!glitches_left ~sleep ~classes:dd.classes
+          ~tracker_id
       in
       flat_mem_or_add fx ~hi ~lo
   in
-  let live_pending_mut () =
+  (* The ⟨proc, target-level invocation⟩ of every live pending operation:
+     invoked, not yet returned, process neither crashed nor wedged. Only
+     these attempts can still complete as-is (a recovery restarts the
+     operation with a fresh invocation), which is what a tracker's
+     early-linearization reasoning depends on. *)
+  let live_pending () =
+    let blocked = !crashed lor !stuck in
     let out = ref [] in
     for p = n_procs - 1 downto 0 do
-      if haspend.(p) then out := (p, p_inv0.(p)) :: !out
+      if haspend.(p) && blocked land (1 lsl p) = 0 then
+        out := (p, p_inv0.(p)) :: !out
     done;
     !out
   in
   let classify_into cl p =
-    let fresh = not (Array.unsafe_get haspend (p)) in
+    let fresh = not (Array.unsafe_get haspend p) in
     let node =
       if fresh then
-        match (Array.unsafe_get todo (p)) with
+        match Array.unsafe_get todo p with
         | [] -> assert false
-        | inv :: _ -> top_node cc p ~inv ~local:(Array.unsafe_get local (p))
-      else (Array.unsafe_get p_node (p))
+        | inv :: _ -> top_node cc p ~inv ~local:(Array.unsafe_get local p)
+      else Array.unsafe_get p_node p
     in
     match node with
     | Program.Return _ ->
@@ -1887,7 +1108,8 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     | Program.Invoke { obj; inv; _ } ->
       (* bounds-checked on purpose: validates [obj] for the whole frame *)
       let row =
-        Step_table.row_cells cc.cc_tables.(obj) (Array.unsafe_get obj_cells (obj))
+        Step_table.row_cells cc.cc_tables.(obj)
+          (Array.unsafe_get obj_cells obj)
           ~port:(port_of cc p obj) ~inv
       in
       Array.unsafe_set cl.ck p (if fresh then 2 else 1);
@@ -1895,7 +1117,83 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       Array.unsafe_set cl.crow p row;
       Array.unsafe_set cl.cobj p obj
   in
-  let independent_m cl p q =
+  let disabled p node obj =
+    match node with
+    | Program.Invoke { inv; _ } ->
+      let spec, _ = impl.Implementation.objects.(obj) in
+      raise
+        (Type_spec.Bad_step
+           (Fmt.str
+              "proc %d: invocation %a disabled on object %d (%s) in state %a" p
+              Value.pp inv obj spec.Type_spec.name Value.pp objs.(obj)))
+    | Program.Return _ -> assert false
+  in
+  (* Run every alternative's continuation of a classified step once before
+     the first child is entered, so that a response the program cannot
+     decode on any alternative wedges the process instead of being met
+     halfway through its children — the order in which {!Exec} evaluates
+     them. The continuations are memoized, so the children reuse them. *)
+  let prestep cl p =
+    if Array.unsafe_get cl.ck p > 0 then begin
+      let node = Array.unsafe_get cl.cnode p in
+      let row = Array.unsafe_get cl.crow p in
+      if row.Step_table.n_alts = 0 then
+        disabled p node (Array.unsafe_get cl.cobj p);
+      for j = 0 to row.Step_table.n_alts - 1 do
+        ignore (Program.step node (I.value row.Step_table.cells.((2 * j) + 1)))
+      done
+    end
+  in
+  (* Process [p]'s glitched responses at this node, as interned response
+     cells (with the poised node, whether it starts a fresh operation, and
+     its object): the degraded responses {!Faults.glitch_responses} offers
+     for a pure read, minus those the program cannot decode. *)
+  let glitch_alts p =
+    let fresh = not haspend.(p) in
+    let node =
+      if fresh then
+        match todo.(p) with
+        | inv :: _ -> top_node cc p ~inv ~local:local.(p)
+        | [] -> assert false
+      else p_node.(p)
+    in
+    match node with
+    | Program.Return _ -> (node, fresh, 0, [])
+    | Program.Invoke { obj; inv; _ } -> (
+      match Faults.degradation_of faults obj with
+      | None -> (node, fresh, obj, [])
+      | Some d ->
+        let spec, _ = impl.Implementation.objects.(obj) in
+        let port = port_of cc p obj in
+        let alts_at qs =
+          try Type_spec.alternatives spec qs ~port ~inv
+          with Type_spec.Bad_step _ -> []
+        in
+        let q = objs.(obj) in
+        let resps =
+          Faults.glitch_responses ~alts:(alts_at q) ~alts_at ~q ~hist:hist.(obj)
+            d
+        in
+        ( node,
+          fresh,
+          obj,
+          List.filter_map
+            (fun r ->
+              let rc = I.intern ist r in
+              match Program.step node (I.value rc) with
+              | _ -> Some rc
+              | exception Value.Type_error _ -> None)
+            resps ))
+  in
+  (* Two processes are independent at a node when both next accesses are
+     deterministic single-alternative steps and either they target
+     different objects, or they target the same object and both leave its
+     state unchanged (read-read commutation: the two orders reach literally
+     identical configurations, only per-op timestamps differ, and those are
+     outside the soundness envelope). Zero-access completions and
+     nondeterministic accesses are conservatively dependent with
+     everything. *)
+  let independent cl p q =
     Array.unsafe_get cl.ck p > 0
     && Array.unsafe_get cl.ck q > 0
     &&
@@ -1910,140 +1208,195 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
      [obj]) every process whose classified access targets [obj] — all other
      classifications depend only on untouched per-process state and
      untouched objects, so the POR prepass copies them instead of
-     re-resolving rows. Root and non-POR frames pass [-1] (all dirty). *)
+     re-resolving rows. Root, non-POR and fault edges pass [-1] (all
+     dirty). *)
   let rec go cl_par dirty sleep trace_rev st tid =
-    memcheck ();
-    let mask = ref 0 in
-    for p = n_procs - 1 downto 0 do
-      if
-        (Array.unsafe_get haspend (p))
-        || (match (Array.unsafe_get todo (p)) with [] -> false | _ :: _ -> true)
-      then mask := !mask lor (1 lsl p)
-    done;
-    let mask = !mask in
-    if lim.active then check_limits lim;
-    if mask = 0 then begin
-      c.leaves <- c.leaves + 1;
-      if !events > c.max_events then c.max_events <- !events;
-      List.iter
-        (fun (o : Exec.op) ->
-          if o.steps > c.max_op_steps then c.max_op_steps <- o.steps)
-        !ops_rev;
-      Array.iteri
-        (fun i a -> if a > c.max_accesses.(i) then c.max_accesses.(i) <- a)
-        acc;
-      if want_leaf then
-        emit_leaf trace_rev
-          {
-            Exec.objects = Array.copy objs;
-            locals = Array.copy local;
-            ops = List.rev !ops_rev;
-            events = !events;
-            accesses = Array.copy acc;
-          }
-          st
-    end
-    else if !events >= fuel then begin
-      c.overflows <- c.overflows + 1;
-      if c.overflow_trace = None then
-        c.overflow_trace <- Some (List.rev trace_rev)
-    end
-    else
-      let tid =
-        if tid = no_tid && c.nodes >= !probe_floor then tracker_id st else tid
+    let ev = !events in
+    if ev < plen then descend ev sleep trace_rev st
+    else if ev >= cut then on_cut trace_rev sleep st
+    else begin
+      on_node ();
+      let work = ref 0 in
+      for p = n_procs - 1 downto 0 do
+        if
+          Array.unsafe_get haspend p
+          || match Array.unsafe_get todo p with [] -> false | _ :: _ -> true
+        then work := !work lor (1 lsl p)
+      done;
+      let work = !work in
+      let mask = work land lnot (!crashed lor !stuck) in
+      let recs =
+        if !recoveries_left > 0 then work land !crashed land lnot !stuck else 0
       in
-      if c.nodes >= !probe_floor && probe sleep tid then
-        c.pruned <- c.pruned + 1
-      else begin
-      (* Under POR every runnable process is classified up front (the
-         independence relation needs all of them); without POR each process
-         is classified right before expansion, preserving the boxed path's
-         evaluation order for any exception a spec may raise. *)
-      let cl = cls_at !events in
-      if opts.por then
-        for p = 0 to n_procs - 1 do
-          if mask land (1 lsl p) <> 0 then
-            if dirty land (1 lsl p) <> 0 then classify_into cl p
-            else begin
-              Array.unsafe_set cl.ck p (Array.unsafe_get cl_par.ck p);
-              Array.unsafe_set cl.cnode p (Array.unsafe_get cl_par.cnode p);
-              Array.unsafe_set cl.crow p (Array.unsafe_get cl_par.crow p);
-              Array.unsafe_set cl.cobj p (Array.unsafe_get cl_par.cobj p)
-            end
-        done;
-      let explored = ref 0 in
-      for p = 0 to n_procs - 1 do
-        if mask land (1 lsl p) <> 0 then begin
-          if sleep land (1 lsl p) <> 0 then
-            c.sleep_skips <- c.sleep_skips + 1
-          else begin
-            let child_sleep =
-              if not opts.por then 0
-              else begin
-                let earlier = sleep lor !explored in
-                let s = ref 0 in
-                for q = 0 to n_procs - 1 do
-                  if
-                    q <> p
-                    && mask land (1 lsl q) <> 0
-                    && earlier land (1 lsl q) <> 0
-                    && independent_m cl p q
-                  then s := !s lor (1 lsl q)
-                done;
-                !s
-              end
-            in
-            if not opts.por then classify_into cl p;
-            (match Array.unsafe_get cl.ck p with
-            | 0 ->
-              ret_child p cl
-                (if opts.por then 1 lsl p else -1)
-                (Array.unsafe_get cl.cnode p)
-                child_sleep trace_rev st tid
-            | k ->
-              let node = Array.unsafe_get cl.cnode p in
-              let row = Array.unsafe_get cl.crow p in
-              let obj = Array.unsafe_get cl.cobj p in
-              let fresh = k = 2 in
-              let child_dirty =
-                if not opts.por then -1
-                else begin
-                  let d = ref (1 lsl p) in
-                  for q = 0 to n_procs - 1 do
-                    if
-                      mask land (1 lsl q) <> 0
-                      && Array.unsafe_get cl.ck q > 0
-                      && Array.unsafe_get cl.cobj q = obj
-                    then d := !d lor (1 lsl q)
-                  done;
-                  !d
-                end
-              in
-              let n_alts = row.Step_table.n_alts in
-              if n_alts = 0 then begin
-                match node with
-                | Program.Invoke { inv; _ } ->
-                  let spec, _ = impl.Implementation.objects.(obj) in
-                  raise
-                    (Type_spec.Bad_step
-                       (Fmt.str
-                          "proc %d: invocation %a disabled on object %d (%s) \
-                           in state %a"
-                          p Value.pp inv obj spec.Type_spec.name Value.pp
-                          objs.(obj)))
-                | Program.Return _ -> assert false
-              end;
-              let cells = row.Step_table.cells in
-              for j = 0 to n_alts - 1 do
-                acc_child p cl child_dirty node fresh obj
-                  (Array.unsafe_get cells (2 * j))
-                  (Array.unsafe_get cells ((2 * j) + 1))
-                  j child_sleep trace_rev st tid
-              done);
-            explored := !explored lor (1 lsl p)
-          end
+      if lim.active then check_limits lim;
+      if mask = 0 then begin
+        c.leaves <- c.leaves + 1;
+        if !events > c.max_events then c.max_events <- !events;
+        List.iter
+          (fun (o : Exec.op) ->
+            if o.steps > c.max_op_steps then c.max_op_steps <- o.steps)
+          !ops_rev;
+        Array.iteri
+          (fun i a -> if a > c.max_accesses.(i) then c.max_accesses.(i) <- a)
+          acc;
+        if want_leaf then
+          emit_leaf trace_rev
+            {
+              Exec.objects = Array.copy objs;
+              locals = Array.copy local;
+              ops = List.rev !ops_rev;
+              events = !events;
+              accesses = Array.copy acc;
+            }
+            st
+      end;
+      if mask lor recs = 0 then ()
+      else if !events >= fuel then begin
+        if mask <> 0 then begin
+          c.overflows <- c.overflows + 1;
+          if c.overflow_trace = None then
+            c.overflow_trace <- Some (List.rev trace_rev)
         end
-      done
+      end
+      else
+        let tid =
+          if tid = no_tid && c.nodes >= !probe_floor then tracker_id st else tid
+        in
+        if c.nodes >= !probe_floor && probe sleep tid then
+          c.pruned <- c.pruned + 1
+        else begin
+          (* Under POR every runnable process is classified up front (the
+             independence relation needs all of them); without POR each
+             process is classified right before expansion, preserving the
+             reference semantics' evaluation order for any exception a spec or
+             program may raise. *)
+          let cl = cls_at !events in
+          if opts.por then
+            for p = 0 to n_procs - 1 do
+              if mask land (1 lsl p) <> 0 then
+                if dirty land (1 lsl p) <> 0 then classify_into cl p
+                else begin
+                  Array.unsafe_set cl.ck p (Array.unsafe_get cl_par.ck p);
+                  Array.unsafe_set cl.cnode p (Array.unsafe_get cl_par.cnode p);
+                  Array.unsafe_set cl.crow p (Array.unsafe_get cl_par.crow p);
+                  Array.unsafe_set cl.cobj p (Array.unsafe_get cl_par.cobj p)
+                end
+            done;
+          let explored = ref 0 in
+          for p = 0 to n_procs - 1 do
+            if mask land (1 lsl p) <> 0 then begin
+              if sleep land (1 lsl p) <> 0 then
+                c.sleep_skips <- c.sleep_skips + 1
+              else begin
+                let child_sleep =
+                  if not opts.por then 0
+                  else begin
+                    let earlier = sleep lor !explored in
+                    let s = ref 0 in
+                    for q = 0 to n_procs - 1 do
+                      if
+                        q <> p
+                        && mask land (1 lsl q) <> 0
+                        && earlier land (1 lsl q) <> 0
+                        && independent cl p q
+                      then s := !s lor (1 lsl q)
+                    done;
+                    !s
+                  end
+                in
+                (* Without POR [p] is classified here; under a derailing
+                   adversary a step that raises wedges [p] instead. *)
+                let wedged =
+                  (not opts.por)
+                  &&
+                  if derail then (
+                    match
+                      classify_into cl p;
+                      prestep cl p
+                    with
+                    | () -> false
+                    | exception (Type_spec.Bad_step _ | Value.Type_error _) ->
+                      true)
+                  else begin
+                    classify_into cl p;
+                    false
+                  end
+                in
+                (if wedged then begin
+                   c.nodes <- c.nodes + 1;
+                   halt_child ~crash:false p cl
+                     { Faults.proc = p; kind = Faults.Wedge }
+                     0 trace_rev st tid
+                 end
+                 else
+                   match Array.unsafe_get cl.ck p with
+                   | 0 ->
+                     c.nodes <- c.nodes + 1;
+                     ret_child p cl
+                       (if opts.por then 1 lsl p else -1)
+                       (Array.unsafe_get cl.cnode p)
+                       child_sleep trace_rev st tid
+                   | k ->
+                     let node = Array.unsafe_get cl.cnode p in
+                     let row = Array.unsafe_get cl.crow p in
+                     let obj = Array.unsafe_get cl.cobj p in
+                     let child_dirty =
+                       if not opts.por then -1
+                       else begin
+                         let d = ref (1 lsl p) in
+                         for q = 0 to n_procs - 1 do
+                           if
+                             mask land (1 lsl q) <> 0
+                             && Array.unsafe_get cl.ck q > 0
+                             && Array.unsafe_get cl.cobj q = obj
+                           then d := !d lor (1 lsl q)
+                         done;
+                         !d
+                       end
+                     in
+                     let n_alts = row.Step_table.n_alts in
+                     if n_alts = 0 then disabled p node obj;
+                     let cells = row.Step_table.cells in
+                     for j = 0 to n_alts - 1 do
+                       c.nodes <- c.nodes + 1;
+                       acc_child p cl child_dirty node (k = 2) obj
+                         (Array.unsafe_get cells (2 * j))
+                         (Array.unsafe_get cells ((2 * j) + 1))
+                         (dec p j) child_sleep trace_rev st tid
+                     done);
+                if faulty then fault_children p cl trace_rev st tid;
+                explored := !explored lor (1 lsl p)
+              end
+            end
+          done;
+          if recs <> 0 then
+            for p = 0 to n_procs - 1 do
+              if recs land (1 lsl p) <> 0 then begin
+                c.nodes <- c.nodes + 1;
+                recover_child p cl
+                  { Faults.proc = p; kind = Faults.Recover }
+                  0 trace_rev st tid
+              end
+            done
+        end
+    end
+  (* [p]'s glitched reads, then its crash. *)
+  and fault_children p cl trace_rev st tid =
+    if !glitches_left > 0 then begin
+      let node, fresh, obj, rcs = glitch_alts p in
+      List.iteri
+        (fun i rc ->
+          c.nodes <- c.nodes + 1;
+          glitch_child p cl node fresh obj rc
+            { Faults.proc = p; kind = Faults.Glitch i }
+            0 trace_rev st tid)
+        rcs
+    end;
+    if !crashes_left > 0 then begin
+      c.nodes <- c.nodes + 1;
+      halt_child ~crash:true p cl
+        { Faults.proc = p; kind = Faults.Crash }
+        0 trace_rev st tid
     end
   (* A fresh operation whose program returns without touching a base object:
      one completion child, no object mutation. *)
@@ -2051,12 +1404,13 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     match node with
     | Program.Invoke _ -> assert false
     | Program.Return (resp, local') ->
-      c.nodes <- c.nodes + 1;
       let tr = dec p 0 :: trace_rev in
-      let s_todo = (Array.unsafe_get todo (p)) in
-      let s_nextop = (Array.unsafe_get next_op (p)) and s_local = (Array.unsafe_get local (p)) in
+      let s_todo = Array.unsafe_get todo p in
+      let s_nextop = Array.unsafe_get next_op p
+      and s_local = Array.unsafe_get local p in
       let s_ops = !ops_rev in
-      let s_opsc = (Array.unsafe_get ops_cells (p)) and s_pc = (Array.unsafe_get proc_cells (p)) in
+      let s_opsc = Array.unsafe_get ops_cells p
+      and s_pc = Array.unsafe_get proc_cells p in
       let s_todoc = Array.unsafe_get todo_cells p
       and s_localc = Array.unsafe_get local_cells p
       and s_ctlc = Array.unsafe_get ctl_cells p in
@@ -2076,9 +1430,9 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
         }
       in
       ops_rev := op :: s_ops;
-      Array.unsafe_set todo (p) (todo');
-      Array.unsafe_set next_op (p) (s_nextop + 1);
-      Array.unsafe_set local (p) (local');
+      Array.unsafe_set todo p todo';
+      Array.unsafe_set next_op p (s_nextop + 1);
+      Array.unsafe_set local p local';
       if track then begin
         ops_cells.(p) <- I.pair ist (fp_op_cell ist op) s_opsc;
         Array.unsafe_set todo_cells p (todo_cell ist todo');
@@ -2089,43 +1443,53 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       end;
       incr events;
       let st' =
-        if user_tracker then
+        if user_tracker && !events > plen then
           t.event st ~trace_rev:tr
-            (Op_completed { op; pending = live_pending_mut () })
+            (Op_completed { op; pending = live_pending () })
         else st
       in
       go cl child_dirty child_sleep tr st' (if st' == st then tid else no_tid);
       decr events;
       ops_rev := s_ops;
-      Array.unsafe_set todo (p) (s_todo);
-      Array.unsafe_set next_op (p) (s_nextop);
-      Array.unsafe_set local (p) (s_local);
+      Array.unsafe_set todo p s_todo;
+      Array.unsafe_set next_op p s_nextop;
+      Array.unsafe_set local p s_local;
       if track then begin
-        Array.unsafe_set ops_cells (p) (s_opsc);
-        Array.unsafe_set proc_cells (p) (s_pc);
+        Array.unsafe_set ops_cells p s_opsc;
+        Array.unsafe_set proc_cells p s_pc;
         Array.unsafe_set todo_cells p s_todoc;
         Array.unsafe_set local_cells p s_localc;
         Array.unsafe_set ctl_cells p s_ctlc
       end
       else cells_valid := false
-  (* One base access: apply the row's alternative [j] (successor cell [qc],
-     response cell [rc]) in place, advance the program through the response
-     memo, recurse, restore. *)
-  and acc_child p cl child_dirty node fresh obj qc rc j child_sleep trace_rev
+  (* One base access, honest or glitched: move [obj] to the successor cell
+     [qc] (a glitch passes the current cell), hand the program the response
+     cell [rc], advance it through the response memo, recurse, restore. An
+     honest access that changes a stale-read object pushes the overwritten
+     state onto its history. *)
+  and acc_child p cl child_dirty node fresh obj qc rc d child_sleep trace_rev
       st tid =
-    c.nodes <- c.nodes + 1;
-    let tr = dec p j :: trace_rev in
+    let tr = d :: trace_rev in
     let q' = I.value qc and resp = I.value rc in
-    let s_q = (Array.unsafe_get objs (obj)) and s_qc = (Array.unsafe_get obj_cells (obj)) in
+    let s_q = Array.unsafe_get objs obj
+    and s_qc = Array.unsafe_get obj_cells obj in
     let s_acc = Array.unsafe_get acc obj in
-    let s_todo = (Array.unsafe_get todo (p)) in
-    let s_nextop = (Array.unsafe_get next_op (p)) and s_local = (Array.unsafe_get local (p)) in
-    let s_haspend = (Array.unsafe_get haspend (p)) and s_inv0 = (Array.unsafe_get p_inv0 (p)) in
-    let s_opidx = (Array.unsafe_get p_opidx (p)) and s_started = (Array.unsafe_get p_started (p)) in
-    let s_steps = (Array.unsafe_get p_steps (p)) and s_resps = (Array.unsafe_get p_resps (p)) in
-    let s_node = (Array.unsafe_get p_node (p)) in
+    let s_hc = Array.unsafe_get hist_cells obj in
+    let hpush = qc != s_qc && Array.unsafe_get hist_depth obj > 0 in
+    let s_hist = Array.unsafe_get hist obj in
+    let s_todo = Array.unsafe_get todo p in
+    let s_nextop = Array.unsafe_get next_op p
+    and s_local = Array.unsafe_get local p in
+    let s_haspend = Array.unsafe_get haspend p
+    and s_inv0 = Array.unsafe_get p_inv0 p in
+    let s_opidx = Array.unsafe_get p_opidx p
+    and s_started = Array.unsafe_get p_started p in
+    let s_steps = Array.unsafe_get p_steps p
+    and s_resps = Array.unsafe_get p_resps p in
+    let s_node = Array.unsafe_get p_node p in
     let s_ops = !ops_rev in
-    let s_opsc = (Array.unsafe_get ops_cells (p)) and s_pc = (Array.unsafe_get proc_cells (p)) in
+    let s_opsc = Array.unsafe_get ops_cells p
+    and s_pc = Array.unsafe_get proc_cells p in
     let s_todoc = Array.unsafe_get todo_cells p
     and s_localc = Array.unsafe_get local_cells p
     and s_ctlc = Array.unsafe_get ctl_cells p
@@ -2135,15 +1499,28 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     let track = !cells_valid in
     let inv0, op_index, started, steps_done, resps_rev =
       if fresh then
-        ((match s_todo with inv :: _ -> inv | [] -> assert false),
-         s_nextop, !events, 0, [])
+        ( (match s_todo with inv :: _ -> inv | [] -> assert false),
+          s_nextop,
+          !events,
+          0,
+          [] )
       else (s_inv0, s_opidx, s_started, s_steps, s_resps)
     in
-    Array.unsafe_set objs (obj) (q');
-    Array.unsafe_set obj_cells (obj) (qc);
-    Array.unsafe_set acc (obj) (s_acc + 1);
+    Array.unsafe_set objs obj q';
+    Array.unsafe_set obj_cells obj qc;
+    Array.unsafe_set acc obj (s_acc + 1);
+    if hpush then begin
+      let h =
+        List.filteri
+          (fun i _ -> i < Array.unsafe_get hist_depth obj)
+          (s_q :: s_hist)
+      in
+      Array.unsafe_set hist obj h;
+      if track then Array.unsafe_set hist_cells obj (fp_hist_cell ist h)
+    end;
     if fresh then
-      Array.unsafe_set todo (p) ((match s_todo with _ :: tl -> tl | [] -> assert false));
+      Array.unsafe_set todo p
+        (match s_todo with _ :: tl -> tl | [] -> assert false);
     let next = Program.step node resp in
     let completed =
       match next with
@@ -2160,11 +1537,11 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
           }
         in
         ops_rev := op :: s_ops;
-        Array.unsafe_set haspend (p) (false);
-        Array.unsafe_set next_op (p) (op_index + 1);
-        Array.unsafe_set local (p) (local');
+        Array.unsafe_set haspend p false;
+        Array.unsafe_set next_op p (op_index + 1);
+        Array.unsafe_set local p local';
         if track then begin
-          Array.unsafe_set ops_cells (p) (I.pair ist (fp_op_cell ist op) s_opsc);
+          Array.unsafe_set ops_cells p (I.pair ist (fp_op_cell ist op) s_opsc);
           if fresh then
             Array.unsafe_set todo_cells p
               (todo_cell ist (Array.unsafe_get todo p));
@@ -2174,13 +1551,13 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
         end;
         Some op
       | Program.Invoke _ ->
-        Array.unsafe_set haspend (p) (true);
-        Array.unsafe_set p_inv0 (p) (inv0);
-        Array.unsafe_set p_opidx (p) (op_index);
-        Array.unsafe_set p_started (p) (started);
-        Array.unsafe_set p_steps (p) (steps_done + 1);
-        Array.unsafe_set p_resps (p) (resp :: resps_rev);
-        Array.unsafe_set p_node (p) (next);
+        Array.unsafe_set haspend p true;
+        Array.unsafe_set p_inv0 p inv0;
+        Array.unsafe_set p_opidx p op_index;
+        Array.unsafe_set p_started p started;
+        Array.unsafe_set p_steps p (steps_done + 1);
+        Array.unsafe_set p_resps p (resp :: resps_rev);
+        Array.unsafe_set p_node p next;
         if track then
           if fresh then begin
             Array.unsafe_set todo_cells p
@@ -2195,40 +1572,44 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
     if track then begin
       let hc = Array.unsafe_get hist_cells obj in
       sum_hi :=
-        s_sum_hi - obj_term_hi obj s_qc hc s_acc
+        s_sum_hi - obj_term_hi obj s_qc s_hc s_acc
         + obj_term_hi obj qc hc (s_acc + 1);
       sum_lo :=
-        s_sum_lo - obj_term_lo obj s_qc hc s_acc
+        s_sum_lo - obj_term_lo obj s_qc s_hc s_acc
         + obj_term_lo obj qc hc (s_acc + 1);
       set_proc_cell p
     end;
     incr events;
     let st' =
       match completed with
-      | Some op when user_tracker ->
+      | Some op when user_tracker && !events > plen ->
         t.event st ~trace_rev:tr
-          (Op_completed { op; pending = live_pending_mut () })
+          (Op_completed { op; pending = live_pending () })
       | _ -> st
     in
     go cl child_dirty child_sleep tr st' (if st' == st then tid else no_tid);
     decr events;
-    Array.unsafe_set objs (obj) (s_q);
-    Array.unsafe_set obj_cells (obj) (s_qc);
-    Array.unsafe_set acc (obj) (s_acc);
-    Array.unsafe_set todo (p) (s_todo);
-    Array.unsafe_set next_op (p) (s_nextop);
-    Array.unsafe_set local (p) (s_local);
-    Array.unsafe_set haspend (p) (s_haspend);
-    Array.unsafe_set p_inv0 (p) (s_inv0);
-    Array.unsafe_set p_opidx (p) (s_opidx);
-    Array.unsafe_set p_started (p) (s_started);
-    Array.unsafe_set p_steps (p) (s_steps);
-    Array.unsafe_set p_resps (p) (s_resps);
-    Array.unsafe_set p_node (p) (s_node);
+    Array.unsafe_set objs obj s_q;
+    Array.unsafe_set obj_cells obj s_qc;
+    Array.unsafe_set acc obj s_acc;
+    if hpush then begin
+      Array.unsafe_set hist obj s_hist;
+      Array.unsafe_set hist_cells obj s_hc
+    end;
+    Array.unsafe_set todo p s_todo;
+    Array.unsafe_set next_op p s_nextop;
+    Array.unsafe_set local p s_local;
+    Array.unsafe_set haspend p s_haspend;
+    Array.unsafe_set p_inv0 p s_inv0;
+    Array.unsafe_set p_opidx p s_opidx;
+    Array.unsafe_set p_started p s_started;
+    Array.unsafe_set p_steps p s_steps;
+    Array.unsafe_set p_resps p s_resps;
+    Array.unsafe_set p_node p s_node;
     ops_rev := s_ops;
     if track then begin
-      Array.unsafe_set ops_cells (p) (s_opsc);
-      Array.unsafe_set proc_cells (p) (s_pc);
+      Array.unsafe_set ops_cells p s_opsc;
+      Array.unsafe_set proc_cells p s_pc;
       Array.unsafe_set todo_cells p s_todoc;
       Array.unsafe_set local_cells p s_localc;
       Array.unsafe_set ctl_cells p s_ctlc;
@@ -2238,8 +1619,156 @@ let run_compiled impl ~(opts : options) ~fuel ~(dd : dedup_ctx option) ~lim ~t
       sum_lo := s_sum_lo
     end
     else cells_valid := false
+  (* A glitched read: the object keeps its state, the program sees [rc]. *)
+  and glitch_child p cl node fresh obj rc d child_sleep trace_rev st tid =
+    decr glitches_left;
+    acc_child p cl (-1) node fresh obj
+      (Array.unsafe_get obj_cells obj)
+      rc d child_sleep trace_rev st tid;
+    incr glitches_left
+  (* [p] stops for good between accesses: crashed (recoverable, spending the
+     crash budget) or wedged. Objects and the pending operation stay as they
+     are; only the flag and the budget enter the key. *)
+  and halt_child ~crash p cl d child_sleep trace_rev st tid =
+    let tr = d :: trace_rev in
+    let bit = 1 lsl p in
+    if crash then begin
+      crashed := !crashed lor bit;
+      decr crashes_left
+    end
+    else stuck := !stuck lor bit;
+    incr events;
+    let st' =
+      if user_tracker && !events > plen then
+        t.event st ~trace_rev:tr
+          (if crash then Proc_crashed p else Proc_wedged p)
+      else st
+    in
+    go cl (-1) child_sleep tr st' (if st' == st then tid else no_tid);
+    decr events;
+    if crash then begin
+      crashed := !crashed land lnot bit;
+      incr crashes_left
+    end
+    else stuck := !stuck land lnot bit
+  (* Restart crashed [p]: its pending operation goes back onto the front of
+     its todo list (local effects rolled back, shared ones kept). *)
+  and recover_child p cl d child_sleep trace_rev st tid =
+    let tr = d :: trace_rev in
+    let s_todo = Array.unsafe_get todo p
+    and s_haspend = Array.unsafe_get haspend p in
+    let s_todoc = Array.unsafe_get todo_cells p
+    and s_ctlc = Array.unsafe_get ctl_cells p
+    and s_pc = Array.unsafe_get proc_cells p in
+    let track = !cells_valid in
+    crashed := !crashed land lnot (1 lsl p);
+    decr recoveries_left;
+    if s_haspend then begin
+      Array.unsafe_set todo p (Array.unsafe_get p_inv0 p :: s_todo);
+      Array.unsafe_set haspend p false;
+      if track then begin
+        Array.unsafe_set todo_cells p (todo_cell ist (Array.unsafe_get todo p));
+        set_ctl_cell p;
+        set_proc_cell p
+      end
+    end;
+    incr events;
+    go cl (-1) child_sleep tr st tid;
+    decr events;
+    Array.unsafe_set todo p s_todo;
+    Array.unsafe_set haspend p s_haspend;
+    incr recoveries_left;
+    crashed := !crashed lor (1 lsl p);
+    if track then begin
+      Array.unsafe_set todo_cells p s_todoc;
+      Array.unsafe_set ctl_cells p s_ctlc;
+      Array.unsafe_set proc_cells p s_pc
+    end
+    else cells_valid := false
+  (* Apply prefix decision [ev] with the edge it names, after checking it the
+     way {!Exec.replay} does. Only a resumed checkpoint can carry a prefix
+     that fails the check, and those are all materialized before anything
+     is explored. *)
+  and descend ev sleep trace_rev st =
+    let d = Array.unsafe_get prefix ev in
+    let p = d.Faults.proc in
+    let bad fmt =
+      Fmt.kstr (fun s -> invalid_arg ("Explore.run: cannot resume: " ^ s)) fmt
+    in
+    if p < 0 || p >= n_procs then bad "replay: no process %d" p;
+    let bit = 1 lsl p in
+    let has_work =
+      Array.unsafe_get haspend p || Array.unsafe_get todo p <> []
+    in
+    let enabled = has_work && (!crashed lor !stuck) land bit = 0 in
+    let need_enabled () =
+      if not enabled then
+        bad "replay: process %d not enabled at event %d" p ev
+    in
+    let cl = cls_at ev in
+    let classify () =
+      classify_into cl p;
+      prestep cl p
+    in
+    match d.Faults.kind with
+    | Faults.Step i -> (
+      need_enabled ();
+      match classify () with
+      | exception (Type_spec.Bad_step _ | Value.Type_error _) ->
+        if derail then
+          bad "replay: p%d wedges at event %d (expected p%d.x)" p ev p
+        else bad "replay: p%d cannot step at event %d" p ev
+      | () -> (
+        match Array.unsafe_get cl.ck p with
+        | 0 ->
+          if i <> 0 then
+            bad "replay: p%d has 1 alternative(s) at event %d, not %d" p ev
+              (i + 1);
+          ret_child p cl (-1) (Array.unsafe_get cl.cnode p) sleep trace_rev st
+            no_tid
+        | k ->
+          let row = Array.unsafe_get cl.crow p in
+          if i < 0 || i >= row.Step_table.n_alts then
+            bad "replay: p%d has %d alternative(s) at event %d, not %d" p
+              row.Step_table.n_alts ev (i + 1);
+          acc_child p cl (-1)
+            (Array.unsafe_get cl.cnode p)
+            (k = 2)
+            (Array.unsafe_get cl.cobj p)
+            row.Step_table.cells.(2 * i)
+            row.Step_table.cells.((2 * i) + 1)
+            d sleep trace_rev st no_tid))
+    | Faults.Glitch i -> (
+      need_enabled ();
+      let node, fresh, obj, rcs =
+        if !glitches_left > 0 then glitch_alts p else (dummy_node, false, 0, [])
+      in
+      match if i < 0 then None else List.nth_opt rcs i with
+      | Some rc ->
+        glitch_child p cl node fresh obj rc d sleep trace_rev st no_tid
+      | None ->
+        bad "replay: no glitch alternative %d for p%d at event %d" i p ev)
+    | Faults.Crash ->
+      if !crashes_left <= 0 then
+        bad "replay: crash budget exhausted at event %d" ev;
+      if not enabled then
+        bad "replay: cannot crash p%d at event %d (not enabled)" p ev;
+      halt_child ~crash:true p cl d sleep trace_rev st no_tid
+    | Faults.Recover ->
+      if
+        not
+          (!recoveries_left > 0 && !crashed land bit <> 0
+          && !stuck land bit = 0 && has_work)
+      then bad "replay: cannot recover p%d at event %d" p ev;
+      recover_child p cl d sleep trace_rev st no_tid
+    | Faults.Wedge -> (
+      need_enabled ();
+      match classify () with
+      | exception (Type_spec.Bad_step _ | Value.Type_error _) ->
+        halt_child ~crash:false p cl d sleep trace_rev st no_tid
+      | () -> bad "replay: p%d does not wedge at event %d" p ev)
   in
-  go (cls_at 0) (-1) 0 [] t.root no_tid;
+  go (cls_at 0) (-1) sleep [] st no_tid;
   cc.cc_pool <- Some ms
 
 (* Worker-failure taxonomy for the supervised pool: [User_error] tags an
@@ -2252,10 +1781,11 @@ exception User_error of exn
 exception Abandoned
 
 (* Physically recognizable defaults: when the caller supplied no leaf
-   consumer (and no tracker), the compiled kernel can skip materializing
-   leaf records entirely. *)
+   consumer (and no tracker), the kernel can skip materializing leaf records
+   entirely. *)
 let no_on_leaf (_ : Exec.leaf) = ()
 let no_on_leaf_trace (_ : Faults.trace) (_ : Exec.leaf) = ()
+let no_cut _ _ _ = ()
 
 let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
     ?budget ?deadline_s ?(options = naive)
@@ -2265,6 +1795,8 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
     ?(on_leaf = no_on_leaf) ?(on_leaf_trace = no_on_leaf_trace)
     ?checkpoint ?(checkpoint_meta = []) ?resume_from ?interrupt ?mem_budget_mb
     ?stall_timeout_s ?chaos () =
+  if Array.length workloads <> impl.Implementation.procs then
+    invalid_arg "Explore: workloads length must equal impl.procs";
   let user_tracker = Option.is_some tracker in
   let ckpt_armed = Option.is_some checkpoint || Option.is_some resume_from in
   if user_tracker && ckpt_armed then
@@ -2278,8 +1810,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
   (match resume_from with
   | Some ck -> (
     match
-      Checkpoint.describe_mismatch ck ~engine:(engine_of_options options)
-        ~fuel ~faults ~workloads
+      Checkpoint.describe_mismatch ck ~engine:options ~fuel ~faults ~workloads
     with
     | Some reason -> invalid_arg ("Explore.run: cannot resume: " ^ reason)
     | None -> ())
@@ -2340,41 +1871,31 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
     on_leaf_trace (List.rev trace_rev) leaf;
     t.at_leaf st ~trace_rev leaf
   in
+  let want_leaf =
+    user_tracker || on_leaf != no_on_leaf || on_leaf_trace != no_on_leaf_trace
+  in
+  (* Explore the work item ⟨trace_rev, sleep, st⟩ on the calling domain's
+     kernel, handing nodes at depth [cut] to [on_cut]. *)
+  let explore ?(cut = max_int) ?(on_cut = no_cut) ~emit_leaf ~on_node c dd
+      (trace_rev, sleep, st) =
+    run_compiled impl ~workloads ~opts ~faults ~fuel ~dd ~lim ~t ~user_tracker
+      ~want_leaf c ~emit_leaf ~on_node
+      ~prefix:(Array.of_list (List.rev trace_rev))
+      ~sleep ~st ~cut ~on_cut
+  in
   let n_objs = Array.length impl.Implementation.objects in
-  let root = with_faults (initial_cfg impl ~workloads) faults in
   let n_domains = max 1 opts.domains in
+  let root = ([], 0, t.root) in
   if n_domains = 1 && not ckpt_armed then begin
     let c = fresh_counters n_objs in
     let dd = mk_dd () in
-    if opts.compile && Faults.is_none faults then begin
-      (* The compiled kernel walks the same tree with the same counters and
-         dedup decisions; it is engaged only where that parity holds by
-         construction — see the kernel's header comment. *)
-      let want_leaf =
-        user_tracker || on_leaf != no_on_leaf
-        || on_leaf_trace != no_on_leaf_trace
-      in
-      (try
-         run_compiled impl ~opts ~fuel ~dd ~lim ~t ~user_tracker ~want_leaf c
-           ~emit_leaf
-           ~memcheck:(fun () -> memcheck ~domain_id:0 c dd)
-           root
-       with
-      | Exec.Stop -> trip lim Stopped
-      | Cut -> ());
-      stats_of c ~domains_used:1 ~lim
-    end
-    else begin
-      let rec go cfg sleep trace_rev st fpcur =
-        memcheck ~domain_id:0 c dd;
-        visit impl opts ~fuel ~dd ~lim ~t c emit_leaf ~recurse:go cfg sleep
-          trace_rev st fpcur
-      in
-      (try go root 0 [] t.root None with
-      | Exec.Stop -> trip lim Stopped
-      | Cut -> ());
-      stats_of c ~domains_used:1 ~lim
-    end
+    (try
+       explore ~emit_leaf ~on_node:(fun () -> memcheck ~domain_id:0 c dd) c dd
+         root
+     with
+    | Exec.Stop -> trip lim Stopped
+    | Cut -> ());
+    stats_of c ~domains_used:1 ~lim
   end
   else begin
     (* Frontier mode — the multicore fan-out, and any checkpointed or
@@ -2382,12 +1903,18 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
        subtrees to serialize; a resume starts from one). Expand the top of
        the tree breadth-first until the frontier is wide enough, then drain
        frontier subtrees — sequentially first, then on a supervised worker
-       pool. Leaves met during expansion are processed inline. *)
+       pool. Leaves met during expansion are processed inline. Domain 0
+       (expansion, sequential drain, fallback drain) shares one counter set
+       and one dedup context. *)
     let c0 = fresh_counters n_objs in
     (match resume_from with
     | Some ck -> add_counts c0 ck.Checkpoint.counts
     | None -> ());
-    let expansion_dd = mk_dd () in
+    let dd0 = mk_dd () in
+    let on_node0 () = memcheck ~domain_id:0 c0 dd0 in
+    let explore0 ?cut ?on_cut item =
+      explore ?cut ?on_cut ~emit_leaf ~on_node:on_node0 c0 dd0 item
+    in
     let sink = checkpoint in
     let last_save = ref (Monotime.now ()) in
     let saved_any = ref false in
@@ -2396,8 +1923,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
       | None -> ()
       | Some (path, _) ->
         let ck =
-          Checkpoint.make ~meta:checkpoint_meta
-            ~engine:(engine_of_options options) ~fuel
+          Checkpoint.make ~meta:checkpoint_meta ~engine:options ~fuel
             ?budget_left:(Option.map (fun b -> max 0 (Atomic.get b)) lim.budget)
             ~faults ~workloads ~counts:(counts_of_counters c0)
             ~frontier:remaining ()
@@ -2412,19 +1938,20 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
         save_ck (remaining ())
       | _ -> ()
     in
-    let trace_of_item (_, _, tr, _, _) = List.rev tr in
+    let trace_of_item (tr, _, _) = List.rev tr in
     let roots =
       match resume_from with
-      | None -> [ (root, 0, [], t.root, None) ]
+      | None -> [ root ]
       | Some ck ->
-        (* Re-materialize each frontier root by replaying its decision-trace
-           prefix. Sleep sets are not serialized; resumed roots restart with
-           an empty one, which is sound (sleep only ever skips). *)
+        (* Each frontier prefix must be a path of the tree: materialize it
+           once, up front, so a bad checkpoint is refused before anything
+           is explored. Sleep sets are not serialized; resumed roots restart
+           with an empty one, which is sound (sleep only ever skips). *)
         List.map
           (fun trace ->
-            match replay_prefix impl root trace with
-            | Ok (cfg, trace_rev) -> (cfg, 0, trace_rev, t.root, None)
-            | Error e -> invalid_arg ("Explore.run: cannot resume: " ^ e))
+            let item = (List.rev trace, 0, t.root) in
+            explore0 ~cut:(List.length trace) item;
+            item)
           ck.Checkpoint.frontier
     in
     (* When checkpointing, expand wider even on one domain: the frontier is
@@ -2449,22 +1976,21 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
          let next = ref [] in
          let rest = ref !frontier in
          while !rest <> [] do
-           let ((cfg, sleep, trace_rev, st, fpcur) as item) = List.hd !rest in
+           let ((trace_rev, _, _) as item) = List.hd !rest in
            rest := List.tl !rest;
            let before = !next in
-           (try
-              visit impl opts ~fuel ~dd:expansion_dd ~lim ~t c0 emit_leaf
-                ~recurse:(fun cfg' sleep' trace_rev' st' fpcur' ->
-                  next := (cfg', sleep', trace_rev', st', fpcur') :: !next)
-                cfg sleep trace_rev st fpcur
-            with e ->
-              (* Keep the in-flight item whole in the checkpoint and drop its
-                 partial children — they would otherwise be explored twice on
-                 resume. Children of items already finished this level stay. *)
-              let rec strip l = if l == before then l else strip (List.tl l) in
-              pending_expansion := Some ((item :: !rest) @ strip !next);
-              raise e);
-           memcheck ~domain_id:0 c0 expansion_dd
+           try
+             explore0
+               ~cut:(List.length trace_rev + 1)
+               ~on_cut:(fun tr sleep st -> next := (tr, sleep, st) :: !next)
+               item
+           with e ->
+             (* Keep the in-flight item whole in the checkpoint and drop its
+                partial children — they would otherwise be explored twice on
+                resume. Children of items already finished this level stay. *)
+             let rec strip l = if l == before then l else strip (List.tl l) in
+             pending_expansion := Some ((item :: !rest) @ strip !next);
+             raise e
          done;
          frontier := List.rev !next
        done
@@ -2484,13 +2010,13 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
       let n_items = Array.length work in
       (* Two-tier frontier: items beyond a small in-RAM window are demoted
          to their decision-trace prefix — one line in a disk spill file,
-         exactly the representation checkpoints use — and their materialized
-         configuration, tracker state, sleep set and fingerprint cache are
-         dropped. Taking a demoted item re-reads the line and replays the
-         prefix (the resume path); sleep sets restart empty, which is sound.
-         Only armed together with the memory watchdog, and never under a
-         user tracker (tracker state cannot be re-derived from a trace
-         without replaying events the engine does not retain). *)
+         exactly the representation checkpoints use — and their tracker
+         state and sleep set are dropped. Taking a demoted item re-reads the
+         line and re-materializes the prefix (as a resume does); sleep sets
+         restart empty, which is sound. Only armed together with the memory
+         watchdog, and never under a user tracker (tracker state cannot be
+         re-derived from a trace without replaying events the engine does
+         not retain). *)
       let spill_window = max 16 (4 * n_domains) in
       let spill =
         if spill_armed && n_items > spill_window then Some (Frontier.create ())
@@ -2499,10 +2025,9 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
       let spill_handle = Array.make (max 1 n_items) None in
       (match spill with
       | Some sp ->
-        let dummy = (root, 0, [], t.root, None) in
         for i = spill_window to n_items - 1 do
           spill_handle.(i) <- Some (Frontier.append sp (trace_of_item work.(i)));
-          work.(i) <- dummy
+          work.(i) <- root
         done;
         c0.spilled <- c0.spilled + Frontier.spilled sp
       | None -> ());
@@ -2517,13 +2042,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
       let item i =
         match spill_handle.(i) with
         | None -> work.(i)
-        | Some (off, len) -> (
-          match Frontier.read (Option.get spill) ~off ~len with
-          | Error e -> failwith ("Explore: frontier spill: " ^ e)
-          | Ok trace -> (
-            match replay_prefix impl root trace with
-            | Ok (cfg, trace_rev) -> (cfg, 0, trace_rev, t.root, None)
-            | Error e -> failwith ("Explore: frontier spill: " ^ e)))
+        | Some _ -> (List.rev (item_trace i), 0, t.root)
       in
       let close_spill () = Option.iter Frontier.close spill in
       (* Written by whichever domain finishes the item, read by the
@@ -2543,17 +2062,11 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
          pool. With one domain this drains everything. *)
       let drained = ref 0 in
       (try
-         let rec go cfg sleep trace_rev st fpcur =
-           memcheck ~domain_id:0 c0 expansion_dd;
-           visit impl opts ~fuel ~dd:expansion_dd ~lim ~t c0 emit_leaf
-             ~recurse:go cfg sleep trace_rev st fpcur
-         in
          while
            !drained < n_items && (n_domains = 1 || c0.nodes < par_threshold)
          do
            let i = !drained in
-           let cfg, sleep, trace_rev, st, fpcur = item i in
-           go cfg sleep trace_rev st fpcur;
+           explore0 (item i);
            completed.(i) <- true;
            incr drained;
            maybe_save remaining_traces
@@ -2632,13 +2145,10 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
         in
         let worker w () =
           let c = fresh_counters n_objs in
-          (* Fresh per-domain dedup context: its (lazily created) intern
-             state never sees another domain's cells. The fingerprint caches
-             stored in [work] belong to the expansion domain's intern state,
-             so each subtree restarts from [None] and re-roots with
-             [fpc_of_cfg]. *)
+          (* Fresh per-domain dedup context, keyed by this domain's own
+             compiled context and intern state. *)
           let dd = mk_dd () in
-          let rec go cfg sleep trace_rev st fpcur =
+          let on_node () =
             if Atomic.get stop then raise Exec.Stop;
             if track_hb then begin
               if Atomic.get abandoned.(w) then raise Abandoned;
@@ -2647,9 +2157,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
               | Some f -> f ~worker:w ~nodes:(Atomic.get hb.(w))
               | None -> ()
             end;
-            memcheck ~domain_id:(w + 1) c dd;
-            visit impl opts ~fuel ~dd ~lim ~t c emit_leaf_worker ~recurse:go
-              cfg sleep trace_rev st fpcur
+            memcheck ~domain_id:(w + 1) c dd
           in
           (try
              let continue = ref true in
@@ -2660,8 +2168,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
                  | None -> continue := false
                  | Some i ->
                    Atomic.set cur.(w) i;
-                   let cfg, sleep, trace_rev, st, _fpc0 = item i in
-                   go cfg sleep trace_rev st None;
+                   explore ~emit_leaf:emit_leaf_worker ~on_node c dd (item i);
                    completed.(i) <- true;
                    Atomic.set cur.(w) (-1)
              done
@@ -2757,19 +2264,13 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
         if Atomic.get first_error = None && Atomic.get lim.tripped = None
         then begin
           try
-            let rec go cfg sleep trace_rev st fpcur =
-              memcheck ~domain_id:0 c0 expansion_dd;
-              visit impl opts ~fuel ~dd:expansion_dd ~lim ~t c0 emit_leaf
-                ~recurse:go cfg sleep trace_rev st fpcur
-            in
             let continue = ref true in
             while !continue do
               match take () with
               | None -> continue := false
               | Some i ->
                 if not completed.(i) then begin
-                  let cfg, sleep, trace_rev, st, _ = item i in
-                  go cfg sleep trace_rev st None;
+                  explore0 (item i);
                   completed.(i) <- true
                 end;
                 maybe_save remaining_traces

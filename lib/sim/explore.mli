@@ -53,8 +53,22 @@
     leaves/nodes visited. Callers whose leaf predicate reads timestamps
     (linearizability, safeness/regularity of registers) must keep
     [dedup = Off] and [por = false]; they can still use [domains]. POR is
-    additionally switched off automatically when [max_crashes > 0] (a crash
-    is a per-process transition the sleep-set rule does not commute). *)
+    additionally switched off automatically whenever the fault adversary
+    branches at all (anything but {!Faults.is_none}: crashes, recoveries
+    and glitches are per-process transitions the sleep-set rule does not
+    commute).
+
+    {b One traversal.} Every mode runs on one kernel: a DFS over a single
+    mutable configuration with an undo log (apply an edge in place,
+    recurse, revert on backtrack), answering base-object invocations from
+    lazily compiled {!Wfc_spec.Step_table} rows and memoizing program
+    continuations per ⟨node, response⟩ via {!Wfc_program.Program.step}.
+    Crashes, recoveries, glitches and wedges are edges of the same kernel.
+    The frontier modes (checkpoint, resume, spill, the domain pool) hand it
+    work items ⟨decision-trace prefix, sleep set, tracker state⟩, which it
+    materializes by applying the prefix in place, each decision checked as
+    {!Exec.replay} checks it. {!Exec.explore} stays the reference semantics
+    the kernel is tested against. *)
 
 open Wfc_program
 open Wfc_spec
@@ -73,49 +87,27 @@ type dedup = Checkpoint.dedup =
           otherwise the keys stay pid-exact, as under [Exact] — which is why
           it is safe as the default in {!fast}. *)
 
-type options = {
+type options = Checkpoint.engine = {
   dedup : dedup;  (** duplicate-state pruning mode *)
   por : bool;  (** source-set dynamic partial-order reduction *)
   domains : int;  (** size of the exploration pool; 1 = sequential *)
-  compile : bool;
-      (** compiled step kernel: run the sequential DFS on a single mutable
-          configuration with an undo log (apply the step in place, recurse,
-          revert on backtrack — no per-edge [Array.copy] fan-out), answer
-          base-object invocations from lazily compiled
-          {!Wfc_spec.Step_table} transition tables instead of applying the
-          spec's transition closure, and memoize program continuations per
-          ⟨node, response⟩ via {!Wfc_program.Program.step} so re-exploring a
-          prefix never re-runs the free monad. Purely a representation
-          change: node visit order, counters, leaf observations, pruning
-          decisions and verdicts are bit-identical to the interpreted path
-          (the parity suite in [test/test_flat.ml] asserts this). Engaged
-          only where that parity is already guaranteed: sequential
-          ([domains = 1]), no fault adversary, no checkpointing — in every
-          other configuration the engine runs the interpreted path. *)
 }
+(** The engine options, which are exactly what a checkpoint records. *)
 
 val naive : options
-(** All reductions off, sequential, interpreted: bit-for-bit the behaviour
-    (visit order, statistics) of {!Exec.explore}. *)
+(** All reductions off, sequential: bit-for-bit the behaviour (visit order,
+    statistics, leaves and their timestamps) of {!Exec.explore}. *)
 
 val fast : options
-(** [dedup = Symmetric] + [por] + [compile], sequential. The right choice
-    for timing-insensitive verdicts. *)
+(** [dedup = Symmetric] + [por], sequential. The right choice for
+    timing-insensitive verdicts. *)
 
 val parallel : ?domains:int -> unit -> options
 (** [fast] plus a domain pool (default:
     [Domain.recommended_domain_count () - 1], at least 2). *)
 
 val engine_of_options : options -> Checkpoint.engine
-(** The plain-data mirror stored in checkpoints — the conversion {!run}
-    itself applies when validating [?resume_from] and writing checkpoint
-    files. Exposed so out-of-process schedulers (the fleet) build jobs that
-    resume cleanly. *)
-
-val options_of_engine : Checkpoint.engine -> options
-(** Inverse of {!engine_of_options} on the serialized fields. [compile] is
-    not stored — it changes how the tree is walked, never which tree — so
-    resumed runs default it on. *)
+(** The identity: [options] is the record checkpoints store. *)
 
 (** Process-symmetry classes: which processes are interchangeable.
 
@@ -353,8 +345,10 @@ val run :
     proceeds from there, with counts — and therefore [stats] and
     [completeness] — stitched across segments. Raises [Invalid_argument] if
     the checkpoint was taken for a different problem (engine options, fuel,
-    adversary or workloads differ), if a frontier prefix does not replay, or
-    if combined with a user [tracker] (tracker state cannot be serialized).
+    adversary or workloads differ), if a frontier prefix is not a path of
+    the tree (each decision is checked as {!Exec.replay} checks it, before
+    anything is explored), or if combined with a user [tracker] (tracker
+    state cannot be serialized).
     In-progress subtrees are re-explored whole, so leaf callbacks may see a
     bounded number of duplicate leaves across segments; [budget] is {e not}
     read from the checkpoint — pass the remaining allowance explicitly

@@ -41,7 +41,7 @@ let pp ppf w =
    concrete traces, so the search should see exactly the pid-exact state
    space the trace was found in. *)
 let search_options =
-  { Explore.dedup = Exact; por = false; domains = 1; compile = true }
+  { Explore.dedup = Exact; por = false; domains = 1 }
 
 let find_bad impl ~bad ~budget ~faults workloads =
   let found = ref None in

@@ -10,6 +10,7 @@ open Wfc_zoo
 open Wfc_program
 module Exec = Wfc_sim.Exec
 module Explore = Wfc_sim.Explore
+module Faults = Wfc_sim.Faults
 
 let value = Alcotest.testable Value.pp Value.equal
 
@@ -62,11 +63,11 @@ let full_proj (leaf : Exec.leaf) =
 (* [par_threshold:0] forces the domain pool and [dedup_threshold:0] the
    dedup/intern machinery even on these deliberately tiny trees — the lazy
    fallbacks are exercised separately below. *)
-let collect ?fuel ?max_crashes ?(par_threshold = 0) ?(dedup_threshold = 0)
+let collect ?fuel ?faults ?(par_threshold = 0) ?(dedup_threshold = 0)
     ~options ~proj impl workloads =
   let acc = ref [] in
   let stats =
-    Explore.run impl ~workloads ?fuel ?max_crashes ~options ~par_threshold
+    Explore.run impl ~workloads ?fuel ?faults ~options ~par_threshold
       ~dedup_threshold
       ~on_leaf:(fun leaf -> acc := proj leaf :: !acc)
       ()
@@ -105,16 +106,16 @@ let check_same_invariants ~msg (naive : Explore.stats) (s : Explore.stats) =
    set (which keys ops by pid) is a *subset* of the naive one, while every
    pid-invariant statistic (max events/op steps/accesses, overflow
    detection) must still match exactly. *)
-let assert_equiv ?fuel ?max_crashes impl workloads =
+let assert_equiv ?fuel ?faults impl workloads =
   let naive_stats, naive_leaves =
-    collect ?fuel ?max_crashes ~options:Explore.naive ~proj:value_proj impl
+    collect ?fuel ?faults ~options:Explore.naive ~proj:value_proj impl
       workloads
   in
   let naive_set = leaf_set naive_leaves in
   List.iter
     (fun (msg, options) ->
       let s, leaves =
-        collect ?fuel ?max_crashes ~options ~proj:value_proj impl workloads
+        collect ?fuel ?faults ~options ~proj:value_proj impl workloads
       in
       Alcotest.(check (list value))
         (msg ^ ": observation set")
@@ -126,7 +127,7 @@ let assert_equiv ?fuel ?max_crashes impl workloads =
       ("fast", { Explore.fast with dedup = Exact });
     ];
   let s_sym, sym_leaves =
-    collect ?fuel ?max_crashes ~options:Explore.fast ~proj:value_proj impl
+    collect ?fuel ?faults ~options:Explore.fast ~proj:value_proj impl
       workloads
   in
   List.iter
@@ -170,6 +171,12 @@ let rw_impl ~procs ~bits ~coin =
       | Value.Sym "flip" ->
         let+ v = Program.invoke ~obj:bits Ops.read in
         (v, v)
+      | Value.Sym "strict" ->
+        (* decodes only [false]: a derailing adversary wedges the process on
+           the coin's second alternative *)
+        let+ v = Program.invoke ~obj:bits Ops.read in
+        if Value.equal v Value.truth then raise (Value.Type_error "strict");
+        (v, v)
       | Value.Sym "loc" -> Program.return (local, local)
       | _ -> Alcotest.fail "rw_impl: bad invocation")
     ()
@@ -189,55 +196,76 @@ let exec_stats_equal msg (a : Exec.stats) (b : Exec.stats) =
     b.max_accesses;
   Alcotest.(check int) (msg ^ ": overflows") a.overflows b.overflows
 
+(* Each case runs under its own fault adversary: none, crash-only,
+   crash-recovery, stale and safe read glitches, and a derailing adversary
+   that wedges a process. *)
 let naive_cases =
   [
     ( "tas identity",
       Implementation.identity (Rmw.test_and_set ~ports:2) ~procs:2,
       [| [ Ops.test_and_set ]; [ Ops.test_and_set ] |],
-      0 );
+      Faults.none );
     ( "two writers one reader",
       rw_impl ~procs:3 ~bits:2 ~coin:false,
       [| [ wr 0 true; rd 1 ]; [ cp 0 1 ]; [ rd 0; Value.sym "loc" ] |],
-      0 );
+      Faults.none );
     ( "nondet coin",
       rw_impl ~procs:2 ~bits:1 ~coin:true,
       [| [ Value.sym "flip"; rd 0 ]; [ wr 0 true ] |],
-      0 );
+      Faults.none );
     ( "with crashes",
       rw_impl ~procs:2 ~bits:2 ~coin:false,
       [| [ cp 0 1 ]; [ wr 0 true ] |],
-      1 );
+      Faults.crashes 1 );
+    ( "crash-recovery",
+      rw_impl ~procs:2 ~bits:2 ~coin:false,
+      [| [ cp 0 1; rd 1 ]; [ wr 0 true; wr 1 false ] |],
+      Faults.crash_recovery ~crashes:1 ~recoveries:1 );
+    ( "stale:2 glitches",
+      rw_impl ~procs:2 ~bits:2 ~coin:false,
+      [| [ wr 0 true; wr 0 false; wr 1 true ]; [ rd 0; cp 0 1; rd 0 ] |],
+      Faults.degrade ~glitches:2 [ (0, Faults.Stale_reads 2) ] );
+    ( "safe glitches",
+      rw_impl ~procs:2 ~bits:2 ~coin:false,
+      [| [ cp 0 1; rd 1 ]; [ rd 0; wr 0 true ] |],
+      Faults.degrade ~glitches:1
+        [ (0, Faults.Safe_reads [ Value.truth; Value.falsity ]) ] );
+    ( "derail wedges",
+      rw_impl ~procs:2 ~bits:1 ~coin:true,
+      [| [ Value.sym "strict"; rd 0 ]; [ wr 0 true; Value.sym "strict" ] |],
+      Faults.crash_recovery ~crashes:1 ~recoveries:1 );
   ]
 
 let test_naive_matches_exec () =
   List.iter
-    (fun (msg, impl, workloads, max_crashes) ->
+    (fun (msg, impl, workloads, faults) ->
       let exec_leaves = ref [] in
       let exec_stats =
-        Exec.explore impl ~workloads ~max_crashes
+        Exec.explore impl ~workloads ~faults
           ~on_leaf:(fun leaf -> exec_leaves := full_proj leaf :: !exec_leaves)
           ()
       in
-      let s, leaves =
-        collect ~max_crashes ~options:Explore.naive ~proj:full_proj impl
-          workloads
+      let leaves = ref [] in
+      let s =
+        Explore.run impl ~workloads ~faults ~options:Explore.naive
+          ~on_leaf:(fun leaf -> leaves := full_proj leaf :: !leaves)
+          ()
       in
       exec_stats_equal msg exec_stats (Explore.to_exec_stats s);
       Alcotest.(check int) (msg ^ ": no pruning") 0 s.pruned;
       Alcotest.(check int) (msg ^ ": no sleeps") 0 s.sleep_skips;
-      (* full observation multiset, timestamps included *)
+      (* full observations, timestamps included, in visit order *)
       Alcotest.(check (list value))
         (msg ^ ": identical executions")
-        (List.sort Value.compare !exec_leaves)
-        leaves)
+        (List.rev !exec_leaves) (List.rev !leaves))
     naive_cases
 
 (* --- reduced modes: verdict-relevant equivalence ---------------------------- *)
 
 let test_equiv_fixed_workloads () =
   List.iter
-    (fun (_, impl, workloads, max_crashes) ->
-      ignore (assert_equiv ~max_crashes impl workloads))
+    (fun (_, impl, workloads, faults) ->
+      ignore (assert_equiv ~faults impl workloads))
     naive_cases
 
 let test_equiv_overflow () =

@@ -233,6 +233,49 @@ let contains s sub =
   in
   go 0
 
+(* A frontier prefix must be a path of the tree, checked decision by
+   decision the way [Exec.replay] checks a witness: [p1.x] wedges a process
+   that steps fine, [p0.c p0.s0] steps a crashed process, and
+   [p0.s0 p1.x p1.s0] wedges one mid-path, and [p0.c p0.r] recovers with no
+   recovery budget. Resuming any of them would skip or invent subtrees, so
+   each is refused. *)
+let test_resume_refuses_bad_frontier () =
+  let impl = Protocols.from_cas ~procs:2 () in
+  let faults = Faults.crashes 1 in
+  let workloads =
+    match List.rev (Check.vectors ~repeat:false impl) with
+    | v :: _ -> v.Check.workloads
+    | [] -> Alcotest.fail "no input vectors"
+  in
+  List.iter
+    (fun text ->
+      let trace =
+        match Faults.trace_of_string text with
+        | Ok tr -> tr
+        | Error e -> Alcotest.fail e
+      in
+      let ck =
+        Checkpoint.make ~engine:Explore.fast ~fuel:Explore.default_fuel ~faults
+          ~workloads
+          ~counts:
+            (Checkpoint.zero_counts
+               ~n_objs:(Array.length impl.Wfc_program.Implementation.objects))
+          ~frontier:[ trace ] ()
+      in
+      match
+        Explore.run impl ~workloads ~faults ~options:Explore.fast
+          ~resume_from:ck ()
+      with
+      | s ->
+        Alcotest.failf "frontier %S resumed to %d nodes, %d leaves" text
+          s.Explore.nodes s.Explore.leaves
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Fmt.str "%S refused: %s" text msg)
+          true
+          (contains msg "cannot resume"))
+    [ "p1.x"; "p0.c p0.s0"; "p0.s0 p1.x p1.s0"; "p0.c p0.r" ]
+
 (* Files of the earlier formats are refused, and the error names the header
    that was found. *)
 let test_checkpoint_legacy_headers_refused () =
@@ -659,6 +702,8 @@ let () =
             test_explore_interrupt_flush_and_resume;
           Alcotest.test_case "resume refuses another mode" `Quick
             test_resume_refuses_other_mode;
+          Alcotest.test_case "resume refuses bad frontiers" `Quick
+            test_resume_refuses_bad_frontier;
         ] );
       ( "supervised pool",
         [
