@@ -415,7 +415,6 @@ let engine_variants () =
     ("dedup", { Explore.naive with Explore.dedup = Exact });
     ("por", { Explore.naive with Explore.por = true });
     ("fast", Explore.fast);
-    ("fast-par", Explore.parallel ());
   ]
 
 (* Warm, repeat-averaged timing: one warmup run, then repeat until 20 ms of
@@ -495,11 +494,7 @@ let baseline_e10_fast key path =
          let l = input_line ic in
          if contains l {|"name"|} then
            in_e10 := contains l {|"E10-universal-faa"|};
-         if
-           !in_e10
-           && contains l {|"engine": "fast"|}
-           && not (contains l {|"fast-par"|})
-         then
+         if !in_e10 && contains l {|"engine": "fast"|} then
            match float_field l key with
            | Some v -> result := Some v
            | None -> ()
@@ -519,8 +514,8 @@ let host_header ~skipped =
     (String.concat ", " (List.map (fun s -> Fmt.str "%S" s) skipped))
 
 (* Warm repeat-averaged runs per ⟨workload, engine⟩, printed as a table and
-   dumped as machine-readable JSON (BENCH_explore.json, schema /3 with
-   [nodes_per_sec] and [minor_words_per_node] per row) so the throughput
+   dumped as machine-readable JSON (BENCH_explore.json, schema /4:
+   [nodes_per_sec] and [minor_words_per_node] per row, no [domains] column) so the throughput
    and allocation trajectories of the engine are tracked across PRs.
    Guards: the fast engine may never lose to naive on wall time (25% +
    100 µs tolerance); in [--check] mode the E10-universal-faa fast
@@ -574,8 +569,8 @@ let explore_engine_report ~check () =
                 s.Explore.sleep_skips (wall *. 1e3) nps mwpn node_speedup
                 wall_speedup;
               Fmt.str
-                {|        {"engine": %S, "domains": %d, "nodes": %d, "leaves": %d, "pruned": %d, "sleep_skips": %d, "max_events": %d, "wall_s": %.6f, "nodes_per_sec": %.0f, "minor_words_per_node": %.1f}|}
-                ename s.Explore.domains_used s.Explore.nodes s.Explore.leaves
+                {|        {"engine": %S, "nodes": %d, "leaves": %d, "pruned": %d, "sleep_skips": %d, "max_events": %d, "wall_s": %.6f, "nodes_per_sec": %.0f, "minor_words_per_node": %.1f}|}
+                ename s.Explore.nodes s.Explore.leaves
                 s.Explore.pruned s.Explore.sleep_skips s.Explore.max_events
                 wall nps mwpn)
             (engine_variants ())
@@ -624,7 +619,7 @@ let explore_engine_report ~check () =
     let json =
       Fmt.str
         "{\n\
-        \  \"schema\": \"wfc-bench-explore/3\",\n\
+        \  \"schema\": \"wfc-bench-explore/4\",\n\
          %s\n\
         \  \"workloads\": [\n\
          %s\n\
@@ -688,8 +683,7 @@ let fault_injection_report () =
                  comparison on the engine callers actually use *)
               let s =
                 Explore.run impl ~workloads ~faults
-                  ~options:{ Explore.fast with Explore.domains = 1 }
-                  ()
+                  ~options:Explore.fast ()
               in
               let wall = Unix.gettimeofday () -. t0 in
               if String.equal aname "clean" then begin

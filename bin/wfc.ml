@@ -793,9 +793,9 @@ let checkpoint_cmd =
       | None -> ());
       Fmt.pr "  processes     %d@."
         (Array.length ck.Wfc_sim.Checkpoint.workloads);
-      Fmt.pr "  engine        dedup=%s por=%b domains=%d@."
+      Fmt.pr "  engine        dedup=%s por=%b@."
         (Wfc_sim.Checkpoint.dedup_to_string e.Wfc_sim.Checkpoint.dedup)
-        e.Wfc_sim.Checkpoint.por e.Wfc_sim.Checkpoint.domains;
+        e.Wfc_sim.Checkpoint.por;
       Fmt.pr "  fuel          %d@." ck.Wfc_sim.Checkpoint.fuel;
       (match ck.Wfc_sim.Checkpoint.budget_left with
       | Some b -> Fmt.pr "  budget left   %d nodes@." b
@@ -806,10 +806,10 @@ let checkpoint_cmd =
       Fmt.pr "  frontier      %d pending subtree prefix(es)@."
         (List.length ck.Wfc_sim.Checkpoint.frontier);
       Fmt.pr "  counts        %d leaves, %d nodes, %d overflows, %d pruned, \
-              %d degraded, %d evictions%s@."
+              %d evictions%s@."
         c.Wfc_sim.Checkpoint.leaves c.Wfc_sim.Checkpoint.nodes
         c.Wfc_sim.Checkpoint.overflows c.Wfc_sim.Checkpoint.pruned
-        c.Wfc_sim.Checkpoint.degraded c.Wfc_sim.Checkpoint.evictions
+        c.Wfc_sim.Checkpoint.evictions
         (if c.Wfc_sim.Checkpoint.probabilistic then " (probabilistic dedup)"
          else "");
       List.iter

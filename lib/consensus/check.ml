@@ -191,7 +191,7 @@ let vectors ?(subsets = true) ?(repeat = true)
 
 let verify_values ~domain ?(subsets = true) ?(repeat = true)
     ?(max_crashes = 0) ?faults ?fuel ?budget ?deadline_s ?(shrink = true)
-    ?(engine = Wfc_sim.Explore.fast) ?par_threshold ?checkpoint ?resume
+    ?(engine = Wfc_sim.Explore.fast) ?checkpoint ?resume
     ?mem_budget_mb ?interrupt ?(meta = []) (impl : Implementation.t) =
   if List.length domain < 2 then
     invalid_arg "Check.verify_values: domain needs at least two values";
@@ -349,7 +349,7 @@ let verify_values ~domain ?(subsets = true) ?(repeat = true)
               let stats =
                 Wfc_sim.Explore.run impl ~workloads ?fuel ~faults
                   ?budget:!budget_left ?deadline_s:deadline_s_left
-                  ~options:engine ?par_threshold
+                  ~options:engine
                   ~on_leaf_trace:(fun trace leaf ->
                     incr executions;
                     match check_leaf ~inputs leaf with
@@ -373,10 +373,6 @@ let verify_values ~domain ?(subsets = true) ?(repeat = true)
               (* The engine folds the resumed segment's counts into its
                  stats; subtract that base wherever we accumulate, so it is
                  not double-counted against the restored state. *)
-              degraded :=
-                !degraded
-                + (stats.Wfc_sim.Explore.degraded
-                  - base.Wfc_sim.Checkpoint.degraded);
               evictions :=
                 !evictions
                 + (stats.Wfc_sim.Explore.evictions
@@ -453,8 +449,7 @@ let verify_values ~domain ?(subsets = true) ?(repeat = true)
   | Exhausted reason -> Unknown { partial = report (); reason }
 
 let verify ?subsets ?repeat ?max_crashes ?faults ?fuel ?budget ?deadline_s
-    ?shrink ?engine ?par_threshold ?checkpoint ?resume ?mem_budget_mb
-    ?interrupt ?meta impl =
+    ?shrink ?engine ?checkpoint ?resume ?mem_budget_mb ?interrupt ?meta impl =
   verify_values ~domain:[ Value.falsity; Value.truth ] ?subsets ?repeat
-    ?max_crashes ?faults ?fuel ?budget ?deadline_s ?shrink ?engine
-    ?par_threshold ?checkpoint ?resume ?mem_budget_mb ?interrupt ?meta impl
+    ?max_crashes ?faults ?fuel ?budget ?deadline_s ?shrink ?engine ?checkpoint
+    ?resume ?mem_budget_mb ?interrupt ?meta impl

@@ -41,8 +41,10 @@ type report = {
   max_events : int;  (** longest execution *)
   max_op_steps : int;  (** most base accesses by one propose *)
   degraded : int;
-      (** supervised-pool degradation events absorbed (worker crashes and
-          stall requeues, see {!Wfc_sim.Explore.stats}) *)
+      (** fleet lease misses absorbed: shards whose worker died or went
+          silent and were requeued (see [Wfc_fleet.Coordinator]). A
+          single-process run only carries over what a resumed fleet
+          checkpoint recorded. *)
   evictions : int;
       (** dedup tables the memory watchdog migrated to the Bloom tier *)
 }
@@ -64,7 +66,6 @@ val verify :
   ?deadline_s:float ->
   ?shrink:bool ->
   ?engine:Wfc_sim.Explore.options ->
-  ?par_threshold:int ->
   ?checkpoint:string * float ->
   ?resume:Wfc_sim.Checkpoint.t ->
   ?mem_budget_mb:int ->
@@ -83,9 +84,6 @@ val verify :
     suite asserts both give the same verdict), or change individual fields —
     [wfc verify --no-symmetry] selects [dedup = Exact].
     [report.executions] counts the executions the engine actually visited.
-    [par_threshold] governs the lazy domain pool exactly as in
-    {!Wfc_sim.Explore.run} — with [engine.domains > 1], small per-vector
-    trees are still drained sequentially below it.
 
     [subsets] (default true) also checks partial participation; [repeat]
     (default true) has each participant propose a second, {e different}
@@ -157,7 +155,6 @@ val verify_values :
   ?deadline_s:float ->
   ?shrink:bool ->
   ?engine:Wfc_sim.Explore.options ->
-  ?par_threshold:int ->
   ?checkpoint:string * float ->
   ?resume:Wfc_sim.Checkpoint.t ->
   ?mem_budget_mb:int ->

@@ -282,9 +282,9 @@ let serve ?subsets ?repeat ?domain ?(max_crashes = 0) ?faults ?fuel ?budget
     !acc
   in
   let report () =
-    (* mirror of Check.report: lease misses are degradation events the run
-       absorbed, surfaced exactly like the in-process pool's (re-attaches
-       are non-events and stay out of [degraded]) *)
+    (* mirror of Check.report: lease misses are the degradation events the
+       run absorbed (re-attaches are non-events and stay out of
+       [degraded]) *)
     let done_n = Array.fold_left (fun n vs -> if vs.outstanding = 0 then n + 1 else n) 0 vstates in
     let progressing =
       Array.exists (fun vs -> vs.outstanding > 0 && vs.counts.Checkpoint.leaves > 0) vstates
@@ -296,7 +296,7 @@ let serve ?subsets ?repeat ?domain ?(max_crashes = 0) ?faults ?fuel ?budget
       executions = base_executions + acc.Checkpoint.leaves;
       max_events = max base_max_events acc.Checkpoint.max_events;
       max_op_steps = max base_max_op_steps acc.Checkpoint.max_op_steps;
-      degraded = base_degraded + acc.Checkpoint.degraded + !lease_misses;
+      degraded = base_degraded + !lease_misses;
       evictions = base_evictions + acc.Checkpoint.evictions;
     }
   in
@@ -334,10 +334,7 @@ let serve ?subsets ?repeat ?domain ?(max_crashes = 0) ?faults ?fuel ?budget
               ( "check.max_op_steps",
                 string_of_int
                   (max base_max_op_steps acc.Checkpoint.max_op_steps) );
-              ( "check.degraded",
-                string_of_int
-                  (base_degraded + acc.Checkpoint.degraded + !lease_misses)
-              );
+              ("check.degraded", string_of_int (base_degraded + !lease_misses));
               ( "check.evictions",
                 string_of_int (base_evictions + acc.Checkpoint.evictions) );
               ( "check.probabilistic",

@@ -122,7 +122,6 @@ val serve :
     defaults, same verdict semantics, same checkpoint compatibility);
     [meta] must include the [protocol] (and [procs]) entries workers use to
     rebuild the implementation ({!Worker.impl_of_job}). [engine] is the
-    per-worker engine configuration ([domains] inside a worker composes
-    with the fleet fan-out; the default is {!Explore.fast}, sequential).
+    per-worker engine configuration (default {!Explore.fast}).
     Never raises on worker misbehaviour; socket setup errors ([Unix_error])
     do propagate. *)

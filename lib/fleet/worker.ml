@@ -54,7 +54,6 @@ let counts_of_stats ~probabilistic (s : Explore.stats) =
     overflows = s.Explore.overflows;
     pruned = s.Explore.pruned;
     sleep_skips = s.Explore.sleep_skips;
-    degraded = s.Explore.degraded;
     evictions = s.Explore.evictions;
     spilled = s.Explore.spilled;
     probabilistic;

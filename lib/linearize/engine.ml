@@ -506,10 +506,6 @@ let rec set_frontier obj fr = function
     else if o > obj then (obj, fr) :: (o, f) :: rest
     else (o, f) :: set_frontier obj fr rest
 
-let rec bump_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then bump_max a v
-
 let overflow_violation ~workloads ~faults (stats : Explore.stats) =
   {
     reason =
@@ -523,8 +519,7 @@ let overflow_violation ~workloads ~faults (stats : Explore.stats) =
   }
 
 let verify impl ~workloads ?fuel ?(faults = Faults.none)
-    ?(mode = Incremental { compositional = true }) ?component ?(domains = 1)
-    ?par_threshold () =
+    ?(mode = Incremental { compositional = true }) ?component () =
   let target = impl.Wfc_program.Implementation.target in
   let target_init = impl.Wfc_program.Implementation.implements in
   match mode with
@@ -536,8 +531,7 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
     let viol = ref None in
     let stats =
       Explore.run impl ~workloads ?fuel ~faults
-        ~options:{ Explore.naive with domains }
-        ?par_threshold
+        ~options:Explore.naive
         ~on_leaf_trace:(fun trace (leaf : Exec.leaf) ->
           match
             check_ops ~spec:target ~init:target_init ~count leaf.Exec.ops
@@ -575,22 +569,19 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
         | None -> (target, target_init)
       else (target, target_init)
     in
-    let transitions = Atomic.make 0 in
-    let memo_hits = Atomic.make 0 in
-    let peak = Atomic.make 0 in
-    let viol : violation option Atomic.t = Atomic.make None in
-    (* one memo table per run and domain: advancing a frontier is a pure
-       function of ⟨object, frontier, completion, pending set⟩, and distinct
+    let transitions = ref 0 in
+    let memo_hits = ref 0 in
+    let peak = ref 0 in
+    let viol = ref None in
+    (* one memo table per run: advancing a frontier is a pure function of
+       ⟨object, frontier, completion, pending set⟩, and distinct
        interleavings hit the same advances constantly. Keys are hash-consed
-       (per-domain intern state paired with a cell-keyed table, so no
-       mutable interning structure crosses a domain): the probe is a
+       (an intern state paired with a cell-keyed table): the probe is a
        physical-equality lookup on a cached hash, and the intern walk of a
        fresh key is cheap because recurring subterms — frontier encodings
        above all — are already maximally shared from earlier probes. *)
-    let memo =
-      Domain.DLS.new_key (fun () ->
-          (Value.Intern.create (), Value.Intern.H.create 1024))
-    in
+    let ist = Value.Intern.create () in
+    let tbl = Value.Intern.H.create 1024 in
     let decode inv = if compositional then Ops.at_target inv else (0, inv) in
     let record ~trace_rev ~done_rev reason =
       let v =
@@ -601,7 +592,7 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
             Some (Witness.make ~workloads ~faults (List.rev trace_rev));
         }
       in
-      ignore (Atomic.compare_and_set viol None (Some v));
+      if !viol = None then viol := Some v;
       raise Exec.Stop
     in
     let event st ~trace_rev = function
@@ -634,12 +625,11 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
                 (List.map (fun p -> Value.pair (Value.int p.pkey) p.pinv) pend);
             ]
         in
-        let ist, tbl = Domain.DLS.get memo in
         let mkey = Value.Intern.intern ist mkey in
         let fr' =
           match Value.Intern.H.find_opt tbl mkey with
           | Some fr' ->
-            ignore (Atomic.fetch_and_add memo_hits 1);
+            incr memo_hits;
             fr'
           | None ->
             let count = ref 0 in
@@ -647,7 +637,7 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
               advance ~spec:cspec ~count:(Some count) fr ~op
                 ~key:op.Exec.proc ~port:op.Exec.proc ~inv:inner ~pending:pend
             in
-            ignore (Atomic.fetch_and_add transitions !count);
+            transitions := !transitions + !count;
             Value.Intern.H.add tbl mkey fr';
             fr'
         in
@@ -659,8 +649,9 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
                 (object %d): every extension of this schedule is a violation"
                pp_ops (List.rev done_rev) cspec.Type_spec.name obj);
         let frontiers = set_frontier obj fr' st.frontiers in
-        bump_max peak
-          (List.fold_left (fun n (_, f) -> n + List.length f) 0 frontiers);
+        peak :=
+          max !peak
+            (List.fold_left (fun n (_, f) -> n + List.length f) 0 frontiers);
         { frontiers; done_rev }
       | Explore.Proc_crashed p | Explore.Proc_wedged p ->
         let frontiers =
@@ -701,10 +692,9 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
     in
     let stats =
       Explore.run impl ~workloads ?fuel ~faults
-        ~options:{ Explore.fast with domains }
-        ?par_threshold ~tracker ()
+        ~options:Explore.fast ~tracker ()
     in
-    (match Atomic.get viol with
+    (match !viol with
     | Some v -> Error v
     | None ->
       if stats.Explore.overflows > 0 then
@@ -713,7 +703,7 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
         Ok
           {
             explore = stats;
-            transitions = Atomic.get transitions;
-            memo_hits = Atomic.get memo_hits;
-            frontier_peak = Atomic.get peak;
+            transitions = !transitions;
+            memo_hits = !memo_hits;
+            frontier_peak = !peak;
           })

@@ -122,8 +122,6 @@ val verify :
   ?faults:Wfc_sim.Faults.t ->
   ?mode:mode ->
   ?component:Type_spec.t * Value.t ->
-  ?domains:int ->
-  ?par_threshold:int ->
   unit ->
   (run_stats, violation) result
 (** Explore every interleaving of the workloads (optionally under a fault
@@ -140,8 +138,7 @@ val verify :
     targets).
 
     Also fails on fuel overflow (suspected non-wait-freedom), with the
-    overflowing path as witness. [domains] (default 1) fans the exploration
-    out; [par_threshold] as in {!Wfc_sim.Explore.run}. *)
+    overflowing path as witness. *)
 
 val indexed : int -> Type_spec.t -> Type_spec.t
 (** [indexed n spec]: the product of [n] independent instances of [spec] —

@@ -14,11 +14,11 @@ let is_linearizable ~spec ?init ?port_of ops =
   | Linearizable _ -> true
   | Not_linearizable _ -> false
 
-let check_all_executions impl ~workloads ?fuel ?(domains = 1) () =
+let check_all_executions impl ~workloads ?fuel () =
   match
     Engine.verify impl ~workloads ?fuel
       ~mode:(Engine.Incremental { compositional = true })
-      ~domains ()
+      ()
   with
   | Ok stats ->
     Ok (Wfc_sim.Explore.to_exec_stats stats.Engine.explore)

@@ -45,7 +45,6 @@ val check_all_executions :
   Wfc_program.Implementation.t ->
   workloads:Value.t list array ->
   ?fuel:int ->
-  ?domains:int ->
   unit ->
   (Wfc_sim.Exec.stats, string) result
 (** Explore every interleaving of the workloads and check each leaf history
@@ -58,7 +57,6 @@ val check_all_executions :
     schedule prefixes share checking work, and the tracker's
     timestamp-free observations make the {e fast} (dedup + POR) exploration
     engine sound here — the per-leaf-DFS-on-the-naive-engine behaviour
-    survives as {!Engine.Per_leaf}, the differential-testing oracle.
-    [domains] (default 1) fans the search out across OCaml 5 domains. *)
+    survives as {!Engine.Per_leaf}, the differential-testing oracle. *)
 
 val pp_ops : Format.formatter -> Wfc_sim.Exec.op list -> unit

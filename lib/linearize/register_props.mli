@@ -48,7 +48,6 @@ val check_all_atomic :
   workloads:Value.t list array ->
   ?fuel:int ->
   ?faults:Wfc_sim.Faults.t ->
-  ?domains:int ->
   unit ->
   (Wfc_sim.Explore.stats, violation) result
 (** The strong end of the §4.1 chain: atomicity, i.e. linearizability of

@@ -16,7 +16,7 @@ let dedup_of_string = function
   | "symmetric" -> Some Symmetric
   | _ -> None
 
-type engine = { dedup : dedup; por : bool; domains : int }
+type engine = { dedup : dedup; por : bool }
 
 type counts = {
   leaves : int;
@@ -27,7 +27,6 @@ type counts = {
   overflows : int;
   pruned : int;
   sleep_skips : int;
-  degraded : int;
   evictions : int;
   spilled : int;
   probabilistic : bool;
@@ -45,7 +44,6 @@ let zero_counts ~n_objs =
     overflows = 0;
     pruned = 0;
     sleep_skips = 0;
-    degraded = 0;
     evictions = 0;
     spilled = 0;
     probabilistic = false;
@@ -78,7 +76,6 @@ let add_counts a b =
     overflows = a.overflows + b.overflows;
     pruned = a.pruned + b.pruned;
     sleep_skips = a.sleep_skips + b.sleep_skips;
-    degraded = a.degraded + b.degraded;
     evictions = a.evictions + b.evictions;
     spilled = a.spilled + b.spilled;
     probabilistic = a.probabilistic || b.probabilistic;
@@ -103,27 +100,27 @@ let make ?(meta = []) ~engine ~fuel ?budget_left ~faults ~workloads ~counts
    [Fingerprint.hash_string] of the canonical body (everything after it):
    [of_string] re-serializes what it parsed and compares, so any corruption
    that changes the meaning of the file — even one surviving the parser — is
-   refused. Files of earlier formats (wfc-checkpoint/1 and /2, whose engine
-   lines described since-deleted engine options) are refused by name. *)
+   refused. Files of earlier formats (wfc-checkpoint/1, /2 and /3, whose
+   engine lines described since-deleted engine options) are refused by
+   name. *)
 
-let header = "wfc-checkpoint/3"
+let header = "wfc-checkpoint/4"
 
 let body_lines t =
   let b = Buffer.create 512 in
   let line fmt = Fmt.kstr (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   List.iter (fun (k, v) -> line "meta %s %s" k v) t.meta;
-  line "engine dedup=%s por=%d domains=%d"
+  line "engine dedup=%s por=%d"
     (dedup_to_string t.engine.dedup)
-    (Bool.to_int t.engine.por) t.engine.domains;
+    (Bool.to_int t.engine.por);
   line "fuel %d" t.fuel;
   (match t.budget_left with Some n -> line "budget %d" n | None -> ());
   let c = t.counts in
   line
     "counts leaves=%d nodes=%d max_events=%d max_op_steps=%d overflows=%d \
-     pruned=%d sleep_skips=%d degraded=%d evictions=%d spilled=%d \
-     probabilistic=%d"
+     pruned=%d sleep_skips=%d evictions=%d spilled=%d probabilistic=%d"
     c.leaves c.nodes c.max_events c.max_op_steps c.overflows c.pruned
-    c.sleep_skips c.degraded c.evictions c.spilled
+    c.sleep_skips c.evictions c.spilled
     (Bool.to_int c.probabilistic);
   line "max_accesses %s"
     (String.concat "|" (Array.to_list (Array.map string_of_int c.max_accesses)));
@@ -216,8 +213,7 @@ let of_string s =
     | "engine" ->
       let* dedup = field body "dedup" dedup_of_string in
       let* por = field body "por" int_of_string_opt in
-      let* domains = field body "domains" int_of_string_opt in
-      engine := Some { dedup; por = por <> 0; domains };
+      engine := Some { dedup; por = por <> 0 };
       Ok ()
     | "fuel" -> (
       match int_of_string_opt body with
@@ -236,21 +232,20 @@ let of_string s =
         parse_kv_ints body
           [
             "leaves"; "nodes"; "max_events"; "max_op_steps"; "overflows";
-            "pruned"; "sleep_skips"; "degraded"; "evictions"; "spilled";
-            "probabilistic";
+            "pruned"; "sleep_skips"; "evictions"; "spilled"; "probabilistic";
           ]
       in
       (match fields with
       | [
        leaves; nodes; max_events; max_op_steps; overflows; pruned; sleep_skips;
-       degraded; evictions; spilled; probabilistic;
+       evictions; spilled; probabilistic;
       ] ->
         counts :=
           Some
             {
               leaves; nodes; max_events; max_op_steps;
               max_accesses = [||];
-              overflows; pruned; sleep_skips; degraded; evictions; spilled;
+              overflows; pruned; sleep_skips; evictions; spilled;
               probabilistic = probabilistic <> 0;
             }
       | _ -> assert false);

@@ -11,10 +11,10 @@
 
     The file format is line-oriented text in the wfc-witness/1 style and
     reuses the {!Faults} line codec (fault budgets, degradations, workloads,
-    decision traces). The header is [wfc-checkpoint/3]; a [digest] line
+    decision traces). The header is [wfc-checkpoint/4]; a [digest] line
     carries the {!Wfc_spec.Fingerprint.hash_string} digest of the canonical
     body. {!of_string} refuses files whose digest does not match and files
-    of the earlier /1 and /2 formats (naming the header found), and
+    of the earlier /1, /2 and /3 formats (naming the header found), and
     {!describe_mismatch} lets {!Explore.run} refuse to resume a checkpoint
     against a different problem. *)
 
@@ -33,7 +33,7 @@ type dedup =
 val dedup_to_string : dedup -> string
 (** ["off"], ["exact"] or ["symmetric"] — the spelling in the file. *)
 
-type engine = { dedup : dedup; por : bool; domains : int }
+type engine = { dedup : dedup; por : bool }
 (** The engine options, re-exported as [Explore.options]. *)
 
 type counts = {
@@ -45,7 +45,6 @@ type counts = {
   overflows : int;
   pruned : int;
   sleep_skips : int;
-  degraded : int;
   evictions : int;
   spilled : int;
   probabilistic : bool;

@@ -3,18 +3,10 @@ open Wfc_program
 
 type dedup = Checkpoint.dedup = Off | Exact | Symmetric
 
-type options = Checkpoint.engine = { dedup : dedup; por : bool; domains : int }
+type options = Checkpoint.engine = { dedup : dedup; por : bool }
 
-let naive = { dedup = Off; por = false; domains = 1 }
-let fast = { dedup = Symmetric; por = true; domains = 1 }
-
-let parallel ?domains () =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> max 2 (Domain.recommended_domain_count () - 1)
-  in
-  { fast with domains }
+let naive = { dedup = Off; por = false }
+let fast = { dedup = Symmetric; por = true }
 
 type partial_reason =
   | Budget_exhausted
@@ -46,8 +38,6 @@ type stats = {
   overflows : int;
   pruned : int;
   sleep_skips : int;
-  domains_used : int;
-  degraded : int;
   evictions : int;
   spilled : int;
   completeness : completeness;
@@ -235,37 +225,36 @@ let fp_hist_cell ist h = I.list ist (List.map (I.intern ist) h)
 
 (* --- graceful degradation ----------------------------------------------------
 
-   [budget] (configurations visited, across all domains) and [deadline]
-   (absolute wall clock) cut the whole exploration rather than a single
-   path: an exceeded limit raises [Cut], records why, and the final stats
-   carry [completeness = Partial _] — "not falsified within budget" instead
-   of a verdict. *)
+   [budget] (configurations visited) and [deadline] (absolute wall clock)
+   cut the whole exploration rather than a single path: an exceeded limit
+   raises [Cut], records why, and the final stats carry
+   [completeness = Partial _] — "not falsified within budget" instead of a
+   verdict. *)
 
 exception Cut
 
 type limiter = {
-  budget : int Atomic.t option;  (* remaining visits *)
+  budget : int ref option;  (* remaining visits *)
   deadline : float option;  (* absolute, Monotime scale *)
   interrupt : bool Atomic.t option;  (* e.g. set by a SIGINT handler *)
-  tripped : partial_reason option Atomic.t;
+  mutable tripped : partial_reason option;
   active : bool;
 }
 
 let make_limiter ?budget ?deadline_s ?interrupt () =
-  let budget = Option.map Atomic.make budget in
+  let budget = Option.map ref budget in
   let deadline = Option.map (fun s -> Monotime.now () +. s) deadline_s in
   {
     budget;
     deadline;
     interrupt;
-    tripped = Atomic.make None;
+    tripped = None;
     active =
       Option.is_some budget || Option.is_some deadline
       || Option.is_some interrupt;
   }
 
-let trip lim reason =
-  ignore (Atomic.compare_and_set lim.tripped None (Some reason))
+let trip lim reason = if lim.tripped = None then lim.tripped <- Some reason
 
 let check_limits lim =
   (match lim.interrupt with
@@ -280,7 +269,9 @@ let check_limits lim =
   | _ -> ());
   match lim.budget with
   | Some b ->
-    if Atomic.fetch_and_add b (-1) <= 0 then begin
+    let left = !b in
+    b := left - 1;
+    if left <= 0 then begin
       trip lim Budget_exhausted;
       raise Cut
     end
@@ -297,7 +288,6 @@ type counters = {
   mutable overflows : int;
   mutable pruned : int;
   mutable sleep_skips : int;
-  mutable degraded : int;
   mutable evictions : int;
   mutable spilled : int;
   mutable probabilistic : bool;
@@ -314,29 +304,11 @@ let fresh_counters n_objs =
     overflows = 0;
     pruned = 0;
     sleep_skips = 0;
-    degraded = 0;
     evictions = 0;
     spilled = 0;
     probabilistic = false;
     overflow_trace = None;
   }
-
-let merge_counters a b =
-  a.leaves <- a.leaves + b.leaves;
-  a.nodes <- a.nodes + b.nodes;
-  if b.max_events > a.max_events then a.max_events <- b.max_events;
-  if b.max_op_steps > a.max_op_steps then a.max_op_steps <- b.max_op_steps;
-  Array.iteri
-    (fun i v -> if v > a.max_accesses.(i) then a.max_accesses.(i) <- v)
-    b.max_accesses;
-  a.overflows <- a.overflows + b.overflows;
-  a.pruned <- a.pruned + b.pruned;
-  a.sleep_skips <- a.sleep_skips + b.sleep_skips;
-  a.degraded <- a.degraded + b.degraded;
-  a.evictions <- a.evictions + b.evictions;
-  a.spilled <- a.spilled + b.spilled;
-  a.probabilistic <- a.probabilistic || b.probabilistic;
-  if a.overflow_trace = None then a.overflow_trace <- b.overflow_trace
 
 (* Stitch in the accumulated counts of previously checkpointed segments, so
    the stats (and completeness) a resumed run reports cover the whole search,
@@ -354,7 +326,6 @@ let add_counts (a : counters) (k : Checkpoint.counts) =
   a.overflows <- a.overflows + k.overflows;
   a.pruned <- a.pruned + k.pruned;
   a.sleep_skips <- a.sleep_skips + k.sleep_skips;
-  a.degraded <- a.degraded + k.degraded;
   a.evictions <- a.evictions + k.evictions;
   a.spilled <- a.spilled + k.spilled;
   a.probabilistic <- a.probabilistic || k.probabilistic
@@ -369,7 +340,6 @@ let counts_of_counters (c : counters) =
     overflows = c.overflows;
     pruned = c.pruned;
     sleep_skips = c.sleep_skips;
-    degraded = c.degraded;
     evictions = c.evictions;
     spilled = c.spilled;
     probabilistic = c.probabilistic;
@@ -534,8 +504,8 @@ let encode_flat_parts fx ~sum_hi ~sum_lo ~proc_cells ~ops_cells ~crashed
   buf.(j + 4) <- tracker_id;
   Fingerprint.hash_array buf ~len:(j + 5)
 
-(* Per-domain duplicate-state machinery. The flat context (and the intern
-   state whose cells key it) is allocated lazily, only once the domain has
+(* Per-run duplicate-state machinery. The flat context (and the intern
+   state whose cells key it) is allocated lazily, only once the run has
    visited [threshold] nodes: on trees smaller than that the table can never
    pay for its own allocation, let alone the per-node fingerprinting — that
    was the E3-sticky3-tree regression, where a 4096-bucket table plus deep
@@ -548,11 +518,11 @@ type dedup_ctx = {
   classes : int array option;  (* symmetry classes, if active *)
   mutable flat : flat_ctx option;
   mutable tier2 : bool;
-      (* the watchdog demoted this domain to the Bloom tier — dedup answers
+      (* the watchdog demoted this run to the Bloom tier — dedup answers
          become probabilistic instead of vanishing *)
 }
 
-(* The domain's flat context, created on first use. *)
+(* The run's flat context, created on first use. *)
 let flat_of ?ist dd ~n_procs =
   match dd.flat with
   | Some fx -> fx
@@ -564,7 +534,7 @@ let flat_of ?ist dd ~n_procs =
     dd.flat <- Some fx;
     fx
 
-let stats_of c ~domains_used ~lim =
+let stats_of c ~lim =
   {
     leaves = c.leaves;
     nodes = c.nodes;
@@ -574,15 +544,13 @@ let stats_of c ~domains_used ~lim =
     overflows = c.overflows;
     pruned = c.pruned;
     sleep_skips = c.sleep_skips;
-    domains_used;
-    degraded = c.degraded;
     evictions = c.evictions;
     spilled = c.spilled;
     completeness =
       (* An explicit cut (budget, deadline, interrupt, stop) takes priority:
          those runs can be resumed. A run that merely passed through the
          Bloom tier finished — but its clean sweep is only probabilistic. *)
-      (match Atomic.get lim.tripped with
+      (match lim.tripped with
       | Some reason -> Partial reason
       | None -> if c.probabilistic then Partial Probabilistic else Exhaustive);
     overflow_trace = c.overflow_trace;
@@ -592,37 +560,19 @@ let stats_of c ~domains_used ~lim =
 
    Long exhaustive runs die of dedup tables, not of the DFS stack: the
    tables grow with the number of distinct states. When the major heap
-   crosses the budget, domains demote their exact table to the
-   constant-memory Bloom tier oldest-first (domain 0 — the
-   coordinating/expansion domain, whose table has been filling the longest —
-   before any worker) instead of OOMing. [evict_upto] only ever grows; each
-   domain polls it and demotes itself when its id falls below the mark.
-   Bumps are rate-limited so the GC can actually reclaim one table before
-   the next is demoted. *)
+   crosses the budget, the run demotes its exact table to the
+   constant-memory Bloom tier instead of OOMing. *)
 
-type memwatch = {
-  budget_words : int;
-  evict_upto : int Atomic.t;
-  last_bump : float Atomic.t;
-}
-
-let mem_sample mw ~domain_id c (dd : dedup_ctx option) =
-  if (Gc.quick_stat ()).Gc.heap_words > mw.budget_words then begin
-    let now = Monotime.now () in
-    let last = Atomic.get mw.last_bump in
-    if now -. last > 0.25 && Atomic.compare_and_set mw.last_bump last now then
-      Atomic.incr mw.evict_upto
-  end;
-  (* checked after the bump so the demoted domain reacts on the very sample
-     that detected the pressure, not one sample period later *)
+let mem_sample ~budget_words c (dd : dedup_ctx option) =
   match dd with
-  | Some dd when (not dd.tier2) && Atomic.get mw.evict_upto > domain_id -> (
+  | Some dd
+    when (not dd.tier2) && (Gc.quick_stat ()).Gc.heap_words > budget_words
+    -> (
     (* Migrate the exact table's fingerprints into a constant-memory Bloom
        filter and free the table. Dedup answers become probabilistic from
        here on — the run's completeness is downgraded, never its
-       falsifications. Idempotent: once on tier 2 there is nothing left to
-       shed (the Bloom is constant-size), so repeated pressure moves on to
-       other domains. *)
+       falsifications. Once on tier 2 there is nothing left to shed (the
+       Bloom is constant-size). *)
     dd.tier2 <- true;
     c.evictions <- c.evictions + 1;
     c.probabilistic <- true;
@@ -646,14 +596,7 @@ let resolve_faults ?faults ~max_crashes () =
   | Some f -> { f with Faults.max_crashes = max f.Faults.max_crashes max_crashes }
   | None -> Faults.crashes max_crashes
 
-(* Calibrated from BENCH_explore.json: a domain spawn costs milliseconds
-   (fast-par was 30x slower than fast on the ~36-node E10-universal-faa
-   tree) while the sequential engine explores on the order of a node per
-   microsecond, so fan-out only pays for itself north of a few thousand
-   nodes. *)
-let default_par_threshold = 4096
-
-(* Calibrated from the same BENCH_explore.json family: the sequential engine
+(* Calibrated from BENCH_explore.json: the sequential engine
    visits a node in ~1 µs without dedup, while allocating a dedup table plus
    fingerprinting every node costs tens of µs up front — on the 15-node
    E3-sticky3-tree that overhead was 40x the naive walk. Well under 64 nodes
@@ -714,7 +657,7 @@ let default_dedup_threshold = 64
      event. Every edge adds exactly one event, so a node's depth is
      [!events], and with [cut] one level below the item its children are
      handed to [on_cut] instead of explored: that is how the frontier is
-     expanded breadth-first, checkpointed, spilled and handed to the pool.
+     expanded breadth-first, checkpointed and spilled.
      A plain sequential run is the item ⟨[], ∅, root⟩ with no cut. *)
 
 (* Per-depth classification scratch as parallel arrays, pooled so the hot
@@ -791,11 +734,11 @@ type mut_state = {
    workloads of one implementation compiles each row and program node once.
    Keyed on physical identity of the implementation record; a tiny LRU keeps
    unrelated implementations (e.g. property-test streams) from pinning each
-   other's tables. Each domain of the pool has its own, and [top_node]
-   builds that domain's program nodes, so [Program.step] memo writes stay on
-   one domain unless a program hands every caller the same node; then two
-   domains may race on its memo, which can only lose a cache entry, since
-   continuations are pure. *)
+   other's tables. Each domain that runs the engine has its own, and
+   [top_node] builds that domain's program nodes, so [Program.step] memo
+   writes stay on one domain unless a program hands every caller the same
+   node; then two domains may race on its memo, which can only lose a cache
+   entry, since continuations are pure. *)
 type compiled_ctx = {
   cc_impl : Implementation.t;
   cc_ist : I.state;
@@ -1771,15 +1714,6 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
   go (cls_at 0) (-1) sleep [] st no_tid;
   cc.cc_pool <- Some ms
 
-(* Worker-failure taxonomy for the supervised pool: [User_error] tags an
-   exception escaping a user leaf callback (it must surface on the caller —
-   that is how checkers report violations), [Abandoned] is raised by a worker
-   that discovers the coordinator gave its subtree away after a stall. Any
-   other exception in a worker is an infrastructure failure: the subtree is
-   requeued and the pool degrades to fewer domains. *)
-exception User_error of exn
-exception Abandoned
-
 (* Physically recognizable defaults: when the caller supplied no leaf
    consumer (and no tracker), the kernel can skip materializing leaf records
    entirely. *)
@@ -1789,12 +1723,11 @@ let no_cut _ _ _ = ()
 
 let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
     ?budget ?deadline_s ?(options = naive)
-    ?(par_threshold = default_par_threshold)
     ?(dedup_threshold = default_dedup_threshold)
     ?(bloom_bits_log2 = Fingerprint.Bloom.default_bits_log2) ?tracker
     ?(on_leaf = no_on_leaf) ?(on_leaf_trace = no_on_leaf_trace)
     ?checkpoint ?(checkpoint_meta = []) ?resume_from ?interrupt ?mem_budget_mb
-    ?stall_timeout_s ?chaos () =
+    () =
   if Array.length workloads <> impl.Implementation.procs then
     invalid_arg "Explore: workloads length must equal impl.procs";
   let user_tracker = Option.is_some tracker in
@@ -1822,7 +1755,6 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
      tracker state is part of the key, so dedup requires a fingerprint. *)
   let opts =
     {
-      options with
       por = options.por && Faults.is_none faults;
       dedup = (if Option.is_some t.fingerprint then options.dedup else Off);
     }
@@ -1837,7 +1769,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
       Option.map Symmetry.classes (Symmetry.of_impl impl ~workloads)
     else None
   in
-  let mk_dd () =
+  let dd =
     if opts.dedup = Off then None
     else
       Some
@@ -1850,20 +1782,15 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
         }
   in
   let lim = make_limiter ?budget ?deadline_s ?interrupt () in
-  let memwatch =
-    Option.map
-      (fun mb ->
-        {
-          budget_words = mb * 1024 * 1024 / (Sys.word_size / 8);
-          evict_upto = Atomic.make 0;
-          last_bump = Atomic.make 0.0;
-        })
-      mem_budget_mb
+  let c = fresh_counters (Array.length impl.Implementation.objects) in
+  let budget_words =
+    Option.map (fun mb -> mb * 1024 * 1024 / (Sys.word_size / 8)) mem_budget_mb
   in
   (* Cheap per-node hook: a real sample only every 1024 nodes. *)
-  let memcheck ~domain_id c dd =
-    match memwatch with
-    | Some mw when c.nodes land 1023 = 0 -> mem_sample mw ~domain_id c dd
+  let on_node () =
+    match budget_words with
+    | Some budget_words when c.nodes land 1023 = 0 ->
+      mem_sample ~budget_words c dd
     | _ -> ()
   in
   let emit_leaf trace_rev leaf st =
@@ -1874,58 +1801,40 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
   let want_leaf =
     user_tracker || on_leaf != no_on_leaf || on_leaf_trace != no_on_leaf_trace
   in
-  (* Explore the work item ⟨trace_rev, sleep, st⟩ on the calling domain's
-     kernel, handing nodes at depth [cut] to [on_cut]. *)
-  let explore ?(cut = max_int) ?(on_cut = no_cut) ~emit_leaf ~on_node c dd
-      (trace_rev, sleep, st) =
+  (* Explore the work item ⟨trace_rev, sleep, st⟩, handing nodes at depth
+     [cut] to [on_cut]. *)
+  let explore ?(cut = max_int) ?(on_cut = no_cut) (trace_rev, sleep, st) =
     run_compiled impl ~workloads ~opts ~faults ~fuel ~dd ~lim ~t ~user_tracker
       ~want_leaf c ~emit_leaf ~on_node
       ~prefix:(Array.of_list (List.rev trace_rev))
       ~sleep ~st ~cut ~on_cut
   in
-  let n_objs = Array.length impl.Implementation.objects in
-  let n_domains = max 1 opts.domains in
   let root = ([], 0, t.root) in
-  if n_domains = 1 && not ckpt_armed then begin
-    let c = fresh_counters n_objs in
-    let dd = mk_dd () in
-    (try
-       explore ~emit_leaf ~on_node:(fun () -> memcheck ~domain_id:0 c dd) c dd
-         root
-     with
+  if not ckpt_armed then begin
+    (try explore root with
     | Exec.Stop -> trip lim Stopped
     | Cut -> ());
-    stats_of c ~domains_used:1 ~lim
+    stats_of c ~lim
   end
   else begin
-    (* Frontier mode — the multicore fan-out, and any checkpointed or
-       resumed run (a checkpoint needs an explicit frontier of pending
-       subtrees to serialize; a resume starts from one). Expand the top of
-       the tree breadth-first until the frontier is wide enough, then drain
-       frontier subtrees — sequentially first, then on a supervised worker
-       pool. Leaves met during expansion are processed inline. Domain 0
-       (expansion, sequential drain, fallback drain) shares one counter set
-       and one dedup context. *)
-    let c0 = fresh_counters n_objs in
+    (* Frontier mode — any checkpointed or resumed run (a checkpoint needs
+       an explicit frontier of pending subtrees to serialize; a resume
+       starts from one). Expand the top of the tree breadth-first until the
+       frontier is wide enough, then drain the frontier subtrees in order.
+       Leaves met during expansion are processed inline. *)
     (match resume_from with
-    | Some ck -> add_counts c0 ck.Checkpoint.counts
+    | Some ck -> add_counts c ck.Checkpoint.counts
     | None -> ());
-    let dd0 = mk_dd () in
-    let on_node0 () = memcheck ~domain_id:0 c0 dd0 in
-    let explore0 ?cut ?on_cut item =
-      explore ?cut ?on_cut ~emit_leaf ~on_node:on_node0 c0 dd0 item
-    in
-    let sink = checkpoint in
     let last_save = ref (Monotime.now ()) in
     let saved_any = ref false in
     let save_ck remaining =
-      match sink with
+      match checkpoint with
       | None -> ()
       | Some (path, _) ->
         let ck =
           Checkpoint.make ~meta:checkpoint_meta ~engine:options ~fuel
-            ?budget_left:(Option.map (fun b -> max 0 (Atomic.get b)) lim.budget)
-            ~faults ~workloads ~counts:(counts_of_counters c0)
+            ?budget_left:(Option.map (fun b -> max 0 !b) lim.budget)
+            ~faults ~workloads ~counts:(counts_of_counters c)
             ~frontier:remaining ()
         in
         Checkpoint.save ck ~path;
@@ -1933,7 +1842,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
         last_save := Monotime.now ()
     in
     let maybe_save remaining =
-      match sink with
+      match checkpoint with
       | Some (_, interval) when Monotime.now () -. !last_save >= interval ->
         save_ck (remaining ())
       | _ -> ()
@@ -1950,22 +1859,19 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
         List.map
           (fun trace ->
             let item = (List.rev trace, 0, t.root) in
-            explore0 ~cut:(List.length trace) item;
+            explore ~cut:(List.length trace) item;
             item)
           ck.Checkpoint.frontier
     in
-    (* When checkpointing, expand wider even on one domain: the frontier is
-       the unit of checkpoint progress, so finer granularity means a resumed
-       segment can finish items (and shrink the checkpoint) sooner. When a
-       memory budget is armed, expand wider still: everything beyond a small
-       in-RAM window is spilled to disk below, so a wide frontier costs a
-       few text lines in a temp file, not heap — and gives the watchdogged
-       run fine-grained work units. *)
-    let spill_armed = Option.is_some memwatch && not user_tracker in
-    let target =
-      let base = max (n_domains * 4) (if ckpt_armed then 16 else 0) in
-      if spill_armed then max base 256 else base
-    in
+    (* The frontier is the unit of checkpoint progress, so a wider one lets
+       a resumed segment finish items (and shrink the checkpoint) sooner.
+       When a memory budget is armed, expand wider still: everything beyond
+       a small in-RAM window is spilled to disk below, so a wide frontier
+       costs a few text lines in a temp file, not heap — and gives the
+       watchdogged run fine-grained work units. *)
+    let spill_armed = Option.is_some budget_words in
+    let spill_window = 16 in
+    let target = if spill_armed then 256 else spill_window in
     let cut = ref false in
     let pending_expansion = ref None in
     let frontier = ref roots in
@@ -1980,7 +1886,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
            rest := List.tl !rest;
            let before = !next in
            try
-             explore0
+             explore
                ~cut:(List.length trace_rev + 1)
                ~on_cut:(fun tr sleep st -> next := (tr, sleep, st) :: !next)
                item
@@ -2003,7 +1909,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
       (match !pending_expansion with
       | Some items -> save_ck (List.map trace_of_item items)
       | None -> save_ck (List.map trace_of_item !frontier));
-      stats_of c0 ~domains_used:1 ~lim
+      stats_of c ~lim
     end
     else begin
       let work = Array.of_list !frontier in
@@ -2014,10 +1920,9 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
          state and sleep set are dropped. Taking a demoted item re-reads the
          line and re-materializes the prefix (as a resume does); sleep sets
          restart empty, which is sound. Only armed together with the memory
-         watchdog, and never under a user tracker (tracker state cannot be
+         watchdog. A user tracker never gets here: its state could not be
          re-derived from a trace without replaying events the engine does
-         not retain). *)
-      let spill_window = max 16 (4 * n_domains) in
+         not retain, which is one reason checkpoints refuse trackers. *)
       let spill =
         if spill_armed && n_items > spill_window then Some (Frontier.create ())
         else None
@@ -2029,7 +1934,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
           spill_handle.(i) <- Some (Frontier.append sp (trace_of_item work.(i)));
           work.(i) <- root
         done;
-        c0.spilled <- c0.spilled + Frontier.spilled sp
+        c.spilled <- c.spilled + Frontier.spilled sp
       | None -> ());
       let item_trace i =
         match spill_handle.(i) with
@@ -2044,30 +1949,14 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
         | None -> work.(i)
         | Some _ -> (List.rev (item_trace i), 0, t.root)
       in
-      let close_spill () = Option.iter Frontier.close spill in
-      (* Written by whichever domain finishes the item, read by the
-         coordinator for checkpoints. A stale [false] merely re-includes a
-         finished item in a checkpoint — re-exploring it on resume is sound. *)
-      let completed = Array.make n_items false in
-      let remaining_traces () =
-        let out = ref [] in
-        for i = n_items - 1 downto 0 do
-          if not completed.(i) then out := item_trace i :: !out
-        done;
-        !out
-      in
-      (* Sequential drain: explore frontier subtrees inline (reusing the
-         expansion dedup table and counters) until the tree has shown
-         [par_threshold] nodes — only what is left after that goes to the
-         pool. With one domain this drains everything. *)
+      (* Items before [drained] are finished; a checkpoint lists the rest. *)
       let drained = ref 0 in
+      let remaining_traces () =
+        List.init (n_items - !drained) (fun k -> item_trace (!drained + k))
+      in
       (try
-         while
-           !drained < n_items && (n_domains = 1 || c0.nodes < par_threshold)
-         do
-           let i = !drained in
-           explore0 (item i);
-           completed.(i) <- true;
+         while !drained < n_items do
+           explore (item !drained);
            incr drained;
            maybe_save remaining_traces
          done
@@ -2076,217 +1965,11 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
         trip lim Stopped;
         cut := true
       | Cut -> cut := true);
-      if !cut then begin
-        save_ck (remaining_traces ());
-        close_spill ();
-        stats_of c0 ~domains_used:1 ~lim
-      end
-      else if !drained >= n_items then begin
-        (* Fully explored. No checkpoint is needed for a completed run; only
-           refresh the file (to an empty frontier) if interval saves already
-           wrote a now-stale one. *)
-        if !saved_any then save_ck [];
-        close_spill ();
-        stats_of c0 ~domains_used:1 ~lim
-      end
-      else begin
-        let next_item = Atomic.make !drained in
-        let stop = Atomic.make false in
-        let first_error : exn option Atomic.t = Atomic.make None in
-        let leaf_mutex = Mutex.create () in
-        let emit_leaf_sync trace_rev leaf st =
-          Mutex.lock leaf_mutex;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock leaf_mutex)
-            (fun () -> emit_leaf trace_rev leaf st)
-        in
-        (* A user leaf callback raising (that is how checkers report
-           violations) must surface on the caller, not count as an
-           infrastructure failure of the worker running it. *)
-        let emit_leaf_worker trace_rev leaf st =
-          try emit_leaf_sync trace_rev leaf st with
-          | Exec.Stop as e -> raise e
-          | e -> raise (User_error e)
-        in
-        let n_workers = min n_domains (n_items - !drained) in
-        let track_hb =
-          Option.is_some stall_timeout_s || Option.is_some chaos
-        in
-        let supervise =
-          Option.is_some sink || Option.is_some stall_timeout_s
-        in
-        let hb = Array.init n_workers (fun _ -> Atomic.make 0) in
-        let cur = Array.init n_workers (fun _ -> Atomic.make (-1)) in
-        let wdone = Array.init n_workers (fun _ -> Atomic.make false) in
-        let abandoned = Array.init n_workers (fun _ -> Atomic.make false) in
-        let requeue = ref [] in
-        let requeue_mutex = Mutex.create () in
-        let attempts = Array.make n_items 0 in
-        let take () =
-          Mutex.lock requeue_mutex;
-          let from_requeue =
-            match !requeue with
-            | [] -> None
-            | i :: rest ->
-              requeue := rest;
-              Some i
-          in
-          Mutex.unlock requeue_mutex;
-          match from_requeue with
-          | Some _ as r -> r
-          | None ->
-            let i = Atomic.fetch_and_add next_item 1 in
-            if i < n_items then Some i else None
-        in
-        let requeue_item i =
-          Mutex.lock requeue_mutex;
-          requeue := i :: !requeue;
-          Mutex.unlock requeue_mutex
-        in
-        let worker w () =
-          let c = fresh_counters n_objs in
-          (* Fresh per-domain dedup context, keyed by this domain's own
-             compiled context and intern state. *)
-          let dd = mk_dd () in
-          let on_node () =
-            if Atomic.get stop then raise Exec.Stop;
-            if track_hb then begin
-              if Atomic.get abandoned.(w) then raise Abandoned;
-              Atomic.incr hb.(w);
-              match chaos with
-              | Some f -> f ~worker:w ~nodes:(Atomic.get hb.(w))
-              | None -> ()
-            end;
-            memcheck ~domain_id:(w + 1) c dd
-          in
-          (try
-             let continue = ref true in
-             while !continue do
-               if Atomic.get stop then continue := false
-               else
-                 match take () with
-                 | None -> continue := false
-                 | Some i ->
-                   Atomic.set cur.(w) i;
-                   explore ~emit_leaf:emit_leaf_worker ~on_node c dd (item i);
-                   completed.(i) <- true;
-                   Atomic.set cur.(w) (-1)
-             done
-           with
-          | Exec.Stop ->
-            trip lim Stopped;
-            Atomic.set stop true
-          | Cut -> Atomic.set stop true
-          | Abandoned ->
-            (* the coordinator already requeued our subtree and counted the
-               degradation *)
-            ()
-          | User_error _ as e ->
-            ignore (Atomic.compare_and_set first_error None (Some e));
-            Atomic.set stop true
-          | e ->
-            (* Infrastructure failure: hand the subtree back and retire this
-               worker — the pool degrades to fewer domains instead of
-               poisoning the join. An item that already failed on another
-               worker is deterministic: surface it instead of cycling. *)
-            c.degraded <- c.degraded + 1;
-            let i = Atomic.get cur.(w) in
-            if i >= 0 && not completed.(i) then begin
-              if attempts.(i) >= 1 then begin
-                ignore (Atomic.compare_and_set first_error None (Some e));
-                Atomic.set stop true
-              end
-              else begin
-                attempts.(i) <- attempts.(i) + 1;
-                requeue_item i
-              end
-            end);
-          Atomic.set cur.(w) (-1);
-          Atomic.set wdone.(w) true;
-          c
-        in
-        let handles = Array.init n_workers (fun w -> Domain.spawn (worker w)) in
-        (* Supervision: the coordinator polls worker heartbeats (nodes
-           visited) instead of blocking in join, writes interval checkpoints,
-           and — when a stall timeout is armed — abandons a worker that has
-           stopped making progress, requeueing its subtree onto the
-           survivors. Without a sink or stall timeout the poll loop is
-           skipped and the join below blocks as before. *)
-        if supervise then begin
-          let last_hb = Array.make n_workers (-1) in
-          let last_progress = Array.make n_workers (Monotime.now ()) in
-          let live w =
-            not (Atomic.get wdone.(w) || Atomic.get abandoned.(w))
-          in
-          let any_live () =
-            let l = ref false in
-            for w = 0 to n_workers - 1 do
-              if live w then l := true
-            done;
-            !l
-          in
-          while any_live () do
-            Unix.sleepf 0.002;
-            maybe_save remaining_traces;
-            match stall_timeout_s with
-            | None -> ()
-            | Some timeout ->
-              let now = Monotime.now () in
-              for w = 0 to n_workers - 1 do
-                if live w then begin
-                  let h = Atomic.get hb.(w) in
-                  if h <> last_hb.(w) then begin
-                    last_hb.(w) <- h;
-                    last_progress.(w) <- now
-                  end
-                  else if now -. last_progress.(w) > timeout then begin
-                    let i = Atomic.get cur.(w) in
-                    if i >= 0 then begin
-                      (* mark first, so the worker cannot finish the item
-                         after we hand it away *)
-                      Atomic.set abandoned.(w) true;
-                      c0.degraded <- c0.degraded + 1;
-                      if not completed.(i) && attempts.(i) < 1 then begin
-                        attempts.(i) <- attempts.(i) + 1;
-                        requeue_item i
-                      end
-                    end
-                  end
-                end
-              done
-          done
-        end;
-        Array.iter (fun h -> merge_counters c0 (Domain.join h)) handles;
-        (* Items left behind — requeued after the survivors already exited,
-           or never taken because every worker died — are drained inline on
-           the coordinator: degraded, not dead. A deterministic failure
-           re-raises here and reaches the caller. *)
-        if Atomic.get first_error = None && Atomic.get lim.tripped = None
-        then begin
-          try
-            let continue = ref true in
-            while !continue do
-              match take () with
-              | None -> continue := false
-              | Some i ->
-                if not completed.(i) then begin
-                  explore0 (item i);
-                  completed.(i) <- true
-                end;
-                maybe_save remaining_traces
-            done
-          with
-          | Exec.Stop -> trip lim Stopped
-          | Cut -> ()
-        end;
-        (match Atomic.get first_error with
-        | Some (User_error e) -> raise e
-        | Some e -> raise e
-        | None -> ());
-        if Atomic.get lim.tripped <> None then save_ck (remaining_traces ())
-        else if !saved_any then save_ck [];
-        close_spill ();
-        stats_of c0 ~domains_used:n_workers ~lim
-      end
+      (* A completed run needs no checkpoint; only refresh the file (to an
+         empty frontier) if interval saves already wrote a now-stale one. *)
+      if !cut then save_ck (remaining_traces ())
+      else if !saved_any then save_ck [];
+      Option.iter Frontier.close spill;
+      stats_of c ~lim
     end
   end

@@ -36,11 +36,7 @@
       preserving reads of the {e same} object ([stats.sleep_skips] counts
       sibling subtrees skipped); each process's poised step and its
       alternatives are computed {e once} per node and shared between the
-      independence check and child generation;
-    - {b multicore fan-out} ([domains]): the top of the tree is expanded
-      breadth-first and the frontier subtrees are explored on a pool of
-      OCaml 5 domains, with per-domain statistics merged at the end
-      ([on_leaf] is serialized through a mutex when [domains > 1]).
+      independence check and child generation.
 
     {b Soundness envelope.} Both reductions preserve the {e set of
     timing-insensitive leaf observations}: final object states, final locals,
@@ -52,7 +48,7 @@
     the completion {e order} of concurrent operations, nor the number of
     leaves/nodes visited. Callers whose leaf predicate reads timestamps
     (linearizability, safeness/regularity of registers) must keep
-    [dedup = Off] and [por = false]; they can still use [domains]. POR is
+    [dedup = Off] and [por = false]. POR is
     additionally switched off automatically whenever the fault adversary
     branches at all (anything but {!Faults.is_none}: crashes, recoveries
     and glitches are per-process transitions the sleep-set rule does not
@@ -64,11 +60,16 @@
     lazily compiled {!Wfc_spec.Step_table} rows and memoizing program
     continuations per ⟨node, response⟩ via {!Wfc_program.Program.step}.
     Crashes, recoveries, glitches and wedges are edges of the same kernel.
-    The frontier modes (checkpoint, resume, spill, the domain pool) hand it
+    Frontier mode (checkpoint, resume, spill) hands it
     work items ⟨decision-trace prefix, sleep set, tracker state⟩, which it
     materializes by applying the prefix in place, each decision checked as
     {!Exec.replay} checks it. {!Exec.explore} stays the reference semantics
-    the kernel is tested against. *)
+    the kernel is tested against.
+
+    The engine is sequential. A verification splits into independent
+    problems (one per input vector, or one per frontier shard of a
+    checkpoint), and the process fleet ([Wfc_fleet], [wfc serve]) is what
+    runs those in parallel. *)
 
 open Wfc_program
 open Wfc_spec
@@ -90,21 +91,16 @@ type dedup = Checkpoint.dedup =
 type options = Checkpoint.engine = {
   dedup : dedup;  (** duplicate-state pruning mode *)
   por : bool;  (** source-set dynamic partial-order reduction *)
-  domains : int;  (** size of the exploration pool; 1 = sequential *)
 }
 (** The engine options, which are exactly what a checkpoint records. *)
 
 val naive : options
-(** All reductions off, sequential: bit-for-bit the behaviour (visit order,
+(** All reductions off: bit-for-bit the behaviour (visit order,
     statistics, leaves and their timestamps) of {!Exec.explore}. *)
 
 val fast : options
-(** [dedup = Symmetric] + [por], sequential. The right choice for
-    timing-insensitive verdicts. *)
-
-val parallel : ?domains:int -> unit -> options
-(** [fast] plus a domain pool (default:
-    [Domain.recommended_domain_count () - 1], at least 2). *)
+(** [dedup = Symmetric] + [por]. The right choice for timing-insensitive
+    verdicts. *)
 
 val engine_of_options : options -> Checkpoint.engine
 (** The identity: [options] is the record checkpoints store. *)
@@ -173,17 +169,11 @@ type stats = {
   overflows : int;  (** paths cut off by [fuel] *)
   pruned : int;  (** subtrees cut by duplicate-state pruning *)
   sleep_skips : int;  (** sibling subtrees skipped by the sleep-set rule *)
-  domains_used : int;  (** workers that actually explored subtrees *)
-  degraded : int;
-      (** supervised-pool degradations: worker domains that crashed on an
-          infrastructure failure or were abandoned after a stall, their
-          subtrees requeued onto the survivors (or the coordinator). The
-          verdict is unaffected; [> 0] means the run limped home on fewer
-          domains than requested. *)
   evictions : int;
-      (** memory-watchdog actions ([?mem_budget_mb]): domains whose exact
-          fingerprint table was migrated into its constant-memory Bloom tier
-          (completeness degrades to [Partial Probabilistic]) *)
+      (** memory-watchdog actions ([?mem_budget_mb]): migrations of the
+          exact fingerprint table into its constant-memory Bloom tier, at
+          most one per run segment (completeness degrades to
+          [Partial Probabilistic]) *)
   spilled : int;
       (** frontier work items demoted to disk ({!Frontier}) instead of held
           materialized in RAM; each is re-read and replayed when taken *)
@@ -252,17 +242,10 @@ type 'a tracker = {
           key; [None] disables [dedup] for the run *)
 }
 
-val default_par_threshold : int
-(** Minimum nodes a tree must show before [domains > 1] actually spawns the
-    pool (4096, calibrated from BENCH_explore.json: a domain spawn costs
-    milliseconds while the sequential engine explores ≳1 node/µs, so
-    fan-out only pays for itself north of a few thousand nodes). *)
-
 val default_dedup_threshold : int
-(** Minimum nodes a domain must visit before its dedup table (and intern
-    state) is allocated and states start being fingerprinted (64). Mirrors
-    {!default_par_threshold}: on trees well under the threshold the table
-    can never pay for its own allocation — the E3-sticky3-tree regression —
+(** Minimum nodes a run must visit before its dedup table (and intern
+    state) is allocated and states start being fingerprinted (64): on trees
+    well under the threshold the table can never pay for its own allocation — the E3-sticky3-tree regression —
     while a single pruned subtree pays for it on anything larger. States
     visited before activation are simply not cached, which is sound. Pass
     [~dedup_threshold:0] to fingerprint from the root. *)
@@ -276,7 +259,6 @@ val run :
   ?budget:int ->
   ?deadline_s:float ->
   ?options:options ->
-  ?par_threshold:int ->
   ?dedup_threshold:int ->
   ?bloom_bits_log2:int ->
   ?tracker:'a tracker ->
@@ -287,26 +269,13 @@ val run :
   ?resume_from:Checkpoint.t ->
   ?interrupt:bool Atomic.t ->
   ?mem_budget_mb:int ->
-  ?stall_timeout_s:float ->
-  ?chaos:(worker:int -> nodes:int -> unit) ->
   unit ->
   stats
 (** Drop-in replacement for {!Exec.explore} (defaults: [fuel = 10_000],
     [max_crashes = 0], [options = naive]). [on_leaf] may raise {!Exec.Stop}
-    to abort early — with [domains > 1] the other workers stop at their next
-    node; statistics then reflect the explored prefix
+    to abort early; statistics then reflect the explored prefix
     ([completeness = Partial Stopped]). Any other exception raised by
-    [on_leaf] aborts the exploration and is re-raised (on the calling domain
-    when parallel).
-
-    With [domains > 1] the pool is {e lazy}: after the breadth-first
-    frontier expansion, frontier subtrees are drained sequentially until
-    [par_threshold] (default {!default_par_threshold}) nodes have been
-    visited, and only then are worker domains spawned for the remaining
-    subtrees. Small trees therefore never pay the domain-spawn cost —
-    [domains > 1] is never slower than [domains = 1] — and
-    [stats.domains_used] reports [1] when the pool was never needed. Pass
-    [~par_threshold:0] to force the pool.
+    [on_leaf] aborts the exploration and is re-raised.
 
     [tracker] threads per-path state down the tree (see {!type:tracker});
     [dedup] is honoured only when the tracker supplies a [fingerprint].
@@ -318,11 +287,10 @@ val run :
 
     [on_leaf_trace] additionally receives each leaf's decision
     {!Faults.trace} — the path identifier that {!Exec.replay} re-executes;
-    it runs right after [on_leaf] under the same serialization.
+    it runs right after [on_leaf].
 
     [budget] bounds the configurations visited and [deadline_s] the wall
-    clock (monotonic — immune to NTP steps and suspends), {e across all
-    domains}: when either trips, the whole exploration stops promptly (it
+    clock (monotonic — immune to NTP steps and suspends): when either trips, the whole exploration stops promptly (it
     never hangs) and [stats.completeness] reports
     [Partial Budget_exhausted]/[Partial Deadline_exceeded]. Exploration is
     then a three-valued procedure: a violation found, exhaustively clean, or
@@ -332,7 +300,7 @@ val run :
 
     [checkpoint:(path, interval_s)] arms a checkpoint sink: the run switches
     to frontier mode (breadth-first expansion into explicit pending
-    subtrees, even on one domain), and at least every [interval_s] seconds —
+    subtrees), and at least every [interval_s] seconds —
     and always when the run is cut early by budget, deadline, [interrupt] or
     {!Exec.Stop} — serializes the unexplored frontier, accumulated counts
     and problem configuration to [path] (atomically, via rename; see
@@ -359,23 +327,12 @@ val run :
     with [Partial Interrupted] — and a final checkpoint when a sink is
     armed.
 
-    [mem_budget_mb] arms the memory watchdog: every 1024 nodes a domain
+    [mem_budget_mb] arms the memory watchdog: every 1024 nodes the run
     samples the major heap, and past the budget dedup state is shed
-    ([stats.evictions]) instead of OOM: oldest domain first, the exact
-    fingerprint table migrates into a Bloom filter of [2^bloom_bits_log2]
-    bits (default {!Wfc_spec.Fingerprint.Bloom.default_bits_log2}) and the
-    run's clean sweep becomes [Partial Probabilistic]. In frontier mode (checkpoint sink or large pool
-    expansions) an armed watchdog additionally spills pending subtrees
-    beyond a small in-RAM window to a disk file as decision-trace prefixes
-    ([stats.spilled]), re-materialized by replay when taken.
-
-    [stall_timeout_s] arms stuck-worker supervision in the pool: the
-    coordinator samples per-worker heartbeats (nodes visited) and a worker
-    that makes no progress for the timeout is abandoned, its subtree
-    requeued onto the surviving workers ([stats.degraded]). A worker domain
-    that {e crashes} (an exception that is not a leaf-callback error)
-    likewise degrades the pool and requeues its subtree instead of
-    poisoning the join; an item that fails on two workers is deterministic
-    and its error is re-raised on the caller. [chaos] is a test hook called
-    on every worker node with the worker id and its heartbeat, for
-    fault-injecting the pool itself. *)
+    ([stats.evictions]) instead of OOM: the exact fingerprint table
+    migrates into a Bloom filter of [2^bloom_bits_log2] bits (default
+    {!Wfc_spec.Fingerprint.Bloom.default_bits_log2}) and the run's clean
+    sweep becomes [Partial Probabilistic]. In frontier mode (a checkpoint
+    sink or a resume) an armed watchdog additionally spills pending
+    subtrees beyond a small in-RAM window to a disk file as decision-trace
+    prefixes ([stats.spilled]), re-materialized by replay when taken. *)

@@ -7,17 +7,15 @@
    plus a prefix replay, both of which the checkpoint/resume machinery
    already exercises. The in-RAM handle is just ⟨offset, length⟩.
 
-   One spill file per run, written by the coordinating domain during
-   frontier expansion and read (rarely — once per spilled item) by whichever
-   domain takes the item; a mutex serializes the seek+read pairs. The file
-   lives in the temp directory and is removed on [close] (and best-effort
+   One spill file per run, written during frontier expansion and read once
+   per spilled item when the drain reaches it. The file lives in the temp
+   directory and is removed on [close] (and best-effort
    on [Gc] finalization if the run aborts without closing). *)
 
 type t = {
   path : string;
   oc : out_channel;
   ic : in_channel;
-  lock : Mutex.t;
   mutable next_off : int;
   mutable spilled : int;
   mutable closed : bool;
@@ -31,17 +29,7 @@ let create ?dir () =
   in
   let oc = open_out_bin path in
   let ic = open_in_bin path in
-  let t =
-    {
-      path;
-      oc;
-      ic;
-      lock = Mutex.create ();
-      next_off = 0;
-      spilled = 0;
-      closed = false;
-    }
-  in
+  let t = { path; oc; ic; next_off = 0; spilled = 0; closed = false } in
   Gc.finalise
     (fun t ->
       if not t.closed then begin
@@ -56,29 +44,22 @@ let spilled t = t.spilled
 
 let append t trace =
   let line = Faults.trace_to_string trace in
-  Mutex.lock t.lock;
   let off = t.next_off in
   output_string t.oc line;
   output_char t.oc '\n';
   flush t.oc;
   t.next_off <- off + String.length line + 1;
   t.spilled <- t.spilled + 1;
-  Mutex.unlock t.lock;
   (off, String.length line)
 
 let read t ~off ~len =
-  Mutex.lock t.lock;
-  let r =
-    match
-      seek_in t.ic off;
-      really_input_string t.ic len
-    with
-    | s -> Faults.trace_of_string s
-    | exception (End_of_file | Sys_error _) ->
-      Error (Fmt.str "spill read failed at %d+%d in %s" off len t.path)
-  in
-  Mutex.unlock t.lock;
-  r
+  match
+    seek_in t.ic off;
+    really_input_string t.ic len
+  with
+  | s -> Faults.trace_of_string s
+  | exception (End_of_file | Sys_error _) ->
+    Error (Fmt.str "spill read failed at %d+%d in %s" off len t.path)
 
 let close t =
   if not t.closed then begin

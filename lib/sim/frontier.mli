@@ -9,9 +9,9 @@
     are dropped at spill time (sleep sets restart empty, which is sound —
     sleeping only ever skips).
 
-    Appends happen on the coordinating domain during expansion; reads can
-    come from any worker and are serialized by an internal mutex. The file
-    is deleted on {!close} (best-effort on finalization otherwise). *)
+    Appends happen during expansion and reads during the drain, on the
+    run's own domain. The file is deleted on {!close} (best-effort on
+    finalization otherwise). *)
 
 type t
 

@@ -40,8 +40,7 @@ let pp ppf w =
 (* Dedup speeds the re-search up; symmetry stays off — shrinking replays
    concrete traces, so the search should see exactly the pid-exact state
    space the trace was found in. *)
-let search_options =
-  { Explore.dedup = Exact; por = false; domains = 1 }
+let search_options = { Explore.dedup = Exact; por = false }
 
 let find_bad impl ~bad ~budget ~faults workloads =
   let found = ref None in

@@ -376,37 +376,6 @@ let prop_fused_matches_per_leaf =
       in
       all_equal (verdicts impl ~workloads ~faults))
 
-(* --- adaptive parallelism --------------------------------------------------- *)
-
-let test_par_threshold () =
-  let impl = Implementation.identity (Register.bit ~ports:2) ~procs:2 in
-  (* deep enough that the BFS frontier expansion (8 levels) does not already
-     exhaust the tree, so pool startup is really the threshold's call *)
-  let workloads =
-    [|
-      [ Ops.write Value.truth; Ops.read; Ops.write Value.falsity ];
-      [ Ops.read; Ops.write Value.truth; Ops.read ];
-    |]
-  in
-  (* Dedup off: per-worker dedup tables make the leaf count depend on which
-     worker reaches a state first, and leaf counts are outside the
-     soundness envelope. Without dedup every leaf is visited exactly once,
-     so the count is exact on both sides. *)
-  let run ?par_threshold () =
-    Explore.run impl ~workloads
-      ~options:{ (Explore.parallel ~domains:2 ()) with dedup = Off }
-      ?par_threshold ()
-  in
-  (* tiny tree, default threshold: the pool must NOT spin up *)
-  let seq = run () in
-  Alcotest.(check int) "stays sequential below threshold" 1
-    seq.Explore.domains_used;
-  (* threshold 0 forces the pool; same leaves either way *)
-  let par = run ~par_threshold:0 () in
-  Alcotest.(check bool) "pool used at threshold 0" true
-    (par.Explore.domains_used > 1);
-  Alcotest.(check int) "same leaves" seq.Explore.leaves par.Explore.leaves
-
 let () =
   Alcotest.run "wfc_engine"
     [
@@ -437,7 +406,6 @@ let () =
             test_torn_write_all_modes;
           Alcotest.test_case "crash adversary, all modes" `Quick
             test_crash_adversary_all_modes;
-          Alcotest.test_case "par threshold" `Quick test_par_threshold;
         ] );
       ( "properties",
         [

@@ -47,7 +47,7 @@ let value_proj (leaf : Exec.leaf) =
     ]
 
 (* The full observation, timestamps and completion order included — only the
-   exhaustive modes (naive, naive + domains) must preserve this. *)
+   exhaustive mode (naive, with or without a frontier) must preserve this. *)
 let full_proj (leaf : Exec.leaf) =
   Value.list
     [
@@ -60,15 +60,15 @@ let full_proj (leaf : Exec.leaf) =
            leaf.ops);
     ]
 
-(* [par_threshold:0] forces the domain pool and [dedup_threshold:0] the
-   dedup/intern machinery even on these deliberately tiny trees — the lazy
-   fallbacks are exercised separately below. *)
-let collect ?fuel ?faults ?(par_threshold = 0) ?(dedup_threshold = 0)
-    ~options ~proj impl workloads =
+(* [dedup_threshold:0] forces the dedup/intern machinery even on these
+   deliberately tiny trees — the lazy fallback is exercised separately
+   below. *)
+let collect ?fuel ?faults ?(dedup_threshold = 0) ?checkpoint ~options ~proj
+    impl workloads =
   let acc = ref [] in
   let stats =
-    Explore.run impl ~workloads ?fuel ?faults ~options ~par_threshold
-      ~dedup_threshold
+    Explore.run impl ~workloads ?fuel ?faults ~options ~dedup_threshold
+      ?checkpoint
       ~on_leaf:(fun leaf -> acc := proj leaf :: !acc)
       ()
   in
@@ -325,7 +325,7 @@ let test_dedup_threshold_laziness () =
      and no table is ever allocated — yet the observations are identical *)
   let impl = rw_impl ~procs:2 ~bits:2 ~coin:false in
   let workloads = [| [ wr 0 true; wr 0 false ]; [ wr 1 true; wr 1 false ] |] in
-  let options = { Explore.fast with por = false; dedup = Exact } in
+  let options = { Explore.dedup = Exact; por = false } in
   let eager, eager_leaves = collect ~options ~proj:value_proj impl workloads in
   let deferred, deferred_leaves =
     collect ~dedup_threshold:Explore.default_dedup_threshold ~options
@@ -451,62 +451,74 @@ let test_symmetry_verdict_parity () =
       ("sticky3-stale", sticky3, Faults.degrade_all sticky3 ~glitches:1 (`Stale 1));
     ]
 
-(* --- multicore fan-out ------------------------------------------------------ *)
+(* --- frontier mode ------------------------------------------------------------ *)
 
-let test_parallel_matches_sequential () =
+(* A checkpoint sink puts the run in frontier mode: the top of the tree is
+   expanded breadth-first and the pending subtrees drained one by one. The
+   interval outlasts the run, so only a cut run writes the file. *)
+let with_frontier f =
+  let path = Filename.temp_file "wfc_frontier" ".ck" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f (path, 3600.))
+
+let test_frontier_matches_sequential () =
   let impl = rw_impl ~procs:3 ~bits:2 ~coin:false in
   let workloads = [| [ cp 0 1; rd 0 ]; [ wr 0 true ]; [ cp 1 0 ] |] in
   let seq, seq_leaves =
     collect ~options:Explore.naive ~proj:full_proj impl workloads
   in
-  let par, par_leaves =
-    collect
-      ~options:{ Explore.naive with domains = 3 }
-      ~proj:full_proj impl workloads
+  let fr, fr_leaves =
+    with_frontier (fun checkpoint ->
+        collect ~checkpoint ~options:Explore.naive ~proj:full_proj impl
+          workloads)
   in
-  Alcotest.(check int) "same leaves" seq.Explore.leaves par.Explore.leaves;
-  Alcotest.(check int) "same nodes" seq.Explore.nodes par.Explore.nodes;
+  Alcotest.(check int) "same leaves" seq.Explore.leaves fr.Explore.leaves;
+  Alcotest.(check int) "same nodes" seq.Explore.nodes fr.Explore.nodes;
   Alcotest.(check (list value)) "same executions (timestamps included)"
-    seq_leaves par_leaves;
-  check_same_invariants ~msg:"parallel" seq par;
-  Alcotest.(check bool) "used the pool" true (par.Explore.domains_used > 1)
+    seq_leaves fr_leaves;
+  check_same_invariants ~msg:"frontier" seq fr
 
-let test_parallel_fast_equiv () =
+let test_frontier_fast_equiv () =
   let impl = rw_impl ~procs:3 ~bits:3 ~coin:false in
   let workloads = [| [ wr 0 true; rd 0 ]; [ wr 1 true; rd 1 ]; [ cp 0 2 ] |] in
   let naive, naive_leaves =
     collect ~options:Explore.naive ~proj:value_proj impl workloads
   in
-  let par, par_leaves =
-    collect ~options:(Explore.parallel ~domains:3 ()) ~proj:value_proj impl
-      workloads
+  let fr, fr_leaves =
+    with_frontier (fun checkpoint ->
+        collect ~checkpoint ~options:Explore.fast ~proj:value_proj impl
+          workloads)
   in
-  Alcotest.(check (list value)) "parallel fast: observation set"
-    (leaf_set naive_leaves) (leaf_set par_leaves);
-  check_same_invariants ~msg:"parallel fast" naive par
+  Alcotest.(check (list value)) "frontier fast: observation set"
+    (leaf_set naive_leaves) (leaf_set fr_leaves);
+  check_same_invariants ~msg:"frontier fast" naive fr
 
-let test_parallel_stop_and_errors () =
+let test_frontier_stop_and_errors () =
   let impl = rw_impl ~procs:2 ~bits:2 ~coin:false in
   let workloads = [| [ cp 0 1; cp 1 0 ]; [ wr 0 true; wr 1 true ] |] in
   (* Stop aborts early and still returns statistics *)
-  let seen = Atomic.make 0 in
+  let seen = ref 0 in
   let stats =
-    Explore.run impl ~workloads
-      ~options:{ Explore.naive with domains = 2 }
-      ~on_leaf:(fun _ ->
-        if Atomic.fetch_and_add seen 1 >= 3 then raise Exec.Stop)
-      ()
+    with_frontier (fun checkpoint ->
+        Explore.run impl ~workloads ~options:Explore.naive ~checkpoint
+          ~on_leaf:(fun _ ->
+            incr seen;
+            if !seen > 3 then raise Exec.Stop)
+          ())
   in
   Alcotest.(check bool) "stopped early" true
     (stats.Explore.leaves < 70 && stats.Explore.leaves > 0);
+  Alcotest.(check bool) "partial: stopped" true
+    (stats.Explore.completeness = Explore.Partial Explore.Stopped);
   (* other exceptions propagate to the caller *)
   let exception Boom in
   Alcotest.check_raises "exception propagates" Boom (fun () ->
-      ignore
-        (Explore.run impl ~workloads
-           ~options:{ Explore.naive with domains = 2 }
-           ~on_leaf:(fun _ -> raise Boom)
-           ()))
+      with_frontier (fun checkpoint ->
+          ignore
+            (Explore.run impl ~workloads ~options:Explore.naive ~checkpoint
+               ~on_leaf:(fun _ -> raise Boom)
+               ())))
 
 (* --- downstream verdict equivalence ----------------------------------------- *)
 
@@ -615,14 +627,13 @@ let () =
           Alcotest.test_case "verdict parity incl. faults" `Quick
             test_symmetry_verdict_parity;
         ] );
-      ( "multicore",
+      ( "frontier mode",
         [
-          Alcotest.test_case "parallel naive parity" `Quick
-            test_parallel_matches_sequential;
-          Alcotest.test_case "parallel fast equivalence" `Quick
-            test_parallel_fast_equiv;
+          Alcotest.test_case "naive parity" `Quick
+            test_frontier_matches_sequential;
+          Alcotest.test_case "fast equivalence" `Quick test_frontier_fast_equiv;
           Alcotest.test_case "stop & error propagation" `Quick
-            test_parallel_stop_and_errors;
+            test_frontier_stop_and_errors;
         ] );
       ( "downstream verdicts",
         [

@@ -93,8 +93,8 @@ let collect ?faults ?(dedup_threshold = 0) ?bloom_bits_log2 ?mem_budget_mb
     ~options impl workloads =
   let acc = ref [] in
   let stats =
-    Explore.run impl ~workloads ?faults ~options ~par_threshold:0
-      ~dedup_threshold ?bloom_bits_log2 ?mem_budget_mb
+    Explore.run impl ~workloads ?faults ~options ~dedup_threshold
+      ?bloom_bits_log2 ?mem_budget_mb
       ~on_leaf:(fun leaf -> acc := value_proj leaf :: !acc)
       ()
   in
@@ -314,9 +314,8 @@ let exec_stats_equal msg (a : Exec.stats) (b : Exec.stats) =
 
 (* Runs the kernel with [options] and replays every leaf it reaches through
    the interpreter; returns the kernel's statistics. *)
-let run_replayed ?(par_threshold = 0) ?(dedup_threshold = 0) ~msg ~options
-    impl workloads =
-  Explore.run impl ~workloads ~options ~par_threshold ~dedup_threshold
+let run_replayed ?(dedup_threshold = 0) ~msg ~options impl workloads =
+  Explore.run impl ~workloads ~options ~dedup_threshold
     ~on_leaf_trace:(fun trace leaf ->
       match Exec.replay impl ~workloads trace with
       | Ok leaf' ->
@@ -341,8 +340,7 @@ let assert_compiled_interp_parity ~msg impl workloads =
   in
   let compiled = ref [] in
   let plain =
-    Explore.run impl ~workloads ~options:Explore.naive ~par_threshold:0
-      ~dedup_threshold:0
+    Explore.run impl ~workloads ~options:Explore.naive ~dedup_threshold:0
       ~on_leaf:(fun leaf -> compiled := full_proj leaf :: !compiled)
       ()
   in
@@ -494,8 +492,10 @@ let test_universal_tracker_parity () =
    Rows: 40 random register-machine workloads (fixed seed) under four
    modes; fault adversaries (crash-recovery, stale and safe glitches, a
    derail that wedges), summed over every input vector; budget-cut runs
-   resumed from their checkpoints until exhaustive; the domain pool without
-   dedup; and the universal fetch-and-add under a tracker. The Theorem 5
+   resumed from their checkpoints until exhaustive; frontier mode without
+   dedup (a checkpoint sink armed, and once more with every item past the
+   in-RAM window spilled to disk); and the universal fetch-and-add under a
+   tracker. The Theorem 5
    output's rows are with its own test below. *)
 
 let pinned =
@@ -680,9 +680,10 @@ let pinned =
     ("cas3 resumed/plain", 286, 95, 0, 0, 6, 0);
     ("cas3 resumed/fast", 90, 11, 14, 31, 6, 0);
     ("cas3 crash-recovery resumed/fast", 1428, 173, 719, 0, 9, 0);
-    ("cas3 domains=2/plain", 270, 90, 0, 0, 6, 0);
-    ("cas3 domains=2/por", 54, 3, 0, 48, 6, 0);
-    ("cas3 crash-recovery domains=2/plain", 11616, 3978, 0, 0, 9, 0);
+    ("cas3 frontier/plain", 270, 90, 0, 0, 6, 0);
+    ("cas3 frontier/por", 54, 3, 0, 48, 6, 0);
+    ("cas3 crash-recovery frontier/plain", 11616, 3978, 0, 0, 9, 0);
+    ("cas3 crash-recovery frontier+spill/plain", 11616, 3978, 0, 0, 9, 0);
     ("universal faa tracker/fast", 315, 12, 24, 149, 18, 0);
   ]
 
@@ -697,18 +698,14 @@ let counts_of (s : Explore.stats) =
 let sum_counts (n, l, p, s, m, o) (n', l', p', s', m', o') =
   (n + n', l + l', p + p', s + s', max m m', o + o')
 
-let run_counts ?faults ?(par_threshold = 0) ?(dedup_threshold = 0) ~options impl
-    workloads =
-  counts_of
-    (Explore.run impl ~workloads ?faults ~options ~par_threshold
-       ~dedup_threshold ())
+let run_counts ?faults ?(dedup_threshold = 0) ~options impl workloads =
+  counts_of (Explore.run impl ~workloads ?faults ~options ~dedup_threshold ())
 
-let over_vectors ?faults ?par_threshold ?dedup_threshold ~options impl =
+let over_vectors ?faults ?dedup_threshold ~options impl =
   List.fold_left
     (fun acc (v : Check.vector) ->
       sum_counts acc
-        (run_counts ?faults ?par_threshold ?dedup_threshold ~options impl
-           v.Check.workloads))
+        (run_counts ?faults ?dedup_threshold ~options impl v.Check.workloads))
     (0, 0, 0, 0, 0, 0)
     (Check.vectors ~repeat:false impl)
 
@@ -830,19 +827,35 @@ let pinned_runs () =
         resumed ~faults:cr11 ~budget:200 ~options:Explore.fast cas3 workloads3 );
     ]
   in
-  let pool =
+  (* A checkpoint sink that never fires (the interval outlasts the run)
+     still puts the run in frontier mode: breadth-first expansion, then a
+     drain of the pending subtrees. A memory budget of 0 additionally
+     spills every item past the in-RAM window to disk. *)
+  let frontier ?faults ?mem_budget_mb ~options () =
+    let path = Filename.temp_file "wfc_pinned" ".ck" in
+    let s =
+      Explore.run cas3 ~workloads:workloads3 ?faults ~options
+        ~dedup_threshold:0 ~checkpoint:(path, 3600.) ?mem_budget_mb ()
+    in
+    if Sys.file_exists path then Sys.remove path;
+    s
+  in
+  let frontiers =
     List.map
       (fun (name, faults, options) ->
-        (name, run_counts ?faults ~options cas3 workloads3))
+        (name, counts_of (frontier ?faults ~options ())))
       [
-        ("cas3 domains=2/plain", None, { Explore.naive with domains = 2 });
-        ( "cas3 domains=2/por",
-          None,
-          { Explore.fast with dedup = Off; domains = 2 } );
-        ( "cas3 crash-recovery domains=2/plain",
-          Some cr11,
-          { Explore.naive with domains = 2 } );
+        ("cas3 frontier/plain", None, Explore.naive);
+        ("cas3 frontier/por", None, { Explore.fast with dedup = Off });
+        ("cas3 crash-recovery frontier/plain", Some cr11, Explore.naive);
       ]
+  in
+  let spill =
+    let s = frontier ~faults:cr11 ~mem_budget_mb:0 ~options:Explore.naive () in
+    Alcotest.(check int) "frontier+spill: spilled" 308 s.Explore.spilled;
+    Alcotest.(check bool) "frontier+spill: exhaustive" true
+      (s.Explore.completeness = Explore.Exhaustive);
+    [ ("cas3 crash-recovery frontier+spill/plain", counts_of s) ]
   in
   let universal =
     let modulus = 5 in
@@ -859,7 +872,7 @@ let pinned_runs () =
              ()) );
     ]
   in
-  random @ adversaries @ wedge @ resumes @ pool @ universal
+  random @ adversaries @ wedge @ resumes @ frontiers @ spill @ universal
 
 let test_pinned_counts () =
   let runs = pinned_runs () in
@@ -896,7 +909,6 @@ let test_theorem5_compile_parity () =
               (counts_of
                  (run_replayed
                     ~msg:(Fmt.str "vector %d %s" v.Check.pos name)
-                    ~par_threshold:Explore.default_par_threshold
                     ~dedup_threshold ~options t5 v.Check.workloads)))
           (0, 0, 0, 0, 0, 0)
           (Check.vectors ~repeat:false t5)

@@ -23,7 +23,6 @@ let engine =
   {
     Checkpoint.dedup = Checkpoint.Exact;
     por = true;
-    domains = 1;
   }
 
 let sample_faults =
@@ -53,7 +52,6 @@ let mk_counts n =
     overflows = 0;
     pruned = n / 2;
     sleep_skips = 0;
-    degraded = 0;
     evictions = 0;
     spilled = 0;
     probabilistic = false;
@@ -355,14 +353,14 @@ let test_add_counts () =
       (mk_counts 10) with
       Checkpoint.max_accesses = [| 1; 50; 7 |];
       probabilistic = true;
-      degraded = 2;
+      evictions = 2;
     }
   in
   let c = Checkpoint.add_counts a b in
   Alcotest.(check int) "leaves sum" 14 c.Checkpoint.leaves;
   Alcotest.(check int) "nodes sum" 140 c.Checkpoint.nodes;
   Alcotest.(check int) "max_events max" 14 c.Checkpoint.max_events;
-  Alcotest.(check int) "degraded sum" 2 c.Checkpoint.degraded;
+  Alcotest.(check int) "evictions sum" 2 c.Checkpoint.evictions;
   Alcotest.(check bool) "probabilistic or" true c.Checkpoint.probabilistic;
   Alcotest.(check (array int))
     "max_accesses pointwise max, padded" [| 4; 50; 7 |]

@@ -378,7 +378,6 @@ let test_queue_resume_passes_checkpoint () =
     {
       Checkpoint.dedup = Checkpoint.Exact;
       por = true;
-      domains = 1;
     }
   in
   let faults =

@@ -1,7 +1,6 @@
 (* E13 — resilience of long-running verification: checkpoint/resume with
-   completeness stitched across segments, graceful degradation of the
-   supervised domain pool, the memory watchdog, and total (never-raising)
-   parsing of the witness/checkpoint text codecs. *)
+   completeness stitched across segments, the memory watchdog, and total
+   (never-raising) parsing of the witness/checkpoint text codecs. *)
 
 open Wfc_spec
 open Wfc_zoo
@@ -71,7 +70,6 @@ let sample_checkpoint () =
       overflows = 0;
       pruned = 7;
       sleep_skips = 1;
-      degraded = 2;
       evictions = 1;
       spilled = 3;
       probabilistic = true;
@@ -79,12 +77,7 @@ let sample_checkpoint () =
   in
   Checkpoint.make
     ~meta:[ ("protocol", "cas"); ("check.vector", "3") ]
-    ~engine:
-      {
-        Checkpoint.dedup = Checkpoint.Exact;
-        por = false;
-        domains = 2;
-      }
+    ~engine:{ Checkpoint.dedup = Checkpoint.Exact; por = false }
     ~fuel:10_000 ~budget_left:1234 ~faults
     ~workloads:
       [|
@@ -186,7 +179,7 @@ let test_checkpoint_dedup_modes_roundtrip () =
         (name ^ ": engine line names the mode")
         true
         (List.mem
-           (Fmt.str "engine dedup=%s por=0 domains=2" name)
+           (Fmt.str "engine dedup=%s por=0" name)
            (String.split_on_char '\n' s));
       match Checkpoint.of_string s with
       | Error e -> Alcotest.failf "%s: round-trip failed: %s" name e
@@ -293,18 +286,13 @@ let test_checkpoint_legacy_headers_refused () =
           (Fmt.str "error %S names %s" e header)
           true
           (contains e header))
-    [ "wfc-checkpoint/1"; "wfc-checkpoint/2" ]
+    [ "wfc-checkpoint/1"; "wfc-checkpoint/2"; "wfc-checkpoint/3" ]
 
 let test_checkpoint_meta_validation () =
   match
     Checkpoint.make
       ~meta:[ ("bad key", "v") ]
-      ~engine:
-        {
-          Checkpoint.dedup = Checkpoint.Off;
-          por = false;
-          domains = 1;
-        }
+      ~engine:{ Checkpoint.dedup = Checkpoint.Off; por = false }
       ~fuel:1 ~faults:Faults.none ~workloads:[| [] |]
       ~counts:(Checkpoint.zero_counts ~n_objs:0)
       ~frontier:[] ()
@@ -485,77 +473,6 @@ let test_explore_interrupt_flush_and_resume () =
   | Explore.Exhaustive -> ()
   | Explore.Partial _ -> Alcotest.fail "resume after interrupt did not finish"
 
-(* --- supervised pool: crash and stall degradation -------------------------- *)
-
-let test_worker_crash_degrades_not_poisons () =
-  let impl = cas3 () in
-  let clean =
-    Explore.run impl ~workloads:workloads3 ~options:Explore.naive ()
-  in
-  let injected = Atomic.make false in
-  (* exactly one worker dies at its very first node, before it can have
-     emitted any leaf: the requeued subtree must be re-explored in full *)
-  let chaos ~worker:_ ~nodes =
-    if nodes = 1 && Atomic.compare_and_set injected false true then
-      failwith "injected worker crash"
-  in
-  let stats =
-    Explore.run impl ~workloads:workloads3
-      ~options:{ Explore.naive with domains = 4 }
-      ~par_threshold:0 ~chaos ()
-  in
-  Alcotest.(check bool) "chaos fired" true (Atomic.get injected);
-  (match completeness_of stats with
-  | Explore.Exhaustive -> ()
-  | Explore.Partial _ -> Alcotest.fail "degraded run must still be exhaustive");
-  Alcotest.(check int) "crash counted as degradation" 1 stats.Explore.degraded;
-  Alcotest.(check int)
-    "verdict-relevant coverage identical to the clean run" clean.Explore.leaves
-    stats.Explore.leaves
-
-let test_user_exception_still_propagates () =
-  (* a leaf callback's exception is a user error, not a worker failure: it
-     must abort the run and re-raise on the caller, never count as
-     degradation *)
-  let impl = cas3 () in
-  let exception Probe in
-  (match
-     Explore.run impl ~workloads:workloads3
-       ~options:{ Explore.naive with domains = 4 }
-       ~par_threshold:0
-       ~chaos:(fun ~worker:_ ~nodes:_ -> ())
-       ~on_leaf:(fun _ -> raise Probe)
-       ()
-   with
-  | _ -> Alcotest.fail "expected the callback's exception to propagate"
-  | exception Probe -> ())
-
-let test_stalled_worker_requeued () =
-  let impl = cas3 () in
-  let clean =
-    Explore.run impl ~workloads:workloads3 ~options:Explore.naive ()
-  in
-  let stalled = Atomic.make false in
-  let chaos ~worker:_ ~nodes =
-    if nodes = 1 && Atomic.compare_and_set stalled false true then
-      Unix.sleepf 0.4
-  in
-  let stats =
-    Explore.run impl ~workloads:workloads3
-      ~options:{ Explore.naive with domains = 4 }
-      ~par_threshold:0 ~stall_timeout_s:0.05 ~chaos ()
-  in
-  (match completeness_of stats with
-  | Explore.Exhaustive -> ()
-  | Explore.Partial _ -> Alcotest.fail "stall must not cut the run");
-  Alcotest.(check bool) "stall counted as degradation" true
-    (stats.Explore.degraded >= 1);
-  Alcotest.(check bool)
-    (Fmt.str "no work lost (%d vs clean %d)" stats.Explore.leaves
-       clean.Explore.leaves)
-    true
-    (stats.Explore.leaves >= clean.Explore.leaves)
-
 (* --- memory watchdog ------------------------------------------------------- *)
 
 let test_mem_watchdog_evicts_and_finishes () =
@@ -704,15 +621,6 @@ let () =
             test_resume_refuses_other_mode;
           Alcotest.test_case "resume refuses bad frontiers" `Quick
             test_resume_refuses_bad_frontier;
-        ] );
-      ( "supervised pool",
-        [
-          Alcotest.test_case "worker crash degrades" `Quick
-            test_worker_crash_degrades_not_poisons;
-          Alcotest.test_case "user exception propagates" `Quick
-            test_user_exception_still_propagates;
-          Alcotest.test_case "stalled worker requeued" `Slow
-            test_stalled_worker_requeued;
         ] );
       ( "memory watchdog",
         [
