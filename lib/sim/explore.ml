@@ -596,11 +596,13 @@ let resolve_faults ?faults ~max_crashes () =
   | Some f -> { f with Faults.max_crashes = max f.Faults.max_crashes max_crashes }
   | None -> Faults.crashes max_crashes
 
-(* Calibrated from BENCH_explore.json: the sequential engine
+(* Calibrated on the experiments' small trees: the sequential engine
    visits a node in ~1 µs without dedup, while allocating a dedup table plus
    fingerprinting every node costs tens of µs up front — on the 15-node
    E3-sticky3-tree that overhead was 40x the naive walk. Well under 64 nodes
-   a table can never win; well over, a single pruned subtree pays for it. *)
+   a table can never win; well over, a single pruned subtree pays for it.
+   The "dedup threshold is lazy" test (test/test_explore.ml) checks that a
+   tiny tree never activates the table. *)
 let default_dedup_threshold = 64
 
 (* --- the kernel ---------------------------------------------------------------

@@ -240,9 +240,11 @@ module Intern = struct
   let id c = c.id
   let equal (a : cell) (b : cell) = a == b
 
-  (* [build] is only run on a miss, so hits allocate nothing. [h] must equal
-     [structural_hash (build ())]; the constructors below maintain this by
-     replaying the [hash] recurrence on the children's cached hashes. *)
+  (* [build] is only run on a miss, but a hit is not free: the caller has
+     already allocated its [KPair]/[KList] key and the [build] closure, so
+     every hit allocates both. [h] must equal [structural_hash (build ())];
+     the constructors below maintain this by replaying the [hash]
+     recurrence on the children's cached hashes. *)
   let find st key build h =
     match KH.find_opt st.cells key with
     | Some c -> c

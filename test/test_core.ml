@@ -595,6 +595,73 @@ let test_universal_three_procs_random () =
          leaf.Wfc_sim.Exec.ops)
   done
 
+(* --- shape facts --------------------------------------------------------------------
+
+   The deterministic figures EXPERIMENTS.md quotes: the §4.2 bound D of
+   each consensus protocol (E3), one-use bits per bounded bit (E4), the
+   register chain's footprints (E2), Theorem 5 on tas over tas (E8), and
+   the universal construction's longest operation (E10). *)
+
+let test_shape_facts () =
+  let open Wfc_consensus in
+  let d_of name impl =
+    (expect_ok name (Access_bounds.analyze impl)).Access_bounds.bound_d
+  in
+  List.iter
+    (fun (name, impl, d) -> Alcotest.(check int) ("E3 D " ^ name) d (d_of name impl))
+    [
+      ("tas", Protocols.from_tas (), 5);
+      ("faa", Protocols.from_faa (), 5);
+      ("swap", Protocols.from_swap (), 5);
+      ("queue", Protocols.from_queue (), 5);
+      ("cas2", Protocols.from_cas ~procs:2 (), 4);
+      ("cas3", Protocols.from_cas ~procs:3 (), 6);
+      ("sticky3", Protocols.from_sticky ~procs:3 (), 3);
+    ];
+  List.iter
+    (fun (reads, writes, bits) ->
+      Alcotest.(check int)
+        (Fmt.str "E4 r%dw%d" reads writes)
+        bits
+        (Bounded_bit.bit_count ~reads ~writes))
+    [ (2, 1, 4); (4, 3, 16); (8, 7, 64) ];
+  let module Chain = Wfc_registers.Chain in
+  Alcotest.(check int) "E2 regular 3-valued, 2 readers: safe bits" 6
+    (Chain.srsw_bit_count
+       (Chain.regular_bounded_from_safe_bits ~readers:2 ~values:3 ~init:0 ()));
+  Alcotest.(check int) "E2 atomic MRSW, 2 readers: registers" 4
+    (Chain.srsw_bit_count
+       (Chain.atomic_mrsw_from_regular_srsw ~readers:2 ~init:(Value.int 0) ()));
+  Alcotest.(check int) "E2 atomic MRMW, 2 writers: registers" 2
+    (Chain.srsw_bit_count
+       (Chain.atomic_mrmw_from_regular_srsw ~writers:2 ~extra_readers:0
+          ~init:(Value.int 0) ()));
+  let r =
+    expect_ok "E8 tas"
+      (Theorem5.eliminate_registers ~strategy:(strategy_of "test-and-set")
+         (Protocols.from_tas ()))
+  in
+  Alcotest.(check (list int)) "E8 tas→tas: D, registers, one-use bits, objects"
+    [ 5; 2; 12; 13 ]
+    [
+      r.Theorem5.bounds.Access_bounds.bound_d;
+      r.Theorem5.registers_eliminated;
+      r.Theorem5.one_use_bits;
+      r.Theorem5.t_objects;
+    ];
+  let universal =
+    Universal.construct
+      ~target:(Rmw.fetch_add_mod ~ports:2 ~modulus:5)
+      ~procs:2 ~cells:8 ()
+  in
+  let stats =
+    Wfc_sim.Exec.explore universal
+      ~workloads:[| [ Ops.fetch_add 1 ]; [ Ops.fetch_add 2 ] |]
+      ()
+  in
+  Alcotest.(check int) "E10 universal faa: max steps per op" 5
+    stats.Wfc_sim.Exec.max_op_steps
+
 (* --- Theorem 5 beyond two processes -------------------------------------------------- *)
 
 let test_cas_ids_protocol_correct () =
@@ -837,4 +904,7 @@ let () =
             test_hierarchy_single_object;
           Alcotest.test_case "Theorem 5 transfer" `Quick test_hierarchy_transfer;
         ] );
+      ( "shape facts",
+        [ Alcotest.test_case "E2/E3/E4/E8/E10 figures" `Quick test_shape_facts ]
+      );
     ]

@@ -271,41 +271,66 @@ let regular_identity ~procs =
 let verify_modes = [ Engine.Per_leaf; Engine.Incremental { compositional = false };
                      Engine.Incremental { compositional = true } ]
 
-let verdicts impl ~workloads ~faults =
+let verdicts ?component impl ~workloads ~faults =
   List.map
-    (fun mode ->
-      Result.is_ok (Engine.verify impl ~workloads ~faults ~mode ()))
+    (fun mode -> Engine.verify impl ~workloads ~faults ~mode ?component ())
     verify_modes
+
+(* The fixed "all modes" inputs also guard the engine's figure of merit:
+   whenever the per-leaf oracle accepts, neither incremental mode may
+   enumerate more spec transitions than it does. *)
+let all_modes ?component impl ~workloads ~faults =
+  let results = verdicts ?component impl ~workloads ~faults in
+  (match results with
+  | Ok oracle :: incremental ->
+    List.iter
+      (function
+        | Ok s ->
+          if s.Engine.transitions > oracle.Engine.transitions then
+            Alcotest.failf "incremental enumerated %d transitions > per-leaf's %d"
+              s.Engine.transitions oracle.Engine.transitions
+        | Error _ -> ())
+      incremental
+  | _ -> ());
+  results
+
+let oks results = List.map Result.is_ok results
 
 let all_equal = function
   | [] -> true
   | v :: vs -> List.for_all (Bool.equal v) vs
 
 let test_good_impl_all_modes () =
-  let oks =
-    verdicts (bit_from_two_bits ~procs:2)
-      ~workloads:
+  List.iter
+    (fun (impl, workloads) ->
+      Alcotest.(check (list bool)) "every mode accepts" [ true; true; true ]
+        (oks (all_modes impl ~workloads ~faults:Faults.none)))
+    [
+      ( bit_from_two_bits ~procs:2,
         [|
           [ Ops.write Value.truth; Ops.read ];
           [ Ops.read; Ops.write Value.falsity ];
-        |]
-      ~faults:Faults.none
-  in
-  Alcotest.(check (list bool)) "every mode accepts" [ true; true; true ] oks
+        |] );
+      ( Wfc_consensus.Universal.construct
+          ~target:(Rmw.fetch_add_mod ~ports:2 ~modulus:5)
+          ~procs:2 ~cells:8 (),
+        [| [ Ops.fetch_add 1 ]; [ Ops.fetch_add 2 ] |] );
+    ]
 
 let test_torn_write_all_modes () =
-  let oks =
-    verdicts (torn_write_reg ~procs:2)
+  let results =
+    all_modes (torn_write_reg ~procs:2)
       ~workloads:[| [ Ops.write (Value.int 1) ]; [ Ops.read ] |]
       ~faults:Faults.none
   in
-  Alcotest.(check (list bool)) "every mode rejects" [ false; false; false ] oks
+  Alcotest.(check (list bool)) "every mode rejects" [ false; false; false ]
+    (oks results)
 
 let test_crash_adversary_all_modes () =
   (* a crash mid-write leaves the two base bits inconsistent, but the write
      never completes so the history stays linearizable: all modes agree Ok *)
-  let oks =
-    verdicts (bit_from_two_bits ~procs:2)
+  let results =
+    all_modes (bit_from_two_bits ~procs:2)
       ~workloads:
         [|
           [ Ops.write Value.truth; Ops.read ];
@@ -313,7 +338,8 @@ let test_crash_adversary_all_modes () =
         |]
       ~faults:(Faults.crashes 1)
   in
-  Alcotest.(check (list bool)) "parity under crashes" [ true; true; true ] oks
+  Alcotest.(check (list bool)) "parity under crashes" [ true; true; true ]
+    (oks results)
 
 let test_two_registers_compositional () =
   let reg = Register.bit ~ports:2 in
@@ -333,18 +359,18 @@ let test_two_registers_compositional () =
       [ Ops.at 1 (Ops.write Value.truth); Ops.at 0 Ops.read ];
     |]
   in
-  let run mode =
-    Engine.verify impl ~workloads ~mode ~component:(reg, Value.falsity) ()
-  in
-  (match run Engine.Per_leaf with
-  | Ok _ -> ()
-  | Error v -> Alcotest.failf "per-leaf: %a" Engine.pp_violation v);
-  match run (Engine.Incremental { compositional = true }) with
-  | Ok stats ->
+  match
+    all_modes ~component:(reg, Value.falsity) impl ~workloads
+      ~faults:Faults.none
+  with
+  | [ Ok _; Ok _; Ok compositional ] ->
     Alcotest.(check bool)
       "compositional did real work" true
-      (stats.Engine.transitions > 0)
-  | Error v -> Alcotest.failf "compositional: %a" Engine.pp_violation v
+      (compositional.Engine.transitions > 0)
+  | results ->
+    Alcotest.failf "expected every mode to accept, got %a"
+      Fmt.(list bool)
+      (oks results)
 
 (* randomized differential test: implementation × workload × adversary,
    incremental (plain and compositional) vs the per-leaf oracle *)
@@ -374,7 +400,7 @@ let prop_fused_matches_per_leaf =
         | 2 -> Faults.crash_recovery ~crashes:1 ~recoveries:1
         | _ -> Faults.degrade_all impl ~glitches:1 (`Stale 1)
       in
-      all_equal (verdicts impl ~workloads ~faults))
+      all_equal (oks (verdicts impl ~workloads ~faults)))
 
 let () =
   Alcotest.run "wfc_engine"

@@ -2,8 +2,8 @@
    equivalence with the naive Exec.explore when every reduction is off,
    verdict/observation equivalence under duplicate-state pruning and
    partial-order reduction (including a qcheck property over randomized
-   implementations and workloads), node-count regression under pruning, and
-   the multicore fan-out. *)
+   implementations and workloads), node-count regression under pruning,
+   process-symmetry reduction and frontier mode. *)
 
 open Wfc_spec
 open Wfc_zoo
@@ -196,6 +196,13 @@ let exec_stats_equal msg (a : Exec.stats) (b : Exec.stats) =
     b.max_accesses;
   Alcotest.(check int) (msg ^ ": overflows") a.overflows b.overflows
 
+let tft =
+  [|
+    [ Ops.propose Value.truth ];
+    [ Ops.propose Value.falsity ];
+    [ Ops.propose Value.truth ];
+  |]
+
 (* Each case runs under its own fault adversary: none, crash-only,
    crash-recovery, stale and safe read glitches, and a derailing adversary
    that wedges a process. *)
@@ -234,6 +241,23 @@ let naive_cases =
       rw_impl ~procs:2 ~bits:1 ~coin:true,
       [| [ Value.sym "strict"; rd 0 ]; [ wr 0 true; Value.sym "strict" ] |],
       Faults.crash_recovery ~crashes:1 ~recoveries:1 );
+    (* the experiments' trees: E3's consensus protocols and E10's universal
+       fetch-and-add *)
+    ( "tas2 tree",
+      Wfc_consensus.Protocols.from_tas (),
+      [| [ Ops.propose Value.truth ]; [ Ops.propose Value.falsity ] |],
+      Faults.none );
+    ("cas3 tree", Wfc_consensus.Protocols.from_cas ~procs:3 (), tft, Faults.none);
+    ( "sticky3 tree",
+      Wfc_consensus.Protocols.from_sticky ~procs:3 (),
+      tft,
+      Faults.none );
+    ( "E10 universal faa",
+      Wfc_consensus.Universal.construct
+        ~target:(Rmw.fetch_add_mod ~ports:2 ~modulus:5)
+        ~procs:2 ~cells:8 (),
+      [| [ Ops.fetch_add 1 ]; [ Ops.fetch_add 2 ] |],
+      Faults.none );
   ]
 
 let test_naive_matches_exec () =
@@ -378,26 +402,54 @@ let test_symmetry_detection () =
           (rw_impl ~procs:3 ~bits:1 ~coin:false)
           ~workloads:(Array.make 3 [ rd 0 ])))
 
+(* Symmetry may never grow the search: on every workload, symmetric nodes
+   and leaves stay within pid-exact dedup's, and on equal-input cas3 it
+   must cut nodes at least 2x. The universal construction declares no
+   symmetry, so it is the control on which the two modes coincide. *)
 let test_symmetry_node_reduction () =
   let open Wfc_consensus in
-  let impl = Protocols.from_cas ~procs:3 () in
-  let workloads = Array.make 3 [ Ops.propose Value.truth ] in
-  let nosym, _ =
-    collect
-      ~options:{ Explore.fast with dedup = Exact }
-      ~proj:value_proj impl workloads
-  in
-  let sym, _ = collect ~options:Explore.fast ~proj:value_proj impl workloads in
-  Alcotest.(check bool)
-    "symmetry cuts nodes at least 2x on equal-input cas3" true
-    (2 * sym.Explore.nodes <= nosym.Explore.nodes);
-  Alcotest.(check bool) "never more leaves" true
-    (sym.Explore.leaves <= nosym.Explore.leaves)
+  let equal n = Array.make n [ Ops.propose Value.truth ] in
+  List.iter
+    (fun (name, impl, workloads, cut) ->
+      let nosym, _ =
+        collect
+          ~options:{ Explore.fast with dedup = Exact }
+          ~proj:value_proj impl workloads
+      in
+      let sym, _ =
+        collect ~options:Explore.fast ~proj:value_proj impl workloads
+      in
+      Alcotest.(check bool)
+        (Fmt.str "%s: nodes cut at least %dx" name cut)
+        true
+        (cut * sym.Explore.nodes <= nosym.Explore.nodes);
+      Alcotest.(check bool) (name ^ ": never more leaves") true
+        (sym.Explore.leaves <= nosym.Explore.leaves))
+    [
+      ("cas3 equal", Protocols.from_cas ~procs:3 (), equal 3, 2);
+      ( "cas3 mixed",
+        Protocols.from_cas ~procs:3 (),
+        [|
+          [ Ops.propose Value.truth ];
+          [ Ops.propose Value.truth ];
+          [ Ops.propose Value.falsity ];
+        |],
+        1 );
+      ("sticky3 equal", Protocols.from_sticky ~procs:3 (), equal 3, 1);
+      ("sticky4 equal", Protocols.from_sticky ~procs:4 (), equal 4, 1);
+      ( "universal faa control",
+        Universal.construct
+          ~target:(Rmw.fetch_add_mod ~ports:2 ~modulus:5)
+          ~procs:2 ~cells:8 (),
+        [| [ Ops.fetch_add 1 ]; [ Ops.fetch_add 2 ] |],
+        1 );
+    ]
 
 (* Verdict parity of the full checker across compaction configs, clean and
-   under fault adversaries; every falsification must carry a witness that
-   replays — symmetry canonicalizes only dedup keys, never the configuration
-   the trace is recorded against. *)
+   under fault adversaries: every config must reach the expected verdict,
+   and every falsification must carry a witness that replays — symmetry
+   canonicalizes only dedup keys, never the configuration the trace is
+   recorded against. *)
 let test_symmetry_verdict_parity () =
   let open Wfc_consensus in
   let module Faults = Wfc_sim.Faults in
@@ -416,7 +468,7 @@ let test_symmetry_verdict_parity () =
   let cas3 = Protocols.from_cas ~procs:3 () in
   let sticky3 = Protocols.from_sticky ~procs:3 () in
   List.iter
-    (fun (pname, impl, faults) ->
+    (fun (pname, impl, faults, expected) ->
       let verdicts =
         List.map
           (fun (ename, engine) ->
@@ -435,20 +487,26 @@ let test_symmetry_verdict_parity () =
             (ename, verdict_str v))
           engines
       in
-      match verdicts with
-      | (_, v0) :: rest ->
-        List.iter
-          (fun (ename, v) ->
-            Alcotest.(check string) (Fmt.str "%s: %s verdict" pname ename) v0 v)
-          rest
-      | [] -> ())
+      List.iter
+        (fun (ename, v) ->
+          Alcotest.(check string) (Fmt.str "%s: %s verdict" pname ename)
+            expected v)
+        verdicts)
     [
-      ("cas3-clean", cas3, Faults.none);
-      ("cas3-crash", cas3, Faults.crashes 1);
+      ("cas3-clean", cas3, Faults.none, "verified");
+      ("cas3-crash", cas3, Faults.crashes 1, "verified");
       ( "sticky3-crash-recovery",
         sticky3,
-        Faults.crash_recovery ~crashes:1 ~recoveries:1 );
-      ("sticky3-stale", sticky3, Faults.degrade_all sticky3 ~glitches:1 (`Stale 1));
+        Faults.crash_recovery ~crashes:1 ~recoveries:1,
+        "verified" );
+      ( "sticky3-stale",
+        sticky3,
+        Faults.degrade_all sticky3 ~glitches:1 (`Stale 1),
+        "falsified" );
+      ( "broken-register-only",
+        Protocols.broken_register_only (),
+        Faults.none,
+        "falsified" );
     ]
 
 (* --- frontier mode ------------------------------------------------------------ *)

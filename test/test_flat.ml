@@ -494,8 +494,9 @@ let test_universal_tracker_parity () =
    derail that wedges), summed over every input vector; budget-cut runs
    resumed from their checkpoints until exhaustive; frontier mode without
    dedup (a checkpoint sink armed, and once more with every item past the
-   in-RAM window spilled to disk); and the universal fetch-and-add under a
-   tracker. The Theorem 5
+   in-RAM window spilled to disk); the universal fetch-and-add under a
+   tracker; and tas and cas3 under each fault adversary of the experiments
+   on one input vector, at the default dedup threshold. The Theorem 5
    output's rows are with its own test below. *)
 
 let pinned =
@@ -685,6 +686,16 @@ let pinned =
     ("cas3 crash-recovery frontier/plain", 11616, 3978, 0, 0, 9, 0);
     ("cas3 crash-recovery frontier+spill/plain", 11616, 3978, 0, 0, 9, 0);
     ("universal faa tracker/fast", 315, 12, 24, 149, 18, 0);
+    ("tas clean/fast", 11, 2, 0, 3, 5, 0);
+    ("tas crash-1/fast", 62, 30, 0, 0, 5, 0);
+    ("tas crash-recovery-1-1/fast", 150, 37, 23, 0, 9, 0);
+    ("tas stale-1-glitch-1/fast", 33, 15, 0, 0, 5, 0);
+    ("tas stale-1-glitch-2/fast", 33, 15, 0, 0, 5, 0);
+    ("cas3 clean/fast", 54, 3, 0, 48, 6, 0);
+    ("cas3 crash-1/fast", 250, 55, 86, 0, 6, 0);
+    ("cas3 crash-recovery-1-1/fast", 476, 61, 237, 0, 9, 0);
+    ("cas3 stale-1-glitch-1/fast", 202, 34, 69, 0, 6, 0);
+    ("cas3 stale-1-glitch-2/fast", 229, 39, 82, 0, 6, 0);
   ]
 
 let counts_of (s : Explore.stats) =
@@ -872,7 +883,31 @@ let pinned_runs () =
              ()) );
     ]
   in
+  let one_vector =
+    List.concat_map
+      (fun (name, impl, workloads) ->
+        List.map
+          (fun (adversary, faults) ->
+            ( Fmt.str "%s %s/fast" name adversary,
+              counts_of
+                (Explore.run impl ~workloads ~faults ~options:Explore.fast ())
+            ))
+          [
+            ("clean", Faults.none);
+            ("crash-1", Faults.crashes 1);
+            ("crash-recovery-1-1", cr11);
+            ("stale-1-glitch-1", Faults.degrade_all impl ~glitches:1 (`Stale 1));
+            ("stale-1-glitch-2", Faults.degrade_all impl ~glitches:2 (`Stale 1));
+          ])
+      [
+        ( "tas",
+          proto "tas" 2,
+          [| [ Ops.propose Value.truth ]; [ Ops.propose Value.falsity ] |] );
+        ("cas3", cas3, workloads3);
+      ]
+  in
   random @ adversaries @ wedge @ resumes @ frontiers @ spill @ universal
+  @ one_vector
 
 let test_pinned_counts () =
   let runs = pinned_runs () in
@@ -888,6 +923,45 @@ let test_pinned_counts () =
       Alcotest.(check int) (name ^ ": max_events") max_events m;
       Alcotest.(check int) (name ^ ": overflows") overflows o)
     pinned runs
+
+(* --- allocation per node ---------------------------------------------------
+
+   Minor-heap words per visited node on a warm second run. The figure is
+   the same on every run of one build, so each bound is 1.5x a recorded
+   figure plus two words: only a real hot-path regression trips it. E10
+   never engages dedup; the cas n=6 row prunes, so the dedup probe is
+   priced too. *)
+let test_allocation_per_node () =
+  List.iter
+    (fun (name, impl, workloads, options, (nodes, pruned), recorded) ->
+      let run () = Explore.run impl ~workloads ~options () in
+      ignore (run ());
+      let before = Gc.minor_words () in
+      let s = run () in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) (name ^ ": nodes") nodes s.Explore.nodes;
+      Alcotest.(check int) (name ^ ": pruned") pruned s.Explore.pruned;
+      let per_node = words /. float_of_int s.Explore.nodes in
+      let bound = (1.5 *. recorded) +. 2. in
+      if per_node > bound then
+        Alcotest.failf "%s: %.1f minor words per node, bound %.1f" name
+          per_node bound)
+    [
+      ( "E10 universal faa",
+        Wfc_consensus.Universal.construct
+          ~target:(Rmw.fetch_add_mod ~ports:2 ~modulus:5)
+          ~procs:2 ~cells:8 (),
+        [| [ Ops.fetch_add 1 ]; [ Ops.fetch_add 2 ] |],
+        Explore.fast,
+        (35, 0),
+        36.8 );
+      ( "cas6 T/F/T/F/T/F exact",
+        proto "cas" 6,
+        Array.init 6 (fun i -> [ Ops.propose (Value.bool (i mod 2 = 0)) ]),
+        { Explore.fast with dedup = Exact },
+        (2710, 187),
+        222.05 );
+    ]
 
 (* The shape the incremental fingerprint targets: a Theorem 5 output, many
    base objects and operations of ~20 accesses. Its plain tree is far too
@@ -1254,8 +1328,11 @@ let () =
             `Quick test_verdict_expected;
         ] );
       ( "pinned counts",
-        [ Alcotest.test_case "kernel matches the table" `Quick test_pinned_counts ]
-      );
+        [
+          Alcotest.test_case "kernel matches the table" `Quick test_pinned_counts;
+          Alcotest.test_case "minor words per node" `Quick
+            test_allocation_per_node;
+        ] );
       ( "wide/tracked parity",
         [
           Alcotest.test_case "Theorem 5 output: compiled = interpreted" `Quick

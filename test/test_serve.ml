@@ -165,23 +165,44 @@ let test_tick_sane_rejects_inversion () =
 
 (* --- the serving driver ----------------------------------------------------- *)
 
+(* The serving smoke matrix: every construction × both cell backends ×
+   both mixes at tiny op counts, every third session spot-checked. Every
+   sampled window must pass, and the two backends must agree on what they
+   served. *)
 let test_driver_serves_ok () =
-  let w = Wfc_serve.Workload.register_chain ~domains:2 ~ops_per_proc:6 in
+  let module W = Wfc_serve.Workload in
+  let module D = Wfc_serve.Driver in
   List.iter
-    (fun backend ->
-      let o =
-        Wfc_serve.Driver.run ~backend ~sessions:5 ~check_every:2
-          ~check:(w.Wfc_serve.Workload.check_spec, w.Wfc_serve.Workload.check_init)
-          w.Wfc_serve.Workload.impl ~workloads:w.Wfc_serve.Workload.equal ()
-      in
-      Alcotest.(check (option string)) "no failure" None o.Wfc_serve.Driver.failure;
-      Alcotest.(check int) "windows checked" 3 o.Wfc_serve.Driver.windows_checked;
-      Alcotest.(check int) "windows ok" 3 o.Wfc_serve.Driver.windows_ok;
-      Alcotest.(check int) "every op served" (5 * 2 * 6)
-        o.Wfc_serve.Driver.total_ops;
-      Alcotest.(check int) "latency recorded per op" (5 * 2 * 6)
-        (H.count o.Wfc_serve.Driver.hist))
-    [ Cells.Mutex_cells; Cells.Atomic_cas ]
+    (fun (w : W.t) ->
+      List.iter
+        (fun (mix, workloads) ->
+          let name = Fmt.str "%s/%s" w.W.name mix in
+          let served backend =
+            let o =
+              D.run ~backend ~sessions:6 ~check_every:3
+                ~check:(w.W.check_spec, w.W.check_init)
+                ?port_of:w.W.port_of w.W.impl ~workloads ()
+            in
+            Alcotest.(check (option string)) (name ^ ": no failure") None
+              o.D.failure;
+            Alcotest.(check int) (name ^ ": windows checked") 2
+              o.D.windows_checked;
+            Alcotest.(check int) (name ^ ": windows ok") 2 o.D.windows_ok;
+            Alcotest.(check int) (name ^ ": every op served")
+              (6 * W.session_ops workloads)
+              o.D.total_ops;
+            Alcotest.(check int) (name ^ ": latency recorded per op")
+              o.D.total_ops (H.count o.D.hist);
+            (o.D.failure, o.D.windows_ok, o.D.total_ops)
+          in
+          Alcotest.(check bool) (name ^ ": mutex and CAS backends agree") true
+            (served Cells.Mutex_cells = served Cells.Atomic_cas))
+        [ ("equal", w.W.equal); ("skewed", w.W.skewed) ])
+    [
+      W.register_chain ~domains:2 ~ops_per_proc:8;
+      W.one_use_array ~domains:2;
+      W.universal_faa ~domains:2 ~ops_per_proc:3;
+    ]
 
 let test_driver_one_use_sessions () =
   (* every session re-spends the full one-use budget: without the barrier

@@ -138,7 +138,48 @@ let test_hash_sibling_reorder () =
   Alcotest.(check bool) "pair chains with swapped heads differ" false
     (Value.hash (chain a b) = Value.hash (chain b a));
   Alcotest.(check bool) "lists with swapped heads differ" false
-    (Value.hash (Value.list [ a; b; t ]) = Value.hash (Value.list [ b; a; t ]))
+    (Value.hash (Value.list [ a; b; t ]) = Value.hash (Value.list [ b; a; t ]));
+  (* the same over every permutation of a 5-element chain: the legacy
+     formula collides on all 120 * 119 / 2 pairs, the mixer on none *)
+  let legacy =
+    let rec h = function
+      | Value.Unit -> 17
+      | Value.Bool b -> if b then 31 else 37
+      | Value.Int i -> Hashtbl.hash i
+      | Value.Sym s -> Hashtbl.hash s
+      | Value.Pair (a, b) -> (h a * 65599) + h b
+      | Value.List xs -> List.fold_left (fun acc x -> (acc * 131) + h x) 43 xs
+    in
+    h
+  in
+  let rec permutations = function
+    | [] -> [ [] ]
+    | xs ->
+      List.concat_map
+        (fun x ->
+          List.map (List.cons x)
+            (permutations (List.filter (fun y -> y != x) xs)))
+        xs
+  in
+  let chains =
+    List.map
+      (List.fold_left (fun acc x -> Value.Pair (x, acc)) Value.Unit)
+      (permutations (List.init 5 (fun i -> Value.int (101 + (i * 17)))))
+  in
+  let colliding_pairs hash =
+    let tbl = Hashtbl.create 256 in
+    List.iter
+      (fun c ->
+        let h = hash c in
+        Hashtbl.replace tbl h (1 + Option.value (Hashtbl.find_opt tbl h) ~default:0))
+      chains;
+    Hashtbl.fold (fun _ k acc -> acc + (k * (k - 1) / 2)) tbl 0
+  in
+  Alcotest.(check int) "120 permuted chains" 120 (List.length chains);
+  Alcotest.(check int) "legacy hash: every pair collides" 7140
+    (colliding_pairs legacy);
+  Alcotest.(check int) "Value.hash: no pair collides" 0
+    (colliding_pairs Value.hash)
 
 (* --- Type_spec --------------------------------------------------------- *)
 
