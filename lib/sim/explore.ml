@@ -168,12 +168,15 @@ end
    The cells are maintained *incrementally* along tree edges, and each edge
    pays for what it changed, not for the size of what it touched:
 
-   - A process cell is built from cached component cells — the todo list,
-     ⟨next_op, local⟩, the pending operation's head ⟨inv0, op_index⟩ and its
-     response chain (responses so far, newest first, as a cons-chain). An
-     access extends the chain by one [I.pair] and re-pairs the pending and
-     process cells; the todo and local cells change only when an operation
-     starts or returns. No edge re-interns a whole response list.
+   - A process cell is built from cached component cells — the todo
+     chain, ⟨next_op, local⟩, the pending operation's head ⟨inv0, op_index⟩
+     and its response chain (responses so far, newest first). Chains are
+     cons-chains of [I.pair] cells ([list_cell]), so no list is built to
+     hold their cells, and [Value.Intern]'s constructors allocate nothing
+     on a hit: keeping the key current allocates only on the rare miss. An access extends the response chain
+     by one [I.pair] and re-pairs the pending and process cells; the todo
+     and local cells change only when an operation starts or returns. No
+     edge re-interns a whole response list.
 
    - The object segment is summarized by two additive hashes (see
      {!Fingerprint.component_hi}): one position-salted term per object over
@@ -191,23 +194,24 @@ end
 
 module I = Value.Intern
 
-(* Process components. The todo cell changes only when an operation
-   starts, the local cell ⟨next_op, local⟩ only when one returns. An idle
-   process's pending cell is [I.unit]; a pending one's is ⟨head, chain⟩,
-   and the chain of no responses is [I.unit] too, so every component stays
-   injective. *)
-let todo_cell ist todo = I.list ist (List.map (I.intern ist) todo)
+(* A value list as a cons-chain of pair cells ending in [I.unit]: one pair
+   probe per element and no list built to hold the element cells. Only cell
+   identity enters the key, so any injective shape will do. *)
+let rec list_cell ist = function
+  | [] -> I.unit ist
+  | v :: vs -> I.pair ist (I.intern ist v) (list_cell ist vs)
 
+(* Process components. The todo cell and the response chain are
+   [list_cell]s. The todo cell changes only when an operation starts, the
+   local cell ⟨next_op, local⟩ only when one returns. An idle process's
+   pending cell is [I.unit]; a pending one's is ⟨head, chain⟩, and the
+   chain of no responses is [I.unit] too, so every component stays
+   injective. *)
 let local_cell ist ~next_op local =
   I.pair ist (I.int ist next_op) (I.intern ist local)
 
 let head_cell ist ~inv0 ~op_index =
   I.pair ist (I.intern ist inv0) (I.int ist op_index)
-
-let chain_cell ist resps_rev =
-  List.fold_right
-    (fun r chain -> I.pair ist (I.intern ist r) chain)
-    resps_rev (I.unit ist)
 
 let ctl_cell ist ~todo_c ~local_c = I.pair ist todo_c local_c
 let pend_cell ist ~head_c ~chain_c = I.pair ist head_c chain_c
@@ -216,12 +220,12 @@ let proc_cell ist ~ctl_c ~pend_c = I.pair ist ctl_c pend_c
 (* One object's terms in the two additive lanes. *)
 let obj_term_hi o oc hc a = Fingerprint.component_hi o (I.id oc) (I.id hc) a
 let obj_term_lo o oc hc a = Fingerprint.component_lo o (I.id oc) (I.id hc) a
-let fp_op_cell ist (o : Exec.op) =
-  I.list ist
-    [ I.int ist o.op_index; I.intern ist o.inv; I.intern ist o.resp;
-      I.int ist o.steps ]
 
-let fp_hist_cell ist h = I.list ist (List.map (I.intern ist) h)
+(* A completed operation: ⟨⟨op_index, inv⟩, ⟨resp, steps⟩⟩. *)
+let fp_op_cell ist (o : Exec.op) =
+  I.pair ist
+    (I.pair ist (I.int ist o.op_index) (I.intern ist o.inv))
+    (I.pair ist (I.intern ist o.resp) (I.int ist o.steps))
 
 (* --- graceful degradation ----------------------------------------------------
 
@@ -428,33 +432,44 @@ let flat_mem_or_add fx ~hi ~lo =
   | None, Some bl -> Fingerprint.Bloom.mem_or_add bl ~hi ~lo
   | None, None -> false
 
+let copy_rec buf ~base j i =
+  Array.blit buf (base + (5 * j)) buf (base + (5 * i)) 5
+
+(* Is the record in [tmp] < the record at slot [j]? Compares from field
+   [k] on. *)
+let rec tmp_lt (buf : int array) (tmp : int array) ~base j k =
+  k < 5
+  &&
+  let a = Array.unsafe_get tmp k and b = buf.(base + (5 * j) + k) in
+  a < b || (a = b && tmp_lt buf tmp ~base j (k + 1))
+
 (* Sort the five-int records in [buf.(base + 5*lo) .. buf.(base + 5*hi - 1)]
    lexicographically, in place. Class segments are tiny (≤ n_procs), so
    insertion sort wins. *)
 let sort_records buf tmp ~base ~lo ~hi =
-  let copy_rec j i = Array.blit buf (base + (5 * j)) buf (base + (5 * i)) 5 in
-  (* is the record in [tmp] < the record at slot [j]? *)
-  let tmp_lt j =
-    let rec go k =
-      if k = 5 then false
-      else
-        let c = compare tmp.(k) buf.(base + (5 * j) + k) in
-        if c < 0 then true else if c > 0 then false else go (k + 1)
-    in
-    go 0
-  in
   for i = lo + 1 to hi - 1 do
     Array.blit buf (base + (5 * i)) tmp 0 5;
     let j = ref (i - 1) in
-    while !j >= lo && tmp_lt !j do
-      copy_rec !j (!j + 1);
+    while !j >= lo && tmp_lt buf tmp ~base !j 0 do
+      copy_rec buf ~base !j (!j + 1);
       decr j
     done;
     Array.blit tmp 0 buf (base + (5 * (!j + 1))) 5
   done
 
-(* Fill the scratch buffer from the key's components and hash it. Zero
-   allocation. [crashed] and [stuck] are pid bitmasks. *)
+(* Write process [p]'s five-int record at record slot [slot], after the
+   two object sums. *)
+let put_record buf ~proc_cells ~ops_cells ~crashed ~stuck ~sleep slot p =
+  let k = 2 + (5 * slot) in
+  buf.(k) <- I.id proc_cells.(p);
+  buf.(k + 1) <- I.id ops_cells.(p);
+  buf.(k + 2) <- (crashed lsr p) land 1;
+  buf.(k + 3) <- (stuck lsr p) land 1;
+  buf.(k + 4) <- (sleep lsr p) land 1
+
+(* Fill the scratch buffer from the key's components and hash it. Only the
+   returned ⟨hi, lo⟩ pair is allocated. [crashed] and [stuck] are pid
+   bitmasks. *)
 let encode_flat_parts fx ~sum_hi ~sum_lo ~proc_cells ~ops_cells ~crashed
     ~stuck ~events ~crashes_left ~recoveries_left ~glitches_left ~sleep
     ~classes ~tracker_id =
@@ -463,18 +478,10 @@ let encode_flat_parts fx ~sum_hi ~sum_lo ~proc_cells ~ops_cells ~crashed
   buf.(0) <- sum_hi;
   buf.(1) <- sum_lo;
   let base = 2 in
-  let put slot p =
-    let k = base + (5 * slot) in
-    buf.(k) <- I.id proc_cells.(p);
-    buf.(k + 1) <- I.id ops_cells.(p);
-    buf.(k + 2) <- (crashed lsr p) land 1;
-    buf.(k + 3) <- (stuck lsr p) land 1;
-    buf.(k + 4) <- (sleep lsr p) land 1
-  in
   (match classes with
   | None ->
     for p = 0 to nprocs - 1 do
-      put p p
+      put_record buf ~proc_cells ~ops_cells ~crashed ~stuck ~sleep p p
     done
   | Some rep ->
     (* Emit each class's members contiguously at the representative's
@@ -488,7 +495,8 @@ let encode_flat_parts fx ~sum_hi ~sum_lo ~proc_cells ~ops_cells ~crashed
         let seg = !slot in
         for q = p to nprocs - 1 do
           if rep.(q) = p then begin
-            put !slot q;
+            put_record buf ~proc_cells ~ops_cells ~crashed ~stuck ~sleep
+              !slot q;
             incr slot
           end
         done;
@@ -619,8 +627,9 @@ let default_dedup_threshold = 64
    - Transitions come from [Step_table] rows — per (interned state, port,
      invocation) lists compiled by running the interpreted spec once — so the
      hot path never re-applies spec closures, and every successor state and
-     response it hands out is the canonical representative of a per-domain
-     intern state that persists across runs. Program continuations advance
+     response it hands out is the canonical representative of the intern
+     state in the implementation's compiled context, which persists across
+     runs. Program continuations advance
      through [Program.step]'s per-node memo keyed on those (physically
      stable) canonical responses, so a program closure also runs at most once
      per (node, response). Glitched responses are interned the same way.
@@ -857,7 +866,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
   let n_objs = Array.length cc.cc_rootcells in
   let n_procs = impl.Implementation.procs in
   let unit_cell = I.unit ist in
-  let empty_hist = fp_hist_cell ist [] in
+  let empty_hist = list_cell ist [] in
   let ms =
     match cc.cc_pool with
     | Some ms ->
@@ -965,18 +974,18 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     sum_hi := 0;
     sum_lo := 0;
     for o = 0 to n_objs - 1 do
-      if hist_depth.(o) > 0 then hist_cells.(o) <- fp_hist_cell ist hist.(o);
+      if hist_depth.(o) > 0 then hist_cells.(o) <- list_cell ist hist.(o);
       sum_hi := !sum_hi + obj_term_hi o obj_cells.(o) hist_cells.(o) acc.(o);
       sum_lo := !sum_lo + obj_term_lo o obj_cells.(o) hist_cells.(o) acc.(o)
     done;
     for p = 0 to n_procs - 1 do
-      todo_cells.(p) <- todo_cell ist todo.(p);
+      todo_cells.(p) <- list_cell ist todo.(p);
       local_cells.(p) <- local_cell ist ~next_op:next_op.(p) local.(p);
       set_ctl_cell p;
       if haspend.(p) then begin
         head_cells.(p) <-
           head_cell ist ~inv0:p_inv0.(p) ~op_index:p_opidx.(p);
-        chain_cells.(p) <- chain_cell ist p_resps.(p)
+        chain_cells.(p) <- list_cell ist p_resps.(p)
       end;
       set_proc_cell p;
       ops_cells.(p) <- unit_cell
@@ -1380,7 +1389,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       Array.unsafe_set local p local';
       if track then begin
         ops_cells.(p) <- I.pair ist (fp_op_cell ist op) s_opsc;
-        Array.unsafe_set todo_cells p (todo_cell ist todo');
+        Array.unsafe_set todo_cells p (list_cell ist todo');
         Array.unsafe_set local_cells p
           (local_cell ist ~next_op:(s_nextop + 1) local');
         set_ctl_cell p;
@@ -1461,7 +1470,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
           (s_q :: s_hist)
       in
       Array.unsafe_set hist obj h;
-      if track then Array.unsafe_set hist_cells obj (fp_hist_cell ist h)
+      if track then Array.unsafe_set hist_cells obj (list_cell ist h)
     end;
     if fresh then
       Array.unsafe_set todo p
@@ -1489,7 +1498,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
           Array.unsafe_set ops_cells p (I.pair ist (fp_op_cell ist op) s_opsc);
           if fresh then
             Array.unsafe_set todo_cells p
-              (todo_cell ist (Array.unsafe_get todo p));
+              (list_cell ist (Array.unsafe_get todo p));
           Array.unsafe_set local_cells p
             (local_cell ist ~next_op:(op_index + 1) local');
           set_ctl_cell p
@@ -1506,7 +1515,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
         if track then
           if fresh then begin
             Array.unsafe_set todo_cells p
-              (todo_cell ist (Array.unsafe_get todo p));
+              (list_cell ist (Array.unsafe_get todo p));
             set_ctl_cell p;
             Array.unsafe_set head_cells p (head_cell ist ~inv0 ~op_index);
             Array.unsafe_set chain_cells p (I.pair ist rc unit_cell)
@@ -1612,7 +1621,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       Array.unsafe_set todo p (Array.unsafe_get p_inv0 p :: s_todo);
       Array.unsafe_set haspend p false;
       if track then begin
-        Array.unsafe_set todo_cells p (todo_cell ist (Array.unsafe_get todo p));
+        Array.unsafe_set todo_cells p (list_cell ist (Array.unsafe_get todo p));
         set_ctl_cell p;
         set_proc_cell p
       end

@@ -43,9 +43,9 @@ type t
 
 val create : ?ist:I.state -> Type_spec.t -> t
 (** A fresh table with no compiled rows. Pass [ist] to share an intern state
-    with the caller (e.g. the exploration engine's per-domain state) so the
-    canonical representatives are canonical for the caller too; otherwise a
-    private state is created. *)
+    with the caller (e.g. the one in the exploration engine's compiled
+    context) so the canonical representatives are canonical for the caller
+    too; otherwise a private state is created. *)
 
 val intern_state : t -> I.state
 (** The intern state rows are canonicalized into. *)

@@ -193,90 +193,308 @@ end
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
 
-(* Hash-consing. A [state] owns an intern table mapping a *shallow* key —
-   constructor tag plus the ids of already-interned children — to a unique
-   [cell]. Interning is bottom-up, so two structurally equal values always
-   reach the same cell: equality on cells is physical equality, the hash is
-   cached (and equal to [hash] of the underlying value), and the id gives a
-   total order that is cheap to sort on.
+(* Hash-consing. A [state] maps a *shallow* key — constructor plus the ids
+   of already-interned children — to a unique [cell]. Interning is
+   bottom-up, so two structurally equal values always reach the same cell:
+   equality on cells is physical equality, the hash is cached (and equal to
+   [hash] of the underlying value), and the id gives a total order that is
+   cheap to sort on.
 
-   States are deliberately NOT global: the exploration engine creates one
-   state per domain, living exactly as long as the per-domain dedup/memo
-   table keyed on its cells. No mutable state is shared across domains, so
-   the scheme is safe under multicore fan-out without any locking; the cost
-   is only that domains re-intern values the other domains already saw,
-   which is the same trade the per-domain dedup tables already make. *)
+   Keys other than symbols are ints, so those tables are open-addressing
+   arrays. The contract is that a probe that hits allocates nothing; a
+   cell, and the value it carries, is built only on a miss:
+   - [Unit], [true] and [false] are fields of the state, filled on first use;
+   - [Int] atoms are keyed by their value, pairs by their two child ids
+     packed into one int ([pair_key]);
+   - [Sym] atoms go in a string table (a [Hashtbl] hit allocates nothing);
+   - a list is keyed by a fold of its child ids and its length, and a probe
+     compares the child ids stored with each candidate. The children are
+     pushed onto a scratch stack in the state, so neither [intern (List xs)]
+     nor [list] builds an intermediate list.
+
+   States are deliberately NOT global and not thread-safe: the exploration
+   engine keeps one in each per-implementation compiled context, alongside
+   the transition tables and dedup tables keyed on its cells. *)
 module Intern = struct
   let structural_hash = hash
 
   type cell = { value : t; chash : int; id : int }
 
-  type key =
-    | KAtom of t (* Unit | Bool | Int | Sym: compared structurally *)
-    | KPair of int * int (* child cell ids *)
-    | KList of int list
+  (* Marks an empty table slot and an unset atom field; never handed out. *)
+  let vacant = { value = Unit; chash = 0; id = -1 }
 
-  module KH = Hashtbl.Make (struct
-    type t = key
+  (* Power-of-two capacity, linear probing, grown at half load. Slot [i] is
+     empty iff [cells.(i) == vacant]; [keys.(i)] is its int key and
+     [aux.(i)], for lists only, where its child ids start in [pool]. *)
+  type table = {
+    mutable cells : cell array;
+    mutable keys : int array;
+    mutable aux : int array;
+    mutable count : int;
+  }
 
-    let equal k1 k2 =
-      match (k1, k2) with
-      | KAtom a, KAtom b -> equal a b
-      | KPair (a1, b1), KPair (a2, b2) -> a1 = a2 && b1 = b2
-      | KList a, KList b -> List.equal Int.equal a b
-      | (KAtom _ | KPair _ | KList _), _ -> false
+  let table cap =
+    {
+      cells = Array.make cap vacant;
+      keys = Array.make cap 0;
+      aux = Array.make cap 0;
+      count = 0;
+    }
 
-    let hash = function
-      | KAtom a -> structural_hash a
-      | KPair (a, b) -> combine (combine 7 a) b
-      | KList ids -> List.fold_left combine 11 ids
-  end)
+  module Syms = Hashtbl.Make (String)
 
-  type state = { cells : cell KH.t; mutable next_id : int }
+  type state = {
+    mutable next_id : int;
+    mutable unit_c : cell;
+    mutable true_c : cell;
+    mutable false_c : cell;
+    ints : table;
+    pairs : table;
+    lists : table;
+    syms : cell Syms.t;
+    mutable pool : int array;
+        (* per interned list, its length then its child ids *)
+    mutable pool_len : int;
+    mutable stack : cell array;  (* children of the lists being interned *)
+    mutable sp : int;
+  }
 
-  let create () = { cells = KH.create 512; next_id = 0 }
+  let create () =
+    {
+      next_id = 0;
+      unit_c = vacant;
+      true_c = vacant;
+      false_c = vacant;
+      ints = table 64;
+      pairs = table 256;
+      lists = table 64;
+      syms = Syms.create 16;
+      pool = Array.make 256 0;
+      pool_len = 0;
+      stack = Array.make 16 vacant;
+      sp = 0;
+    }
+
   let value c = c.value
   let hash c = c.chash
   let id c = c.id
   let equal (a : cell) (b : cell) = a == b
 
-  (* [build] is only run on a miss, but a hit is not free: the caller has
-     already allocated its [KPair]/[KList] key and the [build] closure, so
-     every hit allocates both. [h] must equal [structural_hash (build ())];
-     the constructors below maintain this by replaying the [hash]
-     recurrence on the children's cached hashes. *)
-  let find st key build h =
-    match KH.find_opt st.cells key with
-    | Some c -> c
-    | None ->
-      let c = { value = build (); chash = h; id = st.next_id } in
-      st.next_id <- st.next_id + 1;
-      KH.add st.cells key c;
+  (* Spreads an int key over the low bits a slot mask keeps: one
+     xor-shift-multiply round with a 63-bit odd constant. *)
+  let mix k =
+    let h = (k lxor (k lsr 31)) * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+
+  (* Ids are dense, and 2^31 cells would not fit in memory, so two ids pack
+     into one key. *)
+  let max_cells = 1 lsl 31
+  let pair_key a b = (a lsl 31) lor b
+
+  let fresh st value chash =
+    if st.next_id >= max_cells then failwith "Value.Intern: too many cells";
+    let c = { value; chash; id = st.next_id } in
+    st.next_id <- st.next_id + 1;
+    c
+
+  let rec reinsert t i c key aux =
+    if t.cells.(i) == vacant then begin
+      t.cells.(i) <- c;
+      t.keys.(i) <- key;
+      t.aux.(i) <- aux
+    end
+    else reinsert t ((i + 1) land (Array.length t.cells - 1)) c key aux
+
+  let grow t =
+    let cells = t.cells and keys = t.keys and aux = t.aux in
+    let cap = 2 * Array.length cells in
+    t.cells <- Array.make cap vacant;
+    t.keys <- Array.make cap 0;
+    t.aux <- Array.make cap 0;
+    Array.iteri
+      (fun i c ->
+        if c != vacant then
+          reinsert t (mix keys.(i) land (cap - 1)) c keys.(i) aux.(i))
+      cells
+
+  (* Store [c] in the empty slot [i] found by the probe that missed. *)
+  let add t i c key aux =
+    t.cells.(i) <- c;
+    t.keys.(i) <- key;
+    t.aux.(i) <- aux;
+    t.count <- t.count + 1;
+    if 2 * t.count > Array.length t.cells then grow t;
+    c
+
+  (* The slot holding [key] in a table of unique keys, or the empty slot
+     where it belongs. *)
+  let slot t key =
+    let cells = t.cells and keys = t.keys in
+    let mask = Array.length cells - 1 in
+    let i = ref (mix key land mask) in
+    while
+      Array.unsafe_get cells !i != vacant && Array.unsafe_get keys !i <> key
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let unit st =
+    if st.unit_c == vacant then
+      st.unit_c <- fresh st Unit (structural_hash Unit);
+    st.unit_c
+
+  let bool st b =
+    if b then begin
+      if st.true_c == vacant then
+        st.true_c <- fresh st (Bool true) (structural_hash (Bool true));
+      st.true_c
+    end
+    else begin
+      if st.false_c == vacant then
+        st.false_c <- fresh st (Bool false) (structural_hash (Bool false));
+      st.false_c
+    end
+
+  let int st i =
+    let t = st.ints in
+    let s = slot t i in
+    let c = Array.unsafe_get t.cells s in
+    if c != vacant then c
+    else
+      let v = Int i in
+      add t s (fresh st v (structural_hash v)) i 0
+
+  let sym st s =
+    match Syms.find st.syms s with
+    | c -> c
+    | exception Not_found ->
+      let v = Sym s in
+      let c = fresh st v (structural_hash v) in
+      Syms.add st.syms s c;
       c
 
-  let atom st v = find st (KAtom v) (fun () -> v) (structural_hash v)
-  let unit st = atom st Unit
-  let bool st b = atom st (Bool b)
-  let int st i = atom st (Int i)
-  let sym st s = atom st (Sym s)
-
   let pair st a b =
-    find st
-      (KPair (a.id, b.id))
-      (fun () -> Pair (a.value, b.value))
-      (combine (combine pair_seed a.chash) b.chash)
+    let t = st.pairs and key = pair_key a.id b.id in
+    let s = slot t key in
+    let c = Array.unsafe_get t.cells s in
+    if c != vacant then c
+    else
+      add t s
+        (fresh st
+           (Pair (a.value, b.value))
+           (combine (combine pair_seed a.chash) b.chash))
+        key 0
+
+  (* --- lists, from the scratch stack --- *)
+
+  let push st c =
+    if st.sp = Array.length st.stack then begin
+      let stack = Array.make (2 * st.sp) vacant in
+      Array.blit st.stack 0 stack 0 st.sp;
+      st.stack <- stack
+    end;
+    Array.unsafe_set st.stack st.sp c;
+    st.sp <- st.sp + 1
+
+  let rec push_cells st = function
+    | [] -> ()
+    | c :: cs ->
+      push st c;
+      push_cells st cs
+
+  let list_key stack base n =
+    let h = ref n in
+    for i = base to base + n - 1 do
+      h := mix (!h + (Array.unsafe_get stack i).id)
+    done;
+    !h
+
+  (* Are the ids stored at [pool.(off + 1 + k)], k < n, those of
+     [stack.(base + k)]? *)
+  let rec same_from pool off stack base n k =
+    k = n
+    || Array.unsafe_get pool (off + 1 + k)
+       = (Array.unsafe_get stack (base + k)).id
+       && same_from pool off stack base n (k + 1)
+
+  let same_ids pool off stack base n =
+    Array.unsafe_get pool off = n && same_from pool off stack base n 0
+
+  let rec values_of stack i stop =
+    if i = stop then []
+    else (Array.unsafe_get stack i).value :: values_of stack (i + 1) stop
+
+  let rec hash_of stack i stop acc =
+    if i = stop then acc
+    else
+      hash_of stack (i + 1) stop (combine acc (Array.unsafe_get stack i).chash)
+
+  let store_ids st base n =
+    let need = st.pool_len + n + 1 in
+    if need > Array.length st.pool then begin
+      let pool = Array.make (max need (2 * Array.length st.pool)) 0 in
+      Array.blit st.pool 0 pool 0 st.pool_len;
+      st.pool <- pool
+    end;
+    let off = st.pool_len in
+    st.pool.(off) <- n;
+    for k = 0 to n - 1 do
+      st.pool.(off + 1 + k) <- st.stack.(base + k).id
+    done;
+    st.pool_len <- need;
+    off
+
+  (* Intern the list of the cells pushed since [base], and pop them. *)
+  let list_from st base =
+    let stack = st.stack and t = st.lists in
+    let n = st.sp - base in
+    let key = list_key stack base n in
+    let cells = t.cells and keys = t.keys and aux = t.aux in
+    let mask = Array.length cells - 1 in
+    let i = ref (mix key land mask) in
+    while
+      let c = Array.unsafe_get cells !i in
+      c != vacant
+      && not
+           (Array.unsafe_get keys !i = key
+           && same_ids st.pool (Array.unsafe_get aux !i) stack base n)
+    do
+      i := (!i + 1) land mask
+    done;
+    let c = Array.unsafe_get cells !i in
+    let c =
+      if c != vacant then c
+      else
+        let v = List (values_of stack base st.sp) in
+        let c = fresh st v (hash_of stack base st.sp list_seed) in
+        add t !i c key (store_ids st base n)
+    in
+    st.sp <- base;
+    c
 
   let list st cs =
-    find st
-      (KList (List.map (fun c -> c.id) cs))
-      (fun () -> List (List.map (fun c -> c.value) cs))
-      (List.fold_left (fun acc c -> combine acc c.chash) list_seed cs)
+    let base = st.sp in
+    push_cells st cs;
+    list_from st base
 
   let rec intern st v =
     match v with
-    | Unit | Bool _ | Int _ | Sym _ -> atom st v
+    | Unit -> unit st
+    | Bool b -> bool st b
+    | Int i -> int st i
+    | Sym s -> sym st s
     | Pair (a, b) -> pair st (intern st a) (intern st b)
-    | List xs -> list st (List.map (intern st) xs)
+    | List xs ->
+      let base = st.sp in
+      push_values st xs;
+      list_from st base
+
+  and push_values st = function
+    | [] -> ()
+    | x :: xs ->
+      push st (intern st x);
+      push_values st xs
 
   (* Hashtable keyed on cells of a single state: physical equality plus the
      (unique, densely allocated) id as hash — probes never walk values. *)

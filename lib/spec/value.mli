@@ -76,16 +76,20 @@ module Set : Set.S with type elt = t
     pointer comparison and hashing is a field read — O(1) instead of a walk
     over the whole configuration tree.
 
-    States are not global and not thread-safe by design: create one per
-    domain and key only that domain's tables on its cells. The exploration
-    engine pairs each per-domain dedup table with its own state, so the
-    multicore fan-out shares no mutable interning structure at all — that is
-    the whole safety argument, no locks required. Never mix cells from
-    different states: physical equality and ids are meaningful only within
-    the state that allocated them. *)
+    Keys are ints (atom values and child ids; symbols go in a string
+    table), so the tables are open-addressing arrays: interning a value that
+    is already present allocates nothing, and a cell is built only on a
+    miss.
+
+    States are not global and not thread-safe by design: the exploration
+    engine keeps one per implementation, in that implementation's compiled
+    context, and keys its transition and dedup tables on that state's cells.
+    Never mix cells from different states: physical equality and ids are
+    meaningful only within the state that allocated them. *)
 module Intern : sig
   type state
-  (** An intern table plus an id counter. Owned by a single domain. *)
+  (** Intern tables plus an id counter. Not thread-safe: use one from one
+      domain at a time. *)
 
   type cell
   (** An interned value. Cells of one state are in bijection with the
@@ -107,10 +111,12 @@ module Intern : sig
       iff [Value.equal a b]. *)
 
   val intern : state -> t -> cell
-  (** Bottom-up interning of an arbitrary value. *)
+  (** Bottom-up interning of an arbitrary value. Allocates only for the
+      cells it creates: re-interning a value allocates nothing. *)
 
   (** Smart constructors interning one node given already-interned children —
-      O(1) each (amortized), no traversal of the children. *)
+      O(1) each (amortized, [list] linear in its length), no traversal of the
+      children, and no allocation when the node is already interned. *)
 
   val unit : state -> cell
   val bool : state -> bool -> cell

@@ -930,7 +930,9 @@ let test_pinned_counts () =
    the same on every run of one build, so each bound is 1.5x a recorded
    figure plus two words: only a real hot-path regression trips it. E10
    never engages dedup; the cas n=6 row prunes, so the dedup probe is
-   priced too. *)
+   priced too, and the cas n=5 row runs the default engine ([Explore.fast]:
+   symmetric dedup plus POR), so the key also pays for the per-class sort
+   of two symmetry classes. *)
 let test_allocation_per_node () =
   List.iter
     (fun (name, impl, workloads, options, (nodes, pruned), recorded) ->
@@ -960,7 +962,13 @@ let test_allocation_per_node () =
         Array.init 6 (fun i -> [ Ops.propose (Value.bool (i mod 2 = 0)) ]),
         { Explore.fast with dedup = Exact },
         (2710, 187),
-        222.05 );
+        73.02 );
+      ( "cas5 T/F/T/F/T fast",
+        proto "cas" 5,
+        Array.init 5 (fun i -> [ Ops.propose (Value.bool (i mod 2 = 0)) ]),
+        Explore.fast,
+        (367, 56),
+        58.49 );
     ]
 
 (* The shape the incremental fingerprint targets: a Theorem 5 output, many

@@ -129,6 +129,145 @@ let prop_intern_constructors =
            (I.list intern_st [ ca; cb ])
            (I.intern intern_st (Value.List [ a; b ])))
 
+(* Values over a wide atom space, nested pairs, and lists longer than the
+   intern state's scratch stack (16 cells), so a batch of a few hundred
+   forces several growths of every intern table. *)
+let wide_value_gen =
+  let open QCheck.Gen in
+  let atom =
+    frequency
+      [
+        (1, return Value.Unit);
+        (1, map Value.bool bool);
+        (6, map Value.int (int_range (-5000) 5000));
+        (2, map (fun i -> Value.sym ("s" ^ string_of_int i)) (int_bound 300));
+      ]
+  in
+  fix (fun self depth ->
+      if depth = 0 then atom
+      else
+        frequency
+          [
+            (2, atom);
+            (4, map2 Value.pair (self (depth - 1)) (self (depth - 1)));
+            ( 1,
+              map Value.list
+                (list_size
+                   (int_bound (if depth = 1 then 40 else 5))
+                   (self (depth - 1))) );
+          ])
+
+let rec subterms acc v =
+  let acc = Value.Set.add v acc in
+  match v with
+  | Value.Pair (a, b) -> subterms (subterms acc a) b
+  | Value.List xs -> List.fold_left subterms acc xs
+  | Value.Unit | Value.Bool _ | Value.Int _ | Value.Sym _ -> acc
+
+(* A rebuilt copy, physically disjoint from [v] down to the atoms. *)
+let rec deep_copy = function
+  | Value.Int i -> Value.Int (i + 0)
+  | Value.Sym s -> Value.Sym (String.init (String.length s) (String.get s))
+  | Value.Pair (a, b) -> Value.Pair (deep_copy a, deep_copy b)
+  | Value.List xs -> Value.List (List.map deep_copy xs)
+  | (Value.Unit | Value.Bool _) as v -> v
+
+let prop_intern_tables =
+  QCheck.Test.make ~count:20
+    ~name:"intern tables: sharing, hashes, dense first-interning ids"
+    (QCheck.make
+       ~print:(fun vs -> Fmt.str "%d values" (List.length vs))
+       QCheck.Gen.(list_repeat 400 (wide_value_gen 3)))
+    (fun vs ->
+      let st = I.create () in
+      let batch = vs @ List.map deep_copy (List.filteri (fun i _ -> i mod 3 = 0) vs) in
+      (* [seen]: every subterm interned so far; [last]: the newest id *)
+      let seen = ref Value.Set.empty and last = ref (-1) in
+      let by_value = ref Value.Map.empty and by_id = Hashtbl.create 1024 in
+      List.iter
+        (fun v ->
+          let c = I.intern st v in
+          if Value.Set.mem v !seen then begin
+            if I.id c > !last then
+              QCheck.Test.fail_reportf "re-interning %a made a cell" Value.pp v
+          end
+          else begin
+            if I.id c <= !last then
+              QCheck.Test.fail_reportf "new value %a got old id %d" Value.pp v
+                (I.id c);
+            last := I.id c;
+            seen := subterms !seen v
+          end;
+          (match Value.Map.find_opt v !by_value with
+          | Some c' when not (I.equal c c') ->
+            QCheck.Test.fail_reportf "%a has two cells" Value.pp v
+          | _ -> by_value := Value.Map.add v c !by_value);
+          (match Hashtbl.find_opt by_id (I.id c) with
+          | Some v' when not (Value.equal v v') ->
+            QCheck.Test.fail_reportf "%a and %a share a cell" Value.pp v Value.pp v'
+          | _ -> Hashtbl.replace by_id (I.id c) v);
+          if not (Value.equal (I.value c) v && I.hash c = Value.hash v) then
+            QCheck.Test.fail_reportf "cell of %a: wrong value or hash" Value.pp v;
+          let rebuilt =
+            match v with
+            | Value.Pair (a, b) -> I.pair st (I.intern st a) (I.intern st b)
+            | Value.List xs -> I.list st (List.map (I.intern st) xs)
+            | _ -> c
+          in
+          if rebuilt != c then
+            QCheck.Test.fail_reportf "smart constructor disagrees on %a" Value.pp v)
+        batch;
+      let all = !seen in
+      let count p = Value.Set.cardinal (Value.Set.filter p all) in
+      let ints = count (function Value.Int _ -> true | _ -> false)
+      and pairs = count (function Value.Pair _ -> true | _ -> false)
+      and lists = count (function Value.List _ -> true | _ -> false)
+      and longest =
+        Value.Set.fold
+          (fun v m -> match v with Value.List xs -> max m (List.length xs) | _ -> m)
+          all 0
+      in
+      (* the initial capacities are 64 ints, 256 pairs, 64 lists and a
+         16-cell stack; growth happens at half load *)
+      if ints < 129 || pairs < 513 || lists < 129 || longest <= 32 then
+        QCheck.Test.fail_reportf
+          "batch too small to grow the tables: %d ints, %d pairs, %d lists, longest %d"
+          ints pairs lists longest;
+      (* dense: the ids handed out are exactly 0 .. distinct subterms - 1 *)
+      !last + 1 = Value.Set.cardinal all)
+
+(* After a warm-up, re-interning the same composite values allocates a
+   constant number of minor words (those of reading the counter), however
+   many calls are made. *)
+let test_intern_hit_allocates_nothing () =
+  let st = I.create () in
+  let vs =
+    Array.of_list
+      (QCheck.Gen.generate ~rand:(Random.State.make [| 18 |]) ~n:300
+         (wide_value_gen 3))
+  in
+  let cells = Array.map (I.intern st) vs in
+  let children =
+    Array.map
+      (function Value.List xs -> List.map (I.intern st) xs | _ -> [])
+      vs
+  in
+  let words rounds =
+    let before = Gc.minor_words () in
+    for _ = 1 to rounds do
+      for i = 0 to Array.length vs - 1 do
+        ignore (I.intern st vs.(i));
+        ignore (I.list st children.(i));
+        ignore (I.pair st cells.(i) cells.(i))
+      done
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (words 1);
+  let few = words 10 in
+  let many = words 1000 in
+  Alcotest.(check (float 0.)) "words for 10 rounds = words for 1000" few many
+
 let test_hash_sibling_reorder () =
   (* the pre-compaction [ha * 65599 + hb] chain was commutative across the
      elements of a right-nested pair chain — the shape dedup fingerprints
@@ -344,6 +483,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_intern_roundtrip;
           QCheck_alcotest.to_alcotest prop_intern_sharing;
           QCheck_alcotest.to_alcotest prop_intern_constructors;
+          QCheck_alcotest.to_alcotest prop_intern_tables;
+          Alcotest.test_case "a hit allocates nothing" `Quick
+            test_intern_hit_allocates_nothing;
         ] );
       ( "type_spec",
         [
