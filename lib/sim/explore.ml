@@ -97,8 +97,9 @@ let null_tracker =
    (agreement, validity, wait-freedom fuel, per-object access bounds) is
    invariant under renaming processes *within a class of equal inputs*. So
    instead of exploring both, we canonicalize the dedup KEY — never the
-   configuration itself — by sorting the per-process fingerprint components
-   within each class under a fixed total order. Exploration always proceeds
+   configuration itself — by salting each process's record term with its
+   class representative instead of its pid, so the key's process sum sees
+   each class's records as a multiset. Exploration always proceeds
    on real configurations, so traces, witnesses and leaves are reported in
    un-permuted pids; symmetry only makes the dedup table coarser, which
    composes with sleep sets exactly like plain dedup does (the sleep bits
@@ -168,26 +169,24 @@ end
    The cells are maintained *incrementally* along tree edges, and each edge
    pays for what it changed, not for the size of what it touched:
 
-   - A process cell is built from cached component cells — the todo
-     chain, ⟨next_op, local⟩, the pending operation's head ⟨inv0, op_index⟩
-     and its response chain (responses so far, newest first). Chains are
+   - A process is keyed by cached component cells — ⟨todo, ⟨next_op,
+     local⟩⟩, the pending operation's head ⟨inv0, op_index⟩ and its
+     response chain (responses so far, newest first). Chains are
      cons-chains of [I.pair] cells ([list_cell]), so no list is built to
      hold their cells, and [Value.Intern]'s constructors allocate nothing
-     on a hit: keeping the key current allocates only on the rare miss. An access extends the response chain
-     by one [I.pair] and re-pairs the pending and process cells; the todo
-     and local cells change only when an operation starts or returns. No
-     edge re-interns a whole response list.
+     on a hit: keeping the key current allocates only on the rare miss. An
+     access extends the response chain by one [I.pair]; the todo and local
+     cells change only when an operation starts or returns. No edge
+     re-interns a whole response list.
 
-   - The object segment is summarized by two additive hashes (see
-     {!Fingerprint.component_hi}): one position-salted term per object over
-     ⟨object cell, history cell, access count⟩, so an access replaces one
-     term instead of re-hashing every object.
+   - Objects and processes are each summarized by two additive hashes, so
+     an access replaces terms instead of re-hashing every component.
 
    The kernel keeps these cells in mutable arrays next to the configuration
    and restores them on backtrack.
 
-   Per-process components deliberately exclude the pid itself (the position
-   in the key carries it; under symmetry, the canonical position), and a
+   Per-process components deliberately exclude the pid itself (the record
+   term's salt carries it; under symmetry, the class representative), and a
    process's completed operations form a cons-chain extended by one cell
    when an edge retires an operation — completion order across processes
    never enters the key. *)
@@ -204,9 +203,8 @@ let rec list_cell ist = function
 (* Process components. The todo cell and the response chain are
    [list_cell]s. The todo cell changes only when an operation starts, the
    local cell ⟨next_op, local⟩ only when one returns. An idle process's
-   pending cell is [I.unit]; a pending one's is ⟨head, chain⟩, and the
-   chain of no responses is [I.unit] too, so every component stays
-   injective. *)
+   record carries -1 for head and chain (cell ids are non-negative), so
+   every component stays injective. *)
 let local_cell ist ~next_op local =
   I.pair ist (I.int ist next_op) (I.intern ist local)
 
@@ -214,8 +212,6 @@ let head_cell ist ~inv0 ~op_index =
   I.pair ist (I.intern ist inv0) (I.int ist op_index)
 
 let ctl_cell ist ~todo_c ~local_c = I.pair ist todo_c local_c
-let pend_cell ist ~head_c ~chain_c = I.pair ist head_c chain_c
-let proc_cell ist ~ctl_c ~pend_c = I.pair ist ctl_c pend_c
 
 (* One object's terms in the two additive lanes. *)
 let obj_term_hi o oc hc a = Fingerprint.component_hi o (I.id oc) (I.id hc) a
@@ -370,55 +366,61 @@ let engine_of_options (o : options) : Checkpoint.engine = o
    merge even when they retired them in a different order — completion
    order is already outside the engine's soundness envelope.
 
-   The key is a fixed-size scratch [int array] of interned-cell ids,
-   additive segment hashes and raw scalars, hashed into a ⟨hi, lo⟩ 124-bit
-   {!Wfc_spec.Fingerprint} and probed in an open-addressing table — no boxed
-   key is allocated, no hashtable bucket or list cell is built, no
-   structural equality is ever walked, and nothing is added to the intern
-   state per probe.
+   The key is nine ints whatever the number of processes and objects,
+   hashed into a ⟨hi, lo⟩ 124-bit {!Wfc_spec.Fingerprint} and probed in an
+   open-addressing table — no boxed key, no bucket, no structural equality,
+   and nothing added to the intern state per probe:
 
-   Layout, filled by the kernel from its own mutable cells:
+     [obj_hi; obj_lo; proc_hi; proc_lo;
+      events; crashes_left; recoveries_left; glitches_left; tracker id or -1]
 
-     objects      : [sum_hi; sum_lo]                              (2)
-     per process  : [proc_cell; ops_cell; crashed; stuck; sleep]  (5·n_procs)
-     scalars      : [events; crashes_left; recoveries_left; glitches_left]
-     tracker      : [tracker cell id, or -1]
+   The object sums add one position-salted term per object over ⟨object
+   cell, history cell, access count⟩ ({!Fingerprint.component_hi}); an
+   access swaps its object's term. The process sums add one term per
+   process over the record ⟨ctl, head, chain, completed ops, flags⟩
+   ({!Fingerprint.record_hi}): cell ids, head and chain -1 when nothing is
+   pending, flags the crashed, stuck and sleep bits. Its salt is the
+   process's symmetry-class representative (its pid without classes), so
+   each class's records enter as a multiset and canonicalization needs no
+   sort. [recs] caches each process's terms per sleep bit, keyed on the
+   ids and flags they came from: a probe re-mixes only the records that
+   changed, and no undo path touches the cache.
 
-   The object segment is not spelled out: [sum_hi]/[sum_lo] are the sums,
-   modulo 2^63, of one position-salted 62-bit mix per object of
-   ⟨object cell id, history cell id, access count⟩, one sum per mixer lane
-   ({!Fingerprint.component_hi}/[component_lo]). An access subtracts its
-   object's old term and adds the new one, so a probe hashes
-   2 + 5·n_procs + 5 ints whatever the number of objects. The process cell
-   is ⟨⟨todo, ⟨next_op, local⟩⟩, pending⟩ with pending = ⟨⟨inv0, op_index⟩,
-   response chain⟩ or unit, all from cached component cells, so keeping it
-   current costs O(1) cell lookups per access.
+   Cell ids are unique within the owning intern state, so records are
+   equal iff their components are equal values. Both sums are Zobrist-style
+   and the buffer is folded into 124 bits: hash compaction, treated as
+   negligible (≈2^-64 collision risk at 10^9 states). *)
 
-   Every per-process component has a FIXED width of five ints, so symmetry
-   canonicalization is an in-place insertion sort of five-int records within
-   each class segment — no allocation there either. Cell ids are unique
-   within the owning intern state, so two configurations agree on the
-   per-process and scalar parts iff their components are equal values. The
-   object sums are Zobrist-style hashes: two configurations whose object
-   segments differ agree on both sums only by a collision of two
-   independent 63-bit lanes, and the whole buffer is then folded into 124
-   bits. Both steps are hash compaction, treated as negligible (≈2^-64
-   collision risk at 10^9 states). *)
+let rec_stride = 9
 
 type flat_ctx = {
-  ist : I.state;
-  buf : int array;  (* the scratch encoding; length fixed per run *)
-  tmp : int array;  (* one 5-int record, for the insertion sort *)
+  buf : int array;  (* the nine-int scratch encoding *)
+  recs : int array;
+      (* per process: its record (sleep bit clear), then ⟨hi, lo⟩ for sleep
+         bit 0 and for sleep bit 1 *)
   mutable table : Fingerprint.Table.t option;  (* exact tier *)
   mutable bloom : Fingerprint.Bloom.t option;  (* probabilistic tier *)
 }
 
-let flat_create ?ist ~n_procs ~tier2 ~bloom_bits_log2 () =
+(* One exact-tier table per domain, lent to one run at a time by the rule of
+   the kernel's [mut_state] pool and returned reset, so a verify over
+   hundreds of vectors allocates it once. One slot, not one per
+   implementation, keeps finished runs' tables from staying alive. *)
+let table_pool : Fingerprint.Table.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let flat_create ~n_procs ~tier2 ~bloom_bits_log2 () =
+  let pool = Domain.DLS.get table_pool in
   {
-    ist = (match ist with Some s -> s | None -> I.create ());
-    buf = Array.make (2 + (5 * n_procs) + 5) 0;
-    tmp = Array.make 5 0;
-    table = (if tier2 then None else Some (Fingerprint.Table.create ()));
+    buf = Array.make 9 0;
+    recs = Array.make (rec_stride * n_procs) (-1);
+    table =
+      (match !pool with
+      | _ when tier2 -> None
+      | Some tbl ->
+        pool := None;
+        Some tbl
+      | None -> Some (Fingerprint.Table.create ()));
     bloom =
       (if tier2 then Some (Fingerprint.Bloom.create ~bits_log2:bloom_bits_log2 ())
        else None);
@@ -432,98 +434,60 @@ let flat_mem_or_add fx ~hi ~lo =
   | None, Some bl -> Fingerprint.Bloom.mem_or_add bl ~hi ~lo
   | None, None -> false
 
-let copy_rec buf ~base j i =
-  Array.blit buf (base + (5 * j)) buf (base + (5 * i)) 5
-
-(* Is the record in [tmp] < the record at slot [j]? Compares from field
-   [k] on. *)
-let rec tmp_lt (buf : int array) (tmp : int array) ~base j k =
-  k < 5
-  &&
-  let a = Array.unsafe_get tmp k and b = buf.(base + (5 * j) + k) in
-  a < b || (a = b && tmp_lt buf tmp ~base j (k + 1))
-
-(* Sort the five-int records in [buf.(base + 5*lo) .. buf.(base + 5*hi - 1)]
-   lexicographically, in place. Class segments are tiny (≤ n_procs), so
-   insertion sort wins. *)
-let sort_records buf tmp ~base ~lo ~hi =
-  for i = lo + 1 to hi - 1 do
-    Array.blit buf (base + (5 * i)) tmp 0 5;
-    let j = ref (i - 1) in
-    while !j >= lo && tmp_lt buf tmp ~base !j 0 do
-      copy_rec buf ~base !j (!j + 1);
-      decr j
-    done;
-    Array.blit tmp 0 buf (base + (5 * (!j + 1))) 5
-  done
-
-(* Write process [p]'s five-int record at record slot [slot], after the
-   two object sums. *)
-let put_record buf ~proc_cells ~ops_cells ~crashed ~stuck ~sleep slot p =
-  let k = 2 + (5 * slot) in
-  buf.(k) <- I.id proc_cells.(p);
-  buf.(k + 1) <- I.id ops_cells.(p);
-  buf.(k + 2) <- (crashed lsr p) land 1;
-  buf.(k + 3) <- (stuck lsr p) land 1;
-  buf.(k + 4) <- (sleep lsr p) land 1
+(* Return the offset of process [p]'s cached ⟨hi, lo⟩ pair for sleep bit
+   [sleep], dropping both pairs first if its record changed and mixing the
+   one asked for if it is missing (-1: terms are non-negative). *)
+let record_terms fx p ~salt ~ctl ~head ~chain ~ops ~flags ~sleep =
+  let r = fx.recs and k = rec_stride * p in
+  if
+    Array.unsafe_get r k <> ctl
+    || Array.unsafe_get r (k + 1) <> head
+    || Array.unsafe_get r (k + 2) <> chain
+    || Array.unsafe_get r (k + 3) <> ops
+    || Array.unsafe_get r (k + 4) <> flags
+  then begin
+    r.(k) <- ctl;
+    r.(k + 1) <- head;
+    r.(k + 2) <- chain;
+    r.(k + 3) <- ops;
+    r.(k + 4) <- flags;
+    r.(k + 5) <- -1;
+    r.(k + 7) <- -1
+  end;
+  let t = k + 5 + (2 * sleep) in
+  if Array.unsafe_get r t < 0 then begin
+    let e = flags lor (sleep lsl 2) in
+    r.(t) <- Fingerprint.record_hi salt ctl head chain ops e;
+    r.(t + 1) <- Fingerprint.record_lo salt ctl head chain ops e
+  end;
+  t
 
 (* Fill the scratch buffer from the key's components and hash it. Only the
-   returned ⟨hi, lo⟩ pair is allocated. [crashed] and [stuck] are pid
-   bitmasks. *)
-let encode_flat_parts fx ~sum_hi ~sum_lo ~proc_cells ~ops_cells ~crashed
-    ~stuck ~events ~crashes_left ~recoveries_left ~glitches_left ~sleep
-    ~classes ~tracker_id =
+   returned ⟨hi, lo⟩ pair is allocated. *)
+let encode_flat_parts fx ~obj_hi ~obj_lo ~proc_hi ~proc_lo ~events
+    ~crashes_left ~recoveries_left ~glitches_left ~tracker_id =
   let buf = fx.buf in
-  let nprocs = Array.length proc_cells in
-  buf.(0) <- sum_hi;
-  buf.(1) <- sum_lo;
-  let base = 2 in
-  (match classes with
-  | None ->
-    for p = 0 to nprocs - 1 do
-      put_record buf ~proc_cells ~ops_cells ~crashed ~stuck ~sleep p p
-    done
-  | Some rep ->
-    (* Emit each class's members contiguously at the representative's
-       position and canonicalize by sorting the segment — any fixed total
-       order on the record multiset yields one canonical sequence. Class
-       sizes are fixed for the whole run, so positions still determine which
-       class a record belongs to. *)
-    let slot = ref 0 in
-    for p = 0 to nprocs - 1 do
-      if rep.(p) = p then begin
-        let seg = !slot in
-        for q = p to nprocs - 1 do
-          if rep.(q) = p then begin
-            put_record buf ~proc_cells ~ops_cells ~crashed ~stuck ~sleep
-              !slot q;
-            incr slot
-          end
-        done;
-        if !slot - seg > 1 then
-          sort_records buf fx.tmp ~base ~lo:seg ~hi:!slot
-      end
-    done);
-  let j = base + (5 * nprocs) in
-  buf.(j) <- events;
-  buf.(j + 1) <- crashes_left;
-  buf.(j + 2) <- recoveries_left;
-  buf.(j + 3) <- glitches_left;
-  buf.(j + 4) <- tracker_id;
-  Fingerprint.hash_array buf ~len:(j + 5)
+  buf.(0) <- obj_hi;
+  buf.(1) <- obj_lo;
+  buf.(2) <- proc_hi;
+  buf.(3) <- proc_lo;
+  buf.(4) <- events;
+  buf.(5) <- crashes_left;
+  buf.(6) <- recoveries_left;
+  buf.(7) <- glitches_left;
+  buf.(8) <- tracker_id;
+  Fingerprint.hash_array buf ~len:9
 
-(* Per-run duplicate-state machinery. The flat context (and the intern
-   state whose cells key it) is allocated lazily, only once the run has
-   visited [threshold] nodes: on trees smaller than that the table can never
-   pay for its own allocation, let alone the per-node fingerprinting — that
-   was the E3-sticky3-tree regression, where a 4096-bucket table plus deep
-   fingerprints served a 15-node tree. States visited before activation are
-   simply never cached, which is sound (pruning only ever happens on a
-   hit). *)
+(* Per-run duplicate-state machinery. The flat context is created only once
+   the run has visited [threshold] nodes: on smaller trees the per-node
+   fingerprinting can never pay for itself — that was the E3-sticky3-tree
+   regression, where a table plus deep fingerprints served a 15-node tree.
+   States visited before activation are simply never cached, which is sound
+   (pruning only ever happens on a hit). *)
 type dedup_ctx = {
   threshold : int;
   bloom_bits_log2 : int;
-  classes : int array option;  (* symmetry classes, if active *)
+  salts : int array;  (* per pid: its class representative, or itself *)
   mutable flat : flat_ctx option;
   mutable tier2 : bool;
       (* the watchdog demoted this run to the Bloom tier — dedup answers
@@ -531,16 +495,24 @@ type dedup_ctx = {
 }
 
 (* The run's flat context, created on first use. *)
-let flat_of ?ist dd ~n_procs =
+let flat_of dd ~n_procs =
   match dd.flat with
   | Some fx -> fx
   | None ->
     let fx =
-      flat_create ?ist ~n_procs ~tier2:dd.tier2
-        ~bloom_bits_log2:dd.bloom_bits_log2 ()
+      flat_create ~n_procs ~tier2:dd.tier2 ~bloom_bits_log2:dd.bloom_bits_log2
+        ()
     in
     dd.flat <- Some fx;
     fx
+
+(* Return a finished exact-tier run's table to the pool, emptied. *)
+let flat_release (dd : dedup_ctx option) =
+  match dd with
+  | Some { flat = Some { table = Some tbl; _ }; _ } ->
+    Fingerprint.Table.reset tbl;
+    Domain.DLS.get table_pool := Some tbl
+  | _ -> ()
 
 let stats_of c ~lim =
   {
@@ -641,17 +613,17 @@ let default_dedup_threshold = 64
      allocates no configuration at all.
 
    - Duplicate-state fingerprints are the flat key of [encode_flat_parts]
-     over the engine's own cells: per process the component cells (todo,
-     ⟨next_op, local⟩, pending head, response chain) and the process and
-     completed-ops cells built from them, plus the two additive object sums
-     over ⟨object, history, access count⟩. An edge updates only what it
-     changed — an access extends its process's response chain by the row's
-     interned response cell, re-pairs the pending and process cells, and
-     swaps one object's term in each sum; the todo and local cells are
-     rebuilt only when an operation starts, returns or is restarted by a
-     recovery — and saves the old cells and sums next to the configuration
-     slots it restores. A probe therefore costs O(n_procs), independent of
-     the number of objects and of how long the pending operations have run.
+     over the engine's own cells: per process the component cells
+     (⟨todo, ⟨next_op, local⟩⟩, pending head, response chain) and the
+     completed-ops cell, plus the two additive object sums over ⟨object,
+     history, access count⟩. An edge updates only what it changed — an access extends its
+     process's response chain by the row's interned response cell and swaps
+     one object's term in each sum; the todo and local cells are rebuilt
+     only when an operation starts, returns or is restarted by a recovery —
+     and saves the old cells and sums next to the configuration slots it
+     restores. A probe re-mixes only the records whose ids or flags changed
+     and hashes nine ints, independent of the number of objects and of how
+     long the pending operations have run.
      The tracker's fingerprint cell is passed down the recursion and
      re-interned only below an edge that changed the tracker state. Below
      the activation threshold no cell is ever built; at activation the cells
@@ -730,7 +702,6 @@ type mut_state = {
   ms_ctl_cells : I.cell array;
   ms_head_cells : I.cell array;
   ms_chain_cells : I.cell array;
-  ms_proc_cells : I.cell array;
   ms_ops_cells : I.cell array;
   ms_hist_cells : I.cell array;
   mutable ms_cls : cls array;
@@ -739,17 +710,14 @@ type mut_state = {
          previous node at the same depth are never observed *)
 }
 
-(* Per-domain, per-implementation persistent compilation state: the intern
-   state, the transition tables keyed on it, the port map, and the program
-   memos all survive across runs — a verify invocation that explores many
-   workloads of one implementation compiles each row and program node once.
-   Keyed on physical identity of the implementation record; a tiny LRU keeps
+(* Per-implementation persistent compilation state: the intern state, the
+   transition tables keyed on it, the port map, and the program memos all
+   survive across runs — a verify invocation that explores many workloads
+   of one implementation compiles each row and program node once. Keyed on
+   physical identity of the implementation record; a tiny LRU keeps
    unrelated implementations (e.g. property-test streams) from pinning each
-   other's tables. Each domain that runs the engine has its own, and
-   [top_node] builds that domain's program nodes, so [Program.step] memo
-   writes stay on one domain unless a program hands every caller the same
-   node; then two domains may race on its memo, which can only lose a cache
-   entry, since continuations are pure. *)
+   other's tables. The cache is domain-local because [run] may be called
+   from any domain. *)
 type compiled_ctx = {
   cc_impl : Implementation.t;
   cc_ist : I.state;
@@ -820,7 +788,6 @@ let fresh_mut_state ~n_objs ~n_procs ~unit_cell ~empty_hist =
     ms_ctl_cells = Array.make n_procs unit_cell;
     ms_head_cells = Array.make n_procs unit_cell;
     ms_chain_cells = Array.make n_procs unit_cell;
-    ms_proc_cells = Array.make n_procs unit_cell;
     ms_ops_cells = Array.make n_procs unit_cell;
     ms_hist_cells = Array.make n_objs empty_hist;
     ms_cls = [||];
@@ -930,7 +897,6 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
   and ctl_cells = ms.ms_ctl_cells
   and head_cells = ms.ms_head_cells
   and chain_cells = ms.ms_chain_cells
-  and proc_cells = ms.ms_proc_cells
   and ops_cells = ms.ms_ops_cells in
   let sum_hi = ref 0 and sum_lo = ref 0 in
   let cells_valid = ref false in
@@ -951,18 +917,6 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
   let dec p i =
     if i < 8 then Array.unsafe_get (Array.unsafe_get cc.cc_decisions p) i
     else { Faults.proc = p; kind = Faults.Step i }
-  in
-  (* Re-derive [p]'s process cell from its component cells. *)
-  let set_proc_cell p =
-    Array.unsafe_set proc_cells p
-      (proc_cell ist
-         ~ctl_c:(Array.unsafe_get ctl_cells p)
-         ~pend_c:
-           (if Array.unsafe_get haspend p then
-              pend_cell ist
-                ~head_c:(Array.unsafe_get head_cells p)
-                ~chain_c:(Array.unsafe_get chain_cells p)
-            else unit_cell))
   in
   let set_ctl_cell p =
     Array.unsafe_set ctl_cells p
@@ -987,7 +941,6 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
           head_cell ist ~inv0:p_inv0.(p) ~op_index:p_opidx.(p);
         chain_cells.(p) <- list_cell ist p_resps.(p)
       end;
-      set_proc_cell p;
       ops_cells.(p) <- unit_cell
     done;
     List.iter
@@ -1021,13 +974,29 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     | None -> false
     | Some dd ->
       probe_floor := 0;
-      let fx = flat_of ~ist dd ~n_procs in
+      let fx = flat_of dd ~n_procs in
       if not !cells_valid then rebuild_cells ();
+      let crashed = !crashed and stuck = !stuck in
+      let proc_hi = ref 0 and proc_lo = ref 0 in
+      for p = 0 to n_procs - 1 do
+        let pend = Array.unsafe_get haspend p in
+        let k =
+          record_terms fx p
+            ~salt:(Array.unsafe_get dd.salts p)
+            ~ctl:(I.id (Array.unsafe_get ctl_cells p))
+            ~head:(if pend then I.id (Array.unsafe_get head_cells p) else -1)
+            ~chain:(if pend then I.id (Array.unsafe_get chain_cells p) else -1)
+            ~ops:(I.id (Array.unsafe_get ops_cells p))
+            ~flags:(((crashed lsr p) land 1) lor (((stuck lsr p) land 1) lsl 1))
+            ~sleep:((sleep lsr p) land 1)
+        in
+        proc_hi := !proc_hi + Array.unsafe_get fx.recs k;
+        proc_lo := !proc_lo + Array.unsafe_get fx.recs (k + 1)
+      done;
       let hi, lo =
-        encode_flat_parts fx ~sum_hi:!sum_hi ~sum_lo:!sum_lo ~proc_cells
-          ~ops_cells ~crashed:!crashed ~stuck:!stuck ~events:!events
-          ~crashes_left:!crashes_left ~recoveries_left:!recoveries_left
-          ~glitches_left:!glitches_left ~sleep ~classes:dd.classes
+        encode_flat_parts fx ~obj_hi:!sum_hi ~obj_lo:!sum_lo ~proc_hi:!proc_hi
+          ~proc_lo:!proc_lo ~events:!events ~crashes_left:!crashes_left
+          ~recoveries_left:!recoveries_left ~glitches_left:!glitches_left
           ~tracker_id
       in
       flat_mem_or_add fx ~hi ~lo
@@ -1363,8 +1332,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       let s_nextop = Array.unsafe_get next_op p
       and s_local = Array.unsafe_get local p in
       let s_ops = !ops_rev in
-      let s_opsc = Array.unsafe_get ops_cells p
-      and s_pc = Array.unsafe_get proc_cells p in
+      let s_opsc = Array.unsafe_get ops_cells p in
       let s_todoc = Array.unsafe_get todo_cells p
       and s_localc = Array.unsafe_get local_cells p
       and s_ctlc = Array.unsafe_get ctl_cells p in
@@ -1392,8 +1360,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
         Array.unsafe_set todo_cells p (list_cell ist todo');
         Array.unsafe_set local_cells p
           (local_cell ist ~next_op:(s_nextop + 1) local');
-        set_ctl_cell p;
-        set_proc_cell p
+        set_ctl_cell p
       end;
       incr events;
       let st' =
@@ -1410,7 +1377,6 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       Array.unsafe_set local p s_local;
       if track then begin
         Array.unsafe_set ops_cells p s_opsc;
-        Array.unsafe_set proc_cells p s_pc;
         Array.unsafe_set todo_cells p s_todoc;
         Array.unsafe_set local_cells p s_localc;
         Array.unsafe_set ctl_cells p s_ctlc
@@ -1442,8 +1408,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     and s_resps = Array.unsafe_get p_resps p in
     let s_node = Array.unsafe_get p_node p in
     let s_ops = !ops_rev in
-    let s_opsc = Array.unsafe_get ops_cells p
-    and s_pc = Array.unsafe_get proc_cells p in
+    let s_opsc = Array.unsafe_get ops_cells p in
     let s_todoc = Array.unsafe_get todo_cells p
     and s_localc = Array.unsafe_get local_cells p
     and s_ctlc = Array.unsafe_get ctl_cells p
@@ -1530,8 +1495,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
         + obj_term_hi obj qc hc (s_acc + 1);
       sum_lo :=
         s_sum_lo - obj_term_lo obj s_qc s_hc s_acc
-        + obj_term_lo obj qc hc (s_acc + 1);
-      set_proc_cell p
+        + obj_term_lo obj qc hc (s_acc + 1)
     end;
     incr events;
     let st' =
@@ -1563,7 +1527,6 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     ops_rev := s_ops;
     if track then begin
       Array.unsafe_set ops_cells p s_opsc;
-      Array.unsafe_set proc_cells p s_pc;
       Array.unsafe_set todo_cells p s_todoc;
       Array.unsafe_set local_cells p s_localc;
       Array.unsafe_set ctl_cells p s_ctlc;
@@ -1612,8 +1575,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     let s_todo = Array.unsafe_get todo p
     and s_haspend = Array.unsafe_get haspend p in
     let s_todoc = Array.unsafe_get todo_cells p
-    and s_ctlc = Array.unsafe_get ctl_cells p
-    and s_pc = Array.unsafe_get proc_cells p in
+    and s_ctlc = Array.unsafe_get ctl_cells p in
     let track = !cells_valid in
     crashed := !crashed land lnot (1 lsl p);
     decr recoveries_left;
@@ -1622,8 +1584,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       Array.unsafe_set haspend p false;
       if track then begin
         Array.unsafe_set todo_cells p (list_cell ist (Array.unsafe_get todo p));
-        set_ctl_cell p;
-        set_proc_cell p
+        set_ctl_cell p
       end
     end;
     incr events;
@@ -1635,8 +1596,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     crashed := !crashed lor (1 lsl p);
     if track then begin
       Array.unsafe_set todo_cells p s_todoc;
-      Array.unsafe_set ctl_cells p s_ctlc;
-      Array.unsafe_set proc_cells p s_pc
+      Array.unsafe_set ctl_cells p s_ctlc
     end
     else cells_valid := false
   (* Apply prefix decision [ev] with the edge it names, after checking it the
@@ -1774,11 +1734,16 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
      process-oblivious, every base spec must be port-oblivious, and a user
      tracker disables the reduction outright — tracker state is caller
      -defined and we cannot check it is invariant under pid permutation, so
-     the sound composition with trackers is exact pid-ordered keys. *)
-  let classes =
-    if opts.dedup = Symmetric && not user_tracker then
-      Option.map Symmetry.classes (Symmetry.of_impl impl ~workloads)
-    else None
+     the sound composition with trackers is exact pid-ordered keys: every
+     process is its own class. *)
+  let salts =
+    match
+      if opts.dedup = Symmetric && not user_tracker then
+        Symmetry.of_impl impl ~workloads
+      else None
+    with
+    | Some g -> Symmetry.classes g
+    | None -> Array.init impl.Implementation.procs Fun.id
   in
   let dd =
     if opts.dedup = Off then None
@@ -1787,7 +1752,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
         {
           threshold = dedup_threshold;
           bloom_bits_log2;
-          classes;
+          salts;
           flat = None;
           tier2 = false;
         }
@@ -1820,12 +1785,16 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
       ~prefix:(Array.of_list (List.rev trace_rev))
       ~sleep ~st ~cut ~on_cut
   in
+  let finish () =
+    flat_release dd;
+    stats_of c ~lim
+  in
   let root = ([], 0, t.root) in
   if not ckpt_armed then begin
     (try explore root with
     | Exec.Stop -> trip lim Stopped
     | Cut -> ());
-    stats_of c ~lim
+    finish ()
   end
   else begin
     (* Frontier mode — any checkpointed or resumed run (a checkpoint needs
@@ -1920,7 +1889,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
       (match !pending_expansion with
       | Some items -> save_ck (List.map trace_of_item items)
       | None -> save_ck (List.map trace_of_item !frontier));
-      stats_of c ~lim
+      finish ()
     end
     else begin
       let work = Array.of_list !frontier in
@@ -1981,6 +1950,6 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
       if !cut then save_ck (remaining_traces ())
       else if !saved_any then save_ck [];
       Option.iter Frontier.close spill;
-      stats_of c ~lim
+      finish ()
     end
   end

@@ -109,14 +109,13 @@ val engine_of_options : options -> Checkpoint.engine
 
     Soundness: exploration always proceeds on real configurations — traces,
     witnesses and leaves keep their un-permuted pids, and replayability is
-    untouched. Only the dedup key is canonicalized, by emitting each class's
-    per-process fingerprint records in a fixed total order (lexicographic on
-    their interned-cell ids). A state π-equivalent to a visited one is then
-    pruned; its subtree is the π-image of the visited subtree, and every
-    timing-insensitive verdict in this library (consensus
-    agreement/validity, wait-freedom fuel, per-object access bounds) is
-    invariant under renaming processes within a class of equal inputs, so
-    verdicts are unchanged. *)
+    untouched. Only the dedup key is canonicalized: records are salted by
+    class, not pid, so the key sees each class's multiset of records. A
+    state π-equivalent to a visited one is then pruned; its subtree is the
+    π-image of the visited subtree, and every timing-insensitive verdict in
+    this library (consensus agreement/validity, wait-freedom fuel,
+    per-object access bounds) is invariant under renaming processes within
+    a class of equal inputs, so verdicts are unchanged. *)
 module Symmetry : sig
   type t
 

@@ -55,6 +55,15 @@ let component ~seed mult pos a b c =
 let component_hi pos a b c = component ~seed:0x6A09E667 m1 pos a b c
 let component_lo pos a b c = component ~seed:0x3C6EF372 m2 pos a b c
 
+(* Five-int records, salted by a class instead of a position: records that
+   share a salt are interchangeable in a sum, so a segment of them hashes
+   the multiset of records per salt and needs no canonical sort. *)
+let record ~seed mult salt a b c d e =
+  mix mult (mix mult (component ~seed mult salt a b c) d) e
+
+let record_hi salt a b c d e = record ~seed:0x510E527F m1 salt a b c d e
+let record_lo salt a b c d e = record ~seed:0x1F83D9AB m2 salt a b c d e
+
 (* 62-bit string hash used as the checkpoint body digest: the two lanes of
    the underlying structural hash folded together. One pass, no allocation,
    ~6x faster than MD5 on checkpoint-sized bodies and with 62 bits still
@@ -87,11 +96,26 @@ module Table = struct
     mutable count : int;
   }
 
-  let create ?(capacity_log2 = 10) () =
+  let default_capacity_log2 = 10
+
+  let create ?(capacity_log2 = default_capacity_log2) () =
     let cap = 1 lsl capacity_log2 in
     { hi = Array.make cap 0; lo = Array.make cap 0; mask = cap - 1; count = 0 }
 
   let length t = t.count
+
+  (* Growth keeps a grown table's load above 1/4, so clearing is O(entries);
+     one over 8x the 2·count slots its last run needed is replaced. *)
+  let reset t =
+    let cap = t.mask + 1 in
+    if cap > 1 lsl default_capacity_log2 && cap > 16 * t.count then begin
+      let d = create () in
+      t.hi <- d.hi;
+      t.lo <- d.lo;
+      t.mask <- d.mask
+    end
+    else (Array.fill t.hi 0 cap 0; Array.fill t.lo 0 cap 0);
+    t.count <- 0
 
   let remap ~hi ~lo = if hi = 0 && lo = 0 then (0, 1) else (hi, lo)
 
@@ -147,9 +171,6 @@ module Table = struct
       let h = t.hi.(i) and l = t.lo.(i) in
       if h <> 0 || l <> 0 then f ~hi:h ~lo:l
     done
-
-  (* Rough live size, for the memory watchdog: two int arrays. *)
-  let size_words t = 2 * (t.mask + 1)
 end
 
 (* --- Bloom tier --------------------------------------------------------------
@@ -186,6 +207,4 @@ module Bloom = struct
     let b = test_and_set t (hi land t.mask) in
     let c = test_and_set t ((lo + hi) land t.mask) in
     a && b && c
-
-  let size_words t = Bytes.length t.bits / (Sys.word_size / 8)
 end

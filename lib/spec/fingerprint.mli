@@ -13,15 +13,18 @@
       cell id, access count⟩ per lane ({!component_hi}, {!component_lo}),
       summed modulo 2^63. An access swaps one term, and backtracking
       restores the two saved sums;
-    - five ints per process: the id of its process cell, the id of its
-      completed-ops cell, and its crashed, stuck and sleep bits. The process
-      cell is interned from cached component cells — todo list,
-      ⟨next_op, local⟩, pending head ⟨inv0, op_index⟩ and response chain —
-      so an access re-interns O(1) cells, never a whole response list;
+    - two additive sums standing for the whole process segment, one term
+      per process and lane ({!record_hi}, {!record_lo}) over its ⟨todo,
+      ⟨next_op, local⟩⟩ cell, pending head and response chain cells (-1
+      when none is pending), completed-ops cell and crashed/stuck/sleep
+      bits, salted by its symmetry-class representative (its pid without
+      classes), so the sums see each class's records as a multiset;
     - the event count, the fault budgets and the tracker's cell id.
 
-    Collisions: the object sums are Zobrist-style. Two configurations whose
-    object segments differ agree on both sums only when two independent
+    Nine ints, whatever the number of processes and objects.
+
+    Collisions: both segments are Zobrist-style sums. Two configurations
+    whose segments differ agree on both sums only when two independent
     63-bit lanes collide at once, and the array is then folded into 124
     bits. Both steps are hash compaction. Fingerprint equality is treated as
     state equality; for a 10^9-state run the collision probability is
@@ -50,6 +53,13 @@ val component_lo : int -> int -> int -> int -> int
 (** The lo-lane term: the same shape through the second mixer and an
     independent seed. *)
 
+val record_hi : int -> int -> int -> int -> int -> int -> int
+val record_lo : int -> int -> int -> int -> int -> int -> int
+(** [record_hi salt a b c d e] and [record_lo ...] are the two lanes' terms
+    of the record ⟨a, b, c, d, e⟩, summed like {!component_hi}'s; records
+    that share a [salt] are interchangeable in the sum, so it hashes the
+    multiset of records per salt. *)
+
 val hash_string : string -> int
 (** One-pass 62-bit digest of a string (both mixer lanes folded together).
     Replaces MD5 as the checkpoint body digest: not cryptographic, but
@@ -72,12 +82,14 @@ module Table : sig
 
   val length : t -> int
 
+  val reset : t -> unit
+  (** Empty the table for reuse in O(entries added since the last reset):
+      a table more than 8x larger than they needed is replaced by a
+      default-sized one instead of cleared. *)
+
   val iter : (hi:int -> lo:int -> unit) -> t -> unit
   (** Iterate stored fingerprints (used to migrate a table into a {!Bloom}
       when the memory watchdog trips). *)
-
-  val size_words : t -> int
-  (** Approximate live heap words held by the table. *)
 end
 
 (** Constant-memory probabilistic membership, k = 3 probes per key derived
@@ -97,6 +109,4 @@ module Bloom : sig
   val mem_or_add : t -> hi:int -> lo:int -> bool
   (** [true] = possibly seen before; [false] = definitely new (and now
       recorded). *)
-
-  val size_words : t -> int
 end

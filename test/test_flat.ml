@@ -931,8 +931,8 @@ let test_pinned_counts () =
    figure plus two words: only a real hot-path regression trips it. E10
    never engages dedup; the cas n=6 row prunes, so the dedup probe is
    priced too, and the cas n=5 row runs the default engine ([Explore.fast]:
-   symmetric dedup plus POR), so the key also pays for the per-class sort
-   of two symmetry classes. *)
+   symmetric dedup plus POR), so the key is salted by two symmetry
+   classes. *)
 let test_allocation_per_node () =
   List.iter
     (fun (name, impl, workloads, options, (nodes, pruned), recorded) ->
@@ -1138,31 +1138,79 @@ let test_bloom_tier_verdicts () =
 
 (* --- open-addressing table vs Hashtbl oracle -------------------------------- *)
 
-let gen_fp_pairs =
+(* A table operation: probe one pair, probe a burst of [n] fresh pairs (big
+   enough to grow the table past its default size, so a later [reset] after
+   a small run takes the shrink path), or reset. *)
+type table_op = Probe of int * int | Burst of int | Reset
+
+let gen_table_ops =
   QCheck.Gen.(
     let lane =
       oneof [ int_bound 3; map (fun n -> n land max_int) int ]
     in
-    list_size (int_range 0 400) (pair lane lane))
+    list_size (int_range 0 400)
+      (frequency
+         [
+           (40, map2 (fun hi lo -> Probe (hi, lo)) lane lane);
+           (1, map (fun n -> Burst n) (int_range 1 1500));
+           (2, return Reset);
+         ]))
 
 let prop_table_oracle =
   QCheck.Test.make ~count:100
     ~name:"Fingerprint.Table matches a Hashtbl oracle"
-    (QCheck.make gen_fp_pairs
-       ~print:(fun ps -> Fmt.str "%d pairs" (List.length ps)))
-    (fun pairs ->
+    (QCheck.make gen_table_ops
+       ~print:(fun ops -> Fmt.str "%d operations" (List.length ops)))
+    (fun ops ->
       (* tiny initial capacity: growth is exercised on almost every case *)
       let t = Fingerprint.Table.create ~capacity_log2:2 () in
       let oracle = Hashtbl.create 16 in
+      let probe (hi, lo) =
+        (* the table documents the ⟨0,0⟩ → ⟨0,1⟩ remap; mirror it *)
+        let key = if hi = 0 && lo = 0 then (0, 1) else (hi, lo) in
+        let expect = Hashtbl.mem oracle key in
+        let got = Fingerprint.Table.mem_or_add t ~hi ~lo in
+        Hashtbl.replace oracle key ();
+        got = expect && Fingerprint.Table.length t = Hashtbl.length oracle
+      in
       List.for_all
-        (fun (hi, lo) ->
-          (* the table documents the ⟨0,0⟩ → ⟨0,1⟩ remap; mirror it *)
-          let key = if hi = 0 && lo = 0 then (0, 1) else (hi, lo) in
-          let expect = Hashtbl.mem oracle key in
-          let got = Fingerprint.Table.mem_or_add t ~hi ~lo in
-          Hashtbl.replace oracle key ();
-          got = expect && Fingerprint.Table.length t = Hashtbl.length oracle)
-        pairs)
+        (function
+          | Probe (hi, lo) -> probe (hi, lo)
+          | Burst n ->
+            List.for_all probe
+              (List.init n (fun i -> ((i * 7919) + 5, (i * 104729) + 11)))
+          | Reset ->
+            Fingerprint.Table.reset t;
+            Hashtbl.reset oracle;
+            Fingerprint.Table.length t = 0)
+        ops)
+
+(* [reset] clears a table in place when its last run filled it, and swaps
+   an oversized one for a default-sized one. *)
+let test_table_reset_shrinks () =
+  let t = Fingerprint.Table.create () in
+  let fill n =
+    for i = 1 to n do
+      ignore (Fingerprint.Table.mem_or_add t ~hi:(i * 7919) ~lo:(i * 104729))
+    done
+  in
+  let words () = Obj.reachable_words (Obj.repr t) in
+  let default_words = words () in
+  fill 5000;
+  let grown = words () in
+  Alcotest.(check bool) "grew" true (grown > 8 * default_words);
+  Fingerprint.Table.reset t;
+  Alcotest.(check int) "a full table is cleared in place" grown (words ());
+  Alcotest.(check int) "cleared" 0 (Fingerprint.Table.length t);
+  fill 10;
+  Fingerprint.Table.reset t;
+  Alcotest.(check int) "an oversized table shrinks to the default size"
+    default_words (words ());
+  fill 100;
+  Alcotest.(check int) "usable after the shrink" 100
+    (Fingerprint.Table.length t);
+  Alcotest.(check bool) "entries found again" true
+    (Fingerprint.Table.mem_or_add t ~hi:7919 ~lo:104729)
 
 let test_table_iter_complete () =
   let t = Fingerprint.Table.create ~capacity_log2:2 () in
@@ -1311,6 +1359,236 @@ let test_segment_collision_probe () =
     (!configs > 90_000);
   Alcotest.(check int) "no equal ⟨hi, lo⟩ pairs" 0 !collisions
 
+(* --- additive process records vs the sort encoding --------------------------
+
+   The kernel keys the processes by a sum of record terms salted with each
+   pid's class representative. The oracle is the encoding it replaced: per
+   class, in representative order, the members' five-int records sorted
+   lexicographically. Two configurations must get equal sums exactly when
+   their oracle encodings are equal. *)
+
+let record_sums rep (recs : int array array) =
+  let hi = ref 0 and lo = ref 0 in
+  Array.iteri
+    (fun p r ->
+      hi := !hi + Fingerprint.record_hi rep.(p) r.(0) r.(1) r.(2) r.(3) r.(4);
+      lo := !lo + Fingerprint.record_lo rep.(p) r.(0) r.(1) r.(2) r.(3) r.(4))
+    recs;
+  (!hi, !lo)
+
+let members rep r =
+  List.filter (fun p -> rep.(p) = r) (List.init (Array.length rep) Fun.id)
+
+let sorted_encoding rep (recs : int array array) =
+  List.concat_map
+    (fun r ->
+      List.sort compare
+        (List.map (fun p -> Array.to_list recs.(p)) (members rep r)))
+    (List.filter (fun p -> rep.(p) = p) (List.init (Array.length rep) Fun.id))
+
+(* Each pid joins the class of an earlier pid or starts its own; a class's
+   representative is its smallest pid, as [Explore.Symmetry] builds them. *)
+let gen_class_map n =
+  QCheck.Gen.(
+    map
+      (fun picks ->
+        let rep = Array.make n 0 in
+        Array.iteri
+          (fun p q -> rep.(p) <- (if q < p then rep.(q) else p))
+          picks;
+        rep)
+      (array_size (return n) (int_bound (n - 1))))
+
+(* Narrow fields, so equal records and equal multisets are common. *)
+let gen_record = QCheck.Gen.(array_size (return 5) (int_bound 2))
+
+(* Permute each class's records among its members. *)
+let shuffle_classes rand rep (recs : int array array) =
+  let out = Array.copy recs in
+  Array.iteri
+    (fun r _ ->
+      let members = members rep r in
+      let shuffled =
+        List.map snd
+          (List.sort compare
+             (List.map (fun p -> (Random.State.bits rand, recs.(p))) members))
+      in
+      List.iter2 (fun p rc -> out.(p) <- rc) members shuffled)
+    rep;
+  out
+
+let rng seed = Random.State.make [| seed |]
+
+let gen_record_pair =
+  QCheck.Gen.(
+    let* n = int_range 1 6 in
+    let* rep = gen_class_map n in
+    let* a = array_size (return n) gen_record in
+    let* b =
+      frequency
+        [
+          (2, map (fun seed -> shuffle_classes (rng seed) rep a) int);
+          (* across classes: equal only when the classes' multisets are *)
+          ( 1,
+            map (fun seed -> shuffle_classes (rng seed) (Array.make n 0) a) int
+          );
+          ( 1,
+            let* p = int_bound (n - 1) and* f = int_bound 4 in
+            let+ v = int_bound 2 in
+            let b = Array.map Array.copy a in
+            b.(p).(f) <- v;
+            b );
+          (1, array_size (return n) gen_record);
+        ]
+    in
+    return (rep, a, b))
+
+let prop_record_key_oracle =
+  QCheck.Test.make ~count:2000
+    ~name:"record sums equal iff the sorted per-class encodings are"
+    (QCheck.make gen_record_pair ~print:(fun (rep, a, b) ->
+         let recs rs = Fmt.(str "%a" (array (array ~sep:comma int)) rs) in
+         Fmt.str "classes=%a a=%s b=%s" Fmt.(array int) rep (recs a) (recs b)))
+    (fun (rep, a, b) ->
+      record_sums rep a = record_sums rep b
+      = (sorted_encoding rep a = sorted_encoding rep b))
+
+let test_record_key_separates () =
+  let rand = Random.State.make [| 0x5EC0 |] in
+  for _ = 1 to 500 do
+    let n = 2 + Random.State.int rand 5 in
+    let rep = gen_class_map n rand in
+    let recs = Array.init n (fun _ -> gen_record rand) in
+    let key = record_sums rep recs in
+    for p = 0 to n - 1 do
+      (* the crashed, stuck and sleep bits of the kernel's flags field *)
+      List.iter
+        (fun bit ->
+          let flipped = Array.copy recs in
+          flipped.(p) <- Array.copy recs.(p);
+          flipped.(p).(4) <- flipped.(p).(4) lxor bit;
+          Alcotest.(check bool)
+            (Fmt.str "flipping flag bit %d of p%d changes the key" bit p)
+            true
+            (record_sums rep flipped <> key))
+        [ 1; 2; 4 ];
+      Array.iter
+        (fun r ->
+          if r <> rep.(p) && rep.(r) = r then begin
+            let moved = Array.copy rep in
+            moved.(p) <- r;
+            Alcotest.(check bool)
+              (Fmt.str "moving p%d's record to class %d changes the key" p r)
+              true
+              (record_sums moved recs <> key)
+          end)
+        rep
+    done
+  done
+
+(* The segment probe's shape for the process sums: 6 processes in two
+   classes, each step changing one field of one record the way an edge
+   does, with occasional jumps; ~10^5 distinct configurations up to the
+   class symmetry, and no two may share their ⟨hi, lo⟩ sums. *)
+let test_record_collision_probe () =
+  let rand = Random.State.make [| 0xC012 |] in
+  let rep = [| 0; 0; 0; 3; 3; 3 |] in
+  let field i = Random.State.int rand (if i = 4 then 8 else 16) in
+  let fresh () = Array.init 5 field in
+  let recs = Array.init 6 (fun _ -> fresh ()) in
+  let hi = ref 0 and lo = ref 0 in
+  let term f p r = f rep.(p) r.(0) r.(1) r.(2) r.(3) r.(4) in
+  let recompute () =
+    let h, l = record_sums rep recs in
+    hi := h;
+    lo := l
+  in
+  recompute ();
+  let seen = Hashtbl.create 200_000 in
+  let configs = ref 0 and collisions = ref 0 in
+  for step = 1 to 100_000 do
+    if step mod 997 = 0 then begin
+      Array.iteri (fun p _ -> recs.(p) <- fresh ()) recs;
+      recompute ()
+    end
+    else begin
+      let p = Random.State.int rand 6 in
+      let old = recs.(p) in
+      let nw = Array.copy old in
+      let f = Random.State.int rand 5 in
+      nw.(f) <- field f;
+      let swap lane sum = sum - term lane p old + term lane p nw in
+      hi := swap Fingerprint.record_hi !hi;
+      lo := swap Fingerprint.record_lo !lo;
+      recs.(p) <- nw
+    end;
+    let key = sorted_encoding rep recs in
+    match Hashtbl.find_opt seen (!hi, !lo) with
+    | Some k' -> if k' <> key then incr collisions
+    | None ->
+      incr configs;
+      Hashtbl.add seen (!hi, !lo) key
+  done;
+  Alcotest.(check bool) "probe covers ~10^5 configurations" true
+    (!configs > 90_000);
+  Alcotest.(check int) "no equal ⟨hi, lo⟩ pairs" 0 !collisions
+
+(* --- the pooled dedup context ---------------------------------------------- *)
+
+let cas5 () =
+  ( proto "cas" 5,
+    Array.init 5 (fun i -> [ Ops.propose (Value.bool (i mod 2 = 0)) ]) )
+
+(* A default-sized table is two 1024-word arrays, allocated straight into
+   the major heap. After a warm-up run the pooled table is reused, so 20
+   more runs must allocate almost nothing there directly; without the pool
+   they allocate 41,000 words. *)
+let test_pool_no_major_words () =
+  let impl, workloads = cas5 () in
+  let run () = ignore (Explore.run impl ~workloads ~options:Explore.fast ()) in
+  run ();
+  (* this domain's exact counters; [Gc.quick_stat]'s are sampled *)
+  let _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to 20 do
+    run ()
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+  if direct > 4096. then
+    Alcotest.failf "20 pooled runs allocated %.0f major-heap words directly"
+      direct
+
+(* A leaf callback exploring the same implementation finds the pool
+   borrowed and allocates its own table; neither run may see the other's
+   entries. Alternating dedup modes reuses one table under other salts. *)
+let test_pool_reentrant () =
+  let impl, workloads = cas5 () in
+  let exact = { Explore.fast with dedup = Exact } in
+  let alone options = Explore.run impl ~workloads ~options () in
+  let lone_fast = alone Explore.fast and lone_exact = alone exact in
+  Alcotest.(check bool) "modes differ" true (lone_fast <> lone_exact);
+  for _ = 1 to 2 do
+    Alcotest.(check bool) "exact after symmetric" true
+      (alone exact = lone_exact);
+    Alcotest.(check bool) "symmetric after exact" true
+      (alone Explore.fast = lone_fast)
+  done;
+  let nested = ref [] in
+  let outer =
+    Explore.run impl ~workloads ~options:Explore.fast
+      ~on_leaf:(fun _ -> nested := alone exact :: !nested)
+      ()
+  in
+  Alcotest.(check bool) "outer run = lone run" true (outer = lone_fast);
+  Alcotest.(check int) "one nested run per leaf" outer.Explore.leaves
+    (List.length !nested);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) "nested run = lone run" true (s = lone_exact))
+    !nested;
+  Alcotest.(check bool) "a later run = lone run" true
+    (alone Explore.fast = lone_fast)
+
 let () =
   Alcotest.run "wfc_flat"
     [
@@ -1368,5 +1646,16 @@ let () =
             test_segment_positions_salted;
           Alcotest.test_case "segment collision probe" `Quick
             test_segment_collision_probe;
+          Alcotest.test_case "table reset shrinks an oversized table" `Quick
+            test_table_reset_shrinks;
+          QCheck_alcotest.to_alcotest prop_record_key_oracle;
+          Alcotest.test_case "record key separates flags and classes" `Quick
+            test_record_key_separates;
+          Alcotest.test_case "record collision probe" `Quick
+            test_record_collision_probe;
+          Alcotest.test_case "pooled table: no direct major words" `Quick
+            test_pool_no_major_words;
+          Alcotest.test_case "pooled table: reentrant and alternating runs"
+            `Quick test_pool_reentrant;
         ] );
     ]
