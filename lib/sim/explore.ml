@@ -161,67 +161,61 @@ end
 
 (* --- interned, incremental fingerprints --------------------------------------
 
-   Every component of the dedup key is a [Value.Intern.cell] (or, for the
-   base objects, an additive hash over cell ids), so the key is a handful of
-   integers (see "flat fingerprint encoding" below) instead of a deep
-   [Value.t] walked by [Value.hash]/[Value.equal].
+   Every component of the dedup key is an id of the implementation's
+   [Value.Intern] state: a cell's id for a value, an [I.tuple] id for an
+   ordered pair of ids. The key is therefore a handful of integers (see
+   "flat fingerprint encoding" below) instead of a deep [Value.t] walked by
+   [Value.hash]/[Value.equal].
 
-   The cells are maintained *incrementally* along tree edges, and each edge
+   The ids are maintained *incrementally* along tree edges, and each edge
    pays for what it changed, not for the size of what it touched:
 
-   - A process is keyed by cached component cells — ⟨todo, ⟨next_op,
-     local⟩⟩, the pending operation's head ⟨inv0, op_index⟩ and its
-     response chain (responses so far, newest first). Chains are
-     cons-chains of [I.pair] cells ([list_cell]), so no list is built to
-     hold their cells, and [Value.Intern]'s constructors allocate nothing
-     on a hit: keeping the key current allocates only on the rare miss. An
-     access extends the response chain by one [I.pair]; the todo and local
-     cells change only when an operation starts or returns. No edge
-     re-interns a whole response list.
+   - A process is keyed by cached component ids: ⟨todo, ⟨next_op, local⟩⟩,
+     the pending operation's head ⟨inv0, op_index⟩ and its response chain
+     (responses so far, newest first). Lists are chains of [I.tuple]s
+     ([list_id]), so no list is built to hold their ids, and a tuple or a
+     cell met before allocates nothing: keeping the key current allocates
+     only on the rare miss, and never writes a boxed value into the
+     configuration's arrays. An access extends the response chain by one
+     tuple; the todo and local ids change only when an operation starts or
+     returns. No edge re-interns a whole response list, and a run looks up
+     its workloads' suffix and invocation ids instead of interning them.
 
-   - Objects and processes are each summarized by two additive hashes, so
-     an access replaces terms instead of re-hashing every component.
+   - Objects and processes each contribute one cached term per lane to an
+     additive sum, so an access replaces terms instead of re-hashing every
+     component.
 
-   The kernel keeps these cells in mutable arrays next to the configuration
-   and restores them on backtrack.
+   The kernel keeps these ids and terms in int arrays next to the
+   configuration and restores them on backtrack.
 
    Per-process components deliberately exclude the pid itself (the record
    term's salt carries it; under symmetry, the class representative), and a
-   process's completed operations form a cons-chain extended by one cell
-   when an edge retires an operation — completion order across processes
-   never enters the key. *)
+   process's completed operations form a chain extended by one tuple when
+   an edge retires an operation — completion order across processes never
+   enters the key. *)
 
 module I = Value.Intern
 
-(* A value list as a cons-chain of pair cells ending in [I.unit]: one pair
-   probe per element and no list built to hold the element cells. Only cell
-   identity enters the key, so any injective shape will do. *)
-let rec list_cell ist = function
-  | [] -> I.unit ist
-  | v :: vs -> I.pair ist (I.intern ist v) (list_cell ist vs)
+(* A value list's id: a chain of tuples over its elements' cell ids, ending
+   in the unit cell's id. Only id equality enters the key, so any injective
+   shape will do. *)
+let rec list_id ist = function
+  | [] -> I.id (I.unit ist)
+  | v :: vs -> I.tuple ist (I.id (I.intern ist v)) (list_id ist vs)
 
-(* Process components. The todo cell and the response chain are
-   [list_cell]s. The todo cell changes only when an operation starts, the
-   local cell ⟨next_op, local⟩ only when one returns. An idle process's
-   record carries -1 for head and chain (cell ids are non-negative), so
-   every component stays injective. *)
-let local_cell ist ~next_op local =
-  I.pair ist (I.int ist next_op) (I.intern ist local)
+(* Process components. The todo id and the response chain are list ids.
+   The todo id changes only when an operation starts, the local id
+   ⟨next_op, local⟩ only when one returns. An idle process's record carries
+   -1 for head and chain (ids are non-negative), so every component stays
+   injective. *)
+let local_id ist ~next_op local = I.tuple ist next_op (I.id (I.intern ist local))
 
-let head_cell ist ~inv0 ~op_index =
-  I.pair ist (I.intern ist inv0) (I.int ist op_index)
-
-let ctl_cell ist ~todo_c ~local_c = I.pair ist todo_c local_c
-
-(* One object's terms in the two additive lanes. *)
-let obj_term_hi o oc hc a = Fingerprint.component_hi o (I.id oc) (I.id hc) a
-let obj_term_lo o oc hc a = Fingerprint.component_lo o (I.id oc) (I.id hc) a
-
-(* A completed operation: ⟨⟨op_index, inv⟩, ⟨resp, steps⟩⟩. *)
-let fp_op_cell ist (o : Exec.op) =
-  I.pair ist
-    (I.pair ist (I.int ist o.op_index) (I.intern ist o.inv))
-    (I.pair ist (I.intern ist o.resp) (I.int ist o.steps))
+(* A completed operation: ⟨⟨op_index, inv⟩, ⟨resp, steps⟩⟩, given the id of
+   its invocation. *)
+let op_id ist ~inv_id (o : Exec.op) =
+  I.tuple ist
+    (I.tuple ist o.op_index inv_id)
+    (I.tuple ist (I.id (I.intern ist o.resp)) o.steps)
 
 (* --- graceful degradation ----------------------------------------------------
 
@@ -366,38 +360,35 @@ let engine_of_options (o : options) : Checkpoint.engine = o
    merge even when they retired them in a different order — completion
    order is already outside the engine's soundness envelope.
 
-   The key is nine ints whatever the number of processes and objects,
-   hashed into a ⟨hi, lo⟩ 124-bit {!Wfc_spec.Fingerprint} and probed in an
-   open-addressing table — no boxed key, no bucket, no structural equality,
-   and nothing added to the intern state per probe:
+   The key is a ⟨hi, lo⟩ 124-bit {!Wfc_spec.Fingerprint}, probed in an
+   open-addressing table: no boxed key, no bucket, no structural equality,
+   and nothing added to the intern state per probe. Each lane is a sum of
+   terms the kernel keeps current on its undo path, masked non-negative:
 
-     [obj_hi; obj_lo; proc_hi; proc_lo;
-      events; crashes_left; recoveries_left; glitches_left; tracker id or -1]
+     obj sum + proc sum + budget term + tail(events, tracker id or -1)
 
-   The object sums add one position-salted term per object over ⟨object
-   cell, history cell, access count⟩ ({!Fingerprint.component_hi}); an
-   access swaps its object's term. The process sums add one term per
-   process over the record ⟨ctl, head, chain, completed ops, flags⟩
-   ({!Fingerprint.record_hi}): cell ids, head and chain -1 when nothing is
-   pending, flags the crashed, stuck and sleep bits. Its salt is the
-   process's symmetry-class representative (its pid without classes), so
-   each class's records enter as a multiset and canonicalization needs no
-   sort. [recs] caches each process's terms per sleep bit, keyed on the
-   ids and flags they came from: a probe re-mixes only the records that
-   changed, and no undo path touches the cache.
+   The object sum adds one position-salted term per object over ⟨state
+   id, history id, access count⟩ ({!Fingerprint.component_hi}); an access
+   replaces its object's term. The process sum adds one term per process
+   over the record ⟨ctl, head, chain, completed ops, flags⟩
+   ({!Fingerprint.record_hi}): ids, head and chain -1 when nothing is
+   pending, flags the crashed and stuck bits. Its salt is the process's
+   symmetry-class representative (its pid without classes), so each class's
+   records enter as a multiset and canonicalization needs no sort. Every
+   edge that changes a record sets that process's term and restores it on
+   backtrack. The sleep bit is a per-process adjustment made by the probe:
+   a process in the sleep set contributes {!Fingerprint.asleep_hi} of its
+   term instead of the term. The budget term over ⟨crashes, recoveries,
+   glitches left⟩ is re-mixed only when a budget changed. A probe thus adds
+   a few cached ints, plus one round per sleeping process and two per lane
+   for the tail, and allocates nothing.
 
-   Cell ids are unique within the owning intern state, so records are
-   equal iff their components are equal values. Both sums are Zobrist-style
-   and the buffer is folded into 124 bits: hash compaction, treated as
-   negligible (≈2^-64 collision risk at 10^9 states). *)
-
-let rec_stride = 9
+   Ids are unique within the owning intern state, so records are equal iff
+   their components are equal values. All parts are Zobrist-style sums:
+   hash compaction, treated as negligible (≈2^-64 collision risk at 10^9
+   states). *)
 
 type flat_ctx = {
-  buf : int array;  (* the nine-int scratch encoding *)
-  recs : int array;
-      (* per process: its record (sleep bit clear), then ⟨hi, lo⟩ for sleep
-         bit 0 and for sleep bit 1 *)
   mutable table : Fingerprint.Table.t option;  (* exact tier *)
   mutable bloom : Fingerprint.Bloom.t option;  (* probabilistic tier *)
 }
@@ -409,11 +400,9 @@ type flat_ctx = {
 let table_pool : Fingerprint.Table.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let flat_create ~n_procs ~tier2 ~bloom_bits_log2 () =
+let flat_create ~tier2 ~bloom_bits_log2 () =
   let pool = Domain.DLS.get table_pool in
   {
-    buf = Array.make 9 0;
-    recs = Array.make (rec_stride * n_procs) (-1);
     table =
       (match !pool with
       | _ when tier2 -> None
@@ -434,50 +423,6 @@ let flat_mem_or_add fx ~hi ~lo =
   | None, Some bl -> Fingerprint.Bloom.mem_or_add bl ~hi ~lo
   | None, None -> false
 
-(* Return the offset of process [p]'s cached ⟨hi, lo⟩ pair for sleep bit
-   [sleep], dropping both pairs first if its record changed and mixing the
-   one asked for if it is missing (-1: terms are non-negative). *)
-let record_terms fx p ~salt ~ctl ~head ~chain ~ops ~flags ~sleep =
-  let r = fx.recs and k = rec_stride * p in
-  if
-    Array.unsafe_get r k <> ctl
-    || Array.unsafe_get r (k + 1) <> head
-    || Array.unsafe_get r (k + 2) <> chain
-    || Array.unsafe_get r (k + 3) <> ops
-    || Array.unsafe_get r (k + 4) <> flags
-  then begin
-    r.(k) <- ctl;
-    r.(k + 1) <- head;
-    r.(k + 2) <- chain;
-    r.(k + 3) <- ops;
-    r.(k + 4) <- flags;
-    r.(k + 5) <- -1;
-    r.(k + 7) <- -1
-  end;
-  let t = k + 5 + (2 * sleep) in
-  if Array.unsafe_get r t < 0 then begin
-    let e = flags lor (sleep lsl 2) in
-    r.(t) <- Fingerprint.record_hi salt ctl head chain ops e;
-    r.(t + 1) <- Fingerprint.record_lo salt ctl head chain ops e
-  end;
-  t
-
-(* Fill the scratch buffer from the key's components and hash it. Only the
-   returned ⟨hi, lo⟩ pair is allocated. *)
-let encode_flat_parts fx ~obj_hi ~obj_lo ~proc_hi ~proc_lo ~events
-    ~crashes_left ~recoveries_left ~glitches_left ~tracker_id =
-  let buf = fx.buf in
-  buf.(0) <- obj_hi;
-  buf.(1) <- obj_lo;
-  buf.(2) <- proc_hi;
-  buf.(3) <- proc_lo;
-  buf.(4) <- events;
-  buf.(5) <- crashes_left;
-  buf.(6) <- recoveries_left;
-  buf.(7) <- glitches_left;
-  buf.(8) <- tracker_id;
-  Fingerprint.hash_array buf ~len:9
-
 (* Per-run duplicate-state machinery. The flat context is created only once
    the run has visited [threshold] nodes: on smaller trees the per-node
    fingerprinting can never pay for itself — that was the E3-sticky3-tree
@@ -495,13 +440,12 @@ type dedup_ctx = {
 }
 
 (* The run's flat context, created on first use. *)
-let flat_of dd ~n_procs =
+let flat_of dd =
   match dd.flat with
   | Some fx -> fx
   | None ->
     let fx =
-      flat_create ~n_procs ~tier2:dd.tier2 ~bloom_bits_log2:dd.bloom_bits_log2
-        ()
+      flat_create ~tier2:dd.tier2 ~bloom_bits_log2:dd.bloom_bits_log2 ()
     in
     dd.flat <- Some fx;
     fx
@@ -612,23 +556,25 @@ let default_dedup_threshold = 64
      restores — the OCaml call stack is the undo journal, so an edge
      allocates no configuration at all.
 
-   - Duplicate-state fingerprints are the flat key of [encode_flat_parts]
-     over the engine's own cells: per process the component cells
-     (⟨todo, ⟨next_op, local⟩⟩, pending head, response chain) and the
-     completed-ops cell, plus the two additive object sums over ⟨object,
-     history, access count⟩. An edge updates only what it changed — an access extends its
-     process's response chain by the row's interned response cell and swaps
-     one object's term in each sum; the todo and local cells are rebuilt
-     only when an operation starts, returns or is restarted by a recovery —
-     and saves the old cells and sums next to the configuration slots it
-     restores. A probe re-mixes only the records whose ids or flags changed
-     and hashes nine ints, independent of the number of objects and of how
-     long the pending operations have run.
+   - Duplicate-state fingerprints are the flat key of [probe] over the
+     engine's own ids: per process the component ids (⟨todo, ⟨next_op,
+     local⟩⟩, pending head, response chain) and the completed-ops id, per
+     object ⟨state, history, access count⟩, each summarized by one cached
+     term per lane. An edge updates only what it changed — an access extends
+     its process's response chain by one tuple over the row's interned
+     response cell, replaces its object's term and sets its process's term;
+     the todo and local ids are rebuilt only when an operation starts,
+     returns or is restarted by a recovery, and a crash or wedge sets only
+     the process's term — and saves the old ids, terms and sums next to the
+     configuration slots it restores. An edge mixes at most one object term
+     and one process record per lane, and a probe sums cached ints,
+     independent of the number of objects and processes and of how long the
+     pending operations have run.
      The tracker's fingerprint cell is passed down the recursion and
      re-interned only below an edge that changed the tracker state. Below
-     the activation threshold no cell is ever built; at activation the cells
-     are rebuilt from scratch and maintained incrementally from there on. A
-     frame that entered before activation has no cell saves, so when it
+     the activation threshold no id is ever made; at activation the ids and
+     terms are rebuilt from scratch and maintained incrementally from there
+     on. A frame that entered before activation has no saves, so when it
      backtracks it marks the cache invalid and the next probe rebuilds — a
      bounded number of O(state) rebuilds, paid only around the activation
      frontier.
@@ -697,13 +643,17 @@ type mut_state = {
   ms_steps : int array;
   ms_resps : Value.t list array;
   ms_node : (Value.t * Value.t) Program.t array;
-  ms_todo_cells : I.cell array;
-  ms_local_cells : I.cell array;
-  ms_ctl_cells : I.cell array;
-  ms_head_cells : I.cell array;
-  ms_chain_cells : I.cell array;
-  ms_ops_cells : I.cell array;
-  ms_hist_cells : I.cell array;
+  ms_todo_ids : int array;
+  ms_local_ids : int array;
+  ms_ctl_ids : int array;
+  ms_head_ids : int array;
+  ms_chain_ids : int array;
+  ms_ops_ids : int array;
+  ms_hist_ids : int array;
+  ms_ohi : int array;  (* per object: its term in each lane of the key *)
+  ms_olo : int array;
+  ms_rhi : int array;  (* per process: its awake record's term, per lane *)
+  ms_rlo : int array;
   mutable ms_cls : cls array;
       (* per-depth classification scratch; entries are only ever read for
          processes classified at the current node, so stale slots from a
@@ -767,7 +717,7 @@ let compiled_ctx_of impl =
     cache := cc :: List.filteri (fun i _ -> i < 3) !cache;
     cc
 
-let fresh_mut_state ~n_objs ~n_procs ~unit_cell ~empty_hist =
+let fresh_mut_state ~n_objs ~n_procs ~unit_cell =
   {
     ms_objs = Array.make n_objs Value.unit;
     ms_obj_cells = Array.make n_objs unit_cell;
@@ -783,13 +733,17 @@ let fresh_mut_state ~n_objs ~n_procs ~unit_cell ~empty_hist =
     ms_steps = Array.make n_procs 0;
     ms_resps = Array.make n_procs [];
     ms_node = Array.make n_procs dummy_node;
-    ms_todo_cells = Array.make n_procs unit_cell;
-    ms_local_cells = Array.make n_procs unit_cell;
-    ms_ctl_cells = Array.make n_procs unit_cell;
-    ms_head_cells = Array.make n_procs unit_cell;
-    ms_chain_cells = Array.make n_procs unit_cell;
-    ms_ops_cells = Array.make n_procs unit_cell;
-    ms_hist_cells = Array.make n_objs empty_hist;
+    ms_todo_ids = Array.make n_procs 0;
+    ms_local_ids = Array.make n_procs 0;
+    ms_ctl_ids = Array.make n_procs 0;
+    ms_head_ids = Array.make n_procs 0;
+    ms_chain_ids = Array.make n_procs 0;
+    ms_ops_ids = Array.make n_procs 0;
+    ms_hist_ids = Array.make n_objs 0;
+    ms_ohi = Array.make n_objs 0;
+    ms_olo = Array.make n_objs 0;
+    ms_rhi = Array.make n_procs 0;
+    ms_rlo = Array.make n_procs 0;
     ms_cls = [||];
   }
 
@@ -804,6 +758,21 @@ let port_of cc p obj =
     cc.cc_ports.(p).(obj) <- v;
     v
   end
+
+(* The node memoized for exactly these physical ⟨inv, local⟩, or
+   [dummy_node], which no program returns. *)
+let rec phys_top inv local = function
+  | [] -> dummy_node
+  | (i, l, n) :: rest ->
+    if i == inv && l == local then n else phys_top inv local rest
+
+(* The index of [x] in [a] by physical identity, or -1. *)
+let phys_index a x =
+  let k = ref 0 and n = Array.length a in
+  while !k < n && Array.unsafe_get a !k != x do
+    incr k
+  done;
+  if !k < n then !k else -1
 
 let top_node cc p ~inv ~local =
   let rec find = function
@@ -833,13 +802,13 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
   let n_objs = Array.length cc.cc_rootcells in
   let n_procs = impl.Implementation.procs in
   let unit_cell = I.unit ist in
-  let empty_hist = list_cell ist [] in
+  let unit_id = I.id unit_cell in
   let ms =
     match cc.cc_pool with
     | Some ms ->
       cc.cc_pool <- None;
       ms
-    | None -> fresh_mut_state ~n_objs ~n_procs ~unit_cell ~empty_hist
+    | None -> fresh_mut_state ~n_objs ~n_procs ~unit_cell
   in
   let objs = ms.ms_objs
   and obj_cells = ms.ms_obj_cells
@@ -863,7 +832,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     objs.(o) <- I.value qc;
     acc.(o) <- 0;
     hist.(o) <- [];
-    ms.ms_hist_cells.(o) <- empty_hist
+    ms.ms_hist_ids.(o) <- unit_id
   done;
   for p = 0 to n_procs - 1 do
     todo.(p) <- workloads.(p);
@@ -884,21 +853,25 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
   let derail = Faults.can_derail faults in
   let faulty = faults.Faults.max_glitches > 0 || faults.Faults.max_crashes > 0 in
   let plen = Array.length prefix in
-  (* Fingerprint cells over the mutable state. [obj_cells] is maintained
-     unconditionally — successor cells come for free out of the transition
-     rows and double as the table keys. The per-proc component cells, the
-     history cells and the object sums only exist once the dedup tables
-     activate ([cells_valid]); a frame decides at entry whether it maintains
-     them ([track] below) and a non-tracking backtrack invalidates the cache
-     for the next probe to rebuild. *)
-  let hist_cells = ms.ms_hist_cells in
-  let todo_cells = ms.ms_todo_cells
-  and local_cells = ms.ms_local_cells
-  and ctl_cells = ms.ms_ctl_cells
-  and head_cells = ms.ms_head_cells
-  and chain_cells = ms.ms_chain_cells
-  and ops_cells = ms.ms_ops_cells in
+  (* Fingerprint ids and terms over the mutable state. [obj_cells] is
+     maintained unconditionally — successor cells come for free out of the
+     transition rows and double as the table keys. The per-proc component
+     ids, the history ids and the key's terms and sums only exist once the
+     dedup tables activate ([cells_valid]); a frame decides at entry whether
+     it maintains them ([track] below) and a non-tracking backtrack
+     invalidates the cache for the next probe to rebuild. *)
+  let hist_ids = ms.ms_hist_ids in
+  let todo_ids = ms.ms_todo_ids
+  and local_ids = ms.ms_local_ids
+  and ctl_ids = ms.ms_ctl_ids
+  and head_ids = ms.ms_head_ids
+  and chain_ids = ms.ms_chain_ids
+  and ops_ids = ms.ms_ops_ids in
+  let ohi = ms.ms_ohi and olo = ms.ms_olo in
+  let rhi = ms.ms_rhi and rlo = ms.ms_rlo in
+  let salts = match dd with Some dd -> dd.salts | None -> [||] in
   let sum_hi = ref 0 and sum_lo = ref 0 in
+  let proc_hi = ref 0 and proc_lo = ref 0 in
   let cells_valid = ref false in
   let cls_at depth =
     let pool = ms.ms_cls in
@@ -918,35 +891,126 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     if i < 8 then Array.unsafe_get (Array.unsafe_get cc.cc_decisions p) i
     else { Faults.proc = p; kind = Faults.Step i }
   in
-  let set_ctl_cell p =
-    Array.unsafe_set ctl_cells p
-      (ctl_cell ist
-         ~todo_c:(Array.unsafe_get todo_cells p)
-         ~local_c:(Array.unsafe_get local_cells p))
+  (* This run's program top nodes, by physical identity of ⟨inv, local⟩ in
+     front of the structural memo: physically equal arguments are equal
+     values, so a hit is the structural memo's answer without a walk. *)
+  let tops = Array.make n_procs [] in
+  let top p ~inv ~local =
+    let n = phys_top inv local (Array.unsafe_get tops p) in
+    if n != dummy_node then n
+    else begin
+      let n = top_node cc p ~inv ~local in
+      Array.unsafe_set tops p ((inv, local, n) :: Array.unsafe_get tops p);
+      n
+    end
+  in
+  (* This run's workload ids, made at the first rebuild: per process, the
+     suffixes of its workload (the todo lists it goes through) with their
+     list ids, and its invocations with their cell ids. Lookups are by
+     physical identity; a list or invocation not found — a recovery's
+     re-consed todo list — falls back to interning. *)
+  let wl_sufs = Array.make n_procs [||]
+  and wl_suf_ids = Array.make n_procs [||]
+  and wl_invs = Array.make n_procs [||]
+  and wl_inv_ids = Array.make n_procs [||] in
+  let wl_ready = ref false in
+  let workload_ids () =
+    for p = 0 to n_procs - 1 do
+      let w = Array.of_list workloads.(p) in
+      let n = Array.length w in
+      let sufs = Array.make (n + 1) [] and ids = Array.make (n + 1) unit_id in
+      let inv_ids = Array.map (fun v -> I.id (I.intern ist v)) w in
+      for k = n - 1 downto 0 do
+        ids.(k) <- I.tuple ist inv_ids.(k) ids.(k + 1)
+      done;
+      (* the workload's own tails, not copies: they are the todo lists *)
+      let rec fill k = function
+        | [] -> ()
+        | _ :: tl as l ->
+          sufs.(k) <- l;
+          fill (k + 1) tl
+      in
+      fill 0 workloads.(p);
+      wl_sufs.(p) <- sufs;
+      wl_suf_ids.(p) <- ids;
+      wl_invs.(p) <- w;
+      wl_inv_ids.(p) <- inv_ids
+    done;
+    wl_ready := true
+  in
+  let inv_id p v =
+    let k = phys_index (Array.unsafe_get wl_invs p) v in
+    if k >= 0 then Array.unsafe_get (Array.unsafe_get wl_inv_ids p) k
+    else I.id (I.intern ist v)
+  in
+  let rec todo_id p l =
+    let k = phys_index (Array.unsafe_get wl_sufs p) l in
+    if k >= 0 then Array.unsafe_get (Array.unsafe_get wl_suf_ids p) k
+    else
+      match l with
+      | [] -> unit_id
+      | v :: rest -> I.tuple ist (inv_id p v) (todo_id p rest)
+  in
+  let set_ctl p =
+    Array.unsafe_set ctl_ids p
+      (I.tuple ist (Array.unsafe_get todo_ids p) (Array.unsafe_get local_ids p))
+  in
+  let head_id p ~inv0 ~op_index = I.tuple ist (inv_id p inv0) op_index in
+  (* Make ⟨h, l⟩ [p]'s record term, moving the process sums by the change.
+     An edge sets the term of the record it changed and, on backtrack, puts
+     back the term it saved. *)
+  let put_term p h l =
+    proc_hi := !proc_hi - Array.unsafe_get rhi p + h;
+    proc_lo := !proc_lo - Array.unsafe_get rlo p + l;
+    Array.unsafe_set rhi p h;
+    Array.unsafe_set rlo p l
+  in
+  let set_term p =
+    let pend = Array.unsafe_get haspend p in
+    let salt = Array.unsafe_get salts p
+    and ctl = Array.unsafe_get ctl_ids p
+    and head = if pend then Array.unsafe_get head_ids p else -1
+    and chain = if pend then Array.unsafe_get chain_ids p else -1
+    and ops = Array.unsafe_get ops_ids p
+    and flags = ((!crashed lsr p) land 1) lor (((!stuck lsr p) land 1) lsl 1) in
+    put_term p
+      (Fingerprint.record_hi salt ctl head chain ops flags)
+      (Fingerprint.record_lo salt ctl head chain ops flags)
   in
   let rebuild_cells () =
+    if not !wl_ready then workload_ids ();
     sum_hi := 0;
     sum_lo := 0;
     for o = 0 to n_objs - 1 do
-      if hist_depth.(o) > 0 then hist_cells.(o) <- list_cell ist hist.(o);
-      sum_hi := !sum_hi + obj_term_hi o obj_cells.(o) hist_cells.(o) acc.(o);
-      sum_lo := !sum_lo + obj_term_lo o obj_cells.(o) hist_cells.(o) acc.(o)
+      if hist_depth.(o) > 0 then hist_ids.(o) <- list_id ist hist.(o);
+      let q = I.id obj_cells.(o) in
+      ohi.(o) <- Fingerprint.component_hi o q hist_ids.(o) acc.(o);
+      olo.(o) <- Fingerprint.component_lo o q hist_ids.(o) acc.(o);
+      sum_hi := !sum_hi + ohi.(o);
+      sum_lo := !sum_lo + olo.(o)
     done;
     for p = 0 to n_procs - 1 do
-      todo_cells.(p) <- list_cell ist todo.(p);
-      local_cells.(p) <- local_cell ist ~next_op:next_op.(p) local.(p);
-      set_ctl_cell p;
+      todo_ids.(p) <- todo_id p todo.(p);
+      local_ids.(p) <- local_id ist ~next_op:next_op.(p) local.(p);
+      set_ctl p;
       if haspend.(p) then begin
-        head_cells.(p) <-
-          head_cell ist ~inv0:p_inv0.(p) ~op_index:p_opidx.(p);
-        chain_cells.(p) <- list_cell ist p_resps.(p)
+        head_ids.(p) <- head_id p ~inv0:p_inv0.(p) ~op_index:p_opidx.(p);
+        chain_ids.(p) <- list_id ist p_resps.(p)
       end;
-      ops_cells.(p) <- unit_cell
+      ops_ids.(p) <- unit_id
     done;
     List.iter
       (fun (o : Exec.op) ->
-        ops_cells.(o.proc) <- I.pair ist (fp_op_cell ist o) ops_cells.(o.proc))
+        ops_ids.(o.proc) <-
+          I.tuple ist (op_id ist ~inv_id:(inv_id o.proc o.inv) o) ops_ids.(o.proc))
       (List.rev !ops_rev);
+    proc_hi := 0;
+    proc_lo := 0;
+    for p = 0 to n_procs - 1 do
+      rhi.(p) <- 0;
+      rlo.(p) <- 0;
+      set_term p
+    done;
     cells_valid := true
   in
   (* The tracker's fingerprint cell id. [go] carries it down the recursion
@@ -969,37 +1033,38 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       | None -> max_int
       | Some dd -> if Option.is_some dd.flat then 0 else dd.threshold)
   in
+  (* The budget term, re-mixed only when a budget moved since the last
+     probe (-1: never mixed). *)
+  let b_crashes = ref (-1) and b_recoveries = ref (-1) and b_glitches = ref (-1) in
+  let b_hi = ref 0 and b_lo = ref 0 in
   let probe sleep tracker_id =
     match dd with
     | None -> false
     | Some dd ->
       probe_floor := 0;
-      let fx = flat_of dd ~n_procs in
+      let fx = flat_of dd in
       if not !cells_valid then rebuild_cells ();
-      let crashed = !crashed and stuck = !stuck in
-      let proc_hi = ref 0 and proc_lo = ref 0 in
-      for p = 0 to n_procs - 1 do
-        let pend = Array.unsafe_get haspend p in
-        let k =
-          record_terms fx p
-            ~salt:(Array.unsafe_get dd.salts p)
-            ~ctl:(I.id (Array.unsafe_get ctl_cells p))
-            ~head:(if pend then I.id (Array.unsafe_get head_cells p) else -1)
-            ~chain:(if pend then I.id (Array.unsafe_get chain_cells p) else -1)
-            ~ops:(I.id (Array.unsafe_get ops_cells p))
-            ~flags:(((crashed lsr p) land 1) lor (((stuck lsr p) land 1) lsl 1))
-            ~sleep:((sleep lsr p) land 1)
-        in
-        proc_hi := !proc_hi + Array.unsafe_get fx.recs k;
-        proc_lo := !proc_lo + Array.unsafe_get fx.recs (k + 1)
-      done;
-      let hi, lo =
-        encode_flat_parts fx ~obj_hi:!sum_hi ~obj_lo:!sum_lo ~proc_hi:!proc_hi
-          ~proc_lo:!proc_lo ~events:!events ~crashes_left:!crashes_left
-          ~recoveries_left:!recoveries_left ~glitches_left:!glitches_left
-          ~tracker_id
-      in
-      flat_mem_or_add fx ~hi ~lo
+      let cr = !crashes_left and re = !recoveries_left and gl = !glitches_left in
+      if cr <> !b_crashes || re <> !b_recoveries || gl <> !b_glitches then begin
+        b_crashes := cr;
+        b_recoveries := re;
+        b_glitches := gl;
+        b_hi := Fingerprint.budget_hi cr re gl;
+        b_lo := Fingerprint.budget_lo cr re gl
+      end;
+      let hi = ref (!sum_hi + !proc_hi + !b_hi)
+      and lo = ref (!sum_lo + !proc_lo + !b_lo) in
+      if sleep <> 0 then
+        for p = 0 to n_procs - 1 do
+          if sleep land (1 lsl p) <> 0 then begin
+            let h = Array.unsafe_get rhi p and l = Array.unsafe_get rlo p in
+            hi := !hi - h + Fingerprint.asleep_hi h;
+            lo := !lo - l + Fingerprint.asleep_lo l
+          end
+        done;
+      flat_mem_or_add fx
+        ~hi:((!hi + Fingerprint.tail_hi !events tracker_id) land max_int)
+        ~lo:((!lo + Fingerprint.tail_lo !events tracker_id) land max_int)
   in
   (* The ⟨proc, target-level invocation⟩ of every live pending operation:
      invoked, not yet returned, process neither crashed nor wedged. Only
@@ -1021,7 +1086,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       if fresh then
         match Array.unsafe_get todo p with
         | [] -> assert false
-        | inv :: _ -> top_node cc p ~inv ~local:(Array.unsafe_get local p)
+        | inv :: _ -> top p ~inv ~local:(Array.unsafe_get local p)
       else Array.unsafe_get p_node p
     in
     match node with
@@ -1076,7 +1141,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     let node =
       if fresh then
         match todo.(p) with
-        | inv :: _ -> top_node cc p ~inv ~local:local.(p)
+        | inv :: _ -> top p ~inv ~local:local.(p)
         | [] -> assert false
       else p_node.(p)
     in
@@ -1332,10 +1397,11 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       let s_nextop = Array.unsafe_get next_op p
       and s_local = Array.unsafe_get local p in
       let s_ops = !ops_rev in
-      let s_opsc = Array.unsafe_get ops_cells p in
-      let s_todoc = Array.unsafe_get todo_cells p
-      and s_localc = Array.unsafe_get local_cells p
-      and s_ctlc = Array.unsafe_get ctl_cells p in
+      let s_opsc = Array.unsafe_get ops_ids p in
+      let s_todoc = Array.unsafe_get todo_ids p
+      and s_localc = Array.unsafe_get local_ids p
+      and s_ctlc = Array.unsafe_get ctl_ids p in
+      let s_rhi = Array.unsafe_get rhi p and s_rlo = Array.unsafe_get rlo p in
       let track = !cells_valid in
       let inv0, todo' =
         match s_todo with inv :: tl -> (inv, tl) | [] -> assert false
@@ -1356,11 +1422,13 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       Array.unsafe_set next_op p (s_nextop + 1);
       Array.unsafe_set local p local';
       if track then begin
-        ops_cells.(p) <- I.pair ist (fp_op_cell ist op) s_opsc;
-        Array.unsafe_set todo_cells p (list_cell ist todo');
-        Array.unsafe_set local_cells p
-          (local_cell ist ~next_op:(s_nextop + 1) local');
-        set_ctl_cell p
+        Array.unsafe_set ops_ids p
+          (I.tuple ist (op_id ist ~inv_id:(inv_id p inv0) op) s_opsc);
+        Array.unsafe_set todo_ids p (todo_id p todo');
+        Array.unsafe_set local_ids p
+          (local_id ist ~next_op:(s_nextop + 1) local');
+        set_ctl p;
+        set_term p
       end;
       incr events;
       let st' =
@@ -1376,10 +1444,11 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       Array.unsafe_set next_op p s_nextop;
       Array.unsafe_set local p s_local;
       if track then begin
-        Array.unsafe_set ops_cells p s_opsc;
-        Array.unsafe_set todo_cells p s_todoc;
-        Array.unsafe_set local_cells p s_localc;
-        Array.unsafe_set ctl_cells p s_ctlc
+        Array.unsafe_set ops_ids p s_opsc;
+        Array.unsafe_set todo_ids p s_todoc;
+        Array.unsafe_set local_ids p s_localc;
+        Array.unsafe_set ctl_ids p s_ctlc;
+        put_term p s_rhi s_rlo
       end
       else cells_valid := false
   (* One base access, honest or glitched: move [obj] to the successor cell
@@ -1394,7 +1463,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     let s_q = Array.unsafe_get objs obj
     and s_qc = Array.unsafe_get obj_cells obj in
     let s_acc = Array.unsafe_get acc obj in
-    let s_hc = Array.unsafe_get hist_cells obj in
+    let s_hc = Array.unsafe_get hist_ids obj in
     let hpush = qc != s_qc && Array.unsafe_get hist_depth obj > 0 in
     let s_hist = Array.unsafe_get hist obj in
     let s_todo = Array.unsafe_get todo p in
@@ -1408,13 +1477,15 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     and s_resps = Array.unsafe_get p_resps p in
     let s_node = Array.unsafe_get p_node p in
     let s_ops = !ops_rev in
-    let s_opsc = Array.unsafe_get ops_cells p in
-    let s_todoc = Array.unsafe_get todo_cells p
-    and s_localc = Array.unsafe_get local_cells p
-    and s_ctlc = Array.unsafe_get ctl_cells p
-    and s_headc = Array.unsafe_get head_cells p
-    and s_chainc = Array.unsafe_get chain_cells p in
+    let s_opsc = Array.unsafe_get ops_ids p in
+    let s_todoc = Array.unsafe_get todo_ids p
+    and s_localc = Array.unsafe_get local_ids p
+    and s_ctlc = Array.unsafe_get ctl_ids p
+    and s_headc = Array.unsafe_get head_ids p
+    and s_chainc = Array.unsafe_get chain_ids p in
     let s_sum_hi = !sum_hi and s_sum_lo = !sum_lo in
+    let s_ohi = Array.unsafe_get ohi obj and s_olo = Array.unsafe_get olo obj in
+    let s_rhi = Array.unsafe_get rhi p and s_rlo = Array.unsafe_get rlo p in
     let track = !cells_valid in
     let inv0, op_index, started, steps_done, resps_rev =
       if fresh then
@@ -1435,7 +1506,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
           (s_q :: s_hist)
       in
       Array.unsafe_set hist obj h;
-      if track then Array.unsafe_set hist_cells obj (list_cell ist h)
+      if track then Array.unsafe_set hist_ids obj (list_id ist h)
     end;
     if fresh then
       Array.unsafe_set todo p
@@ -1460,13 +1531,13 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
         Array.unsafe_set next_op p (op_index + 1);
         Array.unsafe_set local p local';
         if track then begin
-          Array.unsafe_set ops_cells p (I.pair ist (fp_op_cell ist op) s_opsc);
+          Array.unsafe_set ops_ids p
+            (I.tuple ist (op_id ist ~inv_id:(inv_id p inv0) op) s_opsc);
           if fresh then
-            Array.unsafe_set todo_cells p
-              (list_cell ist (Array.unsafe_get todo p));
-          Array.unsafe_set local_cells p
-            (local_cell ist ~next_op:(op_index + 1) local');
-          set_ctl_cell p
+            Array.unsafe_set todo_ids p (todo_id p (Array.unsafe_get todo p));
+          Array.unsafe_set local_ids p
+            (local_id ist ~next_op:(op_index + 1) local');
+          set_ctl p
         end;
         Some op
       | Program.Invoke _ ->
@@ -1479,23 +1550,29 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
         Array.unsafe_set p_node p next;
         if track then
           if fresh then begin
-            Array.unsafe_set todo_cells p
-              (list_cell ist (Array.unsafe_get todo p));
-            set_ctl_cell p;
-            Array.unsafe_set head_cells p (head_cell ist ~inv0 ~op_index);
-            Array.unsafe_set chain_cells p (I.pair ist rc unit_cell)
+            Array.unsafe_set todo_ids p (todo_id p (Array.unsafe_get todo p));
+            set_ctl p;
+            Array.unsafe_set head_ids p (head_id p ~inv0 ~op_index);
+            Array.unsafe_set chain_ids p (I.tuple ist (I.id rc) unit_id)
           end
-          else Array.unsafe_set chain_cells p (I.pair ist rc s_chainc);
+          else Array.unsafe_set chain_ids p (I.tuple ist (I.id rc) s_chainc);
         None
     in
     if track then begin
-      let hc = Array.unsafe_get hist_cells obj in
-      sum_hi :=
-        s_sum_hi - obj_term_hi obj s_qc s_hc s_acc
-        + obj_term_hi obj qc hc (s_acc + 1);
-      sum_lo :=
-        s_sum_lo - obj_term_lo obj s_qc s_hc s_acc
-        + obj_term_lo obj qc hc (s_acc + 1)
+      let h =
+        Fingerprint.component_hi obj (I.id qc)
+          (Array.unsafe_get hist_ids obj)
+          (s_acc + 1)
+      and l =
+        Fingerprint.component_lo obj (I.id qc)
+          (Array.unsafe_get hist_ids obj)
+          (s_acc + 1)
+      in
+      Array.unsafe_set ohi obj h;
+      Array.unsafe_set olo obj l;
+      sum_hi := s_sum_hi - s_ohi + h;
+      sum_lo := s_sum_lo - s_olo + l;
+      set_term p
     end;
     incr events;
     let st' =
@@ -1512,7 +1589,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     Array.unsafe_set acc obj s_acc;
     if hpush then begin
       Array.unsafe_set hist obj s_hist;
-      Array.unsafe_set hist_cells obj s_hc
+      Array.unsafe_set hist_ids obj s_hc
     end;
     Array.unsafe_set todo p s_todo;
     Array.unsafe_set next_op p s_nextop;
@@ -1526,14 +1603,17 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     Array.unsafe_set p_node p s_node;
     ops_rev := s_ops;
     if track then begin
-      Array.unsafe_set ops_cells p s_opsc;
-      Array.unsafe_set todo_cells p s_todoc;
-      Array.unsafe_set local_cells p s_localc;
-      Array.unsafe_set ctl_cells p s_ctlc;
-      Array.unsafe_set head_cells p s_headc;
-      Array.unsafe_set chain_cells p s_chainc;
+      Array.unsafe_set ops_ids p s_opsc;
+      Array.unsafe_set todo_ids p s_todoc;
+      Array.unsafe_set local_ids p s_localc;
+      Array.unsafe_set ctl_ids p s_ctlc;
+      Array.unsafe_set head_ids p s_headc;
+      Array.unsafe_set chain_ids p s_chainc;
+      Array.unsafe_set ohi obj s_ohi;
+      Array.unsafe_set olo obj s_olo;
       sum_hi := s_sum_hi;
-      sum_lo := s_sum_lo
+      sum_lo := s_sum_lo;
+      put_term p s_rhi s_rlo
     end
     else cells_valid := false
   (* A glitched read: the object keeps its state, the program sees [rc]. *)
@@ -1549,11 +1629,14 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
   and halt_child ~crash p cl d child_sleep trace_rev st tid =
     let tr = d :: trace_rev in
     let bit = 1 lsl p in
+    let s_rhi = Array.unsafe_get rhi p and s_rlo = Array.unsafe_get rlo p in
+    let track = !cells_valid in
     if crash then begin
       crashed := !crashed lor bit;
       decr crashes_left
     end
     else stuck := !stuck lor bit;
+    if track then set_term p;
     incr events;
     let st' =
       if user_tracker && !events > plen then
@@ -1567,15 +1650,17 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       crashed := !crashed land lnot bit;
       incr crashes_left
     end
-    else stuck := !stuck land lnot bit
+    else stuck := !stuck land lnot bit;
+    if track then put_term p s_rhi s_rlo else cells_valid := false
   (* Restart crashed [p]: its pending operation goes back onto the front of
      its todo list (local effects rolled back, shared ones kept). *)
   and recover_child p cl d child_sleep trace_rev st tid =
     let tr = d :: trace_rev in
     let s_todo = Array.unsafe_get todo p
     and s_haspend = Array.unsafe_get haspend p in
-    let s_todoc = Array.unsafe_get todo_cells p
-    and s_ctlc = Array.unsafe_get ctl_cells p in
+    let s_todoc = Array.unsafe_get todo_ids p
+    and s_ctlc = Array.unsafe_get ctl_ids p in
+    let s_rhi = Array.unsafe_get rhi p and s_rlo = Array.unsafe_get rlo p in
     let track = !cells_valid in
     crashed := !crashed land lnot (1 lsl p);
     decr recoveries_left;
@@ -1583,10 +1668,11 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       Array.unsafe_set todo p (Array.unsafe_get p_inv0 p :: s_todo);
       Array.unsafe_set haspend p false;
       if track then begin
-        Array.unsafe_set todo_cells p (list_cell ist (Array.unsafe_get todo p));
-        set_ctl_cell p
+        Array.unsafe_set todo_ids p (todo_id p (Array.unsafe_get todo p));
+        set_ctl p
       end
     end;
+    if track then set_term p;
     incr events;
     go cl (-1) child_sleep tr st tid;
     decr events;
@@ -1595,8 +1681,9 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     incr recoveries_left;
     crashed := !crashed lor (1 lsl p);
     if track then begin
-      Array.unsafe_set todo_cells p s_todoc;
-      Array.unsafe_set ctl_cells p s_ctlc
+      Array.unsafe_set todo_ids p s_todoc;
+      Array.unsafe_set ctl_ids p s_ctlc;
+      put_term p s_rhi s_rlo
     end
     else cells_valid := false
   (* Apply prefix decision [ev] with the edge it names, after checking it the

@@ -15,13 +15,15 @@
       pending continuation identified by its invocation + responses so far,
       local state), completed operations' {e values} and step counts, crash
       bookkeeping, event and access totals — and a revisited fingerprint cuts
-      the whole subtree ([stats.pruned] counts the cuts). The key is a flat
-      [int array] of interned-cell ids and two additive object-segment sums,
-      hashed into a fixed-width ⟨hi, lo⟩ 124-bit fingerprint
-      ({!Wfc_spec.Fingerprint}) probed in an open-addressing table — no
-      boxed key is ever built on the hot path, and an edge updates only the
-      key components it changed, so a probe's cost does not grow with the
-      number of base objects or the length of pending operations. Runs that
+      the whole subtree ([stats.pruned] counts the cuts). The key is a
+      fixed-width ⟨hi, lo⟩ 124-bit fingerprint ({!Wfc_spec.Fingerprint}):
+      in each lane, a sum of per-object and per-process terms over interned
+      ids, kept current along tree edges, plus terms for the fault budgets,
+      the event count and the tracker. It is probed in an open-addressing
+      table — no boxed key is ever built on the hot path, and an edge
+      updates only the terms it changed, so a probe's cost does not grow
+      with the number of base objects or processes or the length of pending
+      operations. Runs that
       outgrow [?mem_budget_mb] migrate the table into a constant-memory
       Bloom filter instead of dropping dedup, and in frontier mode the
       pending-subtree queue spills to disk beyond a small in-RAM window; a

@@ -1,9 +1,9 @@
 (* Fixed-width fingerprints for the exploration hot path.
 
    A fingerprint is a pair ⟨hi, lo⟩ of native OCaml ints (62 significant
-   bits each after the sign/tag bits, ~124 bits total), produced by folding
-   a flat int-array encoding of a configuration through two independently
-   seeded avalanche mixers. At 124 bits, the birthday bound for a run of
+   bits each after the sign/tag bits, ~124 bits total): in each lane, the
+   sum of per-component terms of a configuration, every term a few rounds
+   of that lane's independently seeded avalanche mixer. At 124 bits, the birthday bound for a run of
    10^9 distinct states puts the collision probability around 2^-64 — far
    below the probability of a cosmic-ray bit flip over the same run — so
    the exact tier treats fingerprint equality as state equality.
@@ -17,23 +17,19 @@
 let m1 = 0x2545F4914F6CDD1D
 let m2 = 0x27220A95FE4D3EEB
 
-let mix mult h x =
-  let h = (h lxor x) * mult in
+(* One round of each lane's mixer. The multipliers are constants, so an
+   inlined round is a handful of instructions with no closure call. *)
+let[@inline] mix1 h x =
+  let h = (h lxor x) * m1 in
   let h = h lxor (h lsr 29) in
-  let h = h * mult in
+  let h = h * m1 in
   (h lxor (h lsr 32)) land max_int
 
-(* Fold [a.(0..len-1)] into one 62-bit lane. Position-sensitive: the running
-   state enters each round, so permuted arrays separate. *)
-let fold_array ~seed mult a ~len =
-  let h = ref (mix mult seed len) in
-  for i = 0 to len - 1 do
-    h := mix mult !h (Array.unsafe_get a i)
-  done;
-  !h
-
-let hash_array a ~len =
-  (fold_array ~seed:0x9E3779B9 m1 a ~len, fold_array ~seed:0x85EBCA6B m2 a ~len)
+let[@inline] mix2 h x =
+  let h = (h lxor x) * m2 in
+  let h = h lxor (h lsr 29) in
+  let h = h * m2 in
+  (h lxor (h lsr 32)) land max_int
 
 (* --- additive segment hashing ------------------------------------------------
 
@@ -46,36 +42,49 @@ let hash_array a ~len =
    would cost O(k) per probe; the sum costs O(1) per changed component.
 
    Each lane's term is four chained rounds of that lane's mixer from its own
-   seed (distinct from [hash_array]'s), so the two lanes are independent
-   functions of the component, and a collision between two segments that
-   differ needs both 63-bit sums to agree. *)
-let component ~seed mult pos a b c =
-  mix mult (mix mult (mix mult (mix mult seed pos) a) b) c
+   seed, so the two lanes are independent functions of the component, and a
+   collision between two segments that differ needs both 63-bit sums to
+   agree. *)
+let[@inline] component1 seed pos a b c = mix1 (mix1 (mix1 (mix1 seed pos) a) b) c
+let[@inline] component2 seed pos a b c = mix2 (mix2 (mix2 (mix2 seed pos) a) b) c
 
-let component_hi pos a b c = component ~seed:0x6A09E667 m1 pos a b c
-let component_lo pos a b c = component ~seed:0x3C6EF372 m2 pos a b c
+let component_hi pos a b c = component1 0x6A09E667 pos a b c
+let component_lo pos a b c = component2 0x3C6EF372 pos a b c
 
 (* Five-int records, salted by a class instead of a position: records that
    share a salt are interchangeable in a sum, so a segment of them hashes
    the multiset of records per salt and needs no canonical sort. *)
-let record ~seed mult salt a b c d e =
-  mix mult (mix mult (component ~seed mult salt a b c) d) e
+let record_hi salt a b c d e =
+  mix1 (mix1 (component1 0x510E527F salt a b c) d) e
 
-let record_hi salt a b c d e = record ~seed:0x510E527F m1 salt a b c d e
-let record_lo salt a b c d e = record ~seed:0x1F83D9AB m2 salt a b c d e
+let record_lo salt a b c d e =
+  mix2 (mix2 (component2 0x1F83D9AB salt a b c) d) e
 
-(* 62-bit string hash used as the checkpoint body digest: the two lanes of
-   the underlying structural hash folded together. One pass, no allocation,
-   ~6x faster than MD5 on checkpoint-sized bodies and with 62 bits still
-   far stronger than needed to catch truncation/corruption of a text file. *)
+(* A sleeping process's term is one more round over its awake term, so the
+   sleep bit is a per-process adjustment of the sum: the awake term is kept
+   on the engine's undo path and a probe swaps it for this one. *)
+let asleep_hi t = mix1 t 0x9B05688C
+let asleep_lo t = mix2 t 0x5BE0CD19
+
+let budget_hi c r g = mix1 (mix1 (mix1 0x6C62272E c) r) g
+let budget_lo c r g = mix2 (mix2 (mix2 0x07B0A03D c) r) g
+
+let tail_hi events tracker = mix1 (mix1 0x243F6A88 events) tracker
+let tail_lo events tracker = mix2 (mix2 0x13198A2E events) tracker
+
+(* 62-bit string hash used as the checkpoint body digest: two lanes folded
+   together. One pass, no allocation, ~6x faster than MD5 on
+   checkpoint-sized bodies and with 62 bits still far stronger than needed
+   to catch truncation/corruption of a text file. Checkpoints store it, so
+   its values must never change. *)
 let hash_string s =
-  let h1 = ref (mix m1 0x9E3779B9 (String.length s)) in
-  let h2 = ref (mix m2 0x85EBCA6B (String.length s)) in
+  let h1 = ref (mix1 0x9E3779B9 (String.length s)) in
+  let h2 = ref (mix2 0x85EBCA6B (String.length s)) in
   String.iter
     (fun c ->
       let b = Char.code c in
-      h1 := mix m1 !h1 b;
-      h2 := mix m2 !h2 b)
+      h1 := mix1 !h1 b;
+      h2 := mix2 !h2 b)
     s;
   (!h1 lxor (!h2 lsr 7)) land max_int
 
@@ -117,7 +126,8 @@ module Table = struct
     else (Array.fill t.hi 0 cap 0; Array.fill t.lo 0 cap 0);
     t.count <- 0
 
-  let remap ~hi ~lo = if hi = 0 && lo = 0 then (0, 1) else (hi, lo)
+  (* The lo lane a key is stored under: ⟨0, 0⟩ becomes ⟨0, 1⟩. *)
+  let[@inline] remap_lo ~hi ~lo = if hi = 0 && lo = 0 then 1 else lo
 
   (* Insert into [hi]/[lo] assuming the key is absent and there is room. *)
   let insert_fresh hi lo mask h l =
@@ -143,7 +153,7 @@ module Table = struct
   (* The one hot-path operation: membership probe that records the key on a
      miss. Returns [true] when the fingerprint was already present. *)
   let mem_or_add t ~hi ~lo =
-    let h, l = remap ~hi ~lo in
+    let h = hi and l = remap_lo ~hi ~lo in
     let mask = t.mask in
     let thi = t.hi and tlo = t.lo in
     let i = ref (l land mask) in

@@ -1,44 +1,36 @@
 (** Fixed-width fingerprints and the flat dedup tables built on them.
 
-    The exploration engine's flat hot path encodes a configuration as a
-    small [int array], hashes it into a ⟨hi, lo⟩ pair of 62-bit lanes
-    (~124 bits total, splitmix64-family avalanche mixers with two
-    independent seeds), and probes that pair in an open-addressing {!Table}
-    — no boxed key is ever built, no structural equality is ever walked.
+    The exploration engine keys a configuration by a ⟨hi, lo⟩ pair of
+    62-bit lanes (~124 bits total, splitmix64-family avalanche mixers with
+    independent seeds per lane) and probes that pair in an open-addressing
+    {!Table}: no boxed key is ever built, no structural equality is ever
+    walked.
 
-    The array has a fixed layout whose length does not grow with the number
-    of base objects:
-    - two additive sums standing for the whole object segment. Each object
-      contributes one position-salted term over ⟨state cell id, history
-      cell id, access count⟩ per lane ({!component_hi}, {!component_lo}),
-      summed modulo 2^63. An access swaps one term, and backtracking
-      restores the two saved sums;
-    - two additive sums standing for the whole process segment, one term
-      per process and lane ({!record_hi}, {!record_lo}) over its ⟨todo,
-      ⟨next_op, local⟩⟩ cell, pending head and response chain cells (-1
-      when none is pending), completed-ops cell and crashed/stuck/sleep
-      bits, salted by its symmetry-class representative (its pid without
-      classes), so the sums see each class's records as a multiset;
-    - the event count, the fault budgets and the tracker's cell id.
+    Each lane is a sum, modulo 2^63 and masked non-negative, of terms the
+    engine keeps current on its undo path, so a probe adds a few cached ints
+    whatever the number of processes and objects:
+    - one position-salted term per object over ⟨state id, history id,
+      access count⟩ ({!component_hi}, {!component_lo}). An access replaces
+      its object's term, and backtracking restores the saved term and sum;
+    - one term per process ({!record_hi}, {!record_lo}) over its ⟨todo,
+      ⟨next_op, local⟩⟩ id, pending head and response chain ids (-1 when
+      none is pending), completed-ops id and crashed/stuck bits, salted by
+      its symmetry-class representative (its pid without classes), so the
+      sum sees each class's records as a multiset. A process in the sleep
+      set contributes {!asleep_hi} of its term instead;
+    - a term over the three fault budgets ({!budget_hi});
+    - a tail over the event count and the tracker's id ({!tail_hi}).
 
-    Nine ints, whatever the number of processes and objects.
-
-    Collisions: both segments are Zobrist-style sums. Two configurations
-    whose segments differ agree on both sums only when two independent
-    63-bit lanes collide at once, and the array is then folded into 124
-    bits. Both steps are hash compaction. Fingerprint equality is treated as
-    state equality; for a 10^9-state run the collision probability is
-    ≈ 2^-64.
+    Collisions: every part is a Zobrist-style sum. Two configurations that
+    differ agree on both lanes only when two independent 63-bit sums
+    collide at once. This is hash compaction: fingerprint equality is
+    treated as state equality, and for a 10^9-state run the collision
+    probability is ≈ 2^-64.
 
     {!Bloom} is the constant-memory second tier for runs that outgrow
     their memory budget: membership answers become "possibly seen", so an
     engine on this tier reports its result as probabilistic rather than
     exhaustive. *)
-
-val hash_array : int array -> len:int -> int * int
-(** [hash_array a ~len] folds [a.(0 .. len-1)] into a ⟨hi, lo⟩ fingerprint.
-    Position-sensitive in both lanes; only the first [len] elements are
-    read. Both lanes are non-negative. *)
 
 val component_hi : int -> int -> int -> int -> int
 (** [component_hi pos a b c] is the hi-lane term of the three-int component
@@ -59,6 +51,22 @@ val record_lo : int -> int -> int -> int -> int -> int -> int
     of the record ⟨a, b, c, d, e⟩, summed like {!component_hi}'s; records
     that share a [salt] are interchangeable in the sum, so it hashes the
     multiset of records per salt. *)
+
+val asleep_hi : int -> int
+val asleep_lo : int -> int
+(** [asleep_hi t] is the term a record whose awake hi-lane term is [t]
+    contributes while its process is in the sleep set: one more mixer round
+    over [t], so a sleeping and an awake record never share a term. *)
+
+val budget_hi : int -> int -> int -> int
+val budget_lo : int -> int -> int -> int
+(** [budget_hi crashes recoveries glitches] is the term of the remaining
+    fault budgets. *)
+
+val tail_hi : int -> int -> int
+val tail_lo : int -> int -> int
+(** [tail_hi events tracker] is the term of the event count and the
+    tracker's id (-1 without a tracker): two mixer rounds per lane. *)
 
 val hash_string : string -> int
 (** One-pass 62-bit digest of a string (both mixer lanes folded together).

@@ -252,6 +252,9 @@ module Intern = struct
     pairs : table;
     lists : table;
     syms : cell Syms.t;
+    mutable tkeys : int array;  (* [tuple]'s packed keys ... *)
+    mutable tids : int array;  (* ... and their ids; -1 marks an empty slot *)
+    mutable tcount : int;
     mutable pool : int array;
         (* per interned list, its length then its child ids *)
     mutable pool_len : int;
@@ -269,6 +272,9 @@ module Intern = struct
       pairs = table 256;
       lists = table 64;
       syms = Syms.create 16;
+      tkeys = Array.make 256 0;
+      tids = Array.make 256 (-1);
+      tcount = 0;
       pool = Array.make 256 0;
       pool_len = 0;
       stack = Array.make 16 vacant;
@@ -385,6 +391,57 @@ module Intern = struct
            (Pair (a.value, b.value))
            (combine (combine pair_seed a.chash) b.chash))
         key 0
+
+  (* --- id-only tuples --- *)
+
+  let rec reinsert_tuple keys ids mask i key id =
+    if Array.unsafe_get ids i < 0 then begin
+      keys.(i) <- key;
+      ids.(i) <- id
+    end
+    else reinsert_tuple keys ids mask ((i + 1) land mask) key id
+
+  let grow_tuples st =
+    let keys = st.tkeys and ids = st.tids in
+    let cap = 2 * Array.length ids in
+    let keys' = Array.make cap 0 and ids' = Array.make cap (-1) in
+    Array.iteri
+      (fun i id ->
+        if id >= 0 then
+          reinsert_tuple keys' ids' (cap - 1) (mix keys.(i) land (cap - 1))
+            keys.(i) id)
+      ids;
+    st.tkeys <- keys';
+    st.tids <- ids'
+
+  (* Like [pair], keyed by the packed ids, but the table stores only the
+     tuple's own id: no cell and no value is ever built. The id comes from
+     the cell counter, so it is never a cell's id. *)
+  let tuple st a b =
+    (* both in [0, max_cells): no bit at or above bit 31, no sign bit *)
+    if (a lor b) lsr 31 <> 0 then
+      invalid_arg "Value.Intern.tuple: component out of range";
+    let key = pair_key a b in
+    let keys = st.tkeys and ids = st.tids in
+    let mask = Array.length ids - 1 in
+    let i = ref (mix key land mask) in
+    while
+      Array.unsafe_get ids !i >= 0 && Array.unsafe_get keys !i <> key
+    do
+      i := (!i + 1) land mask
+    done;
+    let id = Array.unsafe_get ids !i in
+    if id >= 0 then id
+    else begin
+      if st.next_id >= max_cells then failwith "Value.Intern: too many cells";
+      let id = st.next_id in
+      st.next_id <- id + 1;
+      keys.(!i) <- key;
+      ids.(!i) <- id;
+      st.tcount <- st.tcount + 1;
+      if 2 * st.tcount > Array.length ids then grow_tuples st;
+      id
+    end
 
   (* --- lists, from the scratch stack --- *)
 

@@ -104,7 +104,9 @@ module Intern : sig
   (** Cached; equals [hash (value c)]. *)
 
   val id : cell -> int
-  (** Dense, unique within the owning state, in order of first interning. *)
+  (** Unique within the owning state, in order of first interning. Cells
+      and {!tuple}s draw their ids from one counter, so the ids of a state
+      that never makes a tuple are dense. *)
 
   val equal : cell -> cell -> bool
   (** Physical equality. Within one state, [equal (intern st a) (intern st b)]
@@ -124,6 +126,13 @@ module Intern : sig
   val sym : state -> string -> cell
   val pair : state -> cell -> cell -> cell
   val list : state -> cell list -> cell
+
+  val tuple : state -> int -> int -> int
+  (** [tuple st a b] is an id for the ordered pair ⟨a, b⟩ of ints in
+      [\[0, 2^31)] (typically ids): equal pairs get equal ids, different
+      pairs different ones, and no tuple id is ever the id of a cell of
+      [st]. It builds no cell and no value, and a pair met before allocates
+      nothing. Raises [Invalid_argument] on a component out of range. *)
 
   (** Hashtables keyed on cells of a single state: physical-equality probes
       with the id as hash — O(1) per operation regardless of value size. *)

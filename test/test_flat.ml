@@ -962,13 +962,13 @@ let test_allocation_per_node () =
         Array.init 6 (fun i -> [ Ops.propose (Value.bool (i mod 2 = 0)) ]),
         { Explore.fast with dedup = Exact },
         (2710, 187),
-        73.02 );
+        54.21 );
       ( "cas5 T/F/T/F/T fast",
         proto "cas" 5,
         Array.init 5 (fun i -> [ Ops.propose (Value.bool (i mod 2 = 0)) ]),
         Explore.fast,
         (367, 56),
-        58.49 );
+        44.28 );
     ]
 
 (* The shape the incremental fingerprint targets: a Theorem 5 output, many
@@ -1243,22 +1243,66 @@ let test_bloom_no_false_negatives () =
 
 (* --- fingerprint hashing sanity --------------------------------------------- *)
 
+(* The probe's per-key terms: each must separate what it is given, and the
+   two lanes must be independent functions. *)
 let test_hash_sensitivity () =
-  let h = Fingerprint.hash_array in
-  Alcotest.(check bool) "order-sensitive" true
-    (h [| 1; 2; 3 |] ~len:3 <> h [| 3; 2; 1 |] ~len:3);
-  Alcotest.(check bool) "length-sensitive" true
-    (h [| 1; 2; 3 |] ~len:2 <> h [| 1; 2; 3 |] ~len:3);
-  Alcotest.(check bool) "prefix-stable" true
-    (h [| 1; 2; 99 |] ~len:2 = h [| 1; 2; 0 |] ~len:2);
-  let hi, lo = h [| 5; 6; 7 |] ~len:3 in
-  Alcotest.(check bool) "lanes non-negative" true (hi >= 0 && lo >= 0);
-  Alcotest.(check bool) "lanes independent" true (hi <> lo);
+  let distinct name xs =
+    Alcotest.(check int) name (List.length xs)
+      (List.length (List.sort_uniq compare xs))
+  in
+  distinct "tail separates events"
+    (List.init 64 (fun e -> Fingerprint.tail_hi e (-1)));
+  distinct "tail separates tracker ids"
+    (List.init 64 (fun id -> Fingerprint.tail_lo 5 (id - 1)));
+  distinct "tail is order-sensitive"
+    [ Fingerprint.tail_hi 3 7; Fingerprint.tail_hi 7 3 ];
+  distinct "budget separates each budget"
+    (List.concat_map
+       (fun c ->
+         List.concat_map
+           (fun r -> List.init 4 (fun g -> Fingerprint.budget_hi c r g))
+           [ 0; 1; 2; 3 ])
+       [ 0; 1; 2; 3 ]);
+  distinct "budget is order-sensitive"
+    [ Fingerprint.budget_lo 1 0 0; Fingerprint.budget_lo 0 1 0;
+      Fingerprint.budget_lo 0 0 1 ];
+  let rand = Random.State.make [| 0x1A2E |] in
+  for _ = 1 to 1000 do
+    let r () = Random.State.int rand 1_000_000 in
+    let a = r () and b = r () and c = r () and d = r () and e = r () in
+    let salt = Random.State.int rand 6 in
+    let h = Fingerprint.record_hi salt a b c d e
+    and l = Fingerprint.record_lo salt a b c d e in
+    if
+      h < 0 || l < 0
+      || Fingerprint.tail_hi a b < 0
+      || Fingerprint.tail_lo a b < 0
+    then Alcotest.fail "a term is negative";
+    if h = l || Fingerprint.tail_hi a b = Fingerprint.tail_lo a b
+       || Fingerprint.budget_hi a b c = Fingerprint.budget_lo a b c
+    then Alcotest.fail "the lanes agree";
+    if Fingerprint.asleep_hi h = h || Fingerprint.asleep_lo l = l then
+      Alcotest.fail "asleep = awake";
+    (* a sleeping record never stands in for an awake one of its class *)
+    let h' = Fingerprint.record_hi salt a b c d (e + 1) in
+    if Fingerprint.asleep_hi h = h' || Fingerprint.asleep_hi h' = h then
+      Alcotest.fail "asleep term equals another record's awake term"
+  done;
   Alcotest.(check bool) "string digest deterministic" true
     (Fingerprint.hash_string "wfc" = Fingerprint.hash_string "wfc");
   Alcotest.(check bool) "string digest separates" true
     (Fingerprint.hash_string "wfc-checkpoint/1"
-    <> Fingerprint.hash_string "wfc-checkpoint/2")
+    <> Fingerprint.hash_string "wfc-checkpoint/2");
+  (* checkpoints store the digest: these are the values it has always had *)
+  Alcotest.(check (list int)) "string digest pinned"
+    [ 1108487571870962392; 1390761681668041318; 2570100490656976141 ]
+    (List.map Fingerprint.hash_string
+       [ ""; "wfc-checkpoint/4"; "digest the body\n" ]);
+  Alcotest.(check (list int)) "component and record terms pinned"
+    [ 221701921599379672; 2828350876359230244; 4090235292912219161;
+      3770400387060345786 ]
+    [ Fingerprint.component_hi 1 2 3 4; Fingerprint.component_lo 1 2 3 4;
+      Fingerprint.record_hi 0 1 2 3 4 5; Fingerprint.record_lo 0 1 2 3 4 5 ]
 
 (* --- additive segment hashing ---------------------------------------------- *)
 
@@ -1461,7 +1505,8 @@ let test_record_key_separates () =
     let recs = Array.init n (fun _ -> gen_record rand) in
     let key = record_sums rep recs in
     for p = 0 to n - 1 do
-      (* the crashed, stuck and sleep bits of the kernel's flags field *)
+      (* the crashed and stuck bits of the kernel's flags field, and the
+         next bit up *)
       List.iter
         (fun bit ->
           let flipped = Array.copy recs in
@@ -1488,41 +1533,66 @@ let test_record_key_separates () =
 
 (* The segment probe's shape for the process sums: 6 processes in two
    classes, each step changing one field of one record the way an edge
-   does, with occasional jumps; ~10^5 distinct configurations up to the
-   class symmetry, and no two may share their ⟨hi, lo⟩ sums. *)
+   does, or moving one process into or out of the sleep set the way a
+   probe does, with occasional jumps; ~10^5 distinct configurations up to
+   the class symmetry, and no two may share their ⟨hi, lo⟩ sums. A
+   sleeping process contributes [asleep_hi] of its record's term. *)
 let test_record_collision_probe () =
   let rand = Random.State.make [| 0xC012 |] in
   let rep = [| 0; 0; 0; 3; 3; 3 |] in
-  let field i = Random.State.int rand (if i = 4 then 8 else 16) in
+  let field i = Random.State.int rand (if i = 4 then 4 else 16) in
   let fresh () = Array.init 5 field in
   let recs = Array.init 6 (fun _ -> fresh ()) in
+  let asleep = Array.init 6 (fun _ -> Random.State.bool rand) in
   let hi = ref 0 and lo = ref 0 in
-  let term f p r = f rep.(p) r.(0) r.(1) r.(2) r.(3) r.(4) in
+  let term (f, sleep_f) p r =
+    let t = f rep.(p) r.(0) r.(1) r.(2) r.(3) r.(4) in
+    if asleep.(p) then sleep_f t else t
+  in
+  let lane_hi = (Fingerprint.record_hi, Fingerprint.asleep_hi)
+  and lane_lo = (Fingerprint.record_lo, Fingerprint.asleep_lo) in
   let recompute () =
-    let h, l = record_sums rep recs in
-    hi := h;
-    lo := l
+    hi := 0;
+    lo := 0;
+    Array.iteri
+      (fun p r ->
+        hi := !hi + term lane_hi p r;
+        lo := !lo + term lane_lo p r)
+      recs
   in
   recompute ();
   let seen = Hashtbl.create 200_000 in
   let configs = ref 0 and collisions = ref 0 in
   for step = 1 to 100_000 do
     if step mod 997 = 0 then begin
-      Array.iteri (fun p _ -> recs.(p) <- fresh ()) recs;
+      Array.iteri
+        (fun p _ ->
+          recs.(p) <- fresh ();
+          asleep.(p) <- Random.State.bool rand)
+        recs;
       recompute ()
     end
     else begin
       let p = Random.State.int rand 6 in
       let old = recs.(p) in
-      let nw = Array.copy old in
-      let f = Random.State.int rand 5 in
-      nw.(f) <- field f;
-      let swap lane sum = sum - term lane p old + term lane p nw in
-      hi := swap Fingerprint.record_hi !hi;
-      lo := swap Fingerprint.record_lo !lo;
-      recs.(p) <- nw
+      hi := !hi - term lane_hi p old;
+      lo := !lo - term lane_lo p old;
+      if Random.State.int rand 4 = 0 then asleep.(p) <- not asleep.(p)
+      else begin
+        let nw = Array.copy old in
+        let f = Random.State.int rand 5 in
+        nw.(f) <- field f;
+        recs.(p) <- nw
+      end;
+      hi := !hi + term lane_hi p recs.(p);
+      lo := !lo + term lane_lo p recs.(p)
     end;
-    let key = sorted_encoding rep recs in
+    let key =
+      sorted_encoding rep
+        (Array.mapi
+           (fun p r -> Array.append r [| Bool.to_int asleep.(p) |])
+           recs)
+    in
     match Hashtbl.find_opt seen (!hi, !lo) with
     | Some k' -> if k' <> key then incr collisions
     | None ->

@@ -236,6 +236,63 @@ let prop_intern_tables =
       (* dense: the ids handed out are exactly 0 .. distinct subterms - 1 *)
       !last + 1 = Value.Set.cardinal all)
 
+(* [I.tuple] over random id pairs, interleaved with interning values into
+   the same state: equal pairs share an id, different pairs never do, no
+   tuple id is a cell's id, and 3,000 pairs (plus a few hundred cells) grow
+   the 256-slot tuple table several times. A second pass over the same
+   pairs allocates the same minor words for 10 rounds as for 100: a hit
+   allocates nothing. *)
+let prop_intern_tuple =
+  QCheck.Test.make ~count:10 ~name:"tuple ids: injective, never a cell's id"
+    (QCheck.make
+       ~print:(fun (ps, _) -> Fmt.str "%d pairs" (Array.length ps))
+       QCheck.Gen.(
+         pair
+           (array_repeat 3000 (pair (int_bound 80) (int_bound 80)))
+           (list_repeat 300 (wide_value_gen 2))))
+    (fun (pairs, vs) ->
+      let st = I.create () in
+      let by_pair = Hashtbl.create 4096 and by_id = Hashtbl.create 4096 in
+      let cells = Hashtbl.create 1024 in
+      let vs = Array.of_list vs in
+      Array.iteri
+        (fun i (a, b) ->
+          if i mod 10 = 0 then begin
+            let c = I.intern st vs.(i / 10 mod Array.length vs) in
+            Hashtbl.replace cells (I.id c) ()
+          end;
+          let id = I.tuple st a b in
+          (match Hashtbl.find_opt by_pair (a, b) with
+          | Some id' when id' <> id ->
+            QCheck.Test.fail_reportf "(%d, %d) got ids %d and %d" a b id' id
+          | _ -> Hashtbl.replace by_pair (a, b) id);
+          match Hashtbl.find_opt by_id id with
+          | Some (a', b') when (a', b') <> (a, b) ->
+            QCheck.Test.fail_reportf "(%d, %d) and (%d, %d) share id %d" a b
+              a' b' id
+          | _ -> Hashtbl.replace by_id id (a, b))
+        pairs;
+      Hashtbl.iter
+        (fun id _ ->
+          if Hashtbl.mem cells id then
+            QCheck.Test.fail_reportf "tuple id %d is a cell's id" id)
+        by_id;
+      if Hashtbl.length by_id < 1024 then
+        QCheck.Test.fail_reportf "only %d distinct pairs: too few to grow"
+          (Hashtbl.length by_id);
+      let words rounds =
+        let before = Gc.minor_words () in
+        for _ = 1 to rounds do
+          for i = 0 to Array.length pairs - 1 do
+            let a, b = pairs.(i) in
+            ignore (I.tuple st a b)
+          done
+        done;
+        Gc.minor_words () -. before
+      in
+      ignore (words 1);
+      words 10 = words 100)
+
 (* After a warm-up, re-interning the same composite values allocates a
    constant number of minor words (those of reading the counter), however
    many calls are made. *)
@@ -486,6 +543,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_intern_tables;
           Alcotest.test_case "a hit allocates nothing" `Quick
             test_intern_hit_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_intern_tuple;
         ] );
       ( "type_spec",
         [
