@@ -170,16 +170,27 @@ end
    The ids are maintained *incrementally* along tree edges, and each edge
    pays for what it changed, not for the size of what it touched:
 
-   - A process is keyed by cached component ids: ⟨todo, ⟨next_op, local⟩⟩,
-     the pending operation's head ⟨inv0, op_index⟩ and its response chain
-     (responses so far, newest first). Lists are chains of [I.tuple]s
-     ([list_id]), so no list is built to hold their ids, and a tuple or a
-     cell met before allocates nothing: keeping the key current allocates
-     only on the rare miss, and never writes a boxed value into the
-     configuration's arrays. An access extends the response chain by one
-     tuple; the todo and local ids change only when an operation starts or
-     returns. No edge re-interns a whole response list, and a run looks up
-     its workloads' suffix and invocation ids instead of interning them.
+   - A process is keyed by cached component ids: ⟨next_op, local⟩, the
+     pending operation's response chain (responses so far, newest first)
+     and the chain of its completed operations ⟨op_index, ⟨resp, steps⟩⟩.
+     Chains are [I.tuple]s ([list_id]), so no list is built to hold their
+     ids, and a tuple or a cell met before allocates nothing: keeping the
+     key current allocates only on the rare miss, and never writes a boxed
+     value into the configuration's arrays. An access extends the response
+     chain by one tuple; the local id changes only when an operation
+     returns.
+
+   - No workload value enters the key. A process's remaining operations
+     are its workload's suffix from [next_op] (plus one when an operation is
+     pending), the pending operation is the workload's entry at [next_op],
+     and a completed operation's invocation is the entry at its op_index.
+     The key holds [next_op] and whether an operation is pending, and the
+     workload is fixed for the run, so the todo list, the pending
+     invocation and each completed op's invocation are functions of what
+     the key already holds for that pid. Under [Symmetric] the record is
+     salted by its class representative instead of the pid, and
+     {!Symmetry.of_impl} puts two pids in one class only when their
+     workloads are equal, so the same holds for every member of a class.
 
    - Objects and processes each contribute one cached term per lane to an
      additive sum, so an access replaces terms instead of re-hashing every
@@ -203,19 +214,17 @@ let rec list_id ist = function
   | [] -> I.id (I.unit ist)
   | v :: vs -> I.tuple ist (I.id (I.intern ist v)) (list_id ist vs)
 
-(* Process components. The todo id and the response chain are list ids.
-   The todo id changes only when an operation starts, the local id
-   ⟨next_op, local⟩ only when one returns. An idle process's record carries
-   -1 for head and chain (ids are non-negative), so every component stays
+(* Process components. The local id ⟨next_op, local⟩ changes only when an
+   operation returns; the response chain is extended by every access of the
+   pending operation. An idle process's record carries -1 for its pending
+   index and chain (ids are non-negative), so every component stays
    injective. *)
 let local_id ist ~next_op local = I.tuple ist next_op (I.id (I.intern ist local))
 
-(* A completed operation: ⟨⟨op_index, inv⟩, ⟨resp, steps⟩⟩, given the id of
-   its invocation. *)
-let op_id ist ~inv_id (o : Exec.op) =
-  I.tuple ist
-    (I.tuple ist o.op_index inv_id)
-    (I.tuple ist (I.id (I.intern ist o.resp)) o.steps)
+(* A completed operation: ⟨op_index, ⟨resp, steps⟩⟩. Its invocation is the
+   workload's entry at [op_index], so it adds nothing to the key. *)
+let op_id ist (o : Exec.op) =
+  I.tuple ist o.op_index (I.tuple ist (I.id (I.intern ist o.resp)) o.steps)
 
 (* --- graceful degradation ----------------------------------------------------
 
@@ -346,9 +355,11 @@ let engine_of_options (o : options) : Checkpoint.engine = o
    The dedup key deliberately drops the timing fields ([started],
    [start_step]/[end_step]) so that interleavings converging to the same
    configuration merge; it keeps everything a timing-insensitive leaf
-   predicate can observe: object states, per-process control (todo suffix,
-   pending continuation identified by ⟨inv0, responses so far⟩, local state),
-   completed operations' values and step counts, the fault bookkeeping
+   predicate can observe: object states, per-process control (workload
+   position [next_op], whether an operation is pending and its responses so
+   far, local state), completed operations' results and step counts — the
+   workload positions stand for the invocations (see "interned, incremental
+   fingerprints" above) — the fault bookkeeping
    (crashed/stuck flags, remaining budgets, staleness histories), and the
    event/access totals (which also makes fuel and max-accesses accounting
    exact — states at different depths never merge). The active sleep set is
@@ -370,9 +381,10 @@ let engine_of_options (o : options) : Checkpoint.engine = o
    The object sum adds one position-salted term per object over ⟨state
    id, history id, access count⟩ ({!Fingerprint.component_hi}); an access
    replaces its object's term. The process sum adds one term per process
-   over the record ⟨ctl, head, chain, completed ops, flags⟩
-   ({!Fingerprint.record_hi}): ids, head and chain -1 when nothing is
-   pending, flags the crashed and stuck bits. Its salt is the process's
+   over the record ⟨local id, pending index, chain, completed ops, flags⟩
+   ({!Fingerprint.record_hi}): the local id ⟨next_op, local⟩, the pending
+   index [next_op] and the chain both -1 when nothing is pending, flags the
+   crashed and stuck bits. Its salt is the process's
    symmetry-class representative (its pid without classes), so each class's
    records enter as a multiset and canonicalization needs no sort. Every
    edge that changes a record sets that process's term and restores it on
@@ -423,12 +435,11 @@ let flat_mem_or_add fx ~hi ~lo =
   | None, Some bl -> Fingerprint.Bloom.mem_or_add bl ~hi ~lo
   | None, None -> false
 
-(* Per-run duplicate-state machinery. The flat context is created only once
-   the run has visited [threshold] nodes: on smaller trees the per-node
-   fingerprinting can never pay for itself — that was the E3-sticky3-tree
-   regression, where a table plus deep fingerprints served a 15-node tree.
-   States visited before activation are simply never cached, which is sound
-   (pruning only ever happens on a hit). *)
+(* Per-run duplicate-state machinery. The kernel keeps the key's ids and
+   terms current from the root, but probes only once the run has visited
+   [threshold] nodes; the flat context is taken at the first probe. States
+   visited before that are never cached, which is sound (pruning only ever
+   happens on a hit). *)
 type dedup_ctx = {
   threshold : int;
   bloom_bits_log2 : int;
@@ -520,13 +531,12 @@ let resolve_faults ?faults ~max_crashes () =
   | Some f -> { f with Faults.max_crashes = max f.Faults.max_crashes max_crashes }
   | None -> Faults.crashes max_crashes
 
-(* Calibrated on the experiments' small trees: the sequential engine
-   visits a node in ~1 µs without dedup, while allocating a dedup table plus
-   fingerprinting every node costs tens of µs up front — on the 15-node
-   E3-sticky3-tree that overhead was 40x the naive walk. Well under 64 nodes
-   a table can never win; well over, a single pruned subtree pays for it.
-   The "dedup threshold is lazy" test (test/test_explore.ml) checks that a
-   tiny tree never activates the table. *)
+(* The threshold only delays probing: the table is pooled per domain and
+   the key is kept from the root, so a run below it saves table lookups and
+   nothing else, and loses the pruning of the states it visits first. It
+   stays because deleting it changes node counts, which belongs with a
+   re-pin of the pinned tables (ROADMAP item 2). The "dedup threshold is
+   lazy" test (test/test_explore.ml) checks that a tiny tree never probes. *)
 let default_dedup_threshold = 64
 
 (* --- the kernel ---------------------------------------------------------------
@@ -557,27 +567,25 @@ let default_dedup_threshold = 64
      allocates no configuration at all.
 
    - Duplicate-state fingerprints are the flat key of [probe] over the
-     engine's own ids: per process the component ids (⟨todo, ⟨next_op,
-     local⟩⟩, pending head, response chain) and the completed-ops id, per
+     engine's own ids: per process the local id ⟨next_op, local⟩, the
+     pending operation's response chain and the completed-ops id, per
      object ⟨state, history, access count⟩, each summarized by one cached
-     term per lane. An edge updates only what it changed — an access extends
-     its process's response chain by one tuple over the row's interned
-     response cell, replaces its object's term and sets its process's term;
-     the todo and local ids are rebuilt only when an operation starts,
-     returns or is restarted by a recovery, and a crash or wedge sets only
-     the process's term — and saves the old ids, terms and sums next to the
-     configuration slots it restores. An edge mixes at most one object term
-     and one process record per lane, and a probe sums cached ints,
-     independent of the number of objects and processes and of how long the
-     pending operations have run.
-     The tracker's fingerprint cell is passed down the recursion and
-     re-interned only below an edge that changed the tracker state. Below
-     the activation threshold no id is ever made; at activation the ids and
-     terms are rebuilt from scratch and maintained incrementally from there
-     on. A frame that entered before activation has no saves, so when it
-     backtracks it marks the cache invalid and the next probe rebuilds — a
-     bounded number of O(state) rebuilds, paid only around the activation
-     frontier.
+     term per lane. A process's todo list is its workload position, so no
+     todo or invocation id exists (see "interned, incremental
+     fingerprints"). An edge updates only what it changed — an access
+     extends its process's response chain by one tuple over the row's
+     interned response cell, replaces its object's term and sets its
+     process's term; the local id changes only when an operation returns,
+     and a crash, wedge or recovery sets only the process's term — and
+     saves the old ids, terms and sums next to the configuration slots it
+     restores. An edge mixes at most one object term and one process record
+     per lane, and a probe sums cached ints, independent of the number of
+     objects and processes and of how long the pending operations have run.
+     With dedup on, the ids and terms are built at the root and every edge
+     keeps them current, so there is no rebuild; probing starts once the
+     run has visited [threshold] nodes. The tracker's fingerprint cell is
+     passed down the recursion and re-interned only below an edge that
+     changed the tracker state.
 
    - Frontier mode. One call explores one work item ⟨decision-trace prefix,
      sleep set, tracker state⟩. It first applies the prefix in place with
@@ -627,26 +635,26 @@ let fresh_cls n_procs =
    normal completion. Reentrancy (a leaf callback starting another
    exploration of the same implementation) and abandoned calls (an exception
    unwinding past the borrow) simply find the pool empty and allocate
-   fresh. *)
+   fresh.
+
+   Each component is held once. An object is its state cell, whose value
+   is the state. A process is its workload position [next_op], its local
+   state and, while [haspend], its pending continuation with its start
+   event and step count: its todo list is the run's workload from
+   [next_op], and its pending invocation is the workload's entry at
+   [next_op]. Beside these sit the key's ids and terms, kept only under
+   dedup. *)
 type mut_state = {
-  ms_objs : Value.t array;
   ms_obj_cells : I.cell array;
   ms_acc : int array;
   ms_hist : Value.t list array;
-  ms_todo : Value.t list array;
   ms_next_op : int array;
   ms_local : Value.t array;
   ms_haspend : bool array;
-  ms_inv0 : Value.t array;
-  ms_opidx : int array;
   ms_started : int array;
   ms_steps : int array;
-  ms_resps : Value.t list array;
   ms_node : (Value.t * Value.t) Program.t array;
-  ms_todo_ids : int array;
   ms_local_ids : int array;
-  ms_ctl_ids : int array;
-  ms_head_ids : int array;
   ms_chain_ids : int array;
   ms_ops_ids : int array;
   ms_hist_ids : int array;
@@ -719,24 +727,16 @@ let compiled_ctx_of impl =
 
 let fresh_mut_state ~n_objs ~n_procs ~unit_cell =
   {
-    ms_objs = Array.make n_objs Value.unit;
     ms_obj_cells = Array.make n_objs unit_cell;
     ms_acc = Array.make n_objs 0;
     ms_hist = Array.make n_objs [];
-    ms_todo = Array.make n_procs [];
     ms_next_op = Array.make n_procs 0;
     ms_local = Array.make n_procs Value.unit;
     ms_haspend = Array.make n_procs false;
-    ms_inv0 = Array.make n_procs Value.unit;
-    ms_opidx = Array.make n_procs 0;
     ms_started = Array.make n_procs 0;
     ms_steps = Array.make n_procs 0;
-    ms_resps = Array.make n_procs [];
     ms_node = Array.make n_procs dummy_node;
-    ms_todo_ids = Array.make n_procs 0;
     ms_local_ids = Array.make n_procs 0;
-    ms_ctl_ids = Array.make n_procs 0;
-    ms_head_ids = Array.make n_procs 0;
     ms_chain_ids = Array.make n_procs 0;
     ms_ops_ids = Array.make n_procs 0;
     ms_hist_ids = Array.make n_objs 0;
@@ -766,14 +766,6 @@ let rec phys_top inv local = function
   | (i, l, n) :: rest ->
     if i == inv && l == local then n else phys_top inv local rest
 
-(* The index of [x] in [a] by physical identity, or -1. *)
-let phys_index a x =
-  let k = ref 0 and n = Array.length a in
-  while !k < n && Array.unsafe_get a !k != x do
-    incr k
-  done;
-  if !k < n then !k else -1
-
 let top_node cc p ~inv ~local =
   let rec find = function
     | [] ->
@@ -790,11 +782,12 @@ let top_node cc p ~inv ~local =
 
 (* Every index the kernel's hot frames use is established by a loop bound
    ([0 .. n_procs-1]), by the pool-growth check in [cls_at], by the range
-   check on a prefix decision's pid, or by the bounds-checked
+   check on a prefix decision's pid, by the work mask (a process with work
+   has [next_op] inside its workload), or by the bounds-checked
    [cc_tables.(obj)] load in [classify_into] (which validates a program
    node's object index before any unchecked use), so the kernel reads and
    writes arrays unchecked. *)
-let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
+let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     ~(dd : dedup_ctx option) ~lim ~t ~user_tracker ~want_leaf c ~emit_leaf
     ~on_node ~prefix ~sleep ~st ~cut ~on_cut =
   let cc = compiled_ctx_of impl in
@@ -810,36 +803,37 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       ms
     | None -> fresh_mut_state ~n_objs ~n_procs ~unit_cell
   in
-  let objs = ms.ms_objs
-  and obj_cells = ms.ms_obj_cells
+  let obj_cells = ms.ms_obj_cells
   and acc = ms.ms_acc
   and hist = ms.ms_hist
-  and todo = ms.ms_todo
   and next_op = ms.ms_next_op
   and local = ms.ms_local
   and haspend = ms.ms_haspend
-  and p_inv0 = ms.ms_inv0
-  and p_opidx = ms.ms_opidx
   and p_started = ms.ms_started
   and p_steps = ms.ms_steps
-  and p_resps = ms.ms_resps
   and p_node = ms.ms_node in
   (* The root configuration; a pending slot is meaningful only while
      [haspend] is set, so stale ones may stay. *)
   for o = 0 to n_objs - 1 do
-    let qc = cc.cc_rootcells.(o) in
-    obj_cells.(o) <- qc;
-    objs.(o) <- I.value qc;
+    obj_cells.(o) <- cc.cc_rootcells.(o);
     acc.(o) <- 0;
     hist.(o) <- [];
     ms.ms_hist_ids.(o) <- unit_id
   done;
   for p = 0 to n_procs - 1 do
-    todo.(p) <- workloads.(p);
     next_op.(p) <- 0;
     local.(p) <- impl.Implementation.local_init p;
     haspend.(p) <- false
   done;
+  (* [p]'s next operation, pending or not: its workload's entry at
+     [next_op], which exists whenever [p] has work. *)
+  let poised_inv p =
+    Array.unsafe_get (Array.unsafe_get wl p) (Array.unsafe_get next_op p)
+  in
+  (* A pending operation sits at [next_op] too, so this covers it. *)
+  let has_work p =
+    Array.unsafe_get next_op p < Array.length (Array.unsafe_get wl p)
+  in
   let events = ref 0 in
   let ops_rev = ref [] in
   (* Fault state: crashed and wedged processes as pid bitmasks, the
@@ -855,16 +849,12 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
   let plen = Array.length prefix in
   (* Fingerprint ids and terms over the mutable state. [obj_cells] is
      maintained unconditionally — successor cells come for free out of the
-     transition rows and double as the table keys. The per-proc component
-     ids, the history ids and the key's terms and sums only exist once the
-     dedup tables activate ([cells_valid]); a frame decides at entry whether
-     it maintains them ([track] below) and a non-tracking backtrack
-     invalidates the cache for the next probe to rebuild. *)
+     transition rows and double as the table keys. With dedup on ([keyed])
+     the per-proc component ids, the history ids and the key's terms and
+     sums are built at the root and every edge keeps them current. *)
+  let keyed = Option.is_some dd in
   let hist_ids = ms.ms_hist_ids in
-  let todo_ids = ms.ms_todo_ids
-  and local_ids = ms.ms_local_ids
-  and ctl_ids = ms.ms_ctl_ids
-  and head_ids = ms.ms_head_ids
+  let local_ids = ms.ms_local_ids
   and chain_ids = ms.ms_chain_ids
   and ops_ids = ms.ms_ops_ids in
   let ohi = ms.ms_ohi and olo = ms.ms_olo in
@@ -872,7 +862,6 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
   let salts = match dd with Some dd -> dd.salts | None -> [||] in
   let sum_hi = ref 0 and sum_lo = ref 0 in
   let proc_hi = ref 0 and proc_lo = ref 0 in
-  let cells_valid = ref false in
   let cls_at depth =
     let pool = ms.ms_cls in
     if depth < Array.length pool then Array.unsafe_get pool depth
@@ -904,58 +893,6 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       n
     end
   in
-  (* This run's workload ids, made at the first rebuild: per process, the
-     suffixes of its workload (the todo lists it goes through) with their
-     list ids, and its invocations with their cell ids. Lookups are by
-     physical identity; a list or invocation not found — a recovery's
-     re-consed todo list — falls back to interning. *)
-  let wl_sufs = Array.make n_procs [||]
-  and wl_suf_ids = Array.make n_procs [||]
-  and wl_invs = Array.make n_procs [||]
-  and wl_inv_ids = Array.make n_procs [||] in
-  let wl_ready = ref false in
-  let workload_ids () =
-    for p = 0 to n_procs - 1 do
-      let w = Array.of_list workloads.(p) in
-      let n = Array.length w in
-      let sufs = Array.make (n + 1) [] and ids = Array.make (n + 1) unit_id in
-      let inv_ids = Array.map (fun v -> I.id (I.intern ist v)) w in
-      for k = n - 1 downto 0 do
-        ids.(k) <- I.tuple ist inv_ids.(k) ids.(k + 1)
-      done;
-      (* the workload's own tails, not copies: they are the todo lists *)
-      let rec fill k = function
-        | [] -> ()
-        | _ :: tl as l ->
-          sufs.(k) <- l;
-          fill (k + 1) tl
-      in
-      fill 0 workloads.(p);
-      wl_sufs.(p) <- sufs;
-      wl_suf_ids.(p) <- ids;
-      wl_invs.(p) <- w;
-      wl_inv_ids.(p) <- inv_ids
-    done;
-    wl_ready := true
-  in
-  let inv_id p v =
-    let k = phys_index (Array.unsafe_get wl_invs p) v in
-    if k >= 0 then Array.unsafe_get (Array.unsafe_get wl_inv_ids p) k
-    else I.id (I.intern ist v)
-  in
-  let rec todo_id p l =
-    let k = phys_index (Array.unsafe_get wl_sufs p) l in
-    if k >= 0 then Array.unsafe_get (Array.unsafe_get wl_suf_ids p) k
-    else
-      match l with
-      | [] -> unit_id
-      | v :: rest -> I.tuple ist (inv_id p v) (todo_id p rest)
-  in
-  let set_ctl p =
-    Array.unsafe_set ctl_ids p
-      (I.tuple ist (Array.unsafe_get todo_ids p) (Array.unsafe_get local_ids p))
-  in
-  let head_id p ~inv0 ~op_index = I.tuple ist (inv_id p inv0) op_index in
   (* Make ⟨h, l⟩ [p]'s record term, moving the process sums by the change.
      An edge sets the term of the record it changed and, on backtrack, puts
      back the term it saved. *)
@@ -968,51 +905,33 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
   let set_term p =
     let pend = Array.unsafe_get haspend p in
     let salt = Array.unsafe_get salts p
-    and ctl = Array.unsafe_get ctl_ids p
-    and head = if pend then Array.unsafe_get head_ids p else -1
+    and lid = Array.unsafe_get local_ids p
+    and idx = if pend then Array.unsafe_get next_op p else -1
     and chain = if pend then Array.unsafe_get chain_ids p else -1
     and ops = Array.unsafe_get ops_ids p
     and flags = ((!crashed lsr p) land 1) lor (((!stuck lsr p) land 1) lsl 1) in
     put_term p
-      (Fingerprint.record_hi salt ctl head chain ops flags)
-      (Fingerprint.record_lo salt ctl head chain ops flags)
+      (Fingerprint.record_hi salt lid idx chain ops flags)
+      (Fingerprint.record_lo salt lid idx chain ops flags)
   in
-  let rebuild_cells () =
-    if not !wl_ready then workload_ids ();
-    sum_hi := 0;
-    sum_lo := 0;
+  (* The key's ids and terms at the root: every history empty, no access
+     made, no operation started. *)
+  if keyed then begin
     for o = 0 to n_objs - 1 do
-      if hist_depth.(o) > 0 then hist_ids.(o) <- list_id ist hist.(o);
       let q = I.id obj_cells.(o) in
-      ohi.(o) <- Fingerprint.component_hi o q hist_ids.(o) acc.(o);
-      olo.(o) <- Fingerprint.component_lo o q hist_ids.(o) acc.(o);
+      ohi.(o) <- Fingerprint.component_hi o q unit_id 0;
+      olo.(o) <- Fingerprint.component_lo o q unit_id 0;
       sum_hi := !sum_hi + ohi.(o);
       sum_lo := !sum_lo + olo.(o)
     done;
     for p = 0 to n_procs - 1 do
-      todo_ids.(p) <- todo_id p todo.(p);
-      local_ids.(p) <- local_id ist ~next_op:next_op.(p) local.(p);
-      set_ctl p;
-      if haspend.(p) then begin
-        head_ids.(p) <- head_id p ~inv0:p_inv0.(p) ~op_index:p_opidx.(p);
-        chain_ids.(p) <- list_id ist p_resps.(p)
-      end;
-      ops_ids.(p) <- unit_id
-    done;
-    List.iter
-      (fun (o : Exec.op) ->
-        ops_ids.(o.proc) <-
-          I.tuple ist (op_id ist ~inv_id:(inv_id o.proc o.inv) o) ops_ids.(o.proc))
-      (List.rev !ops_rev);
-    proc_hi := 0;
-    proc_lo := 0;
-    for p = 0 to n_procs - 1 do
+      local_ids.(p) <- local_id ist ~next_op:0 local.(p);
+      ops_ids.(p) <- unit_id;
       rhi.(p) <- 0;
       rlo.(p) <- 0;
       set_term p
-    done;
-    cells_valid := true
-  in
+    done
+  end;
   (* The tracker's fingerprint cell id. [go] carries it down the recursion
      and an edge passes it on whenever the tracker state is physically
      unchanged, so it is re-interned only below edges that changed the
@@ -1043,7 +962,6 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     | Some dd ->
       probe_floor := 0;
       let fx = flat_of dd in
-      if not !cells_valid then rebuild_cells ();
       let cr = !crashes_left and re = !recoveries_left and gl = !glitches_left in
       if cr <> !b_crashes || re <> !b_recoveries || gl <> !b_glitches then begin
         b_crashes := cr;
@@ -1076,19 +994,19 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     let out = ref [] in
     for p = n_procs - 1 downto 0 do
       if haspend.(p) && blocked land (1 lsl p) = 0 then
-        out := (p, p_inv0.(p)) :: !out
+        out := (p, poised_inv p) :: !out
     done;
     !out
   in
+  (* The program node [p] is poised at: its pending continuation, or the
+     top of its next operation. *)
+  let poised_node p =
+    if Array.unsafe_get haspend p then Array.unsafe_get p_node p
+    else top p ~inv:(poised_inv p) ~local:(Array.unsafe_get local p)
+  in
   let classify_into cl p =
     let fresh = not (Array.unsafe_get haspend p) in
-    let node =
-      if fresh then
-        match Array.unsafe_get todo p with
-        | [] -> assert false
-        | inv :: _ -> top p ~inv ~local:(Array.unsafe_get local p)
-      else Array.unsafe_get p_node p
-    in
+    let node = poised_node p in
     match node with
     | Program.Return _ ->
       Array.unsafe_set cl.ck p 0;
@@ -1113,7 +1031,8 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
         (Type_spec.Bad_step
            (Fmt.str
               "proc %d: invocation %a disabled on object %d (%s) in state %a" p
-              Value.pp inv obj spec.Type_spec.name Value.pp objs.(obj)))
+              Value.pp inv obj spec.Type_spec.name Value.pp
+              (I.value obj_cells.(obj))))
     | Program.Return _ -> assert false
   in
   (* Run every alternative's continuation of a classified step once before
@@ -1138,13 +1057,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
      for a pure read, minus those the program cannot decode. *)
   let glitch_alts p =
     let fresh = not haspend.(p) in
-    let node =
-      if fresh then
-        match todo.(p) with
-        | inv :: _ -> top p ~inv ~local:local.(p)
-        | [] -> assert false
-      else p_node.(p)
-    in
+    let node = poised_node p in
     match node with
     | Program.Return _ -> (node, fresh, 0, [])
     | Program.Invoke { obj; inv; _ } -> (
@@ -1157,7 +1070,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
           try Type_spec.alternatives spec qs ~port ~inv
           with Type_spec.Bad_step _ -> []
         in
-        let q = objs.(obj) in
+        let q = I.value obj_cells.(obj) in
         let resps =
           Faults.glitch_responses ~alts:(alts_at q) ~alts_at ~q ~hist:hist.(obj)
             d
@@ -1206,10 +1119,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       on_node ();
       let work = ref 0 in
       for p = n_procs - 1 downto 0 do
-        if
-          Array.unsafe_get haspend p
-          || match Array.unsafe_get todo p with [] -> false | _ :: _ -> true
-        then work := !work lor (1 lsl p)
+        if has_work p then work := !work lor (1 lsl p)
       done;
       let work = !work in
       let mask = work land lnot (!crashed lor !stuck) in
@@ -1230,7 +1140,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
         if want_leaf then
           emit_leaf trace_rev
             {
-              Exec.objects = Array.copy objs;
+              Exec.objects = Array.map I.value obj_cells;
               locals = Array.copy local;
               ops = List.rev !ops_rev;
               events = !events;
@@ -1393,24 +1303,17 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     | Program.Invoke _ -> assert false
     | Program.Return (resp, local') ->
       let tr = dec p 0 :: trace_rev in
-      let s_todo = Array.unsafe_get todo p in
       let s_nextop = Array.unsafe_get next_op p
       and s_local = Array.unsafe_get local p in
       let s_ops = !ops_rev in
-      let s_opsc = Array.unsafe_get ops_ids p in
-      let s_todoc = Array.unsafe_get todo_ids p
-      and s_localc = Array.unsafe_get local_ids p
-      and s_ctlc = Array.unsafe_get ctl_ids p in
+      let s_opsc = Array.unsafe_get ops_ids p
+      and s_localc = Array.unsafe_get local_ids p in
       let s_rhi = Array.unsafe_get rhi p and s_rlo = Array.unsafe_get rlo p in
-      let track = !cells_valid in
-      let inv0, todo' =
-        match s_todo with inv :: tl -> (inv, tl) | [] -> assert false
-      in
       let op =
         {
           Exec.proc = p;
           op_index = s_nextop;
-          inv = inv0;
+          inv = poised_inv p;
           resp;
           start_step = !events;
           end_step = !events;
@@ -1418,16 +1321,12 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
         }
       in
       ops_rev := op :: s_ops;
-      Array.unsafe_set todo p todo';
       Array.unsafe_set next_op p (s_nextop + 1);
       Array.unsafe_set local p local';
-      if track then begin
-        Array.unsafe_set ops_ids p
-          (I.tuple ist (op_id ist ~inv_id:(inv_id p inv0) op) s_opsc);
-        Array.unsafe_set todo_ids p (todo_id p todo');
+      if keyed then begin
+        Array.unsafe_set ops_ids p (I.tuple ist (op_id ist op) s_opsc);
         Array.unsafe_set local_ids p
           (local_id ist ~next_op:(s_nextop + 1) local');
-        set_ctl p;
         set_term p
       end;
       incr events;
@@ -1440,17 +1339,13 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       go cl child_dirty child_sleep tr st' (if st' == st then tid else no_tid);
       decr events;
       ops_rev := s_ops;
-      Array.unsafe_set todo p s_todo;
       Array.unsafe_set next_op p s_nextop;
       Array.unsafe_set local p s_local;
-      if track then begin
+      if keyed then begin
         Array.unsafe_set ops_ids p s_opsc;
-        Array.unsafe_set todo_ids p s_todoc;
         Array.unsafe_set local_ids p s_localc;
-        Array.unsafe_set ctl_ids p s_ctlc;
         put_term p s_rhi s_rlo
       end
-      else cells_valid := false
   (* One base access, honest or glitched: move [obj] to the successor cell
      [qc] (a glitch passes the current cell), hand the program the response
      cell [rc], advance it through the response memo, recurse, restore. An
@@ -1459,58 +1354,39 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
   and acc_child p cl child_dirty node fresh obj qc rc d child_sleep trace_rev
       st tid =
     let tr = d :: trace_rev in
-    let q' = I.value qc and resp = I.value rc in
-    let s_q = Array.unsafe_get objs obj
-    and s_qc = Array.unsafe_get obj_cells obj in
+    let resp = I.value rc in
+    let s_qc = Array.unsafe_get obj_cells obj in
     let s_acc = Array.unsafe_get acc obj in
     let s_hc = Array.unsafe_get hist_ids obj in
     let hpush = qc != s_qc && Array.unsafe_get hist_depth obj > 0 in
     let s_hist = Array.unsafe_get hist obj in
-    let s_todo = Array.unsafe_get todo p in
     let s_nextop = Array.unsafe_get next_op p
     and s_local = Array.unsafe_get local p in
     let s_haspend = Array.unsafe_get haspend p
-    and s_inv0 = Array.unsafe_get p_inv0 p in
-    let s_opidx = Array.unsafe_get p_opidx p
     and s_started = Array.unsafe_get p_started p in
     let s_steps = Array.unsafe_get p_steps p
-    and s_resps = Array.unsafe_get p_resps p in
-    let s_node = Array.unsafe_get p_node p in
+    and s_node = Array.unsafe_get p_node p in
     let s_ops = !ops_rev in
     let s_opsc = Array.unsafe_get ops_ids p in
-    let s_todoc = Array.unsafe_get todo_ids p
-    and s_localc = Array.unsafe_get local_ids p
-    and s_ctlc = Array.unsafe_get ctl_ids p
-    and s_headc = Array.unsafe_get head_ids p
+    let s_localc = Array.unsafe_get local_ids p
     and s_chainc = Array.unsafe_get chain_ids p in
     let s_sum_hi = !sum_hi and s_sum_lo = !sum_lo in
     let s_ohi = Array.unsafe_get ohi obj and s_olo = Array.unsafe_get olo obj in
     let s_rhi = Array.unsafe_get rhi p and s_rlo = Array.unsafe_get rlo p in
-    let track = !cells_valid in
-    let inv0, op_index, started, steps_done, resps_rev =
-      if fresh then
-        ( (match s_todo with inv :: _ -> inv | [] -> assert false),
-          s_nextop,
-          !events,
-          0,
-          [] )
-      else (s_inv0, s_opidx, s_started, s_steps, s_resps)
+    let started, steps_done =
+      if fresh then (!events, 0) else (s_started, s_steps)
     in
-    Array.unsafe_set objs obj q';
     Array.unsafe_set obj_cells obj qc;
     Array.unsafe_set acc obj (s_acc + 1);
     if hpush then begin
       let h =
         List.filteri
           (fun i _ -> i < Array.unsafe_get hist_depth obj)
-          (s_q :: s_hist)
+          (I.value s_qc :: s_hist)
       in
       Array.unsafe_set hist obj h;
-      if track then Array.unsafe_set hist_ids obj (list_id ist h)
+      if keyed then Array.unsafe_set hist_ids obj (list_id ist h)
     end;
-    if fresh then
-      Array.unsafe_set todo p
-        (match s_todo with _ :: tl -> tl | [] -> assert false);
     let next = Program.step node resp in
     let completed =
       match next with
@@ -1518,8 +1394,8 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
         let op =
           {
             Exec.proc = p;
-            op_index;
-            inv = inv0;
+            op_index = s_nextop;
+            inv = poised_inv p;
             resp = res;
             start_step = started;
             end_step = !events;
@@ -1528,37 +1404,25 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
         in
         ops_rev := op :: s_ops;
         Array.unsafe_set haspend p false;
-        Array.unsafe_set next_op p (op_index + 1);
+        Array.unsafe_set next_op p (s_nextop + 1);
         Array.unsafe_set local p local';
-        if track then begin
-          Array.unsafe_set ops_ids p
-            (I.tuple ist (op_id ist ~inv_id:(inv_id p inv0) op) s_opsc);
-          if fresh then
-            Array.unsafe_set todo_ids p (todo_id p (Array.unsafe_get todo p));
+        if keyed then begin
+          Array.unsafe_set ops_ids p (I.tuple ist (op_id ist op) s_opsc);
           Array.unsafe_set local_ids p
-            (local_id ist ~next_op:(op_index + 1) local');
-          set_ctl p
+            (local_id ist ~next_op:(s_nextop + 1) local')
         end;
         Some op
       | Program.Invoke _ ->
         Array.unsafe_set haspend p true;
-        Array.unsafe_set p_inv0 p inv0;
-        Array.unsafe_set p_opidx p op_index;
         Array.unsafe_set p_started p started;
         Array.unsafe_set p_steps p (steps_done + 1);
-        Array.unsafe_set p_resps p (resp :: resps_rev);
         Array.unsafe_set p_node p next;
-        if track then
-          if fresh then begin
-            Array.unsafe_set todo_ids p (todo_id p (Array.unsafe_get todo p));
-            set_ctl p;
-            Array.unsafe_set head_ids p (head_id p ~inv0 ~op_index);
-            Array.unsafe_set chain_ids p (I.tuple ist (I.id rc) unit_id)
-          end
-          else Array.unsafe_set chain_ids p (I.tuple ist (I.id rc) s_chainc);
+        if keyed then
+          Array.unsafe_set chain_ids p
+            (I.tuple ist (I.id rc) (if fresh then unit_id else s_chainc));
         None
     in
-    if track then begin
+    if keyed then begin
       let h =
         Fingerprint.component_hi obj (I.id qc)
           (Array.unsafe_get hist_ids obj)
@@ -1584,30 +1448,22 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     in
     go cl child_dirty child_sleep tr st' (if st' == st then tid else no_tid);
     decr events;
-    Array.unsafe_set objs obj s_q;
     Array.unsafe_set obj_cells obj s_qc;
     Array.unsafe_set acc obj s_acc;
     if hpush then begin
       Array.unsafe_set hist obj s_hist;
       Array.unsafe_set hist_ids obj s_hc
     end;
-    Array.unsafe_set todo p s_todo;
     Array.unsafe_set next_op p s_nextop;
     Array.unsafe_set local p s_local;
     Array.unsafe_set haspend p s_haspend;
-    Array.unsafe_set p_inv0 p s_inv0;
-    Array.unsafe_set p_opidx p s_opidx;
     Array.unsafe_set p_started p s_started;
     Array.unsafe_set p_steps p s_steps;
-    Array.unsafe_set p_resps p s_resps;
     Array.unsafe_set p_node p s_node;
     ops_rev := s_ops;
-    if track then begin
+    if keyed then begin
       Array.unsafe_set ops_ids p s_opsc;
-      Array.unsafe_set todo_ids p s_todoc;
       Array.unsafe_set local_ids p s_localc;
-      Array.unsafe_set ctl_ids p s_ctlc;
-      Array.unsafe_set head_ids p s_headc;
       Array.unsafe_set chain_ids p s_chainc;
       Array.unsafe_set ohi obj s_ohi;
       Array.unsafe_set olo obj s_olo;
@@ -1615,7 +1471,6 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       sum_lo := s_sum_lo;
       put_term p s_rhi s_rlo
     end
-    else cells_valid := false
   (* A glitched read: the object keeps its state, the program sees [rc]. *)
   and glitch_child p cl node fresh obj rc d child_sleep trace_rev st tid =
     decr glitches_left;
@@ -1630,13 +1485,12 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     let tr = d :: trace_rev in
     let bit = 1 lsl p in
     let s_rhi = Array.unsafe_get rhi p and s_rlo = Array.unsafe_get rlo p in
-    let track = !cells_valid in
     if crash then begin
       crashed := !crashed lor bit;
       decr crashes_left
     end
     else stuck := !stuck lor bit;
-    if track then set_term p;
+    if keyed then set_term p;
     incr events;
     let st' =
       if user_tracker && !events > plen then
@@ -1651,41 +1505,26 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       incr crashes_left
     end
     else stuck := !stuck land lnot bit;
-    if track then put_term p s_rhi s_rlo else cells_valid := false
-  (* Restart crashed [p]: its pending operation goes back onto the front of
-     its todo list (local effects rolled back, shared ones kept). *)
+    if keyed then put_term p s_rhi s_rlo
+  (* Restart crashed [p]: its pending operation, still the workload's entry
+     at [next_op], becomes its next operation again (local effects rolled
+     back — a pending operation has not touched [local] — and shared ones
+     kept). *)
   and recover_child p cl d child_sleep trace_rev st tid =
     let tr = d :: trace_rev in
-    let s_todo = Array.unsafe_get todo p
-    and s_haspend = Array.unsafe_get haspend p in
-    let s_todoc = Array.unsafe_get todo_ids p
-    and s_ctlc = Array.unsafe_get ctl_ids p in
+    let s_haspend = Array.unsafe_get haspend p in
     let s_rhi = Array.unsafe_get rhi p and s_rlo = Array.unsafe_get rlo p in
-    let track = !cells_valid in
     crashed := !crashed land lnot (1 lsl p);
     decr recoveries_left;
-    if s_haspend then begin
-      Array.unsafe_set todo p (Array.unsafe_get p_inv0 p :: s_todo);
-      Array.unsafe_set haspend p false;
-      if track then begin
-        Array.unsafe_set todo_ids p (todo_id p (Array.unsafe_get todo p));
-        set_ctl p
-      end
-    end;
-    if track then set_term p;
+    Array.unsafe_set haspend p false;
+    if keyed then set_term p;
     incr events;
     go cl (-1) child_sleep tr st tid;
     decr events;
-    Array.unsafe_set todo p s_todo;
     Array.unsafe_set haspend p s_haspend;
     incr recoveries_left;
     crashed := !crashed lor (1 lsl p);
-    if track then begin
-      Array.unsafe_set todo_ids p s_todoc;
-      Array.unsafe_set ctl_ids p s_ctlc;
-      put_term p s_rhi s_rlo
-    end
-    else cells_valid := false
+    if keyed then put_term p s_rhi s_rlo
   (* Apply prefix decision [ev] with the edge it names, after checking it the
      way {!Exec.replay} does. Only a resumed checkpoint can carry a prefix
      that fails the check, and those are all materialized before anything
@@ -1698,10 +1537,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
     in
     if p < 0 || p >= n_procs then bad "replay: no process %d" p;
     let bit = 1 lsl p in
-    let has_work =
-      Array.unsafe_get haspend p || Array.unsafe_get todo p <> []
-    in
-    let enabled = has_work && (!crashed lor !stuck) land bit = 0 in
+    let enabled = has_work p && (!crashed lor !stuck) land bit = 0 in
     let need_enabled () =
       if not enabled then
         bad "replay: process %d not enabled at event %d" p ev
@@ -1759,7 +1595,7 @@ let run_compiled impl ~workloads ~(opts : options) ~(faults : Faults.t) ~fuel
       if
         not
           (!recoveries_left > 0 && !crashed land bit <> 0
-          && !stuck land bit = 0 && has_work)
+          && !stuck land bit = 0 && has_work p)
       then bad "replay: cannot recover p%d at event %d" p ev;
       recover_child p cl d sleep trace_rev st no_tid
     | Faults.Wedge -> (
@@ -1866,8 +1702,9 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
   in
   (* Explore the work item ⟨trace_rev, sleep, st⟩, handing nodes at depth
      [cut] to [on_cut]. *)
+  let wl = Array.map Array.of_list workloads in
   let explore ?(cut = max_int) ?(on_cut = no_cut) (trace_rev, sleep, st) =
-    run_compiled impl ~workloads ~opts ~faults ~fuel ~dd ~lim ~t ~user_tracker
+    run_compiled impl ~wl ~opts ~faults ~fuel ~dd ~lim ~t ~user_tracker
       ~want_leaf c ~emit_leaf ~on_node
       ~prefix:(Array.of_list (List.rev trace_rev))
       ~sleep ~st ~cut ~on_cut

@@ -11,11 +11,16 @@
     optimizations:
 
     - {b duplicate-state pruning} ([dedup = Exact]): configurations are
-      fingerprinted — object states, per-process control state (todo suffix,
-      pending continuation identified by its invocation + responses so far,
-      local state), completed operations' {e values} and step counts, crash
-      bookkeeping, event and access totals — and a revisited fingerprint cuts
-      the whole subtree ([stats.pruned] counts the cuts). The key is a
+      fingerprinted — object states, per-process control state (workload
+      position, whether an operation is pending and its responses so far,
+      local state), completed operations' positions, {e results} and step
+      counts, crash bookkeeping, event and access totals — and a revisited
+      fingerprint cuts the whole subtree ([stats.pruned] counts the cuts).
+      No invocation enters the key: the workloads are fixed for the run, so
+      a process's workload position names its remaining operations, its
+      pending invocation and each completed operation's invocation, and
+      under [Symmetric] only processes with equal workloads share a
+      class. The key is a
       fixed-width ⟨hi, lo⟩ 124-bit fingerprint ({!Wfc_spec.Fingerprint}):
       in each lane, a sum of per-object and per-process terms over interned
       ids, kept current along tree edges, plus terms for the fault budgets,
@@ -244,12 +249,12 @@ type 'a tracker = {
 }
 
 val default_dedup_threshold : int
-(** Minimum nodes a run must visit before its dedup table (and intern
-    state) is allocated and states start being fingerprinted (64): on trees
-    well under the threshold the table can never pay for its own allocation — the E3-sticky3-tree regression —
-    while a single pruned subtree pays for it on anything larger. States
-    visited before activation are simply not cached, which is sound. Pass
-    [~dedup_threshold:0] to fingerprint from the root. *)
+(** Minimum nodes a run must visit before it starts probing its dedup
+    table (64). The key itself is kept from the root and the table is
+    pooled, so the threshold saves only the probes of the first nodes, and
+    the states visited before it are explored again when met again, which
+    is sound. It stays because deleting it changes node counts (ROADMAP
+    item 2). Pass [~dedup_threshold:0] to probe from the root. *)
 
 val run :
   Implementation.t ->

@@ -12,11 +12,15 @@
     - one position-salted term per object over ⟨state id, history id,
       access count⟩ ({!component_hi}, {!component_lo}). An access replaces
       its object's term, and backtracking restores the saved term and sum;
-    - one term per process ({!record_hi}, {!record_lo}) over its ⟨todo,
-      ⟨next_op, local⟩⟩ id, pending head and response chain ids (-1 when
-      none is pending), completed-ops id and crashed/stuck bits, salted by
-      its symmetry-class representative (its pid without classes), so the
-      sum sees each class's records as a multiset. A process in the sleep
+    - one term per process ({!record_hi}, {!record_lo}) over its
+      ⟨next_op, local⟩ id, pending index ([next_op]) and response chain id
+      (both -1 when none is pending), completed-ops id and crashed/stuck
+      bits, salted by its symmetry-class representative (its pid without
+      classes), so the sum sees each class's records as a multiset. No
+      invocation is hashed: the workloads are fixed for a run, a process's
+      todo list, pending invocation and completed invocations are its
+      workload at [next_op] and at each op index, and processes share a
+      class only when their workloads are equal. A process in the sleep
       set contributes {!asleep_hi} of its term instead;
     - a term over the three fault budgets ({!budget_hi});
     - a tail over the event count and the tracker's id ({!tail_hi}).

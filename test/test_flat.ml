@@ -221,6 +221,11 @@ let prop_parity =
     (fun (procs, bits, coin, wls) ->
       let impl = rw_impl ~procs ~bits ~coin in
       assert_naive_observations ~msg:"qcheck" impl wls;
+      (* A recovery puts a pending operation back at its workload position,
+         at any op_index: the random multi-op workloads cover that path. *)
+      assert_naive_observations
+        ~faults:(Faults.crash_recovery ~crashes:1 ~recoveries:1)
+        ~msg:"qcheck+crash-recovery" impl wls;
       true)
 
 (* --- compiled step tables vs the interpreted spec --------------------------- *)
@@ -975,7 +980,7 @@ let test_allocation_per_node () =
    base objects and operations of ~20 accesses. Its plain tree is far too
    large for the interpreter, so every leaf the kernel reaches is replayed
    through it instead, and the summed counts are the interpreted engine's.
-   The default activation threshold exercises the lazy cell rebuild, 0 keys
+   The default threshold starts probing part-way through a run, 0 probes
    every node from the root; POR alone leaves dedup little to do on these
    vectors, so the dedup-only engine is run too. *)
 let test_theorem5_compile_parity () =
