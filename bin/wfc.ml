@@ -154,6 +154,17 @@ let mem_budget_arg =
   in
   Arg.(value & opt (some int) None & info [ "mem-budget" ] ~docv:"MB" ~doc)
 
+let profile_arg =
+  let doc =
+    "Sample the program counter on SIGPROF while verifying and write the \
+     samples to $(docv): the executable's load base, then one PC per line. \
+     $(b,tools/profile_report.py) $(docv) prints the share of samples per \
+     symbol. The kernel delivers at most one sample per scheduler tick of \
+     CPU (about 4 ms), so a one-second run gives a few hundred samples. \
+     x86-64 Linux only; elsewhere the flag fails before verifying."
+  in
+  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
+
 let parse_degrade impl ~glitches = function
   | None -> None
   | Some "safe" -> Some (Wfc_sim.Faults.degrade_all impl ~glitches `Safe)
@@ -288,7 +299,7 @@ let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
 let verify_cmd =
   let run name procs crashes recoveries glitches degrade budget deadline_s
       witness_file no_symmetry ckpt_file ckpt_interval
-      resume_file mem_budget_mb =
+      resume_file mem_budget_mb profile_file =
     let impl = make_protocol ~procs name in
     let faults =
       faults_of_flags impl ~crashes ~recoveries ~glitches ~degrade
@@ -311,10 +322,19 @@ let verify_cmd =
       match checkpoint with None -> None | Some _ -> Some (arm_interrupt ())
     in
     let meta = [ ("protocol", name); ("procs", string_of_int procs) ] in
+    Option.iter (fun _ -> Wfc_sim.Sampler.start ()) profile_file;
     let verdict =
       Check.verify ~faults ?budget ?deadline_s ~engine ?checkpoint ?resume
         ?mem_budget_mb ?interrupt ~meta impl
     in
+    Option.iter
+      (fun file ->
+        let p = Wfc_sim.Sampler.stop () in
+        Wfc_sim.Sampler.write file p;
+        Fmt.epr "profile: %d sample(s) written to %s@."
+          (Array.length p.Wfc_sim.Sampler.pcs)
+          file)
+      profile_file;
     print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
       ~witness_file
       ~checkpoint:(Option.map fst checkpoint)
@@ -326,12 +346,12 @@ let verify_cmd =
          "Exhaustively check a consensus protocol, optionally under a fault \
           adversary and/or an exploration budget")
     Term.(
-      const (fun n p c r g d b dl w ns cf ci rf mb ->
-          Stdlib.exit (run n p c r g d b dl w ns cf ci rf mb))
+      const (fun n p c r g d b dl w ns cf ci rf mb pf ->
+          Stdlib.exit (run n p c r g d b dl w ns cf ci rf mb pf))
       $ protocol_arg $ procs_arg $ crashes_arg $ recoveries_arg $ glitches_arg
       $ degrade_arg $ budget_arg $ deadline_arg $ witness_out_arg
       $ no_symmetry_arg $ checkpoint_arg
-      $ checkpoint_interval_arg $ resume_arg $ mem_budget_arg)
+      $ checkpoint_interval_arg $ resume_arg $ mem_budget_arg $ profile_arg)
 
 (* --- serve / worker: the distributed fleet ---------------------------------- *)
 

@@ -88,7 +88,7 @@ let spy impl =
             | Program.Return _ -> p
             | Program.Invoke { obj; inv = i; k; _ } ->
               record ~proc ~obj ~inv:i;
-              Program.Invoke { obj; inv = i; k = (fun r -> go (k r)); memo = [] }
+              Program.Invoke { obj; inv = i; k = (fun r -> go (k r)) }
           in
           go (impl.Implementation.program ~proc ~inv local));
     }

@@ -126,17 +126,11 @@ let substitute ~obj ?(proc_map = Fun.id) ~replacement impl =
             | Program.Return (r, sub_local') -> go sub_local' (k r)
             | Program.Invoke { obj = so; inv = si; k = sk; _ } ->
               Program.Invoke
-                {
-                  obj = renumber so;
-                  inv = si;
-                  k = (fun r -> run_sub (sk r));
-                  memo = [];
-                }
+                { obj = renumber so; inv = si; k = (fun r -> run_sub (sk r)) }
           in
           run_sub (replacement.program ~proc:(proc_map proc) ~inv:i sub_local)
         else
-          Program.Invoke
-            { obj = o; inv = i; k = (fun r -> go sub_local (k r)); memo = [] }
+          Program.Invoke { obj = o; inv = i; k = (fun r -> go sub_local (k r)) }
     in
     go sub_local0 (impl.program ~proc ~inv outer_local0)
   in

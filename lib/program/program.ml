@@ -6,18 +6,16 @@ type 'a t =
       obj : int;
       inv : Value.t;
       k : Value.t -> 'a t;
-      mutable memo : (Value.t * 'a t) list;
     }
 
 let return x = Return x
 
-let invoke ~obj inv = Invoke { obj; inv; k = (fun r -> Return r); memo = [] }
+let invoke ~obj inv = Invoke { obj; inv; k = (fun r -> Return r) }
 
 let rec bind p f =
   match p with
   | Return x -> f x
-  | Invoke { obj; inv; k; _ } ->
-    Invoke { obj; inv; k = (fun r -> bind (k r) f); memo = [] }
+  | Invoke { obj; inv; k } -> Invoke { obj; inv; k = (fun r -> bind (k r) f) }
 
 let map f p = bind p (fun x -> Return (f x))
 
@@ -28,27 +26,8 @@ end
 
 let rec rename_objects ren = function
   | Return x -> Return x
-  | Invoke { obj; inv; k; _ } ->
-    Invoke
-      { obj = ren obj; inv; k = (fun r -> rename_objects ren (k r)); memo = [] }
-
-(* The memo is keyed on the physical identity of the response: the compiled
-   engine answers every invocation with the canonical interned representative,
-   so within one run [r1 == r2] iff they are the same response. A structurally
-   equal but physically distinct response just misses the memo and re-runs the
-   continuation — always sound, since [k] is pure. *)
-let step p resp =
-  match p with
-  | Return _ -> invalid_arg "Program.step: Return has no continuation"
-  | Invoke n ->
-    let rec find = function
-      | [] ->
-        let next = n.k resp in
-        n.memo <- (resp, next) :: n.memo;
-        next
-      | (r, next) :: rest -> if r == resp then next else find rest
-    in
-    find n.memo
+  | Invoke { obj; inv; k } ->
+    Invoke { obj = ren obj; inv; k = (fun r -> rename_objects ren (k r)) }
 
 let length_along oracle p =
   let rec go n = function

@@ -16,11 +16,6 @@ type 'a t =
       obj : int;
       inv : Value.t;
       k : Value.t -> 'a t;
-      mutable memo : (Value.t * 'a t) list;
-          (** successor cache for {!step}, keyed on the {e physical} identity
-              of the response — engines answering with canonical interned
-              values share continuations across re-explored prefixes. Never
-              read directly; construct with [memo = []]. *)
     }  (** invoke [inv] on base object [obj]; continue with the response *)
 
 val return : 'a -> 'a t
@@ -39,16 +34,6 @@ end
 
 val rename_objects : (int -> int) -> 'a t -> 'a t
 (** Renumber every [obj] index (lazily, as the tree unfolds). *)
-
-val step : 'a t -> Value.t -> 'a t
-(** [step p resp] is [k resp] for an [Invoke] node, memoized on the physical
-    identity of [resp]: re-stepping the same node with the same (physically
-    equal) response returns the cached successor instead of re-running the
-    free-monad continuation. Engines that answer invocations with canonical
-    hash-consed values therefore unfold each program node's subtree once per
-    distinct response. A physically fresh but structurally equal response
-    merely misses the cache — [k] is pure, so the result is identical.
-    Raises [Invalid_argument] on [Return]. *)
 
 val length_along : (Value.t -> Value.t) -> 'a t -> int
 (** Number of invocations executed when every invocation is answered by the

@@ -170,15 +170,15 @@ end
    The ids are maintained *incrementally* along tree edges, and each edge
    pays for what it changed, not for the size of what it touched:
 
-   - A process is keyed by cached component ids: ⟨next_op, local⟩, the
-     pending operation's response chain (responses so far, newest first)
-     and the chain of its completed operations ⟨op_index, ⟨resp, steps⟩⟩.
-     Chains are [I.tuple]s ([list_id]), so no list is built to hold their
-     ids, and a tuple or a cell met before allocates nothing: keeping the
-     key current allocates only on the rare miss, and never writes a boxed
-     value into the configuration's arrays. An access extends the response
-     chain by one tuple; the local id changes only when an operation
-     returns.
+   - A process is keyed by its local's cell id and [next_op], the pending
+     operation's response chain (responses so far, newest first) and the
+     chain of its completed operations ⟨op_index, ⟨resp, steps⟩⟩. The
+     local's id is what the kernel holds: the program table interned it
+     when the row that returned it was compiled. Chains are [I.tuple]s
+     ([list_id]), so no list is built to hold their ids, and a tuple met
+     before allocates nothing: keeping the key current allocates only on
+     the rare miss, and never writes a boxed value into the configuration's
+     arrays. An access extends the response chain by one tuple.
 
    - No workload value enters the key. A process's remaining operations
      are its workload's suffix from [next_op] (plus one when an operation is
@@ -206,6 +206,7 @@ end
    enters the key. *)
 
 module I = Value.Intern
+module Imap = Value.Imap
 
 (* A value list's id: a chain of tuples over its elements' cell ids, ending
    in the unit cell's id. Only id equality enters the key, so any injective
@@ -214,17 +215,117 @@ let rec list_id ist = function
   | [] -> I.id (I.unit ist)
   | v :: vs -> I.tuple ist (I.id (I.intern ist v)) (list_id ist vs)
 
-(* Process components. The local id ⟨next_op, local⟩ changes only when an
-   operation returns; the response chain is extended by every access of the
-   pending operation. An idle process's record carries -1 for its pending
-   index and chain (ids are non-negative), so every component stays
-   injective. *)
-let local_id ist ~next_op local = I.tuple ist next_op (I.id (I.intern ist local))
+(* A completed operation ⟨op_index, ⟨resp, steps⟩⟩, over the result's cell
+   id, consed onto [ops], the chain of the process's earlier ones. Its
+   invocation is the workload's entry at [op_index], so it adds nothing to
+   the key. *)
+let ops_cons ist ~op_index ~res ~steps ops =
+  I.tuple ist (I.tuple ist op_index (I.tuple ist res steps)) ops
 
-(* A completed operation: ⟨op_index, ⟨resp, steps⟩⟩. Its invocation is the
-   workload's entry at [op_index], so it adds nothing to the key. *)
-let op_id ist (o : Exec.op) =
-  I.tuple ist o.op_index (I.tuple ist (I.id (I.intern ist o.resp)) o.steps)
+(* --- the program table --------------------------------------------------------
+
+   A compiled context's programs, held as ids. A node id names a program
+   node met through the table. The node itself gives an [Invoke]'s object,
+   invocation and continuation; a [Return] entry also holds its result's
+   cell and its local's cell id, both interned when the entry is made. A
+   row ⟨node id, response cell id⟩ gives the successor's node id, and a top
+   ⟨pid, invocation cell id, local cell id⟩ the node a fresh operation
+   starts at. Programs are deterministic functions of ⟨pid, invocation,
+   local⟩ and continuations of their response, so a row is made once and
+   reused by every later visit, of any run of the implementation. A program
+   or continuation that raises makes no row, so its [Bad_step] or
+   [Type_error] surfaces again on every visit, as in {!Exec}. The kernel
+   holds a program position as its node id and a local as its cell id: an
+   edge whose rows are compiled looks up ints and interns nothing. *)
+
+module Ptable = struct
+  type node = (Value.t * Value.t) Program.t
+
+  type t = {
+    ist : I.state;
+    mutable nodes : node array;
+    mutable res : I.cell array;  (* a [Return]'s result *)
+    mutable loc : int array;  (* a [Return]'s local, as its cell id *)
+    mutable n : int;
+    rows : Imap.t;  (* ⟨node id, response cell id⟩ → node id *)
+    tops : Imap.t array;  (* per pid: ⟨invocation id, local id⟩ → node id *)
+    locals : (int, I.cell) Hashtbl.t;  (* every local's cell, by its id *)
+  }
+
+  let dummy : node = Program.Return (Value.unit, Value.unit)
+
+  let create ist ~n_procs =
+    {
+      ist;
+      nodes = Array.make 64 dummy;
+      res = Array.make 64 (I.unit ist);
+      loc = Array.make 64 0;
+      n = 0;
+      rows = Imap.create 64;
+      tops = Array.init n_procs (fun _ -> Imap.create 64);
+      locals = Hashtbl.create 64;
+    }
+
+  (* Intern a local and keep its cell, so the kernel can hold its id. *)
+  let local_id pt v =
+    let c = I.intern pt.ist v in
+    Hashtbl.replace pt.locals (I.id c) c;
+    I.id c
+
+  let local_value pt id = I.value (Hashtbl.find pt.locals id)
+
+  let grow pt =
+    let cap = 2 * pt.n in
+    let extend a fill =
+      Array.init cap (fun i -> if i < pt.n then a.(i) else fill)
+    in
+    pt.nodes <- extend pt.nodes dummy;
+    pt.res <- extend pt.res (I.unit pt.ist);
+    pt.loc <- extend pt.loc 0
+
+  (* A fresh entry for [node]. *)
+  let add pt node =
+    if pt.n = Array.length pt.nodes then grow pt;
+    let id = pt.n in
+    pt.nodes.(id) <- node;
+    (match node with
+    | Program.Return (res, local) ->
+      pt.res.(id) <- I.intern pt.ist res;
+      pt.loc.(id) <- local_id pt local
+    | Program.Invoke _ -> ());
+    pt.n <- id + 1;
+    id
+
+  let node pt id = Array.unsafe_get pt.nodes id
+  let res pt id = Array.unsafe_get pt.res id
+  let loc pt id = Array.unsafe_get pt.loc id
+
+  (* The successor of [Invoke] entry [id] on response cell [rc]. *)
+  let succ pt id rc =
+    let s = Imap.find pt.rows id (I.id rc) in
+    if s >= 0 then s
+    else
+      match node pt id with
+      | Program.Return _ -> invalid_arg "Ptable.succ: Return has no continuation"
+      | Program.Invoke { k; _ } ->
+        let s = add pt (k (I.value rc)) in
+        Imap.add pt.rows id (I.id rc) s;
+        s
+
+  (* The node [p] starts the operation [inv] (cell id [inv_id]) at, from
+     local [local] (a cell id). *)
+  let top pt (impl : Implementation.t) p ~inv ~inv_id ~local =
+    let tops = Array.unsafe_get pt.tops p in
+    let s = Imap.find tops inv_id local in
+    if s >= 0 then s
+    else begin
+      let s =
+        add pt (impl.Implementation.program ~proc:p ~inv (local_value pt local))
+      in
+      Imap.add tops inv_id local s;
+      s
+    end
+end
 
 (* --- graceful degradation ----------------------------------------------------
 
@@ -381,19 +482,20 @@ let engine_of_options (o : options) : Checkpoint.engine = o
    The object sum adds one position-salted term per object over ⟨state
    id, history id, access count⟩ ({!Fingerprint.component_hi}); an access
    replaces its object's term. The process sum adds one term per process
-   over the record ⟨local id, pending index, chain, completed ops, flags⟩
-   ({!Fingerprint.record_hi}): the local id ⟨next_op, local⟩, the pending
-   index [next_op] and the chain both -1 when nothing is pending, flags the
-   crashed and stuck bits. Its salt is the process's
-   symmetry-class representative (its pid without classes), so each class's
-   records enter as a multiset and canonicalization needs no sort. Every
-   edge that changes a record sets that process's term and restores it on
-   backtrack. The sleep bit is a per-process adjustment made by the probe:
-   a process in the sleep set contributes {!Fingerprint.asleep_hi} of its
-   term instead of the term. The budget term over ⟨crashes, recoveries,
-   glitches left⟩ is re-mixed only when a budget changed. A probe thus adds
-   a few cached ints, plus one round per sleeping process and two per lane
-   for the tail, and allocates nothing.
+   over the record ⟨local id, next_op, chain, completed ops, flags⟩
+   ({!Fingerprint.record_hi}): the local's cell id, the workload position,
+   the response chain or -1 when nothing is pending, and flags the crashed
+   and stuck bits. A chain id is non-negative exactly when an operation is
+   pending, so the record still says whether one is. Its salt is the
+   process's symmetry-class representative (its pid without classes), so
+   each class's records enter as a multiset and canonicalization needs no
+   sort. Every edge that changes a record sets that process's term and
+   restores it on backtrack. The sleep bit is a per-process adjustment made
+   by the probe: a process in the sleep set contributes
+   {!Fingerprint.asleep_hi} of its term instead of the term. The budget term
+   over ⟨crashes, recoveries, glitches left⟩ is re-mixed only when a budget
+   changed. A probe thus adds a few cached ints, plus one round per sleeping
+   process and two per lane for the tail, and allocates nothing.
 
    Ids are unique within the owning intern state, so records are equal iff
    their components are equal values. All parts are Zobrist-style sums:
@@ -555,10 +657,11 @@ let default_dedup_threshold = 64
      hot path never re-applies spec closures, and every successor state and
      response it hands out is the canonical representative of the intern
      state in the implementation's compiled context, which persists across
-     runs. Program continuations advance
-     through [Program.step]'s per-node memo keyed on those (physically
-     stable) canonical responses, so a program closure also runs at most once
-     per (node, response). Glitched responses are interned the same way.
+     runs. Programs advance through the context's program table (see "the
+     program table"): a process's position is a node id and its local a
+     cell id, a row per ⟨node id, response cell id⟩ gives the next node,
+     and a program closure runs, and the local it returns is interned, at
+     most once per row. Glitched responses are interned the same way.
 
    - There is one mutable configuration instead of a persistent copy-on-write
      fan-out. Each edge saves the handful of slots it is about to clobber in
@@ -567,7 +670,7 @@ let default_dedup_threshold = 64
      allocates no configuration at all.
 
    - Duplicate-state fingerprints are the flat key of [probe] over the
-     engine's own ids: per process the local id ⟨next_op, local⟩, the
+     engine's own ids: per process its local's cell id, [next_op], the
      pending operation's response chain and the completed-ops id, per
      object ⟨state, history, access count⟩, each summarized by one cached
      term per lane. A process's todo list is its workload position, so no
@@ -575,12 +678,13 @@ let default_dedup_threshold = 64
      fingerprints"). An edge updates only what it changed — an access
      extends its process's response chain by one tuple over the row's
      interned response cell, replaces its object's term and sets its
-     process's term; the local id changes only when an operation returns,
-     and a crash, wedge or recovery sets only the process's term — and
-     saves the old ids, terms and sums next to the configuration slots it
-     restores. An edge mixes at most one object term and one process record
-     per lane, and a probe sums cached ints, independent of the number of
-     objects and processes and of how long the pending operations have run.
+     process's term; the local changes only when an operation returns, to
+     the id its program-table row holds, and a crash, wedge or recovery sets
+     only the process's term — and saves the old ids, terms and sums next to
+     the configuration slots it restores. An edge mixes at most one object
+     term and one process record per lane, and a probe sums cached ints,
+     independent of the number of objects and processes and of how long the
+     pending operations have run.
      With dedup on, the ids and terms are built at the root and every edge
      keeps them current, so there is no rebuild; probing starts once the
      run has visited [threshold] nodes. The tracker's fingerprint cell is
@@ -603,13 +707,10 @@ let default_dedup_threshold = 64
    operation, 2 for a base access starting a fresh one. *)
 type cls = {
   ck : int array;
-  cnode : (Value.t * Value.t) Program.t array;
+  cnode : int array;  (* node ids *)
   crow : Step_table.row array;
   cobj : int array;
 }
-
-let dummy_node : (Value.t * Value.t) Program.t =
-  Program.Return (Value.unit, Value.unit)
 
 let dummy_row : Step_table.row =
   {
@@ -624,7 +725,7 @@ let dummy_row : Step_table.row =
 let fresh_cls n_procs =
   {
     ck = Array.make n_procs 0;
-    cnode = Array.make n_procs dummy_node;
+    cnode = Array.make n_procs 0;
     crow = Array.make n_procs dummy_row;
     cobj = Array.make n_procs 0;
   }
@@ -639,22 +740,21 @@ let fresh_cls n_procs =
 
    Each component is held once. An object is its state cell, whose value
    is the state. A process is its workload position [next_op], its local
-   state and, while [haspend], its pending continuation with its start
-   event and step count: its todo list is the run's workload from
-   [next_op], and its pending invocation is the workload's entry at
-   [next_op]. Beside these sit the key's ids and terms, kept only under
-   dedup. *)
+   state as a cell id and, while [haspend], its pending continuation as a
+   program-table node id with its start event and step count: its todo
+   list is the run's workload from [next_op], and its pending invocation
+   is the workload's entry at [next_op]. Beside these sit the key's ids
+   and terms, kept only under dedup. *)
 type mut_state = {
   ms_obj_cells : I.cell array;
   ms_acc : int array;
   ms_hist : Value.t list array;
   ms_next_op : int array;
-  ms_local : Value.t array;
+  ms_local : int array;  (* cell ids *)
   ms_haspend : bool array;
   ms_started : int array;
   ms_steps : int array;
-  ms_node : (Value.t * Value.t) Program.t array;
-  ms_local_ids : int array;
+  ms_node : int array;  (* program-table node ids *)
   ms_chain_ids : int array;
   ms_ops_ids : int array;
   ms_hist_ids : int array;
@@ -669,7 +769,7 @@ type mut_state = {
 }
 
 (* Per-implementation persistent compilation state: the intern state, the
-   transition tables keyed on it, the port map, and the program memos all
+   transition tables and the program table keyed on it, and the port map all
    survive across runs — a verify invocation that explores many workloads
    of one implementation compiles each row and program node once. Keyed on
    physical identity of the implementation record; a tiny LRU keeps
@@ -681,11 +781,7 @@ type compiled_ctx = {
   cc_ist : I.state;
   cc_tables : Step_table.t array;  (* per base object, sharing [cc_ist] *)
   cc_ports : int array array;  (* [p].(obj): cached port_map, min_int = unset *)
-  cc_topmemo : (Value.t * Value.t * (Value.t * Value.t) Program.t) list array;
-      (* per proc: (inv, local at invocation) → program top node. Programs
-         are deterministic functions of exactly that triple — the same
-         contract the fingerprint already leans on — so memoizing is
-         invisible. *)
+  cc_prog : Ptable.t;
   cc_rootcells : I.cell array;  (* the root states of [impl.objects] *)
   cc_decisions : Faults.decision array array;
       (* [p].(i), i < 8: preallocated step-decision records so trace conses
@@ -713,7 +809,7 @@ let compiled_ctx_of impl =
             (fun (spec, _) -> Step_table.create ~ist spec)
             impl.Implementation.objects;
         cc_ports = Array.init n_procs (fun _ -> Array.make n_objs min_int);
-        cc_topmemo = Array.make n_procs [];
+        cc_prog = Ptable.create ist ~n_procs;
         cc_rootcells =
           Array.map (fun (_, q0) -> I.intern ist q0) impl.Implementation.objects;
         cc_decisions =
@@ -725,18 +821,29 @@ let compiled_ctx_of impl =
     cache := cc :: List.filteri (fun i _ -> i < 3) !cache;
     cc
 
+let compiled_rows impl =
+  match
+    List.find_opt
+      (fun cc -> cc.cc_impl == impl)
+      !(Domain.DLS.get compiled_cache)
+  with
+  | None -> (0, 0)
+  | Some cc ->
+    ( cc.cc_prog.Ptable.n,
+      Array.fold_left (fun n t -> n + Step_table.compiled_rows t) 0 cc.cc_tables
+    )
+
 let fresh_mut_state ~n_objs ~n_procs ~unit_cell =
   {
     ms_obj_cells = Array.make n_objs unit_cell;
     ms_acc = Array.make n_objs 0;
     ms_hist = Array.make n_objs [];
     ms_next_op = Array.make n_procs 0;
-    ms_local = Array.make n_procs Value.unit;
+    ms_local = Array.make n_procs 0;
     ms_haspend = Array.make n_procs false;
     ms_started = Array.make n_procs 0;
     ms_steps = Array.make n_procs 0;
-    ms_node = Array.make n_procs dummy_node;
-    ms_local_ids = Array.make n_procs 0;
+    ms_node = Array.make n_procs 0;
     ms_chain_ids = Array.make n_procs 0;
     ms_ops_ids = Array.make n_procs 0;
     ms_hist_ids = Array.make n_objs 0;
@@ -759,27 +866,6 @@ let port_of cc p obj =
     v
   end
 
-(* The node memoized for exactly these physical ⟨inv, local⟩, or
-   [dummy_node], which no program returns. *)
-let rec phys_top inv local = function
-  | [] -> dummy_node
-  | (i, l, n) :: rest ->
-    if i == inv && l == local then n else phys_top inv local rest
-
-let top_node cc p ~inv ~local =
-  let rec find = function
-    | [] ->
-      let n = cc.cc_impl.Implementation.program ~proc:p ~inv local in
-      cc.cc_topmemo.(p) <- (inv, local, n) :: cc.cc_topmemo.(p);
-      n
-    | (i, l, n) :: rest ->
-      if
-        (i == inv || Value.equal i inv) && (l == local || Value.equal l local)
-      then n
-      else find rest
-  in
-  find cc.cc_topmemo.(p)
-
 (* Every index the kernel's hot frames use is established by a loop bound
    ([0 .. n_procs-1]), by the pool-growth check in [cls_at], by the range
    check on a prefix decision's pid, by the work mask (a process with work
@@ -792,6 +878,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     ~on_node ~prefix ~sleep ~st ~cut ~on_cut =
   let cc = compiled_ctx_of impl in
   let ist = cc.cc_ist in
+  let pt = cc.cc_prog in
   let n_objs = Array.length cc.cc_rootcells in
   let n_procs = impl.Implementation.procs in
   let unit_cell = I.unit ist in
@@ -822,9 +909,11 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   done;
   for p = 0 to n_procs - 1 do
     next_op.(p) <- 0;
-    local.(p) <- impl.Implementation.local_init p;
+    local.(p) <- Ptable.local_id pt (impl.Implementation.local_init p);
     haspend.(p) <- false
   done;
+  (* The workload's invocations as cell ids, for the program table's tops. *)
+  let wl_ids = Array.map (Array.map (fun v -> I.id (I.intern ist v))) wl in
   (* [p]'s next operation, pending or not: its workload's entry at
      [next_op], which exists whenever [p] has work. *)
   let poised_inv p =
@@ -854,8 +943,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
      sums are built at the root and every edge keeps them current. *)
   let keyed = Option.is_some dd in
   let hist_ids = ms.ms_hist_ids in
-  let local_ids = ms.ms_local_ids
-  and chain_ids = ms.ms_chain_ids
+  let chain_ids = ms.ms_chain_ids
   and ops_ids = ms.ms_ops_ids in
   let ohi = ms.ms_ohi and olo = ms.ms_olo in
   let rhi = ms.ms_rhi and rlo = ms.ms_rlo in
@@ -880,19 +968,6 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     if i < 8 then Array.unsafe_get (Array.unsafe_get cc.cc_decisions p) i
     else { Faults.proc = p; kind = Faults.Step i }
   in
-  (* This run's program top nodes, by physical identity of ⟨inv, local⟩ in
-     front of the structural memo: physically equal arguments are equal
-     values, so a hit is the structural memo's answer without a walk. *)
-  let tops = Array.make n_procs [] in
-  let top p ~inv ~local =
-    let n = phys_top inv local (Array.unsafe_get tops p) in
-    if n != dummy_node then n
-    else begin
-      let n = top_node cc p ~inv ~local in
-      Array.unsafe_set tops p ((inv, local, n) :: Array.unsafe_get tops p);
-      n
-    end
-  in
   (* Make ⟨h, l⟩ [p]'s record term, moving the process sums by the change.
      An edge sets the term of the record it changed and, on backtrack, puts
      back the term it saved. *)
@@ -905,14 +980,14 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   let set_term p =
     let pend = Array.unsafe_get haspend p in
     let salt = Array.unsafe_get salts p
-    and lid = Array.unsafe_get local_ids p
-    and idx = if pend then Array.unsafe_get next_op p else -1
+    and lid = Array.unsafe_get local p
+    and nop = Array.unsafe_get next_op p
     and chain = if pend then Array.unsafe_get chain_ids p else -1
     and ops = Array.unsafe_get ops_ids p
     and flags = ((!crashed lsr p) land 1) lor (((!stuck lsr p) land 1) lsl 1) in
     put_term p
-      (Fingerprint.record_hi salt lid idx chain ops flags)
-      (Fingerprint.record_lo salt lid idx chain ops flags)
+      (Fingerprint.record_hi salt lid nop chain ops flags)
+      (Fingerprint.record_lo salt lid nop chain ops flags)
   in
   (* The key's ids and terms at the root: every history empty, no access
      made, no operation started. *)
@@ -925,7 +1000,6 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       sum_lo := !sum_lo + olo.(o)
     done;
     for p = 0 to n_procs - 1 do
-      local_ids.(p) <- local_id ist ~next_op:0 local.(p);
       ops_ids.(p) <- unit_id;
       rhi.(p) <- 0;
       rlo.(p) <- 0;
@@ -998,16 +1072,20 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     done;
     !out
   in
-  (* The program node [p] is poised at: its pending continuation, or the
-     top of its next operation. *)
+  (* The node id [p] is poised at: its pending continuation, or the top of
+     its next operation. *)
   let poised_node p =
     if Array.unsafe_get haspend p then Array.unsafe_get p_node p
-    else top p ~inv:(poised_inv p) ~local:(Array.unsafe_get local p)
+    else
+      let op = Array.unsafe_get next_op p in
+      Ptable.top pt impl p ~inv:(poised_inv p)
+        ~inv_id:(Array.unsafe_get (Array.unsafe_get wl_ids p) op)
+        ~local:(Array.unsafe_get local p)
   in
   let classify_into cl p =
     let fresh = not (Array.unsafe_get haspend p) in
     let node = poised_node p in
-    match node with
+    match Ptable.node pt node with
     | Program.Return _ ->
       Array.unsafe_set cl.ck p 0;
       Array.unsafe_set cl.cnode p node
@@ -1024,7 +1102,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       Array.unsafe_set cl.cobj p obj
   in
   let disabled p node obj =
-    match node with
+    match Ptable.node pt node with
     | Program.Invoke { inv; _ } ->
       let spec, _ = impl.Implementation.objects.(obj) in
       raise
@@ -1039,7 +1117,8 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
      the first child is entered, so that a response the program cannot
      decode on any alternative wedges the process instead of being met
      halfway through its children — the order in which {!Exec} evaluates
-     them. The continuations are memoized, so the children reuse them. *)
+     them. Each makes its row of the program table, which the children
+     reuse. *)
   let prestep cl p =
     if Array.unsafe_get cl.ck p > 0 then begin
       let node = Array.unsafe_get cl.cnode p in
@@ -1047,7 +1126,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       if row.Step_table.n_alts = 0 then
         disabled p node (Array.unsafe_get cl.cobj p);
       for j = 0 to row.Step_table.n_alts - 1 do
-        ignore (Program.step node (I.value row.Step_table.cells.((2 * j) + 1)))
+        ignore (Ptable.succ pt node row.Step_table.cells.((2 * j) + 1))
       done
     end
   in
@@ -1058,7 +1137,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   let glitch_alts p =
     let fresh = not haspend.(p) in
     let node = poised_node p in
-    match node with
+    match Ptable.node pt node with
     | Program.Return _ -> (node, fresh, 0, [])
     | Program.Invoke { obj; inv; _ } -> (
       match Faults.degradation_of faults obj with
@@ -1081,7 +1160,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
           List.filter_map
             (fun r ->
               let rc = I.intern ist r in
-              match Program.step node (I.value rc) with
+              match Ptable.succ pt node rc with
               | _ -> Some rc
               | exception Value.Type_error _ -> None)
             resps ))
@@ -1141,7 +1220,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
           emit_leaf trace_rev
             {
               Exec.objects = Array.map I.value obj_cells;
-              locals = Array.copy local;
+              locals = Array.map (Ptable.local_value pt) local;
               ops = List.rev !ops_rev;
               events = !events;
               accesses = Array.copy acc;
@@ -1299,62 +1378,56 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   (* A fresh operation whose program returns without touching a base object:
      one completion child, no object mutation. *)
   and ret_child p cl child_dirty node child_sleep trace_rev st tid =
-    match node with
-    | Program.Invoke _ -> assert false
-    | Program.Return (resp, local') ->
-      let tr = dec p 0 :: trace_rev in
-      let s_nextop = Array.unsafe_get next_op p
-      and s_local = Array.unsafe_get local p in
-      let s_ops = !ops_rev in
-      let s_opsc = Array.unsafe_get ops_ids p
-      and s_localc = Array.unsafe_get local_ids p in
-      let s_rhi = Array.unsafe_get rhi p and s_rlo = Array.unsafe_get rlo p in
-      let op =
-        {
-          Exec.proc = p;
-          op_index = s_nextop;
-          inv = poised_inv p;
-          resp;
-          start_step = !events;
-          end_step = !events;
-          steps = 0;
-        }
-      in
-      ops_rev := op :: s_ops;
-      Array.unsafe_set next_op p (s_nextop + 1);
-      Array.unsafe_set local p local';
-      if keyed then begin
-        Array.unsafe_set ops_ids p (I.tuple ist (op_id ist op) s_opsc);
-        Array.unsafe_set local_ids p
-          (local_id ist ~next_op:(s_nextop + 1) local');
-        set_term p
-      end;
-      incr events;
-      let st' =
-        if user_tracker && !events > plen then
-          t.event st ~trace_rev:tr
-            (Op_completed { op; pending = live_pending () })
-        else st
-      in
-      go cl child_dirty child_sleep tr st' (if st' == st then tid else no_tid);
-      decr events;
-      ops_rev := s_ops;
-      Array.unsafe_set next_op p s_nextop;
-      Array.unsafe_set local p s_local;
-      if keyed then begin
-        Array.unsafe_set ops_ids p s_opsc;
-        Array.unsafe_set local_ids p s_localc;
-        put_term p s_rhi s_rlo
-      end
+    let res = Ptable.res pt node and local' = Ptable.loc pt node in
+    let tr = dec p 0 :: trace_rev in
+    let s_nextop = Array.unsafe_get next_op p
+    and s_local = Array.unsafe_get local p in
+    let s_ops = !ops_rev in
+    let s_opsc = Array.unsafe_get ops_ids p in
+    let s_rhi = Array.unsafe_get rhi p and s_rlo = Array.unsafe_get rlo p in
+    let op =
+      {
+        Exec.proc = p;
+        op_index = s_nextop;
+        inv = poised_inv p;
+        resp = I.value res;
+        start_step = !events;
+        end_step = !events;
+        steps = 0;
+      }
+    in
+    ops_rev := op :: s_ops;
+    Array.unsafe_set next_op p (s_nextop + 1);
+    Array.unsafe_set local p local';
+    if keyed then begin
+      Array.unsafe_set ops_ids p
+        (ops_cons ist ~op_index:s_nextop ~res:(I.id res) ~steps:0 s_opsc);
+      set_term p
+    end;
+    incr events;
+    let st' =
+      if user_tracker && !events > plen then
+        t.event st ~trace_rev:tr
+          (Op_completed { op; pending = live_pending () })
+      else st
+    in
+    go cl child_dirty child_sleep tr st' (if st' == st then tid else no_tid);
+    decr events;
+    ops_rev := s_ops;
+    Array.unsafe_set next_op p s_nextop;
+    Array.unsafe_set local p s_local;
+    if keyed then begin
+      Array.unsafe_set ops_ids p s_opsc;
+      put_term p s_rhi s_rlo
+    end
   (* One base access, honest or glitched: move [obj] to the successor cell
      [qc] (a glitch passes the current cell), hand the program the response
-     cell [rc], advance it through the response memo, recurse, restore. An
-     honest access that changes a stale-read object pushes the overwritten
-     state onto its history. *)
+     cell [rc], advance its program through the table's row, recurse,
+     restore. An honest access that changes a stale-read object pushes the
+     overwritten state onto its history. *)
   and acc_child p cl child_dirty node fresh obj qc rc d child_sleep trace_rev
       st tid =
     let tr = d :: trace_rev in
-    let resp = I.value rc in
     let s_qc = Array.unsafe_get obj_cells obj in
     let s_acc = Array.unsafe_get acc obj in
     let s_hc = Array.unsafe_get hist_ids obj in
@@ -1368,8 +1441,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     and s_node = Array.unsafe_get p_node p in
     let s_ops = !ops_rev in
     let s_opsc = Array.unsafe_get ops_ids p in
-    let s_localc = Array.unsafe_get local_ids p
-    and s_chainc = Array.unsafe_get chain_ids p in
+    let s_chainc = Array.unsafe_get chain_ids p in
     let s_sum_hi = !sum_hi and s_sum_lo = !sum_lo in
     let s_ohi = Array.unsafe_get ohi obj and s_olo = Array.unsafe_get olo obj in
     let s_rhi = Array.unsafe_get rhi p and s_rlo = Array.unsafe_get rlo p in
@@ -1387,16 +1459,17 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       Array.unsafe_set hist obj h;
       if keyed then Array.unsafe_set hist_ids obj (list_id ist h)
     end;
-    let next = Program.step node resp in
+    let next = Ptable.succ pt node rc in
     let completed =
-      match next with
-      | Program.Return (res, local') ->
+      match Ptable.node pt next with
+      | Program.Return _ ->
+        let res = Ptable.res pt next and local' = Ptable.loc pt next in
         let op =
           {
             Exec.proc = p;
             op_index = s_nextop;
             inv = poised_inv p;
-            resp = res;
+            resp = I.value res;
             start_step = started;
             end_step = !events;
             steps = steps_done + 1;
@@ -1406,11 +1479,10 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
         Array.unsafe_set haspend p false;
         Array.unsafe_set next_op p (s_nextop + 1);
         Array.unsafe_set local p local';
-        if keyed then begin
-          Array.unsafe_set ops_ids p (I.tuple ist (op_id ist op) s_opsc);
-          Array.unsafe_set local_ids p
-            (local_id ist ~next_op:(s_nextop + 1) local')
-        end;
+        if keyed then
+          Array.unsafe_set ops_ids p
+            (ops_cons ist ~op_index:s_nextop ~res:(I.id res)
+               ~steps:(steps_done + 1) s_opsc);
         Some op
       | Program.Invoke _ ->
         Array.unsafe_set haspend p true;
@@ -1463,7 +1535,6 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     ops_rev := s_ops;
     if keyed then begin
       Array.unsafe_set ops_ids p s_opsc;
-      Array.unsafe_set local_ids p s_localc;
       Array.unsafe_set chain_ids p s_chainc;
       Array.unsafe_set ohi obj s_ohi;
       Array.unsafe_set olo obj s_olo;
@@ -1578,7 +1649,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     | Faults.Glitch i -> (
       need_enabled ();
       let node, fresh, obj, rcs =
-        if !glitches_left > 0 then glitch_alts p else (dummy_node, false, 0, [])
+        if !glitches_left > 0 then glitch_alts p else (-1, false, 0, [])
       in
       match if i < 0 then None else List.nth_opt rcs i with
       | Some rc ->

@@ -64,8 +64,11 @@
     {b One traversal.} Every mode runs on one kernel: a DFS over a single
     mutable configuration with an undo log (apply an edge in place,
     recurse, revert on backtrack), answering base-object invocations from
-    lazily compiled {!Wfc_spec.Step_table} rows and memoizing program
-    continuations per ⟨node, response⟩ via {!Wfc_program.Program.step}.
+    lazily compiled {!Wfc_spec.Step_table} rows and advancing programs
+    through a program table compiled as lazily: a program position is a
+    node id, a local is an interned cell id, and each ⟨node, response⟩ row
+    runs its continuation and interns the local it returns once, for every
+    later run of the implementation (see {!compiled_rows}).
     Crashes, recoveries, glitches and wedges are edges of the same kernel.
     Frontier mode (checkpoint, resume, spill) hands it
     work items ⟨decision-trace prefix, sleep set, tracker state⟩, which it
@@ -342,3 +345,10 @@ val run :
     sink or a resume) an armed watchdog additionally spills pending
     subtrees beyond a small in-RAM window to a disk file as decision-trace
     prefixes ([stats.spilled]), re-materialized by replay when taken. *)
+
+val compiled_rows : Implementation.t -> int * int
+(** [(program, step)]: the program-table entries and {!Wfc_spec.Step_table}
+    rows compiled so far for the implementation in this domain's compiled
+    context, or [(0, 0)] if it has none. A run compiles an entry or a row
+    the first time it meets it, so re-running the same workloads compiles
+    neither. Observability only. *)

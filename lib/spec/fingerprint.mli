@@ -12,10 +12,10 @@
     - one position-salted term per object over ⟨state id, history id,
       access count⟩ ({!component_hi}, {!component_lo}). An access replaces
       its object's term, and backtracking restores the saved term and sum;
-    - one term per process ({!record_hi}, {!record_lo}) over its
-      ⟨next_op, local⟩ id, pending index ([next_op]) and response chain id
-      (both -1 when none is pending), completed-ops id and crashed/stuck
-      bits, salted by its symmetry-class representative (its pid without
+    - one term per process ({!record_hi}, {!record_lo}) over its local's
+      cell id, workload position [next_op], response chain id (-1 when no
+      operation is pending, non-negative exactly when one is),
+      completed-ops id and crashed/stuck bits, salted by its symmetry-class representative (its pid without
       classes), so the sum sees each class's records as a multiset. No
       invocation is hashed: the workloads are fixed for a run, a process's
       todo list, pending invocation and completed invocations are its

@@ -21,8 +21,8 @@ type row = {
 }
 
 (* Rows are keyed on the *physical* invocation value. The compiled engine
-   hands in invocations straight off (memoized, hence physically stable)
-   program nodes; [alternatives] hands in the canonical interned
+   hands in invocations straight off the program nodes its program table
+   keeps (hence physically stable); [alternatives] hands in the canonical interned
    representative. Structurally equal but physically distinct invocations
    just compile duplicate rows — sound, since rows are a pure function of
    the structure, and rare enough not to matter. Distinct invocations per

@@ -7,9 +7,10 @@
     {!Value.Intern.state}, and caches the row; every later visit is one
     array load on the dense state-cell id plus a physical scan over the few
     invocations live on that (port, state). Because rows hand out the canonical
-    interned representatives, downstream physical-equality tests (duplicate
-    detection, pure-read classification, {!Program.step} memo hits) coincide
-    with structural equality.
+    interned representatives, downstream identity tests (duplicate
+    detection, pure-read classification, the exploration engine's
+    program-table rows keyed on response cell ids) coincide with structural
+    equality.
 
     Soundness rests on [Type_spec.transition] being a pure function of
     (state, port, invocation) — the contract every spec in the library
@@ -54,8 +55,8 @@ val row_cells : t -> I.cell -> port:int -> inv:Value.t -> row
 (** [row_cells t qc ~port ~inv] is the compiled row for state [qc] under
     invocation [inv] on [port] — [qc] must belong to [intern_state t].
     Rows are keyed on the {e physical} identity of [inv]: callers should
-    hand in a stable representative (a memoized program node's invocation,
-    or the canonical interned value) so repeat lookups hit; a structurally
+    hand in a stable representative (the invocation of a program node the
+    caller keeps, or the canonical interned value) so repeat lookups hit; a structurally
     equal but physically fresh [inv] merely compiles a duplicate row.
     Raises [Type_spec.Bad_step] on an out-of-range port (same message as
     the interpreted path); a [Bad_step] raised by the spec's transition

@@ -67,6 +67,26 @@ val as_list : t -> t list
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
 
+(** Pairs ⟨a, b⟩ of ints in [\[0, 2{^31})] — ids — to non-negative ints,
+    by open addressing (power-of-two capacity, linear probing, grown at
+    half load). A hit allocates nothing. {!Intern} keeps its id-only tuples
+    in one, and the exploration kernel its program table's rows and tops.
+    Every operation raises [Invalid_argument] on a component out of
+    range. *)
+module Imap : sig
+  type t
+
+  val create : int -> t
+  (** [create cap] is an empty map with room for [cap / 2] bindings before it
+      grows; [cap] must be a power of two. *)
+
+  val find : t -> int -> int -> int
+  (** [find t a b] is the value bound to ⟨a, b⟩, or [-1]. *)
+
+  val add : t -> int -> int -> int -> unit
+  (** [add t a b v] binds an unbound ⟨a, b⟩ to [v >= 0]. *)
+end
+
 (** {1 Hash-consing}
 
     Maximal-sharing constructors over an explicit intern {!Intern.state}.

@@ -770,6 +770,13 @@ let theorem5_output () =
   | Ok r -> r.Wfc_core.Theorem5.compiled
   | Error e -> Alcotest.fail e
 
+(* The vector of a Theorem 5 output on which all three processes propose:
+   the widest configuration the register-free construction reaches. *)
+let theorem5_vector_workloads () =
+  let t5 = theorem5_output () in
+  let vs = Check.vectors ~repeat:false t5 in
+  (List.nth vs (List.length vs - 1)).Check.workloads
+
 let pinned_runs () =
   let modes =
     [
@@ -937,7 +944,9 @@ let test_pinned_counts () =
    never engages dedup; the cas n=6 row prunes, so the dedup probe is
    priced too, and the cas n=5 row runs the default engine ([Explore.fast]:
    symmetric dedup plus POR), so the key is salted by two symmetry
-   classes. *)
+   classes. The Theorem 5 output row runs 73 objects and locals nested one
+   pair deeper per eliminated register: its return edges must not pay for
+   the size of the local. *)
 let test_allocation_per_node () =
   List.iter
     (fun (name, impl, workloads, options, (nodes, pruned), recorded) ->
@@ -974,6 +983,35 @@ let test_allocation_per_node () =
         Explore.fast,
         (367, 56),
         44.28 );
+      ( "theorem5 output",
+        theorem5_output (),
+        theorem5_vector_workloads (),
+        Explore.fast,
+        (610, 0),
+        17.65 );
+    ]
+
+(* --- the program table ------------------------------------------------------
+
+   Each program-table entry (and so each local and result it interns) and
+   each step-table row is compiled the first time a run meets it. A second
+   run of the same vector must compile neither: a warm return edge looks up
+   ints and interns nothing. *)
+let test_warm_rerun_compiles_nothing () =
+  List.iter
+    (fun (name, impl, workloads) ->
+      let run () = ignore (Explore.run impl ~workloads ~options:Explore.fast ()) in
+      run ();
+      let prog, step = Explore.compiled_rows impl in
+      Alcotest.(check bool) (name ^ ": the first run compiles") true
+        (prog > 0 && step > 0);
+      run ();
+      let prog', step' = Explore.compiled_rows impl in
+      Alcotest.(check int) (name ^ ": program entries") prog prog';
+      Alcotest.(check int) (name ^ ": step-table rows") step step')
+    [
+      ("theorem5 output", theorem5_output (), theorem5_vector_workloads ());
+      ("cas3", proto "cas" 3, workloads3);
     ]
 
 (* The shape the incremental fingerprint targets: a Theorem 5 output, many
@@ -1691,6 +1729,8 @@ let () =
       ( "pinned counts",
         [
           Alcotest.test_case "kernel matches the table" `Quick test_pinned_counts;
+          Alcotest.test_case "program table: a warm re-run compiles nothing"
+            `Quick test_warm_rerun_compiles_nothing;
           Alcotest.test_case "minor words per node" `Quick
             test_allocation_per_node;
         ] );

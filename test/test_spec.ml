@@ -293,6 +293,33 @@ let prop_intern_tuple =
       ignore (words 1);
       words 10 = words 100)
 
+(* [Value.Imap] keeps every binding across growth from a two-slot start,
+   answers -1 for an unbound pair, and refuses a component outside
+   [0, 2^31), as [I.tuple] over it does. *)
+let test_imap () =
+  let m = Value.Imap.create 2 in
+  for a = 0 to 99 do
+    for b = 0 to 29 do
+      Value.Imap.add m a (b * 1_000_003) ((a * 30) + b)
+    done
+  done;
+  for a = 0 to 99 do
+    for b = 0 to 29 do
+      Alcotest.(check int) "bound" ((a * 30) + b)
+        (Value.Imap.find m a (b * 1_000_003))
+    done
+  done;
+  Alcotest.(check int) "unbound" (-1) (Value.Imap.find m 100 0);
+  let refused f =
+    match f () with
+    | _ -> Alcotest.fail "out-of-range component accepted"
+    | exception Invalid_argument _ -> ()
+  in
+  refused (fun () -> Value.Imap.find m (-1) 0);
+  refused (fun () -> Value.Imap.find m 0 (1 lsl 31));
+  refused (fun () -> Value.Imap.add m (1 lsl 31) 0 0);
+  refused (fun () -> I.tuple (I.create ()) 0 (-1))
+
 (* After a warm-up, re-interning the same composite values allocates a
    constant number of minor words (those of reading the counter), however
    many calls are made. *)
@@ -544,6 +571,7 @@ let () =
           Alcotest.test_case "a hit allocates nothing" `Quick
             test_intern_hit_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_intern_tuple;
+          Alcotest.test_case "id-pair map" `Quick test_imap;
         ] );
       ( "type_spec",
         [
