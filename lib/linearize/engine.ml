@@ -1,4 +1,5 @@
 open Wfc_spec
+module I = Value.Intern
 module Exec = Wfc_sim.Exec
 module Explore = Wfc_sim.Explore
 module Faults = Wfc_sim.Faults
@@ -494,9 +495,18 @@ let pp_violation ppf v =
   | None -> ());
   Fmt.pf ppf "@]"
 
+(* A frontier with its identity: [fid] is the id of [encode_frontier
+   configs] in the run's intern state, [size] its length. Both are computed
+   once, when the frontier is made (at a memo miss or a crash prune), so a
+   memo hit and a fingerprint read only ints. *)
+type frontier = { configs : config list; fid : int; size : int }
+
 type fstate = {
-  frontiers : (int * config list) list;  (* sorted by object id *)
+  frontiers : (int * frontier) list;  (* sorted by object id *)
   done_rev : Exec.op list;  (* diagnostics only: never fingerprinted *)
+  fp : int;
+      (* the state's fingerprint: a tuple chain over ⟨object, frontier id⟩
+         in object order, from the id of the empty chain *)
 }
 
 let rec set_frontier obj fr = function
@@ -505,6 +515,14 @@ let rec set_frontier obj fr = function
     if o = obj then (obj, fr) :: rest
     else if o > obj then (obj, fr) :: (o, f) :: rest
     else (o, f) :: set_frontier obj fr rest
+
+let rec frontier_of obj frontiers ~default =
+  match frontiers with
+  | [] -> default
+  | (o, fr) :: rest -> if o = obj then fr else frontier_of obj rest ~default
+
+let guessed fr ~key =
+  List.exists (fun c -> List.mem_assoc key c.guesses) fr.configs
 
 let overflow_violation ~workloads ~faults (stats : Explore.stats) =
   {
@@ -573,16 +591,75 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
     let memo_hits = ref 0 in
     let peak = ref 0 in
     let viol = ref None in
-    (* one memo table per run: advancing a frontier is a pure function of
-       ⟨object, frontier, completion, pending set⟩, and distinct
-       interleavings hit the same advances constantly. Keys are hash-consed
-       (an intern state paired with a cell-keyed table): the probe is a
-       physical-equality lookup on a cached hash, and the intern walk of a
-       fresh key is cheap because recurring subterms — frontier encodings
-       above all — are already maximally shared from earlier probes. *)
-    let ist = Value.Intern.create () in
-    let tbl = Value.Intern.H.create 1024 in
+    (* Everything the tracker names is an id of the run's own intern state:
+       frontiers (interned once, when made), invocations, responses, and
+       the tuple chains built from them. Advancing a frontier is a pure
+       function of ⟨object, frontier, completion, pending set⟩, and distinct
+       interleavings hit the same advances constantly, so one memo serves
+       the run. Its key is a tuple chain over ⟨object, frontier id, proc,
+       invocation id, response id⟩, paired in [memo] with the pending set's
+       chain; the map gives an index into [memo_frs]. A hit builds no value
+       and allocates nothing but the tracker state. *)
+    let ist = I.create () in
+    let id v = I.id (I.intern ist v) in
+    let nil = I.id (I.unit ist) in
+    let make configs =
+      let fid = id (encode_frontier configs) in
+      { configs; fid; size = List.length configs }
+    in
+    let root_fr = make [ { guesses = []; state = cinit; acc_rev = [] } ] in
+    let memo = Value.Imap.create 1024 in
+    let memo_frs = ref (Array.make 256 root_fr) in
+    let memo_n = ref 0 in
+    let remember fr =
+      if !memo_n = Array.length !memo_frs then begin
+        let a = Array.make (2 * !memo_n) root_fr in
+        Array.blit !memo_frs 0 a 0 !memo_n;
+        memo_frs := a
+      end;
+      !memo_frs.(!memo_n) <- fr;
+      incr memo_n;
+      !memo_n - 1
+    in
+    let rec fp_chain acc = function
+      | [] -> acc
+      | (o, fr) :: rest ->
+        fp_chain (I.tuple ist (I.tuple ist acc o) fr.fid) rest
+    in
+    let state frontiers done_rev =
+      { frontiers; done_rev; fp = fp_chain nil frontiers }
+    in
     let decode inv = if compositional then Ops.at_target inv else (0, inv) in
+    (* The workload's invocations, decoded and interned once. Events carry
+       the workload's own values, so [slot] finds one by physical equality
+       and a hit interns nothing; any other value is decoded and interned
+       where it is met. *)
+    let wl = Array.map Array.of_list workloads in
+    let wl_obj = Array.map (Array.map (fun inv -> fst (decode inv))) wl in
+    let wl_id = Array.map (Array.map (fun inv -> id (snd (decode inv)))) wl in
+    let slot p inv =
+      let row = if p < Array.length wl then wl.(p) else [||] in
+      let i = ref 0 in
+      while !i < Array.length row && row.(!i) != inv do
+        incr i
+      done;
+      if !i < Array.length row then !i else -1
+    in
+    let obj_of p i inv = if i >= 0 then wl_obj.(p).(i) else fst (decode inv) in
+    let inv_id p i inv =
+      if i >= 0 then wl_id.(p).(i) else id (snd (decode inv))
+    in
+    (* The pending set's chain: ⟨proc, invocation id⟩ of each operation
+       pending on [obj], in order, from the id of the empty chain. *)
+    let rec pending_chain obj acc = function
+      | [] -> acc
+      | (p, pinv) :: rest ->
+        let j = slot p pinv in
+        if obj_of p j pinv = obj then
+          let acc = I.tuple ist (I.tuple ist acc p) (inv_id p j pinv) in
+          pending_chain obj acc rest
+        else pending_chain obj acc rest
+    in
     let record ~trace_rev ~done_rev reason =
       let v =
         {
@@ -597,52 +674,53 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
     in
     let event st ~trace_rev = function
       | Explore.Op_completed { op; pending } ->
-        let obj, inner = decode op.Exec.inv in
-        let fr =
-          match List.assoc_opt obj st.frontiers with
-          | Some f -> f
-          | None -> [ { guesses = []; state = cinit; acc_rev = [] } ]
+        let proc = op.Exec.proc in
+        let i = slot proc op.Exec.inv in
+        let obj = obj_of proc i op.Exec.inv in
+        let fr = frontier_of obj st.frontiers ~default:root_fr in
+        let pend_id = pending_chain obj nil pending in
+        let key =
+          I.tuple ist
+            (I.tuple ist
+               (I.tuple ist (I.tuple ist obj fr.fid) proc)
+               (inv_id proc i op.Exec.inv))
+            (id op.Exec.resp)
         in
-        let pend =
-          List.filter_map
-            (fun (p, pinv) ->
-              let o', pinner = decode pinv in
-              if o' = obj then
-                Some
-                  { pkey = p; pport = p; pinv = pinner; presp = None; pop = None }
-              else None)
-            pending
-        in
-        let mkey =
-          Value.list
-            [
-              Value.int obj;
-              encode_frontier fr;
-              Value.int op.Exec.proc;
-              inner;
-              op.Exec.resp;
-              Value.list
-                (List.map (fun p -> Value.pair (Value.int p.pkey) p.pinv) pend);
-            ]
-        in
-        let mkey = Value.Intern.intern ist mkey in
         let fr' =
-          match Value.Intern.H.find_opt tbl mkey with
-          | Some fr' ->
-            incr memo_hits;
-            fr'
-          | None ->
+          match Value.Imap.find memo key pend_id with
+          | -1 ->
+            let pend =
+              List.filter_map
+                (fun (p, pinv) ->
+                  let o', pinner = decode pinv in
+                  if o' = obj then
+                    Some
+                      {
+                        pkey = p;
+                        pport = p;
+                        pinv = pinner;
+                        presp = None;
+                        pop = None;
+                      }
+                  else None)
+                pending
+            in
             let count = ref 0 in
             let fr' =
-              advance ~spec:cspec ~count:(Some count) fr ~op
-                ~key:op.Exec.proc ~port:op.Exec.proc ~inv:inner ~pending:pend
+              make
+                (advance ~spec:cspec ~count:(Some count) fr.configs ~op
+                   ~key:proc ~port:proc ~inv:(snd (decode op.Exec.inv))
+                   ~pending:pend)
             in
             transitions := !transitions + !count;
-            Value.Intern.H.add tbl mkey fr';
+            Value.Imap.add memo key pend_id (remember fr');
             fr'
+          | i ->
+            incr memo_hits;
+            !memo_frs.(i)
         in
         let done_rev = op :: st.done_rev in
-        if fr' = [] then
+        if fr'.size = 0 then
           record ~trace_rev ~done_rev
             (Fmt.str
                "no linearization of the completed prefix {%a} against %s \
@@ -650,25 +728,38 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
                pp_ops (List.rev done_rev) cspec.Type_spec.name obj);
         let frontiers = set_frontier obj fr' st.frontiers in
         peak :=
-          max !peak
-            (List.fold_left (fun n (_, f) -> n + List.length f) 0 frontiers);
-        { frontiers; done_rev }
+          max !peak (List.fold_left (fun n (_, f) -> n + f.size) 0 frontiers);
+        state frontiers done_rev
       | Explore.Proc_crashed p | Explore.Proc_wedged p ->
-        let frontiers =
-          List.map (fun (o, fr) -> (o, prune_key fr ~key:p)) st.frontiers
-        in
-        (match List.find_opt (fun (_, fr) -> fr = []) frontiers with
-        | Some (obj, _) ->
-          record ~trace_rev ~done_rev:st.done_rev
-            (Fmt.str
-               "no linearization of the completed prefix {%a} against %s \
-                (object %d) once p%d's pending attempt is lost"
-               pp_ops (List.rev st.done_rev) cspec.Type_spec.name obj p)
-        | None -> ());
-        { st with frontiers }
+        (* Only a frontier that guessed the lost attempt changes; when none
+           did, the state comes back physically unchanged and the kernel
+           keeps its fingerprint. *)
+        if not (List.exists (fun (_, fr) -> guessed fr ~key:p) st.frontiers)
+        then st
+        else begin
+          let frontiers =
+            List.map
+              (fun (o, fr) ->
+                if guessed fr ~key:p then
+                  (o, make (prune_key fr.configs ~key:p))
+                else (o, fr))
+              st.frontiers
+          in
+          (match List.find_opt (fun (_, fr) -> fr.size = 0) frontiers with
+          | Some (obj, _) ->
+            record ~trace_rev ~done_rev:st.done_rev
+              (Fmt.str
+                 "no linearization of the completed prefix {%a} against %s \
+                  (object %d) once p%d's pending attempt is lost"
+                 pp_ops (List.rev st.done_rev) cspec.Type_spec.name obj p)
+          | None -> ());
+          state frontiers st.done_rev
+        end
     in
     let at_leaf st ~trace_rev (_ : Exec.leaf) =
-      match List.find_opt (fun (_, fr) -> not (accepts fr)) st.frontiers with
+      match
+        List.find_opt (fun (_, fr) -> not (accepts fr.configs)) st.frontiers
+      with
       | Some (obj, _) ->
         record ~trace_rev ~done_rev:st.done_rev
           (Fmt.str
@@ -678,16 +769,10 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
     in
     let tracker =
       {
-        Explore.root = { frontiers = []; done_rev = [] };
+        Explore.root = state [] [];
         event;
         at_leaf;
-        fingerprint =
-          Some
-            (fun st ->
-              Value.list
-                (List.map
-                   (fun (o, fr) -> Value.pair (Value.int o) (encode_frontier fr))
-                   st.frontiers));
+        fingerprint = Some (fun st -> st.fp);
       }
     in
     let stats =

@@ -10,8 +10,9 @@
       early-linearized pending ops, spec state⟩) is threaded down the
       exploration tree and advanced at each operation completion, so sibling
       leaves share the checking work of their common schedule prefix. One
-      memo table serves the whole run (keyed on ⟨frontier, completion,
-      pending set⟩), instead of one fresh table per leaf. An empty frontier
+      memo table serves the whole run (keyed on ids of ⟨object, frontier,
+      completion, pending set⟩, each frontier interned once when it is
+      made), instead of one fresh table per leaf. An empty frontier
       at an inner node refutes {e every} leaf below it at once — and yields
       a replayable violation witness for the offending prefix.
     - {b compositionality} (Herlihy–Wing locality): a history over several
@@ -22,9 +23,9 @@
     - {b engine reuse}: unlike the per-leaf checker, the fused tracker never
       reads operation timestamps — it observes only completion order and
       pending sets, which sleep-set POR preserves and which duplicate-state
-      pruning keys on (via the tracker fingerprint) — so it runs on the
-      {e fast} exploration engine the rest of the library uses, with the
-      multicore fan-out available on top. *)
+      pruning keys on (via the tracker fingerprint, an int built from the
+      frontier ids) — so it runs on the {e fast} exploration engine the
+      rest of the library uses. *)
 
 open Wfc_spec
 

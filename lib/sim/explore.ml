@@ -74,7 +74,7 @@ type 'a tracker = {
   root : 'a;
   event : 'a -> trace_rev:Faults.trace -> path_event -> 'a;
   at_leaf : 'a -> trace_rev:Faults.trace -> Exec.leaf -> unit;
-  fingerprint : ('a -> Value.t) option;
+  fingerprint : ('a -> int) option;
 }
 
 (* run is monomorphic in its result, so the caller's state type is hidden
@@ -86,7 +86,7 @@ let null_tracker =
     root = ();
     event = (fun () ~trace_rev:_ _ -> ());
     at_leaf = (fun () ~trace_rev:_ _ -> ());
-    fingerprint = Some (fun () -> Value.unit);
+    fingerprint = Some (fun () -> 0);
   }
 
 (* --- process-symmetry reduction ---------------------------------------------
@@ -687,9 +687,9 @@ let default_dedup_threshold = 64
      pending operations have run.
      With dedup on, the ids and terms are built at the root and every edge
      keeps them current, so there is no rebuild; probing starts once the
-     run has visited [threshold] nodes. The tracker's fingerprint cell is
-     passed down the recursion and re-interned only below an edge that
-     changed the tracker state.
+     run has visited [threshold] nodes. The tracker's fingerprint (an int
+     the tracker computes) is passed down the recursion and asked for again
+     only below an edge that changed the tracker state.
 
    - Frontier mode. One call explores one work item ⟨decision-trace prefix,
      sleep set, tracker state⟩. It first applies the prefix in place with
@@ -1006,16 +1006,13 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       set_term p
     done
   end;
-  (* The tracker's fingerprint cell id. [go] carries it down the recursion
-     and an edge passes it on whenever the tracker state is physically
-     unchanged, so it is re-interned only below edges that changed the
-     state; [no_tid] marks "not computed yet". *)
+  (* The tracker's fingerprint. [go] carries it down the recursion and an
+     edge passes it on whenever the tracker state is physically unchanged,
+     so the tracker is asked again only below edges that changed the state;
+     [no_tid] marks "not computed yet". Nothing of the tracker's is
+     interned here. *)
   let no_tid = min_int in
-  let tracker_id st =
-    match t.fingerprint with
-    | Some fp -> I.id (I.intern ist (fp st))
-    | None -> -1
-  in
+  let tracker_id st = match t.fingerprint with Some fp -> fp st | None -> -1 in
   (* One integer compare per node stands in for the full dedup-activation
      test: [probe] is only entered once [c.nodes] reaches the floor, and the
      floor tracks activation state (threshold while the context is

@@ -213,12 +213,17 @@ val to_exec_stats : stats -> Exec.stats
     {b Soundness envelope.} A tracker observes the completion {e order} of
     operations, each completed operation's values, and the set of
     operations pending (invoked, not yet returned) at each completion —
-    never raw [start_step]/[end_step] timestamps. Sleep-set POR commutes
-    only accesses strictly between completions, so these observations are
-    identical on the representative and the skipped interleavings: [por]
-    is sound under a tracker. Duplicate-state pruning is sound only when
-    the tracker state is part of the dedup key, so [dedup] is switched [Off]
-    automatically unless the tracker supplies a [fingerprint]. *)
+    never raw [start_step]/[end_step] timestamps. [por] is sound under a
+    tracker when sleep-set POR commutes only accesses strictly between
+    completions, since these observations are then identical on the
+    representative and the skipped interleavings. Known gap: the
+    independence relation commutes accesses to different objects even when
+    one of them completes an operation and the other starts one, which
+    changes the pending set a tracker sees; a read that starts after a
+    write completed can then be explored only as overlapping it (ROADMAP
+    item 6 has a failing case). Duplicate-state pruning is sound only when
+    the tracker state is part of the dedup key, so [dedup] is switched
+    [Off] automatically unless the tracker supplies a [fingerprint]. *)
 
 type path_event =
   | Op_completed of {
@@ -246,9 +251,17 @@ type 'a tracker = {
       (** called at every complete leaf with the state accumulated along
           its path, after [on_leaf]/[on_leaf_trace]; may raise
           {!Exec.Stop} *)
-  fingerprint : ('a -> Value.t) option;
-      (** canonical encoding of the state, folded into the duplicate-state
-          key; [None] disables [dedup] for the run *)
+  fingerprint : ('a -> int) option;
+      (** an int naming the state, folded into the duplicate-state key as
+          it is: the kernel interns nothing of the tracker's. It must be
+          injective over the tracker states of one run, up to states that
+          behave alike on every extension of the path (two states with
+          equal ints are treated as one; two with different ints never
+          are). Ints from the tracker's own intern state or counter do;
+          they need not be stable across runs, since the dedup table is
+          emptied between runs. It is asked again only below an edge whose
+          [event] returned a state that is not physically the one it was
+          given. [None] disables [dedup] for the run. *)
 }
 
 val default_dedup_threshold : int

@@ -95,8 +95,11 @@ let hash_string s =
    fingerprint landing on exactly ⟨0, 0⟩ (probability 2^-124) is remapped to
    ⟨0, 1⟩, which merely aliases two astronomically unlikely keys. Compared
    with [Hashtbl] over boxed keys this stores no key objects, no buckets and
-   no list cells — 16 bytes per entry flat — and a probe is two array reads
-   on the same cache line index. *)
+   no list cells — 16 bytes per entry flat. A probe reads slot i of each
+   lane: two reads at the same index of two separate arrays, so usually two
+   cache lines. Interleaving both lanes in one array was measured and gained
+   nothing beyond noise (EXPERIMENTS.md, "an id-keyed linearizability
+   tracker"). *)
 module Table = struct
   type t = {
     mutable hi : int array;

@@ -372,6 +372,43 @@ let test_two_registers_compositional () =
       Fmt.(list bool)
       (oks results)
 
+(* Herlihy's universal construction over fetch-and-add mod 5 under the
+   fused tracker, with every count of the run pinned: nodes, leaves,
+   transitions, memo hits and frontier peak. The verdict alone does not see
+   a tracker fingerprint that drops part of the tracker state: dedup then
+   merges paths whose frontiers differ, which prunes more nodes (and skips
+   advances) without flipping any verdict here. The last row is the
+   [linearize] benchmark's 3x2 job. *)
+let test_universal_run_stats () =
+  List.iter
+    (fun (name, addends, (nodes, leaves, transitions, memo_hits, peak)) ->
+      let procs = Array.length addends in
+      let ops = List.length addends.(0) in
+      let impl =
+        Wfc_consensus.Universal.construct
+          ~target:(Rmw.fetch_add_mod ~ports:procs ~modulus:5)
+          ~procs ~cells:((2 * procs * ops) + procs) ()
+      in
+      let workloads = Array.map (List.map Ops.fetch_add) addends in
+      match Engine.verify impl ~workloads () with
+      | Error v -> Alcotest.failf "%s: %a" name Engine.pp_violation v
+      | Ok s ->
+        Alcotest.(check (list int))
+          (name ^ ": nodes, leaves, transitions, memo hits, frontier peak")
+          [ nodes; leaves; transitions; memo_hits; peak ]
+          [
+            s.Engine.explore.Explore.nodes;
+            s.Engine.explore.Explore.leaves;
+            s.Engine.transitions;
+            s.Engine.memo_hits;
+            s.Engine.frontier_peak;
+          ])
+    [
+      ("3x1", [| [ 1 ]; [ 2 ]; [ 3 ] |], (623, 17, 106, 143, 3));
+      ("2x3", [| [ 1; 2; 3 ]; [ 4; 1; 2 ] |], (1671, 37, 136, 401, 2));
+      ("3x2", [| [ 2; 2 ]; [ 3; 2 ]; [ 4; 3 ] |], (60363, 252, 1134, 14782, 6));
+    ]
+
 (* randomized differential test: implementation × workload × adversary,
    incremental (plain and compositional) vs the per-leaf oracle *)
 let prop_fused_matches_per_leaf =
@@ -432,6 +469,8 @@ let () =
             test_torn_write_all_modes;
           Alcotest.test_case "crash adversary, all modes" `Quick
             test_crash_adversary_all_modes;
+          Alcotest.test_case "universal faa, pinned run stats" `Quick
+            test_universal_run_stats;
         ] );
       ( "properties",
         [

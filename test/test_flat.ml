@@ -399,9 +399,11 @@ let prop_compile_parity =
    target states some linearization of the completed operations reaches,
    each paired with the pending invocations it already linearized early.
    Exact enough to reject a wrong response, and its state changes at every
-   completion — which is what the kernel's tracker-cell reuse must get
-   right. *)
+   completion — which is what the kernel's tracker-id reuse must get
+   right. Its fingerprint is the id of the state's encoding in the
+   tracker's own intern state. *)
 let faa_tracker ~modulus ~verdicts =
+  let ist = Value.Intern.create () in
   let add s inv =
     match inv with
     | Value.Pair (_, Value.Int d) -> (s + d) mod modulus
@@ -449,13 +451,17 @@ let faa_tracker ~modulus ~verdicts =
     fingerprint =
       Some
         (fun configs ->
-          Value.list
-            (List.map
-               (fun (s, lin) ->
-                 Value.pair (Value.int s)
-                   (Value.list
-                      (List.map (fun (p, r) -> Value.pair (Value.int p) r) lin)))
-               configs));
+          Value.Intern.id
+            (Value.Intern.intern ist
+               (Value.list
+                  (List.map
+                     (fun (s, lin) ->
+                       Value.pair (Value.int s)
+                         (Value.list
+                            (List.map
+                               (fun (p, r) -> Value.pair (Value.int p) r)
+                               lin)))
+                     configs))));
   }
 
 let faa_workloads =
