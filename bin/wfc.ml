@@ -369,20 +369,25 @@ let fleet_addr_arg alias =
         (Filename.concat (Filename.get_temp_dir_name ()) "wfc-fleet.sock")
     & info [ "socket"; alias ] ~docv:"ADDR" ~doc)
 
+(* Both sides parse one grammar; each refuses the other side's kinds, so
+   a misplaced fault is a usage error, not an option that does nothing. *)
+let chaos_conv side =
+  Arg.conv
+    ( (fun s ->
+        Result.map_error (fun e -> `Msg e) (Wfc_fleet.Chaos.of_spec side s)),
+      Wfc_fleet.Chaos.pp )
+
 let chaos_arg =
   let doc =
     "Fault-injection plan for (forked) workers: comma-separated kill:N, \
      stall:N, garbage:N, delay:F, or seed:S:W for a replayable randomized \
-     plan. Test harness — production fleets run without it."
+     plan; wire faults are refused (see $(b,wfc netchaos)). Test harness — \
+     production fleets run without it."
   in
-  Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"SPEC" ~doc)
-
-let parse_chaos = function
-  | None -> Wfc_fleet.Chaos.none
-  | Some spec -> (
-    match Wfc_fleet.Chaos.of_spec spec with
-    | Ok p -> p
-    | Error e -> failwith e)
+  Arg.(
+    value
+    & opt (chaos_conv Wfc_fleet.Chaos.Process) Wfc_fleet.Chaos.none
+    & info [ "chaos" ] ~docv:"SPEC" ~doc)
 
 let verbose_arg =
   let doc = "Log fleet events (joins, leases, losses, steals) to stderr." in
@@ -429,7 +434,7 @@ let serve_cmd =
   in
   let run name procs crashes recoveries glitches degrade budget deadline_s
       witness_file ckpt_file resume_file socket workers lease_s quantum
-      local_grace_s chaos_spec chaos_seed verbose =
+      local_grace_s chaos chaos_seed verbose =
     let impl = make_protocol ~procs name in
     let faults =
       faults_of_flags impl ~crashes ~recoveries ~glitches ~degrade
@@ -444,10 +449,8 @@ let serve_cmd =
     in
     let chaos =
       match chaos_seed with
-      | Some seed -> fun i -> Wfc_fleet.Chaos.seeded ~seed ~worker:i
-      | None ->
-        let p = parse_chaos chaos_spec in
-        fun _ -> p
+      | Some seed -> fun i -> Wfc_fleet.Chaos.(seeded Process ~seed ~index:i)
+      | None -> fun _ -> chaos
     in
     (* Fork the local pool before binding the socket (children retry with
        jittered backoff, so the ordering race is harmless) and before any
@@ -526,8 +529,7 @@ let worker_cmd =
     in
     Arg.(value & flag & info [ "persist" ] ~doc)
   in
-  let run socket name token chaos_spec seed attempts persist verbose =
-    let chaos = parse_chaos chaos_spec in
+  let run socket name token chaos seed attempts persist verbose =
     let log =
       if verbose then fun m -> Fmt.epr "[worker] %s@." m else fun _ -> ()
     in
@@ -570,11 +572,14 @@ let netchaos_cmd =
     let doc =
       "Fault plan: comma-separated latency:LO-HI, partition:N:S, reset:N, \
        fragment, corrupt:N, jitter:J, or seed:S:K for a replayable \
-       randomized plan."
+       randomized plan; process faults are refused (see $(b,wfc worker))."
     in
-    Arg.(value & opt string "none" & info [ "plan" ] ~docv:"SPEC" ~doc)
+    Arg.(
+      value
+      & opt (chaos_conv Wfc_fleet.Chaos.Wire) Wfc_fleet.Chaos.none
+      & info [ "plan" ] ~docv:"SPEC" ~doc)
   in
-  let run listen upstream plan_spec verbose =
+  let run listen upstream plan verbose =
     let parse what s =
       match Wfc_fleet.Transport.parse s with
       | Ok a -> a
@@ -582,16 +587,11 @@ let netchaos_cmd =
     in
     let listen = parse "listen" listen in
     let upstream = parse "upstream" upstream in
-    let plan =
-      match Wfc_fleet.Netchaos.of_spec plan_spec with
-      | Ok p -> p
-      | Error e -> failwith e
-    in
     let log =
       if verbose then fun m -> Fmt.epr "[netchaos] %s@." m else fun _ -> ()
     in
     Fmt.pr "netchaos: %a -> %a plan %a@." Wfc_fleet.Transport.pp listen
-      Wfc_fleet.Transport.pp upstream Wfc_fleet.Netchaos.pp plan;
+      Wfc_fleet.Transport.pp upstream Wfc_fleet.Chaos.pp plan;
     let stop = arm_interrupt () in
     Wfc_fleet.Netchaos.run ~log ~stop ~listen ~upstream plan;
     0
@@ -721,8 +721,9 @@ let queue_cmd =
           [ ("protocol", j.protocol); ("procs", string_of_int j.procs) ]
         in
         match
-          Wfc_fleet.Coordinator.serve ~max_crashes:j.crashes ?budget
-            ?deadline_s ?resume ~interrupt ~meta ~config impl
+          Wfc_fleet.Coordinator.serve
+            ~faults:(Wfc_sim.Faults.crashes j.crashes)
+            ?budget ?deadline_s ?resume ~interrupt ~meta ~config impl
         with
         | Check.Verified _, _ -> Ok Wfc_fleet.Jobqueue.Verified
         | Check.Falsified _, _ -> Ok Wfc_fleet.Jobqueue.Falsified

@@ -42,12 +42,13 @@ let safe ~init ops =
     (Wfc_linearize.Register_props.check_safe ~init
        ~domain:[ Value.falsity; Value.truth ] ops)
 
+let linearizable ~spec ?init ops =
+  match Wfc_linearize.Engine.check ~spec ?init ops with
+  | Wfc_linearize.Engine.Linearizable _ -> Ok ()
+  | Wfc_linearize.Engine.Not_linearizable m -> Error m
+
 let atomic ~ports ~init ops =
-  match
-    Wfc_linearize.Linearizability.check ~spec:(Register.unbounded ~ports) ~init ops
-  with
-  | Wfc_linearize.Linearizability.Linearizable _ -> Ok ()
-  | Wfc_linearize.Linearizability.Not_linearizable m -> Error m
+  linearizable ~spec:(Register.unbounded ~ports) ~init ops
 
 let row name impl verdict =
   Fmt.pr "%-44s %3d objs  %s@." name (Implementation.base_object_count impl)
@@ -130,13 +131,9 @@ let () =
        ~workloads:
          [| [ Wfc_zoo.Snapshot_type.update (Value.int 1) ];
             [ Wfc_zoo.Snapshot_type.scan ] |]
-       ~check:(fun ops ->
-         match
-           Wfc_linearize.Linearizability.check
-             ~spec:(Wfc_zoo.Snapshot_type.spec ~ports:2 ~domain:snap_dom) ops
-         with
-         | Wfc_linearize.Linearizability.Linearizable _ -> Ok ()
-         | Wfc_linearize.Linearizability.Not_linearizable m -> Error m));
+       ~check:
+         (linearizable
+            ~spec:(Wfc_zoo.Snapshot_type.spec ~ports:2 ~domain:snap_dom)));
 
   Fmt.pr "@.== negative controls (each must FAIL) ==@.";
   let b1 = On_change.regular_bit ~guard:false ~readers:1 ~init:false () in
@@ -166,13 +163,9 @@ let () =
          [| [ Wfc_zoo.Snapshot_type.scan ];
             [ Wfc_zoo.Snapshot_type.update (Value.int 1) ];
             [ Wfc_zoo.Snapshot_type.update (Value.int 1) ] |]
-       ~check:(fun ops ->
-         match
-           Wfc_linearize.Linearizability.check
-             ~spec:(Wfc_zoo.Snapshot_type.spec ~ports:3 ~domain:snap_dom) ops
-         with
-         | Wfc_linearize.Linearizability.Linearizable _ -> Ok ()
-         | Wfc_linearize.Linearizability.Not_linearizable m -> Error m));
+       ~check:
+         (linearizable
+            ~spec:(Wfc_zoo.Snapshot_type.spec ~ports:3 ~domain:snap_dom)));
   let b5 = Simpson.atomic_srsw ~handshake:false ~domain:dom ~init:(Value.int 0) () in
   row "Simpson without the reading handshake" b5
     (explore_check b5

@@ -17,11 +17,9 @@ let steps_of impl ~workloads =
   (stats.Wfc_sim.Exec.leaves, stats.Wfc_sim.Exec.max_op_steps)
 
 let check impl ~workloads =
-  match
-    Wfc_linearize.Linearizability.check_all_executions impl ~workloads ()
-  with
+  match Wfc_linearize.Engine.verify impl ~workloads () with
   | Ok _ -> "linearizable"
-  | Error e -> "VIOLATION: " ^ e
+  | Error v -> "VIOLATION: " ^ v.Wfc_linearize.Engine.reason
 
 let () =
   let targets =

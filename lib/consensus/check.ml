@@ -29,7 +29,7 @@ let pp_violation ppf v =
     Fmt.(list ~sep:(any ",") int)
     v.participants
     Fmt.(list ~sep:(any " ") (pair ~sep:(any ":") int Value.pp))
-    v.inputs v.reason Wfc_linearize.Linearizability.pp_ops v.ops;
+    v.inputs v.reason Wfc_linearize.Engine.pp_ops v.ops;
   (match v.witness with
   | Some w ->
     Fmt.pf ppf "@,faults: %a@,witness trace: %a" Wfc_sim.Faults.pp
@@ -189,22 +189,11 @@ let vectors ?(subsets = true) ?(repeat = true)
         (vectors_over ~domain participants))
     participant_sets
 
-let verify_values ~domain ?(subsets = true) ?(repeat = true)
-    ?(max_crashes = 0) ?faults ?fuel ?budget ?deadline_s ?(shrink = true)
+let verify ?(subsets = true) ?(repeat = true)
+    ?(domain = [ Value.falsity; Value.truth ]) ?(faults = Wfc_sim.Faults.none)
+    ?fuel ?budget ?deadline_s ?(shrink = true)
     ?(engine = Wfc_sim.Explore.fast) ?checkpoint ?resume
     ?mem_budget_mb ?interrupt ?(meta = []) (impl : Implementation.t) =
-  if List.length domain < 2 then
-    invalid_arg "Check.verify_values: domain needs at least two values";
-  let faults =
-    match faults with
-    | Some f ->
-      {
-        f with
-        Wfc_sim.Faults.max_crashes =
-          max f.Wfc_sim.Faults.max_crashes max_crashes;
-      }
-    | None -> Wfc_sim.Faults.crashes max_crashes
-  in
   let all_vectors = vectors ~subsets ~repeat ~domain impl in
   let deadline =
     Option.map (fun s -> Wfc_sim.Monotime.now () +. s) deadline_s
@@ -447,9 +436,3 @@ let verify_values ~domain ?(subsets = true) ?(repeat = true)
     remove_checkpoint ();
     Falsified (if shrink then shrink_violation impl v else v)
   | Exhausted reason -> Unknown { partial = report (); reason }
-
-let verify ?subsets ?repeat ?max_crashes ?faults ?fuel ?budget ?deadline_s
-    ?shrink ?engine ?checkpoint ?resume ?mem_budget_mb ?interrupt ?meta impl =
-  verify_values ~domain:[ Value.falsity; Value.truth ] ?subsets ?repeat
-    ?max_crashes ?faults ?fuel ?budget ?deadline_s ?shrink ?engine ?checkpoint
-    ?resume ?mem_budget_mb ?interrupt ?meta impl

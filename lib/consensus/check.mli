@@ -59,7 +59,7 @@ type verdict =
 val verify :
   ?subsets:bool ->
   ?repeat:bool ->
-  ?max_crashes:int ->
+  ?domain:Wfc_spec.Value.t list ->
   ?faults:Wfc_sim.Faults.t ->
   ?fuel:int ->
   ?budget:int ->
@@ -88,19 +88,20 @@ val verify :
     [subsets] (default true) also checks partial participation; [repeat]
     (default true) has each participant propose a second, {e different}
     value — the response must still be the original decision (Section 2.1:
-    the first invocation determines all future responses). [max_crashes]
-    (default 0) additionally lets up to that many processes halt
-    {e mid-operation} at every possible point (see
+    the first invocation determines all future responses). [domain]
+    (default the binary domain) is the finite proposal domain, at least two
+    values — the multivalued consensus construction passes a larger one;
+    every input vector over it is checked ({!vectors}).
+
+    [faults] (default {!Wfc_sim.Faults.none}) supplies the fault adversary
+    ({!Wfc_sim.Faults.t}). Under {!Wfc_sim.Faults.crashes}[ k] up to [k]
+    processes may halt {e mid-operation} at every possible point (see
     {!Wfc_sim.Exec.explore}); agreement and validity are then required of
     the survivors' responses, and wait-freedom of the survivors'
     operations — stopping failures must be harmless, which is the whole
-    point of wait-freedom.
-
-    [faults] supplies a full fault adversary ({!Wfc_sim.Faults.t}):
-    crash-recoveries and degraded-read glitches branch the tree exactly like
-    crashes do, and correctness is required of every completed operation in
-    every faulty execution. When both [faults] and [max_crashes] are given
-    the crash budget is the larger of the two.
+    point of wait-freedom. Crash-recoveries and degraded-read glitches
+    branch the tree exactly like crashes do, and correctness is required of
+    every completed operation in every faulty execution.
 
     [budget] (configurations visited) and [deadline_s] (seconds of wall
     clock) bound the {e whole} verification, across all participation
@@ -143,28 +144,6 @@ val verify :
     under heap pressure dedup tables migrate to the probabilistic Bloom tier
     (a clean sweep then reports [Unknown]) and the count is surfaced as
     [report.evictions]. *)
-
-val verify_values :
-  domain:Wfc_spec.Value.t list ->
-  ?subsets:bool ->
-  ?repeat:bool ->
-  ?max_crashes:int ->
-  ?faults:Wfc_sim.Faults.t ->
-  ?fuel:int ->
-  ?budget:int ->
-  ?deadline_s:float ->
-  ?shrink:bool ->
-  ?engine:Wfc_sim.Explore.options ->
-  ?checkpoint:string * float ->
-  ?resume:Wfc_sim.Checkpoint.t ->
-  ?mem_budget_mb:int ->
-  ?interrupt:bool Atomic.t ->
-  ?meta:(string * string) list ->
-  Implementation.t ->
-  verdict
-(** Like {!verify} but for consensus over an arbitrary finite proposal
-    domain (at least two values) — used for the multivalued consensus
-    construction. Every input vector over the domain is checked. *)
 
 val result_exn : verdict -> (report, violation) result
 (** Collapse to the pre-budget two-valued interface.

@@ -25,7 +25,7 @@ let check_impl ?(writer = 0) ?(reader = 1) (impl : Implementation.t) =
             failure :=
               Some
                 (Fmt.str "solo read misbehaved: %a"
-                   Wfc_linearize.Linearizability.pp_ops ops))
+                   Wfc_linearize.Engine.pp_ops ops))
         ()
     in
     match !failure with
@@ -45,11 +45,10 @@ let check_impl ?(writer = 0) ?(reader = 1) (impl : Implementation.t) =
           else if q = reader then List.init reads (fun _ -> One_use.read)
           else [])
     in
-    match
-      Wfc_linearize.Linearizability.check_all_executions impl ~workloads ()
-    with
+    match Wfc_linearize.Engine.verify impl ~workloads () with
     | Ok _ -> Ok ()
-    | Error e -> Error (Fmt.str "with %d read(s): %s" reads e)
+    | Error v ->
+      Error (Fmt.str "with %d read(s): %s" reads v.Wfc_linearize.Engine.reason)
   in
   let* () = check_concurrent 1 in
   let* () = check_concurrent 2 in

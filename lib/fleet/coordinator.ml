@@ -85,16 +85,10 @@ let retry_eintr f =
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let serve ?subsets ?repeat ?domain ?(max_crashes = 0) ?faults ?fuel ?budget
+let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
     ?deadline_s ?(shrink = true) ?(engine = Explore.fast) ?resume ?interrupt
     ?(meta = []) ~config:cfg (impl : Implementation.t) =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let faults =
-    match faults with
-    | Some f ->
-      { f with Faults.max_crashes = max f.Faults.max_crashes max_crashes }
-    | None -> Faults.crashes max_crashes
-  in
   let fuel = Option.value fuel ~default:Explore.default_fuel in
   let n_objs = Array.length impl.Implementation.objects in
   let vecs =

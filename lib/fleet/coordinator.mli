@@ -104,7 +104,6 @@ val serve :
   ?subsets:bool ->
   ?repeat:bool ->
   ?domain:Wfc_spec.Value.t list ->
-  ?max_crashes:int ->
   ?faults:Faults.t ->
   ?fuel:int ->
   ?budget:int ->

@@ -1,126 +1,19 @@
 open Wfc_sim
 
-type plan = {
-  latency : (float * float) option;
-  partition : (int * float) option;
-  reset : int option;
-  fragment : bool;
-  corrupt : int option;
-  jitter : int;
-}
-
-let none =
-  {
-    latency = None;
-    partition = None;
-    reset = None;
-    fragment = false;
-    corrupt = None;
-    jitter = 0;
-  }
-
-let is_none p = p = none
-
-let seeded ~seed ~stream =
-  let st = Random.State.make [| 0xca0c; seed; stream |] in
-  let threshold () = 1 + Random.State.int st 40 in
-  (* One fault per plan, like Chaos.seeded: replayed runs stay
-     interpretable, and the jitter seed pins the latency/corruption
-     draws. *)
-  let jitter = Random.State.int st 0x3fffffff in
-  match Random.State.int st 6 with
-  | 0 ->
-    let lo = 0.001 +. Random.State.float st 0.01 in
-    { none with latency = Some (lo, lo +. Random.State.float st 0.05); jitter }
-  | 1 ->
-    {
-      none with
-      partition = Some (threshold (), 0.2 +. Random.State.float st 1.5);
-      jitter;
-    }
-  | 2 -> { none with reset = Some (threshold ()); jitter }
-  | 3 -> { none with fragment = true; jitter }
-  | 4 -> { none with corrupt = Some (threshold ()); jitter }
-  | _ -> { none with jitter }
-
-let to_spec p =
-  if is_none p then "none"
-  else
-    String.concat ","
-      (List.concat
-         [
-           (match p.latency with
-           | Some (lo, hi) -> [ Fmt.str "latency:%g-%g" lo hi ]
-           | None -> []);
-           (match p.partition with
-           | Some (n, s) -> [ Fmt.str "partition:%d:%g" n s ]
-           | None -> []);
-           (match p.reset with
-           | Some n -> [ Fmt.str "reset:%d" n ]
-           | None -> []);
-           (if p.fragment then [ "fragment" ] else []);
-           (match p.corrupt with
-           | Some n -> [ Fmt.str "corrupt:%d" n ]
-           | None -> []);
-           (if p.jitter <> 0 then [ Fmt.str "jitter:%d" p.jitter ] else []);
-         ])
-
-let of_spec s =
-  let ( let* ) = Result.bind in
-  let entry acc e =
-    let* acc = acc in
-    match String.split_on_char ':' e with
-    | [ "none" ] -> Ok acc
-    | [ "latency"; range ] -> (
-      match String.split_on_char '-' range with
-      | [ lo; hi ] -> (
-        match (float_of_string_opt lo, float_of_string_opt hi) with
-        | Some lo, Some hi when 0. <= lo && lo <= hi ->
-          Ok { acc with latency = Some (lo, hi) }
-        | _ -> Error (Fmt.str "netchaos: bad latency range %S" range))
-      | _ -> Error (Fmt.str "netchaos: latency wants LO-HI, got %S" range))
-    | [ "partition"; n; s ] -> (
-      match (int_of_string_opt n, float_of_string_opt s) with
-      | Some n, Some s when n >= 0 && s >= 0. ->
-        Ok { acc with partition = Some (n, s) }
-      | _ -> Error (Fmt.str "netchaos: bad partition spec %S" e))
-    | [ "reset"; n ] -> (
-      match int_of_string_opt n with
-      | Some n when n >= 0 -> Ok { acc with reset = Some n }
-      | _ -> Error (Fmt.str "netchaos: bad reset threshold %S" n))
-    | [ "fragment" ] -> Ok { acc with fragment = true }
-    | [ "corrupt"; n ] -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 -> Ok { acc with corrupt = Some n }
-      | _ -> Error (Fmt.str "netchaos: bad corrupt chunk index %S" n))
-    | [ "jitter"; j ] -> (
-      match int_of_string_opt j with
-      | Some j -> Ok { acc with jitter = j }
-      | None -> Error (Fmt.str "netchaos: bad jitter seed %S" j))
-    | [ "seed"; seed; stream ] -> (
-      match (int_of_string_opt seed, int_of_string_opt stream) with
-      | Some seed, Some stream -> Ok (seeded ~seed ~stream)
-      | _ -> Error (Fmt.str "netchaos: bad seed spec %S" e))
-    | _ -> Error (Fmt.str "netchaos: unknown entry %S" e)
-  in
-  List.fold_left entry (Ok none) (String.split_on_char ',' s)
-
-let pp ppf p = Fmt.string ppf (to_spec p)
-
 type action =
   | Forward of { data : string; delay_s : float }
   | Reset
 
 module Stream = struct
   type t = {
-    plan : plan;
+    plan : Chaos.plan;
     st : Random.State.t;
     mutable chunks : int;  (* chunks fed so far *)
     mutable dead : bool;
     mutable log : string list;  (* newest first *)
   }
 
-  let create plan =
+  let create (plan : Chaos.plan) =
     {
       plan;
       st = Random.State.make [| 0x57e6; plan.jitter |];

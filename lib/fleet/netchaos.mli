@@ -1,45 +1,16 @@
 (** Seeded, replayable wire-level chaos: a proxy that interposes on the
-    fleet's byte stream and injects network faults the worker-side
-    {!Chaos} plans cannot express — added latency, partitions, connection
-    resets, 1-byte fragmentation, mid-frame corruption.
+    fleet's byte stream and injects the {!Chaos.Wire} faults of a
+    {!Chaos.plan} — added latency, partitions, connection resets, 1-byte
+    fragmentation, mid-frame corruption. A plan's process faults are the
+    worker's to inject; [wfc netchaos --plan] refuses them
+    ({!Chaos.of_spec}).
 
     The fault {e decisions} live in a pure per-direction state machine
     ({!Stream}): fed the same chunks under the same plan, it emits the
     same actions and the same fault log, which is what the
     replay-determinism tests assert. The {!run} proxy is just plumbing
     around it — accept, connect upstream, shuttle bytes through two
-    streams, honour the delays with a timer queue.
-
-    Plans are written like {!Chaos} specs, comma-separated:
-    [latency:LO-HI] (uniform per-chunk delay, seconds),
-    [partition:N:S] (after the [N]th chunk, go silent for [S] seconds),
-    [reset:N] (after the [N]th chunk, hard-close both sides),
-    [fragment] (forward one byte at a time),
-    [corrupt:N] (flip one random bit of the [N]th chunk),
-    [seed:S:K] (derive a random single-fault plan from ⟨seed, stream⟩),
-    [jitter:J] (reseed the latency/corruption jitter), ["none"].
-    Counters are per direction; both directions of a connection run the
-    same plan independently. *)
-
-type plan = {
-  latency : (float * float) option;
-  partition : (int * float) option;
-  reset : int option;
-  fragment : bool;
-  corrupt : int option;
-  jitter : int;  (** seed for latency draws and corruption positions *)
-}
-
-val none : plan
-val is_none : plan -> bool
-
-val seeded : seed:int -> stream:int -> plan
-(** Deterministic single-fault plan, chosen and parameterized by
-    ⟨seed, stream⟩ alone — the network-level twin of {!Chaos.seeded}. *)
-
-val of_spec : string -> (plan, string) result
-val to_spec : plan -> string
-val pp : Format.formatter -> plan -> unit
+    streams, honour the delays with a timer queue. *)
 
 (** What the proxy should do with one fed chunk. Delays are relative to
     the direction's previous action (the proxy keeps per-direction due
@@ -53,7 +24,7 @@ type action =
 module Stream : sig
   type t
 
-  val create : plan -> t
+  val create : Chaos.plan -> t
 
   val feed : t -> string -> action list
   (** Decide the fate of one chunk. Total and deterministic: same plan +
@@ -69,7 +40,7 @@ val run :
   ?stop:bool Atomic.t ->
   listen:Transport.addr ->
   upstream:Transport.addr ->
-  plan ->
+  Chaos.plan ->
   unit
 (** Serve until [stop] flips (checked every select tick): accept clients
     on [listen], connect each to [upstream], and shuttle bytes through a
@@ -80,7 +51,7 @@ val spawn :
   ?log:(string -> unit) ->
   listen:Transport.addr ->
   upstream:Transport.addr ->
-  plan ->
+  Chaos.plan ->
   int
 (** Fork {!run} as a child process and return its pid ({!Local.kill} /
     {!Local.shutdown} dispose of it) — how tests and CI interpose the

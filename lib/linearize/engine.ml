@@ -33,14 +33,14 @@ let check_ops ~spec ?init ?(port_of = Fun.id) ?count ?obj (ops : Exec.op list)
       (match obj with
       | Some obj ->
         Fmt.str
-          "Linearizability.check: the subhistory on object %d has %d \
+          "Engine.check: the subhistory on object %d has %d \
            operations, above the 62-op limit of the bitmask memoization \
            (done_mask is one OCaml int); split that object's workload into \
            shorter histories"
           obj n
       | None ->
         Fmt.str
-          "Linearizability.check: history against %s has %d operations, \
+          "Engine.check: history against %s has %d operations, \
            above the 62-op limit of the bitmask memoization (done_mask is \
            one OCaml int); split the workload into shorter histories"
           spec.Type_spec.name n);
@@ -202,26 +202,29 @@ let merge_witnesses (chains : Exec.op list list) =
       invalid_arg "Engine: internal error: witness merge found a cycle";
     List.rev !out
 
-let remap_witness pairs witness =
-  List.map (fun inner -> List.assq inner pairs) witness
-
-let check ~spec ?init ?port_of ?count (ops : Exec.op list) =
+(* The decomposition both standalone checks share: [solve obj ops] checks
+   one subhistory ([obj] is [None] for an unaddressed history, which is
+   solved whole) and returns a witness over the ops it was given. *)
+let decompose (ops : Exec.op list) ~solve =
   if not (List.exists (fun (o : Exec.op) -> Ops.is_at o.Exec.inv) ops) then
-    check_ops ~spec ?init ?port_of ?count ops
-  else begin
-    let groups = partition_by_obj ops in
+    solve None ops
+  else
     let rec go chains = function
       | [] -> Linearizable (merge_witnesses (List.rev chains))
       | (obj, pairs) :: rest -> (
-        match
-          check_ops ~spec ?init ?port_of ?count ~obj (List.map fst pairs)
-        with
-        | Linearizable w -> go (remap_witness pairs w :: chains) rest
-        | Not_linearizable why ->
-          Not_linearizable (Fmt.str "object %d: %s" obj why))
+        match solve (Some obj) (List.map fst pairs) with
+        | Linearizable w ->
+          go (List.map (fun inner -> List.assq inner pairs) w :: chains) rest
+        | Not_linearizable _ as v -> v)
     in
-    go [] groups
-  end
+    go [] (partition_by_obj ops)
+
+let check ~spec ?init ?port_of ?count ops =
+  decompose ops ~solve:(fun obj ops ->
+      match (check_ops ~spec ?init ?port_of ?count ?obj ops, obj) with
+      | Not_linearizable why, Some obj ->
+        Not_linearizable (Fmt.str "object %d: %s" obj why)
+      | v, _ -> v)
 
 (* --- the configuration frontier ----------------------------------------------
 
@@ -382,14 +385,13 @@ let accepts frontier = List.exists (fun c -> c.guesses = []) frontier
 
 (* --- standalone incremental check -------------------------------------------- *)
 
-let check_subhistory ~spec ~init ~port_of ~count ?obj pairs =
-  let inner_ops = List.map fst pairs in
+let check_subhistory ~spec ~init ~port_of ~count ?obj inner_ops =
   let events = Exec.completion_events inner_ops in
   let root = { guesses = []; state = init; acc_rev = [] } in
   let rec go frontier i = function
     | [] -> (
       match List.find_opt (fun c -> c.guesses = []) frontier with
-      | Some c -> Linearizable (remap_witness pairs (List.rev c.acc_rev))
+      | Some c -> Linearizable (List.rev c.acc_rev)
       | None -> assert false (* every op completed: no guess survives *))
     | ((op : Exec.op), pending) :: rest ->
       let pending =
@@ -420,23 +422,10 @@ let check_subhistory ~spec ~init ~port_of ~count ?obj pairs =
   in
   go [ root ] 0 events
 
-let check_history ~spec ?init ?(port_of = Fun.id) ?count (ops : Exec.op list)
-    =
+let check_history ~spec ?init ?(port_of = Fun.id) ?count ops =
   let init = Option.value init ~default:spec.Type_spec.initial in
-  if not (List.exists (fun (o : Exec.op) -> Ops.is_at o.Exec.inv) ops) then
-    check_subhistory ~spec ~init ~port_of ~count
-      (List.map (fun o -> (o, o)) ops)
-  else begin
-    let groups = partition_by_obj ops in
-    let rec go chains = function
-      | [] -> Linearizable (merge_witnesses (List.rev chains))
-      | (obj, pairs) :: rest -> (
-        match check_subhistory ~spec ~init ~port_of ~count ~obj pairs with
-        | Linearizable w -> go (w :: chains) rest
-        | Not_linearizable why -> Not_linearizable why)
-    in
-    go [] groups
-  end
+  decompose ops ~solve:(fun obj ops ->
+      check_subhistory ~spec ~init ~port_of ~count ?obj ops)
 
 (* --- product targets ---------------------------------------------------------- *)
 

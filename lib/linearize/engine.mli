@@ -1,8 +1,15 @@
-(** The incremental, compositional linearizability engine.
+(** Linearizability checking (Herlihy–Wing), in the style of Wing & Gould,
+    made incremental and compositional.
 
-    Three independent layers over the classic per-leaf check
-    ({!Linearizability.check} runs a from-scratch Wing–Gould DFS at every
-    leaf of the execution tree):
+    A concurrent history — the completed operations of one {!Wfc_sim.Exec}
+    execution against a single implemented object — is linearizable w.r.t. a
+    sequential specification iff the operations can be totally ordered such
+    that (1) the order extends real-time precedence (op A precedes op B when
+    [A.end_step < B.start_step]) and (2) the invocation/response pairs form a
+    legal sequential history of the spec from the given initial state.
+
+    Three independent layers over the classic per-leaf check ({!check_ops}
+    runs a from-scratch Wing–Gould DFS at every leaf of the execution tree):
 
     - {b incrementality}: the checker is fused with {!Wfc_sim.Explore} as a
       path {e tracker}. A set of partial-linearization {e configurations}
@@ -65,8 +72,11 @@ val check :
     instance of [spec] from [init], and the per-object witnesses are merged
     into one global linearization (topological sort over per-object witness
     order plus cross-object real-time precedence — always acyclic, by
-    Herlihy–Wing locality). The 62-op limit thus applies {e per object}; a
-    multi-object history may be arbitrarily longer. *)
+    Herlihy–Wing locality). [port_of proc] gives the spec port a process's
+    operations use (default: the process id itself); [init] defaults to
+    [spec.initial]. The 62-op limit thus applies {e per object}; a
+    multi-object history may be arbitrarily longer, and a subhistory above
+    it raises [Invalid_argument] naming the object. *)
 
 val check_history :
   spec:Type_spec.t ->
@@ -139,7 +149,19 @@ val verify :
     targets).
 
     Also fails on fuel overflow (suspected non-wait-freedom), with the
-    overflowing path as witness. *)
+    overflowing path as witness.
+
+    {b Known gap: crashed operations.} A crashed process's pending
+    operation is never allowed to take effect. The incremental modes drop
+    every configuration that linearized it early (at the crash), and
+    [Per_leaf] checks completed operations only. Herlihy–Wing
+    linearizability lets a pending operation be completed in the history,
+    so an implementation whose helpers apply a crashed process's announced
+    operation is reported non-linearizable. Herlihy's universal
+    fetch-and-add mod 5 ([Wfc_consensus.Universal], 2 processes, workloads
+    [[fetch-add 1]]/[[fetch-add 2]]) under [Faults.crashes 1] is rejected
+    in all three modes: "no linearization of … \{p1:(fetch-add, 2)→1\}"
+    (ROADMAP item 6 has the case). *)
 
 val indexed : int -> Type_spec.t -> Type_spec.t
 (** [indexed n spec]: the product of [n] independent instances of [spec] —

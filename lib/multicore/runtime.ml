@@ -104,12 +104,11 @@ let linearizable_trials ?(seed = 0) ?backend ?tick ~make ~workloads ~trials ()
       let impl = make () in
       let outcome = run ~seed:(seed + t) ?backend ?tick impl ~workloads () in
       match
-        Wfc_linearize.Linearizability.check
-          ~spec:impl.Implementation.target
+        Wfc_linearize.Engine.check ~spec:impl.Implementation.target
           ~init:impl.Implementation.implements outcome.ops
       with
-      | Wfc_linearize.Linearizability.Linearizable _ -> go (t + 1)
-      | Wfc_linearize.Linearizability.Not_linearizable why ->
+      | Wfc_linearize.Engine.Linearizable _ -> go (t + 1)
+      | Wfc_linearize.Engine.Not_linearizable why ->
         Error (Fmt.str "trial %d: %s" t why)
   in
   go 0

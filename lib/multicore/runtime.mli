@@ -10,7 +10,7 @@
 
     Operations are stamped with a {!Tick} timestamp before their first base
     access and after their last, so the histories produced here can be fed
-    to the very same {!Wfc_linearize.Linearizability} checker used on
+    to the very same {!Wfc_linearize.Engine.check} used on
     model-checked histories. The default [Global] scheme stamps with a
     single fetch-and-add counter (maximally precise, but a serialization
     point: two contended atomic writes per operation); [Tick.sharded]

@@ -366,14 +366,8 @@ let leaf_of_cfg cfg =
     accesses = cfg.acc;
   }
 
-let resolve_faults ?faults ~max_crashes () =
-  match faults with
-  | Some f -> { f with Faults.max_crashes = max f.Faults.max_crashes max_crashes }
-  | None -> Faults.crashes max_crashes
-
-let explore impl ~workloads ?(fuel = 10_000) ?(max_crashes = 0) ?faults
+let explore impl ~workloads ?(fuel = 10_000) ?(faults = Faults.none)
     ?(on_leaf = fun _ -> ()) () =
-  let faults = resolve_faults ?faults ~max_crashes () in
   let derail = Faults.can_derail faults in
   let leaves = ref 0 in
   let nodes = ref 0 in

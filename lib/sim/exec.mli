@@ -71,7 +71,6 @@ val explore :
   Implementation.t ->
   workloads:Value.t list array ->
   ?fuel:int ->
-  ?max_crashes:int ->
   ?faults:Faults.t ->
   ?on_leaf:(leaf -> unit) ->
   unit ->
@@ -82,33 +81,16 @@ val explore :
     implementation and finite workloads this never happens, and the test
     suites assert [overflows = 0].
 
-    [max_crashes] (default 0) additionally branches on {e mid-operation
-    stopping failures}: at any point up to that many processes may halt
-    forever, possibly between two base accesses of an operation, leaving the
-    implementing objects in whatever intermediate state the dead process
-    created. A leaf then only requires the surviving processes to finish —
-    which wait-freedom demands they do. Crashed processes' incomplete
-    operations simply never appear in [ops].
-
-    Note that for {e safety} properties exhaustive exploration already
-    subsumes crashes — a crash is indistinguishable from never being
-    scheduled again, and any wrong response in a crash scenario also occurs
-    along some crash-free path (it cannot be retracted by later steps of the
-    slow process). What [max_crashes] adds is {e liveness} phrasing:
-    executions in which a process never returns become first-class leaves
-    with checkable histories rather than fuel-overflow suspicions.
-
-    [faults] generalizes [max_crashes] to a full adversary ({!Faults.t}):
-    besides crashes, the tree additionally branches on {e recoveries} (a
-    crashed process restarts its pending operation from scratch against the
-    dirty shared state — its earlier base accesses are {e not} undone) and
-    on {e read glitches} against degraded base objects (safe-register
-    behaviour or bounded-stale reads, in the style of
-    {!Wfc_zoo.Weak_register}). Under a derailing adversary a process whose
-    next step raises [Type_spec.Bad_step] or [Value.Type_error] {e wedges}
-    (drops out of the enabled set forever) instead of aborting the
-    exploration. When both [faults] and [max_crashes] are given, the crash
-    budget is the larger of the two. *)
+    [faults] (default {!Faults.none}) is the adversary ({!Faults.t}): the
+    tree additionally branches on {e mid-operation crashes} (see
+    {!Faults.crashes}), on {e recoveries} (a crashed process restarts its
+    pending operation from scratch against the dirty shared state — its
+    earlier base accesses are {e not} undone) and on {e read glitches}
+    against degraded base objects (safe-register behaviour or bounded-stale
+    reads, in the style of {!Wfc_zoo.Weak_register}). Under a derailing
+    adversary a process whose next step raises [Type_spec.Bad_step] or
+    [Value.Type_error] {e wedges} (drops out of the enabled set forever)
+    instead of aborting the exploration. *)
 
 type node_view = {
   depth : int;  (** events so far at this configuration *)

@@ -628,11 +628,6 @@ let mem_sample ~budget_words c (dd : dedup_ctx option) =
     (* context not yet allocated: it will start on the Bloom tier *))
   | _ -> ()
 
-let resolve_faults ?faults ~max_crashes () =
-  match faults with
-  | Some f -> { f with Faults.max_crashes = max f.Faults.max_crashes max_crashes }
-  | None -> Faults.crashes max_crashes
-
 (* The threshold only delays probing: the table is pooled per domain and
    the key is kept from the root, so a run below it saves table lookups and
    nothing else, and loses the pruning of the states it visits first. It
@@ -1683,7 +1678,7 @@ let no_on_leaf (_ : Exec.leaf) = ()
 let no_on_leaf_trace (_ : Faults.trace) (_ : Exec.leaf) = ()
 let no_cut _ _ _ = ()
 
-let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
+let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
     ?budget ?deadline_s ?(options = naive)
     ?(dedup_threshold = default_dedup_threshold)
     ?(bloom_bits_log2 = Fingerprint.Bloom.default_bits_log2) ?tracker
@@ -1701,7 +1696,6 @@ let run impl ~workloads ?(fuel = default_fuel) ?(max_crashes = 0) ?faults
   let (Tracker t) =
     match tracker with Some t -> Tracker t | None -> Tracker null_tracker
   in
-  let faults = resolve_faults ?faults ~max_crashes () in
   (match resume_from with
   | Some ck -> (
     match

@@ -276,7 +276,6 @@ val run :
   Implementation.t ->
   workloads:Value.t list array ->
   ?fuel:int ->
-  ?max_crashes:int ->
   ?faults:Faults.t ->
   ?budget:int ->
   ?deadline_s:float ->
@@ -294,7 +293,7 @@ val run :
   unit ->
   stats
 (** Drop-in replacement for {!Exec.explore} (defaults: [fuel = 10_000],
-    [max_crashes = 0], [options = naive]). [on_leaf] may raise {!Exec.Stop}
+    [faults = Faults.none], [options = naive]). [on_leaf] may raise {!Exec.Stop}
     to abort early; statistics then reflect the explored prefix
     ([completeness = Partial Stopped]). Any other exception raised by
     [on_leaf] aborts the exploration and is re-raised.
@@ -302,8 +301,8 @@ val run :
     [tracker] threads per-path state down the tree (see {!type:tracker});
     [dedup] is honoured only when the tracker supplies a [fingerprint].
 
-    [faults] supplies a full fault adversary ({!Faults.t}, generalizing
-    [max_crashes] — see {!Exec.explore}); POR is switched off automatically
+    [faults] supplies the fault adversary ({!Faults.t} — see
+    {!Exec.explore}); POR is switched off automatically
     whenever any fault branching is on (crash/recovery/glitch transitions
     are per-process moves the sleep-set rule does not commute).
 

@@ -44,7 +44,20 @@ val none : t
 (** The empty adversary: clean runs, exactly the pre-fault semantics. *)
 
 val crashes : int -> t
-(** Crash-only adversary; [crashes k] subsumes the legacy [max_crashes:k]. *)
+(** Crash-only adversary: at any point up to [k] processes may halt forever,
+    possibly between two base accesses of an operation, leaving the
+    implementing objects in whatever intermediate state the dead process
+    created. A leaf then only requires the surviving processes to finish —
+    which wait-freedom demands they do. Crashed processes' incomplete
+    operations simply never appear in a leaf's [ops].
+
+    Note that for {e safety} properties exhaustive exploration already
+    subsumes crashes — a crash is indistinguishable from never being
+    scheduled again, and any wrong response in a crash scenario also occurs
+    along some crash-free path (it cannot be retracted by later steps of the
+    slow process). What crashes add is {e liveness} phrasing: executions in
+    which a process never returns become first-class leaves with checkable
+    histories rather than fuel-overflow suspicions. *)
 
 val crash_recovery : crashes:int -> recoveries:int -> t
 

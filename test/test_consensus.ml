@@ -12,12 +12,10 @@ let expect_ok name = function
 
 (* collapse the three-valued verdict: no test here sets a budget/deadline,
    so Unknown is unreachable *)
-let verify ?subsets ?repeat ?max_crashes ?fuel impl =
-  Check.result_exn (Check.verify ?subsets ?repeat ?max_crashes ?fuel impl)
+let verify ?subsets ?repeat ?domain ?faults ?fuel impl =
+  Check.result_exn (Check.verify ?subsets ?repeat ?domain ?faults ?fuel impl)
 
-let verify_values ~domain ?subsets ?repeat ?max_crashes ?fuel impl =
-  Check.result_exn
-    (Check.verify_values ~domain ?subsets ?repeat ?max_crashes ?fuel impl)
+let crashes = Wfc_sim.Faults.crashes
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -184,7 +182,7 @@ let int_domain n = List.init n Value.int
 
 let test_multivalued_exhaustive () =
   let impl = Multivalued.from_binary ~procs:2 ~values:3 () in
-  match verify_values ~domain:(int_domain 3) impl with
+  match verify ~domain:(int_domain 3) impl with
   | Ok r ->
     (* subsets {0},{1},{0,1} × 3^|S| inputs = 3+3+9 = 15 vectors *)
     Alcotest.(check int) "vectors" 15 r.Check.vectors
@@ -193,22 +191,22 @@ let test_multivalued_exhaustive () =
 let test_multivalued_four_values () =
   let impl = Multivalued.from_binary ~procs:2 ~values:4 () in
   match
-    verify_values ~domain:(int_domain 4) ~subsets:false ~repeat:false impl
+    verify ~domain:(int_domain 4) ~subsets:false ~repeat:false impl
   with
   | Ok _ -> ()
   | Error v -> Alcotest.failf "values=4: %a" Check.pp_violation v
 
 let test_multivalued_announce_bits () =
   let impl = Multivalued.from_binary ~announce_bits:true ~procs:2 ~values:2 () in
-  match verify_values ~domain:(int_domain 2) impl with
+  match verify ~domain:(int_domain 2) impl with
   | Ok _ -> ()
   | Error v -> Alcotest.failf "announce bits: %a" Check.pp_violation v
 
 let test_multivalued_crashes () =
   let impl = Multivalued.from_binary ~procs:2 ~values:3 () in
   match
-    verify_values ~domain:(int_domain 3) ~subsets:false ~repeat:false
-      ~max_crashes:1 impl
+    verify ~domain:(int_domain 3) ~subsets:false ~repeat:false
+      ~faults:(crashes 1) impl
   with
   | Ok _ -> ()
   | Error v -> Alcotest.failf "multivalued crashes: %a" Check.pp_violation v
@@ -226,7 +224,7 @@ let test_multivalued_over_tas_protocol () =
          ~announce_bits:false)
   in
   match
-    verify_values ~domain:(int_domain 2) ~subsets:false ~repeat:false
+    verify ~domain:(int_domain 2) ~subsets:false ~repeat:false
       composed
   with
   | Ok _ -> ()
@@ -354,7 +352,7 @@ let test_protocols_survive_midop_crashes () =
      process left behind *)
   List.iter
     (fun (name, impl) ->
-      match verify ~subsets:false ~repeat:false ~max_crashes:1 impl with
+      match verify ~subsets:false ~repeat:false ~faults:(crashes 1) impl with
       | Ok r ->
         Alcotest.(check bool)
           (name ^ ": crashes explored") true
@@ -371,7 +369,7 @@ let test_protocols_survive_midop_crashes () =
 
 let test_cas3_survives_two_crashes () =
   match
-    verify ~subsets:false ~repeat:false ~max_crashes:2
+    verify ~subsets:false ~repeat:false ~faults:(crashes 2)
       (Protocols.from_cas ~procs:3 ())
   with
   | Ok _ -> ()
@@ -379,16 +377,16 @@ let test_cas3_survives_two_crashes () =
 
 let test_crash_injection_explores_more () =
   let impl = Protocols.from_tas () in
-  let count ~max_crashes =
+  let count k =
     let r =
       Wfc_sim.Exec.explore impl
         ~workloads:[| [ Ops.propose Value.truth ]; [ Ops.propose Value.falsity ] |]
-        ~max_crashes ()
+        ~faults:(crashes k) ()
     in
     r.Wfc_sim.Exec.leaves
   in
   Alcotest.(check bool) "crashes add executions" true
-    (count ~max_crashes:1 > count ~max_crashes:0)
+    (count 1 > count 0)
 
 (* a protocol that is correct without crashes but breaks when the winner
    dies between its TAS and publishing: the loser reads the proposal
@@ -433,7 +431,7 @@ let test_fragile_protocol_caught_by_crashes () =
      that an exhaustive explorer's unfair schedules already subsume the
      SAFETY consequences of crashes (a crash is a suffix of never being
      scheduled), so this protocol is flagged as non-wait-free even
-     crash-free; with [max_crashes] the same diagnosis arrives with a
+     crash-free; with crashes injected the same diagnosis arrives with a
      first-class crash scenario rather than a starved-schedule suspicion.
      Both must flag it. *)
   (match
@@ -442,7 +440,7 @@ let test_fragile_protocol_caught_by_crashes () =
   | Ok _ -> Alcotest.fail "starvation schedules must already expose the spin"
   | Error _ -> ());
   match
-    verify ~subsets:false ~repeat:false ~max_crashes:1 ~fuel:500
+    verify ~subsets:false ~repeat:false ~faults:(crashes 1) ~fuel:500
       (fragile_consensus ())
   with
   | Ok _ -> Alcotest.fail "crash injection must expose the hang"
@@ -453,14 +451,12 @@ let test_fragile_protocol_caught_by_crashes () =
 (* --- universal construction ---------------------------------------------------- *)
 
 let lin_ok name impl ~workloads =
-  match
-    Wfc_linearize.Linearizability.check_all_executions impl ~workloads ()
-  with
-  | Ok stats ->
+  match Wfc_linearize.Engine.verify impl ~workloads () with
+  | Ok st ->
     Alcotest.(check bool)
       (name ^ ": explored") true
-      (stats.Wfc_sim.Exec.leaves > 0)
-  | Error e -> Alcotest.failf "%s: %s" name e
+      (st.Wfc_linearize.Engine.explore.Wfc_sim.Explore.leaves > 0)
+  | Error v -> Alcotest.failf "%s: %s" name v.Wfc_linearize.Engine.reason
 
 let test_universal_sticky () =
   let target = Sticky.bit ~ports:2 in

@@ -15,6 +15,17 @@ let expect_ok name = function
   | Ok x -> x
   | Error e -> Alcotest.failf "%s: %s" name e
 
+(* every interleaving linearizable, or the first diagnosis *)
+let lin_all impl ~workloads =
+  Result.map_error
+    (fun v -> v.Wfc_linearize.Engine.reason)
+    (Wfc_linearize.Engine.verify impl ~workloads ())
+
+let is_linearizable ~spec ops =
+  match Wfc_linearize.Engine.check ~spec ops with
+  | Wfc_linearize.Engine.Linearizable _ -> true
+  | Wfc_linearize.Engine.Not_linearizable _ -> false
+
 (* --- E4: §4.3 bounded-use bit from one-use bits ----------------------------- *)
 
 let test_bit_count_formula () =
@@ -40,8 +51,7 @@ let test_bounded_bit_all_bases_one_use () =
 
 let lin_bounded_bit ?(init = false) ~reads ~writes ~writer_ops ~reader_ops () =
   let impl = Bounded_bit.from_one_use ~reads ~writes ~init () in
-  Wfc_linearize.Linearizability.check_all_executions impl
-    ~workloads:[| writer_ops; reader_ops |] ()
+  lin_all impl ~workloads:[| writer_ops; reader_ops |]
 
 let test_bounded_bit_atomic_small () =
   ignore
@@ -68,18 +78,15 @@ let test_bounded_bit_guard_same_value () =
   let impl = Bounded_bit.from_one_use ~reads:2 ~writes:1 ~init:false () in
   ignore
     (expect_ok "same-value writes"
-       (Wfc_linearize.Linearizability.check_all_executions impl
-          ~workloads:[| [ w Value.falsity; w Value.falsity ]; [ r; r ] |]
-          ()))
+       (lin_all impl
+          ~workloads:[| [ w Value.falsity; w Value.falsity ]; [ r; r ] |]))
 
 let test_bounded_bit_unguarded_toggles () =
   let impl =
     Bounded_bit.from_one_use ~guard:false ~reads:1 ~writes:1 ~init:false ()
   in
   match
-    Wfc_linearize.Linearizability.check_all_executions impl
-      ~workloads:[| [ w Value.falsity ]; [ r ] |]
-      ()
+    lin_all impl ~workloads:[| [ w Value.falsity ]; [ r ] |]
   with
   | Ok _ -> Alcotest.fail "unguarded same-value write must corrupt the bit"
   | Error _ -> ()
@@ -138,8 +145,7 @@ let prop_bounded_bit_random =
           ~pick_proc:sched.Wfc_sim.Schedulers.pick_proc
           ~pick_alt:sched.Wfc_sim.Schedulers.pick_alt ()
       in
-      Wfc_linearize.Linearizability.is_linearizable
-        ~spec:(Register.bit ~ports:2) leaf.Wfc_sim.Exec.ops)
+      is_linearizable ~spec:(Register.bit ~ports:2) leaf.Wfc_sim.Exec.ops)
 
 let test_bounded_bit_rectangular () =
   (* distinct read/write budgets: the array is genuinely rectangular *)
@@ -165,8 +171,7 @@ let test_bounded_bit_rectangular () =
       Alcotest.(check bool) "all ops done" true
         (List.length leaf.Wfc_sim.Exec.ops = reads + writes);
       Alcotest.(check bool) "history linearizable" true
-        (Wfc_linearize.Linearizability.is_linearizable
-           ~spec:(Register.bit ~ports:2) leaf.Wfc_sim.Exec.ops))
+        (is_linearizable ~spec:(Register.bit ~ports:2) leaf.Wfc_sim.Exec.ops))
     [ (1, 3); (5, 1); (3, 4); (6, 2) ]
 
 let test_bounded_bit_access_shape () =
@@ -591,8 +596,7 @@ let test_universal_three_procs_random () =
         ~pick_alt:sched.Wfc_sim.Schedulers.pick_alt ()
     in
     Alcotest.(check bool) "3-proc universal sticky linearizable" true
-      (Wfc_linearize.Linearizability.is_linearizable ~spec:target
-         leaf.Wfc_sim.Exec.ops)
+      (is_linearizable ~spec:target leaf.Wfc_sim.Exec.ops)
   done
 
 (* --- shape facts --------------------------------------------------------------------

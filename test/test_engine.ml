@@ -128,14 +128,10 @@ let test_long_multi_object_history () =
      per object — the compositional check now passes it *)
   let ops = rounds ~obj:0 ~proc:0 ~base:0 20 @ rounds ~obj:1 ~proc:1 ~base:0 20 in
   Alcotest.(check int) "80 ops" 80 (List.length ops);
-  (match Engine.check ~spec:bit ops with
+  match Engine.check ~spec:bit ops with
   | Engine.Linearizable w ->
     Alcotest.(check int) "witness covers every op" 80 (List.length w)
-  | Engine.Not_linearizable d -> Alcotest.failf "rejected: %s" d);
-  (* the facade takes the same route *)
-  Alcotest.(check bool)
-    "Linearizability.check agrees" true
-    (Wfc_linearize.Linearizability.is_linearizable ~spec:bit ops)
+  | Engine.Not_linearizable d -> Alcotest.failf "rejected: %s" d
 
 let contains_substring ~sub s =
   let n = String.length sub and m = String.length s in

@@ -247,21 +247,6 @@ let test_exec_explore_parity_under_faults () =
     "same node count" exec_stats.Wfc_sim.Exec.nodes
     explore_stats.Wfc_sim.Explore.nodes
 
-let test_crash_budget_merges_with_faults () =
-  (* legacy ?max_crashes and ?faults compose: the larger budget wins *)
-  let impl = Protocols.from_tas () in
-  let workloads =
-    [| [ Ops.propose Value.truth ]; [ Ops.propose Value.falsity ] |]
-  in
-  let with_faults =
-    Wfc_sim.Exec.explore impl ~workloads
-      ~faults:(Wfc_sim.Faults.crashes 1) ()
-  in
-  let with_legacy = Wfc_sim.Exec.explore impl ~workloads ~max_crashes:1 () in
-  Alcotest.(check int)
-    "identical tree" with_legacy.Wfc_sim.Exec.leaves
-    with_faults.Wfc_sim.Exec.leaves
-
 let () =
   Alcotest.run "wfc_faults"
     [
@@ -303,7 +288,5 @@ let () =
         [
           Alcotest.test_case "Exec.explore ≡ Explore.run naive under faults"
             `Quick test_exec_explore_parity_under_faults;
-          Alcotest.test_case "max_crashes ≡ Faults.crashes" `Quick
-            test_crash_budget_merges_with_faults;
         ] );
     ]

@@ -401,42 +401,78 @@ let test_save_tamper_rejected () =
 
 (* --- chaos plans ----------------------------------------------------------- *)
 
+(* The process side of the plan grammar; the wire side's rows are in
+   test_netfleet.ml. *)
+
+let side_name = function Chaos.Process -> "process" | Chaos.Wire -> "wire"
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
 let test_chaos_spec_roundtrip () =
-  let specs = [ "none"; "kill:3"; "stall:5"; "garbage:2"; "delay:0.5"; "kill:7,delay:1.5" ] in
   List.iter
     (fun s ->
-      match Chaos.of_spec s with
+      match Chaos.of_spec Process s with
       | Error e -> Alcotest.failf "of_spec %S: %s" s e
       | Ok p -> (
-        match Chaos.of_spec (Chaos.to_spec p) with
-        | Ok p' ->
-          Alcotest.(check string)
-            (Fmt.str "round-trip %S" s) (Chaos.to_spec p) (Chaos.to_spec p')
-        | Error e -> Alcotest.failf "re-parse of %S: %s" (Chaos.to_spec p) e))
-    specs;
+        Alcotest.(check string) (Fmt.str "canonical %S" s) s (Chaos.to_spec p);
+        match Chaos.of_spec Process (Chaos.to_spec p) with
+        | Ok p' -> Alcotest.(check bool) (Fmt.str "round-trip %S" s) true (p = p')
+        | Error e -> Alcotest.failf "re-parse of %S: %s" s e))
+    [ "none"; "kill:3"; "stall:5"; "garbage:2"; "delay:0.5"; "kill:7,delay:1.5" ];
   Alcotest.(check bool) "none is none" true
-    (match Chaos.of_spec "none" with Ok p -> Chaos.is_none p | Error _ -> false);
+    (match Chaos.of_spec Process "none" with
+    | Ok p -> Chaos.is_none p
+    | Error _ -> false);
   List.iter
     (fun s ->
-      match Chaos.of_spec s with
+      match Chaos.of_spec Process s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted bogus spec %S" s)
     [ "bogus"; "kill:x"; "kill"; "delay:abc"; "seed:1" ]
 
+(* Pinned draws: a changed RNG salt or draw order changes these plans. *)
 let test_chaos_seeded_deterministic () =
-  for worker = 0 to 7 do
-    let a = Chaos.seeded ~seed:42 ~worker in
-    let b = Chaos.seeded ~seed:42 ~worker in
-    Alcotest.(check string)
-      (Fmt.str "worker %d replayable" worker)
-      (Chaos.to_spec a) (Chaos.to_spec b);
-    match Chaos.of_spec (Fmt.str "seed:42:%d" worker) with
-    | Ok c ->
-      Alcotest.(check string)
-        (Fmt.str "seed spec expands, worker %d" worker)
-        (Chaos.to_spec a) (Chaos.to_spec c)
-    | Error e -> Alcotest.failf "seed spec: %s" e
-  done
+  List.iter
+    (fun (seed, index, expected) ->
+      let what = Fmt.str "seed:%d:%d" seed index in
+      let a = Chaos.seeded Process ~seed ~index in
+      Alcotest.(check string) ("pinned " ^ what) expected (Chaos.to_spec a);
+      Alcotest.(check bool)
+        ("replayable " ^ what) true
+        (a = Chaos.seeded Process ~seed ~index);
+      match Chaos.of_spec Process what with
+      | Ok c -> Alcotest.(check bool) ("seed spec expands, " ^ what) true (a = c)
+      | Error e -> Alcotest.failf "%s: %s" what e)
+    [
+      (0, 0, "garbage:178"); (0, 1, "delay:2.03055"); (1, 1, "garbage:1257");
+      (7, 3, "none"); (9, 1, "stall:297"); (42, 2, "kill:301");
+      (42, 3, "stall:235"); (42, 4, "kill:1313");
+    ]
+
+(* Each side refuses the other side's kinds, naming the kind. *)
+let test_chaos_cross_side_refusal () =
+  List.iter
+    (fun (side, s, kind) ->
+      match Chaos.of_spec side s with
+      | Ok _ -> Alcotest.failf "%s accepted %S" (side_name side) s
+      | Error e ->
+        Alcotest.(check bool)
+          (Fmt.str "%s refusal of %S names %s" (side_name side) s kind)
+          true
+          (contains e (kind ^ " is a")))
+    Chaos.
+      [
+        (Process, "reset:1", "reset"); (Process, "fragment", "fragment");
+        (Process, "latency:0-0.1", "latency"); (Process, "corrupt:2", "corrupt");
+        (Process, "jitter:7", "jitter");
+        (Process, "kill:3,partition:25:2.5", "partition");
+        (Wire, "kill:1", "kill"); (Wire, "stall:5", "stall");
+        (Wire, "garbage:2", "garbage"); (Wire, "delay:0.5", "delay");
+        (Wire, "partition:25:2.5,reset:60,kill:3", "kill");
+      ]
 
 (* --- backoff ---------------------------------------------------------------- *)
 
@@ -664,6 +700,8 @@ let () =
           Alcotest.test_case "spec round-trip" `Quick test_chaos_spec_roundtrip;
           Alcotest.test_case "seeded plans replayable" `Quick
             test_chaos_seeded_deterministic;
+          Alcotest.test_case "cross-side refusal" `Quick
+            test_chaos_cross_side_refusal;
         ] );
       ("backoff", [ Alcotest.test_case "jittered, capped, seeded" `Quick test_backoff ]);
       ( "fleet",

@@ -18,6 +18,13 @@ let mk_op ?(proc = 0) ?(op_index = 0) ~inv ~resp ~s ~e () : Wfc_sim.Exec.op =
 
 let bit = Register.bit ~ports:4
 
+module Engine = Wfc_linearize.Engine
+
+let is_linearizable ~spec ops =
+  match Engine.check ~spec ops with
+  | Engine.Linearizable _ -> true
+  | Engine.Not_linearizable _ -> false
+
 (* --- linearizability: hand-made histories -------------------------------- *)
 
 let test_lin_sequential () =
@@ -28,7 +35,7 @@ let test_lin_sequential () =
     ]
   in
   Alcotest.(check bool) "write;read linearizable" true
-    (Wfc_linearize.Linearizability.is_linearizable ~spec:bit ops)
+    (is_linearizable ~spec:bit ops)
 
 let test_lin_stale_read () =
   let ops =
@@ -38,7 +45,7 @@ let test_lin_stale_read () =
     ]
   in
   Alcotest.(check bool) "stale read not linearizable" false
-    (Wfc_linearize.Linearizability.is_linearizable ~spec:bit ops)
+    (is_linearizable ~spec:bit ops)
 
 let test_lin_overlap_both_ok () =
   let write =
@@ -50,7 +57,7 @@ let test_lin_overlap_both_ok () =
       Alcotest.(check bool)
         (Fmt.str "overlapping read may return %a" Value.pp v)
         true
-        (Wfc_linearize.Linearizability.is_linearizable ~spec:bit
+        (is_linearizable ~spec:bit
            [ write; read ]))
     [ Value.falsity; Value.truth ]
 
@@ -65,19 +72,19 @@ let test_lin_new_old_inversion () =
     ]
   in
   Alcotest.(check bool) "new/old inversion rejected" false
-    (Wfc_linearize.Linearizability.is_linearizable ~spec:bit ops)
+    (is_linearizable ~spec:bit ops)
 
 let test_lin_empty_history () =
   Alcotest.(check bool) "empty history linearizable" true
-    (Wfc_linearize.Linearizability.is_linearizable ~spec:bit [])
+    (is_linearizable ~spec:bit [])
 
 let test_lin_witness_order () =
   let w =
     mk_op ~proc:0 ~inv:(Ops.write Value.truth) ~resp:Ops.ok ~s:0 ~e:4 ()
   in
   let r = mk_op ~proc:1 ~inv:Ops.read ~resp:Value.truth ~s:1 ~e:2 () in
-  match Wfc_linearize.Linearizability.check ~spec:bit [ w; r ] with
-  | Wfc_linearize.Linearizability.Linearizable [ o1; o2 ] ->
+  match Engine.check ~spec:bit [ w; r ] with
+  | Engine.Linearizable [ o1; o2 ] ->
     (* the read saw the new value, so the write linearizes first *)
     Alcotest.(check int) "write first" 0 o1.Wfc_sim.Exec.proc;
     Alcotest.(check int) "read second" 1 o2.Wfc_sim.Exec.proc
@@ -92,7 +99,7 @@ let test_lin_tas_semantics () =
     ]
   in
   Alcotest.(check bool) "two winners impossible" false
-    (Wfc_linearize.Linearizability.is_linearizable ~spec:tas both_win);
+    (is_linearizable ~spec:tas both_win);
   let one_winner =
     [
       mk_op ~proc:0 ~inv:Ops.test_and_set ~resp:Value.falsity ~s:0 ~e:3 ();
@@ -100,7 +107,7 @@ let test_lin_tas_semantics () =
     ]
   in
   Alcotest.(check bool) "one winner fine" true
-    (Wfc_linearize.Linearizability.is_linearizable ~spec:tas one_winner)
+    (is_linearizable ~spec:tas one_winner)
 
 (* --- linearizability: whole implementations ------------------------------- *)
 
@@ -144,20 +151,20 @@ let torn_write_reg ~procs =
 let test_check_all_good_impl () =
   let impl = bit_from_two_bits ~procs:2 in
   match
-    Wfc_linearize.Linearizability.check_all_executions impl
+    Engine.verify impl
       ~workloads:
         [| [ Ops.write Value.truth; Ops.read ]; [ Ops.read; Ops.write Value.falsity ] |]
       ()
   with
-  | Ok stats -> Alcotest.(check bool) "leaves > 0" true (stats.Wfc_sim.Exec.leaves > 0)
-  | Error e -> Alcotest.failf "unexpected violation: %s" e
+  | Ok st ->
+    Alcotest.(check bool) "leaves > 0" true
+      (st.Engine.explore.Wfc_sim.Explore.leaves > 0)
+  | Error v -> Alcotest.failf "unexpected violation: %s" v.Engine.reason
 
 let test_check_all_torn_write () =
   let impl = torn_write_reg ~procs:2 in
   match
-    Wfc_linearize.Linearizability.check_all_executions impl
-      ~workloads:[| [ Ops.write (Value.int 1) ]; [ Ops.read ] |]
-      ()
+    Engine.verify impl ~workloads:[| [ Ops.write (Value.int 1) ]; [ Ops.read ] |] ()
   with
   | Ok _ -> Alcotest.fail "torn write should not be linearizable"
   | Error _ -> ()
@@ -185,9 +192,7 @@ let test_regular_not_atomic () =
   let workloads = [| [ Ops.write Value.truth ]; [ Ops.read; Ops.read ] |] in
   (* fails atomicity: two sequential reads inside one write window can see
      new then old *)
-  (match
-     Wfc_linearize.Linearizability.check_all_executions impl ~workloads ()
-   with
+  (match Engine.verify impl ~workloads () with
   | Ok _ -> Alcotest.fail "regular base should admit new/old inversion"
   | Error _ -> ());
   (* ... but every execution is regular *)
@@ -352,7 +357,7 @@ let prop_checker_matches_brute_force =
       in
       let ops = sequentialize (by_proc 0) @ sequentialize (by_proc 1) in
       let spec = Register.bit ~ports:2 in
-      let fast = Wfc_linearize.Linearizability.is_linearizable ~spec ops in
+      let fast = is_linearizable ~spec ops in
       let slow =
         brute_force_linearizable ~spec ~init:Value.falsity ops
       in
@@ -371,8 +376,7 @@ let prop_identity_always_linearizable =
       in
       let wl1 = [ Ops.read; Ops.write Value.truth ] in
       Result.is_ok
-        (Wfc_linearize.Linearizability.check_all_executions impl
-           ~workloads:[| wl0; wl1 |] ()))
+        (Engine.verify impl ~workloads:[| wl0; wl1 |] ()))
 
 let () =
   Alcotest.run "wfc_linearize"

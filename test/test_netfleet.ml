@@ -9,6 +9,7 @@
 module Checkpoint = Wfc_sim.Checkpoint
 module Faults = Wfc_sim.Faults
 module Transport = Wfc_fleet.Transport
+module Chaos = Wfc_fleet.Chaos
 module Netchaos = Wfc_fleet.Netchaos
 module Jobqueue = Wfc_fleet.Jobqueue
 module Coordinator = Wfc_fleet.Coordinator
@@ -87,58 +88,62 @@ let test_transport_tcp_roundtrip () =
   | exception Transport.Timeout op ->
     Alcotest.(check string) "names the operation" "read" op
 
-(* --- netchaos: plan specs --------------------------------------------------- *)
+(* --- netchaos: plan specs (the wire side of Chaos's grammar) ---------------- *)
 
 let test_netchaos_spec_roundtrip () =
-  let specs =
+  List.iter
+    (fun s ->
+      match Chaos.of_spec Wire s with
+      | Error e -> Alcotest.failf "of_spec %S: %s" s e
+      | Ok p -> (
+        Alcotest.(check string) (Fmt.str "canonical %S" s) s (Chaos.to_spec p);
+        match Chaos.of_spec Wire (Chaos.to_spec p) with
+        | Ok p' -> Alcotest.(check bool) (Fmt.str "round-trip %S" s) true (p = p')
+        | Error e -> Alcotest.failf "re-parse of %S: %s" s e))
     [
       "none"; "latency:0.001-0.01"; "partition:3:1.5"; "reset:4"; "fragment";
       "corrupt:2"; "latency:0-0.1,fragment,jitter:7";
-    ]
-  in
-  List.iter
-    (fun s ->
-      match Netchaos.of_spec s with
-      | Error e -> Alcotest.failf "of_spec %S: %s" s e
-      | Ok p -> (
-        match Netchaos.of_spec (Netchaos.to_spec p) with
-        | Ok p' ->
-          Alcotest.(check string)
-            (Fmt.str "round-trip %S" s) (Netchaos.to_spec p)
-            (Netchaos.to_spec p')
-        | Error e -> Alcotest.failf "re-parse of %S: %s" (Netchaos.to_spec p) e))
-    specs;
-  Alcotest.(check bool)
-    "none is none" true
-    (match Netchaos.of_spec "none" with
-    | Ok p -> Netchaos.is_none p
+    ];
+  Alcotest.(check bool) "none is none" true
+    (match Chaos.of_spec Wire "none" with
+    | Ok p -> Chaos.is_none p
     | Error _ -> false);
   List.iter
     (fun s ->
-      match Netchaos.of_spec s with
+      match Chaos.of_spec Wire s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted bogus spec %S" s)
-    [ "bogus"; "latency:abc"; "latency:5-1"; "partition:1"; "corrupt:0"; "reset:x" ]
+    [
+      "bogus"; "latency:abc"; "latency:5-1"; "partition:1"; "corrupt:0";
+      "reset:x"; "seed:1";
+    ]
 
+(* Pinned draws: a changed RNG salt or draw order changes these plans. *)
 let test_netchaos_seeded_deterministic () =
-  for stream = 0 to 7 do
-    let a = Netchaos.seeded ~seed:42 ~stream in
-    let b = Netchaos.seeded ~seed:42 ~stream in
-    Alcotest.(check string)
-      (Fmt.str "stream %d replayable" stream)
-      (Netchaos.to_spec a) (Netchaos.to_spec b);
-    match Netchaos.of_spec (Fmt.str "seed:42:%d" stream) with
-    | Ok c ->
-      Alcotest.(check string)
-        (Fmt.str "seed spec expands, stream %d" stream)
-        (Netchaos.to_spec a) (Netchaos.to_spec c)
-    | Error e -> Alcotest.failf "seed spec: %s" e
-  done
+  List.iter
+    (fun (seed, index, expected) ->
+      let what = Fmt.str "seed:%d:%d" seed index in
+      let a = Chaos.seeded Wire ~seed ~index in
+      Alcotest.(check string) ("pinned " ^ what) expected (Chaos.to_spec a);
+      Alcotest.(check bool)
+        ("replayable " ^ what) true
+        (a = Chaos.seeded Wire ~seed ~index);
+      match Chaos.of_spec Wire what with
+      | Ok c -> Alcotest.(check bool) ("seed spec expands, " ^ what) true (a = c)
+      | Error e -> Alcotest.failf "%s: %s" what e)
+    [
+      (0, 0, "jitter:652400093");
+      (1, 1, "latency:0.00129203-0.0483153,jitter:839171627");
+      (1, 3, "partition:25:1.68537,jitter:553054327");
+      (7, 3, "reset:15,jitter:157604669");
+      (9, 1, "corrupt:35,jitter:309645699");
+      (42, 3, "fragment,jitter:504684613");
+    ]
 
 (* --- netchaos: the pure fault schedule -------------------------------------- *)
 
 let plan_of s =
-  match Netchaos.of_spec s with
+  match Chaos.of_spec Wire s with
   | Ok p -> p
   | Error e -> Alcotest.fail e
 
@@ -225,7 +230,7 @@ let prop_stream_replay_deterministic =
   in
   Test.make ~count:200 ~name:"netchaos stream schedules replay exactly" arb
     (fun ((seed, stream), chunks) ->
-      let plan = Netchaos.seeded ~seed ~stream in
+      let plan = Chaos.seeded Wire ~seed ~index:stream in
       feed_all plan chunks = feed_all plan chunks)
 
 (* --- job queue --------------------------------------------------------------- *)

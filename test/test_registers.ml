@@ -61,9 +61,9 @@ let regular_check ~init ops =
     (Wfc_linearize.Register_props.check_regular ~init ops)
 
 let atomic_check ~spec ~init ops =
-  match Wfc_linearize.Linearizability.check ~spec ~init ops with
-  | Wfc_linearize.Linearizability.Linearizable _ -> Ok ()
-  | Wfc_linearize.Linearizability.Not_linearizable m -> Error m
+  match Wfc_linearize.Engine.check ~spec ~init ops with
+  | Wfc_linearize.Engine.Linearizable _ -> Ok ()
+  | Wfc_linearize.Engine.Not_linearizable m -> Error m
 
 (* --- C1: replication ----------------------------------------------------- *)
 
@@ -300,20 +300,19 @@ let prop_simpson_random_long_runs =
           ~pick_proc:sched.Wfc_sim.Schedulers.pick_proc
           ~pick_alt:sched.Wfc_sim.Schedulers.pick_alt ()
       in
-      Wfc_linearize.Linearizability.is_linearizable
-        ~spec:(Register.unbounded ~ports:2)
-        ~init:(Value.int 0) leaf.Wfc_sim.Exec.ops)
+      Result.is_ok
+        (atomic_check
+           ~spec:(Register.unbounded ~ports:2)
+           ~init:(Value.int 0) leaf.Wfc_sim.Exec.ops))
 
 (* --- atomic snapshots (E16) ----------------------------------------------------------- *)
 
 let snap_domain = [ Value.int 0; Value.int 1 ]
 
 let lin_snapshot impl ~workloads =
-  match
-    Wfc_linearize.Linearizability.check_all_executions impl ~workloads ()
-  with
-  | Ok stats -> Ok stats.Wfc_sim.Exec.leaves
-  | Error e -> Error e
+  match Wfc_linearize.Engine.verify impl ~workloads () with
+  | Ok st -> Ok st.Wfc_linearize.Engine.explore.Wfc_sim.Explore.leaves
+  | Error v -> Error v.Wfc_linearize.Engine.reason
 
 let test_snapshot_basic () =
   let impl = Snapshot.single_writer ~procs:2 ~domain:snap_domain () in
@@ -402,9 +401,9 @@ let prop_snapshot_three_procs_random =
           ~pick_proc:sched.Wfc_sim.Schedulers.pick_proc
           ~pick_alt:sched.Wfc_sim.Schedulers.pick_alt ()
       in
-      Wfc_linearize.Linearizability.is_linearizable
-        ~spec:(Snapshot_type.spec ~ports:3 ~domain:snap_domain)
-        leaf.Wfc_sim.Exec.ops)
+      let spec = Snapshot_type.spec ~ports:3 ~domain:snap_domain in
+      Result.is_ok (atomic_check ~spec ~init:spec.Type_spec.initial
+        leaf.Wfc_sim.Exec.ops))
 
 let test_snapshot_spec_is_525_material () =
   (* the snapshot TYPE is deterministic and non-oblivious: §5.2 must find a

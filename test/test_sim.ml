@@ -269,7 +269,7 @@ let test_crash_leaves_have_partial_ops () =
   let stats =
     Wfc_sim.Exec.explore impl
       ~workloads:[| [ Ops.test_and_set ]; [ Ops.test_and_set ] |]
-      ~max_crashes:1
+      ~faults:(Wfc_sim.Faults.crashes 1)
       ~on_leaf:(fun leaf ->
         match List.length leaf.Wfc_sim.Exec.ops with
         | 1 -> partial := true
@@ -289,7 +289,7 @@ let test_crash_budget_respected () =
   ignore
     (Wfc_sim.Exec.explore impl
        ~workloads:[| [ Ops.test_and_set ]; [ Ops.test_and_set ] |]
-       ~max_crashes:2
+       ~faults:(Wfc_sim.Faults.crashes 2)
        ~on_leaf:(fun leaf ->
          if leaf.Wfc_sim.Exec.ops = [] then empty_leaf := true)
        ());
@@ -303,7 +303,7 @@ let test_crash_mid_operation () =
   ignore
     (Wfc_sim.Exec.explore impl
        ~workloads:[| [ Ops.write Value.truth ]; [ Ops.read ] |]
-       ~max_crashes:1
+       ~faults:(Wfc_sim.Faults.crashes 1)
        ~on_leaf:(fun leaf ->
          let b0 = leaf.Wfc_sim.Exec.objects.(0)
          and b1 = leaf.Wfc_sim.Exec.objects.(1) in
