@@ -203,17 +203,11 @@ let load_resume ~name ~procs = function
     match Wfc_sim.Checkpoint.load file with
     | Error e -> Fmt.failwith "cannot load checkpoint %s: %s" file e
     | Ok ck ->
-      (match Wfc_sim.Checkpoint.meta_find ck "protocol" with
-      | Some p when not (String.equal p name) ->
+      (match Protocols.of_meta ~procs ck.Wfc_sim.Checkpoint.meta with
+      | Ok (p, _) when not (String.equal p name) ->
         Fmt.failwith "checkpoint %s was taken for protocol %s, not %s" file p
           name
-      | _ -> ());
-      (match
-         Option.bind
-           (Wfc_sim.Checkpoint.meta_find ck "procs")
-           int_of_string_opt
-       with
-      | Some k when k <> procs ->
+      | Ok (_, k) when k <> procs ->
         Fmt.failwith "checkpoint %s was taken with %d processes, not %d" file
           k procs
       | _ -> ());
@@ -262,8 +256,7 @@ let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
       let w =
         {
           w with
-          Wfc_sim.Witness.meta =
-            [ ("protocol", name); ("procs", string_of_int procs) ];
+          Wfc_sim.Witness.meta = Protocols.meta ~name ~procs;
         }
       in
       let oc = open_out file in
@@ -321,7 +314,7 @@ let verify_cmd =
     let interrupt =
       match checkpoint with None -> None | Some _ -> Some (arm_interrupt ())
     in
-    let meta = [ ("protocol", name); ("procs", string_of_int procs) ] in
+    let meta = Protocols.meta ~name ~procs in
     Option.iter (fun _ -> Wfc_sim.Sampler.start ()) profile_file;
     let verdict =
       Check.verify ~faults ?budget ?deadline_s ~engine ?checkpoint ?resume
@@ -466,7 +459,7 @@ let serve_cmd =
       Wfc_fleet.Coordinator.config ~lease_s ~quantum ~local_grace_s
         ?checkpoint ~log socket
     in
-    let meta = [ ("protocol", name); ("procs", string_of_int procs) ] in
+    let meta = Protocols.meta ~name ~procs in
     let interrupt = arm_interrupt () in
     let verdict, fstats =
       Wfc_fleet.Coordinator.serve ~faults ?budget ?deadline_s ?resume
@@ -717,9 +710,7 @@ let queue_cmd =
           Wfc_fleet.Coordinator.config ~lease_s ~quantum ~checkpoint ~log
             socket
         in
-        let meta =
-          [ ("protocol", j.protocol); ("procs", string_of_int j.procs) ]
-        in
+        let meta = Protocols.meta ~name:j.protocol ~procs:j.procs in
         match
           Wfc_fleet.Coordinator.serve
             ~faults:(Wfc_sim.Faults.crashes j.crashes)
@@ -809,9 +800,13 @@ let checkpoint_cmd =
         (match String.index_opt first_line ' ' with
         | Some i -> String.sub first_line 0 i
         | None -> first_line);
-      (match Wfc_sim.Checkpoint.meta_find ck "protocol" with
-      | Some p -> Fmt.pr "  protocol      %s@." p
-      | None -> ());
+      (match
+         Protocols.of_meta
+           ~procs:(Array.length ck.Wfc_sim.Checkpoint.workloads)
+           ck.Wfc_sim.Checkpoint.meta
+       with
+      | Ok (p, _) -> Fmt.pr "  protocol      %s@." p
+      | Error _ -> ());
       Fmt.pr "  processes     %d@."
         (Array.length ck.Wfc_sim.Checkpoint.workloads);
       Fmt.pr "  engine        dedup=%s por=%b@."
@@ -833,11 +828,14 @@ let checkpoint_cmd =
         c.Wfc_sim.Checkpoint.evictions
         (if c.Wfc_sim.Checkpoint.probabilistic then " (probabilistic dedup)"
          else "");
-      List.iter
-        (fun (k, v) ->
-          if String.length k >= 6 && String.sub k 0 6 = "check." then
-            Fmt.pr "  %-13s %s@." (String.sub k 6 (String.length k - 6)) v)
-        ck.Wfc_sim.Checkpoint.meta;
+      (match Check.ledger_of_checkpoint ck with
+      | Ok ledger ->
+        (* each entry as stored, named without its [check.] prefix *)
+        List.iter
+          (fun (k, v) ->
+            Fmt.pr "  %-13s %s@." (List.nth (String.split_on_char '.' k) 1) v)
+          (Check.ledger_meta ledger)
+      | Error _ -> ());
       0
   in
   let info_cmd =
@@ -1112,21 +1110,16 @@ let replay_cmd =
       Fmt.pr "cannot parse %s: %s@." file e;
       1
     | Ok w -> (
-      let name =
-        match List.assoc_opt "protocol" w.Wfc_sim.Witness.meta with
-        | Some n -> n
-        | None ->
-          Fmt.failwith "witness has no 'meta protocol' line; cannot rebuild \
-                        the implementation"
-      in
-      let procs =
+      let name, procs =
         match
-          Option.bind
-            (List.assoc_opt "procs" w.Wfc_sim.Witness.meta)
-            int_of_string_opt
+          Protocols.of_meta
+            ~procs:(Array.length w.Wfc_sim.Witness.workloads)
+            w.Wfc_sim.Witness.meta
         with
-        | Some p -> p
-        | None -> Array.length w.Wfc_sim.Witness.workloads
+        | Ok np -> np
+        | Error e ->
+          Fmt.failwith "witness %s: %s; cannot rebuild the implementation" file
+            e
       in
       let impl = make_protocol ~procs name in
       Fmt.pr "replaying %s (%a)@." file Wfc_program.Implementation.pp_summary
@@ -1150,33 +1143,11 @@ let replay_cmd =
               Value.pp o.resp)
           leaf.Wfc_sim.Exec.ops;
         (* re-diagnose agreement/validity against the workloads' proposals *)
-        let inputs =
-          Array.to_list w.Wfc_sim.Witness.workloads
-          |> List.concat_map (fun wl ->
-                 match wl with
-                 | inv :: _ -> (
-                   match Ops.propose_arg inv with
-                   | v -> [ v ]
-                   | exception Value.Type_error _ -> [])
-                 | [] -> [])
-        in
-        (match leaf.Wfc_sim.Exec.ops with
-        | [] -> Fmt.pr "no operation completed on this path.@."
-        | o0 :: rest ->
-          let agreement =
-            List.for_all
-              (fun (o : Wfc_sim.Exec.op) -> Value.equal o.resp o0.resp)
-              rest
-          in
-          let validity =
-            inputs = [] || List.exists (Value.equal o0.resp) inputs
-          in
-          if agreement && validity then
-            Fmt.pr "agreement and validity hold on this path.@."
-          else
-            Fmt.pr "VIOLATION reproduced:%s%s@."
-              (if agreement then "" else " agreement broken")
-              (if validity then "" else " validity broken"));
+        let inputs = Check.inputs_of_workloads w.Wfc_sim.Witness.workloads in
+        (match (leaf.Wfc_sim.Exec.ops, Check.check_leaf ~inputs leaf) with
+        | [], _ -> Fmt.pr "no operation completed on this path.@."
+        | _, Ok () -> Fmt.pr "agreement and validity hold on this path.@."
+        | _, Error reason -> Fmt.pr "VIOLATION reproduced: %s@." reason);
         0)
   in
   Cmd.v

@@ -1,6 +1,7 @@
 open Wfc_spec
 open Wfc_zoo
 open Wfc_program
+open Wfc_sim
 
 type violation = {
   participants : int list;
@@ -18,6 +19,25 @@ type report = {
   degraded : int;
   evictions : int;
 }
+
+let empty_report =
+  {
+    vectors = 0;
+    executions = 0;
+    max_events = 0;
+    max_op_steps = 0;
+    degraded = 0;
+    evictions = 0;
+  }
+
+let add_counts r (k : Checkpoint.counts) =
+  {
+    r with
+    executions = r.executions + k.leaves;
+    max_events = max r.max_events k.max_events;
+    max_op_steps = max r.max_op_steps k.max_op_steps;
+    evictions = r.evictions + k.evictions;
+  }
 
 type verdict =
   | Verified of report
@@ -116,6 +136,32 @@ let bad_leaf ~workloads leaf =
   let inputs = inputs_of_workloads workloads in
   inputs <> [] && Result.is_error (check_leaf ~inputs leaf)
 
+(* A violation of the job over [workloads]: participants and inputs are the
+   ones the workloads encode. *)
+let violation_of ~workloads reason ops witness =
+  let inputs = inputs_of_workloads workloads in
+  { participants = List.map fst inputs; inputs; reason; ops; witness }
+
+(* --- witness validation: a witness, a worker's or the shrinker's, is
+   trusted only once it replays here --------------------------------------- *)
+
+let replay_violation impl ?fuel ~reason (w : Witness.t) =
+  match Witness.replay impl w with
+  | Error e -> Error (Fmt.str "witness does not replay: %s" e)
+  | Ok leaf -> (
+    let workloads = w.Witness.workloads in
+    let violation reason ops =
+      Ok (violation_of ~workloads reason ops (Some w))
+    in
+    match (check_leaf ~inputs:(inputs_of_workloads workloads) leaf, fuel) with
+    | Error confirmed, _ -> violation confirmed leaf.Exec.ops
+    (* not a bad leaf: a wait-freedom claim holds if the path is fuel-long *)
+    | Ok (), Some fuel when leaf.Exec.events >= fuel -> violation reason []
+    | Ok (), _ ->
+      Error
+        (Fmt.str "witness replays to a passing %d-event execution"
+           leaf.Exec.events))
+
 let shrink_violation impl (v : violation) =
   match v.witness with
   | None -> v
@@ -123,29 +169,13 @@ let shrink_violation impl (v : violation) =
     (* Only a violation whose replayed leaf fails the check is shrinkable by
        the leaf predicate; wait-freedom (overflow) witnesses replay the
        runaway path as-is. *)
-    match Wfc_sim.Witness.replay impl w with
-    | Ok leaf when bad_leaf ~workloads:w.Wfc_sim.Witness.workloads leaf -> (
-      let w' = Wfc_sim.Witness.shrink impl ~bad:bad_leaf w in
-      match Wfc_sim.Witness.replay impl w' with
-      | Ok leaf' ->
-        let inputs = inputs_of_workloads w'.Wfc_sim.Witness.workloads in
-        let reason =
-          match check_leaf ~inputs leaf' with
-          | Error r -> r
-          | Ok () -> v.reason
-        in
-        {
-          participants = List.map fst inputs;
-          inputs;
-          reason;
-          ops = leaf'.Wfc_sim.Exec.ops;
-          witness = Some w';
-        }
+    match Witness.replay impl w with
+    | Ok leaf when bad_leaf ~workloads:w.Witness.workloads leaf -> (
+      let w' = Witness.shrink impl ~bad:bad_leaf w in
+      match replay_violation impl ~reason:v.reason w' with
+      | Ok v' -> v'
       | Error _ -> { v with witness = Some w' })
     | _ -> v)
-
-(* Local control-flow exception: the global budget/deadline ran out. *)
-exception Exhausted of string
 
 (* --- the (subset, input-vector) job enumeration -------------------------------
 
@@ -189,238 +219,263 @@ let vectors ?(subsets = true) ?(repeat = true)
         (vectors_over ~domain participants))
     participant_sets
 
-let verify ?(subsets = true) ?(repeat = true)
-    ?(domain = [ Value.falsity; Value.truth ]) ?(faults = Wfc_sim.Faults.none)
-    ?fuel ?budget ?deadline_s ?(shrink = true)
-    ?(engine = Wfc_sim.Explore.fast) ?checkpoint ?resume
-    ?mem_budget_mb ?interrupt ?(meta = []) (impl : Implementation.t) =
-  let all_vectors = vectors ~subsets ~repeat ~domain impl in
-  let deadline =
-    Option.map (fun s -> Wfc_sim.Monotime.now () +. s) deadline_s
-  in
-  let budget_left = ref budget in
-  let vectors = ref 0 in
-  let executions = ref 0 in
-  let max_events = ref 0 in
-  let max_op_steps = ref 0 in
-  let degraded = ref 0 in
-  let evictions = ref 0 in
-  let probabilistic = ref false in
-  (* Restore the cross-vector accumulators a previous run snapshotted into
-     the checkpoint's meta section, and remember at which vector (in the
-     deterministic subset × input-vector enumeration) to pick the search
-     back up. *)
-  let resume_at =
-    match resume with
-    | None -> None
-    | Some ck ->
-      let geti k =
-        match Wfc_sim.Checkpoint.meta_find ck k with
-        | Some s -> (
-          match int_of_string_opt s with
-          | Some i -> i
-          | None ->
-            invalid_arg (Fmt.str "Check: bad %s in checkpoint meta" k))
-        | None ->
-          invalid_arg
-            (Fmt.str
-               "Check: checkpoint has no %s entry (not a verification \
-                checkpoint)"
-               k)
-      in
-      vectors := geti "check.vectors";
-      executions := geti "check.executions";
-      max_events := geti "check.max_events";
-      max_op_steps := geti "check.max_op_steps";
-      degraded := geti "check.degraded";
-      evictions := geti "check.evictions";
-      (* absent in checkpoints from before the Bloom tier: default clean *)
-      (match Wfc_sim.Checkpoint.meta_find ck "check.probabilistic" with
-      | Some "1" -> probabilistic := true
-      | _ -> ());
-      Some (geti "check.vector", ck)
-  in
-  let resume_pending = ref resume_at in
-  let last_pos = ref 0 in
-  let report () =
-    {
-      vectors = !vectors;
-      executions = !executions;
-      max_events = !max_events;
-      max_op_steps = !max_op_steps;
-      degraded = !degraded;
-      evictions = !evictions;
+(* --- one job: the per-vector search of [verify], the fleet worker and the
+   coordinator's local fallback -------------------------------------------- *)
+
+type job =
+  | Root of {
+      engine : Explore.options;
+      fuel : int;
+      faults : Faults.t;
+      workloads : Value.t list array;
     }
+  | Frontier of Checkpoint.t
+
+type job_result =
+  | Drained of Checkpoint.counts
+  | Cut of {
+      reason : string;
+      counts : Checkpoint.counts;
+      remainder : Checkpoint.t;
+    }
+  | Violated of violation
+
+let job_checkpoint ?budget_left impl = function
+  | Frontier ck -> ck
+  | Root { engine; fuel; faults; workloads } ->
+    let n_objs = Array.length impl.Implementation.objects in
+    Checkpoint.make ~engine ~fuel ?budget_left ~faults ~workloads
+      ~counts:(Checkpoint.zero_counts ~n_objs) ~frontier:[ [] ] ()
+
+let run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb ?checkpoint
+    ?(on_leaf = ignore) impl job =
+  let options, fuel, faults, workloads, resume_from =
+    match job with
+    | Root { engine; fuel; faults; workloads } ->
+      (engine, fuel, faults, workloads, None)
+    | Frontier ck ->
+      Checkpoint.(ck.engine, ck.fuel, ck.faults, ck.workloads, Some ck)
+  in
+  let inputs = inputs_of_workloads workloads in
+  let witness trace = Some (Witness.make ~workloads ~faults trace) in
+  (* The last checkpoint the engine hands over is a cut's remainder. A
+     resumed job runs in frontier mode anyway, so keeping one changes no
+     mode; a root job without a sink stays a plain DFS. *)
+  let last = ref None in
+  let keep ck = last := Some ck in
+  let checkpoint =
+    match (checkpoint, resume_from) with
+    | None, None -> None
+    | Some (interval, sink), _ -> Some (interval, fun ck -> keep ck; sink ck)
+    | None, Some _ -> Some (infinity, keep)
+  in
+  (* Agreement/validity read only operation values, never timestamps, so
+     the reduced engine is sound here (see {!Wfc_sim.Explore}'s soundness
+     envelope). That includes process-symmetry reduction: equal-input
+     participants get syntactically equal workloads (the [repeat] follow-up
+     proposal is a function of the input alone), and both predicates are
+     invariant under permuting them. *)
+  match
+    Explore.run impl ~workloads ~fuel ~faults ?budget ?deadline_s ~options
+      ~on_leaf_trace:(fun trace leaf ->
+        (match check_leaf ~inputs leaf with
+        | Ok () -> ()
+        | Error reason ->
+          let ops = leaf.Exec.ops in
+          raise (Found (violation_of ~workloads reason ops (witness trace))));
+        on_leaf ())
+      ?checkpoint ?resume_from ?interrupt ?mem_budget_mb ()
+  with
+  | exception Found v -> Violated v
+  | { Explore.overflows; overflow_trace; _ } when overflows > 0 ->
+    Violated
+      (violation_of ~workloads
+         (Fmt.str "%d path(s) exhausted fuel: not wait-free" overflows)
+         [] (Option.bind overflow_trace witness))
+  | stats -> (
+    let counts = Explore.counts_of_stats stats in
+    let cut reason =
+      let remainder =
+        match !last with Some ck -> ck | None -> job_checkpoint impl job
+      in
+      Cut { reason; counts; remainder }
+    in
+    match stats.Explore.completeness with
+    (* a Bloom-tier sweep drained too; [counts.probabilistic] says so *)
+    | Explore.(Exhaustive | Partial Probabilistic) -> Drained counts
+    | Explore.Partial Budget_exhausted -> cut "node budget exhausted"
+    | Explore.Partial Deadline_exceeded -> cut "deadline exceeded"
+    | Explore.Partial Interrupted -> cut "interrupted"
+    | Explore.Partial Stopped ->
+      (* the leaf callback above only ever raises Found, never Stop *)
+      assert false)
+
+(* --- the cross-vector ledger: the only writer and reader of the [check.*]
+   checkpoint keys ---------------------------------------------------------- *)
+
+type ledger = { vector : int; report : report; probabilistic : bool }
+
+let position_meta pos = [ ("check.vector", string_of_int pos) ]
+
+let ledger_meta { vector; report = r; probabilistic } =
+  position_meta vector
+  @ [
+      ("check.vectors", string_of_int r.vectors);
+      ("check.executions", string_of_int r.executions);
+      ("check.max_events", string_of_int r.max_events);
+      ("check.max_op_steps", string_of_int r.max_op_steps);
+      ("check.degraded", string_of_int r.degraded);
+      ("check.evictions", string_of_int r.evictions);
+      ("check.probabilistic", if probabilistic then "1" else "0");
+    ]
+
+let ledger_of_checkpoint ck =
+  let ( let* ) = Result.bind in
+  let int k =
+    match Checkpoint.meta_find ck k with
+    | None ->
+      Error
+        (Fmt.str "checkpoint has no %s entry (not a verification checkpoint)"
+           k)
+    | Some s ->
+      Option.to_result (int_of_string_opt s)
+        ~none:(Fmt.str "malformed %s entry %S" k s)
+  in
+  let* vector = int "check.vector" in
+  let* vectors = int "check.vectors" in
+  let* executions = int "check.executions" in
+  let* max_events = int "check.max_events" in
+  let* max_op_steps = int "check.max_op_steps" in
+  let* degraded = int "check.degraded" in
+  let* evictions = int "check.evictions" in
+  let report =
+    { vectors; executions; max_events; max_op_steps; degraded; evictions }
+  in
+  (* absent in checkpoints from before the Bloom tier: clean *)
+  let probabilistic =
+    Checkpoint.meta_find ck "check.probabilistic" = Some "1"
+  in
+  Ok { vector; report; probabilistic }
+
+let resume_ledger ~vectors ~engine ~fuel ~faults ck =
+  let refuse why = invalid_arg ("Check: cannot resume: " ^ why) in
+  match ledger_of_checkpoint ck with
+  | Error e -> refuse e
+  | Ok l -> (
+    match List.find_opt (fun v -> v.pos = l.vector) vectors with
+    | None ->
+      refuse
+        (Fmt.str
+           "checkpoint points at vector %d but only %d exist — was it taken \
+            with different subsets/repeat/domain settings?"
+           l.vector (List.length vectors))
+    | Some v -> (
+      match
+        Checkpoint.describe_mismatch ck ~engine ~fuel ~faults
+          ~workloads:v.workloads
+      with
+      | Some why -> refuse why
+      | None -> l))
+
+(* --- the verifier ---------------------------------------------------------- *)
+
+(* Local control-flow exception: the global budget/deadline ran out. *)
+exception Exhausted of string
+
+let no_counts = Checkpoint.zero_counts ~n_objs:0
+
+let verify ?(subsets = true) ?(repeat = true)
+    ?(domain = [ Value.falsity; Value.truth ]) ?(faults = Faults.none)
+    ?(fuel = Explore.default_fuel) ?budget ?deadline_s ?(shrink = true)
+    ?(engine = Explore.fast) ?checkpoint ?resume ?mem_budget_mb ?interrupt
+    ?(meta = []) (impl : Implementation.t) =
+  let all_vectors = vectors ~subsets ~repeat ~domain impl in
+  (* A checkpoint that is not this run's is refused before anything runs. *)
+  let resume =
+    Option.map
+      (fun ck ->
+        (resume_ledger ~vectors:all_vectors ~engine ~fuel ~faults ck, ck))
+      resume
+  in
+  (* The report so far; a vector's counts join it when its job returns. *)
+  let acc, probabilistic =
+    match resume with
+    | Some (l, _) -> (ref l.report, ref l.probabilistic)
+    | None -> (ref empty_report, ref false)
+  in
+  let deadline = Option.map (fun s -> Monotime.now () +. s) deadline_s in
+  let budget_left = ref budget in
+  (* One clock for periodic saves across the whole run: the engine's own
+     interval restarts with every vector, so a run of short vectors would
+     otherwise never save. A save during a job records the report as it
+     stood before the job, and a resume re-adds the vector's own counts. *)
+  let last_save = ref (Monotime.now ()) in
+  let save pos ck =
+    Option.iter
+      (fun (path, _) ->
+        let ledger =
+          { vector = pos; report = !acc; probabilistic = !probabilistic }
+        in
+        let meta = meta @ ledger_meta ledger in
+        Checkpoint.save (Checkpoint.with_meta ck meta) ~path;
+        last_save := Monotime.now ())
+      checkpoint
   in
   let remove_checkpoint () =
-    match checkpoint with
-    | Some (path, _) -> ( try Sys.remove path with Sys_error _ -> ())
-    | None -> ()
+    Option.iter
+      (fun (path, _) -> try Sys.remove path with Sys_error _ -> ())
+      checkpoint
+  in
+  let run pos job =
+    (match (checkpoint, job) with
+    | Some (_, interval), Root _
+      when Monotime.now () -. !last_save >= interval ->
+      save pos (job_checkpoint ?budget_left:!budget_left impl job)
+    | _ -> ());
+    (* The budget and deadline are global across all vectors: hand each job
+       what remains. *)
+    let result =
+      run_job ?budget:!budget_left
+        ?deadline_s:(Option.map (fun t -> t -. Monotime.now ()) deadline)
+        ?interrupt ?mem_budget_mb
+        ?checkpoint:
+          (Option.map (fun (_, interval) -> (interval, save pos)) checkpoint)
+        impl job
+    in
+    (* A resumed job's counts include its earlier segments, which the ledger
+       does not hold: its executions count in full, its evictions and nodes
+       from this segment on. *)
+    let base =
+      match job with Frontier ck -> ck.Checkpoint.counts | Root _ -> no_counts
+    in
+    let account (k : Checkpoint.counts) =
+      acc := add_counts !acc { k with evictions = k.evictions - base.evictions }
+    in
+    match result with
+    | Violated v -> raise (Found v)
+    | Cut { reason; counts; _ } ->
+      account counts;
+      raise (Exhausted reason)
+    | Drained k ->
+      account k;
+      if k.probabilistic then probabilistic := true;
+      budget_left :=
+        Option.map (fun b -> max 0 (b - (k.nodes - base.nodes))) !budget_left
+  in
+  let resume_pending = ref resume in
+  let run_vector v =
+    match !resume_pending with
+    | Some (l, _) when v.pos < l.vector -> ()
+    | Some (_, ck) ->
+      (* a resumed vector was already counted when first armed *)
+      resume_pending := None;
+      run v.pos (Frontier ck)
+    | None ->
+      acc := { !acc with vectors = (!acc).vectors + 1 };
+      run v.pos (Root { engine; fuel; faults; workloads = v.workloads })
   in
   try
-    List.iter
-      (fun { pos; participants; inputs; workloads } ->
-        last_pos := pos;
-        begin
-            let skip, this_resume =
-              match !resume_pending with
-              | Some (v0, _) when pos < v0 -> (true, None)
-              | Some (v0, ck) when pos = v0 ->
-                resume_pending := None;
-                (false, Some ck)
-              | _ -> (false, None)
-            in
-            if not skip then begin
-              (* A resumed vector was already counted when first armed. *)
-              (match this_resume with
-              | None -> incr vectors
-              | Some _ -> ());
-              (* Snapshot the accumulators {e excluding} this vector: a
-                 checkpoint taken mid-vector restores exactly this state and
-                 re-adds the vector's own contribution from its counts. *)
-              let vec_meta =
-                meta
-                @ [
-                    ("check.vector", string_of_int pos);
-                    ("check.vectors", string_of_int !vectors);
-                    ("check.executions", string_of_int !executions);
-                    ("check.max_events", string_of_int !max_events);
-                    ("check.max_op_steps", string_of_int !max_op_steps);
-                    ("check.degraded", string_of_int !degraded);
-                    ("check.evictions", string_of_int !evictions);
-                    ("check.probabilistic", if !probabilistic then "1" else "0");
-                  ]
-              in
-              (* The budget and deadline are global across all vectors: hand
-                 each exploration what remains. *)
-              let deadline_s_left =
-                Option.map (fun t -> t -. Wfc_sim.Monotime.now ()) deadline
-              in
-              (match deadline_s_left with
-              | Some s when s <= 0. ->
-                (* Tripping between vectors bypasses the engine's own
-                   checkpoint sink, so save a vector-boundary checkpoint:
-                   the empty trace prefix is the unexplored root of this
-                   whole vector. *)
-                (match checkpoint with
-                | Some (path, _) ->
-                  let ck =
-                    Wfc_sim.Checkpoint.make ~meta:vec_meta
-                      ~engine
-                      ~fuel:
-                        (Option.value fuel
-                           ~default:Wfc_sim.Explore.default_fuel)
-                      ?budget_left:!budget_left ~faults ~workloads
-                      ~counts:
-                        (Wfc_sim.Checkpoint.zero_counts
-                           ~n_objs:(Array.length impl.Implementation.objects))
-                      ~frontier:[ [] ] ()
-                  in
-                  Wfc_sim.Checkpoint.save ck ~path
-                | None -> ());
-                raise (Exhausted "deadline exceeded")
-              | _ -> ());
-              (* Leaves the resumed segment already emitted are not
-                 re-visited; fold them into the execution count up front. *)
-              let base =
-                match this_resume with
-                | Some ck -> ck.Wfc_sim.Checkpoint.counts
-                | None -> Wfc_sim.Checkpoint.zero_counts ~n_objs:0
-              in
-              executions := !executions + base.Wfc_sim.Checkpoint.leaves;
-              (* Agreement/validity read only operation values, never
-                 timestamps, so the reduced engine is sound here (see
-                 {!Wfc_sim.Explore}'s soundness envelope). That includes
-                 process-symmetry reduction: equal-input participants get
-                 syntactically equal workloads (the [repeat] follow-up
-                 proposal is a function of the input alone), and both
-                 predicates are invariant under permuting them. *)
-              let stats =
-                Wfc_sim.Explore.run impl ~workloads ?fuel ~faults
-                  ?budget:!budget_left ?deadline_s:deadline_s_left
-                  ~options:engine
-                  ~on_leaf_trace:(fun trace leaf ->
-                    incr executions;
-                    match check_leaf ~inputs leaf with
-                    | Ok () -> ()
-                    | Error reason ->
-                      raise
-                        (Found
-                           {
-                             participants;
-                             inputs;
-                             reason;
-                             ops = leaf.Wfc_sim.Exec.ops;
-                             witness =
-                               Some
-                                 (Wfc_sim.Witness.make ~workloads ~faults
-                                    trace);
-                           }))
-                  ?checkpoint ~checkpoint_meta:vec_meta
-                  ?resume_from:this_resume ?interrupt ?mem_budget_mb ()
-              in
-              (* The engine folds the resumed segment's counts into its
-                 stats; subtract that base wherever we accumulate, so it is
-                 not double-counted against the restored state. *)
-              evictions :=
-                !evictions
-                + (stats.Wfc_sim.Explore.evictions
-                  - base.Wfc_sim.Checkpoint.evictions);
-              if stats.Wfc_sim.Explore.max_events > !max_events then
-                max_events := stats.Wfc_sim.Explore.max_events;
-              if stats.Wfc_sim.Explore.max_op_steps > !max_op_steps then
-                max_op_steps := stats.Wfc_sim.Explore.max_op_steps;
-              (match stats.Wfc_sim.Explore.completeness with
-              | Wfc_sim.Explore.Exhaustive -> ()
-              | Wfc_sim.Explore.Partial Wfc_sim.Explore.Budget_exhausted ->
-                raise (Exhausted "node budget exhausted")
-              | Wfc_sim.Explore.Partial Wfc_sim.Explore.Deadline_exceeded ->
-                raise (Exhausted "deadline exceeded")
-              | Wfc_sim.Explore.Partial Wfc_sim.Explore.Interrupted ->
-                raise (Exhausted "interrupted")
-              | Wfc_sim.Explore.Partial Wfc_sim.Explore.Probabilistic ->
-                (* the vector finished — under a Bloom-tier dedup whose
-                   false positives can wrongly prune. Keep searching: a
-                   violation found later is still definitive; only a final
-                   clean sweep must be downgraded to Unknown. *)
-                probabilistic := true
-              | Wfc_sim.Explore.Partial Wfc_sim.Explore.Stopped ->
-                (* on_leaf_trace only ever raises Found, never Stop *)
-                assert false);
-              budget_left :=
-                Option.map
-                  (fun b ->
-                    max 0
-                      (b
-                      - (stats.Wfc_sim.Explore.nodes
-                        - base.Wfc_sim.Checkpoint.nodes)))
-                  !budget_left;
-              if stats.Wfc_sim.Explore.overflows > 0 then
-                raise
-                  (Found
-                     {
-                       participants;
-                       inputs;
-                       reason =
-                         Fmt.str "%d path(s) exhausted fuel: not wait-free"
-                           stats.Wfc_sim.Explore.overflows;
-                       ops = [];
-                       witness =
-                         Option.map
-                           (Wfc_sim.Witness.make ~workloads ~faults)
-                           stats.Wfc_sim.Explore.overflow_trace;
-                     })
-            end
-        end)
-      all_vectors;
-    (match !resume_pending with
-    | Some (v0, _) ->
-      invalid_arg
-        (Fmt.str
-           "Check: checkpoint points at vector %d but only %d exist — was it \
-            taken with different subsets/repeat/domain settings?"
-           v0 !last_pos)
-    | None -> ());
+    List.iter run_vector all_vectors;
     remove_checkpoint ();
     if !probabilistic then
       (* Every vector ran to completion, but at least one did so on the
@@ -428,11 +483,10 @@ let verify ?(subsets = true) ?(repeat = true)
          new subtree, so the clean sweep is a probabilistic claim, not a
          proof. (The run is over — resuming would not help — hence the
          checkpoint is removed above.) *)
-      Unknown
-        { partial = report (); reason = "probabilistic dedup (memory budget)" }
-    else Verified (report ())
+      Unknown { partial = !acc; reason = "probabilistic dedup (memory budget)" }
+    else Verified !acc
   with
   | Found v ->
     remove_checkpoint ();
     Falsified (if shrink then shrink_violation impl v else v)
-  | Exhausted reason -> Unknown { partial = report (); reason }
+  | Exhausted reason -> Unknown { partial = !acc; reason }

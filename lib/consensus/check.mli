@@ -49,6 +49,14 @@ type report = {
       (** dedup tables the memory watchdog migrated to the Bloom tier *)
 }
 
+val empty_report : report
+(** All zero: the report of a run that has checked nothing yet. *)
+
+val add_counts : report -> Wfc_sim.Checkpoint.counts -> report
+(** Fold a job's counts into a report — the one way both {!verify} and the
+    fleet coordinator do it: executions and evictions add up, the maxima
+    take the larger. *)
+
 type verdict =
   | Verified of report
   | Falsified of violation
@@ -117,25 +125,26 @@ val verify :
 
     {2 Resilience}
 
-    [checkpoint:(path, interval_s)] arms durable checkpointing: every
-    per-vector exploration periodically saves its unexplored frontier to
-    [path] (see {!Wfc_sim.Checkpoint}), tagged with the current position in
-    the deterministic subset × input-vector enumeration and the
-    cross-vector accumulators, so a budget-, deadline- or
-    interrupt-truncated run leaves a resumable file behind. The file is
-    deleted once a definitive {!Verified}/{!Falsified} verdict is reached;
-    it survives only an {!Unknown} cut. [meta] adds caller entries (e.g.
-    the protocol name) to every checkpoint written; keys must be space-free.
+    [checkpoint:(path, interval_s)] arms durable checkpointing: at least
+    every [interval_s] seconds of the whole run, and when it is cut by the
+    budget, the deadline or [interrupt], the unexplored frontier of the
+    current vector is saved to [path] (see {!Wfc_sim.Checkpoint}), with the
+    {!type:ledger} of the vectors before it. Between vectors the saved
+    frontier is the next vector's root. A budget-, deadline- or
+    interrupt-truncated run thus leaves a resumable file behind. The file
+    is deleted once a definitive {!Verified}/{!Falsified} verdict is
+    reached; it survives only an {!Unknown} cut. [meta] adds caller entries
+    (e.g. {!Protocols.meta}) to every checkpoint written; keys must be
+    space-free.
 
     [resume] continues a prior run from its loaded checkpoint: vectors
-    before the checkpointed one are skipped (their results were
-    accumulated into the checkpoint's meta), the checkpointed vector is
-    re-entered at its saved frontier, and the report is stitched across
-    segments — a resumed run that finishes reports the same verdict as an
-    uninterrupted one. Raises [Invalid_argument] when the checkpoint was
-    not written by this verifier or does not match the problem (the caller
-    chooses the remaining [budget]/[deadline_s]; they are {e not} read from
-    the checkpoint).
+    before the checkpointed one are skipped (their results are in its
+    ledger), the checkpointed vector is re-entered at its saved frontier,
+    and the report is stitched across segments — a resumed run that
+    finishes reports the same verdict as an uninterrupted one. A checkpoint
+    that {!resume_ledger} refuses raises [Invalid_argument] before anything
+    runs (the caller chooses the remaining [budget]/[deadline_s]; they are
+    {e not} read from the checkpoint).
 
     [interrupt] is polled by the engine at every node; setting it (e.g.
     from a SIGINT handler) makes the verdict
@@ -150,17 +159,17 @@ val result_exn : verdict -> (report, violation) result
     @raise Failure on {!Unknown} — callers that set no budget/deadline never
     see it. *)
 
-(** {2 The job enumeration and leaf predicate}
+(** {2 The job enumeration, the job and the ledger}
 
     The building blocks {!verify} is made of, exposed so the distributed
-    fleet ({!Wfc_fleet}) runs {e exactly} the same jobs with {e exactly} the
-    same per-execution predicate — fleet verdicts and single-process
-    verdicts are then statements about the same search. *)
+    fleet ({!Wfc_fleet}) runs {e exactly} the same jobs through {e exactly}
+    the same code — fleet verdicts and single-process verdicts are then
+    statements about the same search. *)
 
 type vector = {
   pos : int;
       (** 1-based position in the deterministic subset × input-vector
-          enumeration — the value checkpoint meta stores as [check.vector] *)
+          enumeration — the value a {!type:ledger} stores as [vector] *)
   participants : int list;
   inputs : (int * Wfc_spec.Value.t) list;
   workloads : Wfc_spec.Value.t list array;
@@ -189,10 +198,93 @@ val inputs_of_workloads :
     participants are the processes with a non-empty workload, their input
     the argument of their first proposal. *)
 
+type job =
+  | Root of {
+      engine : Wfc_sim.Explore.options;
+      fuel : int;
+      faults : Wfc_sim.Faults.t;
+      workloads : Wfc_spec.Value.t list array;
+    }  (** a problem searched from its root *)
+  | Frontier of Wfc_sim.Checkpoint.t  (** a problem resumed at a frontier *)
+
+type job_result =
+  | Drained of Wfc_sim.Checkpoint.counts
+      (** including a resumed job's earlier segments *)
+  | Cut of {
+      reason : string;  (** as {!Unknown} reports it *)
+      counts : Wfc_sim.Checkpoint.counts;  (** the job's counts so far *)
+      remainder : Wfc_sim.Checkpoint.t;
+          (** what is left, with no meta (a plain DFS: the whole job) *)
+    }
+  | Violated of violation
+      (** a leaf failed {!check_leaf}, or a path exhausted its fuel *)
+
+val run_job :
+  ?budget:int ->
+  ?deadline_s:float ->
+  ?interrupt:bool Atomic.t ->
+  ?mem_budget_mb:int ->
+  ?checkpoint:float * (Wfc_sim.Checkpoint.t -> unit) ->
+  ?on_leaf:(unit -> unit) ->
+  Implementation.t ->
+  job ->
+  job_result
+(** Search one job with {!check_leaf} at every leaf: the per-vector body of
+    {!verify}, of a fleet worker's shard and of the coordinator's local
+    fallback. A [Root] job without a [checkpoint] sink is a plain DFS; a
+    sink or a [Frontier] job runs {!Wfc_sim.Explore.run} in frontier mode.
+    [on_leaf] runs after each passing leaf. Raises [Invalid_argument] when a
+    [Frontier] checkpoint does not match its own problem. *)
+
+(** The cross-vector ledger a verification checkpoint carries: the report
+    of the vectors before the one its frontier belongs to. This module alone
+    writes and reads its meta keys: [check.vector], [check.vectors],
+    [check.executions], [check.max_events], [check.max_op_steps],
+    [check.degraded], [check.evictions] and [check.probabilistic]. *)
+type ledger = {
+  vector : int;  (** the {!vector.pos} the frontier belongs to *)
+  report : report;  (** its [vectors] count this vector too *)
+  probabilistic : bool;  (** an earlier vector drained on the Bloom tier *)
+}
+
+val ledger_meta : ledger -> (string * string) list
+
+val position_meta : int -> (string * string) list
+(** The [check.vector] entry alone, which a fleet shard job carries. *)
+
+val ledger_of_checkpoint : Wfc_sim.Checkpoint.t -> (ledger, string) result
+(** [Error] names the first missing or malformed key; an absent
+    [check.probabilistic] reads as clean. *)
+
+val resume_ledger :
+  vectors:vector list ->
+  engine:Wfc_sim.Explore.options ->
+  fuel:int ->
+  faults:Wfc_sim.Faults.t ->
+  Wfc_sim.Checkpoint.t ->
+  ledger
+(** The ledger of a checkpoint that a run over [vectors] resumes. Raises
+    [Invalid_argument "Check: cannot resume: …"] when a key is missing or
+    malformed, the vector is not in [vectors], or the checkpoint is another
+    problem's ({!Wfc_sim.Checkpoint.describe_mismatch}): {!verify} and the
+    fleet coordinator refuse a checkpoint with this one message. *)
+
+val replay_violation :
+  Implementation.t ->
+  ?fuel:int ->
+  reason:string ->
+  Wfc_sim.Witness.t ->
+  (violation, string) result
+(** Replay a witness and rebuild its violation from the replayed leaf. A
+    leaf that passes {!check_leaf} still confirms a wait-freedom claim
+    ([reason], no operations) when it is at least [fuel] events long.
+    [Error] when the witness does not replay or replays to a passing
+    execution. *)
+
 val shrink_violation : Implementation.t -> violation -> violation
 (** Delta-debug a violation's witness ({!Wfc_sim.Witness.shrink}) and
-    re-derive participants/inputs/reason/ops from the shrunk replay — the
-    minimization {!verify} applies before reporting {!Falsified}. *)
+    rebuild the violation from the shrunk witness ({!replay_violation}) —
+    the minimization {!verify} applies before reporting {!Falsified}. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -207,3 +207,16 @@ let of_name ?(procs = 2) = function
   | "broken" -> Ok (broken_register_only ())
   | p ->
     Error (Fmt.str "unknown protocol %s (try: %s)" p (String.concat ", " names))
+
+(* The [protocol]/[procs] entries that checkpoints, fleet jobs and witnesses
+   carry, so whoever loads one can rebuild the implementation. *)
+let meta ~name ~procs = [ ("protocol", name); ("procs", string_of_int procs) ]
+
+let of_meta ~procs entries =
+  match (List.assoc_opt "protocol" entries, List.assoc_opt "procs" entries) with
+  | None, _ -> Error "no protocol meta entry"
+  | Some name, None -> Ok (name, procs)
+  | Some name, Some s -> (
+    match int_of_string_opt s with
+    | Some procs -> Ok (name, procs)
+    | None -> Error (Fmt.str "malformed procs meta entry %S" s))

@@ -68,3 +68,12 @@ val of_name : ?procs:int -> string -> (Implementation.t, string) result
     matters for cas/cas-ids/sticky). The one name table shared by the CLI,
     witness replay and the fleet workers, so a serialized job always
     rebuilds the implementation it was created from. *)
+
+val meta : name:string -> procs:int -> (string * string) list
+(** The [protocol] and [procs] meta entries that checkpoints, fleet jobs and
+    witnesses carry: the one writer of these keys. *)
+
+val of_meta :
+  procs:int -> (string * string) list -> (string * int, string) result
+(** The one reader of {!meta}'s entries; [procs] when that entry is absent.
+    [Error] when there is no [protocol] entry or [procs] is malformed. *)

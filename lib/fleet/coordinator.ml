@@ -101,60 +101,21 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
       vecs
   in
   let complete i = vstates.(i).outstanding = 0 in
-  (* Resume a prior run (fleet or single-process — same file format): the
-     meta accumulators cover the vectors before the checkpointed one, the
-     checkpoint's counts are that vector's own partial progress, and its
-     frontier seeds that vector's root shard. Vectors after it re-run. *)
-  let ( base_vectors,
-        base_executions,
-        base_max_events,
-        base_max_op_steps,
-        base_degraded,
-        base_evictions,
-        base_probabilistic,
-        resume_at ) =
+  (* Resume a prior run (fleet or single-process — same file format), or
+     refuse it before the socket is bound: the ledger covers the vectors
+     before the checkpointed one, whose frontier seeds its root shard and
+     whose counts are its own partial progress. Vectors after it re-run. *)
+  let resume_at, base, base_probabilistic =
     match resume with
-    | None -> (0, 0, 0, 0, 0, 0, false, None)
+    | None -> (None, Check.empty_report, false)
     | Some ck ->
-      let geti k =
-        match Checkpoint.meta_find ck k with
-        | Some s -> (
-          match int_of_string_opt s with
-          | Some i -> i
-          | None -> invalid_arg (Fmt.str "Fleet: bad %s in checkpoint meta" k))
-        | None ->
-          invalid_arg
-            (Fmt.str
-               "Fleet: checkpoint has no %s entry (not a verification \
-                checkpoint)"
-               k)
+      let vectors = Array.to_list vecs in
+      let { Check.vector; report; probabilistic } =
+        Check.resume_ledger ~vectors ~engine ~fuel ~faults ck
       in
-      let v0 = geti "check.vector" in
-      if v0 < 1 || v0 > Array.length vecs then
-        invalid_arg
-          (Fmt.str
-             "Fleet: checkpoint points at vector %d but only %d exist — was \
-              it taken with different subsets/repeat/domain settings?"
-             v0 (Array.length vecs));
-      (match
-         Checkpoint.describe_mismatch ck ~engine ~fuel ~faults
-           ~workloads:vecs.(v0 - 1).Check.workloads
-       with
-      | Some why -> invalid_arg (Fmt.str "Fleet: cannot resume: %s" why)
-      | None -> ());
-      let prob =
-        match Checkpoint.meta_find ck "check.probabilistic" with
-        | Some "1" -> true
-        | _ -> false
-      in
-      ( geti "check.vectors" - v0,
-        geti "check.executions",
-        geti "check.max_events",
-        geti "check.max_op_steps",
-        geti "check.degraded",
-        geti "check.evictions",
-        prob,
-        Some (v0, ck) )
+      ( Some (vector, ck),
+        { report with vectors = report.Check.vectors - vector },
+        probabilistic )
   in
   let workers_seen = ref 0 in
   let lease_misses = ref 0 in
@@ -188,7 +149,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
   let make_shard ~vec ~frontier =
     let job =
       Checkpoint.make
-        ~meta:(meta @ [ ("check.vector", string_of_int vec) ])
+        ~meta:(meta @ Check.position_meta vec)
         ~engine ~fuel ~faults
         ~workloads:vecs.(vec - 1).Check.workloads
         ~counts:(Checkpoint.zero_counts ~n_objs) ~frontier ()
@@ -275,31 +236,35 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
       vstates;
     !acc
   in
+  (* The run's report with [acc] folded over the base ledger: lease misses
+     are the degradation events the run absorbed (re-attaches are
+     non-events and stay out of [degraded]). *)
+  let totals ~vectors acc =
+    let r = Check.add_counts base acc in
+    let degraded = r.Check.degraded + !lease_misses in
+    { r with Check.vectors = r.Check.vectors + vectors; degraded }
+  in
   let report () =
-    (* mirror of Check.report: lease misses are the degradation events the
-       run absorbed (re-attaches are non-events and stay out of
-       [degraded]) *)
-    let done_n = Array.fold_left (fun n vs -> if vs.outstanding = 0 then n + 1 else n) 0 vstates in
-    let progressing =
-      Array.exists (fun vs -> vs.outstanding > 0 && vs.counts.Checkpoint.leaves > 0) vstates
+    let done_n =
+      Array.fold_left
+        (fun n vs -> if vs.outstanding = 0 then n + 1 else n)
+        0 vstates
     in
-    let acc = fold_counts (Array.length vstates) in
-    {
-      Check.vectors =
-        (base_vectors + done_n + if progressing then 1 else 0);
-      executions = base_executions + acc.Checkpoint.leaves;
-      max_events = max base_max_events acc.Checkpoint.max_events;
-      max_op_steps = max base_max_op_steps acc.Checkpoint.max_op_steps;
-      degraded = base_degraded + !lease_misses;
-      evictions = base_evictions + acc.Checkpoint.evictions;
-    }
+    let progressing =
+      Array.exists
+        (fun vs -> vs.outstanding > 0 && vs.counts.Checkpoint.leaves > 0)
+        vstates
+    in
+    totals
+      ~vectors:(done_n + if progressing then 1 else 0)
+      (fold_counts (Array.length vstates))
   in
   (* A cut between results leaves a single-process-compatible checkpoint:
-     cut at the first incomplete vector v — accumulators cover the complete
+     cut at the first incomplete vector v — the ledger covers the complete
      vectors before it, counts carry v's folded partial progress, frontier
      is the union of v's outstanding shard prefixes. Vectors after v
      (complete or not) are re-run on resume, which is sound: their results
-     are not in the accumulators. *)
+     are not in the ledger. *)
   let flush_checkpoint () =
     match cfg.checkpoint with
     | None -> ()
@@ -315,26 +280,12 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
       | Some i ->
         let pos = i + 1 in
         let acc = fold_counts i in
-        let vec_meta =
-          meta
-          @ [
-              ("check.vector", string_of_int pos);
-              ("check.vectors", string_of_int (base_vectors + i + 1));
-              ( "check.executions",
-                string_of_int (base_executions + acc.Checkpoint.leaves) );
-              ( "check.max_events",
-                string_of_int
-                  (max base_max_events acc.Checkpoint.max_events) );
-              ( "check.max_op_steps",
-                string_of_int
-                  (max base_max_op_steps acc.Checkpoint.max_op_steps) );
-              ("check.degraded", string_of_int (base_degraded + !lease_misses));
-              ( "check.evictions",
-                string_of_int (base_evictions + acc.Checkpoint.evictions) );
-              ( "check.probabilistic",
-                if base_probabilistic || acc.Checkpoint.probabilistic then "1"
-                else "0" );
-            ]
+        let ledger =
+          {
+            Check.vector = pos;
+            report = totals ~vectors:pos acc;
+            probabilistic = base_probabilistic || acc.Checkpoint.probabilistic;
+          }
         in
         let frontier = ref [] in
         Queue.iter
@@ -357,8 +308,9 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
                 List.rev_append r.shard.job.Checkpoint.frontier !frontier)
           !orphans;
         let ck =
-          Checkpoint.make ~meta:vec_meta ~engine ~fuel
-            ?budget_left:!budget_left ~faults
+          Checkpoint.make
+            ~meta:(meta @ Check.ledger_meta ledger)
+            ~engine ~fuel ?budget_left:!budget_left ~faults
             ~workloads:vecs.(i).Check.workloads ~counts:vstates.(i).counts
             ~frontier:!frontier ()
         in
@@ -368,41 +320,6 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
              pos (List.length !frontier) path))
   in
   (* ---------- result handling ---------- *)
-  let validate_violation ~reason ~(witness : Witness.t) =
-    match Witness.replay impl witness with
-    | Error e -> Error (Fmt.str "witness does not replay: %s" e)
-    | Ok leaf -> (
-      let inputs =
-        Check.inputs_of_workloads witness.Witness.workloads
-      in
-      match Check.check_leaf ~inputs leaf with
-      | Error confirmed ->
-        Ok
-          {
-            Check.participants = List.map fst inputs;
-            inputs;
-            reason = confirmed;
-            ops = leaf.Exec.ops;
-            witness = Some witness;
-          }
-      | Ok () ->
-        (* Not a bad leaf — a wait-freedom claim is still honest when the
-           replayed path is fuel-long. *)
-        if leaf.Exec.events >= fuel then
-          Ok
-            {
-              Check.participants = List.map fst inputs;
-              inputs;
-              reason;
-              ops = [];
-              witness = Some witness;
-            }
-        else
-          Error
-            (Fmt.str
-               "witness replays to a passing %d-event execution (fuel %d)"
-               leaf.Exec.events fuel))
-  in
   let rec settle (s : shard) (outcome : Codec.outcome) =
     incr shards_run;
     match outcome with
@@ -435,7 +352,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
             parts
       end
     | Codec.Violation { reason; witness } -> (
-      match validate_violation ~reason ~witness with
+      match Check.replay_violation impl ~fuel ~reason witness with
       | Ok v -> raise (Found_v v)
       | Error why ->
         cfg.log (Fmt.str "shard %d: rejected violation claim: %s" s.sid why);

@@ -34,15 +34,17 @@
     dropped, and at most [max_conns] connections are held at once.
 
     {b Degradation to a single process.} On interrupt/deadline/budget cuts
-    the fleet flushes one {!Wfc_sim.Checkpoint} in exactly the format
-    {!Wfc_consensus.Check.verify} writes — cut at the first incomplete
-    vector, accumulators covering the complete vectors before it, frontier
-    the union of that vector's outstanding shard prefixes (later vectors
-    are re-run on resume, which is sound) — so [wfc verify --resume] picks
-    up a fleet run and vice versa. With a [checkpoint] path configured the
-    same file is also flushed every [checkpoint_interval_s] while the run
-    progresses, so even a SIGKILL'd coordinator resumes from a recent cut
-    (the crash-safety `wfc queue` builds on). *)
+    the fleet flushes one {!Wfc_sim.Checkpoint} as
+    {!Wfc_consensus.Check.verify} writes it — cut at the first incomplete
+    vector, the {!Wfc_consensus.Check.type-ledger} covering the complete
+    vectors before it, frontier the union of that vector's outstanding shard
+    prefixes (later vectors are re-run on resume, which is sound). Both
+    sides write, read and refuse checkpoints through [Wfc_consensus.Check]
+    alone, so [wfc verify --resume] picks up a fleet run and vice versa.
+    With a [checkpoint] path configured the same file is also flushed every
+    [checkpoint_interval_s] while the run progresses, so even a SIGKILL'd
+    coordinator resumes from a recent cut (the crash-safety `wfc queue`
+    builds on). *)
 
 open Wfc_program
 open Wfc_sim
@@ -119,8 +121,8 @@ val serve :
 (** Run the verification to a verdict, delegating to whatever workers
     connect. Parameters mirror {!Wfc_consensus.Check.verify} (same
     defaults, same verdict semantics, same checkpoint compatibility);
-    [meta] must include the [protocol] (and [procs]) entries workers use to
-    rebuild the implementation ({!Worker.impl_of_job}). [engine] is the
+    [meta] must include the {!Wfc_consensus.Protocols.meta} entries workers
+    rebuild the implementation from. [engine] is the
     per-worker engine configuration (default {!Explore.fast}).
     Never raises on worker misbehaviour; socket setup errors ([Unix_error])
     do propagate. *)

@@ -44,103 +44,28 @@ let config ?(name = Fmt.str "worker-%d" (Unix.getpid ())) ?token
 
 (* ---------- shard execution ---------- *)
 
-let counts_of_stats ~probabilistic (s : Explore.stats) =
-  {
-    Checkpoint.leaves = s.Explore.leaves;
-    nodes = s.Explore.nodes;
-    max_events = s.Explore.max_events;
-    max_op_steps = s.Explore.max_op_steps;
-    max_accesses = s.Explore.max_accesses;
-    overflows = s.Explore.overflows;
-    pruned = s.Explore.pruned;
-    sleep_skips = s.Explore.sleep_skips;
-    evictions = s.Explore.evictions;
-    spilled = s.Explore.spilled;
-    probabilistic;
-  }
-
-(* Local control flow: a leaf failed agreement/validity. *)
-exception Bad of string * Witness.t
-
-let exec_shard impl ~(job : Checkpoint.t) ?quantum ?interrupt
-    ?(on_leaf = fun ~leaves:_ -> ()) () =
-  let workloads = job.Checkpoint.workloads in
-  let faults = job.Checkpoint.faults in
-  let inputs = Wfc_consensus.Check.inputs_of_workloads workloads in
-  let tmp = Filename.temp_file "wfc-shard" ".ck" in
-  let remove_tmp () = try Sys.remove tmp with Sys_error _ -> () in
-  Fun.protect ~finally:remove_tmp @@ fun () ->
-  let leaves = ref 0 in
+let exec_shard impl ~(job : Checkpoint.t) ?quantum ?interrupt ?on_leaf () =
   match
-    Explore.run impl ~workloads ~fuel:job.Checkpoint.fuel ~faults
-      ?budget:quantum
-      ~options:job.Checkpoint.engine
-      ~on_leaf_trace:(fun trace leaf ->
-        incr leaves;
-        (match Wfc_consensus.Check.check_leaf ~inputs leaf with
-        | Ok () -> ()
-        | Error reason ->
-          raise (Bad (reason, Witness.make ~workloads ~faults trace)));
-        on_leaf ~leaves:!leaves)
-      ~checkpoint:(tmp, 1e9) ~checkpoint_meta:job.Checkpoint.meta
-      ~resume_from:job ?interrupt ()
+    Wfc_consensus.Check.run_job ?budget:quantum ?interrupt ?on_leaf impl
+      (Wfc_consensus.Check.Frontier job)
   with
-  | exception Bad (reason, witness) -> Codec.Violation { reason; witness }
   | exception Invalid_argument msg -> Codec.Refused msg
-  | stats ->
-    if stats.Explore.overflows > 0 then
-      match stats.Explore.overflow_trace with
-      | Some trace ->
-        Codec.Violation
-          {
-            reason =
-              Fmt.str "%d path(s) exhausted fuel: not wait-free"
-                stats.Explore.overflows;
-            witness = Witness.make ~workloads ~faults trace;
-          }
-      | None -> Codec.Refused "fuel overflow without a replayable trace"
-    else (
-      match stats.Explore.completeness with
-      | Explore.Exhaustive ->
-        Codec.Done
-          {
-            job with
-            Checkpoint.counts = counts_of_stats ~probabilistic:false stats;
-            frontier = [];
-            budget_left = None;
-          }
-      | Explore.Partial Explore.Probabilistic ->
-        Codec.Done
-          {
-            job with
-            Checkpoint.counts = counts_of_stats ~probabilistic:true stats;
-            frontier = [];
-            budget_left = None;
-          }
-      | Explore.Partial
-          ( Explore.Budget_exhausted | Explore.Deadline_exceeded
-          | Explore.Interrupted ) -> (
-        (* The engine flushed the remainder to the checkpoint sink on its
-           way out; that file is the Result payload. *)
-        match Checkpoint.load tmp with
-        | Ok ck -> Codec.Done ck
-        | Error e -> Codec.Refused (Fmt.str "cut shard lost its flush: %s" e))
-      | Explore.Partial Explore.Stopped ->
-        (* on_leaf_trace above never raises Exec.Stop *)
-        assert false)
+  | Wfc_consensus.Check.Drained counts ->
+    Codec.Done
+      { job with Checkpoint.counts; frontier = []; budget_left = None }
+  | Wfc_consensus.Check.Cut { remainder; _ } ->
+    Codec.Done (Checkpoint.with_meta remainder job.Checkpoint.meta)
+  | Wfc_consensus.Check.Violated { reason; witness = Some witness; _ } ->
+    Codec.Violation { reason; witness }
+  | Wfc_consensus.Check.Violated { witness = None; _ } ->
+    Codec.Refused "fuel overflow without a replayable trace"
 
 let impl_of_job (job : Checkpoint.t) =
-  match Checkpoint.meta_find job "protocol" with
-  | None -> Error "job carries no protocol meta entry"
-  | Some name ->
-    let procs =
-      match Checkpoint.meta_find job "procs" with
-      | Some s -> int_of_string_opt s
-      | None -> Some (Array.length job.Checkpoint.workloads)
-    in
-    (match procs with
-    | None -> Error "job carries a malformed procs meta entry"
-    | Some procs -> Wfc_consensus.Protocols.of_name ~procs name)
+  Result.bind
+    (Wfc_consensus.Protocols.of_meta
+       ~procs:(Array.length job.Checkpoint.workloads)
+       job.Checkpoint.meta)
+    (fun (name, procs) -> Wfc_consensus.Protocols.of_name ~procs name)
 
 (* ---------- the link ---------- *)
 
@@ -288,7 +213,10 @@ let run_lease link ~shard ~lease_s ~quantum ~job =
     let quit = ref false in
     let garbage_sent = ref false in
     let last_hb = ref (Monotime.now ()) in
-    let on_leaf ~leaves =
+    let passed = ref 0 in
+    let on_leaf () =
+      incr passed;
+      let leaves = !passed in
       (match cfg.chaos.Chaos.kill_after with
       | Some k when leaves >= k ->
         cfg.log (Fmt.str "chaos: dying at %d leaves" leaves);

@@ -59,20 +59,16 @@ val exec_shard :
   job:Checkpoint.t ->
   ?quantum:int ->
   ?interrupt:bool Atomic.t ->
-  ?on_leaf:(leaves:int -> unit) ->
+  ?on_leaf:(unit -> unit) ->
   unit ->
   Codec.outcome
-(** Run one shard to its verdict: resume the job checkpoint, apply
-    {!Wfc_consensus.Check.check_leaf} at every leaf, cut at [quantum] nodes
-    (or when [interrupt] is set) and return the flushed remainder. This is
-    {e the} shard semantics — the remote worker and the coordinator's local
-    fallback both call it, so degraded execution cannot diverge from
-    distributed execution. [on_leaf] is the caller's polling hook (sockets,
-    chaos); exceptions it raises propagate. *)
-
-val impl_of_job : Checkpoint.t -> (Implementation.t, string) result
-(** Rebuild the implementation a job verifies from its meta entries
-    ([protocol], [procs]) via {!Wfc_consensus.Protocols.of_name}. *)
+(** Run one shard: {!Wfc_consensus.Check.run_job} on the job's frontier,
+    cut at [quantum] nodes (or when [interrupt] is set). A drained shard and
+    a cut's remainder come back as [Done] values carrying the job's meta; no
+    file is written. The remote worker and the coordinator's local fallback
+    both call it, so degraded execution cannot diverge from distributed
+    execution. [on_leaf], run at each passing leaf, is the caller's polling
+    hook (sockets, chaos); exceptions it raises propagate. *)
 
 val run : config -> (unit, string) result
 (** Serve until the coordinator says [Shutdown] (or, with [persist],

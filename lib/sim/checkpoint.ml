@@ -81,17 +81,22 @@ let add_counts a b =
     probabilistic = a.probabilistic || b.probabilistic;
   }
 
-let make ?(meta = []) ~engine ~fuel ?budget_left ~faults ~workloads ~counts
-    ~frontier () =
+let with_meta t meta =
   List.iter
     (fun (k, v) ->
       if
         k = ""
         || String.exists (fun c -> c = ' ' || c = '\n') k
         || String.contains v '\n'
-      then invalid_arg "Checkpoint.make: meta keys/values must be line-safe")
+      then invalid_arg "Checkpoint: meta keys/values must be line-safe")
     meta;
-  { meta; engine; fuel; budget_left; faults; workloads; counts; frontier }
+  { t with meta }
+
+let make ?(meta = []) ~engine ~fuel ?budget_left ~faults ~workloads ~counts
+    ~frontier () =
+  with_meta
+    { meta; engine; fuel; budget_left; faults; workloads; counts; frontier }
+    meta
 
 (* --- serialization -----------------------------------------------------------
 

@@ -1,13 +1,14 @@
 (** Durable checkpoints for long exploration runs.
 
     A budgeted or interrupted {!Explore.run} no longer throws away the work
-    it did: in the TLC tradition, the engine periodically serializes its
+    it did: in the TLC tradition, the engine periodically hands its sink its
     {e unexplored frontier} — each pending subtree root identified by the
     replayable {!Faults.trace} prefix that reaches it — together with the
     accumulated statistics, the engine options and the problem configuration
-    (workloads, fuel, fault adversary). Resuming re-materializes every
-    frontier root by replaying its prefix and continues the search, with
-    [stats] and [completeness] stitched across segments.
+    (workloads, fuel, fault adversary), for the caller to {!save} or keep.
+    Resuming re-materializes every frontier root by replaying its prefix and
+    continues the search, with [stats] and [completeness] stitched across
+    segments.
 
     The file format is line-oriented text in the wfc-witness/1 style and
     reuses the {!Faults} line codec (fault budgets, degradations, workloads,
@@ -92,6 +93,9 @@ val make :
   t
 (** Raises [Invalid_argument] on meta entries that would corrupt the
     line-oriented format. *)
+
+val with_meta : t -> (string * string) list -> t
+(** Replace the meta entries, refusing bad ones as {!make} does. *)
 
 val to_string : t -> string
 

@@ -434,21 +434,6 @@ let add_counts (a : counters) (k : Checkpoint.counts) =
   a.spilled <- a.spilled + k.spilled;
   a.probabilistic <- a.probabilistic || k.probabilistic
 
-let counts_of_counters (c : counters) =
-  {
-    Checkpoint.leaves = c.leaves;
-    nodes = c.nodes;
-    max_events = c.max_events;
-    max_op_steps = c.max_op_steps;
-    max_accesses = Array.copy c.max_accesses;
-    overflows = c.overflows;
-    pruned = c.pruned;
-    sleep_skips = c.sleep_skips;
-    evictions = c.evictions;
-    spilled = c.spilled;
-    probabilistic = c.probabilistic;
-  }
-
 let engine_of_options (o : options) : Checkpoint.engine = o
 
 (* --- flat fingerprint encoding -----------------------------------------------
@@ -591,6 +576,24 @@ let stats_of c ~lim =
       | Some reason -> Partial reason
       | None -> if c.probabilistic then Partial Probabilistic else Exhaustive);
     overflow_trace = c.overflow_trace;
+  }
+
+(* A run is probabilistic when it (or a segment it resumed) evicted a table
+   to the Bloom tier, or resumed a checkpoint that says so. *)
+let counts_of_stats (s : stats) =
+  {
+    Checkpoint.leaves = s.leaves;
+    nodes = s.nodes;
+    max_events = s.max_events;
+    max_op_steps = s.max_op_steps;
+    max_accesses = Array.copy s.max_accesses;
+    overflows = s.overflows;
+    pruned = s.pruned;
+    sleep_skips = s.sleep_skips;
+    evictions = s.evictions;
+    spilled = s.spilled;
+    probabilistic =
+      s.evictions > 0 || s.completeness = Partial Probabilistic;
   }
 
 (* --- memory watchdog ---------------------------------------------------------
@@ -1683,8 +1686,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
     ?(dedup_threshold = default_dedup_threshold)
     ?(bloom_bits_log2 = Fingerprint.Bloom.default_bits_log2) ?tracker
     ?(on_leaf = no_on_leaf) ?(on_leaf_trace = no_on_leaf_trace)
-    ?checkpoint ?(checkpoint_meta = []) ?resume_from ?interrupt ?mem_budget_mb
-    () =
+    ?checkpoint ?resume_from ?interrupt ?mem_budget_mb () =
   if Array.length workloads <> impl.Implementation.procs then
     invalid_arg "Explore: workloads length must equal impl.procs";
   let user_tracker = Option.is_some tracker in
@@ -1796,20 +1798,19 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
     let save_ck remaining =
       match checkpoint with
       | None -> ()
-      | Some (path, _) ->
-        let ck =
-          Checkpoint.make ~meta:checkpoint_meta ~engine:options ~fuel
-            ?budget_left:(Option.map (fun b -> max 0 !b) lim.budget)
-            ~faults ~workloads ~counts:(counts_of_counters c)
-            ~frontier:remaining ()
-        in
-        Checkpoint.save ck ~path;
+      | Some (_, sink) ->
+        sink
+          (Checkpoint.make ~engine:options ~fuel
+             ?budget_left:(Option.map (fun b -> max 0 !b) lim.budget)
+             ~faults ~workloads
+             ~counts:(counts_of_stats (stats_of c ~lim))
+             ~frontier:remaining ());
         saved_any := true;
         last_save := Monotime.now ()
     in
     let maybe_save remaining =
       match checkpoint with
-      | Some (_, interval) when Monotime.now () -. !last_save >= interval ->
+      | Some (interval, _) when Monotime.now () -. !last_save >= interval ->
         save_ck (remaining ())
       | _ -> ()
     in

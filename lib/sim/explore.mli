@@ -150,7 +150,7 @@ type partial_reason =
   | Stopped  (** [on_leaf]/[on_leaf_trace] raised {!Exec.Stop} *)
   | Interrupted
       (** the [?interrupt] flag was set (e.g. by a SIGINT/SIGTERM handler);
-          if a checkpoint sink is armed, a final checkpoint was flushed
+          if a checkpoint sink is armed, it was handed a final checkpoint
           before returning *)
   | Probabilistic
       (** the run finished, but the memory watchdog forced the dedup
@@ -195,6 +195,10 @@ type stats = {
 val default_fuel : int
 (** The [?fuel] default (10_000) — exposed so callers building checkpoints
     ({!Check.verify}) use the same value the engine will. *)
+
+val counts_of_stats : stats -> Checkpoint.counts
+(** The counts a checkpoint of this run carries: the one conversion, used
+    for the checkpoints the engine hands its sink and for a drained run. *)
 
 val to_exec_stats : stats -> Exec.stats
 (** Forget the engine-specific counters (for callers exposing
@@ -285,8 +289,7 @@ val run :
   ?tracker:'a tracker ->
   ?on_leaf:(Exec.leaf -> unit) ->
   ?on_leaf_trace:(Faults.trace -> Exec.leaf -> unit) ->
-  ?checkpoint:string * float ->
-  ?checkpoint_meta:(string * string) list ->
+  ?checkpoint:float * (Checkpoint.t -> unit) ->
   ?resume_from:Checkpoint.t ->
   ?interrupt:bool Atomic.t ->
   ?mem_budget_mb:int ->
@@ -319,15 +322,15 @@ val run :
 
     {2 Resilience}
 
-    [checkpoint:(path, interval_s)] arms a checkpoint sink: the run switches
+    [checkpoint:(interval_s, sink)] arms a checkpoint sink: the run switches
     to frontier mode (breadth-first expansion into explicit pending
-    subtrees), and at least every [interval_s] seconds —
-    and always when the run is cut early by budget, deadline, [interrupt] or
-    {!Exec.Stop} — serializes the unexplored frontier, accumulated counts
-    and problem configuration to [path] (atomically, via rename; see
-    {!Checkpoint}). [checkpoint_meta] is stored verbatim for the caller.
-    A run that completes exhaustively does not need a checkpoint; the file
-    is refreshed (empty frontier) only if interval saves already wrote one.
+    subtrees), and whenever [interval_s] seconds have passed since it
+    started or last called [sink] — and always when it is cut early by
+    budget, deadline, [interrupt] or {!Exec.Stop} — hands [sink] a
+    {!Checkpoint.t} of the unexplored frontier, accumulated counts and
+    problem configuration, with no meta; the engine writes no file. A run
+    that completes exhaustively calls [sink] (with an empty frontier) only
+    if it called it before, so a saved copy can be refreshed.
 
     [resume_from] continues a checkpointed search: every frontier root is
     re-materialized by replaying its decision-trace prefix and exploration

@@ -518,7 +518,7 @@ let with_frontier f =
   let path = Filename.temp_file "wfc_frontier" ".ck" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () -> f (path, 3600.))
+    (fun () -> f (3600., fun ck -> Wfc_sim.Checkpoint.save ck ~path))
 
 let test_frontier_matches_sequential () =
   let impl = rw_impl ~procs:3 ~bits:2 ~coin:false in

@@ -749,7 +749,7 @@ let resumed ?faults ~budget ~options impl workloads =
   let rec go resume_from rounds =
     let s =
       Explore.run impl ~workloads ?faults ~options ~budget ?resume_from
-        ~checkpoint:(path, 3600.) ()
+        ~checkpoint:(3600., fun ck -> Wfc_sim.Checkpoint.save ck ~path) ()
     in
     match s.Explore.completeness with
     | Explore.Exhaustive -> s
@@ -864,7 +864,9 @@ let pinned_runs () =
     let path = Filename.temp_file "wfc_pinned" ".ck" in
     let s =
       Explore.run cas3 ~workloads:workloads3 ?faults ~options
-        ~dedup_threshold:0 ~checkpoint:(path, 3600.) ?mem_budget_mb ()
+        ~dedup_threshold:0
+        ~checkpoint:(3600., fun ck -> Wfc_sim.Checkpoint.save ck ~path)
+        ?mem_budget_mb ()
     in
     if Sys.file_exists path then Sys.remove path;
     s

@@ -399,6 +399,51 @@ let test_save_tamper_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a truncated checkpoint"
 
+(* A shard's remainder comes back as a value: with the temp directory
+   pointing nowhere, a cut shard and a drained one both still run, and
+   nothing is created there. *)
+let test_exec_shard_no_temp_files () =
+  let impl =
+    match Protocols.of_name ~procs:3 "sticky" with
+    | Ok impl -> impl
+    | Error e -> Alcotest.fail e
+  in
+  let meta = Protocols.meta ~name:"sticky" ~procs:3 in
+  let v = List.nth (Check.vectors impl) 20 in
+  let job =
+    Checkpoint.make ~meta ~engine:Wfc_sim.Explore.fast
+      ~fuel:Wfc_sim.Explore.default_fuel ~faults:Faults.none
+      ~workloads:v.Check.workloads
+      ~counts:(Checkpoint.zero_counts ~n_objs:1)
+      ~frontier:[ [] ] ()
+  in
+  let tmp = Filename.get_temp_dir_name () in
+  let nowhere =
+    Filename.concat tmp (Fmt.str "wfc-no-such-dir-%d" (Unix.getpid ()))
+  in
+  Filename.set_temp_dir_name nowhere;
+  let cut, drained =
+    Fun.protect
+      ~finally:(fun () -> Filename.set_temp_dir_name tmp)
+      (fun () ->
+        ( Wfc_fleet.Worker.exec_shard impl ~job ~quantum:3 (),
+          Wfc_fleet.Worker.exec_shard impl ~job () ))
+  in
+  (match cut with
+  | Codec.Done ck ->
+    Alcotest.(check bool) "cut: remainder left" true
+      (ck.Checkpoint.frontier <> []);
+    Alcotest.(check bool) "cut: job meta kept" true (ck.Checkpoint.meta = meta)
+  | _ -> Alcotest.fail "cut shard did not return its remainder");
+  (match drained with
+  | Codec.Done ck ->
+    Alcotest.(check bool) "drained" true (ck.Checkpoint.frontier = []);
+    Alcotest.(check bool) "drained: leaves counted" true
+      (ck.Checkpoint.counts.Checkpoint.leaves > 0)
+  | _ -> Alcotest.fail "shard did not drain");
+  Alcotest.(check bool) "temp directory untouched" false
+    (Sys.file_exists nowhere)
+
 (* --- chaos plans ----------------------------------------------------------- *)
 
 (* The process side of the plan grammar; the wire side's rows are in
@@ -659,6 +704,111 @@ let test_single_process_cut_resumes_in_fleet () =
     "executions cover the direct count" true
     (resumed.Check.executions >= direct.Check.executions)
 
+(* A checkpoint that is not this run's is refused by both sides with one
+   message, before the coordinator binds its socket. *)
+let test_resume_refusal_parity () =
+  let impl = impl_of "sticky" 3 in
+  let v1 = List.hd (Check.vectors impl) in
+  let bad ?(fuel = Wfc_sim.Explore.default_fuel) meta =
+    Checkpoint.make ~meta ~engine:Wfc_sim.Explore.fast ~fuel
+      ~faults:Faults.none ~workloads:v1.Check.workloads
+      ~counts:(Checkpoint.zero_counts ~n_objs:1)
+      ~frontier:[ [] ] ()
+  in
+  let ledger vector =
+    Check.ledger_meta
+      { Check.vector; report = Check.empty_report; probabilistic = false }
+  in
+  let refusal f =
+    match f () with
+    | _ -> Alcotest.fail "a bad checkpoint was accepted"
+    | exception Invalid_argument msg -> msg
+  in
+  List.iter
+    (fun (what, ck) ->
+      let single =
+        refusal (fun () -> ignore (Check.verify ~resume:ck impl))
+      in
+      let socket = fresh_socket () in
+      let fleet =
+        refusal (fun () ->
+            ignore
+              (Coordinator.serve ~resume:ck
+                 ~meta:(Protocols.meta ~name:"sticky" ~procs:3)
+                 ~config:(Coordinator.config socket) impl))
+      in
+      Alcotest.(check string) (what ^ ": same message") single fleet;
+      Alcotest.(check bool)
+        (what ^ ": refused before listening")
+        false (Sys.file_exists socket))
+    [
+      ("no ledger", bad [ ("protocol", "sticky") ]);
+      ( "malformed key",
+        bad
+          (List.map
+             (fun (k, v) -> if k = "check.executions" then (k, "x") else (k, v))
+             (ledger 1)) );
+      ("vector out of range", bad (ledger 999));
+      ("another problem", bad ~fuel:7 (ledger 1));
+    ]
+
+(* The fleet, cut by its budget right after vector k-1 drained, and the
+   single process, cut inside vector k, both checkpoint vector k with the
+   same ledger. A quantum larger than any vector makes every shard a whole
+   vector, run in frontier mode like an armed single-process vector. *)
+let test_cut_ledgers_agree () =
+  let impl = impl_of "sticky" 3 in
+  let k = 6 in
+  let nodes_before_k =
+    List.fold_left
+      (fun acc (v : Check.vector) ->
+        if v.Check.pos >= k then acc
+        else
+          let s =
+            Wfc_sim.Explore.run impl ~workloads:v.Check.workloads
+              ~options:Wfc_sim.Explore.fast
+              ~checkpoint:(infinity, ignore) ()
+          in
+          acc + s.Wfc_sim.Explore.nodes)
+      0 (Check.vectors impl)
+  in
+  let ledger_of path =
+    match Checkpoint.load path with
+    | Error e -> Alcotest.failf "checkpoint unreadable: %s" e
+    | Ok ck -> (
+      match Check.ledger_of_checkpoint ck with
+      | Ok l -> l
+      | Error e -> Alcotest.failf "no ledger: %s" e)
+  in
+  let single_ck = Filename.temp_file "wfc_single_cut" ".ck" in
+  let fleet_ck = Filename.temp_file "wfc_fleet_cut" ".ck" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ single_ck; fleet_ck ])
+  @@ fun () ->
+  (match
+     Check.verify ~budget:(nodes_before_k + 1)
+       ~checkpoint:(single_ck, 3600.) impl
+   with
+  | Check.Unknown _ -> ()
+  | v -> Alcotest.failf "single process not cut: %a" Check.pp_verdict v);
+  let config =
+    Coordinator.config ~quantum:100_000 ~local_grace_s:0.01
+      ~checkpoint:fleet_ck (fresh_socket ())
+  in
+  (match
+     Coordinator.serve ~budget:nodes_before_k
+       ~meta:(Protocols.meta ~name:"sticky" ~procs:3)
+       ~config impl
+   with
+  | Check.Unknown _, _ -> ()
+  | v, _ -> Alcotest.failf "fleet not cut: %a" Check.pp_verdict v);
+  let single = ledger_of single_ck and fleet = ledger_of fleet_ck in
+  Alcotest.(check int) "single process cut at vector k" k single.Check.vector;
+  Alcotest.(check bool) "equal check.* entries" true (single = fleet)
+
 (* --------------------------------------------------------------------------- *)
 
 let () =
@@ -694,6 +844,8 @@ let () =
           Alcotest.test_case "add_counts merges ledgers" `Quick test_add_counts;
           Alcotest.test_case "tampered checkpoint rejected" `Quick
             test_save_tamper_rejected;
+          Alcotest.test_case "exec_shard leaves tmp dir untouched" `Quick
+            test_exec_shard_no_temp_files;
         ] );
       ( "chaos-plans",
         [
@@ -718,5 +870,9 @@ let () =
             test_fleet_cut_resumes_in_single_process;
           Alcotest.test_case "single-process cut resumes in the fleet" `Slow
             test_single_process_cut_resumes_in_fleet;
+          Alcotest.test_case "refusal parity with Check.verify" `Quick
+            test_resume_refusal_parity;
+          Alcotest.test_case "cut ledgers equal at one vector" `Quick
+            test_cut_ledgers_agree;
         ] );
     ]

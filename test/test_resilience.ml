@@ -195,7 +195,7 @@ let test_resume_refuses_other_mode () =
   let path = temp_ck () in
   let stats =
     Explore.run impl ~workloads:workloads3 ~options:Explore.fast ~budget:20
-      ~checkpoint:(path, 3600.) ()
+      ~checkpoint:(3600., fun ck -> Checkpoint.save ck ~path) ()
   in
   Alcotest.(check bool) "budget cut the run" true
     (completeness_of stats <> Explore.Exhaustive);
@@ -418,7 +418,7 @@ let test_explore_budget_checkpoint_resume () =
          checkpoint/resume segments *)
       Explore.run impl ~workloads:workloads3 ~options:Explore.naive ~budget:60
         ?resume_from
-        ~checkpoint:(path, 3600.) ()
+        ~checkpoint:(3600., fun ck -> Checkpoint.save ck ~path) ()
     in
     match completeness_of stats with
     | Explore.Exhaustive -> (stats, rounds)
@@ -449,7 +449,7 @@ let test_explore_interrupt_flush_and_resume () =
   let flag = Atomic.make true in
   let stats =
     Explore.run impl ~workloads:workloads3 ~options:Explore.naive
-      ~interrupt:flag ~checkpoint:(path, 3600.) ()
+      ~interrupt:flag ~checkpoint:(3600., fun ck -> Checkpoint.save ck ~path) ()
   in
   (match completeness_of stats with
   | Explore.Partial Explore.Interrupted -> ()
@@ -586,6 +586,96 @@ let test_verify_interrupt_resume_parity () =
   | v -> Alcotest.failf "expected Verified after resume, got %a" Check.pp_verdict v);
   Alcotest.(check bool) "checkpoint removed" false (Sys.file_exists path)
 
+(* Every vector of cas n=5 under two crashes and two recoveries takes a few
+   milliseconds, far below the interval, while the whole run takes many
+   intervals: a periodic save must still land while the run goes on, so a
+   killed run keeps its progress. A poller interrupts the run as soon as the
+   file appears; the file then resumes to a verdict over every vector. *)
+let test_verify_periodic_save_across_vectors () =
+  let impl = Protocols.from_cas ~procs:5 () in
+  let faults = Faults.crash_recovery ~crashes:2 ~recoveries:2 in
+  let path = temp_ck () in
+  Sys.remove path;
+  let interrupt = Atomic.make false in
+  let stop = Atomic.make false in
+  let poller =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop || Sys.file_exists path) do
+          Unix.sleepf 0.002
+        done;
+        Atomic.set interrupt true)
+  in
+  let verdict =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join poller)
+      (fun () ->
+        Check.verify ~faults ~checkpoint:(path, 0.05) ~interrupt impl)
+  in
+  (match verdict with
+  | Check.Unknown { reason = "interrupted"; _ } -> ()
+  | v ->
+    Alcotest.failf "no periodic save while the run went on: %a"
+      Check.pp_verdict v);
+  let ck =
+    match Checkpoint.load path with
+    | Ok ck -> ck
+    | Error e -> Alcotest.failf "checkpoint unreadable: %s" e
+  in
+  match Check.verify ~faults ~checkpoint:(path, 3600.) ~resume:ck impl with
+  | Check.Verified r ->
+    Alcotest.(check int) "every vector checked"
+      (List.length (Check.vectors impl))
+      r.Check.vectors;
+    Alcotest.(check bool) "checkpoint removed" false (Sys.file_exists path)
+  | v ->
+    Alcotest.failf "expected Verified after resume, got %a" Check.pp_verdict v
+
+(* The ledger a checkpoint carries reads back as it was written, through
+   the text format; an absent [check.probabilistic] reads as clean, and a
+   missing key is named. *)
+let test_ledger_roundtrip () =
+  let ledger =
+    {
+      Check.vector = 7;
+      report =
+        {
+          Check.vectors = 7;
+          executions = 123;
+          max_events = 9;
+          max_op_steps = 2;
+          degraded = 1;
+          evictions = 3;
+        };
+      probabilistic = true;
+    }
+  in
+  let with_meta meta =
+    let ck =
+      Checkpoint.make ~meta ~engine:Explore.fast ~fuel:Explore.default_fuel
+        ~faults:Faults.none ~workloads:workloads3
+        ~counts:(Checkpoint.zero_counts ~n_objs:1)
+        ~frontier:[ [] ] ()
+    in
+    match Checkpoint.of_string (Checkpoint.to_string ck) with
+    | Ok ck -> Check.ledger_of_checkpoint ck
+    | Error e -> Alcotest.failf "round trip: %s" e
+  in
+  let meta = ("protocol", "cas") :: Check.ledger_meta ledger in
+  let without k = List.filter (fun (k', _) -> k' <> k) meta in
+  (match with_meta meta with
+  | Ok l -> Alcotest.(check bool) "ledger round-trips" true (l = ledger)
+  | Error e -> Alcotest.failf "ledger refused: %s" e);
+  (match with_meta (without "check.probabilistic") with
+  | Ok l -> Alcotest.(check bool) "absent flag is clean" false l.probabilistic
+  | Error e -> Alcotest.failf "ledger refused: %s" e);
+  match with_meta (without "check.max_events") with
+  | Ok _ -> Alcotest.fail "accepted a ledger without check.max_events"
+  | Error e ->
+    Alcotest.(check bool) (Fmt.str "%S names the key" e) true
+      (contains e "check.max_events")
+
 let test_verify_falsified_unaffected_by_checkpointing () =
   (* a protocol with a real violation must still be falsified identically
      when checkpointing is armed *)
@@ -617,6 +707,7 @@ let () =
             test_checkpoint_mismatch_detected;
           Alcotest.test_case "meta validation" `Quick
             test_checkpoint_meta_validation;
+          Alcotest.test_case "ledger round-trip" `Quick test_ledger_roundtrip;
         ] );
       ( "witness codec",
         [
@@ -649,5 +740,7 @@ let () =
             test_verify_interrupt_resume_parity;
           Alcotest.test_case "falsified with checkpointing" `Quick
             test_verify_falsified_unaffected_by_checkpointing;
+          Alcotest.test_case "periodic save across vectors" `Quick
+            test_verify_periodic_save_across_vectors;
         ] );
     ]
