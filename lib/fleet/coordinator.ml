@@ -52,6 +52,7 @@ type shard = {
   sid : int;
   vec : int;  (* 1-based position in the Check.vectors enumeration *)
   job : Checkpoint.t;
+  quantum : int;  (* its lease's node budget *)
   mutable requeues : int;
 }
 
@@ -87,7 +88,7 @@ let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
     ?deadline_s ?(shrink = true) ?(engine = Explore.fast) ?resume ?interrupt
-    ?(meta = []) ~config:cfg (impl : Implementation.t) =
+    ?(meta = []) ~config:(cfg : config) (impl : Implementation.t) =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let fuel = Option.value fuel ~default:Explore.default_fuel in
   let n_objs = Array.length impl.Implementation.objects in
@@ -154,7 +155,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
         ~workloads:vecs.(vec - 1).Check.workloads
         ~counts:(Checkpoint.zero_counts ~n_objs) ~frontier ()
     in
-    { sid = next_sid (); vec; job; requeues = 0 }
+    { sid = next_sid (); vec; job; quantum = cfg.quantum; requeues = 0 }
   in
   Array.iter
     (fun (v : Check.vector) ->
@@ -338,6 +339,15 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
         match ck.Checkpoint.frontier with
         | [] -> vs.outstanding <- vs.outstanding - 1
         | frontier ->
+          (* A lease that hands its input frontier back unchanged finished
+             no item, because an item's subtree outgrew the quantum: the
+             next lease of that work gets twice the quantum, so every
+             lease eventually finishes one. *)
+          let quantum =
+            if frontier = s.job.Checkpoint.frontier && s.quantum <= max_int / 2
+            then 2 * s.quantum
+            else s.quantum
+          in
           (* spread the remainder over the idle capacity *)
           let k =
             max 1 (min (List.length frontier) (1 + List.length (idle_ready ())))
@@ -347,7 +357,8 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
           vs.outstanding <- vs.outstanding + List.length parts - 1;
           List.iter
             (fun job ->
-              Queue.push { sid = next_sid (); vec = s.vec; job; requeues = 0 }
+              Queue.push
+                { sid = next_sid (); vec = s.vec; job; quantum; requeues = 0 }
                 queue)
             parts
       end
@@ -364,7 +375,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
     incr local_shards;
     cfg.log (Fmt.str "running shard %d (vector %d) locally" s.sid s.vec);
     let outcome =
-      Worker.exec_shard impl ~job:s.job ~quantum:cfg.quantum ?interrupt ()
+      Worker.exec_shard impl ~job:s.job ~quantum:s.quantum ?interrupt ()
     in
     settle s outcome
   in
@@ -453,7 +464,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
                    {
                      shard = s.sid;
                      lease_s = cfg.lease_s;
-                     quantum = cfg.quantum;
+                     quantum = s.quantum;
                      job = s.job;
                    })
             with

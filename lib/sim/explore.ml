@@ -162,20 +162,22 @@ end
 (* --- interned, incremental fingerprints --------------------------------------
 
    Every component of the dedup key is an id of the implementation's
-   [Value.Intern] state: a cell's id for a value, an [I.tuple] id for an
-   ordered pair of ids. The key is therefore a handful of integers (see
+   [Value.Intern] state or a number that stands for one: a cell's id for a
+   value, an [I.tuple] id for an ordered pair of ids, an object's state
+   number in its [Step_table] and a local's number in the program table
+   ([Intern.Numbering]). The key is therefore a handful of integers (see
    "flat fingerprint encoding" below) instead of a deep [Value.t] walked by
    [Value.hash]/[Value.equal].
 
    The ids are maintained *incrementally* along tree edges, and each edge
    pays for what it changed, not for the size of what it touched:
 
-   - A process is keyed by its local's cell id and [next_op], the pending
+   - A process is keyed by its local's number and [next_op], the pending
      operation's response chain (responses so far, newest first) and the
      chain of its completed operations ⟨op_index, ⟨resp, steps⟩⟩. The
-     local's id is what the kernel holds: the program table interned it
-     when the row that returned it was compiled. Chains are [I.tuple]s
-     ([list_id]), so no list is built to hold their ids, and a tuple met
+     local's number is what the kernel holds: the program table numbered
+     it when the row that returned it was compiled. Chains are [I.tuple]s,
+     so no list is built to hold their ids, and a tuple met
      before allocates nothing: keeping the key current allocates only on
      the rare miss, and never writes a boxed value into the configuration's
      arrays. An access extends the response chain by one tuple.
@@ -208,13 +210,6 @@ end
 module I = Value.Intern
 module Imap = Value.Imap
 
-(* A value list's id: a chain of tuples over its elements' cell ids, ending
-   in the unit cell's id. Only id equality enters the key, so any injective
-   shape will do. *)
-let rec list_id ist = function
-  | [] -> I.id (I.unit ist)
-  | v :: vs -> I.tuple ist (I.id (I.intern ist v)) (list_id ist vs)
-
 (* A completed operation ⟨op_index, ⟨resp, steps⟩⟩, over the result's cell
    id, consed onto [ops], the chain of the process's earlier ones. Its
    invocation is the workload's entry at [op_index], so it adds nothing to
@@ -227,15 +222,17 @@ let ops_cons ist ~op_index ~res ~steps ops =
    A compiled context's programs, held as ids. A node id names a program
    node met through the table. The node itself gives an [Invoke]'s object,
    invocation and continuation; a [Return] entry also holds its result's
-   cell and its local's cell id, both interned when the entry is made. A
-   row ⟨node id, response cell id⟩ gives the successor's node id, and a top
-   ⟨pid, invocation cell id, local cell id⟩ the node a fresh operation
-   starts at. Programs are deterministic functions of ⟨pid, invocation,
+   cell and its local's number, both made when the entry is made. A local
+   is numbered once ([Intern.Numbering]), and its number gives the value
+   back by an array load, the way an object's state number does in its
+   step table. A row ⟨node id, response cell id⟩ gives the successor's
+   node id, and a top ⟨pid, invocation cell id, local number⟩ the node a
+   fresh operation starts at. Programs are deterministic functions of ⟨pid, invocation,
    local⟩ and continuations of their response, so a row is made once and
    reused by every later visit, of any run of the implementation. A program
    or continuation that raises makes no row, so its [Bad_step] or
    [Type_error] surfaces again on every visit, as in {!Exec}. The kernel
-   holds a program position as its node id and a local as its cell id: an
+   holds a program position as its node id and a local as its number: an
    edge whose rows are compiled looks up ints and interns nothing. *)
 
 module Ptable = struct
@@ -245,11 +242,11 @@ module Ptable = struct
     ist : I.state;
     mutable nodes : node array;
     mutable res : I.cell array;  (* a [Return]'s result *)
-    mutable loc : int array;  (* a [Return]'s local, as its cell id *)
+    mutable loc : int array;  (* a [Return]'s local, as its number *)
     mutable n : int;
     rows : Imap.t;  (* ⟨node id, response cell id⟩ → node id *)
-    tops : Imap.t array;  (* per pid: ⟨invocation id, local id⟩ → node id *)
-    locals : (int, I.cell) Hashtbl.t;  (* every local's cell, by its id *)
+    tops : Imap.t array;  (* per pid: ⟨invocation id, local⟩ → node id *)
+    locals : I.Numbering.t;  (* every local met, numbered *)
   }
 
   let dummy : node = Program.Return (Value.unit, Value.unit)
@@ -263,16 +260,13 @@ module Ptable = struct
       n = 0;
       rows = Imap.create 64;
       tops = Array.init n_procs (fun _ -> Imap.create 64);
-      locals = Hashtbl.create 64;
+      locals = I.Numbering.create ();
     }
 
-  (* Intern a local and keep its cell, so the kernel can hold its id. *)
-  let local_id pt v =
-    let c = I.intern pt.ist v in
-    Hashtbl.replace pt.locals (I.id c) c;
-    I.id c
-
-  let local_value pt id = I.value (Hashtbl.find pt.locals id)
+  (* A local's number, which the kernel holds: the value comes back from it
+     by one array load, the way an object's state does from its table. *)
+  let local_id pt v = I.Numbering.number pt.locals (I.intern pt.ist v)
+  let local_value pt k = I.value (I.Numbering.cell pt.locals k)
 
   let grow pt =
     let cap = 2 * pt.n in
@@ -313,7 +307,7 @@ module Ptable = struct
         s
 
   (* The node [p] starts the operation [inv] (cell id [inv_id]) at, from
-     local [local] (a cell id). *)
+     local [local] (a local number). *)
   let top pt (impl : Implementation.t) p ~inv ~inv_id ~local =
     let tops = Array.unsafe_get pt.tops p in
     let s = Imap.find tops inv_id local in
@@ -465,10 +459,10 @@ let engine_of_options (o : options) : Checkpoint.engine = o
      obj sum + proc sum + budget term + tail(events, tracker id or -1)
 
    The object sum adds one position-salted term per object over ⟨state
-   id, history id, access count⟩ ({!Fingerprint.component_hi}); an access
-   replaces its object's term. The process sum adds one term per process
-   over the record ⟨local id, next_op, chain, completed ops, flags⟩
-   ({!Fingerprint.record_hi}): the local's cell id, the workload position,
+   number, history id, access count⟩ ({!Fingerprint.component_hi}); an
+   access replaces its object's term. The process sum adds one term per
+   process over the record ⟨local, next_op, chain, completed ops, flags⟩
+   ({!Fingerprint.record_hi}): the local's number, the workload position,
    the response chain or -1 when nothing is pending, and flags the crashed
    and stuck bits. A chain id is non-negative exactly when an operation is
    pending, so the record still says whether one is. Its salt is the
@@ -480,7 +474,10 @@ let engine_of_options (o : options) : Checkpoint.engine = o
    {!Fingerprint.asleep_hi} of its term instead of the term. The budget term
    over ⟨crashes, recoveries, glitches left⟩ is re-mixed only when a budget
    changed. A probe thus adds a few cached ints, plus one round per sleeping
-   process and two per lane for the tail, and allocates nothing.
+   process and two per lane for the tail, and allocates nothing. Each term
+   packs two 31-bit fields per mixer round (see {!Fingerprint}), so an
+   object term costs two rounds per lane and a record three; [run] refuses
+   a fuel that would let an access count or [next_op] outgrow its field.
 
    Ids are unique within the owning intern state, so records are equal iff
    their components are equal values. All parts are Zobrist-style sums:
@@ -650,16 +647,21 @@ let default_dedup_threshold = 64
    processes come last. A configuration with no enabled process is a leaf,
    and still goes on to expand its recoveries.
 
-   - Transitions come from [Step_table] rows — per (interned state, port,
-     invocation) lists compiled by running the interpreted spec once — so the
-     hot path never re-applies spec closures, and every successor state and
-     response it hands out is the canonical representative of the intern
-     state in the implementation's compiled context, which persists across
-     runs. Programs advance through the context's program table (see "the
-     program table"): a process's position is a node id and its local a
-     cell id, a row per ⟨node id, response cell id⟩ gives the next node,
-     and a program closure runs, and the local it returns is interned, at
-     most once per row. Glitched responses are interned the same way.
+   - Transitions come from [Step_table] rows — per (state, port,
+     invocation) lists compiled by running the interpreted spec once — so
+     the hot path never re-applies spec closures. An object is its state
+     number in its step table and a classified step its row number there,
+     so no edge, restore or classification writes a pointer; every response
+     a row hands out is the canonical representative of the intern state in
+     the implementation's compiled context, which persists across runs.
+     Values are rebuilt from numbers only where they are read: leaves with a
+     consumer, glitch responses, stale-read histories, [Bad_step] messages
+     and row misses. Programs advance through the context's program table
+     (see "the program table"): a process's position is a node id and its
+     local a local number, a row per ⟨node id, response cell id⟩ gives the
+     next node, and a program closure runs, and the local it returns is
+     numbered, at most once per row. Glitched responses are interned the
+     same way.
 
    - There is one mutable configuration instead of a persistent copy-on-write
      fan-out. Each edge saves the handful of slots it is about to clobber in
@@ -668,7 +670,7 @@ let default_dedup_threshold = 64
      allocates no configuration at all.
 
    - Duplicate-state fingerprints are the flat key of [probe] over the
-     engine's own ids: per process its local's cell id, [next_op], the
+     engine's own ids: per process its local's number, [next_op], the
      pending operation's response chain and the completed-ops id, per
      object ⟨state, history, access count⟩, each summarized by one cached
      term per lane. A process's todo list is its workload position, so no
@@ -677,7 +679,7 @@ let default_dedup_threshold = 64
      extends its process's response chain by one tuple over the row's
      interned response cell, replaces its object's term and sets its
      process's term; the local changes only when an operation returns, to
-     the id its program-table row holds, and a crash, wedge or recovery sets
+     the number its program-table row holds, and a crash, wedge or recovery sets
      only the process's term — and saves the old ids, terms and sums next to
      the configuration slots it restores. An edge mixes at most one object
      term and one process record per lane, and a probe sums cached ints,
@@ -706,25 +708,17 @@ let default_dedup_threshold = 64
 type cls = {
   ck : int array;
   cnode : int array;  (* node ids *)
-  crow : Step_table.row array;
+  crow : int array;
+      (* a row number in [cobj]'s step table, shifted left by 2, with the
+         row's [det] bit at 1 and its [pure_read] bit at 2 *)
   cobj : int array;
 }
-
-let dummy_row : Step_table.row =
-  {
-    Step_table.alts = [];
-    cells = [||];
-    packed = [||];
-    n_alts = 0;
-    det = false;
-    pure_read = false;
-  }
 
 let fresh_cls n_procs =
   {
     ck = Array.make n_procs 0;
     cnode = Array.make n_procs 0;
-    crow = Array.make n_procs dummy_row;
+    crow = Array.make n_procs 0;
     cobj = Array.make n_procs 0;
   }
 
@@ -736,26 +730,27 @@ let fresh_cls n_procs =
    unwinding past the borrow) simply find the pool empty and allocate
    fresh.
 
-   Each component is held once. An object is its state cell, whose value
-   is the state. A process is its workload position [next_op], its local
-   state as a cell id and, while [haspend], its pending continuation as a
-   program-table node id with its start event and step count: its todo
-   list is the run's workload from [next_op], and its pending invocation
-   is the workload's entry at [next_op]. Beside these sit the key's ids
-   and terms, kept only under dedup. *)
+   Each component is held once, as ints. An object is its state number in
+   its step table and, when stale reads look back at it, its history's id
+   (an [I.tuple] chain over state numbers, which [cc_hists] gives back). A
+   process is its workload position [next_op], its local state as a local
+   number and, while [haspend], its pending continuation as a program-table
+   node id with its start event and step count: its todo list is the run's
+   workload from [next_op], and its pending invocation is the workload's
+   entry at [next_op]. Beside these sit the key's ids and terms, kept only
+   under dedup. *)
 type mut_state = {
-  ms_obj_cells : I.cell array;
+  ms_obj : int array;  (* state numbers in each object's step table *)
   ms_acc : int array;
-  ms_hist : Value.t list array;
   ms_next_op : int array;
-  ms_local : int array;  (* cell ids *)
+  ms_local : int array;  (* local numbers of the program table *)
   ms_haspend : bool array;
   ms_started : int array;
   ms_steps : int array;
   ms_node : int array;  (* program-table node ids *)
   ms_chain_ids : int array;
   ms_ops_ids : int array;
-  ms_hist_ids : int array;
+  ms_hist_ids : int array;  (* per object: its stale-read history *)
   ms_ohi : int array;  (* per object: its term in each lane of the key *)
   ms_olo : int array;
   ms_rhi : int array;  (* per process: its awake record's term, per lane *)
@@ -780,7 +775,9 @@ type compiled_ctx = {
   cc_tables : Step_table.t array;  (* per base object, sharing [cc_ist] *)
   cc_ports : int array array;  (* [p].(obj): cached port_map, min_int = unset *)
   cc_prog : Ptable.t;
-  cc_rootcells : I.cell array;  (* the root states of [impl.objects] *)
+  cc_roots : int array;  (* the root states of [impl.objects], numbered *)
+  cc_hists : (int, int list) Hashtbl.t;
+      (* a history's id to its state numbers, newest first *)
   cc_decisions : Faults.decision array array;
       (* [p].(i), i < 8: preallocated step-decision records so trace conses
          don't allocate a fresh record and [Step] block per edge *)
@@ -798,18 +795,25 @@ let compiled_ctx_of impl =
     let ist = I.create () in
     let n_procs = impl.Implementation.procs in
     let n_objs = Array.length impl.Implementation.objects in
+    let tables =
+      Array.map
+        (fun (spec, _) -> Step_table.create ~ist spec)
+        impl.Implementation.objects
+    in
+    let hists = Hashtbl.create 16 in
+    Hashtbl.add hists (I.id (I.unit ist)) [];
     let cc =
       {
         cc_impl = impl;
         cc_ist = ist;
-        cc_tables =
-          Array.map
-            (fun (spec, _) -> Step_table.create ~ist spec)
-            impl.Implementation.objects;
+        cc_tables = tables;
         cc_ports = Array.init n_procs (fun _ -> Array.make n_objs min_int);
         cc_prog = Ptable.create ist ~n_procs;
-        cc_rootcells =
-          Array.map (fun (_, q0) -> I.intern ist q0) impl.Implementation.objects;
+        cc_roots =
+          Array.mapi
+            (fun o (_, q0) -> Step_table.state tables.(o) (I.intern ist q0))
+            impl.Implementation.objects;
+        cc_hists = hists;
         cc_decisions =
           Array.init n_procs (fun p ->
               Array.init 8 (fun i -> { Faults.proc = p; kind = Faults.Step i }));
@@ -831,11 +835,10 @@ let compiled_rows impl =
       Array.fold_left (fun n t -> n + Step_table.compiled_rows t) 0 cc.cc_tables
     )
 
-let fresh_mut_state ~n_objs ~n_procs ~unit_cell =
+let fresh_mut_state ~n_objs ~n_procs =
   {
-    ms_obj_cells = Array.make n_objs unit_cell;
+    ms_obj = Array.make n_objs 0;
     ms_acc = Array.make n_objs 0;
-    ms_hist = Array.make n_objs [];
     ms_next_op = Array.make n_procs 0;
     ms_local = Array.make n_procs 0;
     ms_haspend = Array.make n_procs false;
@@ -877,20 +880,20 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   let cc = compiled_ctx_of impl in
   let ist = cc.cc_ist in
   let pt = cc.cc_prog in
-  let n_objs = Array.length cc.cc_rootcells in
+  let tables = cc.cc_tables in
+  let n_objs = Array.length cc.cc_roots in
   let n_procs = impl.Implementation.procs in
-  let unit_cell = I.unit ist in
-  let unit_id = I.id unit_cell in
+  let unit_id = I.id (I.unit ist) in
   let ms =
     match cc.cc_pool with
     | Some ms ->
       cc.cc_pool <- None;
       ms
-    | None -> fresh_mut_state ~n_objs ~n_procs ~unit_cell
+    | None -> fresh_mut_state ~n_objs ~n_procs
   in
-  let obj_cells = ms.ms_obj_cells
+  let objs = ms.ms_obj
   and acc = ms.ms_acc
-  and hist = ms.ms_hist
+  and hist_ids = ms.ms_hist_ids
   and next_op = ms.ms_next_op
   and local = ms.ms_local
   and haspend = ms.ms_haspend
@@ -900,10 +903,9 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   (* The root configuration; a pending slot is meaningful only while
      [haspend] is set, so stale ones may stay. *)
   for o = 0 to n_objs - 1 do
-    obj_cells.(o) <- cc.cc_rootcells.(o);
+    objs.(o) <- cc.cc_roots.(o);
     acc.(o) <- 0;
-    hist.(o) <- [];
-    ms.ms_hist_ids.(o) <- unit_id
+    hist_ids.(o) <- unit_id
   done;
   for p = 0 to n_procs - 1 do
     next_op.(p) <- 0;
@@ -934,13 +936,27 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   let derail = Faults.can_derail faults in
   let faulty = faults.Faults.max_glitches > 0 || faults.Faults.max_crashes > 0 in
   let plen = Array.length prefix in
-  (* Fingerprint ids and terms over the mutable state. [obj_cells] is
-     maintained unconditionally — successor cells come for free out of the
-     transition rows and double as the table keys. With dedup on ([keyed])
-     the per-proc component ids, the history ids and the key's terms and
-     sums are built at the root and every edge keeps them current. *)
+  (* [o]'s history after an access overwrote state [q]: [q] pushed onto
+     the history [h], cut to the object's depth. A history's id is an
+     [I.tuple] chain over its state numbers, and [cc_hists] gives the
+     numbers back wherever the values are read. *)
+  let hist_push o q h =
+    let l =
+      List.filteri
+        (fun i _ -> i < Array.unsafe_get hist_depth o)
+        (q :: Hashtbl.find cc.cc_hists h)
+    in
+    let id = List.fold_right (fun q h -> I.tuple ist q h) l unit_id in
+    if not (Hashtbl.mem cc.cc_hists id) then Hashtbl.add cc.cc_hists id l;
+    id
+  in
+  let hist_values o =
+    List.map (Step_table.value tables.(o)) (Hashtbl.find cc.cc_hists hist_ids.(o))
+  in
+  (* Fingerprint ids and terms over the mutable state. With dedup on
+     ([keyed]) the per-proc component ids and the key's terms and sums are
+     built at the root and every edge keeps them current. *)
   let keyed = Option.is_some dd in
-  let hist_ids = ms.ms_hist_ids in
   let chain_ids = ms.ms_chain_ids
   and ops_ids = ms.ms_ops_ids in
   let ohi = ms.ms_ohi and olo = ms.ms_olo in
@@ -991,7 +1007,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
      made, no operation started. *)
   if keyed then begin
     for o = 0 to n_objs - 1 do
-      let q = I.id obj_cells.(o) in
+      let q = objs.(o) in
       ohi.(o) <- Fingerprint.component_hi o q unit_id 0;
       olo.(o) <- Fingerprint.component_lo o q unit_id 0;
       sum_hi := !sum_hi + ohi.(o);
@@ -1086,15 +1102,25 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       Array.unsafe_set cl.cnode p node
     | Program.Invoke { obj; inv; _ } ->
       (* bounds-checked on purpose: validates [obj] for the whole frame *)
-      let row =
-        Step_table.row_cells cc.cc_tables.(obj)
-          (Array.unsafe_get obj_cells obj)
+      let tbl = tables.(obj) in
+      let r =
+        Step_table.row_id tbl (Array.unsafe_get objs obj)
           ~port:(port_of cc p obj) ~inv
       in
+      let row = Step_table.row tbl r in
       Array.unsafe_set cl.ck p (if fresh then 2 else 1);
       Array.unsafe_set cl.cnode p node;
-      Array.unsafe_set cl.crow p row;
+      Array.unsafe_set cl.crow p
+        ((r lsl 2)
+        lor Bool.to_int row.Step_table.det
+        lor (Bool.to_int row.Step_table.pure_read lsl 1));
       Array.unsafe_set cl.cobj p obj
+  in
+  (* [p]'s classified row. *)
+  let row_of cl p =
+    Step_table.row
+      (Array.unsafe_get tables (Array.unsafe_get cl.cobj p))
+      (Array.unsafe_get cl.crow p lsr 2)
   in
   let disabled p node obj =
     match Ptable.node pt node with
@@ -1105,7 +1131,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
            (Fmt.str
               "proc %d: invocation %a disabled on object %d (%s) in state %a" p
               Value.pp inv obj spec.Type_spec.name Value.pp
-              (I.value obj_cells.(obj))))
+              (Step_table.value tables.(obj) objs.(obj))))
     | Program.Return _ -> assert false
   in
   (* Run every alternative's continuation of a classified step once before
@@ -1117,11 +1143,11 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   let prestep cl p =
     if Array.unsafe_get cl.ck p > 0 then begin
       let node = Array.unsafe_get cl.cnode p in
-      let row = Array.unsafe_get cl.crow p in
+      let row = row_of cl p in
       if row.Step_table.n_alts = 0 then
         disabled p node (Array.unsafe_get cl.cobj p);
       for j = 0 to row.Step_table.n_alts - 1 do
-        ignore (Ptable.succ pt node row.Step_table.cells.((2 * j) + 1))
+        ignore (Ptable.succ pt node row.Step_table.resps.(j))
       done
     end
   in
@@ -1144,10 +1170,10 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
           try Type_spec.alternatives spec qs ~port ~inv
           with Type_spec.Bad_step _ -> []
         in
-        let q = I.value obj_cells.(obj) in
+        let q = Step_table.value tables.(obj) objs.(obj) in
         let resps =
-          Faults.glitch_responses ~alts:(alts_at q) ~alts_at ~q ~hist:hist.(obj)
-            d
+          Faults.glitch_responses ~alts:(alts_at q) ~alts_at ~q
+            ~hist:(hist_values obj) d
         in
         ( node,
           fresh,
@@ -1172,10 +1198,10 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     Array.unsafe_get cl.ck p > 0
     && Array.unsafe_get cl.ck q > 0
     &&
-    let rp = Array.unsafe_get cl.crow p and rq = Array.unsafe_get cl.crow q in
-    rp.Step_table.det && rq.Step_table.det
+    let both = Array.unsafe_get cl.crow p land Array.unsafe_get cl.crow q in
+    both land 1 <> 0
     && (Array.unsafe_get cl.cobj p <> Array.unsafe_get cl.cobj q
-       || (rp.Step_table.pure_read && rq.Step_table.pure_read))
+       || both land 2 <> 0)
   in
   (* [cl_par]/[dirty]: the parent frame's classifications and a bitmask of
      processes whose classification may have changed across the parent's
@@ -1208,13 +1234,15 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
           (fun (o : Exec.op) ->
             if o.steps > c.max_op_steps then c.max_op_steps <- o.steps)
           !ops_rev;
-        Array.iteri
-          (fun i a -> if a > c.max_accesses.(i) then c.max_accesses.(i) <- a)
-          acc;
+        for o = 0 to n_objs - 1 do
+          let a = Array.unsafe_get acc o in
+          if a > c.max_accesses.(o) then c.max_accesses.(o) <- a
+        done;
         if want_leaf then
           emit_leaf trace_rev
             {
-              Exec.objects = Array.map I.value obj_cells;
+              Exec.objects =
+                Array.init n_objs (fun o -> Step_table.value tables.(o) objs.(o));
               locals = Array.map (Ptable.local_value pt) local;
               ops = List.rev !ops_rev;
               events = !events;
@@ -1310,7 +1338,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
                        child_sleep trace_rev st tid
                    | k ->
                      let node = Array.unsafe_get cl.cnode p in
-                     let row = Array.unsafe_get cl.crow p in
+                     let row = row_of cl p in
                      let obj = Array.unsafe_get cl.cobj p in
                      let child_dirty =
                        if not opts.por then -1
@@ -1328,12 +1356,13 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
                      in
                      let n_alts = row.Step_table.n_alts in
                      if n_alts = 0 then disabled p node obj;
-                     let cells = row.Step_table.cells in
+                     let next = row.Step_table.next
+                     and resps = row.Step_table.resps in
                      for j = 0 to n_alts - 1 do
                        c.nodes <- c.nodes + 1;
                        acc_child p cl child_dirty node (k = 2) obj
-                         (Array.unsafe_get cells (2 * j))
-                         (Array.unsafe_get cells ((2 * j) + 1))
+                         (Array.unsafe_get next j)
+                         (Array.unsafe_get resps j)
                          (dec p j) child_sleep trace_rev st tid
                      done);
                 if faulty then fault_children p cl trace_rev st tid;
@@ -1415,19 +1444,18 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       Array.unsafe_set ops_ids p s_opsc;
       put_term p s_rhi s_rlo
     end
-  (* One base access, honest or glitched: move [obj] to the successor cell
-     [qc] (a glitch passes the current cell), hand the program the response
+  (* One base access, honest or glitched: move [obj] to the successor state
+     [q] (a glitch passes the current state), hand the program the response
      cell [rc], advance its program through the table's row, recurse,
      restore. An honest access that changes a stale-read object pushes the
      overwritten state onto its history. *)
-  and acc_child p cl child_dirty node fresh obj qc rc d child_sleep trace_rev
+  and acc_child p cl child_dirty node fresh obj q rc d child_sleep trace_rev
       st tid =
     let tr = d :: trace_rev in
-    let s_qc = Array.unsafe_get obj_cells obj in
+    let s_q = Array.unsafe_get objs obj in
     let s_acc = Array.unsafe_get acc obj in
     let s_hc = Array.unsafe_get hist_ids obj in
-    let hpush = qc != s_qc && Array.unsafe_get hist_depth obj > 0 in
-    let s_hist = Array.unsafe_get hist obj in
+    let hpush = q <> s_q && Array.unsafe_get hist_depth obj > 0 in
     let s_nextop = Array.unsafe_get next_op p
     and s_local = Array.unsafe_get local p in
     let s_haspend = Array.unsafe_get haspend p
@@ -1443,17 +1471,9 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     let started, steps_done =
       if fresh then (!events, 0) else (s_started, s_steps)
     in
-    Array.unsafe_set obj_cells obj qc;
+    Array.unsafe_set objs obj q;
     Array.unsafe_set acc obj (s_acc + 1);
-    if hpush then begin
-      let h =
-        List.filteri
-          (fun i _ -> i < Array.unsafe_get hist_depth obj)
-          (I.value s_qc :: s_hist)
-      in
-      Array.unsafe_set hist obj h;
-      if keyed then Array.unsafe_set hist_ids obj (list_id ist h)
-    end;
+    if hpush then Array.unsafe_set hist_ids obj (hist_push obj s_q s_hc);
     let next = Ptable.succ pt node rc in
     let completed =
       match Ptable.node pt next with
@@ -1491,12 +1511,10 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     in
     if keyed then begin
       let h =
-        Fingerprint.component_hi obj (I.id qc)
-          (Array.unsafe_get hist_ids obj)
+        Fingerprint.component_hi obj q (Array.unsafe_get hist_ids obj)
           (s_acc + 1)
       and l =
-        Fingerprint.component_lo obj (I.id qc)
-          (Array.unsafe_get hist_ids obj)
+        Fingerprint.component_lo obj q (Array.unsafe_get hist_ids obj)
           (s_acc + 1)
       in
       Array.unsafe_set ohi obj h;
@@ -1515,12 +1533,9 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     in
     go cl child_dirty child_sleep tr st' (if st' == st then tid else no_tid);
     decr events;
-    Array.unsafe_set obj_cells obj s_qc;
+    Array.unsafe_set objs obj s_q;
     Array.unsafe_set acc obj s_acc;
-    if hpush then begin
-      Array.unsafe_set hist obj s_hist;
-      Array.unsafe_set hist_ids obj s_hc
-    end;
+    if hpush then Array.unsafe_set hist_ids obj s_hc;
     Array.unsafe_set next_op p s_nextop;
     Array.unsafe_set local p s_local;
     Array.unsafe_set haspend p s_haspend;
@@ -1541,7 +1556,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   and glitch_child p cl node fresh obj rc d child_sleep trace_rev st tid =
     decr glitches_left;
     acc_child p cl (-1) node fresh obj
-      (Array.unsafe_get obj_cells obj)
+      (Array.unsafe_get objs obj)
       rc d child_sleep trace_rev st tid;
     incr glitches_left
   (* [p] stops for good between accesses: crashed (recoverable, spending the
@@ -1602,6 +1617,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       Fmt.kstr (fun s -> invalid_arg ("Explore.run: cannot resume: " ^ s)) fmt
     in
     if p < 0 || p >= n_procs then bad "replay: no process %d" p;
+    if ev >= fuel then bad "replay: event %d is past the fuel" ev;
     let bit = 1 lsl p in
     let enabled = has_work p && (!crashed lor !stuck) land bit = 0 in
     let need_enabled () =
@@ -1630,7 +1646,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
           ret_child p cl (-1) (Array.unsafe_get cl.cnode p) sleep trace_rev st
             no_tid
         | k ->
-          let row = Array.unsafe_get cl.crow p in
+          let row = row_of cl p in
           if i < 0 || i >= row.Step_table.n_alts then
             bad "replay: p%d has %d alternative(s) at event %d, not %d" p
               row.Step_table.n_alts ev (i + 1);
@@ -1638,9 +1654,8 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
             (Array.unsafe_get cl.cnode p)
             (k = 2)
             (Array.unsafe_get cl.cobj p)
-            row.Step_table.cells.(2 * i)
-            row.Step_table.cells.((2 * i) + 1)
-            d sleep trace_rev st no_tid))
+            row.Step_table.next.(i) row.Step_table.resps.(i) d sleep trace_rev
+            st no_tid))
     | Faults.Glitch i -> (
       need_enabled ();
       let node, fresh, obj, rcs =
@@ -1689,6 +1704,11 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
     ?checkpoint ?resume_from ?interrupt ?mem_budget_mb () =
   if Array.length workloads <> impl.Implementation.procs then
     invalid_arg "Explore: workloads length must equal impl.procs";
+  (* An access count or workload position is at most the event count, which
+     is at most [fuel]: the key packs them in 31-bit fields. *)
+  if fuel >= Fingerprint.field_bound then
+    invalid_arg
+      (Fmt.str "Explore.run: fuel %d is not below 2^31" fuel);
   let user_tracker = Option.is_some tracker in
   let ckpt_armed = Option.is_some checkpoint || Option.is_some resume_from in
   if user_tracker && ckpt_armed then

@@ -65,10 +65,11 @@
     mutable configuration with an undo log (apply an edge in place,
     recurse, revert on backtrack), answering base-object invocations from
     lazily compiled {!Wfc_spec.Step_table} rows and advancing programs
-    through a program table compiled as lazily: a program position is a
-    node id, a local is an interned cell id, and each ⟨node, response⟩ row
-    runs its continuation and interns the local it returns once, for every
-    later run of the implementation (see {!compiled_rows}).
+    through a program table compiled as lazily: an object is its state
+    number in its step table, a program position is a node id, a local is
+    a number of the program table, and each ⟨node, response⟩ row runs its
+    continuation and numbers the local it returns once, for every later
+    run of the implementation (see {!compiled_rows}).
     Crashes, recoveries, glitches and wedges are edges of the same kernel.
     Frontier mode (checkpoint, resume, spill) hands it
     work items ⟨decision-trace prefix, sleep set, tracker state⟩, which it
@@ -296,7 +297,10 @@ val run :
   unit ->
   stats
 (** Drop-in replacement for {!Exec.explore} (defaults: [fuel = 10_000],
-    [faults = Faults.none], [options = naive]). [on_leaf] may raise {!Exec.Stop}
+    [faults = Faults.none], [options = naive]). Raises [Invalid_argument]
+    on a [fuel] of 2{^31} or more: the dedup key packs access counts and
+    workload positions, both at most the fuel, into 31-bit fields.
+    [on_leaf] may raise {!Exec.Stop}
     to abort early; statistics then reflect the explored prefix
     ([completeness = Partial Stopped]). Any other exception raised by
     [on_leaf] aborts the exploration and is re-raised.

@@ -41,24 +41,40 @@ let[@inline] mix2 h x =
    subtraction undoes an addition bit for bit. A fold over the whole segment
    would cost O(k) per probe; the sum costs O(1) per changed component.
 
-   Each lane's term is four chained rounds of that lane's mixer from its own
-   seed, so the two lanes are independent functions of the component, and a
-   collision between two segments that differ needs both 63-bit sums to
-   agree. *)
-let[@inline] component1 seed pos a b c = mix1 (mix1 (mix1 (mix1 seed pos) a) b) c
-let[@inline] component2 seed pos a b c = mix2 (mix2 (mix2 (mix2 seed pos) a) b) c
+   Every field is below [field_bound] = 2^31 (ids are below
+   [Value.Intern.max_cells], access counts and workload positions below
+   the run's fuel, which [Explore.run] caps), so two fields share one word
+   and one mixer round: [pack a b] puts [b] in bits 0–30 and [a] above it.
+   The packing is injective for [b] in [0, 2^31) and [a] in [0, 2^32), so
+   the high field may reach 2^31: it takes a response chain id + 1, which
+   is 2^31 at most. A component is two rounds per lane, ⟨pos, state⟩ then
+   ⟨hist, acc⟩, from each lane's own seed, so the two lanes are independent
+   functions of the component, and a collision between two segments that
+   differ needs both 63-bit sums to agree. *)
+let field_bound = 1 lsl 31
+let () = assert (Value.Intern.max_cells <= field_bound)
+let[@inline] pack a b = (a lsl 31) lor b
 
-let component_hi pos a b c = component1 0x6A09E667 pos a b c
-let component_lo pos a b c = component2 0x3C6EF372 pos a b c
+let component_hi pos state hist acc =
+  mix1 (mix1 0x6A09E667 (pack pos state)) (pack hist acc)
 
-(* Five-int records, salted by a class instead of a position: records that
-   share a salt are interchangeable in a sum, so a segment of them hashes
-   the multiset of records per salt and needs no canonical sort. *)
-let record_hi salt a b c d e =
-  mix1 (mix1 (component1 0x510E527F salt a b c) d) e
+let component_lo pos state hist acc =
+  mix2 (mix2 0x3C6EF372 (pack pos state)) (pack hist acc)
 
-let record_lo salt a b c d e =
-  mix2 (mix2 (component2 0x1F83D9AB salt a b c) d) e
+(* Five-field records, salted by a class instead of a position: records
+   that share a salt are interchangeable in a sum, so a segment of them
+   hashes the multiset of records per salt and needs no canonical sort.
+   Three rounds per lane: ⟨salt, local⟩, ⟨chain + 1, next_op⟩ (a chain of
+   -1, no pending operation, packs as 0) and ⟨flags, ops⟩. *)
+let record_hi salt local next_op chain ops flags =
+  mix1
+    (mix1 (mix1 0x510E527F (pack salt local)) (pack (chain + 1) next_op))
+    (pack flags ops)
+
+let record_lo salt local next_op chain ops flags =
+  mix2
+    (mix2 (mix2 0x1F83D9AB (pack salt local)) (pack (chain + 1) next_op))
+    (pack flags ops)
 
 (* A sleeping process's term is one more round over its awake term, so the
    sleep bit is a per-process adjustment of the sum: the awake term is kept
@@ -106,52 +122,107 @@ module Table = struct
     mutable lo : int array;
     mutable mask : int;  (* capacity - 1 *)
     mutable count : int;
+    mutable log : Bytes.t;
+        (* while [count] fits, the [k]th 16-bit entry, [k < count], is the
+           slot of the [k]th entry since the last reset *)
   }
 
   let default_capacity_log2 = 10
 
+  (* Half the capacity in a default-sized table (1 KiB: every entry it
+     takes), an eighth in a larger one of at most 2^16 slots (whose indices
+     16 bits hold), none above: at most 8192 entries (16 KiB), 1/64 of what
+     the lanes take. A run that overflows a large table's log left it at
+     least 1/8 full, and clearing the whole of it with a plain loop costs
+     about what clearing from a log would; in the default table the log
+     still wins up to half full (an eighth measured 1-2% slower on
+     [verify], whose runs mostly fit that table). [grow] re-logs the
+     entries while they fit the new capacity's log; past the default size
+     they never do, since a run that grows a table has more than a quarter
+     of the new capacity in entries, so a large table's log serves runs in
+     a table an earlier run grew. *)
+  let log_length cap =
+    if cap <= 1 lsl default_capacity_log2 then cap / 2
+    else if cap <= 1 lsl 16 then cap / 8
+    else 0
+  let make_log cap = Bytes.create (2 * log_length cap)
+  let[@inline] logged t = Bytes.length t.log lsr 1
+
   let create ?(capacity_log2 = default_capacity_log2) () =
     let cap = 1 lsl capacity_log2 in
-    { hi = Array.make cap 0; lo = Array.make cap 0; mask = cap - 1; count = 0 }
+    {
+      hi = Array.make cap 0;
+      lo = Array.make cap 0;
+      mask = cap - 1;
+      count = 0;
+      log = make_log cap;
+    }
 
   let length t = t.count
 
-  (* Growth keeps a grown table's load above 1/4, so clearing is O(entries);
-     one over 8x the 2·count slots its last run needed is replaced. *)
+  (* A run that fit the log clears the slots it filled; one that overflowed
+     it clears the whole table. A table over 8x the 2·count slots its last
+     run needed is replaced by a default-sized one, with a default-sized
+     log, instead. The whole-table clear is a loop of stores: [Array.fill]
+     checks every old value for the write barrier and costs about 10x as
+     much on a table whose slots are a random mix of empty and full. *)
   let reset t =
     let cap = t.mask + 1 in
     if cap > 1 lsl default_capacity_log2 && cap > 16 * t.count then begin
       let d = create () in
       t.hi <- d.hi;
       t.lo <- d.lo;
-      t.mask <- d.mask
+      t.mask <- d.mask;
+      t.log <- d.log
     end
-    else (Array.fill t.hi 0 cap 0; Array.fill t.lo 0 cap 0);
+    else if t.count <= logged t then
+      for k = 0 to t.count - 1 do
+        let i = Bytes.get_uint16_le t.log (2 * k) in
+        Array.unsafe_set t.hi i 0;
+        Array.unsafe_set t.lo i 0
+      done
+    else begin
+      let hi = t.hi and lo = t.lo in
+      for i = 0 to cap - 1 do
+        Array.unsafe_set hi i 0;
+        Array.unsafe_set lo i 0
+      done
+    end;
     t.count <- 0
 
   (* The lo lane a key is stored under: ⟨0, 0⟩ becomes ⟨0, 1⟩. *)
   let[@inline] remap_lo ~hi ~lo = if hi = 0 && lo = 0 then 1 else lo
 
-  (* Insert into [hi]/[lo] assuming the key is absent and there is room. *)
+  (* Insert into [hi]/[lo] assuming the key is absent and there is room;
+     the slot it took. *)
   let insert_fresh hi lo mask h l =
     let i = ref (l land mask) in
     while Array.unsafe_get lo !i <> 0 || Array.unsafe_get hi !i <> 0 do
       i := (!i + 1) land mask
     done;
     Array.unsafe_set hi !i h;
-    Array.unsafe_set lo !i l
+    Array.unsafe_set lo !i l;
+    !i
 
   let grow t =
     let cap = (t.mask + 1) * 2 in
     let hi = Array.make cap 0 and lo = Array.make cap 0 in
     let mask = cap - 1 in
+    let log = make_log cap in
+    let relog = t.count <= log_length cap in
+    let k = ref 0 in
     for i = 0 to t.mask do
       let h = t.hi.(i) and l = t.lo.(i) in
-      if h <> 0 || l <> 0 then insert_fresh hi lo mask h l
+      if h <> 0 || l <> 0 then begin
+        let j = insert_fresh hi lo mask h l in
+        if relog then Bytes.set_uint16_le log (2 * !k) j;
+        incr k
+      end
     done;
     t.hi <- hi;
     t.lo <- lo;
-    t.mask <- mask
+    t.mask <- mask;
+    t.log <- log
 
   (* The one hot-path operation: membership probe that records the key on a
      miss. Returns [true] when the fingerprint was already present. *)
@@ -174,7 +245,9 @@ module Table = struct
     if not !seen then begin
       Array.unsafe_set t.hi !i h;
       Array.unsafe_set t.lo !i l;
-      t.count <- t.count + 1;
+      let n = t.count in
+      if n < logged t then Bytes.set_uint16_le t.log (2 * n) !i;
+      t.count <- n + 1;
       if 2 * t.count > t.mask then grow t
     end;
     !seen

@@ -9,14 +9,15 @@
     Each lane is a sum, modulo 2^63 and masked non-negative, of terms the
     engine keeps current on its undo path, so a probe adds a few cached ints
     whatever the number of processes and objects:
-    - one position-salted term per object over ⟨state id, history id,
+    - one position-salted term per object over ⟨state number, history id,
       access count⟩ ({!component_hi}, {!component_lo}). An access replaces
       its object's term, and backtracking restores the saved term and sum;
     - one term per process ({!record_hi}, {!record_lo}) over its local's
-      cell id, workload position [next_op], response chain id (-1 when no
+      number, workload position [next_op], response chain id (-1 when no
       operation is pending, non-negative exactly when one is),
-      completed-ops id and crashed/stuck bits, salted by its symmetry-class representative (its pid without
-      classes), so the sum sees each class's records as a multiset. No
+      completed-ops id and crashed/stuck bits, salted by its
+      symmetry-class representative (its pid without classes), so the sum
+      sees each class's records as a multiset. No
       invocation is hashed: the workloads are fixed for a run, a process's
       todo list, pending invocation and completed invocations are its
       workload at [next_op] and at each op index, and processes share a
@@ -24,6 +25,17 @@
       set contributes {!asleep_hi} of its term instead;
     - a term over the three fault budgets ({!budget_hi});
     - a tail over the event count and the tracker's id ({!tail_hi}).
+
+    Term layout. Every field of a component or record is in
+    [\[0, {!field_bound})] = [\[0, 2{^31})]: ids and numbers are below
+    [Value.Intern.max_cells], a position is an object index or a pid, and
+    access counts and workload positions are at most the event count, which
+    is at most the run's fuel ([Explore.run] refuses a fuel of 2{^31} or
+    more). So two fields share one 62-bit word and one mixer round per
+    lane: a component is ⟨pos, state⟩ ⟨hist, acc⟩, two rounds, and a record
+    ⟨salt, local⟩ ⟨chain + 1, next_op⟩ ⟨flags, ops⟩, three rounds. The high
+    field of a word may reach 2{^31}, which is where chain + 1 goes. The
+    terms are functions of their fields only; nothing persists them.
 
     Collisions: every part is a Zobrist-style sum. Two configurations that
     differ agree on both lanes only when two independent 63-bit sums
@@ -35,6 +47,12 @@
     their memory budget: membership answers become "possibly seen", so an
     engine on this tier reports its result as probabilistic rather than
     exhaustive. *)
+
+val field_bound : int
+(** 2{^31}: every field of {!component_hi} and {!record_hi} is below it,
+    except a record's [chain], which is in [\[-1, field_bound)]. The terms
+    do not check it: the engine establishes each range where the field is
+    made. *)
 
 val component_hi : int -> int -> int -> int -> int
 (** [component_hi pos a b c] is the hi-lane term of the three-int component
@@ -51,10 +69,11 @@ val component_lo : int -> int -> int -> int -> int
 
 val record_hi : int -> int -> int -> int -> int -> int -> int
 val record_lo : int -> int -> int -> int -> int -> int -> int
-(** [record_hi salt a b c d e] and [record_lo ...] are the two lanes' terms
-    of the record ⟨a, b, c, d, e⟩, summed like {!component_hi}'s; records
-    that share a [salt] are interchangeable in the sum, so it hashes the
-    multiset of records per salt. *)
+(** [record_hi salt local next_op chain ops flags] and [record_lo ...] are
+    the two lanes' terms of the record ⟨local, next_op, chain, ops, flags⟩,
+    summed like {!component_hi}'s; records that share a [salt] are
+    interchangeable in the sum, so it hashes the multiset of records per
+    salt. [chain] may be -1. *)
 
 val asleep_hi : int -> int
 val asleep_lo : int -> int
@@ -81,7 +100,12 @@ val hash_string : string -> int
 (** Open-addressing fingerprint set: two parallel [int array] lanes,
     power-of-two capacity, linear probing, growth at 50% load, 16 bytes
     per entry flat. The all-zero slot encodes "empty"; ⟨0,0⟩ keys are
-    remapped to ⟨0,1⟩ internally. *)
+    remapped to ⟨0,1⟩ internally. A slot log records which slots the
+    first entries since the last reset went to. Its size follows the
+    capacity, not the entries: one 16-bit entry per 2 slots in a
+    default-sized table, per 8 slots in a larger one of up to 2{^16} slots
+    (at most 16 KiB, 1/64 of the lanes), none above. Growing re-logs the
+    entries while they fit the new log. *)
 module Table : sig
   type t
 
@@ -95,9 +119,13 @@ module Table : sig
   val length : t -> int
 
   val reset : t -> unit
-  (** Empty the table for reuse in O(entries added since the last reset):
-      a table more than 8x larger than they needed is replaced by a
-      default-sized one instead of cleared. *)
+  (** Empty the table for reuse. A run whose entries fit the log is
+      cleared slot by slot from it, so reusing a large table for a small
+      run costs that run's entries, not the capacity. A run that
+      overflowed the log filled at least 1/8 of the table and gets one
+      full clear, a loop of stores over the lanes. A table more than 8x
+      larger than its entries needed is replaced by a default-sized one
+      instead. *)
 
   val iter : (hi:int -> lo:int -> unit) -> t -> unit
   (** Iterate stored fingerprints (used to migrate a table into a {!Bloom}

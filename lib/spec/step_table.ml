@@ -1,20 +1,23 @@
-(* Lazily compiled transition tables: (interned state × port × invocation) →
-   a cached row of interned successor/response pairs. One table per base
-   object of the exploration engine; rows are compiled on first visit by
-   running the interpreted [Type_spec.transition] once and interning the
-   result, so the hot path is one array load on the dense state-cell id plus
-   a physical scan over the few invocations live on that (port, state), and
-   every successor state / response handed out is the canonical
-   representative of its intern state — physical equality downstream is
-   structural equality. *)
+(* Lazily compiled transition tables: (state × port × invocation) → a cached
+   row of successor/response pairs. One table per base object of the
+   exploration engine; rows are compiled on first visit by running the
+   interpreted [Type_spec.transition] once and interning the result.
+
+   The table numbers the states it meets densely ([Intern.Numbering]): the
+   root a caller hands in and every successor of a compiled row. A state is
+   its number, a row is its index in [rows], and the hot path is one array
+   load on ⟨state, port⟩ plus a physical scan over the few invocations live
+   on that pair: no hashing, and nothing the caller stores is a pointer.
+   Every response handed out is the canonical cell of its intern state, so
+   physical equality downstream is structural equality. *)
 
 module I = Value.Intern
 
 type row = {
   alts : (Value.t * Value.t) list;
       (* canonical (maximally shared) values, in spec order *)
-  cells : I.cell array;  (* interleaved [|q'0; r0; q'1; r1; …|] *)
-  packed : int array;  (* the same row as interned-cell ids *)
+  next : int array;  (* per alternative, its successor's state number *)
+  resps : I.cell array;  (* per alternative, its response *)
   n_alts : int;
   det : bool;  (* exactly one alternative *)
   pure_read : bool;  (* deterministic and leaves the state unchanged *)
@@ -22,109 +25,106 @@ type row = {
 
 (* Rows are keyed on the *physical* invocation value. The compiled engine
    hands in invocations straight off the program nodes its program table
-   keeps (hence physically stable); [alternatives] hands in the canonical interned
-   representative. Structurally equal but physically distinct invocations
-   just compile duplicate rows — sound, since rows are a pure function of
-   the structure, and rare enough not to matter. Distinct invocations per
-   (object, port, state) are few, so a physical scan beats hashing. *)
-type bucket = { mutable rows : (Value.t * row) list }
-
-(* Shared sentinel for never-visited states: scanning its empty [rows] is a
-   clean miss, and the miss path replaces it with a fresh bucket before
-   mutating. It must never be mutated itself. *)
-let no_bucket : bucket = { rows = [] }
-
+   keeps (hence physically stable); [alternatives] hands in the canonical
+   interned representative. Structurally equal but physically distinct
+   invocations just compile duplicate rows — sound, since rows are a pure
+   function of the structure, and rare enough not to matter. Distinct
+   invocations per (object, port, state) are few, so a physical scan beats
+   hashing. *)
 type t = {
   spec : Type_spec.t;
   ist : I.state;
-  tables : bucket array array;  (* per port, indexed by state cell id *)
-  mutable compiled : int;  (* rows compiled so far (misses) *)
+  ports : int;
+  states : I.Numbering.t;
+  mutable live : (Value.t * int) list array;
+      (* [s * ports + port]: the ⟨invocation, row⟩ pairs compiled there *)
+  mutable rows : row array;
+  mutable n_rows : int;  (* rows compiled so far (misses) *)
 }
 
 let create ?ist spec =
   let ist = match ist with Some s -> s | None -> I.create () in
+  let ports = max 1 spec.Type_spec.ports in
   {
     spec;
     ist;
-    tables = Array.make spec.Type_spec.ports [||];
-    compiled = 0;
+    ports;
+    states = I.Numbering.create ();
+    live = Array.make (8 * ports) [];
+    rows = [||];
+    n_rows = 0;
   }
 
 let intern_state t = t.ist
-let compiled_rows t = t.compiled
+let compiled_rows t = t.n_rows
 
-let compile_row t qc ~port ~inv =
+(* Number [qc], making room for its row lists. *)
+let state t qc =
+  let s = I.Numbering.number t.states qc in
+  let need = (s + 1) * t.ports in
+  if need > Array.length t.live then begin
+    let live = Array.make (2 * need) [] in
+    Array.blit t.live 0 live 0 (Array.length t.live);
+    t.live <- live
+  end;
+  s
+
+let value t s = I.value (I.Numbering.cell t.states s)
+let row t r = t.rows.(r)
+
+let compile_row t s ~port ~inv =
   (* One interpreted step, then intern every successor/response bottom-up so
      the row hands out canonical representatives forever after. The declared
      [oblivious] flag is deliberately not trusted to share rows across ports:
      rows are lazy, so an honest per-port table costs only what is visited,
      and a lying declaration cannot corrupt results. *)
-  let raw = t.spec.Type_spec.transition (I.value qc) ~port ~inv in
+  let raw = t.spec.Type_spec.transition (value t s) ~port ~inv in
   let n = List.length raw in
-  let cells = Array.make (2 * n) qc in
-  let packed = Array.make (2 * n) 0 in
+  let next = Array.make n 0 in
+  let resps = Array.make n (I.unit t.ist) in
   let alts =
     List.mapi
       (fun i (q', r) ->
         let qc' = I.intern t.ist q' and rc = I.intern t.ist r in
-        cells.(2 * i) <- qc';
-        cells.((2 * i) + 1) <- rc;
-        packed.(2 * i) <- I.id qc';
-        packed.((2 * i) + 1) <- I.id rc;
+        next.(i) <- state t qc';
+        resps.(i) <- rc;
         (I.value qc', I.value rc))
       raw
   in
   let det = n = 1 in
-  {
-    alts;
-    cells;
-    packed;
-    n_alts = n;
-    det;
-    pure_read = det && cells.(0) == qc;
-  }
+  { alts; next; resps; n_alts = n; det; pure_read = det && next.(0) = s }
 
-(* Cell ids are dense (an intern state numbers cells from 0), so the
-   per-port table is a plain array indexed by id, doubled on demand. *)
-let grow t ~port id =
-  let tbl = t.tables.(port) in
-  let len = Array.length tbl in
-  let tbl' = Array.make (max (id + 1) (max 64 (2 * len))) no_bucket in
-  Array.blit tbl 0 tbl' 0 len;
-  t.tables.(port) <- tbl';
-  tbl'
+let miss t s ~port ~inv =
+  let row = compile_row t s ~port ~inv in
+  let r = t.n_rows in
+  if r = Array.length t.rows then begin
+    let rows = Array.make (max 8 (2 * r)) row in
+    Array.blit t.rows 0 rows 0 r;
+    t.rows <- rows
+  end;
+  t.rows.(r) <- row;
+  t.n_rows <- r + 1;
+  let i = (s * t.ports) + port in
+  t.live.(i) <- (inv, r) :: t.live.(i);
+  r
 
-let miss t tbl id b qc ~port ~inv =
-  let row = compile_row t qc ~port ~inv in
-  let b =
-    if b == no_bucket then begin
-      let nb = { rows = [] } in
-      tbl.(id) <- nb;
-      nb
-    end
-    else b
-  in
-  b.rows <- (inv, row) :: b.rows;
-  t.compiled <- t.compiled + 1;
-  row
-
-let row_cells t qc ~port ~inv =
+let row_id t s ~port ~inv =
   let spec = t.spec in
   if port < 0 || port >= spec.Type_spec.ports then
     raise
       (Type_spec.Bad_step
          (Fmt.str "%s: port %d out of range [0,%d)" spec.Type_spec.name port
             spec.Type_spec.ports));
-  let id = I.id qc in
-  let tbl = t.tables.(port) in
-  let tbl = if id < Array.length tbl then tbl else grow t ~port id in
-  let b = Array.unsafe_get tbl id in
+  if s < 0 || s >= I.Numbering.length t.states then
+    invalid_arg "Step_table.row_id: not a state of this table";
   let rec find = function
-    | [] -> miss t tbl id b qc ~port ~inv
-    | (i, row) :: rest -> if i == inv then row else find rest
+    | [] -> miss t s ~port ~inv
+    | (i, r) :: rest -> if i == inv then r else find rest
   in
-  find b.rows
+  find (Array.unsafe_get t.live ((s * t.ports) + port))
 
 let alternatives t q ~port ~inv =
-  (row_cells t (I.intern t.ist q) ~port ~inv:(I.value (I.intern t.ist inv)))
+  (row t
+     (row_id t (state t (I.intern t.ist q)) ~port
+        ~inv:(I.value (I.intern t.ist inv))))
     .alts

@@ -1,14 +1,19 @@
-(** Compiled transition tables over hash-consed states.
+(** Compiled transition tables over numbered states.
 
     The interpreted step ([Type_spec.alternatives]) applies the spec's
     transition closure on every visit. A [Step_table.t] pays that cost once
     per distinct (state, port, invocation) triple: the first visit runs the
     closure, interns the resulting successor/response pairs into the table's
     {!Value.Intern.state}, and caches the row; every later visit is one
-    array load on the dense state-cell id plus a physical scan over the few
-    invocations live on that (port, state). Because rows hand out the canonical
-    interned representatives, downstream identity tests (duplicate
-    detection, pure-read classification, the exploration engine's
+    array load on ⟨state, port⟩ plus a physical scan over the few
+    invocations live there.
+
+    A table numbers the states it meets densely: the ones a caller hands to
+    {!state} and every successor of a compiled row. The exploration engine
+    holds an object as its state number and a classification as a row
+    number, both ints, and rebuilds a state's value ({!value}) only where it
+    reads one. Rows hand out the canonical interned responses, so
+    downstream identity tests (duplicate detection, the engine's
     program-table rows keyed on response cell ids) coincide with structural
     equality.
 
@@ -29,38 +34,48 @@ type row = {
       (** the alternatives exactly as the interpreted step would return
           them (same order), but canonical — maximally shared within the
           table's intern state *)
-  cells : I.cell array;
-      (** the same row interleaved as interned cells
-          [|q'0; r0; q'1; r1; …|] — [Array.length cells = 2 × length alts] *)
-  packed : int array;  (** the same row as interned-cell ids *)
+  next : int array;  (** per alternative, its successor's state number *)
+  resps : I.cell array;  (** per alternative, its interned response *)
   n_alts : int;  (** [List.length alts], precomputed for the hot path *)
   det : bool;  (** exactly one alternative *)
   pure_read : bool;
-      (** deterministic and the successor is (structurally, hence here
-          physically) the argument state *)
+      (** deterministic and the successor is the argument state *)
 }
 
 type t
 
 val create : ?ist:I.state -> Type_spec.t -> t
-(** A fresh table with no compiled rows. Pass [ist] to share an intern state
-    with the caller (e.g. the one in the exploration engine's compiled
-    context) so the canonical representatives are canonical for the caller
-    too; otherwise a private state is created. *)
+(** A fresh table with no compiled rows and no numbered state. Pass [ist]
+    to share an intern state with the caller (e.g. the one in the
+    exploration engine's compiled context) so the canonical representatives
+    are canonical for the caller too; otherwise a private state is
+    created. *)
 
 val intern_state : t -> I.state
 (** The intern state rows are canonicalized into. *)
 
-val row_cells : t -> I.cell -> port:int -> inv:Value.t -> row
-(** [row_cells t qc ~port ~inv] is the compiled row for state [qc] under
-    invocation [inv] on [port] — [qc] must belong to [intern_state t].
+val state : t -> I.cell -> int
+(** [state t qc] is the number of state [qc] (a cell of
+    [intern_state t]), numbering it if the table has not met it. *)
+
+val value : t -> int -> Value.t
+(** The value of a state number; [Invalid_argument] on a number the table
+    never gave. *)
+
+val row_id : t -> int -> port:int -> inv:Value.t -> int
+(** [row_id t s ~port ~inv] is the number of the compiled row for state
+    number [s] under invocation [inv] on [port], compiling it on a miss.
     Rows are keyed on the {e physical} identity of [inv]: callers should
     hand in a stable representative (the invocation of a program node the
-    caller keeps, or the canonical interned value) so repeat lookups hit; a structurally
-    equal but physically fresh [inv] merely compiles a duplicate row.
-    Raises [Type_spec.Bad_step] on an out-of-range port (same message as
-    the interpreted path); a [Bad_step] raised by the spec's transition
-    itself propagates uncached. *)
+    caller keeps, or the canonical interned value) so repeat lookups hit; a
+    structurally equal but physically fresh [inv] merely compiles a
+    duplicate row. Raises [Type_spec.Bad_step] on an out-of-range port
+    (same message as the interpreted path) and [Invalid_argument] on a
+    state number the table never gave; a [Bad_step] raised by the spec's
+    transition itself propagates uncached. *)
+
+val row : t -> int -> row
+(** The row of a number {!row_id} returned. *)
 
 val alternatives : t -> Value.t -> port:int -> inv:Value.t -> (Value.t * Value.t) list
 (** Drop-in for [Type_spec.alternatives spec]: interns the arguments and

@@ -585,4 +585,33 @@ module Intern = struct
     let equal = ( == )
     let hash c = c.id
   end)
+
+  (* Numbers handed out in order of first [number]; [ids] finds a cell's
+     number by its id, and [cells] gives the cell back by its number. *)
+  module Numbering = struct
+    type t = { ids : Imap.t; mutable cells : cell array; mutable n : int }
+
+    let create () = { ids = Imap.create 16; cells = Array.make 8 vacant; n = 0 }
+    let length t = t.n
+
+    let number t c =
+      let k = Imap.find t.ids c.id 0 in
+      if k >= 0 then k
+      else begin
+        let k = t.n in
+        if k = Array.length t.cells then begin
+          let cells = Array.make (2 * k) vacant in
+          Array.blit t.cells 0 cells 0 k;
+          t.cells <- cells
+        end;
+        t.cells.(k) <- c;
+        t.n <- k + 1;
+        Imap.add t.ids c.id 0 k;
+        k
+      end
+
+    let cell t k =
+      if k < 0 || k >= t.n then invalid_arg "Value.Intern.Numbering.cell";
+      Array.unsafe_get t.cells k
+  end
 end

@@ -157,4 +157,26 @@ module Intern : sig
   (** Hashtables keyed on cells of a single state: physical-equality probes
       with the id as hash — O(1) per operation regardless of value size. *)
   module H : Hashtbl.S with type key = cell
+
+  val max_cells : int
+  (** 2{^31}: every cell and {!tuple} id of a state is below it. *)
+
+  (** A dense numbering of some cells of one state: the [k]th cell numbered
+      gets [k], and its number gives it back by one array load, so a holder
+      of numbers keeps ints and rebuilds values only where it reads them.
+      Numbering a cell met before allocates nothing. *)
+  module Numbering : sig
+    type t
+
+    val create : unit -> t
+
+    val number : t -> cell -> int
+    (** The cell's number, given on first call. *)
+
+    val cell : t -> int -> cell
+    (** The cell numbered [k]; raises [Invalid_argument] when no cell is. *)
+
+    val length : t -> int
+    (** How many cells are numbered. *)
+  end
 end

@@ -1263,6 +1263,70 @@ let test_table_reset_shrinks () =
   Alcotest.(check bool) "entries found again" true
     (Fingerprint.Table.mem_or_add t ~hi:7919 ~lo:104729)
 
+(* [reset] clears from the slot log while a run fits it and clears the
+   whole table once a run overflowed it; [grow] re-logs the entries while
+   they fit. Tables of random initial size get random fills, most crossing
+   the log of the capacity they grow to, some growing the table past 2^16
+   slots, where it has no log, each fill followed by a reset: afterwards
+   the table must be empty, report none of the keys it held, and be
+   exactly as large as the shrink rule says, which a model of the capacity
+   tracks. *)
+let prop_table_reset_log =
+  let default_cap = 1024 in
+  QCheck.Test.make ~count:60 ~name:"Table.reset empties whatever the log held"
+    QCheck.(
+      make
+        ~print:(fun (c, l) ->
+          Fmt.str "2^%d: %s" c (String.concat "," (List.map string_of_int l)))
+        Gen.(
+          pair (int_range 2 10)
+            (list_size (int_range 1 8)
+               (frequency
+                  [
+                    (4, int_range 0 600);
+                    (3, int_range 600 5000);
+                    (1, int_range 16000 17000);
+                    (1, int_range 66000 70000);
+                  ]))))
+    (fun (capacity_log2, fills) ->
+      let default_words =
+        Obj.reachable_words (Obj.repr (Fingerprint.Table.create ()))
+      in
+      let t = Fingerprint.Table.create ~capacity_log2 () in
+      let words () = Obj.reachable_words (Obj.repr t) in
+      let next = ref 0 and cap = ref (1 lsl capacity_log2) in
+      (* distinct keys: [hi] is unique, [lo] scatters them over the slots *)
+      let key k = (k, (k * 0x5851F42D4C957F2D) land max_int) in
+      List.for_all
+        (fun n ->
+          let first = !next in
+          for _ = 1 to n do
+            let hi, lo = key !next in
+            incr next;
+            if Fingerprint.Table.mem_or_add t ~hi ~lo then
+              Alcotest.fail "a fresh key was reported present";
+            if 2 * (!next - first) > !cap - 1 then cap := 2 * !cap
+          done;
+          let filled = Fingerprint.Table.length t = n in
+          Fingerprint.Table.reset t;
+          if !cap > default_cap && !cap > 16 * n then cap := default_cap;
+          let visited = ref 0 in
+          Fingerprint.Table.iter (fun ~hi:_ ~lo:_ -> incr visited) t;
+          let empty = Fingerprint.Table.length t = 0 && !visited = 0 in
+          let sized = (words () = default_words) = (!cap = default_cap) in
+          (* probing adds the keys again, so a second reset clears them *)
+          let gone = ref true in
+          for k = max first (!next - 300) to !next - 1 do
+            let hi, lo = key k in
+            if Fingerprint.Table.mem_or_add t ~hi ~lo then gone := false
+          done;
+          Fingerprint.Table.reset t;
+          let m = min n 300 in
+          if !cap > default_cap && !cap > 16 * m then cap := default_cap;
+          filled && empty && sized && !gone
+          && Fingerprint.Table.length t = 0)
+        fills)
+
 let test_table_iter_complete () =
   let t = Fingerprint.Table.create ~capacity_log2:2 () in
   let n = 100 in
@@ -1350,10 +1414,80 @@ let test_hash_sensitivity () =
     (List.map Fingerprint.hash_string
        [ ""; "wfc-checkpoint/4"; "digest the body\n" ]);
   Alcotest.(check (list int)) "component and record terms pinned"
-    [ 221701921599379672; 2828350876359230244; 4090235292912219161;
-      3770400387060345786 ]
+    [ 1580394556071142693; 4193483965750566612; 467197854272810500;
+      1972864303250822927 ]
     [ Fingerprint.component_hi 1 2 3 4; Fingerprint.component_lo 1 2 3 4;
       Fingerprint.record_hi 0 1 2 3 4 5; Fingerprint.record_lo 0 1 2 3 4 5 ]
+
+(* Two fields share a word of a term, so fields that differ only across a
+   word's seam, or only in the high field, must still give different terms:
+   every combination of boundary values below, chain = -1 and fields at
+   2^31 - 1 included, gets its own term in each lane. *)
+let test_packed_terms_separate () =
+  let top = Fingerprint.field_bound - 1 in
+  let edges = [ 0; 1; 1 lsl 30; top ] in
+  let distinct name terms =
+    Alcotest.(check int) name (List.length terms)
+      (List.length (List.sort_uniq compare terms))
+  in
+  let components =
+    List.concat_map
+      (fun pos ->
+        List.concat_map
+          (fun q ->
+            List.concat_map
+              (fun h -> List.map (fun a -> (pos, q, h, a)) edges)
+              edges)
+          edges)
+      [ 0; 1; top ]
+  in
+  distinct "component hi"
+    (List.map (fun (p, q, h, a) -> Fingerprint.component_hi p q h a) components);
+  distinct "component lo"
+    (List.map (fun (p, q, h, a) -> Fingerprint.component_lo p q h a) components);
+  let records =
+    List.concat_map
+      (fun salt ->
+        List.concat_map
+          (fun local ->
+            List.concat_map
+              (fun next_op ->
+                List.concat_map
+                  (fun chain ->
+                    List.concat_map
+                      (fun ops ->
+                        List.map
+                          (fun flags -> (salt, local, next_op, chain, ops, flags))
+                          [ 0; 1; 2; 3 ])
+                      edges)
+                  [ -1; 0; 1; top ])
+              edges)
+          edges)
+      [ 0; 1 ]
+  in
+  distinct "record hi"
+    (List.map
+       (fun (s, l, n, c, o, f) -> Fingerprint.record_hi s l n c o f)
+       records);
+  distinct "record lo"
+    (List.map
+       (fun (s, l, n, c, o, f) -> Fingerprint.record_lo s l n c o f)
+       records)
+
+(* The key packs access counts and workload positions, both at most the
+   event count, into 31-bit fields: a fuel that could exceed them is
+   refused, and the largest one that cannot is accepted. *)
+let test_fuel_range () =
+  let impl = proto "tas" 2 in
+  let workloads = [| [ Ops.propose (Value.bool true) ]; [ Ops.propose (Value.bool false) ] |] in
+  (match Explore.run impl ~workloads ~fuel:Fingerprint.field_bound () with
+  | _ -> Alcotest.fail "fuel 2^31 accepted"
+  | exception Invalid_argument _ -> ());
+  let st =
+    Explore.run impl ~workloads ~fuel:(Fingerprint.field_bound - 1)
+      ~options:Explore.fast ()
+  in
+  Alcotest.(check int) "no overflow" 0 st.Explore.overflows
 
 (* --- additive segment hashing ---------------------------------------------- *)
 
@@ -1771,6 +1905,11 @@ let () =
             test_segment_collision_probe;
           Alcotest.test_case "table reset shrinks an oversized table" `Quick
             test_table_reset_shrinks;
+          QCheck_alcotest.to_alcotest prop_table_reset_log;
+          Alcotest.test_case "packed terms separate across seams" `Quick
+            test_packed_terms_separate;
+          Alcotest.test_case "fuel beyond the packed fields is refused" `Quick
+            test_fuel_range;
           QCheck_alcotest.to_alcotest prop_record_key_oracle;
           Alcotest.test_case "record key separates flags and classes" `Quick
             test_record_key_separates;

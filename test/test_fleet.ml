@@ -592,6 +592,25 @@ let test_parity_clean () =
     (fleet.Check.executions >= single.Check.executions);
   Alcotest.(check bool) "used the fleet" true (stats.Coordinator.workers_seen >= 1)
 
+(* A 200-node quantum is smaller than some frontier items' subtrees of cas
+   n=4: a lease that finishes no item hands its frontier back unchanged, and
+   its next lease must get a larger quantum or the run never ends. The
+   deadline turns a regression into a failure instead of a hang. *)
+let test_quantum_smaller_than_shard () =
+  let impl = impl_of "cas" 4 in
+  let config =
+    Coordinator.config ~quantum:200 ~local_grace_s:0.01 (fresh_socket ())
+  in
+  let verdict, stats =
+    Coordinator.serve ~deadline_s:60.
+      ~meta:(Protocols.meta ~name:"cas" ~procs:4)
+      ~config impl
+  in
+  let fleet = report_of verdict in
+  let single = report_of (Check.verify impl) in
+  Alcotest.(check int) "same vectors" single.Check.vectors fleet.Check.vectors;
+  Alcotest.(check bool) "ran locally" true (stats.Coordinator.local_shards >= 1)
+
 let test_parity_chaos_mix () =
   (* worker 0 crashes mid-lease, worker 1 writes wire garbage, worker 2
      delays its results past lease expiry: all availability events *)
@@ -862,6 +881,8 @@ let () =
             test_parity_clean;
           Alcotest.test_case "verdict parity under kill/garbage/delay chaos"
             `Slow test_parity_chaos_mix;
+          Alcotest.test_case "quantum smaller than a shard still finishes"
+            `Quick test_quantum_smaller_than_shard;
           Alcotest.test_case "requeue once, then local fallback" `Slow
             test_requeue_then_local_fallback;
           Alcotest.test_case "broken protocol falsified with replayable witness"
