@@ -147,8 +147,8 @@ let resume_arg =
 let mem_budget_arg =
   let doc =
     "Soft major-heap budget in MiB. Under pressure the flat engine \
-     migrates exact duplicate-state tables into Bloom filters and spills \
-     pending frontier entries to disk: the search finishes, but dedup \
+     migrates exact duplicate-state tables into Bloom filters: the \
+     search finishes, but dedup \
      becomes probabilistic, so a clean pass reports UNKNOWN instead of \
      VERIFIED (violations found are still definitive)."
   in

@@ -258,17 +258,6 @@ let run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb ?checkpoint
   in
   let inputs = inputs_of_workloads workloads in
   let witness trace = Some (Witness.make ~workloads ~faults trace) in
-  (* The last checkpoint the engine hands over is a cut's remainder. A
-     resumed job runs in frontier mode anyway, so keeping one changes no
-     mode; a root job without a sink stays a plain DFS. *)
-  let last = ref None in
-  let keep ck = last := Some ck in
-  let checkpoint =
-    match (checkpoint, resume_from) with
-    | None, None -> None
-    | Some (interval, sink), _ -> Some (interval, fun ck -> keep ck; sink ck)
-    | None, Some _ -> Some (infinity, keep)
-  in
   (* Agreement/validity read only operation values, never timestamps, so
      the reduced engine is sound here (see {!Wfc_sim.Explore}'s soundness
      envelope). That includes process-symmetry reduction: equal-input
@@ -294,20 +283,14 @@ let run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb ?checkpoint
          [] (Option.bind overflow_trace witness))
   | stats -> (
     let counts = Explore.counts_of_stats stats in
-    let cut reason =
-      let remainder =
-        match !last with Some ck -> ck | None -> job_checkpoint impl job
-      in
-      Cut { reason; counts; remainder }
-    in
-    match stats.Explore.completeness with
+    match (stats.Explore.completeness, stats.Explore.remainder) with
     (* a Bloom-tier sweep drained too; [counts.probabilistic] says so *)
-    | Explore.(Exhaustive | Partial Probabilistic) -> Drained counts
-    | Explore.Partial Budget_exhausted -> cut "node budget exhausted"
-    | Explore.Partial Deadline_exceeded -> cut "deadline exceeded"
-    | Explore.Partial Interrupted -> cut "interrupted"
-    | Explore.Partial Stopped ->
-      (* the leaf callback above only ever raises Found, never Stop *)
+    | Explore.(Exhaustive | Partial Probabilistic), _ -> Drained counts
+    | Explore.Partial reason, Some remainder ->
+      Cut { reason = Fmt.str "%a" Explore.pp_partial_reason reason; counts; remainder }
+    | Explore.Partial _, None ->
+      (* only a Stop leaves no remainder, and the leaf callback above only
+         ever raises Found *)
       assert false)
 
 (* --- the cross-vector ledger: the only writer and reader of the [check.*]

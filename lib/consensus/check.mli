@@ -214,7 +214,8 @@ type job_result =
       reason : string;  (** as {!Unknown} reports it *)
       counts : Wfc_sim.Checkpoint.counts;  (** the job's counts so far *)
       remainder : Wfc_sim.Checkpoint.t;
-          (** what is left, with no meta (a plain DFS: the whole job) *)
+          (** what is left, with no meta: the remainder of the search's
+              DFS stack ({!Wfc_sim.Explore.stats.remainder}) *)
     }
   | Violated of violation
       (** a leaf failed {!check_leaf}, or a path exhausted its fuel *)
@@ -231,10 +232,12 @@ val run_job :
   job_result
 (** Search one job with {!check_leaf} at every leaf: the per-vector body of
     {!verify}, of a fleet worker's shard and of the coordinator's local
-    fallback. A [Root] job without a [checkpoint] sink is a plain DFS; a
-    sink or a [Frontier] job runs {!Wfc_sim.Explore.run} in frontier mode.
-    [on_leaf] runs after each passing leaf. Raises [Invalid_argument] when a
-    [Frontier] checkpoint does not match its own problem. *)
+    fallback. Every job is one {!Wfc_sim.Explore.run}: a [Root] job from the
+    root, a [Frontier] job resumed at its prefixes, and a [checkpoint] sink
+    only receives periodic saves and a cut's remainder, without changing
+    what is explored. [on_leaf] runs after each passing leaf. Raises
+    [Invalid_argument] when a [Frontier] checkpoint does not match its own
+    problem. *)
 
 (** The cross-vector ledger a verification checkpoint carries: the report
     of the vectors before the one its frontier belongs to. This module alone

@@ -52,7 +52,6 @@ type shard = {
   sid : int;
   vec : int;  (* 1-based position in the Check.vectors enumeration *)
   job : Checkpoint.t;
-  quantum : int;  (* its lease's node budget *)
   mutable requeues : int;
 }
 
@@ -155,7 +154,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
         ~workloads:vecs.(vec - 1).Check.workloads
         ~counts:(Checkpoint.zero_counts ~n_objs) ~frontier ()
     in
-    { sid = next_sid (); vec; job; quantum = cfg.quantum; requeues = 0 }
+    { sid = next_sid (); vec; job; requeues = 0 }
   in
   Array.iter
     (fun (v : Check.vector) ->
@@ -339,16 +338,9 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
         match ck.Checkpoint.frontier with
         | [] -> vs.outstanding <- vs.outstanding - 1
         | frontier ->
-          (* A lease that hands its input frontier back unchanged finished
-             no item, because an item's subtree outgrew the quantum: the
-             next lease of that work gets twice the quantum, so every
-             lease eventually finishes one. *)
-          let quantum =
-            if frontier = s.job.Checkpoint.frontier && s.quantum <= max_int / 2
-            then 2 * s.quantum
-            else s.quantum
-          in
-          (* spread the remainder over the idle capacity *)
+          (* The remainder of the lease's DFS stack: disjoint from what the
+             lease explored, so folding its counts counts nothing twice.
+             Spread it over the idle capacity. *)
           let k =
             max 1 (min (List.length frontier) (1 + List.length (idle_ready ())))
           in
@@ -358,7 +350,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
           List.iter
             (fun job ->
               Queue.push
-                { sid = next_sid (); vec = s.vec; job; quantum; requeues = 0 }
+                { sid = next_sid (); vec = s.vec; job; requeues = 0 }
                 queue)
             parts
       end
@@ -375,7 +367,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
     incr local_shards;
     cfg.log (Fmt.str "running shard %d (vector %d) locally" s.sid s.vec);
     let outcome =
-      Worker.exec_shard impl ~job:s.job ~quantum:s.quantum ?interrupt ()
+      Worker.exec_shard impl ~job:s.job ~quantum:cfg.quantum ?interrupt ()
     in
     settle s outcome
   in
@@ -464,7 +456,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
                    {
                      shard = s.sid;
                      lease_s = cfg.lease_s;
-                     quantum = s.quantum;
+                     quantum = cfg.quantum;
                      job = s.job;
                    })
             with

@@ -6,8 +6,11 @@
     input-vector) job of the {!Wfc_consensus.Check.vectors} enumeration
     starts as a root shard (frontier [[[]]] — the whole execution tree) and
     a shard cut at its node quantum comes back as a checkpoint whose
-    frontier the coordinator {!Wfc_sim.Checkpoint.split}s across idle
-    workers. Work-stealing falls out: when the queue is dry and a worker
+    frontier, the remainder of the lease's DFS stack, the coordinator
+    {!Wfc_sim.Checkpoint.split}s across idle workers: stack splitting, as
+    in Rao and Kumar's parallel depth-first search (1987). The remainder is
+    disjoint from what the lease explored, so each lease makes progress
+    and the folded counts describe disjoint work. Work-stealing falls out: when the queue is dry and a worker
     idles, the coordinator [Steal]s the slowest lease, splitting the
     returned remainder.
 

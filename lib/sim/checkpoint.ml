@@ -28,7 +28,6 @@ type counts = {
   pruned : int;
   sleep_skips : int;
   evictions : int;
-  spilled : int;
   probabilistic : bool;
       (* some segment ran on the Bloom dedup tier: the stitched run's clean
          sweep is probabilistic, and every later segment must report it *)
@@ -45,7 +44,6 @@ let zero_counts ~n_objs =
     pruned = 0;
     sleep_skips = 0;
     evictions = 0;
-    spilled = 0;
     probabilistic = false;
   }
 
@@ -77,7 +75,6 @@ let add_counts a b =
     pruned = a.pruned + b.pruned;
     sleep_skips = a.sleep_skips + b.sleep_skips;
     evictions = a.evictions + b.evictions;
-    spilled = a.spilled + b.spilled;
     probabilistic = a.probabilistic || b.probabilistic;
   }
 
@@ -105,11 +102,12 @@ let make ?(meta = []) ~engine ~fuel ?budget_left ~faults ~workloads ~counts
    [Fingerprint.hash_string] of the canonical body (everything after it):
    [of_string] re-serializes what it parsed and compares, so any corruption
    that changes the meaning of the file — even one surviving the parser — is
-   refused. Files of earlier formats (wfc-checkpoint/1, /2 and /3, whose
-   engine lines described since-deleted engine options) are refused by
-   name. *)
+   refused. Files of earlier formats are refused by name: /1 to /3, whose
+   engine lines described since-deleted engine options, and /4, whose
+   counts line carried the spill count of the deleted breadth-first
+   frontier. *)
 
-let header = "wfc-checkpoint/4"
+let header = "wfc-checkpoint/5"
 
 let body_lines t =
   let b = Buffer.create 512 in
@@ -123,9 +121,9 @@ let body_lines t =
   let c = t.counts in
   line
     "counts leaves=%d nodes=%d max_events=%d max_op_steps=%d overflows=%d \
-     pruned=%d sleep_skips=%d evictions=%d spilled=%d probabilistic=%d"
+     pruned=%d sleep_skips=%d evictions=%d probabilistic=%d"
     c.leaves c.nodes c.max_events c.max_op_steps c.overflows c.pruned
-    c.sleep_skips c.evictions c.spilled
+    c.sleep_skips c.evictions
     (Bool.to_int c.probabilistic);
   line "max_accesses %s"
     (String.concat "|" (Array.to_list (Array.map string_of_int c.max_accesses)));
@@ -237,20 +235,20 @@ let of_string s =
         parse_kv_ints body
           [
             "leaves"; "nodes"; "max_events"; "max_op_steps"; "overflows";
-            "pruned"; "sleep_skips"; "evictions"; "spilled"; "probabilistic";
+            "pruned"; "sleep_skips"; "evictions"; "probabilistic";
           ]
       in
       (match fields with
       | [
        leaves; nodes; max_events; max_op_steps; overflows; pruned; sleep_skips;
-       evictions; spilled; probabilistic;
+       evictions; probabilistic;
       ] ->
         counts :=
           Some
             {
               leaves; nodes; max_events; max_op_steps;
               max_accesses = [||];
-              overflows; pruned; sleep_skips; evictions; spilled;
+              overflows; pruned; sleep_skips; evictions;
               probabilistic = probabilistic <> 0;
             }
       | _ -> assert false);

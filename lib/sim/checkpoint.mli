@@ -1,21 +1,22 @@
 (** Durable checkpoints for long exploration runs.
 
-    A budgeted or interrupted {!Explore.run} no longer throws away the work
-    it did: in the TLC tradition, the engine periodically hands its sink its
-    {e unexplored frontier} — each pending subtree root identified by the
-    replayable {!Faults.trace} prefix that reaches it — together with the
-    accumulated statistics, the engine options and the problem configuration
-    (workloads, fuel, fault adversary), for the caller to {!save} or keep.
-    Resuming re-materializes every frontier root by replaying its prefix and
-    continues the search, with [stats] and [completeness] stitched across
-    segments.
+    A budgeted or interrupted {!Explore.run} does not throw away the work
+    it did: in the TLC tradition, a cut run returns, and hands its sink,
+    its {e unexplored frontier} — the remainder of its depth-first stack,
+    each pending subtree root identified by the replayable {!Faults.trace}
+    prefix that reaches it — together with the accumulated statistics, the
+    engine options and the problem configuration (workloads, fuel, fault
+    adversary), for the caller to {!save} or keep; a periodic save holds
+    what a cut at that moment would leave. Resuming re-materializes every
+    frontier root by replaying its prefix and continues the search, with
+    [stats] and [completeness] stitched across segments.
 
     The file format is line-oriented text in the wfc-witness/1 style and
     reuses the {!Faults} line codec (fault budgets, degradations, workloads,
-    decision traces). The header is [wfc-checkpoint/4]; a [digest] line
+    decision traces). The header is [wfc-checkpoint/5]; a [digest] line
     carries the {!Wfc_spec.Fingerprint.hash_string} digest of the canonical
     body. {!of_string} refuses files whose digest does not match and files
-    of the earlier /1, /2 and /3 formats (naming the header found), and
+    of the earlier /1 to /4 formats (naming the header found), and
     {!describe_mismatch} lets {!Explore.run} refuse to resume a checkpoint
     against a different problem. *)
 
@@ -47,7 +48,6 @@ type counts = {
   pruned : int;
   sleep_skips : int;
   evictions : int;
-  spilled : int;
   probabilistic : bool;
       (** some checkpointed segment ran on the Bloom dedup tier, so the
           stitched run's clean sweep is probabilistic *)

@@ -39,9 +39,9 @@ type stats = {
   pruned : int;
   sleep_skips : int;
   evictions : int;
-  spilled : int;
   completeness : completeness;
   overflow_trace : Faults.trace option;
+  remainder : Checkpoint.t option;
 }
 
 let default_fuel = 10_000
@@ -325,11 +325,11 @@ end
 
    [budget] (configurations visited) and [deadline] (absolute wall clock)
    cut the whole exploration rather than a single path: an exceeded limit
-   raises [Cut], records why, and the final stats carry
-   [completeness = Partial _] — "not falsified within budget" instead of a
-   verdict. *)
+   raises [Cut] with the path to the node it was met at, records why, and
+   the final stats carry [completeness = Partial _] — "not falsified within
+   budget" instead of a verdict — and the remainder of the cut. *)
 
-exception Cut
+exception Cut of Faults.trace  (* the path to the cut node, most recent first *)
 
 type limiter = {
   budget : int ref option;  (* remaining visits *)
@@ -354,26 +354,27 @@ let make_limiter ?budget ?deadline_s ?interrupt () =
 
 let trip lim reason = if lim.tripped = None then lim.tripped <- Some reason
 
-let check_limits lim =
-  (match lim.interrupt with
-  | Some flag when Atomic.get flag ->
-    trip lim Interrupted;
-    raise Cut
-  | _ -> ());
-  (match lim.deadline with
-  | Some t when Monotime.now () > t ->
-    trip lim Deadline_exceeded;
-    raise Cut
-  | _ -> ());
-  match lim.budget with
-  | Some b ->
-    let left = !b in
-    b := left - 1;
-    if left <= 0 then begin
-      trip lim Budget_exhausted;
-      raise Cut
-    end
-  | None -> ()
+(* Spend one visit; [true] when a limit is exceeded, which is recorded. *)
+let out_of_limits lim =
+  let reason =
+    match lim.interrupt with
+    | Some flag when Atomic.get flag -> Some Interrupted
+    | _ -> (
+      match lim.deadline with
+      | Some t when Monotime.now () > t -> Some Deadline_exceeded
+      | _ -> (
+        match lim.budget with
+        | Some b ->
+          let left = !b in
+          b := left - 1;
+          if left <= 0 then Some Budget_exhausted else None
+        | None -> None))
+  in
+  match reason with
+  | None -> false
+  | Some r ->
+    trip lim r;
+    true
 
 (* --- the engine -------------------------------------------------------------- *)
 
@@ -387,7 +388,6 @@ type counters = {
   mutable pruned : int;
   mutable sleep_skips : int;
   mutable evictions : int;
-  mutable spilled : int;
   mutable probabilistic : bool;
   mutable overflow_trace : Faults.trace option;
 }
@@ -403,7 +403,6 @@ let fresh_counters n_objs =
     pruned = 0;
     sleep_skips = 0;
     evictions = 0;
-    spilled = 0;
     probabilistic = false;
     overflow_trace = None;
   }
@@ -425,7 +424,6 @@ let add_counts (a : counters) (k : Checkpoint.counts) =
   a.pruned <- a.pruned + k.pruned;
   a.sleep_skips <- a.sleep_skips + k.sleep_skips;
   a.evictions <- a.evictions + k.evictions;
-  a.spilled <- a.spilled + k.spilled;
   a.probabilistic <- a.probabilistic || k.probabilistic
 
 let engine_of_options (o : options) : Checkpoint.engine = o
@@ -553,7 +551,7 @@ let flat_release (dd : dedup_ctx option) =
     Domain.DLS.get table_pool := Some tbl
   | _ -> ()
 
-let stats_of c ~lim =
+let stats_of ?remainder c ~lim =
   {
     leaves = c.leaves;
     nodes = c.nodes;
@@ -564,7 +562,6 @@ let stats_of c ~lim =
     pruned = c.pruned;
     sleep_skips = c.sleep_skips;
     evictions = c.evictions;
-    spilled = c.spilled;
     completeness =
       (* An explicit cut (budget, deadline, interrupt, stop) takes priority:
          those runs can be resumed. A run that merely passed through the
@@ -573,6 +570,7 @@ let stats_of c ~lim =
       | Some reason -> Partial reason
       | None -> if c.probabilistic then Partial Probabilistic else Exhaustive);
     overflow_trace = c.overflow_trace;
+    remainder;
   }
 
 (* A run is probabilistic when it (or a segment it resumed) evicted a table
@@ -588,7 +586,6 @@ let counts_of_stats (s : stats) =
     pruned = s.pruned;
     sleep_skips = s.sleep_skips;
     evictions = s.evictions;
-    spilled = s.spilled;
     probabilistic =
       s.evictions > 0 || s.completeness = Partial Probabilistic;
   }
@@ -691,15 +688,21 @@ let default_dedup_threshold = 64
      the tracker computes) is passed down the recursion and asked for again
      only below an edge that changed the tracker state.
 
-   - Frontier mode. One call explores one work item ⟨decision-trace prefix,
-     sleep set, tracker state⟩. It first applies the prefix in place with
-     the same edge functions, checking each decision the way {!Exec.replay}
-     does; a prefix edge is not counted, not probed and fires no tracker
-     event. Every edge adds exactly one event, so a node's depth is
-     [!events], and with [cut] one level below the item its children are
-     handed to [on_cut] instead of explored: that is how the frontier is
-     expanded breadth-first, checkpointed and spilled.
-     A plain sequential run is the item ⟨[], ∅, root⟩ with no cut. *)
+   - Prefixes and cuts. One call explores the subtree under a
+     decision-trace prefix: the root's is empty, a resumed checkpoint's
+     are its frontier. It first applies the prefix in place with the same
+     edge functions, checking each decision the way {!Exec.replay} does; a
+     prefix edge is not counted, not probed and fires no tracker event.
+     Every edge adds exactly one event, so a node's depth is [!events]. A
+     limit met at a node raises [Cut] with the path to it, and the
+     remainder of the cut is derived afterwards, by a second call in
+     listing mode: it replays that path and, at each depth at or below
+     [from], lists the node's children after the path's own child, in
+     the order [go] would have explored them, skipping those asleep; at
+     the path's end it stops. The sleep sets along the path are recomputed
+     as [go] computes them, starting empty at depth [from]. Nothing is
+     recorded per edge for this: a run that is not cut pays one test per
+     node. *)
 
 (* Per-depth classification scratch as parallel arrays, pooled so the hot
    path never allocates a classification: [ck] is 0 for a program that
@@ -724,11 +727,11 @@ let fresh_cls n_procs =
 
 (* The kernel's entire mutable configuration as parallel arrays, pooled
    across calls (sizes are fixed per implementation): a call borrows the
-   pool, re-initializes it to the root configuration, and returns it on
-   normal completion. Reentrancy (a leaf callback starting another
-   exploration of the same implementation) and abandoned calls (an exception
-   unwinding past the borrow) simply find the pool empty and allocate
-   fresh.
+   pool, re-initializes it to the root configuration, and returns it when
+   it ends, by completion, cut or exception. A reentrant call (a leaf
+   callback starting another exploration of the same implementation, or
+   the listing call of a periodic save) finds the pool empty and
+   allocates fresh.
 
    Each component is held once, as ints. An object is its state number in
    its step table and, when stale reads look back at it, its history's id
@@ -867,6 +870,15 @@ let port_of cc p obj =
     v
   end
 
+(* Listing mode's question and answer: where the listed path's own subtree
+   begins, and the siblings found below it. *)
+type listing = {
+  from : int;  (* depths below this belong to the subtree's own prefix *)
+  mutable found : (int * Faults.trace) list;
+      (* ⟨depth, path, most recent first⟩ of each sibling, latest first *)
+  mutable skipped : int;  (* siblings after the path's own child, asleep *)
+}
+
 (* Every index the kernel's hot frames use is established by a loop bound
    ([0 .. n_procs-1]), by the pool-growth check in [cls_at], by the range
    check on a prefix decision's pid, by the work mask (a process with work
@@ -876,7 +888,7 @@ let port_of cc p obj =
    writes arrays unchecked. *)
 let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     ~(dd : dedup_ctx option) ~lim ~t ~user_tracker ~want_leaf c ~emit_leaf
-    ~on_node ~prefix ~sleep ~st ~cut ~on_cut =
+    ~on_node ~prefix ~(listing : listing option) =
   let cc = compiled_ctx_of impl in
   let ist = cc.cc_ist in
   let pt = cc.cc_prog in
@@ -936,6 +948,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   let derail = Faults.can_derail faults in
   let faulty = faults.Faults.max_glitches > 0 || faults.Faults.max_crashes > 0 in
   let plen = Array.length prefix in
+  let listing_mode = Option.is_some listing in
   (* [o]'s history after an access overwrote state [q]: [q] pushed onto
      the history [h], cut to the object's depth. A history's id is an
      [I.tuple] chain over its state numbers, and [cc_hists] gives the
@@ -1203,6 +1216,93 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     && (Array.unsafe_get cl.cobj p <> Array.unsafe_get cl.cobj q
        || both land 2 <> 0)
   in
+  (* Without POR a process is classified right before its expansion (the
+     callers test [opts.por]); under a derailing adversary a step that
+     raises wedges it instead. *)
+  let wedges cl p =
+    if derail then (
+      match
+        classify_into cl p;
+        prestep cl p
+      with
+      | () -> false
+      | exception (Type_spec.Bad_step _ | Value.Type_error _) -> true)
+    else begin
+      classify_into cl p;
+      false
+    end
+  in
+  (* Listing mode at the path node of depth [ev], whose path child is [d]:
+     record its children after [d] in [go]'s order, count those asleep
+     after it, and return [d]'s child sleep set as [go] computes it. Every
+     classification and row miss raises here as it would in [go]. *)
+  let list_siblings l ev sleep trace_rev (d : Faults.decision) =
+    let work = ref 0 in
+    for p = n_procs - 1 downto 0 do
+      if has_work p then work := !work lor (1 lsl p)
+    done;
+    let work = !work in
+    let mask = work land lnot (!crashed lor !stuck) in
+    let recs =
+      if !recoveries_left > 0 then work land !crashed land lnot !stuck else 0
+    in
+    let cl = cls_at ev in
+    if opts.por then
+      for p = 0 to n_procs - 1 do
+        if mask land (1 lsl p) <> 0 then classify_into cl p
+      done;
+    let passed = ref false and child_sleep = ref 0 and explored = ref 0 in
+    let child (e : Faults.decision) =
+      if !passed then l.found <- (ev, e :: trace_rev) :: l.found
+      else if e = d then passed := true
+    in
+    for p = 0 to n_procs - 1 do
+      let bit = 1 lsl p in
+      if mask land bit = 0 then ()
+      else if sleep land bit <> 0 then begin
+        if !passed then l.skipped <- l.skipped + 1
+      end
+      else begin
+        if opts.por && p = d.Faults.proc then begin
+          let earlier = sleep lor !explored in
+          for q = 0 to n_procs - 1 do
+            if
+              q <> p
+              && mask land (1 lsl q) <> 0
+              && earlier land (1 lsl q) <> 0
+              && independent cl p q
+            then child_sleep := !child_sleep lor (1 lsl q)
+          done
+        end;
+        if (not opts.por) && wedges cl p then
+          child { Faults.proc = p; kind = Faults.Wedge }
+        else if Array.unsafe_get cl.ck p = 0 then child (dec p 0)
+        else begin
+          let n_alts = (row_of cl p).Step_table.n_alts in
+          if n_alts = 0 then
+            disabled p (Array.unsafe_get cl.cnode p) (Array.unsafe_get cl.cobj p);
+          for j = 0 to n_alts - 1 do
+            child (dec p j)
+          done
+        end;
+        if faulty then begin
+          if !glitches_left > 0 then begin
+            let _, _, _, rcs = glitch_alts p in
+            List.iteri
+              (fun i _ -> child { Faults.proc = p; kind = Faults.Glitch i })
+              rcs
+          end;
+          if !crashes_left > 0 then child { Faults.proc = p; kind = Faults.Crash }
+        end;
+        explored := !explored lor bit
+      end
+    done;
+    for p = 0 to n_procs - 1 do
+      if recs land (1 lsl p) <> 0 then
+        child { Faults.proc = p; kind = Faults.Recover }
+    done;
+    !child_sleep
+  in
   (* [cl_par]/[dirty]: the parent frame's classifications and a bitmask of
      processes whose classification may have changed across the parent's
      step. A step by [p] invalidates [p] itself plus (for a base access on
@@ -1214,9 +1314,9 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   let rec go cl_par dirty sleep trace_rev st tid =
     let ev = !events in
     if ev < plen then descend ev sleep trace_rev st
-    else if ev >= cut then on_cut trace_rev sleep st
+    else if listing_mode then ()
     else begin
-      on_node ();
+      if c.nodes land 1023 = 0 then on_node trace_rev;
       let work = ref 0 in
       for p = n_procs - 1 downto 0 do
         if has_work p then work := !work lor (1 lsl p)
@@ -1226,7 +1326,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       let recs =
         if !recoveries_left > 0 then work land !crashed land lnot !stuck else 0
       in
-      if lim.active then check_limits lim;
+      if lim.active && out_of_limits lim then raise (Cut trace_rev);
       if mask = 0 then begin
         c.leaves <- c.leaves + 1;
         if !events > c.max_events then c.max_events <- !events;
@@ -1304,25 +1404,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
                     !s
                   end
                 in
-                (* Without POR [p] is classified here; under a derailing
-                   adversary a step that raises wedges [p] instead. *)
-                let wedged =
-                  (not opts.por)
-                  &&
-                  if derail then (
-                    match
-                      classify_into cl p;
-                      prestep cl p
-                    with
-                    | () -> false
-                    | exception (Type_spec.Bad_step _ | Value.Type_error _) ->
-                      true)
-                  else begin
-                    classify_into cl p;
-                    false
-                  end
-                in
-                (if wedged then begin
+                (if (not opts.por) && wedges cl p then begin
                    c.nodes <- c.nodes + 1;
                    halt_child ~crash:false p cl
                      { Faults.proc = p; kind = Faults.Wedge }
@@ -1607,9 +1689,9 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     crashed := !crashed lor (1 lsl p);
     if keyed then put_term p s_rhi s_rlo
   (* Apply prefix decision [ev] with the edge it names, after checking it the
-     way {!Exec.replay} does. Only a resumed checkpoint can carry a prefix
-     that fails the check, and those are all materialized before anything
-     is explored. *)
+     way {!Exec.replay} does (and, in listing mode, listing its siblings).
+     Only a resumed checkpoint can carry a prefix that fails the check, and
+     those are all materialized before anything is explored. *)
   and descend ev sleep trace_rev st =
     let d = Array.unsafe_get prefix ev in
     let p = d.Faults.proc in
@@ -1618,6 +1700,11 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     in
     if p < 0 || p >= n_procs then bad "replay: no process %d" p;
     if ev >= fuel then bad "replay: event %d is past the fuel" ev;
+    let sleep =
+      match listing with
+      | Some l when ev >= l.from -> list_siblings l ev sleep trace_rev d
+      | _ -> sleep
+    in
     let bit = 1 lsl p in
     let enabled = has_work p && (!crashed lor !stuck) land bit = 0 in
     let need_enabled () =
@@ -1686,15 +1773,20 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
         halt_child ~crash:false p cl d sleep trace_rev st no_tid
       | () -> bad "replay: p%d does not wedge at event %d" p ev)
   in
-  go (cls_at 0) (-1) sleep [] st no_tid;
-  cc.cc_pool <- Some ms
+  (* Every slot is re-initialized at the next borrow, so the pool is
+     returned even when a cut or an exception unwinds the run. *)
+  match go (cls_at 0) (-1) 0 [] t.root no_tid with
+  | () -> cc.cc_pool <- Some ms
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    cc.cc_pool <- Some ms;
+    Printexc.raise_with_backtrace e bt
 
 (* Physically recognizable defaults: when the caller supplied no leaf
    consumer (and no tracker), the kernel can skip materializing leaf records
    entirely. *)
 let no_on_leaf (_ : Exec.leaf) = ()
 let no_on_leaf_trace (_ : Faults.trace) (_ : Exec.leaf) = ()
-let no_cut _ _ _ = ()
 
 let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
     ?budget ?deadline_s ?(options = naive)
@@ -1769,13 +1861,6 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
   let budget_words =
     Option.map (fun mb -> mb * 1024 * 1024 / (Sys.word_size / 8)) mem_budget_mb
   in
-  (* Cheap per-node hook: a real sample only every 1024 nodes. *)
-  let on_node () =
-    match budget_words with
-    | Some budget_words when c.nodes land 1023 = 0 ->
-      mem_sample ~budget_words c dd
-    | _ -> ()
-  in
   let emit_leaf trace_rev leaf st =
     on_leaf leaf;
     on_leaf_trace (List.rev trace_rev) leaf;
@@ -1784,179 +1869,105 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
   let want_leaf =
     user_tracker || on_leaf != no_on_leaf || on_leaf_trace != no_on_leaf_trace
   in
-  (* Explore the work item ⟨trace_rev, sleep, st⟩, handing nodes at depth
-     [cut] to [on_cut]. *)
   let wl = Array.map Array.of_list workloads in
-  let explore ?(cut = max_int) ?(on_cut = no_cut) (trace_rev, sleep, st) =
-    run_compiled impl ~wl ~opts ~faults ~fuel ~dd ~lim ~t ~user_tracker
-      ~want_leaf c ~emit_leaf ~on_node
-      ~prefix:(Array.of_list (List.rev trace_rev))
-      ~sleep ~st ~cut ~on_cut
+  (* One kernel call: explore the subtree under [prefix], or, with
+     [listing], only list the siblings along it (no dedup, no callbacks). *)
+  let kernel ?listing ~on_node prefix =
+    run_compiled impl ~wl ~opts ~faults ~fuel
+      ~dd:(if Option.is_some listing then None else dd)
+      ~lim ~t ~user_tracker ~want_leaf c ~emit_leaf ~on_node
+      ~prefix:(Array.of_list prefix) ~listing
   in
-  let finish () =
-    flat_release dd;
-    stats_of c ~lim
+  (* The subtrees left to explore, as prefixes; [from] is the length of
+     the one being explored. *)
+  let pending =
+    ref (match resume_from with None -> [ [] ] | Some ck -> ck.Checkpoint.frontier)
   in
-  let root = ([], 0, t.root) in
-  if not ckpt_armed then begin
-    (try explore root with
-    | Exec.Stop -> trip lim Stopped
-    | Cut -> ());
-    finish ()
-  end
-  else begin
-    (* Frontier mode — any checkpointed or resumed run (a checkpoint needs
-       an explicit frontier of pending subtrees to serialize; a resume
-       starts from one). Expand the top of the tree breadth-first until the
-       frontier is wide enough, then drain the frontier subtrees in order.
-       Leaves met during expansion are processed inline. *)
-    (match resume_from with
-    | Some ck -> add_counts c ck.Checkpoint.counts
-    | None -> ());
-    let last_save = ref (Monotime.now ()) in
-    let saved_any = ref false in
-    let save_ck remaining =
-      match checkpoint with
-      | None -> ()
-      | Some (_, sink) ->
-        sink
-          (Checkpoint.make ~engine:options ~fuel
-             ?budget_left:(Option.map (fun b -> max 0 !b) lim.budget)
-             ~faults ~workloads
-             ~counts:(counts_of_stats (stats_of c ~lim))
-             ~frontier:remaining ());
+  let from = ref 0 in
+  (* Each frontier prefix must be a path of the tree: materialize it once,
+     up front, so a bad checkpoint is refused before anything is
+     explored. *)
+  (match resume_from with
+  | Some ck ->
+    List.iter
+      (fun prefix ->
+        kernel
+          ~listing:{ from = List.length prefix; found = []; skipped = 0 }
+          ~on_node:ignore prefix)
+      !pending;
+    add_counts c ck.Checkpoint.counts
+  | None -> ());
+  let checkpoint_of ?(listed = 0) ?(skipped = 0) frontier =
+    let k = counts_of_stats (stats_of c ~lim) in
+    Checkpoint.make ~engine:options ~fuel
+      ?budget_left:(Option.map (fun b -> max 0 !b) lim.budget)
+      ~faults ~workloads
+      ~counts:
+        {
+          k with
+          nodes = k.Checkpoint.nodes + listed;
+          sleep_skips = k.sleep_skips + skipped;
+        }
+      ~frontier ()
+  in
+  (* What a cut at the node [trace_rev] (most recent first) leaves: the
+     node itself, then the siblings along its path below [from], deepest
+     first — the order the uncut run would have explored them in — then
+     the subtrees not yet started. Its counts take in each listed
+     sibling's edge, and each sibling skipped asleep, as the uncut run
+     would have counted them, so the segments of a cut run sum to the
+     uncut counts. *)
+  let remainder_at trace_rev =
+    let l = { from = !from; found = []; skipped = 0 } in
+    kernel ~listing:l ~on_node:ignore (List.rev trace_rev);
+    let siblings =
+      List.stable_sort (fun (a, _) (b, _) -> compare b a) (List.rev l.found)
+    in
+    checkpoint_of ~listed:(List.length siblings) ~skipped:l.skipped
+      ((List.rev trace_rev :: List.map (fun (_, tr) -> List.rev tr) siblings)
+      @ !pending)
+  in
+  (* Periodic saves, looked at every 1024 nodes along with the memory
+     watchdog: what a cut at this node would leave. *)
+  let last_save = ref (Monotime.now ()) and saved_any = ref false in
+  let save ck =
+    Option.iter
+      (fun (_, sink) ->
+        sink ck;
         saved_any := true;
-        last_save := Monotime.now ()
-    in
-    let maybe_save remaining =
-      match checkpoint with
-      | Some (interval, _) when Monotime.now () -. !last_save >= interval ->
-        save_ck (remaining ())
-      | _ -> ()
-    in
-    let trace_of_item (tr, _, _) = List.rev tr in
-    let roots =
-      match resume_from with
-      | None -> [ root ]
-      | Some ck ->
-        (* Each frontier prefix must be a path of the tree: materialize it
-           once, up front, so a bad checkpoint is refused before anything
-           is explored. Sleep sets are not serialized; resumed roots restart
-           with an empty one, which is sound (sleep only ever skips). *)
-        List.map
-          (fun trace ->
-            let item = (List.rev trace, 0, t.root) in
-            explore ~cut:(List.length trace) item;
-            item)
-          ck.Checkpoint.frontier
-    in
-    (* The frontier is the unit of checkpoint progress, so a wider one lets
-       a resumed segment finish items (and shrink the checkpoint) sooner.
-       When a memory budget is armed, expand wider still: everything beyond
-       a small in-RAM window is spilled to disk below, so a wide frontier
-       costs a few text lines in a temp file, not heap — and gives the
-       watchdogged run fine-grained work units. *)
-    let spill_armed = Option.is_some budget_words in
-    let spill_window = 16 in
-    let target = if spill_armed then 256 else spill_window in
-    let cut = ref false in
-    let pending_expansion = ref None in
-    let frontier = ref roots in
-    (try
-       let level = ref 0 in
-       while !level < 8 && List.length !frontier < target && !frontier <> [] do
-         incr level;
-         let next = ref [] in
-         let rest = ref !frontier in
-         while !rest <> [] do
-           let ((trace_rev, _, _) as item) = List.hd !rest in
-           rest := List.tl !rest;
-           let before = !next in
-           try
-             explore
-               ~cut:(List.length trace_rev + 1)
-               ~on_cut:(fun tr sleep st -> next := (tr, sleep, st) :: !next)
-               item
-           with e ->
-             (* Keep the in-flight item whole in the checkpoint and drop its
-                partial children — they would otherwise be explored twice on
-                resume. Children of items already finished this level stay. *)
-             let rec strip l = if l == before then l else strip (List.tl l) in
-             pending_expansion := Some ((item :: !rest) @ strip !next);
-             raise e
-         done;
-         frontier := List.rev !next
-       done
-     with
-    | Exec.Stop ->
+        last_save := Monotime.now ())
+      checkpoint
+  in
+  let on_node trace_rev =
+    Option.iter (fun budget_words -> mem_sample ~budget_words c dd) budget_words;
+    match checkpoint with
+    | Some (interval, _) when Monotime.now () -. !last_save >= interval ->
+      save (remainder_at trace_rev)
+    | _ -> ()
+  in
+  let remainder =
+    match
+      while !pending <> [] do
+        let prefix = List.hd !pending in
+        pending := List.tl !pending;
+        from := List.length prefix;
+        kernel ~on_node prefix
+      done
+    with
+    | () -> None
+    | exception Exec.Stop ->
       trip lim Stopped;
-      cut := true
-    | Cut -> cut := true);
-    if !cut then begin
-      (match !pending_expansion with
-      | Some items -> save_ck (List.map trace_of_item items)
-      | None -> save_ck (List.map trace_of_item !frontier));
-      finish ()
-    end
-    else begin
-      let work = Array.of_list !frontier in
-      let n_items = Array.length work in
-      (* Two-tier frontier: items beyond a small in-RAM window are demoted
-         to their decision-trace prefix — one line in a disk spill file,
-         exactly the representation checkpoints use — and their tracker
-         state and sleep set are dropped. Taking a demoted item re-reads the
-         line and re-materializes the prefix (as a resume does); sleep sets
-         restart empty, which is sound. Only armed together with the memory
-         watchdog. A user tracker never gets here: its state could not be
-         re-derived from a trace without replaying events the engine does
-         not retain, which is one reason checkpoints refuse trackers. *)
-      let spill =
-        if spill_armed && n_items > spill_window then Some (Frontier.create ())
-        else None
-      in
-      let spill_handle = Array.make (max 1 n_items) None in
-      (match spill with
-      | Some sp ->
-        for i = spill_window to n_items - 1 do
-          spill_handle.(i) <- Some (Frontier.append sp (trace_of_item work.(i)));
-          work.(i) <- root
-        done;
-        c.spilled <- c.spilled + Frontier.spilled sp
-      | None -> ());
-      let item_trace i =
-        match spill_handle.(i) with
-        | None -> trace_of_item work.(i)
-        | Some (off, len) -> (
-          match Frontier.read (Option.get spill) ~off ~len with
-          | Ok trace -> trace
-          | Error e -> failwith ("Explore: frontier spill: " ^ e))
-      in
-      let item i =
-        match spill_handle.(i) with
-        | None -> work.(i)
-        | Some _ -> (List.rev (item_trace i), 0, t.root)
-      in
-      (* Items before [drained] are finished; a checkpoint lists the rest. *)
-      let drained = ref 0 in
-      let remaining_traces () =
-        List.init (n_items - !drained) (fun k -> item_trace (!drained + k))
-      in
-      (try
-         while !drained < n_items do
-           explore (item !drained);
-           incr drained;
-           maybe_save remaining_traces
-         done
-       with
-      | Exec.Stop ->
-        trip lim Stopped;
-        cut := true
-      | Cut -> cut := true);
-      (* A completed run needs no checkpoint; only refresh the file (to an
-         empty frontier) if interval saves already wrote a now-stale one. *)
-      if !cut then save_ck (remaining_traces ())
-      else if !saved_any then save_ck [];
-      Option.iter Frontier.close spill;
-      finish ()
-    end
-  end
+      None
+    | exception Cut trace_rev ->
+      let ck = remainder_at trace_rev in
+      c.nodes <- ck.Checkpoint.counts.nodes;
+      c.sleep_skips <- ck.counts.sleep_skips;
+      Some ck
+  in
+  (* A cut hands the sink its remainder; a finished run refreshes a copy
+     saved earlier to an empty frontier. *)
+  (match remainder with
+  | Some ck -> save ck
+  | None -> if !saved_any && lim.tripped = None then save (checkpoint_of []));
+  flat_release dd;
+  stats_of ?remainder c ~lim

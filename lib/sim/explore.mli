@@ -30,10 +30,9 @@
       with the number of base objects or processes or the length of pending
       operations. Runs that
       outgrow [?mem_budget_mb] migrate the table into a constant-memory
-      Bloom filter instead of dropping dedup, and in frontier mode the
-      pending-subtree queue spills to disk beyond a small in-RAM window; a
-      Bloom-tier run reports [Partial Probabilistic] instead of
-      [Exhaustive];
+      Bloom filter instead of dropping dedup; a Bloom-tier run reports
+      [Partial Probabilistic] instead of [Exhaustive]. The other memory a
+      run holds is its DFS path, so nothing else needs shedding;
     - {b process-symmetry reduction} ([dedup = Symmetric]): the same key,
       canonicalized under permutations of interchangeable processes (see
       {!Symmetry});
@@ -71,11 +70,12 @@
     continuation and numbers the local it returns once, for every later
     run of the implementation (see {!compiled_rows}).
     Crashes, recoveries, glitches and wedges are edges of the same kernel.
-    Frontier mode (checkpoint, resume, spill) hands it
-    work items ⟨decision-trace prefix, sleep set, tracker state⟩, which it
-    materializes by applying the prefix in place, each decision checked as
-    {!Exec.replay} checks it. {!Exec.explore} stays the reference semantics
-    the kernel is tested against.
+    A checkpoint, a resume or a cut changes nothing about the traversal:
+    a resumed subtree is entered by applying its decision-trace prefix in
+    place, each decision checked as {!Exec.replay} checks it, and a cut's
+    remainder is read off the DFS path once the run has stopped (see
+    {!run}). {!Exec.explore} stays the reference semantics the kernel is
+    tested against.
 
     The engine is sequential. A verification splits into independent
     problems (one per input vector, or one per frontier shard of a
@@ -184,13 +184,14 @@ type stats = {
           exact fingerprint table into its constant-memory Bloom tier, at
           most one per run segment (completeness degrades to
           [Partial Probabilistic]) *)
-  spilled : int;
-      (** frontier work items demoted to disk ({!Frontier}) instead of held
-          materialized in RAM; each is re-read and replayed when taken *)
   completeness : completeness;
   overflow_trace : Faults.trace option;
       (** decision trace of the first fuel-overflowing path — a replayable
           non-wait-freedom suspect *)
+  remainder : Checkpoint.t option;
+      (** when the run was cut by [budget], [deadline_s] or [interrupt]:
+          what is left, as a checkpoint with no meta that [resume_from]
+          continues (see {!run}); [None] otherwise *)
 }
 
 val default_fuel : int
@@ -326,44 +327,54 @@ val run :
 
     {2 Resilience}
 
-    [checkpoint:(interval_s, sink)] arms a checkpoint sink: the run switches
-    to frontier mode (breadth-first expansion into explicit pending
-    subtrees), and whenever [interval_s] seconds have passed since it
-    started or last called [sink] — and always when it is cut early by
-    budget, deadline, [interrupt] or {!Exec.Stop} — hands [sink] a
-    {!Checkpoint.t} of the unexplored frontier, accumulated counts and
-    problem configuration, with no meta; the engine writes no file. A run
-    that completes exhaustively calls [sink] (with an empty frontier) only
-    if it called it before, so a saved copy can be refreshed.
+    [budget], [deadline_s] and [interrupt] can cut a run at any node. A cut
+    run returns its remainder in [stats.remainder]: the cut node, then
+    for each depth of the path to it the siblings not yet explored, deepest
+    first, each as the decision-trace prefix that reaches it — the order
+    the uncut run would have explored them in. The remainder is derived
+    only when needed, by replaying the path once. Its counts include the
+    edges to the listed siblings (and the siblings the sleep-set rule
+    skips along the path), so under {!naive} the segments of a cut and
+    resumed run visit exactly the uncut run's leaves and nodes, each once.
+    A run stopped by {!Exec.Stop} has no remainder.
+
+    [checkpoint:(interval_s, sink)] arms a checkpoint sink. Arming it
+    changes nothing about the traversal: a run that is never cut visits
+    exactly what the unarmed run visits. Whenever [interval_s] seconds have
+    passed since the run started or last called [sink] (looked at every
+    1024 nodes), [sink] gets a {!Checkpoint.t} of what a cut at the current
+    node would leave; a cut run hands it its remainder. Checkpoints carry
+    the accumulated counts and problem configuration, with no meta; the
+    engine writes no file. A run that completes calls [sink] (with an empty
+    frontier) only if it called it before, so a saved copy can be
+    refreshed.
 
     [resume_from] continues a checkpointed search: every frontier root is
     re-materialized by replaying its decision-trace prefix and exploration
-    proceeds from there, with counts — and therefore [stats] and
-    [completeness] — stitched across segments. Raises [Invalid_argument] if
-    the checkpoint was taken for a different problem (engine options, fuel,
-    adversary or workloads differ), if a frontier prefix is not a path of
-    the tree (each decision is checked as {!Exec.replay} checks it, before
-    anything is explored), or if combined with a user [tracker] (tracker
-    state cannot be serialized).
-    In-progress subtrees are re-explored whole, so leaf callbacks may see a
-    bounded number of duplicate leaves across segments; [budget] is {e not}
-    read from the checkpoint — pass the remaining allowance explicitly
+    proceeds from there, in frontier order, with counts — and therefore
+    [stats] and [completeness] — stitched across segments. Raises
+    [Invalid_argument] if the checkpoint was taken for a different problem
+    (engine options, fuel, adversary or workloads differ), if a frontier
+    prefix is not a path of the tree (each decision is checked as
+    {!Exec.replay} checks it, before anything is explored), or if combined
+    with a user [tracker] (tracker state cannot be serialized). A resumed
+    prefix starts with an empty sleep set and an empty dedup table, so
+    under reductions a resumed run explores a superset of what the uncut
+    run would have explored below it: verdicts and the set of leaf
+    observations are unchanged, counts may grow. [budget] is {e not} read
+    from the checkpoint — pass the remaining allowance explicitly
     ([Checkpoint.t.budget_left] records it).
 
     [interrupt] is a cooperative cancellation flag, checked at every node:
     setting it (e.g. from a signal handler) cuts the run like a deadline,
-    with [Partial Interrupted] — and a final checkpoint when a sink is
-    armed.
+    with [Partial Interrupted] and a remainder.
 
     [mem_budget_mb] arms the memory watchdog: every 1024 nodes the run
     samples the major heap, and past the budget dedup state is shed
     ([stats.evictions]) instead of OOM: the exact fingerprint table
     migrates into a Bloom filter of [2^bloom_bits_log2] bits (default
     {!Wfc_spec.Fingerprint.Bloom.default_bits_log2}) and the run's clean
-    sweep becomes [Partial Probabilistic]. In frontier mode (a checkpoint
-    sink or a resume) an armed watchdog additionally spills pending
-    subtrees beyond a small in-RAM window to a disk file as decision-trace
-    prefixes ([stats.spilled]), re-materialized by replay when taken. *)
+    sweep becomes [Partial Probabilistic]. *)
 
 val compiled_rows : Implementation.t -> int * int
 (** [(program, step)]: the program-table entries and {!Wfc_spec.Step_table}

@@ -3,7 +3,7 @@
    verdict/observation equivalence under duplicate-state pruning and
    partial-order reduction (including a qcheck property over randomized
    implementations and workloads), node-count regression under pruning,
-   process-symmetry reduction and frontier mode. *)
+   process-symmetry reduction, checkpoint sinks and cut/resume. *)
 
 open Wfc_spec
 open Wfc_zoo
@@ -47,7 +47,7 @@ let value_proj (leaf : Exec.leaf) =
     ]
 
 (* The full observation, timestamps and completion order included — only the
-   exhaustive mode (naive, with or without a frontier) must preserve this. *)
+   exhaustive mode (naive, armed or not) must preserve this. *)
 let full_proj (leaf : Exec.leaf) =
   Value.list
     [
@@ -509,11 +509,10 @@ let test_symmetry_verdict_parity () =
         "falsified" );
     ]
 
-(* --- frontier mode ------------------------------------------------------------ *)
+(* --- checkpoint sinks, cuts and resumes --------------------------------------- *)
 
-(* A checkpoint sink puts the run in frontier mode: the top of the tree is
-   expanded breadth-first and the pending subtrees drained one by one. The
-   interval outlasts the run, so only a cut run writes the file. *)
+(* A checkpoint sink changes nothing about the traversal. The interval
+   outlasts the run, so only a cut run writes the file. *)
 let with_frontier f =
   let path = Filename.temp_file "wfc_frontier" ".ck" in
   Fun.protect
@@ -659,6 +658,106 @@ let prop_equiv =
       ignore (assert_equiv impl wls);
       true)
 
+(* --- cut and resume ------------------------------------------------------------ *)
+
+(* Cut a run at a random node budget, resume its remainder (through the
+   checkpoint codec) and repeat until it drains: the last segment's
+   stitched stats, the number of cuts, and every leaf seen with its trace. *)
+let cut_and_resume ~rand ?faults ~options impl workloads =
+  let seen = ref [] in
+  let rec go resume_from cuts =
+    if cuts > 100_000 then Alcotest.fail "cut/resume did not drain";
+    let s =
+      Explore.run impl ~workloads ?faults ~options ~dedup_threshold:0
+        ~budget:(1 + Random.State.int rand 25)
+        ?resume_from
+        ~on_leaf_trace:(fun trace leaf -> seen := (trace, leaf) :: !seen)
+        ()
+    in
+    match s.Explore.remainder with
+    | None -> (s, cuts)
+    | Some ck -> (
+      let module C = Wfc_sim.Checkpoint in
+      match C.of_string (C.to_string ck) with
+      | Ok ck -> go (Some ck) (cuts + 1)
+      | Error e -> Alcotest.failf "remainder does not round-trip: %s" e)
+  in
+  let s, cuts = go None 0 in
+  (s, cuts, !seen)
+
+(* Under [naive] the segments visit exactly the uncut run's leaves, each
+   once, and its nodes; under [fast] they reach its verdict-relevant
+   statistics and its leaf observation set. *)
+let check_cut_resume ~rand ~msg ?faults impl workloads =
+  let uncut options =
+    let seen = ref [] in
+    let s =
+      Explore.run impl ~workloads ?faults ~options ~dedup_threshold:0
+        ~on_leaf_trace:(fun trace leaf -> seen := (trace, leaf) :: !seen)
+        ()
+    in
+    (s, !seen)
+  in
+  let traces l =
+    List.sort compare (List.map (fun (tr, _) -> Faults.trace_to_string tr) l)
+  in
+  let observations l = leaf_set (List.map (fun (_, leaf) -> value_proj leaf) l) in
+  let whole, whole_leaves = uncut Explore.naive in
+  let s, cuts, leaves = cut_and_resume ~rand ?faults ~options:Explore.naive impl workloads in
+  if whole.Explore.nodes > 25 && cuts = 0 then
+    Alcotest.failf "%s: never cut" msg;
+  Alcotest.(check (list string)) (msg ^ ": naive leaf traces, each once")
+    (traces whole_leaves) (traces leaves);
+  Alcotest.(check int) (msg ^ ": naive nodes") whole.Explore.nodes s.Explore.nodes;
+  Alcotest.(check int) (msg ^ ": naive leaves") whole.Explore.leaves s.Explore.leaves;
+  let whole, whole_leaves = uncut Explore.fast in
+  let s, _, leaves = cut_and_resume ~rand ?faults ~options:Explore.fast impl workloads in
+  Alcotest.(check (list value)) (msg ^ ": fast observation set")
+    (observations whole_leaves) (observations leaves);
+  Alcotest.(check bool) (msg ^ ": fast overflow verdict")
+    (whole.Explore.overflows > 0) (s.Explore.overflows > 0);
+  Alcotest.(check int) (msg ^ ": fast max_events") whole.Explore.max_events
+    s.Explore.max_events;
+  Alcotest.(check (array int)) (msg ^ ": fast max_accesses")
+    whole.Explore.max_accesses s.Explore.max_accesses
+
+(* A sink that fires at every chance (each 1024th node) changes nothing,
+   and every checkpoint it was handed resumes, under [naive], to exactly
+   the uncut run's leaves and nodes. *)
+let test_periodic_saves () =
+  let impl = Wfc_consensus.Protocols.from_cas ~procs:3 () in
+  let faults = Faults.crash_recovery ~crashes:1 ~recoveries:1 in
+  let run ?checkpoint ?resume_from () =
+    Explore.run impl ~workloads:tft ~faults ~options:Explore.naive
+      ?checkpoint ?resume_from ()
+  in
+  let plain = run () in
+  let saves = ref [] in
+  let armed = run ~checkpoint:(0., fun ck -> saves := ck :: !saves) () in
+  Alcotest.(check int) "armed nodes" plain.Explore.nodes armed.Explore.nodes;
+  Alcotest.(check int) "armed leaves" plain.Explore.leaves armed.Explore.leaves;
+  let mid = List.filter (fun ck -> ck.Wfc_sim.Checkpoint.frontier <> []) !saves in
+  Alcotest.(check bool) "several saves" true (List.length mid >= 5);
+  List.iter
+    (fun ck ->
+      let s = run ~resume_from:ck () in
+      Alcotest.(check int) "resumed nodes" plain.Explore.nodes s.Explore.nodes;
+      Alcotest.(check int) "resumed leaves" plain.Explore.leaves s.Explore.leaves)
+    mid
+
+let test_cut_resume () =
+  let rand = Random.State.make [| 28 |] in
+  List.iteri
+    (fun i (procs, bits, coin, wls) ->
+      check_cut_resume ~rand ~msg:(Fmt.str "random %02d" i)
+        (rw_impl ~procs ~bits ~coin) wls)
+    (QCheck.Gen.generate ~rand:(Random.State.make [| 15 |]) ~n:40 gen_workloads);
+  List.iter
+    (fun (msg, impl, workloads, faults) ->
+      if not (Faults.is_none faults) then
+        check_cut_resume ~rand ~msg ~faults impl workloads)
+    naive_cases
+
 let () =
   Alcotest.run "wfc_explore"
     [
@@ -692,6 +791,10 @@ let () =
           Alcotest.test_case "fast equivalence" `Quick test_frontier_fast_equiv;
           Alcotest.test_case "stop & error propagation" `Quick
             test_frontier_stop_and_errors;
+          Alcotest.test_case "cut at random nodes, resumed until drained"
+            `Quick test_cut_resume;
+          Alcotest.test_case "periodic saves resume to the uncut counts"
+            `Quick test_periodic_saves;
         ] );
       ( "downstream verdicts",
         [

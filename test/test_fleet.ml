@@ -53,7 +53,6 @@ let mk_counts n =
     pruned = n / 2;
     sleep_skips = 0;
     evictions = 0;
-    spilled = 0;
     probabilistic = false;
   }
 
@@ -611,6 +610,48 @@ let test_quantum_smaller_than_shard () =
   Alcotest.(check int) "same vectors" single.Check.vectors fleet.Check.vectors;
   Alcotest.(check bool) "ran locally" true (stats.Coordinator.local_shards >= 1)
 
+(* Stack splitting: a cut lease returns the remainder of its DFS stack,
+   disjoint from what it explored, so the fleet's folded counts describe
+   disjoint work. Under the naive engine (no dedup, no sleep sets) a fleet
+   cut into small leases then counts exactly the single process's
+   executions; with a quantum no vector outgrows, every shard is the
+   single process's search of its vector. *)
+let test_fleet_counts_equal_single () =
+  let impl = impl_of "cas" 3 in
+  let serve ~engine ~quantum =
+    let config =
+      Coordinator.config ~quantum ~local_grace_s:0.01 (fresh_socket ())
+    in
+    report_of
+      (fst
+         (Coordinator.serve ~engine ~deadline_s:60.
+            ~meta:(Protocols.meta ~name:"cas" ~procs:3)
+            ~config impl))
+  in
+  List.iter
+    (fun (what, engine, quantum, expected) ->
+      let single = report_of (Check.verify ~engine impl) in
+      Alcotest.(check int) (what ^ ": single process") expected
+        single.Check.executions;
+      Alcotest.(check int) (what ^ ": fleet") expected
+        (serve ~engine ~quantum).Check.executions)
+    [
+      ("naive, quantum 50", Wfc_sim.Explore.naive, 50, 13_686);
+      ("fast, quantum 1e6", Wfc_sim.Explore.fast, 1_000_000, 264);
+    ]
+
+(* The smallest lease still expands a node, so the run finishes. *)
+let test_quantum_one () =
+  let impl = impl_of "cas" 3 in
+  let config = Coordinator.config ~quantum:1 ~local_grace_s:0.01 (fresh_socket ()) in
+  match
+    Coordinator.serve ~deadline_s:60.
+      ~meta:(Protocols.meta ~name:"cas" ~procs:3)
+      ~config impl
+  with
+  | Check.Verified _, _ -> ()
+  | v, _ -> Alcotest.failf "quantum 1: %a" Check.pp_verdict v
+
 let test_parity_chaos_mix () =
   (* worker 0 crashes mid-lease, worker 1 writes wire garbage, worker 2
      delays its results past lease expiry: all availability events *)
@@ -774,7 +815,7 @@ let test_resume_refusal_parity () =
 (* The fleet, cut by its budget right after vector k-1 drained, and the
    single process, cut inside vector k, both checkpoint vector k with the
    same ledger. A quantum larger than any vector makes every shard a whole
-   vector, run in frontier mode like an armed single-process vector. *)
+   vector, searched as the single process searches it. *)
 let test_cut_ledgers_agree () =
   let impl = impl_of "sticky" 3 in
   let k = 6 in
@@ -895,5 +936,8 @@ let () =
             test_resume_refusal_parity;
           Alcotest.test_case "cut ledgers equal at one vector" `Quick
             test_cut_ledgers_agree;
+          Alcotest.test_case "small leases count the single process's executions"
+            `Quick test_fleet_counts_equal_single;
+          Alcotest.test_case "quantum 1 still finishes" `Quick test_quantum_one;
         ] );
     ]
