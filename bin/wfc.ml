@@ -267,10 +267,8 @@ let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
     | None, _ -> ());
     1
   | Check.Unknown { partial; reason } ->
-    (* a probabilistic-dedup Unknown finished its search: there is no
-       checkpoint left to resume and resuming would not sharpen the
-       verdict — more memory would *)
-    let probabilistic = reason = "probabilistic dedup (memory budget)" in
+    (* resuming cannot sharpen a probabilistic verdict; more memory can *)
+    let probabilistic = reason = Check.probabilistic_reason in
     Fmt.pr
       "UNKNOWN (%s): not falsified within %d vector(s), %d execution(s)%s%a@."
       reason partial.Check.vectors partial.Check.executions

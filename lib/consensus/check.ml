@@ -30,15 +30,6 @@ let empty_report =
     evictions = 0;
   }
 
-let add_counts r (k : Checkpoint.counts) =
-  {
-    r with
-    executions = r.executions + k.leaves;
-    max_events = max r.max_events k.max_events;
-    max_op_steps = max r.max_op_steps k.max_op_steps;
-    evictions = r.evictions + k.evictions;
-  }
-
 type verdict =
   | Verified of report
   | Falsified of violation
@@ -177,12 +168,8 @@ let shrink_violation impl (v : violation) =
       | Error _ -> { v with witness = Some w' })
     | _ -> v)
 
-(* --- the (subset, input-vector) job enumeration -------------------------------
-
-   Exposed so the distributed fleet ({!Wfc_fleet}) schedules {e exactly} the
-   jobs this verifier would run — same positions, same participant subsets,
-   same workload construction — and its stitched verdict means the same
-   thing as a single-process one. *)
+(* --- the (subset, input-vector) job enumeration, which a run's book
+   schedules in a single process and in the fleet alike ------------------- *)
 
 type vector = {
   pos : int;
@@ -222,40 +209,14 @@ let vectors ?(subsets = true) ?(repeat = true)
 (* --- one job: the per-vector search of [verify], the fleet worker and the
    coordinator's local fallback -------------------------------------------- *)
 
-type job =
-  | Root of {
-      engine : Explore.options;
-      fuel : int;
-      faults : Faults.t;
-      workloads : Value.t list array;
-    }
-  | Frontier of Checkpoint.t
-
 type job_result =
   | Drained of Checkpoint.counts
-  | Cut of {
-      reason : string;
-      counts : Checkpoint.counts;
-      remainder : Checkpoint.t;
-    }
+  | Cut of { reason : string; remainder : Checkpoint.t }
   | Violated of violation
 
-let job_checkpoint ?budget_left impl = function
-  | Frontier ck -> ck
-  | Root { engine; fuel; faults; workloads } ->
-    let n_objs = Array.length impl.Implementation.objects in
-    Checkpoint.make ~engine ~fuel ?budget_left ~faults ~workloads
-      ~counts:(Checkpoint.zero_counts ~n_objs) ~frontier:[ [] ] ()
-
 let run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb ?checkpoint
-    ?(on_leaf = ignore) impl job =
-  let options, fuel, faults, workloads, resume_from =
-    match job with
-    | Root { engine; fuel; faults; workloads } ->
-      (engine, fuel, faults, workloads, None)
-    | Frontier ck ->
-      Checkpoint.(ck.engine, ck.fuel, ck.faults, ck.workloads, Some ck)
-  in
+    ?(on_leaf = ignore) impl (job : Checkpoint.t) =
+  let workloads = job.Checkpoint.workloads and faults = job.faults in
   let inputs = inputs_of_workloads workloads in
   let witness trace = Some (Witness.make ~workloads ~faults trace) in
   (* Agreement/validity read only operation values, never timestamps, so
@@ -265,7 +226,8 @@ let run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb ?checkpoint
      proposal is a function of the input alone), and both predicates are
      invariant under permuting them. *)
   match
-    Explore.run impl ~workloads ~fuel ~faults ?budget ?deadline_s ~options
+    Explore.run impl ~workloads ~fuel:job.fuel ~faults ?budget ?deadline_s
+      ~options:job.engine
       ~on_leaf_trace:(fun trace leaf ->
         (match check_leaf ~inputs leaf with
         | Ok () -> ()
@@ -273,7 +235,7 @@ let run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb ?checkpoint
           let ops = leaf.Exec.ops in
           raise (Found (violation_of ~workloads reason ops (witness trace))));
         on_leaf ())
-      ?checkpoint ?resume_from ?interrupt ?mem_budget_mb ()
+      ?checkpoint ~resume_from:job ?interrupt ?mem_budget_mb ()
   with
   | exception Found v -> Violated v
   | { Explore.overflows; overflow_trace; _ } when overflows > 0 ->
@@ -287,7 +249,7 @@ let run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb ?checkpoint
     (* a Bloom-tier sweep drained too; [counts.probabilistic] says so *)
     | Explore.(Exhaustive | Partial Probabilistic), _ -> Drained counts
     | Explore.Partial reason, Some remainder ->
-      Cut { reason = Fmt.str "%a" Explore.pp_partial_reason reason; counts; remainder }
+      Cut { reason = Fmt.str "%a" Explore.pp_partial_reason reason; remainder }
     | Explore.Partial _, None ->
       (* only a Stop leaves no remainder, and the leaf callback above only
          ever raises Found *)
@@ -298,19 +260,17 @@ let run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb ?checkpoint
 
 type ledger = { vector : int; report : report; probabilistic : bool }
 
-let position_meta pos = [ ("check.vector", string_of_int pos) ]
-
 let ledger_meta { vector; report = r; probabilistic } =
-  position_meta vector
-  @ [
-      ("check.vectors", string_of_int r.vectors);
-      ("check.executions", string_of_int r.executions);
-      ("check.max_events", string_of_int r.max_events);
-      ("check.max_op_steps", string_of_int r.max_op_steps);
-      ("check.degraded", string_of_int r.degraded);
-      ("check.evictions", string_of_int r.evictions);
-      ("check.probabilistic", if probabilistic then "1" else "0");
-    ]
+  [
+    ("check.vector", string_of_int vector);
+    ("check.vectors", string_of_int r.vectors);
+    ("check.executions", string_of_int r.executions);
+    ("check.max_events", string_of_int r.max_events);
+    ("check.max_op_steps", string_of_int r.max_op_steps);
+    ("check.degraded", string_of_int r.degraded);
+    ("check.evictions", string_of_int r.evictions);
+    ("check.probabilistic", if probabilistic then "1" else "0");
+  ]
 
 let ledger_of_checkpoint ck =
   let ( let* ) = Result.bind in
@@ -360,116 +320,245 @@ let resume_ledger ~vectors ~engine ~fuel ~faults ck =
       | Some why -> refuse why
       | None -> l))
 
+(* --- the run account, shared by [verify] and the fleet coordinator ------- *)
+
+let probabilistic_reason = "probabilistic dedup (memory budget)"
+
+type slot = {
+  vec : vector;
+  mutable counts : Checkpoint.counts;  (* the results recorded for it *)
+  mutable started : bool;  (* a result was recorded, or a resume covers it *)
+  mutable left : int;  (* its jobs not yet returned; 0 once drained *)
+}
+
+type book = {
+  slots : slot array;  (* in {!vectors} order *)
+  root : Checkpoint.t;  (* the problem, with zero counts and workloads *)
+  resumed : int * Checkpoint.t;  (* a resumed vector's position and job *)
+  mutable cut : int;  (* the first slot not drained *)
+  mutable head : report * bool;
+      (* the slots before the cut and the lost leases, folded, and whether
+         one of those slots drained on the Bloom tier *)
+  mutable budget_left : int option;
+  deadline : float option;
+  interrupt : bool Atomic.t option;
+}
+
+let add_slot (r, p) { started; counts = k; _ } =
+  if not started then (r, p)
+  else
+    ( {
+        r with
+        vectors = r.vectors + 1;
+        executions = r.executions + k.leaves;
+        max_events = max r.max_events k.max_events;
+        max_op_steps = max r.max_op_steps k.max_op_steps;
+        evictions = r.evictions + k.evictions;
+      },
+      p || k.probabilistic )
+
+(* Fold the drained slots at the cut into the head: only the slots past
+   the cut keep counts of their own. *)
+let advance b =
+  while b.cut < Array.length b.slots && b.slots.(b.cut).left = 0 do
+    let s = b.slots.(b.cut) in
+    b.head <- add_slot b.head s;
+    s.counts <- b.root.counts;
+    b.cut <- b.cut + 1
+  done
+
+let book ?subsets ?repeat ?domain ?budget ?deadline_s ?interrupt ?resume
+    ~engine ~fuel ~faults impl =
+  let vectors = vectors ?subsets ?repeat ?domain impl in
+  let n_objs = Array.length impl.Implementation.objects in
+  let root =
+    Checkpoint.make ~engine ~fuel ~faults ~workloads:[||]
+      ~counts:(Checkpoint.zero_counts ~n_objs) ~frontier:[ [] ] ()
+  in
+  (* A checkpoint that is not this run's is refused before anything runs.
+     Its ledger covers the vectors before its own, which keeps the
+     checkpoint's counts and frontier. *)
+  let l, ck =
+    match resume with
+    | Some ck -> (resume_ledger ~vectors ~engine ~fuel ~faults ck, ck)
+    | None ->
+      ({ vector = 0; report = empty_report; probabilistic = false }, root)
+  in
+  let slot v =
+    let counts = if v.pos = l.vector then ck.counts else root.counts in
+    let left =
+      if v.pos < l.vector then 0
+      else if v.pos = l.vector then if ck.frontier = [] then 0 else 1
+      else 1
+    in
+    { vec = v; counts; started = v.pos <= l.vector; left }
+  in
+  let b =
+    {
+      slots = Array.of_list (List.map slot vectors);
+      root;
+      resumed = (l.vector, ck);
+      cut = 0;
+      head = ({ l.report with vectors = 0 }, l.probabilistic);
+      budget_left = budget;
+      deadline = Option.map (fun s -> Monotime.now () +. s) deadline_s;
+      interrupt;
+    }
+  in
+  advance b;
+  b
+
+let jobs b =
+  Array.to_seq b.slots
+  |> Seq.filter_map (fun s ->
+         if s.left = 0 then None
+         else if s.vec.pos = fst b.resumed then Some (s.vec, snd b.resumed)
+         else Some (s.vec, { b.root with workloads = s.vec.workloads }))
+
+let allowance ?quantum b =
+  let stop r = Error (Fmt.str "%a" Explore.pp_partial_reason r) in
+  (* in the order the engine tests its own limits at a node *)
+  match (b.interrupt, b.deadline, b.budget_left) with
+  | Some flag, _, _ when Atomic.get flag -> stop Explore.Interrupted
+  | _, Some t, _ when Monotime.now () > t -> stop Explore.Deadline_exceeded
+  | _, _, Some n when n <= 0 -> stop Explore.Budget_exhausted
+  | _, deadline, left ->
+    let budget =
+      match quantum with
+      | Some q -> Some (Option.fold ~none:q ~some:(min q) left)
+      | None -> left
+    in
+    Ok (budget, Option.map (fun t -> t -. Monotime.now ()) deadline)
+
+(* [k] less the counts [from] its job started with: sums subtract, and the
+   maxima and the Bloom flag already cover [from]. *)
+let since ~(from : Checkpoint.counts) (k : Checkpoint.counts) =
+  {
+    k with
+    leaves = k.leaves - from.leaves;
+    nodes = k.nodes - from.nodes;
+    overflows = k.overflows - from.overflows;
+    pruned = k.pruned - from.pruned;
+    sleep_skips = k.sleep_skips - from.sleep_skips;
+    evictions = k.evictions - from.evictions;
+  }
+
+let record b pos ~from counts ~left =
+  let s = b.slots.(pos - 1) in
+  let d = since ~from counts in
+  s.counts <- Checkpoint.add_counts s.counts d;
+  s.started <- true;
+  s.left <- s.left - 1 + left;
+  b.budget_left <- Option.map (fun n -> max 0 (n - d.nodes)) b.budget_left;
+  advance b
+
+let degrade b =
+  let r, p = b.head in
+  b.head <- ({ r with degraded = r.degraded + 1 }, p)
+
+let finished b = b.cut = Array.length b.slots
+
+let verdict ?cut b =
+  let partial, probabilistic =
+    Array.fold_left add_slot b.head
+      (Array.sub b.slots b.cut (Array.length b.slots - b.cut))
+  in
+  match cut with
+  | Some reason -> Unknown { partial; reason }
+  | None when not (finished b) -> invalid_arg "Check.verdict: vectors left"
+  | None when probabilistic ->
+    (* Every vector ran to completion, but at least one did so on the Bloom
+       dedup tier: a false positive could have pruned a genuinely new
+       subtree, so the clean sweep is a probabilistic claim, not a proof. *)
+    Unknown { partial; reason = probabilistic_reason }
+  | None -> Verified partial
+
+(* The ledger of the vectors before the cut; it counts its own vector as
+   started, since a resume starts it. *)
+let cut_meta ~meta b =
+  let r, probabilistic = b.head and vector = b.cut + 1 in
+  meta
+  @ ledger_meta { vector; report = { r with vectors = vector }; probabilistic }
+
+let stamp ?(meta = []) b ck = Checkpoint.with_meta ck (cut_meta ~meta b)
+
+let checkpoint ?meta b ~frontier =
+  if finished b then None
+  else
+    let s = b.slots.(b.cut) in
+    Some
+      (stamp ?meta b
+         {
+           b.root with
+           budget_left = b.budget_left;
+           workloads = s.vec.workloads;
+           counts = s.counts;
+           frontier = frontier s.vec;
+         })
+
 (* --- the verifier ---------------------------------------------------------- *)
 
-(* Local control-flow exception: the global budget/deadline ran out. *)
-exception Exhausted of string
-
-let no_counts = Checkpoint.zero_counts ~n_objs:0
-
-let verify ?(subsets = true) ?(repeat = true)
-    ?(domain = [ Value.falsity; Value.truth ]) ?(faults = Faults.none)
+let verify ?subsets ?repeat ?domain ?(faults = Faults.none)
     ?(fuel = Explore.default_fuel) ?budget ?deadline_s ?(shrink = true)
-    ?(engine = Explore.fast) ?checkpoint ?resume ?mem_budget_mb ?interrupt
-    ?(meta = []) (impl : Implementation.t) =
-  let all_vectors = vectors ~subsets ~repeat ~domain impl in
-  (* A checkpoint that is not this run's is refused before anything runs. *)
-  let resume =
-    Option.map
-      (fun ck ->
-        (resume_ledger ~vectors:all_vectors ~engine ~fuel ~faults ck, ck))
-      resume
+    ?(engine = Explore.fast) ?checkpoint:armed ?resume ?mem_budget_mb
+    ?interrupt ?(meta = []) (impl : Implementation.t) =
+  let b =
+    book ?subsets ?repeat ?domain ?budget ?deadline_s ?interrupt ?resume
+      ~engine ~fuel ~faults impl
   in
-  (* The report so far; a vector's counts join it when its job returns. *)
-  let acc, probabilistic =
-    match resume with
-    | Some (l, _) -> (ref l.report, ref l.probabilistic)
-    | None -> (ref empty_report, ref false)
-  in
-  let deadline = Option.map (fun s -> Monotime.now () +. s) deadline_s in
-  let budget_left = ref budget in
   (* One clock for periodic saves across the whole run: the engine's own
-     interval restarts with every vector, so a run of short vectors would
-     otherwise never save. A save during a job records the report as it
-     stood before the job, and a resume re-adds the vector's own counts. *)
+     interval restarts with every job, so a run of short vectors would
+     otherwise never save. *)
   let last_save = ref (Monotime.now ()) in
-  let save pos ck =
+  let write ck =
     Option.iter
       (fun (path, _) ->
-        let ledger =
-          { vector = pos; report = !acc; probabilistic = !probabilistic }
-        in
-        let meta = meta @ ledger_meta ledger in
-        Checkpoint.save (Checkpoint.with_meta ck meta) ~path;
+        Checkpoint.save ck ~path;
         last_save := Monotime.now ())
-      checkpoint
+      armed
   in
   let remove_checkpoint () =
     Option.iter
       (fun (path, _) -> try Sys.remove path with Sys_error _ -> ())
-      checkpoint
+      armed
   in
-  let run pos job =
-    (match (checkpoint, job) with
-    | Some (_, interval), Root _
-      when Monotime.now () -. !last_save >= interval ->
-      save pos (job_checkpoint ?budget_left:!budget_left impl job)
-    | _ -> ());
-    (* The budget and deadline are global across all vectors: hand each job
-       what remains. *)
-    let result =
-      run_job ?budget:!budget_left
-        ?deadline_s:(Option.map (fun t -> t -. Monotime.now ()) deadline)
-        ?interrupt ?mem_budget_mb
-        ?checkpoint:
-          (Option.map (fun (_, interval) -> (interval, save pos)) checkpoint)
-        impl job
-    in
-    (* A resumed job's counts include its earlier segments, which the ledger
-       does not hold: its executions count in full, its evictions and nodes
-       from this segment on. *)
-    let base =
-      match job with Frontier ck -> ck.Checkpoint.counts | Root _ -> no_counts
-    in
-    let account (k : Checkpoint.counts) =
-      acc := add_counts !acc { k with evictions = k.evictions - base.evictions }
-    in
-    match result with
-    | Violated v -> raise (Found v)
-    | Cut { reason; counts; _ } ->
-      account counts;
-      raise (Exhausted reason)
-    | Drained k ->
-      account k;
-      if k.probabilistic then probabilistic := true;
-      budget_left :=
-        Option.map (fun b -> max 0 (b - (k.nodes - base.nodes))) !budget_left
+  let sink =
+    Option.map
+      (fun (_, interval) -> (interval, fun ck -> write (stamp ~meta b ck)))
+      armed
   in
-  let resume_pending = ref resume in
-  let run_vector v =
-    match !resume_pending with
-    | Some (l, _) when v.pos < l.vector -> ()
-    | Some (_, ck) ->
-      (* a resumed vector was already counted when first armed *)
-      resume_pending := None;
-      run v.pos (Frontier ck)
-    | None ->
-      acc := { !acc with vectors = (!acc).vectors + 1 };
-      run v.pos (Root { engine; fuel; faults; workloads = v.workloads })
+  let rec run jobs =
+    match jobs () with
+    | Seq.Nil ->
+      (* over, even if probabilistic: resuming would not sharpen it *)
+      remove_checkpoint ();
+      verdict b
+    | Seq.Cons (((v : vector), (job : Checkpoint.t)), rest) -> (
+      let save_job () =
+        Option.iter write
+          (checkpoint ~meta b ~frontier:(fun _ -> job.frontier))
+      in
+      match allowance b with
+      | Error reason ->
+        save_job ();
+        verdict ~cut:reason b
+      | Ok (budget, deadline_s) -> (
+        (match armed with
+        | Some (_, interval) when Monotime.now () -. !last_save >= interval ->
+          save_job ()
+        | _ -> ());
+        match
+          run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb
+            ?checkpoint:sink impl job
+        with
+        | Violated v ->
+          remove_checkpoint ();
+          Falsified (if shrink then shrink_violation impl v else v)
+        | Cut { reason; remainder } ->
+          record b v.pos ~from:job.counts remainder.counts ~left:1;
+          verdict ~cut:reason b
+        | Drained counts ->
+          record b v.pos ~from:job.counts counts ~left:0;
+          run rest))
   in
-  try
-    List.iter run_vector all_vectors;
-    remove_checkpoint ();
-    if !probabilistic then
-      (* Every vector ran to completion, but at least one did so on the
-         Bloom dedup tier: a false positive could have pruned a genuinely
-         new subtree, so the clean sweep is a probabilistic claim, not a
-         proof. (The run is over — resuming would not help — hence the
-         checkpoint is removed above.) *)
-      Unknown { partial = !acc; reason = "probabilistic dedup (memory budget)" }
-    else Verified !acc
-  with
-  | Found v ->
-    remove_checkpoint ();
-    Falsified (if shrink then shrink_violation impl v else v)
-  | Exhausted reason -> Unknown { partial = !acc; reason }
+  run (jobs b)

@@ -36,7 +36,11 @@ type violation = {
 }
 
 type report = {
-  vectors : int;  (** (subset, input-vector) combinations checked *)
+  vectors : int;
+      (** (subset, input-vector) combinations whose search has begun: a job
+          of theirs returned, drained or cut, or a resumed checkpoint covers
+          them (its own vector included). In an {!Unknown} report, a vector
+          the run was cut before does not count. *)
   executions : int;  (** total complete executions examined *)
   max_events : int;  (** longest execution *)
   max_op_steps : int;  (** most base accesses by one propose *)
@@ -52,17 +56,18 @@ type report = {
 val empty_report : report
 (** All zero: the report of a run that has checked nothing yet. *)
 
-val add_counts : report -> Wfc_sim.Checkpoint.counts -> report
-(** Fold a job's counts into a report — the one way both {!verify} and the
-    fleet coordinator do it: executions and evictions add up, the maxima
-    take the larger. *)
-
 type verdict =
   | Verified of report
   | Falsified of violation
   | Unknown of { partial : report; reason : string }
-      (** search cut by [budget]/[deadline_s]; [partial] covers what was
-          explored before the cut *)
+      (** search cut by [budget]/[deadline_s]/[interrupt], or a clean sweep
+          that drained on the Bloom tier ({!probabilistic_reason});
+          [partial] covers what was explored before the cut *)
+
+val probabilistic_reason : string
+(** The [reason] of an {!Unknown} whose every vector drained, at least one
+    on the probabilistic Bloom dedup tier: resuming cannot sharpen it, more
+    memory can. *)
 
 val verify :
   ?subsets:bool ->
@@ -113,9 +118,9 @@ val verify :
 
     [budget] (configurations visited) and [deadline_s] (seconds of wall
     clock) bound the {e whole} verification, across all participation
-    subsets and input vectors; when either runs out the verdict is
-    {!Unknown} with the partial report — never a false "verified" and never
-    a hang.
+    subsets and input vectors, as its {!book} accounts them; when either
+    runs out the verdict is {!Unknown} with the partial report — never a
+    false "verified" and never a hang.
 
     On {!Falsified}, the violation carries a {!Wfc_sim.Witness.t} that
     {!Wfc_sim.Exec.replay} re-executes to the same violation; it is first
@@ -127,24 +132,20 @@ val verify :
 
     [checkpoint:(path, interval_s)] arms durable checkpointing: at least
     every [interval_s] seconds of the whole run, and when it is cut by the
-    budget, the deadline or [interrupt], the unexplored frontier of the
-    current vector is saved to [path] (see {!Wfc_sim.Checkpoint}), with the
-    {!type:ledger} of the vectors before it. Between vectors the saved
-    frontier is the next vector's root. A budget-, deadline- or
-    interrupt-truncated run thus leaves a resumable file behind. The file
-    is deleted once a definitive {!Verified}/{!Falsified} verdict is
-    reached; it survives only an {!Unknown} cut. [meta] adds caller entries
-    (e.g. {!Protocols.meta}) to every checkpoint written; keys must be
-    space-free.
+    budget, the deadline or [interrupt], the {!checkpoint} of the run is
+    saved to [path]: the unexplored frontier of its first vector not
+    drained (see {!Wfc_sim.Checkpoint}) with the {!type:ledger} of the
+    vectors before it. The file is deleted once the run ends; it survives
+    only a cut. [meta] adds caller entries (e.g. {!Protocols.meta}) to every
+    checkpoint written; keys must be space-free.
 
     [resume] continues a prior run from its loaded checkpoint: vectors
     before the checkpointed one are skipped (their results are in its
-    ledger), the checkpointed vector is re-entered at its saved frontier,
-    and the report is stitched across segments — a resumed run that
-    finishes reports the same verdict as an uninterrupted one. A checkpoint
-    that {!resume_ledger} refuses raises [Invalid_argument] before anything
-    runs (the caller chooses the remaining [budget]/[deadline_s]; they are
-    {e not} read from the checkpoint).
+    ledger) and the checkpointed vector is re-entered at its saved
+    frontier, so a resumed run that finishes reports the same verdict as an
+    uninterrupted one. A checkpoint that {!book} refuses raises
+    [Invalid_argument] before anything runs; [budget] and [deadline_s] are
+    {e not} read from the checkpoint.
 
     [interrupt] is polled by the engine at every node; setting it (e.g.
     from a SIGINT handler) makes the verdict
@@ -198,24 +199,15 @@ val inputs_of_workloads :
     participants are the processes with a non-empty workload, their input
     the argument of their first proposal. *)
 
-type job =
-  | Root of {
-      engine : Wfc_sim.Explore.options;
-      fuel : int;
-      faults : Wfc_sim.Faults.t;
-      workloads : Wfc_spec.Value.t list array;
-    }  (** a problem searched from its root *)
-  | Frontier of Wfc_sim.Checkpoint.t  (** a problem resumed at a frontier *)
-
 type job_result =
   | Drained of Wfc_sim.Checkpoint.counts
-      (** including a resumed job's earlier segments *)
+      (** including the counts the job started with *)
   | Cut of {
       reason : string;  (** as {!Unknown} reports it *)
-      counts : Wfc_sim.Checkpoint.counts;  (** the job's counts so far *)
       remainder : Wfc_sim.Checkpoint.t;
-          (** what is left, with no meta: the remainder of the search's
-              DFS stack ({!Wfc_sim.Explore.stats.remainder}) *)
+          (** what is left, with no meta and the job's counts so far: the
+              remainder of the search's DFS stack
+              ({!Wfc_sim.Explore.stats.remainder}) *)
     }
   | Violated of violation
       (** a leaf failed {!check_leaf}, or a path exhausted its fuel *)
@@ -228,16 +220,18 @@ val run_job :
   ?checkpoint:float * (Wfc_sim.Checkpoint.t -> unit) ->
   ?on_leaf:(unit -> unit) ->
   Implementation.t ->
-  job ->
+  Wfc_sim.Checkpoint.t ->
   job_result
 (** Search one job with {!check_leaf} at every leaf: the per-vector body of
     {!verify}, of a fleet worker's shard and of the coordinator's local
-    fallback. Every job is one {!Wfc_sim.Explore.run}: a [Root] job from the
-    root, a [Frontier] job resumed at its prefixes, and a [checkpoint] sink
-    only receives periodic saves and a cut's remainder, without changing
-    what is explored. [on_leaf] runs after each passing leaf. Raises
-    [Invalid_argument] when a [Frontier] checkpoint does not match its own
-    problem. *)
+    fallback. A job is a checkpoint: a problem (engine, fuel, adversary,
+    workloads), the counts it starts from and its frontier, the prefixes
+    left to search — [[[]]] for a vector's root. It is one
+    {!Wfc_sim.Explore.run} resumed at that frontier, and a [checkpoint]
+    sink only receives periodic saves and a cut's remainder, without
+    changing what is explored. [on_leaf] runs after each passing leaf.
+    Raises [Invalid_argument] when the frontier is not a path of its own
+    problem's tree. *)
 
 (** The cross-vector ledger a verification checkpoint carries: the report
     of the vectors before the one its frontier belongs to. This module alone
@@ -252,25 +246,84 @@ type ledger = {
 
 val ledger_meta : ledger -> (string * string) list
 
-val position_meta : int -> (string * string) list
-(** The [check.vector] entry alone, which a fleet shard job carries. *)
-
 val ledger_of_checkpoint : Wfc_sim.Checkpoint.t -> (ledger, string) result
 (** [Error] names the first missing or malformed key; an absent
     [check.probabilistic] reads as clean. *)
 
-val resume_ledger :
-  vectors:vector list ->
+(** {2 The run account} *)
+
+type book
+(** How a run over many vectors is accounted, once for {!verify} and the
+    fleet coordinator: a caller runs {!jobs}, asks {!allowance} before each
+    and {!record}s what each returns. *)
+
+val book :
+  ?subsets:bool ->
+  ?repeat:bool ->
+  ?domain:Wfc_spec.Value.t list ->
+  ?budget:int ->
+  ?deadline_s:float ->
+  ?interrupt:bool Atomic.t ->
+  ?resume:Wfc_sim.Checkpoint.t ->
   engine:Wfc_sim.Explore.options ->
   fuel:int ->
   faults:Wfc_sim.Faults.t ->
+  Implementation.t ->
+  book
+(** The account of a run over {!vectors}, with {!verify}'s arguments.
+    Raises [Invalid_argument "Check: cannot resume: …"] when [resume]'s
+    ledger has a missing or malformed key or a vector outside the
+    enumeration, or it is another problem's
+    ({!Wfc_sim.Checkpoint.describe_mismatch}). *)
+
+val jobs : book -> (vector * Wfc_sim.Checkpoint.t) Seq.t
+(** The jobs the run starts with, in order, each built when reached: every
+    vector not drained from its root, a resumed one at its checkpoint. *)
+
+val allowance :
+  ?quantum:int -> book -> (int option * float option, string) result
+(** The node budget (at most [quantum] and what is left) and the seconds
+    the next job may spend, or why none may start: the engine's reason for
+    the interrupt, the deadline or the budget. *)
+
+val record :
+  book ->
+  int ->
+  from:Wfc_sim.Checkpoint.counts ->
+  Wfc_sim.Checkpoint.counts ->
+  left:int ->
+  unit
+(** [record b pos ~from counts ~left]: a job of vector [pos] that started
+    from [from] returned [counts] and left [left] jobs in its place (0 when
+    it drained). Its nodes come off the budget. *)
+
+val degrade : book -> unit
+(** Count a lost fleet lease into [report.degraded]. *)
+
+val finished : book -> bool
+(** Every vector drained. *)
+
+val verdict : ?cut:string -> book -> verdict
+(** [Unknown {reason = cut}] over the report so far; without [cut], once
+    {!finished}: {!Verified}, or [Unknown {reason = probabilistic_reason}]
+    when a vector drained on the Bloom tier. *)
+
+val checkpoint :
+  ?meta:(string * string) list ->
+  book ->
+  frontier:(vector -> Wfc_sim.Faults.trace list) ->
+  Wfc_sim.Checkpoint.t option
+(** The checkpoint that cuts the run at its first vector not drained: its
+    recorded counts and [frontier], with [meta] and the ledger of the
+    vectors before it. [None] once {!finished}. *)
+
+val stamp :
+  ?meta:(string * string) list ->
+  book ->
   Wfc_sim.Checkpoint.t ->
-  ledger
-(** The ledger of a checkpoint that a run over [vectors] resumes. Raises
-    [Invalid_argument "Check: cannot resume: …"] when a key is missing or
-    malformed, the vector is not in [vectors], or the checkpoint is another
-    problem's ({!Wfc_sim.Checkpoint.describe_mismatch}): {!verify} and the
-    fleet coordinator refuse a checkpoint with this one message. *)
+  Wfc_sim.Checkpoint.t
+(** A job's own checkpoint of the first vector not drained, with [meta] and
+    the ledger of the vectors before it. *)
 
 val replay_violation :
   Implementation.t ->

@@ -68,12 +68,6 @@ type conn = {
   mutable alive : bool;
 }
 
-type vstate = {
-  vector : Check.vector;
-  mutable outstanding : int;  (* shards of this vector not yet drained *)
-  mutable counts : Checkpoint.counts;
-}
-
 exception Found_v of Check.violation
 exception Cut of string
 
@@ -90,32 +84,11 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
     ?(meta = []) ~config:(cfg : config) (impl : Implementation.t) =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let fuel = Option.value fuel ~default:Explore.default_fuel in
-  let n_objs = Array.length impl.Implementation.objects in
-  let vecs =
-    Array.of_list (Check.vectors ?subsets ?repeat ?domain impl)
-  in
-  let vstates =
-    Array.map
-      (fun vector ->
-        { vector; outstanding = 1; counts = Checkpoint.zero_counts ~n_objs })
-      vecs
-  in
-  let complete i = vstates.(i).outstanding = 0 in
-  (* Resume a prior run (fleet or single-process — same file format), or
-     refuse it before the socket is bound: the ledger covers the vectors
-     before the checkpointed one, whose frontier seeds its root shard and
-     whose counts are its own partial progress. Vectors after it re-run. *)
-  let resume_at, base, base_probabilistic =
-    match resume with
-    | None -> (None, Check.empty_report, false)
-    | Some ck ->
-      let vectors = Array.to_list vecs in
-      let { Check.vector; report; probabilistic } =
-        Check.resume_ledger ~vectors ~engine ~fuel ~faults ck
-      in
-      ( Some (vector, ck),
-        { report with vectors = report.Check.vectors - vector },
-        probabilistic )
+  (* The run's account: a checkpoint that is not this run's is refused
+     here, before the socket is bound. *)
+  let book =
+    Check.book ?subsets ?repeat ?domain ?budget ?deadline_s ?interrupt
+      ?resume ~engine ~fuel ~faults impl
   in
   let workers_seen = ref 0 in
   let lease_misses = ref 0 in
@@ -135,42 +108,24 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
       local_shards = !local_shards;
     }
   in
-  let budget_left = ref budget in
-  let deadline = Option.map (fun s -> Monotime.now () +. s) deadline_s in
-  let sid = ref 0 in
-  let next_sid () =
-    incr sid;
-    !sid
-  in
+  (* [enqueue] deals what is left of vector [vec] into at most [into]
+     shards: plain verification checkpoints with zeroed counts (a vector's
+     counts stay in the account, which records every result once). *)
   let queue : shard Queue.t = Queue.create () in
-  (* Every job a worker sees is a plain verification checkpoint: problem
-     description + frontier + zeroed counts (the coordinator's ledger is
-     the single place results are folded, exactly once). *)
-  let make_shard ~vec ~frontier =
-    let job =
-      Checkpoint.make
-        ~meta:(meta @ Check.position_meta vec)
-        ~engine ~fuel ~faults
-        ~workloads:vecs.(vec - 1).Check.workloads
-        ~counts:(Checkpoint.zero_counts ~n_objs) ~frontier ()
-    in
-    { sid = next_sid (); vec; job; requeues = 0 }
+  let sid = ref 0 in
+  let enqueue vec ck ~into =
+    let parts = Checkpoint.split ck ~into in
+    List.iter
+      (fun job ->
+        incr sid;
+        Queue.push { sid = !sid; vec; job; requeues = 0 } queue)
+      parts;
+    List.length parts
   in
-  Array.iter
-    (fun (v : Check.vector) ->
-      let pos = v.Check.pos in
-      match resume_at with
-      | Some (v0, _) when pos < v0 ->
-        (* already verified by the checkpointed run; its results live in the
-           base accumulators *)
-        vstates.(pos - 1).outstanding <- 0
-      | Some (v0, ck) when pos = v0 -> (
-        vstates.(pos - 1).counts <- ck.Checkpoint.counts;
-        match ck.Checkpoint.frontier with
-        | [] -> vstates.(pos - 1).outstanding <- 0
-        | frontier -> Queue.push (make_shard ~vec:pos ~frontier) queue)
-      | _ -> Queue.push (make_shard ~vec:pos ~frontier:[ [] ]) queue)
-    vecs;
+  Seq.iter
+    (fun ((v : Check.vector), job) ->
+      ignore (enqueue v.Check.pos (Checkpoint.with_meta job meta) ~into:1))
+    (Check.jobs book);
   (* ---------- socket plumbing ---------- *)
   let listener = Transport.listen ~backlog:64 cfg.addr in
   let conns = ref [] in
@@ -184,6 +139,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
   in
   let requeue_shard why (s : shard) =
     incr lease_misses;
+    Check.degrade book;
     s.requeues <- s.requeues + 1;
     cfg.log
       (Fmt.str "shard %d (vector %d) lost (%s), requeue #%d" s.sid s.vec why
@@ -227,97 +183,33 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
     | Some path -> ( try Sys.remove path with Sys_error _ -> ())
     | None -> ()
   in
-  (* ---------- verdict assembly ---------- *)
-  let fold_counts upto_exclusive =
-    let acc = ref (Checkpoint.zero_counts ~n_objs) in
-    Array.iteri
-      (fun i vs ->
-        if i < upto_exclusive then acc := Checkpoint.add_counts !acc vs.counts)
-      vstates;
-    !acc
-  in
-  (* The run's report with [acc] folded over the base ledger: lease misses
-     are the degradation events the run absorbed (re-attaches are
-     non-events and stay out of [degraded]). *)
-  let totals ~vectors acc =
-    let r = Check.add_counts base acc in
-    let degraded = r.Check.degraded + !lease_misses in
-    { r with Check.vectors = r.Check.vectors + vectors; degraded }
-  in
-  let report () =
-    let done_n =
-      Array.fold_left
-        (fun n vs -> if vs.outstanding = 0 then n + 1 else n)
-        0 vstates
-    in
-    let progressing =
-      Array.exists
-        (fun vs -> vs.outstanding > 0 && vs.counts.Checkpoint.leaves > 0)
-        vstates
-    in
-    totals
-      ~vectors:(done_n + if progressing then 1 else 0)
-      (fold_counts (Array.length vstates))
-  in
-  (* A cut between results leaves a single-process-compatible checkpoint:
-     cut at the first incomplete vector v — the ledger covers the complete
-     vectors before it, counts carry v's folded partial progress, frontier
-     is the union of v's outstanding shard prefixes. Vectors after v
-     (complete or not) are re-run on resume, which is sound: their results
-     are not in the ledger. *)
+  (* A cut between results leaves a single-process-compatible checkpoint,
+     cut where the account cuts it: its frontier is the union of the
+     prefixes still pending for that vector, queued, leased or parked. *)
   let flush_checkpoint () =
-    match cfg.checkpoint with
-    | None -> ()
-    | Some path -> (
-      let first_incomplete = ref None in
-      Array.iteri
-        (fun i _ ->
-          if !first_incomplete = None && not (complete i) then
-            first_incomplete := Some i)
-        vstates;
-      match !first_incomplete with
-      | None -> ()
-      | Some i ->
-        let pos = i + 1 in
-        let acc = fold_counts i in
-        let ledger =
-          {
-            Check.vector = pos;
-            report = totals ~vectors:pos acc;
-            probabilistic = base_probabilistic || acc.Checkpoint.probabilistic;
-          }
-        in
-        let frontier = ref [] in
-        Queue.iter
-          (fun s ->
-            if s.vec = pos then
-              frontier := List.rev_append s.job.Checkpoint.frontier !frontier)
-          queue;
-        List.iter
-          (fun c ->
-            match c.running with
-            | Some r when r.shard.vec = pos ->
-              frontier :=
-                List.rev_append r.shard.job.Checkpoint.frontier !frontier
-            | _ -> ())
-          (live ());
-        List.iter
-          (fun (_, (r : running)) ->
-            if r.shard.vec = pos then
-              frontier :=
-                List.rev_append r.shard.job.Checkpoint.frontier !frontier)
-          !orphans;
-        let ck =
-          Checkpoint.make
-            ~meta:(meta @ Check.ledger_meta ledger)
-            ~engine ~fuel ?budget_left:!budget_left ~faults
-            ~workloads:vecs.(i).Check.workloads ~counts:vstates.(i).counts
-            ~frontier:!frontier ()
-        in
-        Checkpoint.save ck ~path;
-        cfg.log
-          (Fmt.str "flushed checkpoint at vector %d (%d pending prefixes) to %s"
-             pos (List.length !frontier) path))
+    let pending (v : Check.vector) =
+      List.of_seq (Queue.to_seq queue)
+      @ List.filter_map
+          (fun c -> Option.map (fun r -> r.shard) c.running)
+          (live ())
+      @ List.map (fun (_, (r : running)) -> r.shard) !orphans
+      |> List.fold_left
+           (fun acc (s : shard) ->
+             if s.vec = v.Check.pos then
+               List.rev_append s.job.Checkpoint.frontier acc
+             else acc)
+           []
+    in
+    Option.iter
+      (fun path ->
+        Option.iter
+          (fun (ck : Checkpoint.t) ->
+            Checkpoint.save ck ~path;
+            cfg.log
+              (Fmt.str "flushed checkpoint (%d pending prefixes) to %s"
+                 (List.length ck.frontier) path))
+          (Check.checkpoint ~meta book ~frontier:pending))
+      cfg.checkpoint
   in
   (* ---------- result handling ---------- *)
   let rec settle (s : shard) (outcome : Codec.outcome) =
@@ -329,30 +221,15 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
            breaks the contract — distrust the result, redo the work *)
         requeue_shard "overflowing Done result" s
       else begin
-        let vs = vstates.(s.vec - 1) in
-        vs.counts <- Checkpoint.add_counts vs.counts ck.Checkpoint.counts;
-        budget_left :=
-          Option.map
-            (fun b -> max 0 (b - ck.Checkpoint.counts.Checkpoint.nodes))
-            !budget_left;
-        match ck.Checkpoint.frontier with
-        | [] -> vs.outstanding <- vs.outstanding - 1
-        | frontier ->
-          (* The remainder of the lease's DFS stack: disjoint from what the
-             lease explored, so folding its counts counts nothing twice.
-             Spread it over the idle capacity. *)
-          let k =
-            max 1 (min (List.length frontier) (1 + List.length (idle_ready ())))
-          in
-          let parts = Checkpoint.split ck ~into:k in
-          if List.length parts > 1 then incr splits;
-          vs.outstanding <- vs.outstanding + List.length parts - 1;
-          List.iter
-            (fun job ->
-              Queue.push
-                { sid = next_sid (); vec = s.vec; job; requeues = 0 }
-                queue)
-            parts
+        (* The remainder of the lease's DFS stack: disjoint from what the
+           lease explored, so recording its counts counts nothing twice.
+           Spread it over the idle capacity. *)
+        let idle = List.length (idle_ready ()) in
+        let k = max 1 (min (List.length ck.frontier) (1 + idle)) in
+        let left = enqueue s.vec ck ~into:k in
+        if left > 1 then incr splits;
+        Check.record book s.vec ~from:s.job.Checkpoint.counts
+          ck.Checkpoint.counts ~left
       end
     | Codec.Violation { reason; witness } -> (
       match Check.replay_violation impl ~fuel ~reason witness with
@@ -363,12 +240,10 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
     | Codec.Refused why ->
       cfg.log (Fmt.str "shard %d refused: %s" s.sid why);
       requeue_shard "refused" s
-  and run_local (s : shard) =
+  and run_local ~quantum (s : shard) =
     incr local_shards;
     cfg.log (Fmt.str "running shard %d (vector %d) locally" s.sid s.vec);
-    let outcome =
-      Worker.exec_shard impl ~job:s.job ~quantum:cfg.quantum ?interrupt ()
-    in
+    let outcome = Worker.exec_shard impl ~job:s.job ~quantum ?interrupt () in
     settle s outcome
   in
   (* ---------- the select loop ---------- *)
@@ -444,11 +319,13 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
   let dispatch () =
     List.iter
       (fun c ->
-        if not (Queue.is_empty queue) then begin
+        (* each lease's quantum is capped at what is left of the budget *)
+        match Check.allowance ~quantum:cfg.quantum book with
+        | Ok (Some quantum, _) when not (Queue.is_empty queue) -> (
           let s = Queue.pop queue in
           if s.requeues > 1 then
             (* lost twice already: stop trusting the fleet with it *)
-            run_local s
+            run_local ~quantum s
           else
             match
               Codec.write ~deadline_s:cfg.io_deadline_s c.fd
@@ -456,7 +333,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
                    {
                      shard = s.sid;
                      lease_s = cfg.lease_s;
-                     quantum = cfg.quantum;
+                     quantum;
                      job = s.job;
                    })
             with
@@ -467,8 +344,8 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
             | exception (Unix.Unix_error _ | Transport.Timeout _) ->
               (* never actually leased: no penalty, next worker gets it *)
               Queue.push s queue;
-              drop ~requeue:false "write error" c
-        end)
+              drop ~requeue:false "write error" c)
+        | _ -> ())
       (idle_ready ())
   in
   let steal_if_starved () =
@@ -530,16 +407,10 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
   let last_flush = ref started in
   let result =
     try
-      while Array.exists (fun vs -> vs.outstanding > 0) vstates do
-        (match interrupt with
-        | Some flag when Atomic.get flag -> raise (Cut "interrupted")
-        | _ -> ());
-        (match deadline with
-        | Some t when Monotime.now () > t -> raise (Cut "deadline exceeded")
-        | _ -> ());
-        (match !budget_left with
-        | Some b when b <= 0 -> raise (Cut "node budget exhausted")
-        | _ -> ());
+      while not (Check.finished book) do
+        Result.iter_error
+          (fun reason -> raise (Cut reason))
+          (Check.allowance book);
         (* expired leases: crash, stall or partition — requeue; and drop
            clients that never said Hello within the grace period, so a
            half-open connection can't sit in the select set forever *)
@@ -599,18 +470,14 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
           List.for_all (fun c -> not c.hello) (live ())
           && (not (Queue.is_empty queue))
           && Monotime.now () -. started >= cfg.local_grace_s
-        then run_local (Queue.pop queue)
+        then
+          match Check.allowance ~quantum:cfg.quantum book with
+          | Ok (Some quantum, _) -> run_local ~quantum (Queue.pop queue)
+          | _ -> ()
       done;
-      let acc = fold_counts (Array.length vstates) in
       remove_checkpoint ();
       cleanup ~reason:"run complete" ();
-      if base_probabilistic || acc.Checkpoint.probabilistic then
-        Check.Unknown
-          {
-            partial = report ();
-            reason = "probabilistic dedup (memory budget)";
-          }
-      else Check.Verified (report ())
+      Check.verdict book
     with
     | Found_v v ->
       remove_checkpoint ();
@@ -619,7 +486,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
     | Cut reason ->
       flush_checkpoint ();
       cleanup ~reason ();
-      Check.Unknown { partial = report (); reason }
+      Check.verdict ~cut:reason book
     | e ->
       cleanup ~reason:"coordinator error" ();
       raise e

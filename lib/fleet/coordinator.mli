@@ -36,18 +36,16 @@
     Connections that don't complete [Hello] within [hello_grace_s] are
     dropped, and at most [max_conns] connections are held at once.
 
-    {b Degradation to a single process.} On interrupt/deadline/budget cuts
-    the fleet flushes one {!Wfc_sim.Checkpoint} as
-    {!Wfc_consensus.Check.verify} writes it — cut at the first incomplete
-    vector, the {!Wfc_consensus.Check.type-ledger} covering the complete
-    vectors before it, frontier the union of that vector's outstanding shard
-    prefixes (later vectors are re-run on resume, which is sound). Both
-    sides write, read and refuse checkpoints through [Wfc_consensus.Check]
-    alone, so [wfc verify --resume] picks up a fleet run and vice versa.
-    With a [checkpoint] path configured the same file is also flushed every
-    [checkpoint_interval_s] while the run progresses, so even a SIGKILL'd
-    coordinator resumes from a recent cut (the crash-safety `wfc queue`
-    builds on). *)
+    {b Degradation to a single process.} The run is accounted by a
+    {!Wfc_consensus.Check.book}, as {!Wfc_consensus.Check.verify}'s is: it
+    folds shard results, spends the budget (a lease's quantum is capped at
+    the budget left) and makes the verdict. A cut flushes its
+    {!Wfc_consensus.Check.checkpoint}, whose frontier is the union of the
+    first incomplete vector's pending shard prefixes, so [wfc verify
+    --resume] picks up a fleet run and vice versa. With a [checkpoint] path
+    configured the same file is also flushed every [checkpoint_interval_s],
+    so even a SIGKILL'd coordinator resumes from a recent cut (the
+    crash-safety `wfc queue` builds on). *)
 
 open Wfc_program
 open Wfc_sim
@@ -122,9 +120,10 @@ val serve :
   Implementation.t ->
   Wfc_consensus.Check.verdict * fleet_stats
 (** Run the verification to a verdict, delegating to whatever workers
-    connect. Parameters mirror {!Wfc_consensus.Check.verify} (same
-    defaults, same verdict semantics, same checkpoint compatibility);
-    [meta] must include the {!Wfc_consensus.Protocols.meta} entries workers
+    connect. Parameters are {!Wfc_consensus.Check.verify}'s, with the same
+    defaults, verdict semantics and checkpoint format, except that there is
+    no [mem_budget_mb] (shards run without the memory watchdog) and the
+    checkpoint path is [config.checkpoint]; [meta] must include the {!Wfc_consensus.Protocols.meta} entries workers
     rebuild the implementation from. [engine] is the
     per-worker engine configuration (default {!Explore.fast}).
     Never raises on worker misbehaviour; socket setup errors ([Unix_error])

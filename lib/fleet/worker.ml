@@ -46,8 +46,7 @@ let config ?(name = Fmt.str "worker-%d" (Unix.getpid ())) ?token
 
 let exec_shard impl ~(job : Checkpoint.t) ?quantum ?interrupt ?on_leaf () =
   match
-    Wfc_consensus.Check.run_job ?budget:quantum ?interrupt ?on_leaf impl
-      (Wfc_consensus.Check.Frontier job)
+    Wfc_consensus.Check.run_job ?budget:quantum ?interrupt ?on_leaf impl job
   with
   | exception Invalid_argument msg -> Codec.Refused msg
   | Wfc_consensus.Check.Drained counts ->

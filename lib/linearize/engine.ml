@@ -761,7 +761,7 @@ let verify impl ~workloads ?fuel ?(faults = Faults.none)
         Explore.root = state [] [];
         event;
         at_leaf;
-        fingerprint = Some (fun st -> st.fp);
+        fingerprint = (fun st -> st.fp);
       }
     in
     let stats =

@@ -161,7 +161,8 @@ val verify :
     fetch-and-add mod 5 ([Wfc_consensus.Universal], 2 processes, workloads
     [[fetch-add 1]]/[[fetch-add 2]]) under [Faults.crashes 1] is rejected
     in all three modes: "no linearization of … \{p1:(fetch-add, 2)→1\}"
-    (ROADMAP item 6 has the case). *)
+    (the ROADMAP item "Make every linearizability verdict sound" has the
+    case). *)
 
 val indexed : int -> Type_spec.t -> Type_spec.t
 (** [indexed n spec]: the product of [n] independent instances of [spec] —

@@ -61,8 +61,8 @@ val zero_counts : n_objs:int -> counts
 val add_counts : counts -> counts -> counts
 (** Pointwise merge of two segments' ledgers: sums for the additive
     counters, max for the high-water marks, or for [probabilistic];
-    [max_accesses] is padded to the longer array. Used by the fleet
-    coordinator to stitch shard results. *)
+    [max_accesses] is padded to the longer array. Used by the run account
+    ([Wfc_consensus.Check.book]) to stitch a vector's job results. *)
 
 type t = {
   meta : (string * string) list;

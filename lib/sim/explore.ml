@@ -74,7 +74,7 @@ type 'a tracker = {
   root : 'a;
   event : 'a -> trace_rev:Faults.trace -> path_event -> 'a;
   at_leaf : 'a -> trace_rev:Faults.trace -> Exec.leaf -> unit;
-  fingerprint : ('a -> int) option;
+  fingerprint : 'a -> int;
 }
 
 (* run is monomorphic in its result, so the caller's state type is hidden
@@ -86,7 +86,7 @@ let null_tracker =
     root = ();
     event = (fun () ~trace_rev:_ _ -> ());
     at_leaf = (fun () ~trace_rev:_ _ -> ());
-    fingerprint = Some (fun () -> 0);
+    fingerprint = (fun () -> 0);
   }
 
 (* --- process-symmetry reduction ---------------------------------------------
@@ -629,8 +629,9 @@ let mem_sample ~budget_words c (dd : dedup_ctx option) =
    the key is kept from the root, so a run below it saves table lookups and
    nothing else, and loses the pruning of the states it visits first. It
    stays because deleting it changes node counts, which belongs with a
-   re-pin of the pinned tables (ROADMAP item 2). The "dedup threshold is
-   lazy" test (test/test_explore.ml) checks that a tiny tree never probes. *)
+   re-pin of the pinned tables (the ROADMAP item "Delete the lazy dedup
+   threshold"). The "dedup threshold is lazy" test (test/test_explore.ml)
+   checks that a tiny tree never probes. *)
 let default_dedup_threshold = 64
 
 (* --- the kernel ---------------------------------------------------------------
@@ -1039,7 +1040,6 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
      [no_tid] marks "not computed yet". Nothing of the tracker's is
      interned here. *)
   let no_tid = min_int in
-  let tracker_id st = match t.fingerprint with Some fp -> fp st | None -> -1 in
   (* One integer compare per node stands in for the full dedup-activation
      test: [probe] is only entered once [c.nodes] reaches the floor, and the
      floor tracks activation state (threshold while the context is
@@ -1360,7 +1360,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       end
       else
         let tid =
-          if tid = no_tid && c.nodes >= !probe_floor then tracker_id st else tid
+          if tid = no_tid && c.nodes >= !probe_floor then t.fingerprint st else tid
         in
         if c.nodes >= !probe_floor && probe sleep tid then
           c.pruned <- c.pruned + 1
@@ -1821,14 +1821,8 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
   (* Sleep sets reason about base accesses only; crashes, recoveries and
      glitches are distinct transitions of the same process that they would
      wrongly put to sleep, so POR is disabled whenever fault branching is
-     on. Duplicate-state pruning is sound under a tracker only when the
-     tracker state is part of the key, so dedup requires a fingerprint. *)
-  let opts =
-    {
-      por = options.por && Faults.is_none faults;
-      dedup = (if Option.is_some t.fingerprint then options.dedup else Off);
-    }
-  in
+     on. *)
+  let opts = { options with por = options.por && Faults.is_none faults } in
   (* Symmetry narrows further: the implementation must declare its program
      process-oblivious, every base spec must be port-oblivious, and a user
      tracker disables the reduction outright — tracker state is caller

@@ -226,10 +226,9 @@ val to_exec_stats : stats -> Exec.stats
     independence relation commutes accesses to different objects even when
     one of them completes an operation and the other starts one, which
     changes the pending set a tracker sees; a read that starts after a
-    write completed can then be explored only as overlapping it (ROADMAP
-    item 6 has a failing case). Duplicate-state pruning is sound only when
-    the tracker state is part of the dedup key, so [dedup] is switched
-    [Off] automatically unless the tracker supplies a [fingerprint]. *)
+    write completed can then be explored only as overlapping it (the
+    ROADMAP item "Make every linearizability verdict sound" has a failing
+    case). Duplicate-state pruning keys on the tracker's [fingerprint]. *)
 
 type path_event =
   | Op_completed of {
@@ -257,7 +256,7 @@ type 'a tracker = {
       (** called at every complete leaf with the state accumulated along
           its path, after [on_leaf]/[on_leaf_trace]; may raise
           {!Exec.Stop} *)
-  fingerprint : ('a -> int) option;
+  fingerprint : 'a -> int;
       (** an int naming the state, folded into the duplicate-state key as
           it is: the kernel interns nothing of the tracker's. It must be
           injective over the tracker states of one run, up to states that
@@ -267,7 +266,7 @@ type 'a tracker = {
           they need not be stable across runs, since the dedup table is
           emptied between runs. It is asked again only below an edge whose
           [event] returned a state that is not physically the one it was
-          given. [None] disables [dedup] for the run. *)
+          given. *)
 }
 
 val default_dedup_threshold : int
@@ -275,8 +274,9 @@ val default_dedup_threshold : int
     table (64). The key itself is kept from the root and the table is
     pooled, so the threshold saves only the probes of the first nodes, and
     the states visited before it are explored again when met again, which
-    is sound. It stays because deleting it changes node counts (ROADMAP
-    item 2). Pass [~dedup_threshold:0] to probe from the root. *)
+    is sound. It stays because deleting it changes node counts (the ROADMAP
+    item "Delete the lazy dedup threshold"). Pass [~dedup_threshold:0] to
+    probe from the root. *)
 
 val run :
   Implementation.t ->
@@ -306,8 +306,7 @@ val run :
     ([completeness = Partial Stopped]). Any other exception raised by
     [on_leaf] aborts the exploration and is re-raised.
 
-    [tracker] threads per-path state down the tree (see {!type:tracker});
-    [dedup] is honoured only when the tracker supplies a [fingerprint].
+    [tracker] threads per-path state down the tree (see {!type:tracker}).
 
     [faults] supplies the fault adversary ({!Faults.t} — see
     {!Exec.explore}); POR is switched off automatically

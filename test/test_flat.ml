@@ -449,19 +449,18 @@ let faa_tracker ~modulus ~verdicts =
       (fun configs ~trace_rev:_ _ ->
         verdicts := (configs <> []) :: !verdicts);
     fingerprint =
-      Some
-        (fun configs ->
-          Value.Intern.id
-            (Value.Intern.intern ist
-               (Value.list
-                  (List.map
-                     (fun (s, lin) ->
-                       Value.pair (Value.int s)
-                         (Value.list
-                            (List.map
-                               (fun (p, r) -> Value.pair (Value.int p) r)
-                               lin)))
-                     configs))));
+      (fun configs ->
+        Value.Intern.id
+          (Value.Intern.intern ist
+             (Value.list
+                (List.map
+                   (fun (s, lin) ->
+                     Value.pair (Value.int s)
+                       (Value.list
+                          (List.map
+                             (fun (p, r) -> Value.pair (Value.int p) r)
+                             lin)))
+                   configs))));
   }
 
 let faa_workloads =

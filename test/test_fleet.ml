@@ -812,10 +812,12 @@ let test_resume_refusal_parity () =
       ("another problem", bad ~fuel:7 (ledger 1));
     ]
 
-(* The fleet, cut by its budget right after vector k-1 drained, and the
-   single process, cut inside vector k, both checkpoint vector k with the
-   same ledger. A quantum larger than any vector makes every shard a whole
-   vector, searched as the single process searches it. *)
+(* The fleet, flushing the pending prefixes of its shards, and the single
+   process, saving its job's remainder, both checkpoint vector k with the
+   same ledger when a budget cuts them inside vector k. A quantum larger
+   than any vector makes every shard a whole vector, searched as the single
+   process searches it, and each lease is capped at the budget left, so the
+   two make the same cuts. *)
 let test_cut_ledgers_agree () =
   let impl = impl_of "sticky" 3 in
   let k = 6 in
@@ -859,7 +861,7 @@ let test_cut_ledgers_agree () =
       ~checkpoint:fleet_ck (fresh_socket ())
   in
   (match
-     Coordinator.serve ~budget:nodes_before_k
+     Coordinator.serve ~budget:(nodes_before_k + 1)
        ~meta:(Protocols.meta ~name:"sticky" ~procs:3)
        ~config impl
    with
@@ -868,6 +870,36 @@ let test_cut_ledgers_agree () =
   let single = ledger_of single_ck and fleet = ledger_of fleet_ck in
   Alcotest.(check int) "single process cut at vector k" k single.Check.vector;
   Alcotest.(check bool) "equal check.* entries" true (single = fleet)
+
+(* One account of a budgeted run: with no workers and a quantum no smaller
+   than the budget, the fleet runs the single process's jobs in its order,
+   each lease capped at the budget left, so both report the same partial
+   vectors and executions when the budget cuts them. *)
+let test_budget_parity () =
+  let impl = impl_of "cas" 4 in
+  let faults = Faults.crashes 1 in
+  List.iter
+    (fun budget ->
+      let partial what = function
+        | Check.Unknown { partial; reason = "node budget exhausted" } -> partial
+        | v -> Alcotest.failf "%s at budget %d: %a" what budget Check.pp_verdict v
+      in
+      let single = partial "verify" (Check.verify ~faults ~budget impl) in
+      let config =
+        Coordinator.config ~quantum:1_000_000 ~local_grace_s:0. (fresh_socket ())
+      in
+      let fleet =
+        partial "serve"
+          (fst
+             (Coordinator.serve ~faults ~budget
+                ~meta:(Protocols.meta ~name:"cas" ~procs:4)
+                ~config impl))
+      in
+      let at what = Fmt.str "%s at budget %d" what budget in
+      Alcotest.(check int) (at "vectors") single.Check.vectors fleet.Check.vectors;
+      Alcotest.(check int)
+        (at "executions") single.Check.executions fleet.Check.executions)
+    [ 40; 1000; 5000 ]
 
 (* --------------------------------------------------------------------------- *)
 
@@ -939,5 +971,7 @@ let () =
           Alcotest.test_case "small leases count the single process's executions"
             `Quick test_fleet_counts_equal_single;
           Alcotest.test_case "quantum 1 still finishes" `Quick test_quantum_one;
+          Alcotest.test_case "budgeted verify and serve report alike" `Quick
+            test_budget_parity;
         ] );
     ]
