@@ -1,4 +1,5 @@
 open Wfc_spec
+open Wfc_zoo
 open Wfc_program
 
 type tree = { inputs : Value.t list; leaves : int; nodes : int; depth : int }
@@ -35,119 +36,103 @@ let spec_deterministic spec =
         <= 1)
       spec.Type_spec.invocations
 
-(* one tree per vector of first invocations — the paper's 2^n roots,
-   generalized to |I|^n for non-binary targets *)
-let vectors ~invocations n =
-  let rec go i =
-    if i = n then [ [] ]
-    else
-      List.concat_map
-        (fun v -> List.map (fun inv -> inv :: v) invocations)
-        (go (i + 1))
-  in
-  go 0
+(* §4.2's trees are the runs of one proposal per process, over the values
+   the target's invocations propose. *)
+let domain_of (target : Type_spec.t) =
+  match List.map Ops.propose_arg target.Type_spec.invocations with
+  | domain -> Ok domain
+  | exception Value.Type_error _ ->
+    Error
+      (Fmt.str
+         "target %s: its invocations are not proposals; Section 4.2 bounds \
+          consensus implementations"
+         target.Type_spec.name)
 
-let analyze ?fuel ?budget ?deadline_s ?(require_deterministic = true)
-    ?(engine = Wfc_sim.Explore.fast) ?mem_budget_mb ?interrupt
+let incomplete reason =
+  Fmt.str
+    "analysis incomplete: %s — no bound established (raise the budget)"
+    reason
+
+(* A failed tree: a fuel overflow (the violation with no operations) or a
+   leaf that breaks agreement or validity. Neither is a wait-free consensus
+   implementation, so neither has a bound D. *)
+let refuse inputs (v : Check.violation) =
+  let why =
+    if v.Check.ops = [] then
+      "suspected non-wait-freedom (König: an infinite tree has an infinite \
+       path)"
+    else "not a consensus implementation, so Section 4.2 bounds nothing"
+  in
+  Fmt.str "inputs [%a]: %s — %s%a"
+    Fmt.(list ~sep:(any ";") Value.pp)
+    inputs v.Check.reason why
+    Fmt.(
+      option (fun ppf (w : Wfc_sim.Witness.t) ->
+          pf ppf "; replay trace: %s"
+            (Wfc_sim.Faults.trace_to_string w.Wfc_sim.Witness.trace)))
+    v.Check.witness
+
+let analyze ?(fuel = Wfc_sim.Explore.default_fuel) ?budget
+    ?(require_deterministic = true) ?(engine = Wfc_sim.Explore.fast)
     (impl : Implementation.t) =
+  let ( let* ) = Result.bind in
   let nondet =
     if require_deterministic then
       Array.to_list impl.Implementation.objects
       |> List.filter (fun (spec, _) -> not (spec_deterministic spec))
     else []
   in
-  match nondet with
-  | (spec, _) :: _ ->
-    Error
-      (Fmt.str
-         "base object %s is nondeterministic; Section 4.2's argument assumes \
-          deterministic types"
-         spec.Type_spec.name)
-  | [] ->
-    let n = impl.Implementation.procs in
-    let per_object =
-      Array.make (Array.length impl.Implementation.objects) 0
+  let* () =
+    match nondet with
+    | (spec, _) :: _ ->
+      Error
+        (Fmt.str
+           "base object %s is nondeterministic; Section 4.2's argument \
+            assumes deterministic types"
+           spec.Type_spec.name)
+    | [] -> Ok ()
+  in
+  let* domain = domain_of impl.Implementation.target in
+  let book =
+    Check.book ~subsets:false ~repeat:false ~domain ?budget ~engine ~fuel
+      ~faults:Wfc_sim.Faults.none impl
+  in
+  let per_object = Array.make (Array.length impl.Implementation.objects) 0 in
+  (* One tree per input vector, each a job from its root. The bound D is the
+     max over leaves of the total access count — a timing-insensitive
+     observation, so the reduced engine computes the same D (and
+     per-object maxima) while visiting far fewer nodes. *)
+  let tree ((v : Check.vector), (job : Wfc_sim.Checkpoint.t)) =
+    let inputs = Array.to_list (Array.map List.hd v.Check.workloads) in
+    let depth = ref 0 in
+    let on_leaf (leaf : Wfc_sim.Exec.leaf) =
+      depth := max !depth (Array.fold_left ( + ) 0 leaf.accesses)
     in
-    let deadline =
-      Option.map (fun s -> Wfc_sim.Monotime.now () +. s) deadline_s
-    in
-    let budget_left = ref budget in
-    (* Budget/deadline are global across all |I|^n trees: hand each
-       exploration what remains. *)
-    let rec run_trees acc = function
-      | [] -> Ok (List.rev acc)
-      | inputs :: rest ->
-        let workloads = Array.of_list (List.map (fun inv -> [ inv ]) inputs) in
-        let depth = ref 0 in
-        let deadline_s_left =
-          Option.map (fun t -> t -. Wfc_sim.Monotime.now ()) deadline
-        in
-        if (match deadline_s_left with Some s -> s <= 0. | None -> false)
-        then
-          Error
-            "analysis incomplete: deadline exceeded — no bound established \
-             (raise the deadline)"
-        else begin
-          (* The bound D is the max over leaves of the total access count — a
-             timing-insensitive observation, so the reduced engine computes the
-             same D (and per-object maxima) while visiting far fewer nodes. *)
-          let stats =
-            Wfc_sim.Explore.run impl ~workloads ?fuel ?budget:!budget_left
-              ?deadline_s:deadline_s_left ~options:engine ?mem_budget_mb
-              ?interrupt
-              ~on_leaf:(fun leaf ->
-                let d = Array.fold_left ( + ) 0 leaf.Wfc_sim.Exec.accesses in
-                if d > !depth then depth := d)
-              ()
-          in
-          budget_left :=
-            Option.map
-              (fun b -> max 0 (b - stats.Wfc_sim.Explore.nodes))
-              !budget_left;
-          match stats.Wfc_sim.Explore.completeness with
-          | Wfc_sim.Explore.Partial reason ->
-            Error
-              (Fmt.str
-                 "analysis incomplete: %a — no bound established (raise the \
-                  budget or deadline)"
-                 Wfc_sim.Explore.pp_partial_reason reason)
-          | Wfc_sim.Explore.Exhaustive ->
-        if stats.Wfc_sim.Explore.overflows > 0 then
-          Error
-            (Fmt.str
-               "inputs [%a]: %d path(s) exhausted fuel — suspected \
-                non-wait-freedom (König: an infinite tree has an infinite \
-                path)%a"
-               Fmt.(list ~sep:(any ";") Value.pp)
-               inputs stats.Wfc_sim.Explore.overflows
-               Fmt.(
-                 option (fun ppf t ->
-                     pf ppf "; replay trace: %s" (Wfc_sim.Faults.trace_to_string t)))
-               stats.Wfc_sim.Explore.overflow_trace)
-        else begin
-          Array.iteri
-            (fun i a -> if a > per_object.(i) then per_object.(i) <- a)
-            stats.Wfc_sim.Explore.max_accesses;
-          run_trees
-            ({
-               inputs;
-               leaves = stats.Wfc_sim.Explore.leaves;
-               nodes = stats.Wfc_sim.Explore.nodes;
-               depth = !depth;
-             }
-            :: acc)
-            rest
-        end
-        end
-    in
-    Result.map
-      (fun trees ->
-        {
-          trees;
-          bound_d = List.fold_left (fun m t -> max m t.depth) 0 trees;
-          per_object;
-          fan_out = n;
-        })
-      (run_trees []
-         (vectors ~invocations:impl.Implementation.target.Type_spec.invocations
-            n))
+    let* budget, _ = Result.map_error incomplete (Check.allowance book) in
+    match Check.run_job ?budget ~on_leaf impl job with
+    | Check.Cut { reason; _ } -> Error (incomplete reason)
+    | Check.Violated v -> Error (refuse inputs v)
+    | Check.Drained counts ->
+      Check.record book v.Check.pos ~from:job
+        { job with counts; frontier = [] }
+        ~left:0;
+      Array.iteri
+        (fun i a -> per_object.(i) <- max per_object.(i) a)
+        counts.max_accesses;
+      Ok { inputs; leaves = counts.leaves; nodes = counts.nodes; depth = !depth }
+  in
+  let* trees =
+    Seq.fold_left
+      (fun acc job ->
+        let* trees = acc in
+        let* t = tree job in
+        Ok (t :: trees))
+      (Ok []) (Check.jobs book)
+  in
+  Ok
+    {
+      trees = List.rev trees;
+      bound_d = List.fold_left (fun m t -> max m t.depth) 0 trees;
+      per_object;
+      fan_out = impl.Implementation.procs;
+    }

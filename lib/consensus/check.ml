@@ -180,8 +180,8 @@ type vector = {
 
 let vectors ?(subsets = true) ?(repeat = true)
     ?(domain = [ Value.falsity; Value.truth ]) (impl : Implementation.t) =
-  if List.length domain < 2 then
-    invalid_arg "Check.vectors: domain needs at least two values";
+  if repeat && List.length domain < 2 then
+    invalid_arg "Check.vectors: repeated proposals need two domain values";
   let other_than v = List.find (fun d -> not (Value.equal d v)) domain in
   let n = impl.Implementation.procs in
   let participant_sets =
@@ -234,7 +234,7 @@ let run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb ?checkpoint
         | Error reason ->
           let ops = leaf.Exec.ops in
           raise (Found (violation_of ~workloads reason ops (witness trace))));
-        on_leaf ())
+        on_leaf leaf)
       ?checkpoint ~resume_from:job ?interrupt ?mem_budget_mb ()
   with
   | exception Found v -> Violated v
@@ -443,13 +443,20 @@ let since ~(from : Checkpoint.counts) (k : Checkpoint.counts) =
     evictions = k.evictions - from.evictions;
   }
 
-let record b pos ~from counts ~left =
+(* What the job spent of its budget: the engine's limiter takes one visit
+   per configuration, each root of the job's frontier included, while
+   [nodes] counts edges, the edges to the prefixes the job hands back
+   included, which a later job enters as its roots. *)
+let record b pos ~(from : Checkpoint.t) (ck : Checkpoint.t) ~left =
   let s = b.slots.(pos - 1) in
-  let d = since ~from counts in
+  let d = since ~from:from.counts ck.counts in
   s.counts <- Checkpoint.add_counts s.counts d;
   s.started <- true;
   s.left <- s.left - 1 + left;
-  b.budget_left <- Option.map (fun n -> max 0 (n - d.nodes)) b.budget_left;
+  let spent =
+    d.nodes + List.length from.frontier - List.length ck.frontier
+  in
+  b.budget_left <- Option.map (fun n -> max 0 (n - spent)) b.budget_left;
   advance b
 
 let degrade b =
@@ -555,10 +562,10 @@ let verify ?subsets ?repeat ?domain ?(faults = Faults.none)
           remove_checkpoint ();
           Falsified (if shrink then shrink_violation impl v else v)
         | Cut { reason; remainder } ->
-          record b v.pos ~from:job.counts remainder.counts ~left:1;
+          record b v.pos ~from:job remainder ~left:1;
           verdict ~cut:reason b
         | Drained counts ->
-          record b v.pos ~from:job.counts counts ~left:0;
+          record b v.pos ~from:job { job with counts; frontier = [] } ~left:0;
           run rest))
   in
   run (jobs b)

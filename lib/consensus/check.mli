@@ -103,8 +103,8 @@ val verify :
     value — the response must still be the original decision (Section 2.1:
     the first invocation determines all future responses). [domain]
     (default the binary domain) is the finite proposal domain, at least two
-    values — the multivalued consensus construction passes a larger one;
-    every input vector over it is checked ({!vectors}).
+    values under [repeat] — the multivalued consensus construction passes a
+    larger one; every input vector over it is checked ({!vectors}).
 
     [faults] (default {!Wfc_sim.Faults.none}) supplies the fault adversary
     ({!Wfc_sim.Faults.t}). Under {!Wfc_sim.Faults.crashes}[ k] up to [k]
@@ -163,9 +163,10 @@ val result_exn : verdict -> (report, violation) result
 (** {2 The job enumeration, the job and the ledger}
 
     The building blocks {!verify} is made of, exposed so the distributed
-    fleet ({!Wfc_fleet}) runs {e exactly} the same jobs through {e exactly}
-    the same code — fleet verdicts and single-process verdicts are then
-    statements about the same search. *)
+    fleet ({!Wfc_fleet}) and the §4.2 analysis ({!Access_bounds}) run
+    {e exactly} the same jobs through {e exactly} the same code — fleet
+    verdicts, single-process verdicts and the bound D are then statements
+    about the same search. *)
 
 type vector = {
   pos : int;
@@ -218,7 +219,7 @@ val run_job :
   ?interrupt:bool Atomic.t ->
   ?mem_budget_mb:int ->
   ?checkpoint:float * (Wfc_sim.Checkpoint.t -> unit) ->
-  ?on_leaf:(unit -> unit) ->
+  ?on_leaf:(Wfc_sim.Exec.leaf -> unit) ->
   Implementation.t ->
   Wfc_sim.Checkpoint.t ->
   job_result
@@ -229,7 +230,9 @@ val run_job :
     left to search — [[[]]] for a vector's root. It is one
     {!Wfc_sim.Explore.run} resumed at that frontier, and a [checkpoint]
     sink only receives periodic saves and a cut's remainder, without
-    changing what is explored. [on_leaf] runs after each passing leaf.
+    changing what is explored. [on_leaf] gets each leaf that passed
+    {!check_leaf}: the fleet worker polls its socket there, and
+    {!Access_bounds} reads a tree's depth off it.
     Raises [Invalid_argument] when the frontier is not a path of its own
     problem's tree. *)
 
@@ -253,9 +256,9 @@ val ledger_of_checkpoint : Wfc_sim.Checkpoint.t -> (ledger, string) result
 (** {2 The run account} *)
 
 type book
-(** How a run over many vectors is accounted, once for {!verify} and the
-    fleet coordinator: a caller runs {!jobs}, asks {!allowance} before each
-    and {!record}s what each returns. *)
+(** How a run over many vectors is accounted, once for {!verify}, the
+    fleet coordinator and {!Access_bounds.analyze}: a caller runs {!jobs},
+    asks {!allowance} before each and {!record}s what each returns. *)
 
 val book :
   ?subsets:bool ->
@@ -289,13 +292,17 @@ val allowance :
 val record :
   book ->
   int ->
-  from:Wfc_sim.Checkpoint.counts ->
-  Wfc_sim.Checkpoint.counts ->
+  from:Wfc_sim.Checkpoint.t ->
+  Wfc_sim.Checkpoint.t ->
   left:int ->
   unit
-(** [record b pos ~from counts ~left]: a job of vector [pos] that started
-    from [from] returned [counts] and left [left] jobs in its place (0 when
-    it drained). Its nodes come off the budget. *)
+(** [record b pos ~from ck ~left]: the job [from] of vector [pos] returned
+    [ck], its counts and the frontier it hands back (empty when it
+    drained), dealt into [left] jobs. What the engine's limiter spent comes
+    off the budget: one visit per configuration, which is [ck]'s new nodes
+    plus the roots of [from]'s frontier less those of [ck]'s. A budget
+    equal to what the first k vectors spend therefore drains exactly those
+    k vectors. *)
 
 val degrade : book -> unit
 (** Count a lost fleet lease into [report.degraded]. *)

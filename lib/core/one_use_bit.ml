@@ -18,7 +18,7 @@ let check_impl ?(writer = 0) ?(reader = 1) (impl : Implementation.t) =
       Wfc_sim.Explore.run impl
         ~workloads:(workload_of reader [ One_use.read ])
         ~options:Wfc_sim.Explore.fast
-        ~on_leaf:(fun leaf ->
+        ~on_leaf_trace:(fun _ leaf ->
           match leaf.Wfc_sim.Exec.ops with
           | [ o ] when Value.equal o.Wfc_sim.Exec.resp Value.falsity -> ()
           | ops ->

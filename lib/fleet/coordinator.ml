@@ -228,8 +228,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
         let k = max 1 (min (List.length ck.frontier) (1 + idle)) in
         let left = enqueue s.vec ck ~into:k in
         if left > 1 then incr splits;
-        Check.record book s.vec ~from:s.job.Checkpoint.counts
-          ck.Checkpoint.counts ~left
+        Check.record book s.vec ~from:s.job ck ~left
       end
     | Codec.Violation { reason; witness } -> (
       match Check.replay_violation impl ~fuel ~reason witness with

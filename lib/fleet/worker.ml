@@ -213,7 +213,7 @@ let run_lease link ~shard ~lease_s ~quantum ~job =
     let garbage_sent = ref false in
     let last_hb = ref (Monotime.now ()) in
     let passed = ref 0 in
-    let on_leaf () =
+    let on_leaf _ =
       incr passed;
       let leaves = !passed in
       (match cfg.chaos.Chaos.kill_after with

@@ -59,7 +59,7 @@ val exec_shard :
   job:Checkpoint.t ->
   ?quantum:int ->
   ?interrupt:bool Atomic.t ->
-  ?on_leaf:(unit -> unit) ->
+  ?on_leaf:(Wfc_sim.Exec.leaf -> unit) ->
   unit ->
   Codec.outcome
 (** Run one shard: {!Wfc_consensus.Check.run_job} on the job's frontier,

@@ -450,10 +450,3 @@ let split t ~into =
            })
 
 let meta_find t k = List.assoc_opt k t.meta
-
-let pp ppf t =
-  Fmt.pf ppf "checkpoint: %d frontier roots, %d nodes, %d leaves%a"
-    (List.length t.frontier) t.counts.nodes t.counts.leaves
-    Fmt.(
-      list ~sep:nop (fun ppf (k, v) -> Fmt.pf ppf ", %s=%s" k v))
-    t.meta

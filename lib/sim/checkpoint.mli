@@ -131,4 +131,3 @@ val describe_mismatch :
     workloads. [meta] is deliberately not compared. *)
 
 val meta_find : t -> string -> string option
-val pp : Format.formatter -> t -> unit

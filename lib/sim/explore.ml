@@ -20,7 +20,7 @@ type completeness = Exhaustive | Partial of partial_reason
 let pp_partial_reason ppf = function
   | Budget_exhausted -> Fmt.string ppf "node budget exhausted"
   | Deadline_exceeded -> Fmt.string ppf "deadline exceeded"
-  | Stopped -> Fmt.string ppf "stopped by on_leaf"
+  | Stopped -> Fmt.string ppf "stopped by a callback"
   | Interrupted -> Fmt.string ppf "interrupted"
   | Probabilistic ->
     Fmt.string ppf "probabilistic dedup (memory budget forced the Bloom tier)"
@@ -1782,17 +1782,16 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     cc.cc_pool <- Some ms;
     Printexc.raise_with_backtrace e bt
 
-(* Physically recognizable defaults: when the caller supplied no leaf
+(* A physically recognizable default: when the caller supplied no leaf
    consumer (and no tracker), the kernel can skip materializing leaf records
    entirely. *)
-let no_on_leaf (_ : Exec.leaf) = ()
 let no_on_leaf_trace (_ : Faults.trace) (_ : Exec.leaf) = ()
 
 let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
     ?budget ?deadline_s ?(options = naive)
     ?(dedup_threshold = default_dedup_threshold)
     ?(bloom_bits_log2 = Fingerprint.Bloom.default_bits_log2) ?tracker
-    ?(on_leaf = no_on_leaf) ?(on_leaf_trace = no_on_leaf_trace)
+    ?(on_leaf_trace = no_on_leaf_trace)
     ?checkpoint ?resume_from ?interrupt ?mem_budget_mb () =
   if Array.length workloads <> impl.Implementation.procs then
     invalid_arg "Explore: workloads length must equal impl.procs";
@@ -1856,13 +1855,10 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
     Option.map (fun mb -> mb * 1024 * 1024 / (Sys.word_size / 8)) mem_budget_mb
   in
   let emit_leaf trace_rev leaf st =
-    on_leaf leaf;
     on_leaf_trace (List.rev trace_rev) leaf;
     t.at_leaf st ~trace_rev leaf
   in
-  let want_leaf =
-    user_tracker || on_leaf != no_on_leaf || on_leaf_trace != no_on_leaf_trace
-  in
+  let want_leaf = user_tracker || on_leaf_trace != no_on_leaf_trace in
   let wl = Array.map Array.of_list workloads in
   (* One kernel call: explore the subtree under [prefix], or, with
      [listing], only list the siblings along it (no dedup, no callbacks). *)

@@ -148,7 +148,7 @@ end
 type partial_reason =
   | Budget_exhausted  (** the [?budget] node allowance ran out *)
   | Deadline_exceeded  (** the [?deadline_s] wall-clock limit passed *)
-  | Stopped  (** [on_leaf]/[on_leaf_trace] raised {!Exec.Stop} *)
+  | Stopped  (** [on_leaf_trace] or a tracker raised {!Exec.Stop} *)
   | Interrupted
       (** the [?interrupt] flag was set (e.g. by a SIGINT/SIGTERM handler);
           if a checkpoint sink is armed, it was handed a final checkpoint
@@ -254,7 +254,7 @@ type 'a tracker = {
           exploration (e.g. the prefix is already a violation). *)
   at_leaf : 'a -> trace_rev:Faults.trace -> Exec.leaf -> unit;
       (** called at every complete leaf with the state accumulated along
-          its path, after [on_leaf]/[on_leaf_trace]; may raise
+          its path, after [on_leaf_trace]; may raise
           {!Exec.Stop} *)
   fingerprint : 'a -> int;
       (** an int naming the state, folded into the duplicate-state key as
@@ -289,7 +289,6 @@ val run :
   ?dedup_threshold:int ->
   ?bloom_bits_log2:int ->
   ?tracker:'a tracker ->
-  ?on_leaf:(Exec.leaf -> unit) ->
   ?on_leaf_trace:(Faults.trace -> Exec.leaf -> unit) ->
   ?checkpoint:float * (Checkpoint.t -> unit) ->
   ?resume_from:Checkpoint.t ->
@@ -301,10 +300,13 @@ val run :
     [faults = Faults.none], [options = naive]). Raises [Invalid_argument]
     on a [fuel] of 2{^31} or more: the dedup key packs access counts and
     workload positions, both at most the fuel, into 31-bit fields.
-    [on_leaf] may raise {!Exec.Stop}
-    to abort early; statistics then reflect the explored prefix
-    ([completeness = Partial Stopped]). Any other exception raised by
-    [on_leaf] aborts the exploration and is re-raised.
+
+    [on_leaf_trace] is the one leaf callback: it receives each complete
+    leaf with its decision {!Faults.trace}, the path identifier that
+    {!Exec.replay} re-executes. It may raise {!Exec.Stop} to abort early;
+    statistics then reflect the explored prefix
+    ([completeness = Partial Stopped]). Any other exception it raises
+    aborts the exploration and is re-raised.
 
     [tracker] threads per-path state down the tree (see {!type:tracker}).
 
@@ -312,10 +314,6 @@ val run :
     {!Exec.explore}); POR is switched off automatically
     whenever any fault branching is on (crash/recovery/glitch transitions
     are per-process moves the sleep-set rule does not commute).
-
-    [on_leaf_trace] additionally receives each leaf's decision
-    {!Faults.trace} — the path identifier that {!Exec.replay} re-executes;
-    it runs right after [on_leaf].
 
     [budget] bounds the configurations visited and [deadline_s] the wall
     clock (monotonic — immune to NTP steps and suspends): when either trips, the whole exploration stops promptly (it

@@ -169,6 +169,128 @@ let test_access_bounds_rejects_nondet () =
     Alcotest.(check bool) "mentions nondeterminism" true
       (contains e "nondeterministic")
 
+(* Every tree of tas, cas n=3 and cas-ids n=4 as a multiset of ⟨inputs,
+   leaves, nodes, depth⟩, with D and the per-object bounds. The order of
+   the trees is the enumeration's and is not pinned; every binary input
+   vector has one tree, and all of a protocol's trees count alike. *)
+let test_access_bounds_pinned () =
+  let rec every_vector n =
+    if n = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun v -> [ Ops.propose Value.falsity :: v; Ops.propose Value.truth :: v ])
+        (every_vector (n - 1))
+  in
+  List.iter
+    (fun (name, impl, (leaves, nodes, depth), d, per_object) ->
+      match Access_bounds.analyze impl with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok r ->
+        let n = impl.Implementation.procs in
+        let multiset ts = List.sort compare ts in
+        Alcotest.(check bool)
+          (name ^ ": trees") true
+          (multiset
+             (List.map
+                (fun (t : Access_bounds.tree) ->
+                  (t.inputs, t.leaves, t.nodes, t.depth))
+                r.Access_bounds.trees)
+          = multiset
+              (List.map (fun v -> (v, leaves, nodes, depth)) (every_vector n)));
+        Alcotest.(check int) (name ^ ": D") d r.Access_bounds.bound_d;
+        Alcotest.(check (array int))
+          (name ^ ": per-object") per_object r.Access_bounds.per_object)
+    [
+      ("tas", Protocols.from_tas (), (2, 11, 5), 5, [| 2; 2; 2 |]);
+      ("cas n=3", Protocols.from_cas ~procs:3 (), (3, 54, 6), 6, [| 6 |]);
+      ( "cas-ids n=4",
+        Protocols.from_cas_ids ~procs:4 (),
+        (4, 2999, 23),
+        23,
+        [| 8; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2 |] );
+    ]
+
+(* A target proposing a single value has one tree: no vector needs a
+   second value when no process proposes twice. *)
+let test_access_bounds_one_value () =
+  let impl =
+    Implementation.identity (Consensus_type.any ~ports:2) ~procs:2
+  in
+  match Access_bounds.analyze impl with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    Alcotest.(check int) "one tree" 1 (List.length r.Access_bounds.trees);
+    Alcotest.(check int) "D" 2 r.Access_bounds.bound_d
+
+(* §4.2 bounds wait-free consensus implementations only: a protocol whose
+   leaves break agreement has no D, and the error's trace replays to such a
+   leaf. *)
+let test_access_bounds_rejects_broken () =
+  let impl = Protocols.broken_register_only () in
+  match Access_bounds.analyze impl with
+  | Ok r -> Alcotest.failf "broken protocol given D = %d" r.Access_bounds.bound_d
+  | Error e -> (
+    Alcotest.(check bool) "names agreement" true (contains e "agreement");
+    let marker = "replay trace: " in
+    let rec find i =
+      if i + String.length marker > String.length e then
+        Alcotest.failf "no replay trace in %S" e
+      else if String.sub e i (String.length marker) = marker then
+        i + String.length marker
+      else find (i + 1)
+    in
+    let at = find 0 in
+    match
+      Wfc_sim.Faults.trace_of_string (String.sub e at (String.length e - at))
+    with
+    | Error why -> Alcotest.failf "trace does not parse: %s" why
+    | Ok trace ->
+      Alcotest.(check bool)
+        "the trace replays to a failing leaf" true
+        (List.exists
+           (fun (v : Check.vector) ->
+             match
+               Wfc_sim.Exec.replay impl ~workloads:v.Check.workloads trace
+             with
+             | Ok leaf -> Result.is_error (Check.check_leaf ~inputs:v.inputs leaf)
+             | Error _ -> false)
+           (Check.vectors ~subsets:false ~repeat:false impl)))
+
+let test_access_bounds_rejects_non_consensus () =
+  let spec = Rmw.test_and_set ~ports:2 in
+  match Access_bounds.analyze (Implementation.identity spec ~procs:2) with
+  | Ok _ -> Alcotest.fail "a test-and-set target has no proposals"
+  | Error e ->
+    Alcotest.(check bool) "names the target" true
+      (contains e spec.Type_spec.name)
+
+(* A budget either covers the whole analysis, which is then the uncut
+   report, or it is "analysis incomplete": never another D. The whole
+   analysis spends, per tree, its nodes and its root. *)
+let test_access_bounds_budget_sweep () =
+  let impl = Protocols.from_cas ~procs:3 () in
+  match Access_bounds.analyze impl with
+  | Error e -> Alcotest.fail e
+  | Ok full ->
+    let total =
+      List.fold_left
+        (fun acc (t : Access_bounds.tree) -> acc + t.nodes + 1)
+        0 full.Access_bounds.trees
+    in
+    for budget = 1 to total do
+      match Access_bounds.analyze ~budget impl with
+      | Ok r ->
+        Alcotest.(check bool)
+          (Fmt.str "budget %d: the uncut report" budget)
+          true
+          (budget = total && r = full)
+      | Error e ->
+        Alcotest.(check bool)
+          (Fmt.str "budget %d: incomplete" budget)
+          true
+          (budget < total && contains e "analysis incomplete")
+    done
+
 (* --- multivalued consensus from binary (E13) -------------------------------------- *)
 
 let test_bits_needed () =
@@ -559,6 +681,15 @@ let () =
           Alcotest.test_case "spin rejected" `Quick test_access_bounds_rejects_spin;
           Alcotest.test_case "nondet rejected" `Quick
             test_access_bounds_rejects_nondet;
+          Alcotest.test_case "pinned trees" `Quick test_access_bounds_pinned;
+          Alcotest.test_case "broken rejected" `Quick
+            test_access_bounds_rejects_broken;
+          Alcotest.test_case "non-consensus target refused" `Quick
+            test_access_bounds_rejects_non_consensus;
+          Alcotest.test_case "budget sweep" `Quick
+            test_access_bounds_budget_sweep;
+          Alcotest.test_case "one-value target" `Quick
+            test_access_bounds_one_value;
         ] );
       ( "multivalued (E13)",
         [

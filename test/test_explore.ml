@@ -69,7 +69,7 @@ let collect ?fuel ?faults ?(dedup_threshold = 0) ?checkpoint ~options ~proj
   let stats =
     Explore.run impl ~workloads ?fuel ?faults ~options ~dedup_threshold
       ?checkpoint
-      ~on_leaf:(fun leaf -> acc := proj leaf :: !acc)
+      ~on_leaf_trace:(fun _ leaf -> acc := proj leaf :: !acc)
       ()
   in
   (stats, List.sort Value.compare !acc)
@@ -272,7 +272,7 @@ let test_naive_matches_exec () =
       let leaves = ref [] in
       let s =
         Explore.run impl ~workloads ~faults ~options:Explore.naive
-          ~on_leaf:(fun leaf -> leaves := full_proj leaf :: !leaves)
+          ~on_leaf_trace:(fun _ leaf -> leaves := full_proj leaf :: !leaves)
           ()
       in
       exec_stats_equal msg exec_stats (Explore.to_exec_stats s);
@@ -559,7 +559,7 @@ let test_frontier_stop_and_errors () =
   let stats =
     with_frontier (fun checkpoint ->
         Explore.run impl ~workloads ~options:Explore.naive ~checkpoint
-          ~on_leaf:(fun _ ->
+          ~on_leaf_trace:(fun _ _ ->
             incr seen;
             if !seen > 3 then raise Exec.Stop)
           ())
@@ -574,7 +574,7 @@ let test_frontier_stop_and_errors () =
       with_frontier (fun checkpoint ->
           ignore
             (Explore.run impl ~workloads ~options:Explore.naive ~checkpoint
-               ~on_leaf:(fun _ -> raise Boom)
+               ~on_leaf_trace:(fun _ _ -> raise Boom)
                ())))
 
 (* --- downstream verdict equivalence ----------------------------------------- *)

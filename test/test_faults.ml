@@ -236,7 +236,7 @@ let test_exec_explore_parity_under_faults () =
   let explore_stats =
     Wfc_sim.Explore.run impl ~workloads ~faults
       ~options:Wfc_sim.Explore.naive
-      ~on_leaf:(fun _ -> incr explore_leaves)
+      ~on_leaf_trace:(fun _ _ -> incr explore_leaves)
       ()
   in
   Alcotest.(check int)

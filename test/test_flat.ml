@@ -95,7 +95,7 @@ let collect ?faults ?(dedup_threshold = 0) ?bloom_bits_log2 ?mem_budget_mb
   let stats =
     Explore.run impl ~workloads ?faults ~options ~dedup_threshold
       ?bloom_bits_log2 ?mem_budget_mb
-      ~on_leaf:(fun leaf -> acc := value_proj leaf :: !acc)
+      ~on_leaf_trace:(fun _ leaf -> acc := value_proj leaf :: !acc)
       ()
   in
   (stats, List.sort Value.compare !acc)
@@ -346,7 +346,7 @@ let assert_compiled_interp_parity ~msg impl workloads =
   let compiled = ref [] in
   let plain =
     Explore.run impl ~workloads ~options:Explore.naive ~dedup_threshold:0
-      ~on_leaf:(fun leaf -> compiled := full_proj leaf :: !compiled)
+      ~on_leaf_trace:(fun _ leaf -> compiled := full_proj leaf :: !compiled)
       ()
   in
   exec_stats_equal (msg ^ "/plain") es (Explore.to_exec_stats plain);
@@ -1818,7 +1818,7 @@ let test_pool_reentrant () =
   let nested = ref [] in
   let outer =
     Explore.run impl ~workloads ~options:Explore.fast
-      ~on_leaf:(fun _ -> nested := alone exact :: !nested)
+      ~on_leaf_trace:(fun _ _ -> nested := alone exact :: !nested)
       ()
   in
   Alcotest.(check bool) "outer run = lone run" true (outer = lone_fast);

@@ -812,28 +812,31 @@ let test_resume_refusal_parity () =
       ("another problem", bad ~fuel:7 (ledger 1));
     ]
 
+(* What a budget spends on the first [k] vectors, each drained from its
+   root: the engine's limiter visits the root, then one configuration per
+   node below it. *)
+let spent_on_first impl k =
+  Check.book ~engine:Wfc_sim.Explore.fast ~fuel:Wfc_sim.Explore.default_fuel
+    ~faults:Faults.none impl
+  |> Check.jobs |> Seq.take k
+  |> Seq.fold_left
+       (fun acc (_, job) ->
+         match Check.run_job impl job with
+         | Check.Drained counts -> acc + counts.Checkpoint.nodes + 1
+         | _ -> Alcotest.fail "an unbudgeted job did not drain")
+       0
+
 (* The fleet, flushing the pending prefixes of its shards, and the single
    process, saving its job's remainder, both checkpoint vector k with the
    same ledger when a budget cuts them inside vector k. A quantum larger
    than any vector makes every shard a whole vector, searched as the single
    process searches it, and each lease is capped at the budget left, so the
-   two make the same cuts. *)
+   two make the same cuts. One visit past the vectors before k enters
+   vector k's root and cuts at its first child. *)
 let test_cut_ledgers_agree () =
   let impl = impl_of "sticky" 3 in
   let k = 6 in
-  let nodes_before_k =
-    List.fold_left
-      (fun acc (v : Check.vector) ->
-        if v.Check.pos >= k then acc
-        else
-          let s =
-            Wfc_sim.Explore.run impl ~workloads:v.Check.workloads
-              ~options:Wfc_sim.Explore.fast
-              ~checkpoint:(infinity, ignore) ()
-          in
-          acc + s.Wfc_sim.Explore.nodes)
-      0 (Check.vectors impl)
-  in
+  let budget = spent_on_first impl (k - 1) + 1 in
   let ledger_of path =
     match Checkpoint.load path with
     | Error e -> Alcotest.failf "checkpoint unreadable: %s" e
@@ -851,7 +854,7 @@ let test_cut_ledgers_agree () =
         [ single_ck; fleet_ck ])
   @@ fun () ->
   (match
-     Check.verify ~budget:(nodes_before_k + 1)
+     Check.verify ~budget
        ~checkpoint:(single_ck, 3600.) impl
    with
   | Check.Unknown _ -> ()
@@ -861,7 +864,7 @@ let test_cut_ledgers_agree () =
       ~checkpoint:fleet_ck (fresh_socket ())
   in
   (match
-     Coordinator.serve ~budget:(nodes_before_k + 1)
+     Coordinator.serve ~budget
        ~meta:(Protocols.meta ~name:"sticky" ~procs:3)
        ~config impl
    with
@@ -900,6 +903,37 @@ let test_budget_parity () =
       Alcotest.(check int)
         (at "executions") single.Check.executions fleet.Check.executions)
     [ 40; 1000; 5000 ]
+
+(* One budget unit: the account charges a job what the engine's limiter
+   spent, so a budget of exactly what the first k vectors spend drains
+   those k vectors and stops before the next one starts, in the single
+   process and in a worker-less fleet alike. *)
+let test_budget_ends_on_a_vector () =
+  let impl = impl_of "sticky" 3 in
+  List.iter
+    (fun k ->
+      let budget = spent_on_first impl k in
+      let partial what = function
+        | Check.Unknown { partial; reason = "node budget exhausted" } -> partial
+        | v -> Alcotest.failf "%s at k = %d: %a" what k Check.pp_verdict v
+      in
+      let single = partial "verify" (Check.verify ~budget impl) in
+      let config =
+        Coordinator.config ~quantum:1_000_000 ~local_grace_s:0. (fresh_socket ())
+      in
+      let fleet =
+        partial "serve"
+          (fst
+             (Coordinator.serve ~budget
+                ~meta:(Protocols.meta ~name:"sticky" ~procs:3)
+                ~config impl))
+      in
+      let at what = Fmt.str "%s at k = %d" what k in
+      Alcotest.(check int) (at "verify drains k vectors") k single.Check.vectors;
+      Alcotest.(check int) (at "serve drains k vectors") k fleet.Check.vectors;
+      Alcotest.(check int)
+        (at "executions") single.Check.executions fleet.Check.executions)
+    [ 1; 5; 12; 25 ]
 
 (* --------------------------------------------------------------------------- *)
 
@@ -973,5 +1007,7 @@ let () =
           Alcotest.test_case "quantum 1 still finishes" `Quick test_quantum_one;
           Alcotest.test_case "budgeted verify and serve report alike" `Quick
             test_budget_parity;
+          Alcotest.test_case "a budget ends on a vector boundary" `Quick
+            test_budget_ends_on_a_vector;
         ] );
     ]
