@@ -213,6 +213,17 @@ let load_resume ~name ~procs = function
       | _ -> ());
       Some ck)
 
+(* A checkpoint path in a missing directory would fail only at the first
+   save, in the middle of the search: refuse it before anything runs. *)
+let require_checkpoint_dir = function
+  | None -> ()
+  | Some path -> (
+    match Wfc_sim.Checkpoint.check_path path with
+    | Ok () -> ()
+    | Error e ->
+      Fmt.epr "wfc: %s@." e;
+      Stdlib.exit 1)
+
 (* Arm SIGINT/SIGTERM as a cooperative cut: the engine (or coordinator)
    polls the flag, flushes a final checkpoint and reports UNKNOWN
    (interrupted) → exit 2. *)
@@ -225,9 +236,10 @@ let arm_interrupt () =
     [ Sys.sigint; Sys.sigterm ];
   flag
 
-(* The one verdict printer: `wfc verify` and `wfc serve` must agree on both
-   the text and the exit code (0 verified / 1 falsified / 2 unknown), so a
-   fleet run is a drop-in replacement in scripts and CI. *)
+(* The one verdict printer: `wfc verify`, `wfc serve` and `wfc compile`'s
+   re-verification must agree on both the text and the exit code (0
+   verified / 1 falsified / 2 unknown), so a fleet run is a drop-in
+   replacement in scripts and CI. *)
 let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
     ~witness_file ~checkpoint verdict =
   let pp_pressure ppf (r : Check.report) =
@@ -291,6 +303,7 @@ let verify_cmd =
   let run name procs crashes recoveries glitches degrade budget deadline_s
       witness_file no_symmetry ckpt_file ckpt_interval
       resume_file mem_budget_mb profile_file =
+    require_checkpoint_dir ckpt_file;
     let impl = make_protocol ~procs name in
     let faults =
       faults_of_flags impl ~crashes ~recoveries ~glitches ~degrade
@@ -426,6 +439,7 @@ let serve_cmd =
   let run name procs crashes recoveries glitches degrade budget deadline_s
       witness_file ckpt_file resume_file socket workers lease_s quantum
       local_grace_s chaos chaos_seed verbose =
+    require_checkpoint_dir ckpt_file;
     let impl = make_protocol ~procs name in
     let faults =
       faults_of_flags impl ~crashes ~recoveries ~glitches ~degrade
@@ -901,63 +915,10 @@ let compile_cmd =
         1
       | Ok r ->
         Fmt.pr "%a@." Theorem5.pp_report r;
-        let compiled = r.Theorem5.compiled in
-        if compiled.Wfc_program.Implementation.procs <= 2 then (
-          match Check.result_exn (Check.verify compiled) with
-          | Ok rep ->
-            Fmt.pr "re-verified: OK over %d executions.@."
-              rep.Check.executions;
-            0
-          | Error v ->
-            Fmt.pr "re-verification FAILED: %a@." Check.pp_violation v;
-            1)
-        else begin
-          (* the exhaustive space after compilation is huge beyond two
-             processes: sample schedules instead *)
-          let rng = Random.State.make [| 99 |] in
-          let trials = 200 in
-          let ok = ref true in
-          for _ = 1 to trials do
-            if !ok then begin
-              let inputs =
-                List.init compiled.Wfc_program.Implementation.procs (fun _ ->
-                    Random.State.bool rng)
-              in
-              let sched = Wfc_sim.Schedulers.random rng in
-              let leaf =
-                Wfc_sim.Exec.run compiled
-                  ~workloads:
-                    (Array.of_list
-                       (List.map
-                          (fun b -> [ Ops.propose (Value.bool b) ])
-                          inputs))
-                  ~pick_proc:sched.Wfc_sim.Schedulers.pick_proc
-                  ~pick_alt:sched.Wfc_sim.Schedulers.pick_alt ()
-              in
-              match leaf.Wfc_sim.Exec.ops with
-              | o :: rest ->
-                if
-                  not
-                    (List.for_all
-                       (fun (o2 : Wfc_sim.Exec.op) ->
-                         Value.equal o2.resp o.resp)
-                       rest
-                    && List.exists
-                         (fun b -> Value.equal (Value.bool b) o.resp)
-                         inputs)
-                then ok := false
-              | [] -> ok := false
-            end
-          done;
-          if !ok then begin
-            Fmt.pr "re-verified: OK over %d random schedules (n > 2).@." trials;
-            0
-          end
-          else begin
-            Fmt.pr "re-verification FAILED on a random schedule.@.";
-            1
-          end
-        end)
+        (* the same exhaustive verdict, text and exit code as `wfc verify` *)
+        print_verdict ~name ~procs ~crashes:0 ~recoveries:0 ~glitches:0
+          ~degrade:None ~witness_file:None ~checkpoint:None
+          (Check.verify r.Theorem5.compiled))
   in
   Cmd.v
     (Cmd.info "compile"

@@ -383,16 +383,25 @@ let fsync_dir path =
 let save t ~path =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_string t);
-      flush oc;
-      fsync_noerr (Unix.descr_of_out_channel oc));
-  (* rename within a directory is atomic: a reader (or a resume after a
-     crash mid-save) sees either the old checkpoint or the new one. *)
-  Sys.rename tmp path;
-  fsync_dir path
+  try
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc (to_string t);
+        flush oc;
+        fsync_noerr (Unix.descr_of_out_channel oc));
+    (* rename within a directory is atomic: a reader (or a resume after a
+       crash mid-save) sees either the old checkpoint or the new one. *)
+    Sys.rename tmp path;
+    fsync_dir path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+let check_path path =
+  let dir = Filename.dirname path in
+  if Sys.file_exists dir && Sys.is_directory dir then Ok ()
+  else Error (Fmt.str "checkpoint directory %s does not exist" dir)
 
 let load path =
   match open_in_bin path with

@@ -108,7 +108,13 @@ val save : t -> path:string -> unit
     fsyncs the directory — a crash mid-save leaves the previous checkpoint
     intact, and a host crash right after [save] returns cannot surface a
     renamed-but-truncated file. Sync failures (e.g. filesystems without
-    fsync) are swallowed; only write/rename errors raise. *)
+    fsync) are swallowed; only write/rename errors raise, and they leave no
+    [.tmp] file behind. *)
+
+val check_path : string -> (unit, string) result
+(** [Error] naming the directory when the one that would hold a checkpoint
+    at this path does not exist: a caller refuses the path before its
+    search starts instead of failing at the first save. *)
 
 val split : t -> into:int -> t list
 (** Partition the frontier round-robin into at most [into] shards (fewer

@@ -352,9 +352,9 @@ let test_multivalued_over_tas_protocol () =
   | Ok _ -> ()
   | Error v -> Alcotest.failf "over tas: %a" Check.pp_violation v
 
-let test_multivalued_full_pipeline_randomized () =
+let test_multivalued_full_pipeline () =
   (* announce bits + TAS-protocol rounds + Theorem 5: multivalued consensus
-     from test-and-set objects only, checked over random schedules *)
+     from test-and-set objects only, checked exhaustively *)
   let impl = Multivalued.from_binary ~announce_bits:true ~procs:2 ~values:2 () in
   let composed =
     List.fold_left
@@ -375,24 +375,13 @@ let test_multivalued_full_pipeline_randomized () =
     Alcotest.(check int) "register-free" 0
       (Implementation.count_objects_where report.Wfc_core.Theorem5.compiled
          ~pred:(fun s -> String.equal s.Type_spec.name "atomic-bit"));
-    let rng = Random.State.make [| 2026 |] in
-    for _ = 1 to 60 do
-      let v0 = Random.State.int rng 2 and v1 = Random.State.int rng 2 in
-      let sched = Wfc_sim.Schedulers.random rng in
-      let leaf =
-        Wfc_sim.Exec.run report.Wfc_core.Theorem5.compiled
-          ~workloads:
-            [| [ Ops.propose (Value.int v0) ]; [ Ops.propose (Value.int v1) ] |]
-          ~pick_proc:sched.Wfc_sim.Schedulers.pick_proc
-          ~pick_alt:sched.Wfc_sim.Schedulers.pick_alt ()
-      in
-      match leaf.Wfc_sim.Exec.ops with
-      | [ a; b ] ->
-        Alcotest.(check bool) "agreement" true (Value.equal a.resp b.resp);
-        Alcotest.(check bool) "validity" true
-          (Value.equal a.resp (Value.int v0) || Value.equal a.resp (Value.int v1))
-      | _ -> Alcotest.fail "two ops expected"
-    done
+    match
+      verify ~domain:(int_domain 2) report.Wfc_core.Theorem5.compiled
+    with
+    | Ok r ->
+      (* subsets {0},{1},{0,1} × 2^|S| inputs = 2+2+4 = 8 vectors *)
+      Alcotest.(check int) "vectors" 8 r.Check.vectors
+    | Error v -> Alcotest.failf "full pipeline: %a" Check.pp_violation v
 
 (* --- valence (FLP) analysis ------------------------------------------------------ *)
 
@@ -702,8 +691,8 @@ let () =
           Alcotest.test_case "under crashes" `Quick test_multivalued_crashes;
           Alcotest.test_case "over the TAS protocol" `Quick
             test_multivalued_over_tas_protocol;
-          Alcotest.test_case "full pipeline randomized" `Quick
-            test_multivalued_full_pipeline_randomized;
+          Alcotest.test_case "full pipeline exhaustive" `Quick
+            test_multivalued_full_pipeline;
         ] );
       ( "valence (FLP)",
         [

@@ -578,26 +578,25 @@ let test_explore_deterministic () =
   in
   Alcotest.(check (triple int int int)) "same stats twice" (go ()) (go ())
 
-let test_universal_three_procs_random () =
+let test_universal_three_procs () =
+  (* every interleaving of the workloads, each history checked against the
+     target by the fused engine *)
   let target = Sticky.bit ~ports:3 in
   let impl = Wfc_consensus.Universal.construct ~target ~procs:3 ~cells:14 () in
-  let rng = Random.State.make [| 5 |] in
-  for _ = 1 to 40 do
-    let sched = Wfc_sim.Schedulers.random rng in
-    let leaf =
-      Wfc_sim.Exec.run impl
-        ~workloads:
-          [|
-            [ Ops.stick Value.truth ];
-            [ Ops.stick Value.falsity; Ops.read ];
-            [ Ops.read ];
-          |]
-        ~pick_proc:sched.Wfc_sim.Schedulers.pick_proc
-        ~pick_alt:sched.Wfc_sim.Schedulers.pick_alt ()
-    in
-    Alcotest.(check bool) "3-proc universal sticky linearizable" true
-      (is_linearizable ~spec:target leaf.Wfc_sim.Exec.ops)
-  done
+  match
+    Wfc_linearize.Engine.verify impl
+      ~workloads:
+        [|
+          [ Ops.stick Value.truth ];
+          [ Ops.stick Value.falsity; Ops.read ];
+          [ Ops.read ];
+        |]
+      ()
+  with
+  | Ok _ -> ()
+  | Error v ->
+    Alcotest.failf "3-proc universal sticky: %a"
+      Wfc_linearize.Engine.pp_violation v
 
 (* --- shape facts --------------------------------------------------------------------
 
@@ -684,43 +683,55 @@ let test_cas_ids_protocol_correct () =
   | Ok r -> Alcotest.(check int) "8 vectors" 8 r.Wfc_consensus.Check.vectors
   | Error v -> Alcotest.failf "n=3: %a" Wfc_consensus.Check.pp_violation v
 
+let compile_cas_ids3 tname =
+  expect_ok "n=3 compile"
+    (Theorem5.eliminate_registers ~strategy:(strategy_of tname)
+       (Wfc_consensus.Protocols.from_cas_ids ~procs:3 ()))
+
 let test_theorem5_three_processes () =
-  (* compile the n=3 protocol: 6 SRSW registers eliminated, result verified
-     exhaustively at n=2-style full participation via random schedules (the
-     exhaustive n=3 space after compilation is out of reach) *)
-  let strategy = strategy_of "sticky-bit" in
-  let report =
-    expect_ok "n=3 compile"
-      (Theorem5.eliminate_registers ~strategy
-         (Wfc_consensus.Protocols.from_cas_ids ~procs:3 ()))
-  in
+  (* compile the n=3 protocol: 6 SRSW registers eliminated, and the result
+     verified exhaustively — every participation subset, input vector,
+     repeated proposal and interleaving *)
+  let report = compile_cas_ids3 "sticky-bit" in
   Alcotest.(check int) "six registers eliminated" 6
     report.Theorem5.registers_eliminated;
   Alcotest.(check int) "no registers left" 0
     (Implementation.count_objects_where report.Theorem5.compiled
        ~pred:(fun s -> String.equal s.Type_spec.name "atomic-bit"));
-  let rng = Random.State.make [| 77 |] in
-  for _ = 1 to 120 do
-    let inputs = List.init 3 (fun _ -> Random.State.bool rng) in
-    let sched = Wfc_sim.Schedulers.random rng in
-    let leaf =
-      Wfc_sim.Exec.run report.Theorem5.compiled
-        ~workloads:
-          (Array.of_list
-             (List.map (fun b -> [ Ops.propose (Value.bool b) ]) inputs))
-        ~pick_proc:sched.Wfc_sim.Schedulers.pick_proc
-        ~pick_alt:sched.Wfc_sim.Schedulers.pick_alt ()
-    in
-    match leaf.Wfc_sim.Exec.ops with
-    | o :: rest ->
-      Alcotest.(check bool) "agreement" true
-        (List.for_all
-           (fun (o' : Wfc_sim.Exec.op) -> Value.equal o'.resp o.resp)
-           rest);
-      Alcotest.(check bool) "validity" true
-        (List.exists (fun b -> Value.equal (Value.bool b) o.resp) inputs)
-    | [] -> Alcotest.fail "no ops"
-  done
+  match
+    Wfc_consensus.Check.result_exn
+      (Wfc_consensus.Check.verify report.Theorem5.compiled)
+  with
+  | Ok r ->
+    Alcotest.(check int) "every input vector" 26 r.Wfc_consensus.Check.vectors
+  | Error v ->
+    Alcotest.failf "agreement/validity/wait-freedom: %a"
+      Wfc_consensus.Check.pp_violation v
+
+let test_theorem5_three_processes_degraded () =
+  (* negative control for the exhaustive n=3 check: one glitching read of
+     any compiled bit (stale or safe) breaks the protocol, and the checker
+     says so with a witness that replays to the same violation *)
+  List.iter
+    (fun tname ->
+      let compiled = (compile_cas_ids3 tname).Theorem5.compiled in
+      List.iter
+        (fun (dname, degradation) ->
+          let name = Fmt.str "%s, %s" tname dname in
+          let faults =
+            Wfc_sim.Faults.degrade_all compiled ~glitches:1 degradation
+          in
+          match Wfc_consensus.Check.verify ~faults compiled with
+          | Wfc_consensus.Check.Falsified
+              { witness = Some w; reason; _ } -> (
+            match Wfc_consensus.Check.replay_violation compiled ~reason w with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "%s: witness does not replay: %s" name e)
+          | v ->
+            Alcotest.failf "%s: expected a violation with a witness, got %a"
+              name Wfc_consensus.Check.pp_verdict v)
+        [ ("stale:1", `Stale 1); ("safe", `Safe) ])
+    [ "test-and-set"; "sticky-bit" ]
 
 let test_theorem5_rejects_mrsw_registers () =
   (* announce bits at n=3 are read by two processes: the compiler must
@@ -890,14 +901,16 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_theorem5_idempotent;
           Alcotest.test_case "explore deterministic" `Quick
             test_explore_deterministic;
-          Alcotest.test_case "universal 3 procs random" `Quick
-            test_universal_three_procs_random;
+          Alcotest.test_case "universal 3 procs exhaustive" `Quick
+            test_universal_three_procs;
         ] );
       ( "E8 beyond two processes",
         [
           Alcotest.test_case "cas-ids protocol correct" `Quick
             test_cas_ids_protocol_correct;
           Alcotest.test_case "compile n=3" `Quick test_theorem5_three_processes;
+          Alcotest.test_case "compile n=3, degraded bits" `Quick
+            test_theorem5_three_processes_degraded;
           Alcotest.test_case "MRSW registers rejected" `Quick
             test_theorem5_rejects_mrsw_registers;
         ] );

@@ -268,6 +268,36 @@ let test_resume_refuses_bad_frontier () =
           (contains msg "cannot resume"))
     [ "p1.x"; "p0.c p0.s0"; "p0.s0 p1.x p1.s0"; "p0.c p0.r" ]
 
+let test_checkpoint_missing_directory () =
+  (* a path in a missing directory is refused by name before any search,
+     and a save that fails, at the open or at the rename, leaves no .tmp
+     file behind *)
+  let dir = Filename.temp_file "wfc_resilience" ".dir" in
+  Sys.remove dir;
+  let path = Filename.concat dir "ck.txt" in
+  (match Checkpoint.check_path path with
+  | Ok () -> Alcotest.fail "a missing directory was accepted"
+  | Error e -> Alcotest.(check bool) "names the directory" true (contains e dir));
+  Alcotest.(check bool) "an existing directory is accepted" true
+    (Checkpoint.check_path
+       (Filename.concat (Filename.get_temp_dir_name ()) "ck.txt")
+    = Ok ());
+  (match Checkpoint.save (sample_checkpoint ()) ~path with
+  | () -> Alcotest.fail "a save into a missing directory returned"
+  | exception Sys_error _ -> ());
+  Alcotest.(check bool) "no .tmp after a failed open" false
+    (Sys.file_exists (path ^ ".tmp"));
+  (* the write succeeds, the rename onto a directory fails *)
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      match Checkpoint.save (sample_checkpoint ()) ~path:dir with
+      | () -> Alcotest.fail "a save over a directory returned"
+      | exception Sys_error _ ->
+        Alcotest.(check bool) "no .tmp after a failed rename" false
+          (Sys.file_exists (dir ^ ".tmp")))
+
 (* Files of the earlier formats are refused, and the error names the header
    that was found. *)
 let test_checkpoint_legacy_headers_refused () =
@@ -709,6 +739,8 @@ let () =
           Alcotest.test_case "meta validation" `Quick
             test_checkpoint_meta_validation;
           Alcotest.test_case "ledger round-trip" `Quick test_ledger_roundtrip;
+          Alcotest.test_case "missing directory refused" `Quick
+            test_checkpoint_missing_directory;
         ] );
       ( "witness codec",
         [
