@@ -146,11 +146,13 @@ let resume_arg =
 
 let mem_budget_arg =
   let doc =
-    "Soft major-heap budget in MiB. Under pressure the flat engine \
-     migrates exact duplicate-state tables into Bloom filters: the \
-     search finishes, but dedup \
-     becomes probabilistic, so a clean pass reports UNKNOWN instead of \
-     VERIFIED (violations found are still definitive)."
+    "Cap the duplicate-state table at $(docv) MiB: the largest power of \
+     two of 16-byte slots that fits, never below 1,024 slots (0 is the \
+     smallest table). A full table is emptied instead of growing, so the \
+     search revisits states it forgot and the verdict stays exact; the \
+     report counts the flushes. It bounds the table, not the heap. A tiny \
+     cap can cost many revisits: $(b,--budget) and $(b,--deadline) still \
+     bound the run."
   in
   Arg.(value & opt (some int) None & info [ "mem-budget" ] ~docv:"MB" ~doc)
 
@@ -248,8 +250,8 @@ let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
         r.Check.degraded;
     if r.Check.evictions > 0 then
       Fmt.pf ppf
-        "@.memory pressure: migrated %d duplicate-state table(s) to the \
-         probabilistic Bloom tier."
+        "@.memory budget: emptied the duplicate-state table %d time(s); the \
+         verdict is exact."
         r.Check.evictions
   in
   match verdict with
@@ -278,25 +280,21 @@ let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
     | Some _, None -> Fmt.pr "no witness to store for this violation@."
     | None, _ -> ());
     1
-  | Check.Unknown { partial; reason } ->
-    (* resuming cannot sharpen a probabilistic verdict; more memory can *)
-    let probabilistic = reason = Check.probabilistic_reason in
+  | Check.Unknown { partial; reason; unsaved } ->
     Fmt.pr
       "UNKNOWN (%s): not falsified within %d vector(s), %d execution(s)%s%a@."
       reason partial.Check.vectors partial.Check.executions
-      (if probabilistic then
-         " — raise --mem-budget to keep exact dedup for a full verdict."
-       else
-         match checkpoint with
-         | Some f ->
-           let flag k v = if v = 0 then "" else Fmt.str " --%s %d" k v in
-           Fmt.str " — resume with: wfc verify %s -n %d%s%s%s%s --resume %s"
-             name procs (flag "crashes" crashes)
-             (flag "recoveries" recoveries) (flag "glitches" glitches)
-             (match degrade with Some d -> " --degrade " ^ d | None -> "")
-             f
-         | None -> " — raise --budget/--deadline for a verdict.")
+      (match (checkpoint, unsaved) with
+      | Some f, None ->
+        let flag k v = if v = 0 then "" else Fmt.str " --%s %d" k v in
+        Fmt.str " — resume with: wfc verify %s -n %d%s%s%s%s --resume %s"
+          name procs (flag "crashes" crashes)
+          (flag "recoveries" recoveries) (flag "glitches" glitches)
+          (match degrade with Some d -> " --degrade " ^ d | None -> "")
+          f
+      | _ -> " — raise --budget/--deadline for a verdict.")
       pp_pressure partial;
+    Option.iter (Fmt.pr "checkpoint not written: %s@.") unsaved;
     2
 
 let verify_cmd =
@@ -834,12 +832,10 @@ let checkpoint_cmd =
       Fmt.pr "  frontier      %d pending subtree prefix(es)@."
         (List.length ck.Wfc_sim.Checkpoint.frontier);
       Fmt.pr "  counts        %d leaves, %d nodes, %d overflows, %d pruned, \
-              %d evictions%s@."
+              %d evictions@."
         c.Wfc_sim.Checkpoint.leaves c.Wfc_sim.Checkpoint.nodes
         c.Wfc_sim.Checkpoint.overflows c.Wfc_sim.Checkpoint.pruned
-        c.Wfc_sim.Checkpoint.evictions
-        (if c.Wfc_sim.Checkpoint.probabilistic then " (probabilistic dedup)"
-         else "");
+        c.Wfc_sim.Checkpoint.evictions;
       (match Check.ledger_of_checkpoint ck with
       | Ok ledger ->
         (* each entry as stored, named without its [check.] prefix *)

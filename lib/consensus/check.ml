@@ -33,7 +33,7 @@ let empty_report =
 type verdict =
   | Verified of report
   | Falsified of violation
-  | Unknown of { partial : report; reason : string }
+  | Unknown of { partial : report; reason : string; unsaved : string option }
 
 let pp_violation ppf v =
   Fmt.pf ppf "@[<v>participants %a with inputs %a: %s@,ops: %a"
@@ -52,7 +52,7 @@ let pp_verdict ppf = function
   | Verified r ->
     Fmt.pf ppf "verified: %d vector(s), %d execution(s)" r.vectors r.executions
   | Falsified v -> Fmt.pf ppf "falsified: %a" pp_violation v
-  | Unknown { partial; reason } ->
+  | Unknown { partial; reason; _ } ->
     Fmt.pf ppf
       "unknown (%s): not falsified within %d vector(s), %d execution(s)"
       reason partial.vectors partial.executions
@@ -246,8 +246,7 @@ let run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb ?checkpoint
   | stats -> (
     let counts = Explore.counts_of_stats stats in
     match (stats.Explore.completeness, stats.Explore.remainder) with
-    (* a Bloom-tier sweep drained too; [counts.probabilistic] says so *)
-    | Explore.(Exhaustive | Partial Probabilistic), _ -> Drained counts
+    | Explore.Exhaustive, _ -> Drained counts
     | Explore.Partial reason, Some remainder ->
       Cut { reason = Fmt.str "%a" Explore.pp_partial_reason reason; remainder }
     | Explore.Partial _, None ->
@@ -258,9 +257,9 @@ let run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb ?checkpoint
 (* --- the cross-vector ledger: the only writer and reader of the [check.*]
    checkpoint keys ---------------------------------------------------------- *)
 
-type ledger = { vector : int; report : report; probabilistic : bool }
+type ledger = { vector : int; report : report }
 
-let ledger_meta { vector; report = r; probabilistic } =
+let ledger_meta { vector; report = r } =
   [
     ("check.vector", string_of_int vector);
     ("check.vectors", string_of_int r.vectors);
@@ -269,7 +268,6 @@ let ledger_meta { vector; report = r; probabilistic } =
     ("check.max_op_steps", string_of_int r.max_op_steps);
     ("check.degraded", string_of_int r.degraded);
     ("check.evictions", string_of_int r.evictions);
-    ("check.probabilistic", if probabilistic then "1" else "0");
   ]
 
 let ledger_of_checkpoint ck =
@@ -294,11 +292,7 @@ let ledger_of_checkpoint ck =
   let report =
     { vectors; executions; max_events; max_op_steps; degraded; evictions }
   in
-  (* absent in checkpoints from before the Bloom tier: clean *)
-  let probabilistic =
-    Checkpoint.meta_find ck "check.probabilistic" = Some "1"
-  in
-  Ok { vector; report; probabilistic }
+  Ok { vector; report }
 
 let resume_ledger ~vectors ~engine ~fuel ~faults ck =
   let refuse why = invalid_arg ("Check: cannot resume: " ^ why) in
@@ -322,8 +316,6 @@ let resume_ledger ~vectors ~engine ~fuel ~faults ck =
 
 (* --- the run account, shared by [verify] and the fleet coordinator ------- *)
 
-let probabilistic_reason = "probabilistic dedup (memory budget)"
-
 type slot = {
   vec : vector;
   mutable counts : Checkpoint.counts;  (* the results recorded for it *)
@@ -336,26 +328,23 @@ type book = {
   root : Checkpoint.t;  (* the problem, with zero counts and workloads *)
   resumed : int * Checkpoint.t;  (* a resumed vector's position and job *)
   mutable cut : int;  (* the first slot not drained *)
-  mutable head : report * bool;
-      (* the slots before the cut and the lost leases, folded, and whether
-         one of those slots drained on the Bloom tier *)
+  mutable head : report;  (* the slots before the cut and the lost leases *)
   mutable budget_left : int option;
   deadline : float option;
   interrupt : bool Atomic.t option;
 }
 
-let add_slot (r, p) { started; counts = k; _ } =
-  if not started then (r, p)
+let add_slot r { started; counts = k; _ } =
+  if not started then r
   else
-    ( {
-        r with
-        vectors = r.vectors + 1;
-        executions = r.executions + k.leaves;
-        max_events = max r.max_events k.max_events;
-        max_op_steps = max r.max_op_steps k.max_op_steps;
-        evictions = r.evictions + k.evictions;
-      },
-      p || k.probabilistic )
+    {
+      r with
+      vectors = r.vectors + 1;
+      executions = r.executions + k.leaves;
+      max_events = max r.max_events k.max_events;
+      max_op_steps = max r.max_op_steps k.max_op_steps;
+      evictions = r.evictions + k.evictions;
+    }
 
 (* Fold the drained slots at the cut into the head: only the slots past
    the cut keep counts of their own. *)
@@ -381,8 +370,7 @@ let book ?subsets ?repeat ?domain ?budget ?deadline_s ?interrupt ?resume
   let l, ck =
     match resume with
     | Some ck -> (resume_ledger ~vectors ~engine ~fuel ~faults ck, ck)
-    | None ->
-      ({ vector = 0; report = empty_report; probabilistic = false }, root)
+    | None -> ({ vector = 0; report = empty_report }, root)
   in
   let slot v =
     let counts = if v.pos = l.vector then ck.counts else root.counts in
@@ -399,7 +387,7 @@ let book ?subsets ?repeat ?domain ?budget ?deadline_s ?interrupt ?resume
       root;
       resumed = (l.vector, ck);
       cut = 0;
-      head = ({ l.report with vectors = 0 }, l.probabilistic);
+      head = { l.report with vectors = 0 };
       budget_left = budget;
       deadline = Option.map (fun s -> Monotime.now () +. s) deadline_s;
       interrupt;
@@ -431,7 +419,7 @@ let allowance ?quantum b =
     Ok (budget, Option.map (fun t -> t -. Monotime.now ()) deadline)
 
 (* [k] less the counts [from] its job started with: sums subtract, and the
-   maxima and the Bloom flag already cover [from]. *)
+   maxima already cover [from]. *)
 let since ~(from : Checkpoint.counts) (k : Checkpoint.counts) =
   {
     k with
@@ -459,33 +447,25 @@ let record b pos ~(from : Checkpoint.t) (ck : Checkpoint.t) ~left =
   b.budget_left <- Option.map (fun n -> max 0 (n - spent)) b.budget_left;
   advance b
 
-let degrade b =
-  let r, p = b.head in
-  b.head <- ({ r with degraded = r.degraded + 1 }, p)
+let degrade b = b.head <- { b.head with degraded = b.head.degraded + 1 }
 
 let finished b = b.cut = Array.length b.slots
 
-let verdict ?cut b =
-  let partial, probabilistic =
+let verdict ?cut ?unsaved b =
+  let partial =
     Array.fold_left add_slot b.head
       (Array.sub b.slots b.cut (Array.length b.slots - b.cut))
   in
   match cut with
-  | Some reason -> Unknown { partial; reason }
+  | Some reason -> Unknown { partial; reason; unsaved }
   | None when not (finished b) -> invalid_arg "Check.verdict: vectors left"
-  | None when probabilistic ->
-    (* Every vector ran to completion, but at least one did so on the Bloom
-       dedup tier: a false positive could have pruned a genuinely new
-       subtree, so the clean sweep is a probabilistic claim, not a proof. *)
-    Unknown { partial; reason = probabilistic_reason }
   | None -> Verified partial
 
 (* The ledger of the vectors before the cut; it counts its own vector as
    started, since a resume starts it. *)
 let cut_meta ~meta b =
-  let r, probabilistic = b.head and vector = b.cut + 1 in
-  meta
-  @ ledger_meta { vector; report = { r with vectors = vector }; probabilistic }
+  let vector = b.cut + 1 in
+  meta @ ledger_meta { vector; report = { b.head with vectors = vector } }
 
 let stamp ?(meta = []) b ck = Checkpoint.with_meta ck (cut_meta ~meta b)
 
@@ -517,10 +497,26 @@ let verify ?subsets ?repeat ?domain ?(faults = Faults.none)
      interval restarts with every job, so a run of short vectors would
      otherwise never save. *)
   let last_save = ref (Monotime.now ()) in
+  (* Why the last save failed. A failed save is reported on stderr, once,
+     when the run goes on past it; the failed save of a cut is the
+     verdict's [unsaved] instead. *)
+  let failed = ref None and warned = ref false in
+  let warn_failed () =
+    match (!failed, armed) with
+    | Some e, Some (path, _) when not !warned ->
+      warned := true;
+      Fmt.epr "wfc: checkpoint not written to %s: %s; the run goes on@." path
+        e
+    | _ -> ()
+  in
   let write ck =
     Option.iter
       (fun (path, _) ->
-        Checkpoint.save ck ~path;
+        warn_failed ();
+        (failed :=
+           match Checkpoint.save ck ~path with
+           | Ok () -> None
+           | Error e -> Some e);
         last_save := Monotime.now ())
       armed
   in
@@ -537,7 +533,7 @@ let verify ?subsets ?repeat ?domain ?(faults = Faults.none)
   let rec run jobs =
     match jobs () with
     | Seq.Nil ->
-      (* over, even if probabilistic: resuming would not sharpen it *)
+      warn_failed ();
       remove_checkpoint ();
       verdict b
     | Seq.Cons (((v : vector), (job : Checkpoint.t)), rest) -> (
@@ -548,7 +544,7 @@ let verify ?subsets ?repeat ?domain ?(faults = Faults.none)
       match allowance b with
       | Error reason ->
         save_job ();
-        verdict ~cut:reason b
+        verdict ~cut:reason ?unsaved:!failed b
       | Ok (budget, deadline_s) -> (
         (match armed with
         | Some (_, interval) when Monotime.now () -. !last_save >= interval ->
@@ -559,11 +555,12 @@ let verify ?subsets ?repeat ?domain ?(faults = Faults.none)
             ?checkpoint:sink impl job
         with
         | Violated v ->
+          warn_failed ();
           remove_checkpoint ();
           Falsified (if shrink then shrink_violation impl v else v)
         | Cut { reason; remainder } ->
           record b v.pos ~from:job remainder ~left:1;
-          verdict ~cut:reason b
+          verdict ~cut:reason ?unsaved:!failed b
         | Drained counts ->
           record b v.pos ~from:job { job with counts; frontier = [] } ~left:0;
           run rest))

@@ -50,7 +50,8 @@ type report = {
           single-process run only carries over what a resumed fleet
           checkpoint recorded. *)
   evictions : int;
-      (** dedup tables the memory watchdog migrated to the Bloom tier *)
+      (** table flushes: the times a duplicate-state table capped by
+          [mem_budget_mb] was emptied instead of growing *)
 }
 
 val empty_report : report
@@ -59,15 +60,11 @@ val empty_report : report
 type verdict =
   | Verified of report
   | Falsified of violation
-  | Unknown of { partial : report; reason : string }
-      (** search cut by [budget]/[deadline_s]/[interrupt], or a clean sweep
-          that drained on the Bloom tier ({!probabilistic_reason});
-          [partial] covers what was explored before the cut *)
-
-val probabilistic_reason : string
-(** The [reason] of an {!Unknown} whose every vector drained, at least one
-    on the probabilistic Bloom dedup tier: resuming cannot sharpen it, more
-    memory can. *)
+  | Unknown of { partial : report; reason : string; unsaved : string option }
+      (** search cut by [budget]/[deadline_s]/[interrupt]; [partial] covers
+          what was explored before the cut. [unsaved] is why the cut's
+          checkpoint could not be written, when one was armed and its save
+          failed: there is then nothing new to resume from. *)
 
 val verify :
   ?subsets:bool ->
@@ -150,10 +147,16 @@ val verify :
     [interrupt] is polled by the engine at every node; setting it (e.g.
     from a SIGINT handler) makes the verdict
     [Unknown {reason = "interrupted"}] after a final checkpoint flush.
-    [mem_budget_mb] arms the engine's memory watchdog ({!Wfc_sim.Explore}):
-    under heap pressure dedup tables migrate to the probabilistic Bloom tier
-    (a clean sweep then reports [Unknown]) and the count is surfaced as
-    [report.evictions]. *)
+
+    A save that fails (a full disk, a file-size limit) never ends the run:
+    a periodic one is reported once on stderr and the search goes on; the
+    final one of a cut is the verdict's [unsaved].
+
+    [mem_budget_mb] caps each vector's duplicate-state table
+    ({!Wfc_sim.Explore.run}): a full table is emptied instead of growing,
+    which costs revisits, never exactness. The verdict stays {!Verified},
+    {!Falsified} or a cut's {!Unknown}; [report.evictions] counts the
+    flushes. *)
 
 val result_exn : verdict -> (report, violation) result
 (** Collapse to the pre-budget two-valued interface.
@@ -240,18 +243,16 @@ val run_job :
     of the vectors before the one its frontier belongs to. This module alone
     writes and reads its meta keys: [check.vector], [check.vectors],
     [check.executions], [check.max_events], [check.max_op_steps],
-    [check.degraded], [check.evictions] and [check.probabilistic]. *)
+    [check.degraded] and [check.evictions]. *)
 type ledger = {
   vector : int;  (** the {!vector.pos} the frontier belongs to *)
   report : report;  (** its [vectors] count this vector too *)
-  probabilistic : bool;  (** an earlier vector drained on the Bloom tier *)
 }
 
 val ledger_meta : ledger -> (string * string) list
 
 val ledger_of_checkpoint : Wfc_sim.Checkpoint.t -> (ledger, string) result
-(** [Error] names the first missing or malformed key; an absent
-    [check.probabilistic] reads as clean. *)
+(** [Error] names the first missing or malformed key. *)
 
 (** {2 The run account} *)
 
@@ -310,10 +311,9 @@ val degrade : book -> unit
 val finished : book -> bool
 (** Every vector drained. *)
 
-val verdict : ?cut:string -> book -> verdict
-(** [Unknown {reason = cut}] over the report so far; without [cut], once
-    {!finished}: {!Verified}, or [Unknown {reason = probabilistic_reason}]
-    when a vector drained on the Bloom tier. *)
+val verdict : ?cut:string -> ?unsaved:string -> book -> verdict
+(** [Unknown {reason = cut; unsaved}] over the report so far; without
+    [cut], once {!finished}: {!Verified}. *)
 
 val checkpoint :
   ?meta:(string * string) list ->

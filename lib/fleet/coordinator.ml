@@ -185,7 +185,8 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
   in
   (* A cut between results leaves a single-process-compatible checkpoint,
      cut where the account cuts it: its frontier is the union of the
-     prefixes still pending for that vector, queued, leased or parked. *)
+     prefixes still pending for that vector, queued, leased or parked.
+     Returns why the save failed, if it did. *)
   let flush_checkpoint () =
     let pending (v : Check.vector) =
       List.of_seq (Queue.to_seq queue)
@@ -200,16 +201,26 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
              else acc)
            []
     in
-    Option.iter
-      (fun path ->
-        Option.iter
-          (fun (ck : Checkpoint.t) ->
-            Checkpoint.save ck ~path;
-            cfg.log
-              (Fmt.str "flushed checkpoint (%d pending prefixes) to %s"
-                 (List.length ck.frontier) path))
-          (Check.checkpoint ~meta book ~frontier:pending))
-      cfg.checkpoint
+    match (cfg.checkpoint, Check.checkpoint ~meta book ~frontier:pending) with
+    | Some path, Some ck -> (
+      match Checkpoint.save ck ~path with
+      | Ok () ->
+        cfg.log
+          (Fmt.str "flushed checkpoint (%d pending prefixes) to %s"
+             (List.length ck.frontier) path);
+        None
+      | Error e -> Some e)
+    | _ -> None
+  in
+  (* A failed periodic flush is reported once on stderr; the run goes on. *)
+  let warned = ref false in
+  let flush_periodic path =
+    match flush_checkpoint () with
+    | Some e when not !warned ->
+      warned := true;
+      Fmt.epr "wfc: checkpoint not written to %s: %s; the run goes on@." path
+        e
+    | _ -> ()
   in
   (* ---------- result handling ---------- *)
   let rec settle (s : shard) (outcome : Codec.outcome) =
@@ -435,8 +446,8 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
            cut instead of the beginning (the journal of `wfc queue` points
            its retry at this file) *)
         (match cfg.checkpoint with
-        | Some _ when now -. !last_flush >= cfg.checkpoint_interval_s ->
-          flush_checkpoint ();
+        | Some path when now -. !last_flush >= cfg.checkpoint_interval_s ->
+          flush_periodic path;
           last_flush := now
         | _ -> ());
         dispatch ();
@@ -483,9 +494,9 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
       cleanup ~reason:"violation found" ();
       Check.Falsified (if shrink then Check.shrink_violation impl v else v)
     | Cut reason ->
-      flush_checkpoint ();
+      let unsaved = flush_checkpoint () in
       cleanup ~reason ();
-      Check.verdict ~cut:reason book
+      Check.verdict ~cut:reason ?unsaved book
     | e ->
       cleanup ~reason:"coordinator error" ();
       raise e

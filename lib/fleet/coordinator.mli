@@ -122,9 +122,12 @@ val serve :
 (** Run the verification to a verdict, delegating to whatever workers
     connect. Parameters are {!Wfc_consensus.Check.verify}'s, with the same
     defaults, verdict semantics and checkpoint format, except that there is
-    no [mem_budget_mb] (shards run without the memory watchdog) and the
-    checkpoint path is [config.checkpoint]; [meta] must include the {!Wfc_consensus.Protocols.meta} entries workers
-    rebuild the implementation from. [engine] is the
+    no [mem_budget_mb] (shards' dedup tables are uncapped) and the
+    checkpoint path is [config.checkpoint]. A failed periodic flush is
+    reported once on stderr and the run goes on; a cut's failed flush is
+    the verdict's [unsaved]. [meta] must include the
+    {!Wfc_consensus.Protocols.meta} entries workers rebuild the
+    implementation from. [engine] is the
     per-worker engine configuration (default {!Explore.fast}).
     Never raises on worker misbehaviour; socket setup errors ([Unix_error])
     do propagate. *)

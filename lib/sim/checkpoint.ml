@@ -28,9 +28,6 @@ type counts = {
   pruned : int;
   sleep_skips : int;
   evictions : int;
-  probabilistic : bool;
-      (* some segment ran on the Bloom dedup tier: the stitched run's clean
-         sweep is probabilistic, and every later segment must report it *)
 }
 
 let zero_counts ~n_objs =
@@ -44,7 +41,6 @@ let zero_counts ~n_objs =
     pruned = 0;
     sleep_skips = 0;
     evictions = 0;
-    probabilistic = false;
   }
 
 type t = {
@@ -75,7 +71,6 @@ let add_counts a b =
     pruned = a.pruned + b.pruned;
     sleep_skips = a.sleep_skips + b.sleep_skips;
     evictions = a.evictions + b.evictions;
-    probabilistic = a.probabilistic || b.probabilistic;
   }
 
 let with_meta t meta =
@@ -103,11 +98,12 @@ let make ?(meta = []) ~engine ~fuel ?budget_left ~faults ~workloads ~counts
    [of_string] re-serializes what it parsed and compares, so any corruption
    that changes the meaning of the file — even one surviving the parser — is
    refused. Files of earlier formats are refused by name: /1 to /3, whose
-   engine lines described since-deleted engine options, and /4, whose
+   engine lines described since-deleted engine options, /4, whose
    counts line carried the spill count of the deleted breadth-first
-   frontier. *)
+   frontier, and /5, whose counts line carried the flag of the deleted
+   second, inexact dedup tier. *)
 
-let header = "wfc-checkpoint/5"
+let header = "wfc-checkpoint/6"
 
 let body_lines t =
   let b = Buffer.create 512 in
@@ -121,10 +117,9 @@ let body_lines t =
   let c = t.counts in
   line
     "counts leaves=%d nodes=%d max_events=%d max_op_steps=%d overflows=%d \
-     pruned=%d sleep_skips=%d evictions=%d probabilistic=%d"
+     pruned=%d sleep_skips=%d evictions=%d"
     c.leaves c.nodes c.max_events c.max_op_steps c.overflows c.pruned
-    c.sleep_skips c.evictions
-    (Bool.to_int c.probabilistic);
+    c.sleep_skips c.evictions;
   line "max_accesses %s"
     (String.concat "|" (Array.to_list (Array.map string_of_int c.max_accesses)));
   line "%s" (Faults.budgets_line t.faults);
@@ -235,13 +230,13 @@ let of_string s =
         parse_kv_ints body
           [
             "leaves"; "nodes"; "max_events"; "max_op_steps"; "overflows";
-            "pruned"; "sleep_skips"; "evictions"; "probabilistic";
+            "pruned"; "sleep_skips"; "evictions";
           ]
       in
       (match fields with
       | [
        leaves; nodes; max_events; max_op_steps; overflows; pruned; sleep_skips;
-       evictions; probabilistic;
+       evictions;
       ] ->
         counts :=
           Some
@@ -249,7 +244,6 @@ let of_string s =
               leaves; nodes; max_events; max_op_steps;
               max_accesses = [||];
               overflows; pruned; sleep_skips; evictions;
-              probabilistic = probabilistic <> 0;
             }
       | _ -> assert false);
       Ok ()
@@ -382,21 +376,24 @@ let fsync_dir path =
 
 let save t ~path =
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  try
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (to_string t);
-        flush oc;
-        fsync_noerr (Unix.descr_of_out_channel oc));
-    (* rename within a directory is atomic: a reader (or a resume after a
-       crash mid-save) sees either the old checkpoint or the new one. *)
-    Sys.rename tmp path;
-    fsync_dir path
-  with e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  match open_out_bin tmp with
+  | exception Sys_error e -> Error e
+  | oc -> (
+    try
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          output_string oc (to_string t);
+          flush oc;
+          fsync_noerr (Unix.descr_of_out_channel oc));
+      (* rename within a directory is atomic: a reader (or a resume after a
+         crash mid-save) sees either the old checkpoint or the new one. *)
+      Sys.rename tmp path;
+      fsync_dir path;
+      Ok ()
+    with Sys_error e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Error e)
 
 let check_path path =
   let dir = Filename.dirname path in

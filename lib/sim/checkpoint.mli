@@ -13,10 +13,10 @@
 
     The file format is line-oriented text in the wfc-witness/1 style and
     reuses the {!Faults} line codec (fault budgets, degradations, workloads,
-    decision traces). The header is [wfc-checkpoint/5]; a [digest] line
+    decision traces). The header is [wfc-checkpoint/6]; a [digest] line
     carries the {!Wfc_spec.Fingerprint.hash_string} digest of the canonical
     body. {!of_string} refuses files whose digest does not match and files
-    of the earlier /1 to /4 formats (naming the header found), and
+    of the earlier /1 to /5 formats (naming the header found), and
     {!describe_mismatch} lets {!Explore.run} refuse to resume a checkpoint
     against a different problem. *)
 
@@ -48,9 +48,8 @@ type counts = {
   pruned : int;
   sleep_skips : int;
   evictions : int;
-  probabilistic : bool;
-      (** some checkpointed segment ran on the Bloom dedup tier, so the
-          stitched run's clean sweep is probabilistic *)
+      (** the times a capped dedup table was emptied (see
+          [Explore.run]'s [mem_budget_mb]) *)
 }
 (** Accumulated statistics of the checkpointed segments — the plain-data
     mirror of [Explore.stats] (minus completeness, which is implied: a
@@ -60,7 +59,7 @@ val zero_counts : n_objs:int -> counts
 
 val add_counts : counts -> counts -> counts
 (** Pointwise merge of two segments' ledgers: sums for the additive
-    counters, max for the high-water marks, or for [probabilistic];
+    counters, max for the high-water marks;
     [max_accesses] is padded to the longer array. Used by the run account
     ([Wfc_consensus.Check.book]) to stitch a vector's job results. *)
 
@@ -103,13 +102,14 @@ val of_string : string -> (t, string) result
 (** Total: returns [Error _] on any malformed input, never raises. Verifies
     the digest by re-serializing the parsed checkpoint. *)
 
-val save : t -> path:string -> unit
+val save : t -> path:string -> (unit, string) result
 (** Atomic {e and} durable: writes [path ^ ".tmp"], fsyncs it, renames, and
     fsyncs the directory — a crash mid-save leaves the previous checkpoint
     intact, and a host crash right after [save] returns cannot surface a
     renamed-but-truncated file. Sync failures (e.g. filesystems without
-    fsync) are swallowed; only write/rename errors raise, and they leave no
-    [.tmp] file behind. *)
+    fsync) are swallowed; a failed open, write or rename (a full disk, a
+    file-size limit) is [Error] with the system's reason, never an
+    exception, and leaves no [.tmp] file behind. *)
 
 val check_path : string -> (unit, string) result
 (** [Error] naming the directory when the one that would hold a checkpoint

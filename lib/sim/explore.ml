@@ -13,7 +13,6 @@ type partial_reason =
   | Deadline_exceeded
   | Stopped
   | Interrupted
-  | Probabilistic
 
 type completeness = Exhaustive | Partial of partial_reason
 
@@ -22,8 +21,6 @@ let pp_partial_reason ppf = function
   | Deadline_exceeded -> Fmt.string ppf "deadline exceeded"
   | Stopped -> Fmt.string ppf "stopped by a callback"
   | Interrupted -> Fmt.string ppf "interrupted"
-  | Probabilistic ->
-    Fmt.string ppf "probabilistic dedup (memory budget forced the Bloom tier)"
 
 let pp_completeness ppf = function
   | Exhaustive -> Fmt.string ppf "exhaustive"
@@ -388,7 +385,6 @@ type counters = {
   mutable pruned : int;
   mutable sleep_skips : int;
   mutable evictions : int;
-  mutable probabilistic : bool;
   mutable overflow_trace : Faults.trace option;
 }
 
@@ -403,13 +399,12 @@ let fresh_counters n_objs =
     pruned = 0;
     sleep_skips = 0;
     evictions = 0;
-    probabilistic = false;
     overflow_trace = None;
   }
 
 (* Stitch in the accumulated counts of previously checkpointed segments, so
-   the stats (and completeness) a resumed run reports cover the whole search,
-   not just the last segment. *)
+   the stats a resumed run reports cover the whole search, not just the
+   last segment. *)
 let add_counts (a : counters) (k : Checkpoint.counts) =
   a.leaves <- a.leaves + k.Checkpoint.leaves;
   a.nodes <- a.nodes + k.nodes;
@@ -423,8 +418,7 @@ let add_counts (a : counters) (k : Checkpoint.counts) =
   a.overflows <- a.overflows + k.overflows;
   a.pruned <- a.pruned + k.pruned;
   a.sleep_skips <- a.sleep_skips + k.sleep_skips;
-  a.evictions <- a.evictions + k.evictions;
-  a.probabilistic <- a.probabilistic || k.probabilistic
+  a.evictions <- a.evictions + k.evictions
 
 let engine_of_options (o : options) : Checkpoint.engine = o
 
@@ -482,71 +476,55 @@ let engine_of_options (o : options) : Checkpoint.engine = o
    hash compaction, treated as negligible (≈2^-64 collision risk at 10^9
    states). *)
 
-type flat_ctx = {
-  mutable table : Fingerprint.Table.t option;  (* exact tier *)
-  mutable bloom : Fingerprint.Bloom.t option;  (* probabilistic tier *)
-}
-
-(* One exact-tier table per domain, lent to one run at a time by the rule of
-   the kernel's [mut_state] pool and returned reset, so a verify over
-   hundreds of vectors allocates it once. One slot, not one per
-   implementation, keeps finished runs' tables from staying alive. *)
+(* One table per domain, lent to one run at a time by the rule of the
+   kernel's [mut_state] pool and returned reset, so a verify over hundreds
+   of vectors allocates it once. One slot, not one per implementation,
+   keeps finished runs' tables from staying alive. *)
 let table_pool : Fingerprint.Table.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let flat_create ~tier2 ~bloom_bits_log2 () =
-  let pool = Domain.DLS.get table_pool in
-  {
-    table =
-      (match !pool with
-      | _ when tier2 -> None
-      | Some tbl ->
-        pool := None;
-        Some tbl
-      | None -> Some (Fingerprint.Table.create ()));
-    bloom =
-      (if tier2 then Some (Fingerprint.Bloom.create ~bits_log2:bloom_bits_log2 ())
-       else None);
-  }
-
-(* Probe the exact tier, or the Bloom tier once the watchdog demoted this
-   context. *)
-let flat_mem_or_add fx ~hi ~lo =
-  match (fx.table, fx.bloom) with
-  | Some tbl, _ -> Fingerprint.Table.mem_or_add tbl ~hi ~lo
-  | None, Some bl -> Fingerprint.Bloom.mem_or_add bl ~hi ~lo
-  | None, None -> false
-
 (* Per-run duplicate-state machinery. The kernel keeps the key's ids and
    terms current from the root, but probes only once the run has visited
-   [threshold] nodes; the flat context is taken at the first probe. States
-   visited before that are never cached, which is sound (pruning only ever
-   happens on a hit). *)
+   [threshold] nodes; the table is taken at the first probe and capped at
+   the run's memory budget ({!Fingerprint.Table.limit}). States visited
+   before that are never cached, which is sound (pruning only ever happens
+   on a hit). *)
 type dedup_ctx = {
   threshold : int;
-  bloom_bits_log2 : int;
   salts : int array;  (* per pid: its class representative, or itself *)
-  mutable flat : flat_ctx option;
-  mutable tier2 : bool;
-      (* the watchdog demoted this run to the Bloom tier — dedup answers
-         become probabilistic instead of vanishing *)
+  mem_budget_mb : int option;
+  mutable table : Fingerprint.Table.t option;
 }
 
-(* The run's flat context, created on first use. *)
-let flat_of dd =
-  match dd.flat with
-  | Some fx -> fx
+(* The run's table, taken from the pool (or made) on first use. *)
+let table_of dd =
+  match dd.table with
+  | Some tbl -> tbl
   | None ->
-    let fx =
-      flat_create ~tier2:dd.tier2 ~bloom_bits_log2:dd.bloom_bits_log2 ()
+    let pool = Domain.DLS.get table_pool in
+    let tbl =
+      match !pool with
+      | Some tbl ->
+        pool := None;
+        tbl
+      | None -> Fingerprint.Table.create ()
     in
-    dd.flat <- Some fx;
-    fx
+    Fingerprint.Table.limit tbl dd.mem_budget_mb;
+    dd.table <- Some tbl;
+    tbl
 
-(* Return a finished exact-tier run's table to the pool, emptied. *)
-let flat_release (dd : dedup_ctx option) =
+(* The times the run's table was emptied at its cap so far. *)
+let flushes (dd : dedup_ctx option) =
   match dd with
-  | Some { flat = Some { table = Some tbl; _ }; _ } ->
+  | Some { table = Some tbl; _ } -> Fingerprint.Table.flushes tbl
+  | _ -> 0
+
+(* Count a finished run's flushes as evictions and return its table to
+   the pool, emptied. *)
+let table_release c (dd : dedup_ctx option) =
+  c.evictions <- c.evictions + flushes dd;
+  match dd with
+  | Some { table = Some tbl; _ } ->
     Fingerprint.Table.reset tbl;
     Domain.DLS.get table_pool := Some tbl
   | _ -> ()
@@ -563,18 +541,13 @@ let stats_of ?remainder c ~lim =
     sleep_skips = c.sleep_skips;
     evictions = c.evictions;
     completeness =
-      (* An explicit cut (budget, deadline, interrupt, stop) takes priority:
-         those runs can be resumed. A run that merely passed through the
-         Bloom tier finished — but its clean sweep is only probabilistic. *)
       (match lim.tripped with
       | Some reason -> Partial reason
-      | None -> if c.probabilistic then Partial Probabilistic else Exhaustive);
+      | None -> Exhaustive);
     overflow_trace = c.overflow_trace;
     remainder;
   }
 
-(* A run is probabilistic when it (or a segment it resumed) evicted a table
-   to the Bloom tier, or resumed a checkpoint that says so. *)
 let counts_of_stats (s : stats) =
   {
     Checkpoint.leaves = s.leaves;
@@ -586,44 +559,7 @@ let counts_of_stats (s : stats) =
     pruned = s.pruned;
     sleep_skips = s.sleep_skips;
     evictions = s.evictions;
-    probabilistic =
-      s.evictions > 0 || s.completeness = Partial Probabilistic;
   }
-
-(* --- memory watchdog ---------------------------------------------------------
-
-   Long exhaustive runs die of dedup tables, not of the DFS stack: the
-   tables grow with the number of distinct states. When the major heap
-   crosses the budget, the run demotes its exact table to the
-   constant-memory Bloom tier instead of OOMing. *)
-
-let mem_sample ~budget_words c (dd : dedup_ctx option) =
-  match dd with
-  | Some dd
-    when (not dd.tier2) && (Gc.quick_stat ()).Gc.heap_words > budget_words
-    -> (
-    (* Migrate the exact table's fingerprints into a constant-memory Bloom
-       filter and free the table. Dedup answers become probabilistic from
-       here on — the run's completeness is downgraded, never its
-       falsifications. Once on tier 2 there is nothing left to shed (the
-       Bloom is constant-size). *)
-    dd.tier2 <- true;
-    c.evictions <- c.evictions + 1;
-    c.probabilistic <- true;
-    match dd.flat with
-    | Some fx when fx.bloom = None ->
-      let bl = Fingerprint.Bloom.create ~bits_log2:dd.bloom_bits_log2 () in
-      (match fx.table with
-      | Some tbl ->
-        Fingerprint.Table.iter
-          (fun ~hi ~lo -> ignore (Fingerprint.Bloom.mem_or_add bl ~hi ~lo))
-          tbl
-      | None -> ());
-      fx.table <- None;
-      fx.bloom <- Some bl
-    | _ -> ()
-    (* context not yet allocated: it will start on the Bloom tier *))
-  | _ -> ()
 
 (* The threshold only delays probing: the table is pooled per domain and
    the key is kept from the root, so a run below it saves table lookups and
@@ -1048,7 +984,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     ref
       (match dd with
       | None -> max_int
-      | Some dd -> if Option.is_some dd.flat then 0 else dd.threshold)
+      | Some dd -> if Option.is_some dd.table then 0 else dd.threshold)
   in
   (* The budget term, re-mixed only when a budget moved since the last
      probe (-1: never mixed). *)
@@ -1059,7 +995,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     | None -> false
     | Some dd ->
       probe_floor := 0;
-      let fx = flat_of dd in
+      let tbl = table_of dd in
       let cr = !crashes_left and re = !recoveries_left and gl = !glitches_left in
       if cr <> !b_crashes || re <> !b_recoveries || gl <> !b_glitches then begin
         b_crashes := cr;
@@ -1078,7 +1014,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
             lo := !lo - l + Fingerprint.asleep_lo l
           end
         done;
-      flat_mem_or_add fx
+      Fingerprint.Table.mem_or_add tbl
         ~hi:((!hi + Fingerprint.tail_hi !events tracker_id) land max_int)
         ~lo:((!lo + Fingerprint.tail_lo !events tracker_id) land max_int)
   in
@@ -1789,8 +1725,7 @@ let no_on_leaf_trace (_ : Faults.trace) (_ : Exec.leaf) = ()
 
 let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
     ?budget ?deadline_s ?(options = naive)
-    ?(dedup_threshold = default_dedup_threshold)
-    ?(bloom_bits_log2 = Fingerprint.Bloom.default_bits_log2) ?tracker
+    ?(dedup_threshold = default_dedup_threshold) ?tracker
     ?(on_leaf_trace = no_on_leaf_trace)
     ?checkpoint ?resume_from ?interrupt ?mem_budget_mb () =
   if Array.length workloads <> impl.Implementation.procs then
@@ -1840,20 +1775,10 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
   let dd =
     if opts.dedup = Off then None
     else
-      Some
-        {
-          threshold = dedup_threshold;
-          bloom_bits_log2;
-          salts;
-          flat = None;
-          tier2 = false;
-        }
+      Some { threshold = dedup_threshold; salts; mem_budget_mb; table = None }
   in
   let lim = make_limiter ?budget ?deadline_s ?interrupt () in
   let c = fresh_counters (Array.length impl.Implementation.objects) in
-  let budget_words =
-    Option.map (fun mb -> mb * 1024 * 1024 / (Sys.word_size / 8)) mem_budget_mb
-  in
   let emit_leaf trace_rev leaf st =
     on_leaf_trace (List.rev trace_rev) leaf;
     t.at_leaf st ~trace_rev leaf
@@ -1897,6 +1822,7 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
           k with
           nodes = k.Checkpoint.nodes + listed;
           sleep_skips = k.sleep_skips + skipped;
+          evictions = k.evictions + flushes dd;
         }
       ~frontier ()
   in
@@ -1917,8 +1843,8 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
       ((List.rev trace_rev :: List.map (fun (_, tr) -> List.rev tr) siblings)
       @ !pending)
   in
-  (* Periodic saves, looked at every 1024 nodes along with the memory
-     watchdog: what a cut at this node would leave. *)
+  (* Periodic saves, looked at every 1024 nodes: what a cut at this node
+     would leave. *)
   let last_save = ref (Monotime.now ()) and saved_any = ref false in
   let save ck =
     Option.iter
@@ -1929,7 +1855,6 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
       checkpoint
   in
   let on_node trace_rev =
-    Option.iter (fun budget_words -> mem_sample ~budget_words c dd) budget_words;
     match checkpoint with
     | Some (interval, _) when Monotime.now () -. !last_save >= interval ->
       save (remainder_at trace_rev)
@@ -1959,5 +1884,5 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
   (match remainder with
   | Some ck -> save ck
   | None -> if !saved_any && lim.tripped = None then save (checkpoint_of []));
-  flat_release dd;
+  table_release c dd;
   stats_of ?remainder c ~lim

@@ -28,11 +28,10 @@
       table — no boxed key is ever built on the hot path, and an edge
       updates only the terms it changed, so a probe's cost does not grow
       with the number of base objects or processes or the length of pending
-      operations. Runs that
-      outgrow [?mem_budget_mb] migrate the table into a constant-memory
-      Bloom filter instead of dropping dedup; a Bloom-tier run reports
-      [Partial Probabilistic] instead of [Exhaustive]. The other memory a
-      run holds is its DFS path, so nothing else needs shedding;
+      operations. [?mem_budget_mb] caps the table, which is emptied
+      instead of growing past the cap: the run forgets states and revisits
+      them, but stays exhaustive. The other memory a run holds is its DFS
+      path, so nothing else needs shedding;
     - {b process-symmetry reduction} ([dedup = Symmetric]): the same key,
       canonicalized under permutations of interchangeable processes (see
       {!Symmetry});
@@ -153,14 +152,6 @@ type partial_reason =
       (** the [?interrupt] flag was set (e.g. by a SIGINT/SIGTERM handler);
           if a checkpoint sink is armed, it was handed a final checkpoint
           before returning *)
-  | Probabilistic
-      (** the run finished, but the memory watchdog forced the dedup
-          table onto the Bloom tier at some point: every state was visited
-          {e unless} a Bloom false positive wrongly pruned a genuinely new
-          state's subtree. A found violation is still a real violation;
-          only the clean sweep is downgraded. Explicit cuts
-          (budget/deadline/interrupt/stop) take precedence over this
-          reason. *)
 
 type completeness =
   | Exhaustive  (** every reachable behaviour was covered *)
@@ -180,10 +171,8 @@ type stats = {
   pruned : int;  (** subtrees cut by duplicate-state pruning *)
   sleep_skips : int;  (** sibling subtrees skipped by the sleep-set rule *)
   evictions : int;
-      (** memory-watchdog actions ([?mem_budget_mb]): migrations of the
-          exact fingerprint table into its constant-memory Bloom tier, at
-          most one per run segment (completeness degrades to
-          [Partial Probabilistic]) *)
+      (** table flushes: the times the dedup table, capped by
+          [?mem_budget_mb], was emptied instead of growing *)
   completeness : completeness;
   overflow_trace : Faults.trace option;
       (** decision trace of the first fuel-overflowing path — a replayable
@@ -287,7 +276,6 @@ val run :
   ?deadline_s:float ->
   ?options:options ->
   ?dedup_threshold:int ->
-  ?bloom_bits_log2:int ->
   ?tracker:'a tracker ->
   ?on_leaf_trace:(Faults.trace -> Exec.leaf -> unit) ->
   ?checkpoint:float * (Checkpoint.t -> unit) ->
@@ -366,12 +354,16 @@ val run :
     setting it (e.g. from a signal handler) cuts the run like a deadline,
     with [Partial Interrupted] and a remainder.
 
-    [mem_budget_mb] arms the memory watchdog: every 1024 nodes the run
-    samples the major heap, and past the budget dedup state is shed
-    ([stats.evictions]) instead of OOM: the exact fingerprint table
-    migrates into a Bloom filter of [2^bloom_bits_log2] bits (default
-    {!Wfc_spec.Fingerprint.Bloom.default_bits_log2}) and the run's clean
-    sweep becomes [Partial Probabilistic]. *)
+    [mem_budget_mb] caps the duplicate-state table at the largest power of
+    two of 16-byte slots that fits in that many MiB, never below the
+    default 1,024 slots ({!Wfc_spec.Fingerprint.Table.cap_of_mib}; [0] is
+    the smallest table). Where the table would grow past the cap it is
+    emptied instead, and [stats.evictions] counts the flushes. A flushed
+    table forgets, it never answers wrongly: the run stays exhaustive and
+    its verdict exact, and pays in revisited states, which can be many for
+    a tiny cap ([budget] and [deadline_s] still bound such a run). The
+    flushes fall at the same nodes every time, so a capped run's counts are
+    deterministic. It bounds the table, not the heap. *)
 
 val compiled_rows : Implementation.t -> int * int
 (** [(program, step)]: the program-table entries and {!Wfc_spec.Step_table}

@@ -6,7 +6,7 @@
    of that lane's independently seeded avalanche mixer. At 124 bits, the birthday bound for a run of
    10^9 distinct states puts the collision probability around 2^-64 — far
    below the probability of a cosmic-ray bit flip over the same run — so
-   the exact tier treats fingerprint equality as state equality.
+   the table treats fingerprint equality as state equality.
 
    The mixer is the splitmix64/murmur3 finalizer family, restricted to
    multiplier constants that fit OCaml's 63-bit int. Multiplication wraps
@@ -115,7 +115,13 @@ let hash_string s =
    lane: two reads at the same index of two separate arrays, so usually two
    cache lines. Interleaving both lanes in one array was measured and gained
    nothing beyond noise (EXPERIMENTS.md, "an id-keyed linearizability
-   tracker"). *)
+   tracker").
+
+   A table may be capped ([limit]): where it would grow past the cap it is
+   emptied instead. Forgetting a state only costs revisiting it (state-space
+   caching, Godefroid–Holzmann–Pirottin, CAV '92), so a capped table's
+   answers stay exact: [true] still means "seen". The cap is checked in the
+   branch that already decides to grow, so a probe pays nothing for it. *)
 module Table = struct
   type t = {
     mutable hi : int array;
@@ -125,6 +131,8 @@ module Table = struct
     mutable log : Bytes.t;
         (* while [count] fits, the [k]th 16-bit entry, [k < count], is the
            slot of the [k]th entry since the last reset *)
+    mutable max_cap : int;  (* a power of two, or [max_int]: no cap *)
+    mutable flushes : int;  (* emptied at the cap since the last [limit] *)
   }
 
   let default_capacity_log2 = 10
@@ -156,9 +164,37 @@ module Table = struct
       mask = cap - 1;
       count = 0;
       log = make_log cap;
+      max_cap = max_int;
+      flushes = 0;
     }
 
   let length t = t.count
+  let capacity t = t.mask + 1
+  let flushes t = t.flushes
+
+  (* Swap in a default-sized table's lanes and log, empty. *)
+  let shrink t =
+    let d = create () in
+    t.hi <- d.hi;
+    t.lo <- d.lo;
+    t.mask <- d.mask;
+    t.log <- d.log;
+    t.count <- 0
+
+  (* The largest power of two of 16-byte slots in [mb] MiB, and never
+     below the default capacity. *)
+  let cap_of_mib mb =
+    let slots = min (max mb 0) (1 lsl 40) * ((1 lsl 20) / 16) in
+    let c = ref (1 lsl default_capacity_log2) in
+    while 2 * !c <= slots do
+      c := 2 * !c
+    done;
+    !c
+
+  let limit t mem_budget_mb =
+    t.max_cap <- Option.fold ~none:max_int ~some:cap_of_mib mem_budget_mb;
+    t.flushes <- 0;
+    if capacity t > t.max_cap then shrink t
 
   (* A run that fit the log clears the slots it filled; one that overflowed
      it clears the whole table. A table over 8x the 2·count slots its last
@@ -167,14 +203,8 @@ module Table = struct
      checks every old value for the write barrier and costs about 10x as
      much on a table whose slots are a random mix of empty and full. *)
   let reset t =
-    let cap = t.mask + 1 in
-    if cap > 1 lsl default_capacity_log2 && cap > 16 * t.count then begin
-      let d = create () in
-      t.hi <- d.hi;
-      t.lo <- d.lo;
-      t.mask <- d.mask;
-      t.log <- d.log
-    end
+    let cap = capacity t in
+    if cap > 1 lsl default_capacity_log2 && cap > 16 * t.count then shrink t
     else if t.count <= logged t then
       for k = 0 to t.count - 1 do
         let i = Bytes.get_uint16_le t.log (2 * k) in
@@ -205,7 +235,7 @@ module Table = struct
     !i
 
   let grow t =
-    let cap = (t.mask + 1) * 2 in
+    let cap = capacity t * 2 in
     let hi = Array.make cap 0 and lo = Array.make cap 0 in
     let mask = cap - 1 in
     let log = make_log cap in
@@ -225,7 +255,8 @@ module Table = struct
     t.log <- log
 
   (* The one hot-path operation: membership probe that records the key on a
-     miss. Returns [true] when the fingerprint was already present. *)
+     miss. Returns [true] when the fingerprint was already present. Past
+     half load the table grows, or, at its cap, is emptied. *)
   let mem_or_add t ~hi ~lo =
     let h = hi and l = remap_lo ~hi ~lo in
     let mask = t.mask in
@@ -248,49 +279,12 @@ module Table = struct
       let n = t.count in
       if n < logged t then Bytes.set_uint16_le t.log (2 * n) !i;
       t.count <- n + 1;
-      if 2 * t.count > t.mask then grow t
+      if 2 * t.count > t.mask then
+        if capacity t >= t.max_cap then begin
+          reset t;
+          t.flushes <- t.flushes + 1
+        end
+        else grow t
     end;
     !seen
-
-  let iter f t =
-    for i = 0 to t.mask do
-      let h = t.hi.(i) and l = t.lo.(i) in
-      if h <> 0 || l <> 0 then f ~hi:h ~lo:l
-    done
-end
-
-(* --- Bloom tier --------------------------------------------------------------
-
-   A plain bit array with k = 3 probes derived from the two fingerprint
-   lanes (Kirsch–Mitzenmacher: lo, hi and lo + hi index as well as three
-   independent hashes do). [mem_or_add] answers "possibly seen before" /
-   "definitely new"; a false positive wrongly prunes a subtree, which is
-   why the engine that switches to this tier reports
-   [Partial Probabilistic] instead of claiming exhaustiveness. At the
-   default 2^23 bits (1 MiB) and 10^6 distinct states the false-positive
-   rate is ≈ 0.3%; memory stays constant no matter how many states pass
-   through. *)
-module Bloom = struct
-  type t = { bits : Bytes.t; mask : int }
-
-  let default_bits_log2 = 23
-
-  let create ?(bits_log2 = default_bits_log2) () =
-    let bits_log2 = max 6 (min 30 bits_log2) in
-    { bits = Bytes.make (1 lsl (bits_log2 - 3)) '\000'; mask = (1 lsl bits_log2) - 1 }
-
-  let test_and_set t i =
-    let byte = i lsr 3 and bit = 1 lsl (i land 7) in
-    let old = Char.code (Bytes.unsafe_get t.bits byte) in
-    if old land bit <> 0 then true
-    else begin
-      Bytes.unsafe_set t.bits byte (Char.unsafe_chr (old lor bit));
-      false
-    end
-
-  let mem_or_add t ~hi ~lo =
-    let a = test_and_set t (lo land t.mask) in
-    let b = test_and_set t (hi land t.mask) in
-    let c = test_and_set t ((lo + hi) land t.mask) in
-    a && b && c
 end

@@ -43,10 +43,9 @@
     treated as state equality, and for a 10^9-state run the collision
     probability is ≈ 2^-64.
 
-    {!Bloom} is the constant-memory second tier for runs that outgrow
-    their memory budget: membership answers become "possibly seen", so an
-    engine on this tier reports its result as probabilistic rather than
-    exhaustive. *)
+    {!Table} is the only duplicate-state store. A memory budget caps its
+    capacity and empties it when full, so the engine's answers stay exact
+    under any budget: a forgotten state is only revisited. *)
 
 val field_bound : int
 (** 2{^31}: every field of {!component_hi} and {!record_hi} is below it,
@@ -105,18 +104,44 @@ val hash_string : string -> int
     capacity, not the entries: one 16-bit entry per 2 slots in a
     default-sized table, per 8 slots in a larger one of up to 2{^16} slots
     (at most 16 KiB, 1/64 of the lanes), none above. Growing re-logs the
-    entries while they fit the new log. *)
+    entries while they fit the new log.
+
+    A table may be capped ({!limit}). Where growing would pass the cap, the
+    table is emptied instead ({!reset}) and counts one {!flushes}: what
+    happens under memory pressure is decided here and nowhere else. An
+    emptied table forgets, it never answers wrongly, so a search that
+    prunes on [true] stays exhaustive and only revisits what it forgot. *)
 module Table : sig
   type t
 
   val create : ?capacity_log2:int -> unit -> t
-  (** Default capacity 2^10 entries. *)
+  (** Default capacity 2^10 entries, no cap. *)
 
   val mem_or_add : t -> hi:int -> lo:int -> bool
   (** [true] iff the fingerprint was already present; records it otherwise.
-      The only hot-path operation. *)
+      The only hot-path operation. A miss that takes the table past half
+      its capacity grows it, or, at its cap, empties it: the key just
+      recorded is forgotten with the rest. *)
 
   val length : t -> int
+
+  val capacity : t -> int
+  (** Slots, a power of two: never above the cap once {!limit} set one. *)
+
+  val cap_of_mib : int -> int
+  (** [cap_of_mib mb] is the cap a budget of [mb] MiB sets: the largest
+      power of two of 16-byte slots that fits in [mb] MiB, and never below
+      the default 2^10 slots, so [0] (or less) means the smallest table. *)
+
+  val limit : t -> int option -> unit
+  (** [limit t (Some mb)] caps [t] at {!cap_of_mib}[ mb] slots, [limit t
+      None] lifts the cap; either way {!flushes} starts again from 0. A
+      table already larger than the cap is swapped for an empty
+      default-sized one. *)
+
+  val flushes : t -> int
+  (** The times {!mem_or_add} emptied [t] at its cap since the last
+      {!limit}. *)
 
   val reset : t -> unit
   (** Empty the table for reuse. A run whose entries fit the log is
@@ -125,28 +150,5 @@ module Table : sig
       overflowed the log filled at least 1/8 of the table and gets one
       full clear, a loop of stores over the lanes. A table more than 8x
       larger than its entries needed is replaced by a default-sized one
-      instead. *)
-
-  val iter : (hi:int -> lo:int -> unit) -> t -> unit
-  (** Iterate stored fingerprints (used to migrate a table into a {!Bloom}
-      when the memory watchdog trips). *)
-end
-
-(** Constant-memory probabilistic membership, k = 3 probes per key derived
-    from the two fingerprint lanes. A false positive makes the engine
-    wrongly treat a new state as seen — prune a subtree — which is sound
-    for falsification (a found violation is always real) but downgrades a
-    clean sweep to a probabilistic claim. *)
-module Bloom : sig
-  type t
-
-  val default_bits_log2 : int
-  (** 23: a 1 MiB bit array, ≈0.3% false-positive rate at 10^6 states. *)
-
-  val create : ?bits_log2:int -> unit -> t
-  (** [bits_log2] is clamped to [6 .. 30]. *)
-
-  val mem_or_add : t -> hi:int -> lo:int -> bool
-  (** [true] = possibly seen before; [false] = definitely new (and now
-      recorded). *)
+      instead. The cap stays. *)
 end

@@ -63,12 +63,12 @@ let full_proj (leaf : Exec.leaf) =
 (* [dedup_threshold:0] forces the dedup/intern machinery even on these
    deliberately tiny trees — the lazy fallback is exercised separately
    below. *)
-let collect ?fuel ?faults ?(dedup_threshold = 0) ?checkpoint ~options ~proj
-    impl workloads =
+let collect ?fuel ?faults ?(dedup_threshold = 0) ?checkpoint ?mem_budget_mb
+    ~options ~proj impl workloads =
   let acc = ref [] in
   let stats =
     Explore.run impl ~workloads ?fuel ?faults ~options ~dedup_threshold
-      ?checkpoint
+      ?checkpoint ?mem_budget_mb
       ~on_leaf_trace:(fun _ leaf -> acc := proj leaf :: !acc)
       ()
   in
@@ -282,6 +282,43 @@ let test_naive_matches_exec () =
       Alcotest.(check (list value))
         (msg ^ ": identical executions")
         (List.rev !exec_leaves) (List.rev !leaves))
+    naive_cases
+
+(* --- the capped table ----------------------------------------------------- *)
+
+(* Under a fault adversary, a dedup table capped at its smallest size
+   ([mem_budget_mb:0]) forgets states and revisits them: the run keeps
+   [Exec.explore]'s observation set, ends [Exhaustive] and visits at least
+   the uncapped run's nodes. *)
+let test_capped_fault_cases () =
+  List.iter
+    (fun (msg, impl, workloads, faults) ->
+      if not (Faults.is_none faults) then begin
+        let exec_obs = ref [] in
+        ignore
+          (Exec.explore impl ~workloads ~faults
+             ~on_leaf:(fun leaf -> exec_obs := value_proj leaf :: !exec_obs)
+             ());
+        List.iter
+          (fun (sub, options) ->
+            let msg = msg ^ "/" ^ sub in
+            let run ?mem_budget_mb () =
+              collect ~faults ?mem_budget_mb ~options ~proj:value_proj impl
+                workloads
+            in
+            let uncapped, _ = run ()
+            and capped, obs = run ~mem_budget_mb:0 () in
+            Alcotest.(check (list value))
+              (msg ^ ": observation set") (leaf_set !exec_obs) (leaf_set obs);
+            Alcotest.(check bool) (msg ^ ": exhaustive") true
+              (capped.Explore.completeness = Explore.Exhaustive);
+            Alcotest.(check bool) (msg ^ ": no fewer nodes") true
+              (capped.Explore.nodes >= uncapped.Explore.nodes))
+          [
+            ("dedup", { Explore.naive with dedup = Exact });
+            ("fast", { Explore.fast with dedup = Exact });
+          ]
+      end)
     naive_cases
 
 (* --- reduced modes: verdict-relevant equivalence ---------------------------- *)
@@ -517,7 +554,8 @@ let with_frontier f =
   let path = Filename.temp_file "wfc_frontier" ".ck" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () -> f (3600., fun ck -> Wfc_sim.Checkpoint.save ck ~path))
+    (fun () ->
+      f (3600., fun ck -> Result.get_ok (Wfc_sim.Checkpoint.save ck ~path)))
 
 let test_frontier_matches_sequential () =
   let impl = rw_impl ~procs:3 ~bits:2 ~coin:false in
@@ -763,6 +801,11 @@ let () =
     [
       ( "naive parity",
         [ Alcotest.test_case "matches Exec.explore" `Quick test_naive_matches_exec ] );
+      ( "capped table",
+        [
+          Alcotest.test_case "keeps Exec's observations" `Quick
+            test_capped_fault_cases;
+        ] );
       ( "equivalence",
         [
           Alcotest.test_case "fixed workloads" `Quick test_equiv_fixed_workloads;

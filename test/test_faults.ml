@@ -179,7 +179,7 @@ let test_register_props_witness_under_staleness () =
 
 let test_budget_returns_unknown () =
   match Check.verify ~budget:50 (Protocols.from_tas ()) with
-  | Check.Unknown { partial; reason } ->
+  | Check.Unknown { partial; reason; _ } ->
     Alcotest.(check bool) "reason mentions budget" true
       (reason = "node budget exhausted");
     Alcotest.(check bool) "partial progress reported" true

@@ -2,9 +2,10 @@
    an open-addressing table) must keep pinned node/leaf counts and reach
    the naive engine's observations and downstream verdicts, including under
    fault adversaries; the kernel must reproduce the counts pinned from the
-   interpreted engine it replaced; the Bloom second tier must only ever
-   prune (never flip a Falsified verdict, always downgrade a clean sweep),
-   and the fingerprint structures themselves are fuzzed against oracles. *)
+   interpreted engine it replaced; a dedup table capped by a memory budget
+   must only ever forget (same observations and verdicts, never fewer
+   nodes), and the fingerprint structures themselves are fuzzed against
+   oracles. *)
 
 open Wfc_spec
 open Wfc_zoo
@@ -89,12 +90,12 @@ let wr o b = Value.pair (Value.sym "wr") (Value.pair (Value.int o) (Value.bool b
 let rd o = Value.pair (Value.sym "rd") (Value.int o)
 let cp a b = Value.pair (Value.sym "cp") (Value.pair (Value.int a) (Value.int b))
 
-let collect ?faults ?(dedup_threshold = 0) ?bloom_bits_log2 ?mem_budget_mb
-    ~options impl workloads =
+let collect ?faults ?(dedup_threshold = 0) ?mem_budget_mb ~options impl
+    workloads =
   let acc = ref [] in
   let stats =
     Explore.run impl ~workloads ?faults ~options ~dedup_threshold
-      ?bloom_bits_log2 ?mem_budget_mb
+      ?mem_budget_mb
       ~on_leaf_trace:(fun _ leaf -> acc := value_proj leaf :: !acc)
       ()
   in
@@ -705,6 +706,7 @@ let pinned =
     ("cas3 crash-recovery-1-1/fast", 476, 61, 237, 0, 9, 0);
     ("cas3 stale-1-glitch-1/fast", 202, 34, 69, 0, 6, 0);
     ("cas3 stale-1-glitch-2/fast", 229, 39, 82, 0, 6, 0);
+    ("cas5 capped/fast", 239890, 1060, 141264, 95714, 15, 0);
   ]
 
 let counts_of (s : Explore.stats) =
@@ -747,7 +749,9 @@ let resumed ?faults ~budget ~options impl workloads =
   let rec go resume_from rounds =
     let s =
       Explore.run impl ~workloads ?faults ~options ~budget ?resume_from
-        ~checkpoint:(3600., fun ck -> Wfc_sim.Checkpoint.save ck ~path) ()
+        ~checkpoint:
+          (3600., fun ck -> Result.get_ok (Wfc_sim.Checkpoint.save ck ~path))
+        ()
     in
     match s.Explore.completeness with
     | Explore.Exhaustive -> s
@@ -863,7 +867,8 @@ let pinned_runs () =
         let s =
           Explore.run cas3 ~workloads:workloads3 ?faults ~options
             ~dedup_threshold:0
-            ~checkpoint:(3600., fun ck -> Wfc_sim.Checkpoint.save ck ~path)
+            ~checkpoint:
+              (3600., fun ck -> Result.get_ok (Wfc_sim.Checkpoint.save ck ~path))
             ()
         in
         if Sys.file_exists path then Sys.remove path;
@@ -914,7 +919,28 @@ let pinned_runs () =
         ("cas3", cas3, workloads3);
       ]
   in
+  (* A table capped at its smallest size ([mem_budget_mb:0], 1,024 slots)
+     over cas n=5's vectors, with repeated proposals: emptied where it
+     would grow, at the same nodes every time, so the run revisits what it
+     forgot. *)
+  let capped =
+    let cas5 = proto "cas" 5 and flushes = ref 0 in
+    let counts =
+      List.fold_left
+        (fun acc (v : Check.vector) ->
+          let s =
+            Explore.run cas5 ~workloads:v.Check.workloads ~options:Explore.fast
+              ~dedup_threshold:0 ~mem_budget_mb:0 ()
+          in
+          flushes := !flushes + s.Explore.evictions;
+          sum_counts acc (counts_of s))
+        (0, 0, 0, 0, 0, 0) (Check.vectors cas5)
+    in
+    Alcotest.(check int) "cas5 capped/fast: flushes" 110 !flushes;
+    [ ("cas5 capped/fast", counts) ]
+  in
   random @ adversaries @ wedge @ resumes @ armed @ universal @ one_vector
+  @ capped
 
 let test_pinned_counts () =
   let runs = pinned_runs () in
@@ -1110,69 +1136,114 @@ let test_verdict_expected () =
       ("broken", Protocols.broken_register_only, "falsified");
     ]
 
-(* --- Bloom tier soundness --------------------------------------------------- *)
+(* --- the capped table ----------------------------------------------------- *)
 
-(* With [mem_budget_mb:0] the watchdog trips on its first sample and the
-   flat path runs on the Bloom tier. A false positive can only prune: the
-   leaf set shrinks (or stays equal), a clean sweep is downgraded to
-   [Partial Probabilistic], and a found violation is still a real
-   violation. [bits_log2 = 6] (64 bits) forces a high FP rate. *)
-let test_bloom_only_prunes () =
-  let impl = rw_impl ~procs:3 ~bits:2 ~coin:false in
-  let wls = [| [ wr 0 true; rd 1 ]; [ cp 0 1 ]; [ rd 0; wr 1 false ] |] in
-  let exact, exact_leaves =
-    collect ~options:{ Explore.fast with dedup = Exact } impl wls
-  in
-  let bloom, bloom_leaves =
-    collect
-      ~options:{ Explore.fast with dedup = Exact }
-      ~mem_budget_mb:0 ~bloom_bits_log2:6 impl wls
-  in
-  (match bloom.Explore.completeness with
-  | Explore.Partial Explore.Probabilistic -> ()
-  | c ->
-    Alcotest.failf "Bloom tier must report Probabilistic, got %a"
-      Explore.pp_completeness c);
-  Alcotest.(check bool) "evicted to tier 2" true (bloom.Explore.evictions >= 1);
-  Alcotest.(check bool) "prune-only: no more nodes" true
-    (bloom.Explore.nodes <= exact.Explore.nodes);
-  Alcotest.(check bool) "prune-only: no more leaves" true
-    (bloom.Explore.leaves <= exact.Explore.leaves);
+(* Under [mem_budget_mb:0] the table holds at most 1,024 slots and is
+   emptied where it would grow: the run forgets states and revisits them.
+   Every flat configuration must still reach the naive observation set,
+   end [Exhaustive] and visit at least the uncapped run's nodes, with and
+   without a crash-recovery adversary, on the 40-case generator. *)
+let assert_capped_observations ?faults ~msg impl workloads =
+  let _, nobs = naive_reference ?faults impl workloads in
   List.iter
-    (fun l ->
-      Alcotest.(check bool) "Bloom observations ⊆ exact observations" true
-        (List.exists (Value.equal l) exact_leaves))
-    bloom_leaves
+    (fun (sub, options) ->
+      let msg = msg ^ "/" ^ sub in
+      let uncapped, _ = collect ?faults ~options impl workloads in
+      let capped, obs =
+        collect ?faults ~mem_budget_mb:0 ~options impl workloads
+      in
+      Alcotest.(check (list value))
+        (msg ^ ": observation set") nobs
+        (List.sort_uniq Value.compare obs);
+      Alcotest.(check bool) (msg ^ ": exhaustive") true
+        (capped.Explore.completeness = Explore.Exhaustive);
+      Alcotest.(check bool) (msg ^ ": no fewer nodes") true
+        (capped.Explore.nodes >= uncapped.Explore.nodes))
+    flat_configs
 
-let test_bloom_tier_verdicts () =
-  (* a clean protocol on the Bloom tier must never claim Verified *)
+let prop_capped_parity =
+  QCheck.Test.make ~count:40 ~name:"keeps naive observations"
+    (QCheck.make gen_workloads ~print:(fun (procs, bits, coin, wls) ->
+         Fmt.str "procs=%d bits=%d coin=%b workloads=%a" procs bits coin
+           Fmt.(array (list Value.pp))
+           wls))
+    (fun (procs, bits, coin, wls) ->
+      let impl = rw_impl ~procs ~bits ~coin in
+      assert_capped_observations ~msg:"capped" impl wls;
+      assert_capped_observations
+        ~faults:(Faults.crash_recovery ~crashes:1 ~recoveries:1)
+        ~msg:"capped+crash-recovery" impl wls;
+      true)
+
+(* A capped run's verdicts are exact: a clean protocol is [Verified] even
+   where its tables flush, and a broken one is [Falsified] with a witness
+   that replays. *)
+let test_capped_verdicts () =
   (match
-     Check.verify ~engine:flat_engine ~mem_budget_mb:0 ~subsets:false
-       (Protocols.from_cas ~procs:3 ())
+     Check.verify ~engine:flat_engine ~mem_budget_mb:0
+       (Protocols.from_cas ~procs:5 ())
    with
-  | Check.Unknown { reason; _ } ->
-    Alcotest.(check string)
-      "downgraded reason" "probabilistic dedup (memory budget)" reason
-  | Check.Verified _ ->
-    Alcotest.fail "Bloom-tier run claimed an exhaustive Verified"
-  | Check.Falsified v ->
-    Alcotest.failf "clean protocol falsified: %a" Check.pp_violation v);
-  (* a broken protocol must stay Falsified — FPs cannot invent a verdict,
-     and at the default filter size they prune essentially nothing *)
+  | Check.Verified r ->
+    Alcotest.(check bool) "the tables flushed" true (r.Check.evictions > 0)
+  | v -> Alcotest.failf "capped cas n=5 not verified: %a" Check.pp_verdict v);
   match
     Check.verify ~engine:flat_engine ~mem_budget_mb:0 ~subsets:false
       (Protocols.broken_register_only ())
   with
   | Check.Falsified v -> (
     match v.Check.witness with
-    | None -> ()
+    | None -> Alcotest.fail "capped falsification carries no witness"
     | Some w -> (
       match Witness.replay (Protocols.broken_register_only ()) w with
       | Ok _ -> ()
-      | Error e -> Alcotest.failf "Bloom-tier witness does not replay: %s" e))
+      | Error e -> Alcotest.failf "capped witness does not replay: %s" e))
   | v ->
-    Alcotest.failf "broken protocol not falsified on Bloom tier: %a"
+    Alcotest.failf "broken protocol not falsified under a cap: %a"
       Check.pp_verdict v
+
+(* [Table.limit]: the capacity never passes the cap, a table above it is
+   swapped for a default-sized one, and a flushed table answers [false]
+   for every key it held. *)
+let test_table_cap () =
+  let module T = Fingerprint.Table in
+  Alcotest.(check (list int)) "caps of 0, 1 and 3 MiB"
+    [ 1024; 65536; 131072 ]
+    (List.map T.cap_of_mib [ 0; 1; 3 ]);
+  let key i = (i * 7919, (i * 104729) + 1) in
+  let t = T.create () in
+  for i = 0 to 5000 do
+    let hi, lo = key i in
+    ignore (T.mem_or_add t ~hi ~lo)
+  done;
+  Alcotest.(check bool) "uncapped: grew" true (T.capacity t > 1024);
+  T.limit t (Some 0);
+  Alcotest.(check int) "swapped for a default-sized table" 1024 (T.capacity t);
+  Alcotest.(check int) "and emptied" 0 (T.length t);
+  let last_flush = ref (-1) in
+  for i = 0 to 5000 do
+    let hi, lo = key i in
+    let flushes = T.flushes t in
+    ignore (T.mem_or_add t ~hi ~lo);
+    if T.flushes t > flushes then last_flush := i;
+    if T.capacity t > 1024 then
+      Alcotest.failf "capacity %d past the cap" (T.capacity t)
+  done;
+  Alcotest.(check int) "a flush each 512 keys" (5001 / 512) (T.flushes t);
+  Alcotest.(check int) "the last at the 512th key since the one before"
+    ((5001 / 512 * 512) - 1) !last_flush;
+  (* the keys since the last flush are held; every one before it is not
+     (probing those adds them, distinct keys, so look at the held first) *)
+  let answers a b =
+    List.init (b - a + 1) (fun i ->
+        let hi, lo = key (a + i) in
+        T.mem_or_add t ~hi ~lo)
+  in
+  Alcotest.(check bool) "held since the last flush" true
+    (List.for_all Fun.id (answers (!last_flush + 1) 5000));
+  Alcotest.(check bool) "forgotten before it" true
+    (not (List.exists Fun.id (answers 0 !last_flush)));
+  T.limit t None;
+  Alcotest.(check int) "limit restarts the flush count" 0 (T.flushes t)
 
 (* --- open-addressing table vs Hashtbl oracle -------------------------------- *)
 
@@ -1297,15 +1368,16 @@ let prop_table_reset_log =
           let filled = Fingerprint.Table.length t = n in
           Fingerprint.Table.reset t;
           if !cap > default_cap && !cap > 16 * n then cap := default_cap;
-          let visited = ref 0 in
-          Fingerprint.Table.iter (fun ~hi:_ ~lo:_ -> incr visited) t;
-          let empty = Fingerprint.Table.length t = 0 && !visited = 0 in
+          let empty = Fingerprint.Table.length t = 0 in
           let sized = (words () = default_words) = (!cap = default_cap) in
-          (* probing adds the keys again, so a second reset clears them *)
+          (* the first keys, which the log recorded, and the last ones:
+             probing adds them again, so a second reset clears them *)
           let gone = ref true in
-          for k = max first (!next - 300) to !next - 1 do
-            let hi, lo = key k in
-            if Fingerprint.Table.mem_or_add t ~hi ~lo then gone := false
+          for k = first to !next - 1 do
+            if k - first < 150 || !next - k <= 150 then begin
+              let hi, lo = key k in
+              if Fingerprint.Table.mem_or_add t ~hi ~lo then gone := false
+            end
           done;
           Fingerprint.Table.reset t;
           let m = min n 300 in
@@ -1313,35 +1385,6 @@ let prop_table_reset_log =
           filled && empty && sized && !gone
           && Fingerprint.Table.length t = 0)
         fills)
-
-let test_table_iter_complete () =
-  let t = Fingerprint.Table.create ~capacity_log2:2 () in
-  let n = 100 in
-  for i = 1 to n do
-    ignore (Fingerprint.Table.mem_or_add t ~hi:(i * 7919) ~lo:(i * 104729))
-  done;
-  let seen = Hashtbl.create n in
-  Fingerprint.Table.iter (fun ~hi ~lo -> Hashtbl.replace seen (hi, lo) ()) t;
-  Alcotest.(check int) "iter visits every stored fingerprint" n
-    (Hashtbl.length seen)
-
-(* --- Bloom filter: no false negatives --------------------------------------- *)
-
-let test_bloom_no_false_negatives () =
-  let bl = Fingerprint.Bloom.create ~bits_log2:12 () in
-  let rng = Random.State.make [| 0xB10F11 |] in
-  let keys =
-    List.init 300 (fun _ ->
-        (Random.State.full_int rng max_int, Random.State.full_int rng max_int))
-  in
-  List.iter
-    (fun (hi, lo) -> ignore (Fingerprint.Bloom.mem_or_add bl ~hi ~lo))
-    keys;
-  List.iter
-    (fun (hi, lo) ->
-      Alcotest.(check bool) "inserted key reports possibly-seen" true
-        (Fingerprint.Bloom.mem_or_add bl ~hi ~lo))
-    keys
 
 (* --- fingerprint hashing sanity --------------------------------------------- *)
 
@@ -1870,19 +1913,15 @@ let () =
           Alcotest.test_case "universal faa under a tracker" `Quick
             test_universal_tracker_parity;
         ] );
-      ( "bloom tier",
+      ( "capped table",
         [
-          Alcotest.test_case "only prunes, downgrades completeness" `Quick
-            test_bloom_only_prunes;
-          Alcotest.test_case "verdict soundness" `Quick
-            test_bloom_tier_verdicts;
-          Alcotest.test_case "no false negatives" `Quick
-            test_bloom_no_false_negatives;
+          QCheck_alcotest.to_alcotest prop_capped_parity;
+          Alcotest.test_case "verdicts stay exact" `Quick test_capped_verdicts;
+          Alcotest.test_case "capacity under the cap" `Quick test_table_cap;
         ] );
       ( "fingerprint structures",
         [
           QCheck_alcotest.to_alcotest prop_table_oracle;
-          Alcotest.test_case "iter is complete" `Quick test_table_iter_complete;
           Alcotest.test_case "hash sensitivity" `Quick test_hash_sensitivity;
           Alcotest.test_case "segment update then revert" `Quick
             test_segment_update_revert;

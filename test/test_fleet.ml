@@ -53,7 +53,6 @@ let mk_counts n =
     pruned = n / 2;
     sleep_skips = 0;
     evictions = 0;
-    probabilistic = false;
   }
 
 let mk_ck ?(meta = [ ("protocol", "sticky"); ("procs", "2") ]) ?(frontier = [])
@@ -351,7 +350,6 @@ let test_add_counts () =
     {
       (mk_counts 10) with
       Checkpoint.max_accesses = [| 1; 50; 7 |];
-      probabilistic = true;
       evictions = 2;
     }
   in
@@ -360,7 +358,6 @@ let test_add_counts () =
   Alcotest.(check int) "nodes sum" 140 c.Checkpoint.nodes;
   Alcotest.(check int) "max_events max" 14 c.Checkpoint.max_events;
   Alcotest.(check int) "evictions sum" 2 c.Checkpoint.evictions;
-  Alcotest.(check bool) "probabilistic or" true c.Checkpoint.probabilistic;
   Alcotest.(check (array int))
     "max_accesses pointwise max, padded" [| 4; 50; 7 |]
     c.Checkpoint.max_accesses
@@ -372,7 +369,7 @@ let test_save_tamper_rejected () =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   let ck = mk_ck ~frontier:[ sample_trace ] ~counts:(mk_counts 9) () in
-  Checkpoint.save ck ~path;
+  Result.get_ok (Checkpoint.save ck ~path);
   Alcotest.(check bool)
     "no .tmp left behind" false
     (Sys.file_exists (path ^ ".tmp"));
@@ -652,15 +649,43 @@ let test_quantum_one () =
   | Check.Verified _, _ -> ()
   | v, _ -> Alcotest.failf "quantum 1: %a" Check.pp_verdict v
 
+(* Worker 0 crashes in its first lease and worker 1 delays every result
+   past lease expiry, so each lease either takes is lost. Worker 2, which
+   writes wire garbage, can reach the coordinator only once a lease was
+   lost: its socket path is linked to the coordinator's at the first lease
+   miss. No local grace ends the wait for workers, so the run cannot end
+   before the chaos costs a lease, however slowly the workers start. *)
 let test_parity_chaos_mix () =
-  (* worker 0 crashes mid-lease, worker 1 writes wire garbage, worker 2
-     delays its results past lease expiry: all availability events *)
+  let socket = fresh_socket () in
+  let late = socket ^ ".late" in
   let chaos = function
-    | 0 -> { Chaos.none with Chaos.kill_after = Some 3 }
-    | 1 -> { Chaos.none with Chaos.garbage_after = Some 2 }
+    | 0 -> { Chaos.none with Chaos.kill_after = Some 1 }
     | _ -> { Chaos.none with Chaos.delay_result_s = Some 2.0 }
   in
-  let verdict, stats = serve_fleet ~workers:3 ~chaos ~name:"sticky" ~procs:3 () in
+  let pids =
+    Local.spawn ~chaos ~addr:socket 2
+    @ Local.spawn
+        ~chaos:(fun _ -> { Chaos.none with Chaos.garbage_after = Some 2 })
+        ~seed:2 ~addr:late 1
+  in
+  let log m =
+    if contains m " lost (" && not (Sys.file_exists late) then
+      Unix.symlink socket late
+  in
+  let config =
+    Coordinator.config ~lease_s:1.5 ~quantum:60 ~local_grace_s:3600. ~log
+      socket
+  in
+  let verdict, stats =
+    Fun.protect
+      ~finally:(fun () ->
+        Local.shutdown pids;
+        try Sys.remove late with Sys_error _ -> ())
+      (fun () ->
+        Coordinator.serve
+          ~meta:[ ("protocol", "sticky"); ("procs", "3") ]
+          ~config (impl_of "sticky" 3))
+  in
   let fleet = report_of verdict in
   let single = report_of (Check.verify (impl_of "sticky" 3)) in
   Alcotest.(check int) "same vectors" single.Check.vectors fleet.Check.vectors;
@@ -670,6 +695,32 @@ let test_parity_chaos_mix () =
   Alcotest.(check bool)
     "misses surfaced as degradation" true
     (fleet.Check.degraded >= stats.Coordinator.lease_misses)
+
+(* A flush that fails never ends the run: a directory at the checkpoint's
+   path makes every save fail at its rename. Periodic flushes (interval 0)
+   are reported and the run goes on to its verdict; a cut's final flush
+   becomes the verdict's [unsaved]. Neither leaves a [.tmp] file. *)
+let test_failed_flush () =
+  let dir = fresh_socket () ^ ".ck" in
+  Sys.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
+  let impl = impl_of "cas" 3 in
+  let serve ?budget () =
+    fst
+      (Coordinator.serve ?budget
+         ~meta:(Protocols.meta ~name:"cas" ~procs:3)
+         ~config:
+           (Coordinator.config ~local_grace_s:0. ~checkpoint:dir
+              ~checkpoint_interval_s:0. (fresh_socket ()))
+         impl)
+  in
+  (match serve () with
+  | Check.Verified _ -> ()
+  | v -> Alcotest.failf "periodic failures: %a" Check.pp_verdict v);
+  (match serve ~budget:100 () with
+  | Check.Unknown { reason = "node budget exhausted"; unsaved = Some _; _ } -> ()
+  | v -> Alcotest.failf "final failure: %a" Check.pp_verdict v);
+  Alcotest.(check bool) "no .tmp left" false (Sys.file_exists (dir ^ ".tmp"))
 
 let test_requeue_then_local_fallback () =
   (* the only worker dies on its first shard and never comes back: the
@@ -776,8 +827,7 @@ let test_resume_refusal_parity () =
       ~frontier:[ [] ] ()
   in
   let ledger vector =
-    Check.ledger_meta
-      { Check.vector; report = Check.empty_report; probabilistic = false }
+    Check.ledger_meta { Check.vector; report = Check.empty_report }
   in
   let refusal f =
     match f () with
@@ -884,7 +934,8 @@ let test_budget_parity () =
   List.iter
     (fun budget ->
       let partial what = function
-        | Check.Unknown { partial; reason = "node budget exhausted" } -> partial
+        | Check.Unknown { partial; reason = "node budget exhausted"; _ } ->
+          partial
         | v -> Alcotest.failf "%s at budget %d: %a" what budget Check.pp_verdict v
       in
       let single = partial "verify" (Check.verify ~faults ~budget impl) in
@@ -914,7 +965,8 @@ let test_budget_ends_on_a_vector () =
     (fun k ->
       let budget = spent_on_first impl k in
       let partial what = function
-        | Check.Unknown { partial; reason = "node budget exhausted" } -> partial
+        | Check.Unknown { partial; reason = "node budget exhausted"; _ } ->
+          partial
         | v -> Alcotest.failf "%s at k = %d: %a" what k Check.pp_verdict v
       in
       let single = partial "verify" (Check.verify ~budget impl) in
@@ -1009,5 +1061,7 @@ let () =
             test_budget_parity;
           Alcotest.test_case "a budget ends on a vector boundary" `Quick
             test_budget_ends_on_a_vector;
+          Alcotest.test_case "a failed flush never ends the run" `Quick
+            test_failed_flush;
         ] );
     ]

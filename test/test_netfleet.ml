@@ -395,7 +395,8 @@ let test_queue_resume_passes_checkpoint () =
       ~workloads:[| [ Wfc_spec.Value.truth ] |]
       ~counts:(Checkpoint.zero_counts ~n_objs:1) ~frontier:[] ()
   in
-  Checkpoint.save ck ~path:(Filename.concat state_dir "tas2.c0.ck");
+  Result.get_ok
+    (Checkpoint.save ck ~path:(Filename.concat state_dir "tas2.c0.ck"));
   let saw_resume = ref false in
   let exec _ ~checkpoint ~resume =
     Alcotest.(check string)

@@ -1,5 +1,5 @@
 (* E13 — resilience of long-running verification: checkpoint/resume with
-   completeness stitched across segments, the memory watchdog, and total
+   completeness stitched across segments, the capped dedup table, and total
    (never-raising) parsing of the witness/checkpoint text codecs. *)
 
 open Wfc_spec
@@ -71,7 +71,6 @@ let sample_checkpoint () =
       pruned = 7;
       sleep_skips = 1;
       evictions = 1;
-      probabilistic = true;
     }
   in
   Checkpoint.make
@@ -194,7 +193,8 @@ let test_resume_refuses_other_mode () =
   let path = temp_ck () in
   let stats =
     Explore.run impl ~workloads:workloads3 ~options:Explore.fast ~budget:20
-      ~checkpoint:(3600., fun ck -> Checkpoint.save ck ~path) ()
+      ~checkpoint:(3600., fun ck -> Result.get_ok (Checkpoint.save ck ~path))
+      ()
   in
   Alcotest.(check bool) "budget cut the run" true
     (completeness_of stats <> Explore.Exhaustive);
@@ -283,8 +283,8 @@ let test_checkpoint_missing_directory () =
        (Filename.concat (Filename.get_temp_dir_name ()) "ck.txt")
     = Ok ());
   (match Checkpoint.save (sample_checkpoint ()) ~path with
-  | () -> Alcotest.fail "a save into a missing directory returned"
-  | exception Sys_error _ -> ());
+  | Ok () -> Alcotest.fail "a save into a missing directory succeeded"
+  | Error _ -> ());
   Alcotest.(check bool) "no .tmp after a failed open" false
     (Sys.file_exists (path ^ ".tmp"));
   (* the write succeeds, the rename onto a directory fails *)
@@ -293,8 +293,8 @@ let test_checkpoint_missing_directory () =
     ~finally:(fun () -> Sys.rmdir dir)
     (fun () ->
       match Checkpoint.save (sample_checkpoint ()) ~path:dir with
-      | () -> Alcotest.fail "a save over a directory returned"
-      | exception Sys_error _ ->
+      | Ok () -> Alcotest.fail "a save over a directory succeeded"
+      | Error _ ->
         Alcotest.(check bool) "no .tmp after a failed rename" false
           (Sys.file_exists (dir ^ ".tmp")))
 
@@ -317,7 +317,7 @@ let test_checkpoint_legacy_headers_refused () =
           (contains e header))
     [
       "wfc-checkpoint/1"; "wfc-checkpoint/2"; "wfc-checkpoint/3";
-      "wfc-checkpoint/4";
+      "wfc-checkpoint/4"; "wfc-checkpoint/5";
     ]
 
 let test_checkpoint_meta_validation () =
@@ -450,7 +450,8 @@ let test_explore_budget_checkpoint_resume () =
          checkpoint/resume segments *)
       Explore.run impl ~workloads:workloads3 ~options:Explore.naive ~budget:60
         ?resume_from
-        ~checkpoint:(3600., fun ck -> Checkpoint.save ck ~path) ()
+        ~checkpoint:(3600., fun ck -> Result.get_ok (Checkpoint.save ck ~path))
+      ()
     in
     match completeness_of stats with
     | Explore.Exhaustive -> (stats, rounds)
@@ -481,7 +482,9 @@ let test_explore_interrupt_flush_and_resume () =
   let flag = Atomic.make true in
   let stats =
     Explore.run impl ~workloads:workloads3 ~options:Explore.naive
-      ~interrupt:flag ~checkpoint:(3600., fun ck -> Checkpoint.save ck ~path) ()
+      ~interrupt:flag
+      ~checkpoint:(3600., fun ck -> Result.get_ok (Checkpoint.save ck ~path))
+      ()
   in
   (match completeness_of stats with
   | Explore.Partial Explore.Interrupted -> ()
@@ -505,36 +508,39 @@ let test_explore_interrupt_flush_and_resume () =
   | Explore.Exhaustive -> ()
   | Explore.Partial _ -> Alcotest.fail "resume after interrupt did not finish"
 
-(* --- memory watchdog ------------------------------------------------------- *)
+(* --- memory budget -------------------------------------------------------- *)
 
+(* [mem_budget_mb:0] caps the dedup table at its smallest size, 1,024
+   slots, so it is emptied each time it would pass 512 entries. Under two
+   crashes and two recoveries, cas n=4 fills it 41 times: the run still
+   finishes exhaustively, visits at least what the uncapped run visits,
+   and flushes at the same nodes every time. *)
 let test_mem_watchdog_evicts_and_finishes () =
-  let impl = cas3 () in
-  (* a small exploration lives entirely in the minor heap, where
-     [Gc.quick_stat] sees nothing — retain 2M words (~16 MiB) of ballast so
-     the major heap genuinely exceeds the 1 MiB budget and the watchdog must
-     trip on its first sample and shed dedup state *)
-  let ballast = Array.init (1 lsl 21) (fun i -> i) in
-  let deduped =
-    Explore.run impl ~workloads:workloads3 ~options:Explore.fast ()
+  let impl = Protocols.from_cas ~procs:4 () in
+  let workloads =
+    Array.init 4 (fun i -> [ Ops.propose (Value.bool (i mod 2 = 0)) ])
   in
-  (* flat path: the exact fingerprint table migrates to the Bloom tier; the
-     run finishes but its clean sweep is downgraded to Probabilistic *)
-  let stats =
-    Explore.run impl ~workloads:workloads3 ~options:Explore.fast
-      ~mem_budget_mb:1 ()
+  let run ?mem_budget_mb () =
+    Explore.run impl ~workloads
+      ~faults:(Faults.crash_recovery ~crashes:2 ~recoveries:2)
+      ~options:Explore.fast ?mem_budget_mb ()
   in
-  (match completeness_of stats with
-  | Explore.Partial Explore.Probabilistic -> ()
+  let deduped = run () in
+  let capped = run ~mem_budget_mb:0 () in
+  (match completeness_of capped with
+  | Explore.Exhaustive -> ()
   | c ->
-    Alcotest.failf "Bloom tier must report Probabilistic, got %a"
+    Alcotest.failf "a capped table must stay exhaustive, got %a"
       Explore.pp_completeness c);
-  Alcotest.(check bool) "evicted under pressure" true
-    (stats.Explore.evictions >= 1);
-  (* Bloom false positives can only prune more, never less — and on a state
-     space this small (2^23-bit filter) there are effectively none *)
-  ignore (Sys.opaque_identity ballast.(0));
-  Alcotest.(check int) "Bloom tier loses no coverage here"
-    deduped.Explore.leaves stats.Explore.leaves
+  Alcotest.(check int) "uncapped: no flush" 0 deduped.Explore.evictions;
+  Alcotest.(check int) "flushes at the cap" 41 capped.Explore.evictions;
+  Alcotest.(check bool) "revisits, never skips" true
+    (capped.Explore.leaves >= deduped.Explore.leaves
+    && capped.Explore.nodes >= deduped.Explore.nodes);
+  let again = run ~mem_budget_mb:0 () in
+  Alcotest.(check (list int)) "deterministic"
+    [ capped.Explore.leaves; capped.Explore.nodes; capped.Explore.evictions ]
+    [ again.Explore.leaves; again.Explore.nodes; again.Explore.evictions ]
 
 (* --- Check-level: verdict parity across interruption ----------------------- *)
 
@@ -664,8 +670,7 @@ let test_verify_periodic_save_across_vectors () =
     Alcotest.failf "expected Verified after resume, got %a" Check.pp_verdict v
 
 (* The ledger a checkpoint carries reads back as it was written, through
-   the text format; an absent [check.probabilistic] reads as clean, and a
-   missing key is named. *)
+   the text format, and a missing key is named. *)
 let test_ledger_roundtrip () =
   let ledger =
     {
@@ -679,7 +684,6 @@ let test_ledger_roundtrip () =
           degraded = 1;
           evictions = 3;
         };
-      probabilistic = true;
     }
   in
   let with_meta meta =
@@ -698,9 +702,6 @@ let test_ledger_roundtrip () =
   (match with_meta meta with
   | Ok l -> Alcotest.(check bool) "ledger round-trips" true (l = ledger)
   | Error e -> Alcotest.failf "ledger refused: %s" e);
-  (match with_meta (without "check.probabilistic") with
-  | Ok l -> Alcotest.(check bool) "absent flag is clean" false l.probabilistic
-  | Error e -> Alcotest.failf "ledger refused: %s" e);
   match with_meta (without "check.max_events") with
   | Ok _ -> Alcotest.fail "accepted a ledger without check.max_events"
   | Error e ->
@@ -716,6 +717,42 @@ let test_verify_falsified_unaffected_by_checkpointing () =
   | Check.Falsified _ ->
     Alcotest.(check bool) "checkpoint removed" false (Sys.file_exists path)
   | v -> Alcotest.failf "expected Falsified, got %a" Check.pp_verdict v
+
+(* A save that fails never ends the run. A directory at the checkpoint's
+   path makes every save fail at its rename: the periodic ones (interval 0:
+   at every chance) are reported and the run goes on to its verdict, and a
+   cut's final one becomes the verdict's [unsaved]. Neither leaves a
+   [.tmp] file. *)
+let test_verify_failed_save () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Fmt.str "wfc_unsaved_%d" (Unix.getpid ()))
+  in
+  Sys.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> Sys.rmdir dir) @@ fun () ->
+  let impl = cas3 () in
+  (match Check.verify ~checkpoint:(dir, 0.) impl with
+  | Check.Verified r ->
+    Alcotest.(check int) "periodic failures: the full run"
+      (reference_verdict impl).Check.executions r.Check.executions
+  | v -> Alcotest.failf "periodic failures: %a" Check.pp_verdict v);
+  Alcotest.(check bool) "no .tmp after periodic failures" false
+    (Sys.file_exists (dir ^ ".tmp"));
+  (match Check.verify ~budget:100 ~checkpoint:(dir, 3600.) impl with
+  | Check.Unknown { reason; unsaved = Some e; _ } ->
+    Alcotest.(check string) "the cut's reason" "node budget exhausted" reason;
+    Alcotest.(check bool) "a reason for the failed save" true (e <> "")
+  | v -> Alcotest.failf "final failure: %a" Check.pp_verdict v);
+  Alcotest.(check bool) "no .tmp after the final failure" false
+    (Sys.file_exists (dir ^ ".tmp"));
+  (* a save that succeeds leaves nothing unsaved *)
+  let path = temp_ck () in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  match Check.verify ~budget:100 ~checkpoint:(path, 3600.) impl with
+  | Check.Unknown { unsaved = None; _ } -> ()
+  | v -> Alcotest.failf "saved cut: %a" Check.pp_verdict v
 
 let () =
   Alcotest.run "wfc_resilience"
@@ -775,5 +812,7 @@ let () =
             test_verify_falsified_unaffected_by_checkpointing;
           Alcotest.test_case "periodic save across vectors" `Quick
             test_verify_periodic_save_across_vectors;
+          Alcotest.test_case "a failed save never ends the run" `Quick
+            test_verify_failed_save;
         ] );
     ]
