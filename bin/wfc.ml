@@ -22,12 +22,21 @@ open Wfc_core
 
 (* --- shared arguments ------------------------------------------------------ *)
 
+(* Refuse what the user gave: print [wfc: reason] and exit 1 before any
+   work starts, never an uncaught exception. *)
+let refuse fmt =
+  Fmt.kstr
+    (fun reason ->
+      Fmt.epr "wfc: %s@." reason;
+      Stdlib.exit 1)
+    fmt
+
 let protocol_names = Protocols.names
 
 let make_protocol ?procs name =
   match Protocols.of_name ?procs name with
   | Ok impl -> impl
-  | Error e -> failwith e
+  | Error e -> refuse "%s" e
 
 let protocol_arg =
   let doc =
@@ -148,7 +157,8 @@ let mem_budget_arg =
   let doc =
     "Cap the duplicate-state table at $(docv) MiB: the largest power of \
      two of 16-byte slots that fits, never below 1,024 slots (0 is the \
-     smallest table). A full table is emptied instead of growing, so the \
+     smallest table), filled up to 7/8 load, so 1 MiB holds 57,344 \
+     states. A full table is emptied instead of growing, so the \
      search revisits states it forgot and the verdict stays exact; the \
      report counts the flushes. It bounds the table, not the heap. A tiny \
      cap can cost many revisits: $(b,--budget) and $(b,--deadline) still \
@@ -177,15 +187,15 @@ let parse_degrade impl ~glitches = function
       match int_of_string_opt d with
       | Some d when d > 0 ->
         Some (Wfc_sim.Faults.degrade_all impl ~glitches (`Stale d))
-      | _ -> Fmt.failwith "bad --degrade depth %S" d)
-    | _ -> Fmt.failwith "bad --degrade %S (want safe or stale:D)" s)
+      | _ -> refuse "bad --degrade depth %S" d)
+    | _ -> refuse "bad --degrade %S (want safe or stale:D)" s)
 
 let faults_of_flags impl ~crashes ~recoveries ~glitches ~degrade =
   let degraded =
     match parse_degrade impl ~glitches degrade with
     | None ->
       if glitches > 0 then
-        Fmt.failwith "--glitches needs --degrade to name the faulty objects";
+        refuse "--glitches needs --degrade to name the faulty objects";
       []
     | Some f -> f.Wfc_sim.Faults.degraded
   in
@@ -203,15 +213,14 @@ let load_resume ~name ~procs = function
   | None -> None
   | Some file -> (
     match Wfc_sim.Checkpoint.load file with
-    | Error e -> Fmt.failwith "cannot load checkpoint %s: %s" file e
+    | Error e -> refuse "cannot load checkpoint %s: %s" file e
     | Ok ck ->
       (match Protocols.of_meta ~procs ck.Wfc_sim.Checkpoint.meta with
       | Ok (p, _) when not (String.equal p name) ->
-        Fmt.failwith "checkpoint %s was taken for protocol %s, not %s" file p
-          name
+        refuse "checkpoint %s was taken for protocol %s, not %s" file p name
       | Ok (_, k) when k <> procs ->
-        Fmt.failwith "checkpoint %s was taken with %d processes, not %d" file
-          k procs
+        refuse "checkpoint %s was taken with %d processes, not %d" file k
+          procs
       | _ -> ());
       Some ck)
 
@@ -222,9 +231,7 @@ let require_checkpoint_dir = function
   | Some path -> (
     match Wfc_sim.Checkpoint.check_path path with
     | Ok () -> ()
-    | Error e ->
-      Fmt.epr "wfc: %s@." e;
-      Stdlib.exit 1)
+    | Error e -> refuse "%s" e)
 
 (* Arm SIGINT/SIGTERM as a cooperative cut: the engine (or coordinator)
    polls the flag, flushes a final checkpoint and reports UNKNOWN
@@ -586,7 +593,7 @@ let netchaos_cmd =
     let parse what s =
       match Wfc_fleet.Transport.parse s with
       | Ok a -> a
-      | Error e -> Fmt.failwith "bad %s address: %s" what e
+      | Error e -> refuse "bad %s address: %s" what e
     in
     let listen = parse "listen" listen in
     let upstream = parse "upstream" upstream in
@@ -683,7 +690,7 @@ let queue_cmd =
             in
             match int_of_string_opt procs with
             | Some p when p >= 2 -> (name, p)
-            | _ -> Fmt.failwith "bad protocol entry %S (want NAME[:PROCS])" entry))
+            | _ -> refuse "bad protocol entry %S (want NAME[:PROCS])" entry))
         (String.split_on_char ',' protocols)
     in
     List.iter
@@ -694,7 +701,7 @@ let queue_cmd =
         (fun c ->
           match int_of_string_opt c with
           | Some c when c >= 0 -> c
-          | _ -> Fmt.failwith "bad crash budget %S" c)
+          | _ -> refuse "bad crash budget %S" c)
         (String.split_on_char ',' crashes)
     in
     Wfc_fleet.Jobqueue.matrix ~protocols ~crashes
@@ -742,8 +749,8 @@ let queue_cmd =
     Wfc_fleet.Local.shutdown pids;
     match result with
     | Error e ->
-      Fmt.epr "queue: %s@." e;
-      3
+      Fmt.epr "wfc: %s@." e;
+      1
     | Ok r ->
       List.iter
         (fun (e : Wfc_fleet.Jobqueue.entry) ->
@@ -776,7 +783,18 @@ let queue_cmd =
          "Drain a protocol × adversary verification matrix through the \
           fleet with per-job retries, quarantine and a crash-safe journal: \
           kill it at any point and re-run the same command to resume with \
-          no job lost or verdict duplicated")
+          no job lost or verdict duplicated"
+       ~exits:
+         (Cmd.Exit.info 1
+              ~doc:
+                "a job was falsified, or the journal could not be read or \
+                 written or the state directory created: a full disk or a \
+                 file size limit stops the run with \
+                 $(b,wfc: journal) $(i,FILE)$(b,: cannot write:) \
+                 $(i,reason), and the same command resumes it once there is \
+                 room."
+         :: Cmd.Exit.info 2 ~doc:"jobs are left pending or quarantined."
+         :: Cmd.Exit.defaults))
     Term.(
       const (fun j sd p c mr sk w b dl ls q v ->
           Stdlib.exit (run j sd p c mr sk w b dl ls q v))
@@ -1073,8 +1091,7 @@ let replay_cmd =
         with
         | Ok np -> np
         | Error e ->
-          Fmt.failwith "witness %s: %s; cannot rebuild the implementation" file
-            e
+          refuse "witness %s: %s; cannot rebuild the implementation" file e
       in
       let impl = make_protocol ~procs name in
       Fmt.pr "replaying %s (%a)@." file Wfc_program.Implementation.pp_summary

@@ -29,9 +29,10 @@ type plan = {
       (** process: stop heartbeating and exploring after this many leaves —
           a wedged process that holds its lease until it expires *)
   garbage_after : int option;
-      (** process: after this many leaves, write raw garbage bytes to the
-          socket instead of a heartbeat — the coordinator must drop the
-          connection, not crash *)
+      (** process: once per process, at the first leaf (from this many
+          leaves of a lease on) where the link is up, write raw garbage
+          bytes to the socket — the coordinator must drop the connection,
+          not crash *)
   delay_result_s : float option;
       (** process: sleep this long before sending each [Result] — exercises
           the stale-result path when the lease has already been re-issued *)

@@ -105,37 +105,36 @@ let replay_lines lines =
   let* () = List.fold_left step (Ok ()) lines in
   Ok (List.rev_map (fun id -> Hashtbl.find tbl id) !order)
 
+(* The journal's bytes up to its last newline, and its entries. A crash
+   mid-append leaves one unterminated last line: it is dropped (the action
+   it would have recorded was not taken durably). A missing journal is
+   empty. *)
 let read_journal path =
-  match open_in_bin path with
-  | exception Sys_error _ -> Ok None
-  | ic ->
-    let len = in_channel_length ic in
-    let raw = really_input_string ic len in
-    close_in ic;
-    (* A crash mid-append leaves one unterminated last line: drop it (the
-       action it would have recorded was not taken durably). *)
-    let raw =
-      match String.rindex_opt raw '\n' with
-      | Some i -> String.sub raw 0 i
-      | None -> ""
-    in
-    if raw = "" then Ok None
-    else (
-      match String.split_on_char '\n' raw with
-      | header :: lines when header = protocol_header -> Ok (Some lines)
-      | header :: _ ->
-        Error (Fmt.str "journal %s: bad header %S" path header)
-      | [] -> Ok None)
-
-let load path =
   let ( let* ) = Result.bind in
-  let* lines = read_journal path in
-  match lines with
-  | None -> Ok []
-  | Some lines -> (
-    match replay_lines lines with
-    | Ok entries -> Ok entries
-    | Error e -> Error (Fmt.str "journal %s: corrupt: %s" path e))
+  let* raw =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | raw -> Ok raw
+    | exception Sys_error _ when not (Sys.file_exists path) -> Ok ""
+    | exception Sys_error e ->
+      Error (Fmt.str "journal %s: cannot read: %s" path e)
+  in
+  let durable =
+    match String.rindex_opt raw '\n' with Some i -> i + 1 | None -> 0
+  in
+  let* entries =
+    if durable = 0 then Ok []
+    else
+      match String.split_on_char '\n' (String.sub raw 0 (durable - 1)) with
+      | header :: lines when header = protocol_header -> (
+        match replay_lines lines with
+        | Ok entries -> Ok entries
+        | Error e -> Error (Fmt.str "journal %s: corrupt: %s" path e))
+      | header :: _ -> Error (Fmt.str "journal %s: bad header %S" path header)
+      | [] -> Ok []
+  in
+  Ok (durable, entries)
+
+let load path = Result.map snd (read_journal path)
 
 (* ---------- appending ---------- *)
 
@@ -153,26 +152,50 @@ let fsync_dir path =
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () -> fsync_noerr fd)
 
-type sink = { oc : out_channel }
+type sink = { path : string; oc : out_channel }
 
-let open_sink path =
-  let existed = Sys.file_exists path in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
-  in
-  if not existed then begin
-    output_string oc (protocol_header ^ "\n");
-    flush oc;
-    fsync_noerr (Unix.descr_of_out_channel oc);
+(* A failed write (a full disk, a file size limit) is the run's error, never
+   an exception. *)
+let writing path f =
+  try Ok (f ()) with
+  | Sys_error e -> Error (Fmt.str "journal %s: cannot write: %s" path e)
+  | Unix.Unix_error (e, _, _) ->
+    Error (Fmt.str "journal %s: cannot write: %s" path (Unix.error_message e))
+
+(* Open for appending after the journal's [durable] bytes, those up to its
+   last newline: a torn tail, which {!load} dropped, is cut off so the next
+   record starts a line of its own, and a journal with no complete line
+   (missing, empty, or torn inside its header) is started afresh with the
+   header. *)
+let open_sink path ~durable =
+  writing path @@ fun () ->
+  if durable = 0 then begin
+    let oc =
+      open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644
+        path
+    in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc (protocol_header ^ "\n");
+        flush oc;
+        fsync_noerr (Unix.descr_of_out_channel oc));
     fsync_dir path
-  end;
-  { oc }
+  end
+  else if (Unix.stat path).Unix.st_size > durable then
+    Unix.truncate path durable;
+  { path; oc = open_out_gen [ Open_append; Open_binary ] 0o644 path }
 
 let append sink line =
+  writing sink.path @@ fun () ->
   output_string sink.oc line;
   output_char sink.oc '\n';
   flush sink.oc;
   fsync_noerr (Unix.descr_of_out_channel sink.oc)
+
+let rec iter_result f = function
+  | [] -> Ok ()
+  | x :: rest -> Result.bind (f x) (fun () -> iter_result f rest)
 
 (* ---------- the drain loop ---------- *)
 
@@ -193,22 +216,32 @@ let report_of entries =
 let run ~journal ~state_dir ?(max_retries = 3) ?interrupt ?(log = ignore)
     ~exec jobs =
   let ( let* ) = Result.bind in
-  let* prior = load journal in
+  let* durable, prior = read_journal journal in
   (* The journal is the authority for jobs it has seen (a restarted queue
      must not re-interpret history); new matrix entries are appended. *)
   let known = List.map (fun e -> e.job.id) prior in
   let fresh =
     List.filter (fun (j : job) -> not (List.mem j.id known)) jobs
   in
-  (match Sys.is_directory state_dir with
-  | true -> ()
-  | false | (exception Sys_error _) -> Unix.mkdir state_dir 0o755);
-  let sink = open_sink journal in
-  List.iter
-    (fun (j : job) ->
-      append sink
-        (Fmt.str "job %s %s %d %d" j.id j.protocol j.procs j.crashes))
-    fresh;
+  let* () =
+    match Sys.is_directory state_dir with
+    | true -> Ok ()
+    | false | (exception Sys_error _) -> (
+      try Ok (Unix.mkdir state_dir 0o755)
+      with Unix.Unix_error (e, _, _) ->
+        Error
+          (Fmt.str "state directory %s: cannot create: %s" state_dir
+             (Unix.error_message e)))
+  in
+  let* sink = open_sink journal ~durable in
+  Fun.protect ~finally:(fun () -> close_out_noerr sink.oc) @@ fun () ->
+  let* () =
+    iter_result
+      (fun (j : job) ->
+        append sink
+          (Fmt.str "job %s %s %d %d" j.id j.protocol j.procs j.crashes))
+      fresh
+  in
   let entries =
     ref (prior @ List.map (fun job -> { job; status = Pending 0 }) fresh)
   in
@@ -234,9 +267,9 @@ let run ~journal ~state_dir ?(max_retries = 3) ?interrupt ?(log = ignore)
   in
   let rec drive e =
     match e.status with
-    | Done _ | Quarantined _ -> ()
-    | Pending _ when interrupted () -> ()
-    | Pending failed ->
+    | Done _ | Quarantined _ -> Ok ()
+    | Pending _ when interrupted () -> Ok ()
+    | Pending failed -> (
       let j = e.job in
       let attempt = failed + 1 in
       let checkpoint = Filename.concat state_dir (j.id ^ ".ck") in
@@ -253,23 +286,25 @@ let run ~journal ~state_dir ?(max_retries = 3) ?interrupt ?(log = ignore)
             None)
         else None
       in
-      append sink (Fmt.str "start %s %d" j.id attempt);
+      let* () = append sink (Fmt.str "start %s %d" j.id attempt) in
       log (Fmt.str "job %s: attempt %d" j.id attempt);
-      (match exec j ~checkpoint ~resume with
+      match exec j ~checkpoint ~resume with
       | Ok v ->
-        append sink (Fmt.str "ok %s %s" j.id (verdict_to_line v));
+        let* () = append sink (Fmt.str "ok %s %s" j.id (verdict_to_line v)) in
         (try Sys.remove checkpoint with Sys_error _ -> ());
         set_status j.id (Done v);
-        log (Fmt.str "job %s: %s" j.id (verdict_to_line v))
+        log (Fmt.str "job %s: %s" j.id (verdict_to_line v));
+        Ok ()
       | Error why ->
         let why = clean why in
         incr retried;
-        append sink (Fmt.str "fail %s %d %s" j.id attempt why);
+        let* () = append sink (Fmt.str "fail %s %d %s" j.id attempt why) in
         if attempt >= max_retries then begin
-          append sink (Fmt.str "quarantine %s %s" j.id why);
+          let* () = append sink (Fmt.str "quarantine %s %s" j.id why) in
           set_status j.id (Quarantined why);
           log (Fmt.str "job %s: quarantined after %d attempt(s): %s" j.id
-                 attempt why)
+                 attempt why);
+          Ok ()
         end
         else begin
           set_status j.id (Pending attempt);
@@ -278,6 +313,5 @@ let run ~journal ~state_dir ?(max_retries = 3) ?interrupt ?(log = ignore)
           drive { e with status = Pending attempt }
         end)
   in
-  List.iter drive !entries;
-  close_out_noerr sink.oc;
+  let* () = iter_result drive !entries in
   Ok { (report_of !entries) with retried = !retried }

@@ -13,7 +13,9 @@
     coordinator's periodic flush), and jobs never started are started.
 
     The journal tolerates a torn tail: a crash mid-append leaves at most
-    one unterminated last line, which {!load} drops. Anything else
+    one unterminated last line, which {!load} drops and the next {!run}
+    cuts off before it appends. A journal with no complete line (one a
+    failed first write left empty) is started afresh. Anything else
     malformed is reported as corruption rather than guessed at.
 
     Job execution is a callback, so this module stays socket-free and
@@ -74,7 +76,10 @@ val run :
     verdict and deletes the checkpoint; [Error why] journals the failure
     and retries, up to [max_retries] attempts (default 3) before
     quarantining. [interrupt] stops between attempts, leaving the journal
-    resumable. [Error] only on journal I/O failure or corruption. *)
+    resumable. [Error] only on journal I/O failure or corruption, or a
+    [state_dir] that cannot be created: a record that cannot be written (a
+    full disk, a file size limit) stops the run with ["journal FILE: cannot
+    write: reason"], and the same call resumes it once there is room. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_status : Format.formatter -> status -> unit

@@ -78,6 +78,7 @@ type link = {
   mutable fd : Unix.file_descr option;
   mutable frames : Codec.Frames.t;
   mutable retry_at : float;  (* earliest next opportunistic connect *)
+  mutable garbage_sent : bool;  (* the chaos plan's garbage went out *)
 }
 
 exception Quit
@@ -210,7 +211,6 @@ let run_lease link ~shard ~lease_s ~quantum ~job =
   | Ok impl ->
     let interrupt = Atomic.make false in
     let quit = ref false in
-    let garbage_sent = ref false in
     let last_hb = ref (Monotime.now ()) in
     let passed = ref 0 in
     let on_leaf _ =
@@ -229,6 +229,19 @@ let run_lease link ~shard ~lease_s ~quantum ~job =
         Unix.sleepf 3600.;
         Unix._exit 0
       | _ -> ());
+      (* Garbage goes out once per process, at the first leaf from the
+         threshold on where the link is up, whatever the heartbeat clock
+         says. *)
+      (match (cfg.chaos.Chaos.garbage_after, link.fd) with
+      | Some k, Some fd when leaves >= k && not link.garbage_sent -> (
+        link.garbage_sent <- true;
+        cfg.log "chaos: writing garbage";
+        try
+          Codec.write_all ~deadline_s:cfg.io_deadline_s fd garbage_bytes 0
+            (Bytes.length garbage_bytes)
+        with Unix.Unix_error _ | Transport.Timeout _ ->
+          disconnect link "write error")
+      | _ -> ());
       if leaves land 63 = 0 then begin
         let now = Monotime.now () in
         if now -. !last_hb >= cfg.hb_interval_s then begin
@@ -236,22 +249,8 @@ let run_lease link ~shard ~lease_s ~quantum ~job =
              exploring, keep trying to re-attach, heartbeat as soon as the
              new connection is up (the coordinator parks the lease under
              our token until it expires). *)
-          if ensure link then begin
-            match cfg.chaos.Chaos.garbage_after with
-            | Some k when leaves >= k && not !garbage_sent ->
-              garbage_sent := true;
-              cfg.log "chaos: writing garbage";
-              (match link.fd with
-              | Some fd -> (
-                try
-                  Codec.write_all ~deadline_s:cfg.io_deadline_s fd
-                    garbage_bytes 0
-                    (Bytes.length garbage_bytes)
-                with Unix.Unix_error _ | Transport.Timeout _ ->
-                  disconnect link "write error")
-              | None -> ())
-            | _ -> ignore (send link (Codec.Heartbeat { shard; nodes = leaves }))
-          end;
+          if ensure link then
+            ignore (send link (Codec.Heartbeat { shard; nodes = leaves }));
           last_hb := now
         end;
         (* Non-blocking poll for Steal/Shutdown while the shard runs. *)
@@ -310,6 +309,7 @@ let run cfg =
       fd = None;
       frames = Codec.Frames.create ();
       retry_at = 0.;
+      garbage_sent = false;
     }
   in
   let handle = function

@@ -357,7 +357,8 @@ val run :
     [mem_budget_mb] caps the duplicate-state table at the largest power of
     two of 16-byte slots that fits in that many MiB, never below the
     default 1,024 slots ({!Wfc_spec.Fingerprint.Table.cap_of_mib}; [0] is
-    the smallest table). Where the table would grow past the cap it is
+    the smallest table). The table fills up to 7/8 load, so 1 MiB holds
+    57,344 states. Where the table would grow past the cap it is
     emptied instead, and [stats.evictions] counts the flushes. A flushed
     table forgets, it never answers wrongly: the run stays exhaustive and
     its verdict exact, and pays in revisited states, which can be many for

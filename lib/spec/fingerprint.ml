@@ -107,15 +107,31 @@ let hash_string s =
 (* --- open-addressing fingerprint set -----------------------------------------
 
    Two parallel int arrays (hi lane, lo lane), power-of-two capacity, linear
-   probing, grown at 50% load. The slot ⟨0, 0⟩ marks "empty"; a real
-   fingerprint landing on exactly ⟨0, 0⟩ (probability 2^-124) is remapped to
-   ⟨0, 1⟩, which merely aliases two astronomically unlikely keys. Compared
-   with [Hashtbl] over boxed keys this stores no key objects, no buckets and
-   no list cells — 16 bytes per entry flat. A probe reads slot i of each
-   lane: two reads at the same index of two separate arrays, so usually two
-   cache lines. Interleaving both lanes in one array was measured and gained
-   nothing beyond noise (EXPERIMENTS.md, "an id-keyed linearizability
-   tracker").
+   probing in Robin Hood order (Celis–Larson–Munro, FOCS '85), grown past
+   7/8 load, the maximum load of SwissTable and hashbrown. The slot ⟨0, 0⟩
+   marks "empty"; a real fingerprint landing on exactly ⟨0, 0⟩ (probability
+   2^-124) is remapped to ⟨0, 1⟩, which merely aliases two astronomically
+   unlikely keys. Compared with [Hashtbl] over boxed keys this stores no key
+   objects, no buckets and no list cells — 16-byte slots, so 16 to 37 bytes
+   per entry as the load runs from 7/8 down to 7/16 after a doubling. A
+   probe reads slot i of each lane: two reads at the same index of two
+   separate arrays, so usually two cache lines. Interleaving both lanes in
+   one array was measured and gained nothing beyond noise (EXPERIMENTS.md,
+   "an id-keyed linearizability tracker").
+
+   Robin Hood order. A key's home is [lo land mask], and its distance in
+   slot i is [(i - home) land mask]. Every key lies at or after its home
+   with no empty slot in between, and every key it passed on the way sits
+   at least as far from its own home as the probe had walked, so along a
+   run the homes never decrease. A probe therefore stops at the first slot
+   that is empty or whose entry sits closer to its home than the probe has
+   walked: the key would have been placed there. Over the benchmark
+   workloads' probes, plain linear probing at 7/8 load reads 1.18 to 5.06
+   slots per probe; the early stop holds that to 1.13 to 2.16, against 1.12
+   to 1.61 at half load (EXPERIMENTS.md, "A dense dedup table"). On a miss
+   the key takes the slot the probe stopped at and the entries from there
+   to the next empty slot move up one slot each, which keeps the order:
+   exactly one slot, the run's end, becomes occupied.
 
    A table may be capped ([limit]): where it would grow past the cap it is
    emptied instead. Forgetting a state only costs revisiting it (state-space
@@ -130,23 +146,23 @@ module Table = struct
     mutable count : int;
     mutable log : Bytes.t;
         (* while [count] fits, the [k]th 16-bit entry, [k < count], is the
-           slot of the [k]th entry since the last reset *)
+           slot the [k]th entry since the last reset made occupied *)
     mutable max_cap : int;  (* a power of two, or [max_int]: no cap *)
     mutable flushes : int;  (* emptied at the cap since the last [limit] *)
   }
 
   let default_capacity_log2 = 10
 
-  (* Half the capacity in a default-sized table (1 KiB: every entry it
-     takes), an eighth in a larger one of at most 2^16 slots (whose indices
-     16 bits hold), none above: at most 8192 entries (16 KiB), 1/64 of what
-     the lanes take. A run that overflows a large table's log left it at
-     least 1/8 full, and clearing the whole of it with a plain loop costs
-     about what clearing from a log would; in the default table the log
-     still wins up to half full (an eighth measured 1-2% slower on
-     [verify], whose runs mostly fit that table). [grow] re-logs the
-     entries while they fit the new capacity's log; past the default size
-     they never do, since a run that grows a table has more than a quarter
+  (* Half the capacity in a default-sized table (1 KiB: 512 of the 896
+     entries it takes), an eighth in a larger one of at most 2^16 slots
+     (whose indices 16 bits hold), none above: at most 8192 entries
+     (16 KiB), 1/64 of what the lanes take. A run that overflows a large
+     table's log left it at least 1/8 full, and clearing the whole of it
+     with a plain loop costs about what clearing from a log would; in the
+     default table the log still wins up to half full (an eighth measured
+     1-2% slower on [verify], whose runs mostly fit that table). [grow]
+     re-logs the entries while they fit the new capacity's log; past the
+     default size they never do, since a run that grows a table has 7/16
      of the new capacity in entries, so a large table's log serves runs in
      a table an earlier run grew. *)
   let log_length cap =
@@ -197,9 +213,9 @@ module Table = struct
     if capacity t > t.max_cap then shrink t
 
   (* A run that fit the log clears the slots it filled; one that overflowed
-     it clears the whole table. A table over 8x the 2·count slots its last
-     run needed is replaced by a default-sized one, with a default-sized
-     log, instead. The whole-table clear is a loop of stores: [Array.fill]
+     it clears the whole table. A table of over 16 slots per entry of its
+     last run is replaced by a default-sized one, with a default-sized log,
+     instead. The whole-table clear is a loop of stores: [Array.fill]
      checks every old value for the write barrier and costs about 10x as
      much on a table whose slots are a random mix of empty and full. *)
   let reset t =
@@ -223,8 +239,8 @@ module Table = struct
   (* The lo lane a key is stored under: ⟨0, 0⟩ becomes ⟨0, 1⟩. *)
   let[@inline] remap_lo ~hi ~lo = if hi = 0 && lo = 0 then 1 else lo
 
-  (* Insert into [hi]/[lo] assuming the key is absent and there is room;
-     the slot it took. *)
+  (* Insert into [hi]/[lo] by plain linear probing, assuming the key is
+     absent and there is room; the slot it took. *)
   let insert_fresh hi lo mask h l =
     let i = ref (l land mask) in
     while Array.unsafe_get lo !i <> 0 || Array.unsafe_get hi !i <> 0 do
@@ -234,15 +250,30 @@ module Table = struct
     Array.unsafe_set lo !i l;
     !i
 
+  (* Double the capacity. Entries are re-inserted by [insert_fresh],
+     taken in slot order from an empty slot onwards: no run crosses an
+     empty slot, so that order visits every run's homes in nondecreasing
+     order, a key's new home is its old one or the old one plus the old
+     capacity, and a run of the new table, shorter than the old capacity,
+     receives its keys in nondecreasing home order too. Appending each at
+     the first empty slot from its home then leaves the new table in Robin
+     Hood order with no displacement. Starting at slot 0 instead would
+     break the order wherever a run wraps past the last slot. *)
   let grow t =
     let cap = capacity t * 2 in
     let hi = Array.make cap 0 and lo = Array.make cap 0 in
     let mask = cap - 1 in
     let log = make_log cap in
     let relog = t.count <= log_length cap in
+    let ohi = t.hi and olo = t.lo and omask = t.mask in
+    let s = ref 0 in
+    while Array.unsafe_get olo !s <> 0 || Array.unsafe_get ohi !s <> 0 do
+      incr s
+    done;
     let k = ref 0 in
-    for i = 0 to t.mask do
-      let h = t.hi.(i) and l = t.lo.(i) in
+    for n = 1 to omask + 1 do
+      let i = (!s + n) land omask in
+      let h = Array.unsafe_get ohi i and l = Array.unsafe_get olo i in
       if h <> 0 || l <> 0 then begin
         let j = insert_fresh hi lo mask h l in
         if relog then Bytes.set_uint16_le log (2 * !k) j;
@@ -255,36 +286,57 @@ module Table = struct
     t.log <- log
 
   (* The one hot-path operation: membership probe that records the key on a
-     miss. Returns [true] when the fingerprint was already present. Past
-     half load the table grows, or, at its cap, is emptied. *)
+     miss. Returns [true] when the fingerprint was already present. A hit
+     costs what it cost under plain linear probing: the key compare comes
+     first, and an entry's distance is computed only once it fails. Past
+     7/8 load the table grows, or, at its cap, is emptied. *)
   let mem_or_add t ~hi ~lo =
     let h = hi and l = remap_lo ~hi ~lo in
     let mask = t.mask in
     let thi = t.hi and tlo = t.lo in
-    let i = ref (l land mask) in
-    let seen = ref false in
-    let probing = ref true in
-    while !probing do
-      let sl = Array.unsafe_get tlo !i and sh = Array.unsafe_get thi !i in
-      if sl = 0 && sh = 0 then probing := false
-      else if sl = l && sh = h then begin
-        seen := true;
-        probing := false
-      end
+    let home = l land mask in
+    let i = ref home in
+    (* 0: probing; 1: found; 2: absent, slot [!i] is empty; 3: absent, the
+       entry in slot [!i] sits closer to its home than the probe walked *)
+    let state = ref 0 in
+    while !state = 0 do
+      let sl = Array.unsafe_get tlo !i in
+      if sl = l && Array.unsafe_get thi !i = h then state := 1
+      else if sl = 0 && Array.unsafe_get thi !i = 0 then state := 2
+      else if (!i - sl) land mask < (!i - home) land mask then state := 3
       else i := (!i + 1) land mask
     done;
-    if not !seen then begin
-      Array.unsafe_set t.hi !i h;
-      Array.unsafe_set t.lo !i l;
+    if !state >= 2 then begin
+      if !state = 2 then begin
+        Array.unsafe_set thi !i h;
+        Array.unsafe_set tlo !i l
+      end
+      else begin
+        (* Shift the run from [!i] up one slot, carrying each entry into
+           the next slot, until an empty slot is picked up: that one is the
+           slot this miss made occupied. *)
+        let ch = ref h and cl = ref l in
+        while !cl <> 0 || !ch <> 0 do
+          let rh = Array.unsafe_get thi !i and rl = Array.unsafe_get tlo !i in
+          Array.unsafe_set thi !i !ch;
+          Array.unsafe_set tlo !i !cl;
+          ch := rh;
+          cl := rl;
+          i := (!i + 1) land mask
+        done;
+        i := (!i - 1) land mask
+      end;
       let n = t.count in
       if n < logged t then Bytes.set_uint16_le t.log (2 * n) !i;
       t.count <- n + 1;
-      if 2 * t.count > t.mask then
+      (* past 7/8 of [capacity - 1] keys: a table of 1,024 slots holds 896,
+         and even the smallest keeps a slot empty, which ends every run *)
+      if 8 * t.count > 7 * mask then
         if capacity t >= t.max_cap then begin
           reset t;
           t.flushes <- t.flushes + 1
         end
         else grow t
     end;
-    !seen
+    !state = 1
 end

@@ -97,14 +97,19 @@ val hash_string : string -> int
     body, with no dependency and ~6x the throughput. *)
 
 (** Open-addressing fingerprint set: two parallel [int array] lanes,
-    power-of-two capacity, linear probing, growth at 50% load, 16 bytes
-    per entry flat. The all-zero slot encodes "empty"; ⟨0,0⟩ keys are
-    remapped to ⟨0,1⟩ internally. A slot log records which slots the
-    first entries since the last reset went to. Its size follows the
-    capacity, not the entries: one 16-bit entry per 2 slots in a
-    default-sized table, per 8 slots in a larger one of up to 2{^16} slots
-    (at most 16 KiB, 1/64 of the lanes), none above. Growing re-logs the
-    entries while they fit the new log.
+    power-of-two capacity, linear probing in Robin Hood order (Celis,
+    Larson and Munro, FOCS '85), up to 7/8 load, 16-byte slots. A key's
+    home slot is its lo lane masked to the capacity; along a run the homes
+    never decrease, so a probe for an absent key stops at the first entry
+    that sits closer to its home than the probe has walked, and a miss
+    shifts the rest of the run up one slot. The all-zero slot encodes
+    "empty"; ⟨0,0⟩ keys are remapped to ⟨0,1⟩ internally. A slot log
+    records which slots the first entries since the last reset made
+    occupied (a miss occupies exactly one, at the end of its run). Its
+    size follows the capacity, not the entries: one 16-bit entry per 2
+    slots in a default-sized table, per 8 slots in a larger one of up to
+    2{^16} slots (at most 16 KiB, 1/64 of the lanes), none above. Growing
+    re-logs the entries while they fit the new log.
 
     A table may be capped ({!limit}). Where growing would pass the cap, the
     table is emptied instead ({!reset}) and counts one {!flushes}: what
@@ -119,9 +124,10 @@ module Table : sig
 
   val mem_or_add : t -> hi:int -> lo:int -> bool
   (** [true] iff the fingerprint was already present; records it otherwise.
-      The only hot-path operation. A miss that takes the table past half
+      The only hot-path operation. A miss that takes the table past 7/8 of
       its capacity grows it, or, at its cap, empties it: the key just
-      recorded is forgotten with the rest. *)
+      recorded is forgotten with the rest. A table of 1,024 slots holds 896
+      keys. *)
 
   val length : t -> int
 
@@ -131,7 +137,8 @@ module Table : sig
   val cap_of_mib : int -> int
   (** [cap_of_mib mb] is the cap a budget of [mb] MiB sets: the largest
       power of two of 16-byte slots that fits in [mb] MiB, and never below
-      the default 2^10 slots, so [0] (or less) means the smallest table. *)
+      the default 2^10 slots, so [0] (or less) means the smallest table.
+      Up to 7/8 of the slots hold keys: 57,344 in 1 MiB. *)
 
   val limit : t -> int option -> unit
   (** [limit t (Some mb)] caps [t] at {!cap_of_mib}[ mb] slots, [limit t
@@ -148,7 +155,7 @@ module Table : sig
       cleared slot by slot from it, so reusing a large table for a small
       run costs that run's entries, not the capacity. A run that
       overflowed the log filled at least 1/8 of the table and gets one
-      full clear, a loop of stores over the lanes. A table more than 8x
-      larger than its entries needed is replaced by a default-sized one
+      full clear, a loop of stores over the lanes. A table of more than 16
+      slots per entry of its last run is replaced by a default-sized one
       instead. The cap stays. *)
 end

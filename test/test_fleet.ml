@@ -654,7 +654,10 @@ let test_quantum_one () =
    writes wire garbage, can reach the coordinator only once a lease was
    lost: its socket path is linked to the coordinator's at the first lease
    miss. No local grace ends the wait for workers, so the run cannot end
-   before the chaos costs a lease, however slowly the workers start. *)
+   before the chaos costs a lease, however slowly the workers start. Its
+   garbage must reach the coordinator, which drops the connection and
+   takes the worker back when it re-attaches, and none of it may change
+   the single process's verdict or vector count. *)
 let test_parity_chaos_mix () =
   let socket = fresh_socket () in
   let late = socket ^ ".late" in
@@ -668,7 +671,9 @@ let test_parity_chaos_mix () =
         ~chaos:(fun _ -> { Chaos.none with Chaos.garbage_after = Some 2 })
         ~seed:2 ~addr:late 1
   in
+  let bad_frames = ref 0 in
   let log m =
+    if contains m "garbage on the wire" then incr bad_frames;
     if contains m " lost (" && not (Sys.file_exists late) then
       Unix.symlink socket late
   in
@@ -686,12 +691,21 @@ let test_parity_chaos_mix () =
           ~meta:[ ("protocol", "sticky"); ("procs", "3") ]
           ~config (impl_of "sticky" 3))
   in
-  let fleet = report_of verdict in
-  let single = report_of (Check.verify (impl_of "sticky" 3)) in
+  let kind = function
+    | Check.Verified _ -> "verified"
+    | Check.Falsified _ -> "falsified"
+    | Check.Unknown _ -> "unknown"
+  in
+  let single_verdict = Check.verify (impl_of "sticky" 3) in
+  Alcotest.(check string) "same verdict" (kind single_verdict) (kind verdict);
+  let fleet = report_of verdict and single = report_of single_verdict in
   Alcotest.(check int) "same vectors" single.Check.vectors fleet.Check.vectors;
   Alcotest.(check bool)
     "chaos produced lease misses" true
     (stats.Coordinator.lease_misses >= 1);
+  Alcotest.(check bool)
+    "garbage reached the coordinator" true
+    (!bad_frames + stats.Coordinator.reattaches >= 1);
   Alcotest.(check bool)
     "misses surfaced as degradation" true
     (fleet.Check.degraded >= stats.Coordinator.lease_misses)

@@ -329,7 +329,41 @@ let test_queue_torn_tail_dropped () =
   let jobs = Jobqueue.matrix ~protocols:[ ("tas", 2) ] ~crashes:[ 0 ] in
   let r = run_queue ~journal ~state_dir ~exec jobs in
   Alcotest.(check int) "torn job re-ran" 1 !ran;
-  Alcotest.(check int) "and completed" 1 r.Jobqueue.completed
+  Alcotest.(check int) "and completed" 1 r.Jobqueue.completed;
+  (* the torn fragment was cut off, so the new records read back *)
+  match Jobqueue.load journal with
+  | Ok [ { Jobqueue.status = Jobqueue.Done Jobqueue.Verified; _ } ] -> ()
+  | Ok _ -> Alcotest.fail "the re-run's verdict did not read back"
+  | Error e -> Alcotest.failf "journal corrupt after the re-run: %s" e
+
+(* A journal left empty by a failed first write (a full disk, a file size
+   limit) has no header: the next run writes one, so the run after it
+   still reads the journal. A journal the queue cannot read and a state
+   directory it cannot create are errors, never exceptions. *)
+let test_queue_empty_and_unreadable_journal () =
+  with_queue_dir @@ fun ~journal ~state_dir ->
+  Out_channel.with_open_bin journal ignore;
+  let ran = ref 0 in
+  let exec _ ~checkpoint:_ ~resume:_ =
+    incr ran;
+    Ok Jobqueue.Verified
+  in
+  let jobs = Jobqueue.matrix ~protocols:[ ("tas", 2) ] ~crashes:[ 0 ] in
+  ignore (run_queue ~journal ~state_dir ~exec jobs);
+  let r = run_queue ~journal ~state_dir ~exec jobs in
+  Alcotest.(check int) "done once" 1 !ran;
+  Alcotest.(check int) "and read back" 1 r.Jobqueue.completed;
+  let refused what ~journal ~state_dir prefix =
+    match Jobqueue.run ~journal ~state_dir ~exec jobs with
+    | Error e when String.starts_with ~prefix e -> ()
+    | Error e -> Alcotest.failf "%s: unexpected error: %s" what e
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  refused "a directory as the journal" ~journal:state_dir ~state_dir
+    ("journal " ^ state_dir ^ ": cannot read: ");
+  let missing = Filename.concat state_dir "no/such" in
+  refused "a state directory in a missing one" ~journal ~state_dir:missing
+    ("state directory " ^ missing ^ ": cannot create: ")
 
 let test_queue_crash_midjob_exactly_once () =
   with_queue_dir @@ fun ~journal ~state_dir ->
@@ -529,6 +563,8 @@ let () =
             test_queue_retry_then_quarantine;
           Alcotest.test_case "torn tail leaves the job pending" `Quick
             test_queue_torn_tail_dropped;
+          Alcotest.test_case "empty journal restarted, unreadable refused"
+            `Quick test_queue_empty_and_unreadable_journal;
           Alcotest.test_case "crash mid-job finishes exactly once" `Quick
             test_queue_crash_midjob_exactly_once;
           Alcotest.test_case "interrupt leaves a resumable journal" `Quick

@@ -511,8 +511,8 @@ let test_explore_interrupt_flush_and_resume () =
 (* --- memory budget -------------------------------------------------------- *)
 
 (* [mem_budget_mb:0] caps the dedup table at its smallest size, 1,024
-   slots, so it is emptied each time it would pass 512 entries. Under two
-   crashes and two recoveries, cas n=4 fills it 41 times: the run still
+   slots, so it is emptied each time it would pass 896 entries. Under two
+   crashes and two recoveries, cas n=4 fills it 4 times: the run still
    finishes exhaustively, visits at least what the uncapped run visits,
    and flushes at the same nodes every time. *)
 let test_mem_watchdog_evicts_and_finishes () =
@@ -533,7 +533,7 @@ let test_mem_watchdog_evicts_and_finishes () =
     Alcotest.failf "a capped table must stay exhaustive, got %a"
       Explore.pp_completeness c);
   Alcotest.(check int) "uncapped: no flush" 0 deduped.Explore.evictions;
-  Alcotest.(check int) "flushes at the cap" 41 capped.Explore.evictions;
+  Alcotest.(check int) "flushes at the cap" 4 capped.Explore.evictions;
   Alcotest.(check bool) "revisits, never skips" true
     (capped.Explore.leaves >= deduped.Explore.leaves
     && capped.Explore.nodes >= deduped.Explore.nodes);
