@@ -822,7 +822,6 @@ let checkpoint_cmd =
       1
     | Ok ck ->
       let c = ck.Wfc_sim.Checkpoint.counts in
-      let e = ck.Wfc_sim.Checkpoint.engine in
       Fmt.pr "%s@." file;
       Fmt.pr "  format        %s@."
         (match String.index_opt first_line ' ' with
@@ -837,9 +836,7 @@ let checkpoint_cmd =
       | Error _ -> ());
       Fmt.pr "  processes     %d@."
         (Array.length ck.Wfc_sim.Checkpoint.workloads);
-      Fmt.pr "  engine        dedup=%s por=%b@."
-        (Wfc_sim.Checkpoint.dedup_to_string e.Wfc_sim.Checkpoint.dedup)
-        e.Wfc_sim.Checkpoint.por;
+      Fmt.pr "  engine        %s@." (Wfc_sim.Checkpoint.engine_summary ck);
       Fmt.pr "  fuel          %d@." ck.Wfc_sim.Checkpoint.fuel;
       (match ck.Wfc_sim.Checkpoint.budget_left with
       | Some b -> Fmt.pr "  budget left   %d nodes@." b

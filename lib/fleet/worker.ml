@@ -79,6 +79,12 @@ type link = {
   mutable frames : Codec.Frames.t;
   mutable retry_at : float;  (* earliest next opportunistic connect *)
   mutable garbage_sent : bool;  (* the chaos plan's garbage went out *)
+  mutable unacked : (Codec.msg * float) option;
+      (* the last lease's result and until when it may still be settled:
+         a write into a connection the coordinator has already dropped
+         succeeds locally and is lost, so a reconnect sends it again after
+         its Hello. The coordinator discards a result for a shard the
+         connection does not hold. *)
 }
 
 exception Quit
@@ -113,7 +119,11 @@ let try_connect link =
     match
       Codec.write ~deadline_s:link.cfg.io_deadline_s fd
         (Codec.Hello
-           { pid = Unix.getpid (); name = link.cfg.name; token = link.cfg.token })
+           { pid = Unix.getpid (); name = link.cfg.name; token = link.cfg.token });
+      match link.unacked with
+      | Some (result, until) when Monotime.now () <= until ->
+        Codec.write ~deadline_s:link.cfg.io_deadline_s fd result
+      | Some _ | None -> ()
     with
     | () ->
       link.fd <- Some fd;
@@ -201,6 +211,7 @@ let read_and_drain link handle =
 
 let run_lease link ~shard ~lease_s ~quantum ~job =
   let cfg = link.cfg in
+  link.unacked <- None;
   cfg.log
     (Fmt.str "lease %d: frontier=%d quantum=%d" shard
        (List.length job.Checkpoint.frontier)
@@ -282,8 +293,15 @@ let run_lease link ~shard ~lease_s ~quantum ~job =
        coordinator has requeued the shard and would discard this result as
        stale anyway, so drop it rather than spin. *)
     let give_up = Monotime.now () +. lease_s in
+    let result = Codec.Result { shard; outcome } in
+    link.unacked <- Some (result, give_up);
     let rec deliver () =
-      if ensure link && send link (Codec.Result { shard; outcome }) then ()
+      let sent =
+        match link.fd with
+        | Some _ -> send link result
+        | None -> ensure link (* a reconnect sends [unacked] *)
+      in
+      if sent then ()
       else if Monotime.now () > give_up then
         cfg.log
           (Fmt.str "shard %d: result undeliverable within the lease, dropped"
@@ -310,6 +328,7 @@ let run cfg =
       frames = Codec.Frames.create ();
       retry_at = 0.;
       garbage_sent = false;
+      unacked = None;
     }
   in
   let handle = function
@@ -317,6 +336,7 @@ let run cfg =
       run_lease link ~shard ~lease_s ~quantum ~job
     | Codec.Shutdown { reason } ->
       cfg.log (Fmt.str "shutdown: %s" reason);
+      link.unacked <- None;
       if cfg.persist then begin
         (* a standing worker outlives individual runs: drop this
            connection and wait for the next coordinator to appear *)

@@ -18,6 +18,8 @@ let dedup_of_string = function
 
 type engine = { dedup : dedup; por : bool }
 
+let por_runs engine faults = engine.por && Faults.is_none faults
+
 type counts = {
   leaves : int;
   nodes : int;
@@ -83,6 +85,13 @@ let with_meta t meta =
       then invalid_arg "Checkpoint: meta keys/values must be line-safe")
     meta;
   { t with meta }
+
+let engine_summary t =
+  Fmt.str "dedup=%s por=%s"
+    (dedup_to_string t.engine.dedup)
+    (if not t.engine.por then "off"
+     else if por_runs t.engine t.faults then "on"
+     else "off (fault adversary)")
 
 let make ?(meta = []) ~engine ~fuel ?budget_left ~faults ~workloads ~counts
     ~frontier () =

@@ -38,6 +38,12 @@ val dedup_to_string : dedup -> string
 type engine = { dedup : dedup; por : bool }
 (** The engine options, re-exported as [Explore.options]. *)
 
+val por_runs : engine -> Faults.t -> bool
+(** Whether a search with these options under this adversary runs with
+    partial-order reduction: only when [por] is set and the adversary is
+    {!Faults.none}, since sleep sets would put a process's own crashes,
+    recoveries and glitches to sleep. *)
+
 type counts = {
   leaves : int;
   nodes : int;
@@ -95,6 +101,11 @@ val make :
 
 val with_meta : t -> (string * string) list -> t
 (** Replace the meta entries, refusing bad ones as {!make} does. *)
+
+val engine_summary : t -> string
+(** The reductions the checkpointed search ran with, e.g.
+    ["dedup=symmetric por=off (fault adversary)"]: POR is named as
+    {!por_runs} decides, not as the options asked. *)
 
 val to_string : t -> string
 

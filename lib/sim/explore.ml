@@ -627,19 +627,22 @@ let default_dedup_threshold = 64
 
    - Prefixes and cuts. One call explores the subtree under a
      decision-trace prefix: the root's is empty, a resumed checkpoint's
-     are its frontier. It first applies the prefix in place with the same
-     edge functions, checking each decision the way {!Exec.replay} does; a
-     prefix edge is not counted, not probed and fires no tracker event.
-     Every edge adds exactly one event, so a node's depth is [!events]. A
-     limit met at a node raises [Cut] with the path to it, and the
-     remainder of the cut is derived afterwards, by a second call in
-     listing mode: it replays that path and, at each depth at or below
-     [from], lists the node's children after the path's own child, in
-     the order [go] would have explored them, skipping those asleep; at
-     the path's end it stops. The sleep sets along the path are recomputed
-     as [go] computes them, starting empty at depth [from]. Nothing is
-     recorded per edge for this: a run that is not cut pays one test per
-     node. *)
+     are its frontier. Every edge adds exactly one event, so a node's depth
+     is [!events], and a node shallower than the prefix is a prefix node:
+     [go] expands it as any other, in the same order, but enters only the
+     child whose decision is the prefix's at that depth, and counts,
+     probes, limit-checks and checkpoints nothing there; a prefix edge
+     fires no tracker event. A prefix whose decision names no child of its
+     node is not a path of the tree, and the call refuses it. A limit met
+     at a node raises [Cut] with the path to it, and the remainder of the
+     cut is derived afterwards by a second call in listing mode, with that
+     path as its prefix: at each depth at or below [from] the children
+     after the path's own child are listed instead of entered, and those
+     skipped asleep are counted; at the path's end it stops. The sleep set
+     is empty at the segment's first depth ([from] when listing, the prefix
+     length when running) and at every prefix node above it, so the sleep
+     sets along the path are the ones the cut run had. Nothing is recorded
+     per edge for this: a run that is not cut pays a few tests per node. *)
 
 (* Per-depth classification scratch as parallel arrays, pooled so the hot
    path never allocates a classification: [ck] is 0 for a program that
@@ -817,12 +820,12 @@ type listing = {
 }
 
 (* Every index the kernel's hot frames use is established by a loop bound
-   ([0 .. n_procs-1]), by the pool-growth check in [cls_at], by the range
-   check on a prefix decision's pid, by the work mask (a process with work
-   has [next_op] inside its workload), or by the bounds-checked
-   [cc_tables.(obj)] load in [classify_into] (which validates a program
-   node's object index before any unchecked use), so the kernel reads and
-   writes arrays unchecked. *)
+   ([0 .. n_procs-1]), by the pool-growth check in [cls_at], by the work
+   mask (a process with work has [next_op] inside its workload), or by the
+   bounds-checked [cc_tables.(obj)] load in [classify_into] (which
+   validates a program node's object index before any unchecked use), so
+   the kernel reads and writes arrays unchecked. A prefix decision is only
+   compared with the children's, never used as an index. *)
 let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     ~(dd : dedup_ctx option) ~lim ~t ~user_tracker ~want_leaf c ~emit_leaf
     ~on_node ~prefix ~(listing : listing option) =
@@ -886,6 +889,8 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   let faulty = faults.Faults.max_glitches > 0 || faults.Faults.max_crashes > 0 in
   let plen = Array.length prefix in
   let listing_mode = Option.is_some listing in
+  (* The segment's first depth: the sleep set is empty there and above. *)
+  let seg = match listing with Some l -> l.from | None -> plen in
   (* [o]'s history after an access overwrote state [q]: [q] pushed onto
      the history [h], cut to the object's depth. A history's id is an
      [I.tuple] chain over its state numbers, and [cc_hists] gives the
@@ -1168,76 +1173,23 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       false
     end
   in
-  (* Listing mode at the path node of depth [ev], whose path child is [d]:
-     record its children after [d] in [go]'s order, count those asleep
-     after it, and return [d]'s child sleep set as [go] computes it. Every
-     classification and row miss raises here as it would in [go]. *)
-  let list_siblings l ev sleep trace_rev (d : Faults.decision) =
-    let work = ref 0 in
-    for p = n_procs - 1 downto 0 do
-      if has_work p then work := !work lor (1 lsl p)
-    done;
-    let work = !work in
-    let mask = work land lnot (!crashed lor !stuck) in
-    let recs =
-      if !recoveries_left > 0 then work land !crashed land lnot !stuck else 0
-    in
-    let cl = cls_at ev in
-    if opts.por then
-      for p = 0 to n_procs - 1 do
-        if mask land (1 lsl p) <> 0 then classify_into cl p
-      done;
-    let passed = ref false and child_sleep = ref 0 and explored = ref 0 in
-    let child (e : Faults.decision) =
-      if !passed then l.found <- (ev, e :: trace_rev) :: l.found
-      else if e = d then passed := true
-    in
-    for p = 0 to n_procs - 1 do
-      let bit = 1 lsl p in
-      if mask land bit = 0 then ()
-      else if sleep land bit <> 0 then begin
-        if !passed then l.skipped <- l.skipped + 1
-      end
-      else begin
-        if opts.por && p = d.Faults.proc then begin
-          let earlier = sleep lor !explored in
-          for q = 0 to n_procs - 1 do
-            if
-              q <> p
-              && mask land (1 lsl q) <> 0
-              && earlier land (1 lsl q) <> 0
-              && independent cl p q
-            then child_sleep := !child_sleep lor (1 lsl q)
-          done
-        end;
-        if (not opts.por) && wedges cl p then
-          child { Faults.proc = p; kind = Faults.Wedge }
-        else if Array.unsafe_get cl.ck p = 0 then child (dec p 0)
-        else begin
-          let n_alts = (row_of cl p).Step_table.n_alts in
-          if n_alts = 0 then
-            disabled p (Array.unsafe_get cl.cnode p) (Array.unsafe_get cl.cobj p);
-          for j = 0 to n_alts - 1 do
-            child (dec p j)
-          done
-        end;
-        if faulty then begin
-          if !glitches_left > 0 then begin
-            let _, _, _, rcs = glitch_alts p in
-            List.iteri
-              (fun i _ -> child { Faults.proc = p; kind = Faults.Glitch i })
-              rcs
-          end;
-          if !crashes_left > 0 then child { Faults.proc = p; kind = Faults.Crash }
-        end;
-        explored := !explored lor bit
-      end
-    done;
-    for p = 0 to n_procs - 1 do
-      if recs land (1 lsl p) <> 0 then
-        child { Faults.proc = p; kind = Faults.Recover }
-    done;
-    !child_sleep
+  (* A prefix node of depth [ev] has entered its path child once
+     [!entered > ev]. Until then [on_path] enters the child equal to the
+     prefix's decision there; after it, listing mode records each child at
+     depth [from] or below as a sibling, and nothing else is entered. *)
+  let entered = ref 0 in
+  let on_path ev (d : Faults.decision) trace_rev =
+    if !entered > ev then begin
+      (match listing with
+      | Some l when ev >= l.from -> l.found <- (ev, d :: trace_rev) :: l.found
+      | _ -> ());
+      false
+    end
+    else if d = prefix.(ev) then begin
+      entered := ev + 1;
+      true
+    end
+    else false
   in
   (* [cl_par]/[dirty]: the parent frame's classifications and a bitmask of
      processes whose classification may have changed across the parent's
@@ -1249,10 +1201,14 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
      dirty). *)
   let rec go cl_par dirty sleep trace_rev st tid =
     let ev = !events in
-    if ev < plen then descend ev sleep trace_rev st
-    else if listing_mode then ()
+    if listing_mode && ev >= plen then ()
     else begin
-      if c.nodes land 1023 = 0 then on_node trace_rev;
+      (* A prefix node enters only its path child, and is not counted,
+         probed, limit-checked, checkpointed or a leaf. *)
+      let counted = ev >= plen in
+      let inc = Bool.to_int counted in
+      let sleep = if ev > seg then sleep else 0 in
+      if counted && c.nodes land 1023 = 0 then on_node trace_rev;
       let work = ref 0 in
       for p = n_procs - 1 downto 0 do
         if has_work p then work := !work lor (1 lsl p)
@@ -1262,8 +1218,8 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       let recs =
         if !recoveries_left > 0 then work land !crashed land lnot !stuck else 0
       in
-      if lim.active && out_of_limits lim then raise (Cut trace_rev);
-      if mask = 0 then begin
+      if counted && lim.active && out_of_limits lim then raise (Cut trace_rev);
+      if counted && mask = 0 then begin
         c.leaves <- c.leaves + 1;
         if !events > c.max_events then c.max_events <- !events;
         List.iter
@@ -1288,17 +1244,16 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
       end;
       if mask lor recs = 0 then ()
       else if !events >= fuel then begin
-        if mask <> 0 then begin
+        if counted && mask <> 0 then begin
           c.overflows <- c.overflows + 1;
           if c.overflow_trace = None then
             c.overflow_trace <- Some (List.rev trace_rev)
         end
       end
       else
-        let tid =
-          if tid = no_tid && c.nodes >= !probe_floor then t.fingerprint st else tid
-        in
-        if c.nodes >= !probe_floor && probe sleep tid then
+        let probing = counted && c.nodes >= !probe_floor in
+        let tid = if probing && tid = no_tid then t.fingerprint st else tid in
+        if probing && probe sleep tid then
           c.pruned <- c.pruned + 1
         else begin
           (* Under POR every runnable process is classified up front (the
@@ -1321,8 +1276,12 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
           let explored = ref 0 in
           for p = 0 to n_procs - 1 do
             if mask land (1 lsl p) <> 0 then begin
-              if sleep land (1 lsl p) <> 0 then
-                c.sleep_skips <- c.sleep_skips + 1
+              if sleep land (1 lsl p) <> 0 then begin
+                c.sleep_skips <- c.sleep_skips + inc;
+                match listing with
+                | Some l when !entered > ev -> l.skipped <- l.skipped + 1
+                | _ -> ()
+              end
               else begin
                 let child_sleep =
                   if not opts.por then 0
@@ -1341,19 +1300,22 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
                   end
                 in
                 (if (not opts.por) && wedges cl p then begin
-                   c.nodes <- c.nodes + 1;
-                   halt_child ~crash:false p cl
-                     { Faults.proc = p; kind = Faults.Wedge }
-                     0 trace_rev st tid
+                   let d = { Faults.proc = p; kind = Faults.Wedge } in
+                   if counted || on_path ev d trace_rev then begin
+                     c.nodes <- c.nodes + inc;
+                     halt_child ~crash:false p cl d 0 trace_rev st tid
+                   end
                  end
                  else
                    match Array.unsafe_get cl.ck p with
                    | 0 ->
-                     c.nodes <- c.nodes + 1;
-                     ret_child p cl
-                       (if opts.por then 1 lsl p else -1)
-                       (Array.unsafe_get cl.cnode p)
-                       child_sleep trace_rev st tid
+                     if counted || on_path ev (dec p 0) trace_rev then begin
+                       c.nodes <- c.nodes + inc;
+                       ret_child p cl
+                         (if opts.por then 1 lsl p else -1)
+                         (Array.unsafe_get cl.cnode p)
+                         child_sleep trace_rev st tid
+                     end
                    | k ->
                      let node = Array.unsafe_get cl.cnode p in
                      let row = row_of cl p in
@@ -1377,13 +1339,16 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
                      let next = row.Step_table.next
                      and resps = row.Step_table.resps in
                      for j = 0 to n_alts - 1 do
-                       c.nodes <- c.nodes + 1;
-                       acc_child p cl child_dirty node (k = 2) obj
-                         (Array.unsafe_get next j)
-                         (Array.unsafe_get resps j)
-                         (dec p j) child_sleep trace_rev st tid
+                       let d = dec p j in
+                       if counted || on_path ev d trace_rev then begin
+                         c.nodes <- c.nodes + inc;
+                         acc_child p cl child_dirty node (k = 2) obj
+                           (Array.unsafe_get next j)
+                           (Array.unsafe_get resps j)
+                           d child_sleep trace_rev st tid
+                       end
                      done);
-                if faulty then fault_children p cl trace_rev st tid;
+                if faulty then fault_children ev p cl trace_rev st tid;
                 explored := !explored lor (1 lsl p)
               end
             end
@@ -1391,31 +1356,36 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
           if recs <> 0 then
             for p = 0 to n_procs - 1 do
               if recs land (1 lsl p) <> 0 then begin
-                c.nodes <- c.nodes + 1;
-                recover_child p cl
-                  { Faults.proc = p; kind = Faults.Recover }
-                  0 trace_rev st tid
+                let d = { Faults.proc = p; kind = Faults.Recover } in
+                if counted || on_path ev d trace_rev then begin
+                  c.nodes <- c.nodes + inc;
+                  recover_child p cl d 0 trace_rev st tid
+                end
               end
             done
         end
     end
-  (* [p]'s glitched reads, then its crash. *)
-  and fault_children p cl trace_rev st tid =
+  (* [p]'s glitched reads, then its crash, at the node of depth [ev]. *)
+  and fault_children ev p cl trace_rev st tid =
+    let counted = ev >= plen in
+    let inc = Bool.to_int counted in
     if !glitches_left > 0 then begin
       let node, fresh, obj, rcs = glitch_alts p in
       List.iteri
         (fun i rc ->
-          c.nodes <- c.nodes + 1;
-          glitch_child p cl node fresh obj rc
-            { Faults.proc = p; kind = Faults.Glitch i }
-            0 trace_rev st tid)
+          let d = { Faults.proc = p; kind = Faults.Glitch i } in
+          if counted || on_path ev d trace_rev then begin
+            c.nodes <- c.nodes + inc;
+            glitch_child p cl node fresh obj rc d 0 trace_rev st tid
+          end)
         rcs
     end;
     if !crashes_left > 0 then begin
-      c.nodes <- c.nodes + 1;
-      halt_child ~crash:true p cl
-        { Faults.proc = p; kind = Faults.Crash }
-        0 trace_rev st tid
+      let d = { Faults.proc = p; kind = Faults.Crash } in
+      if counted || on_path ev d trace_rev then begin
+        c.nodes <- c.nodes + inc;
+        halt_child ~crash:true p cl d 0 trace_rev st tid
+      end
     end
   (* A fresh operation whose program returns without touching a base object:
      one completion child, no object mutation. *)
@@ -1624,95 +1594,17 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     incr recoveries_left;
     crashed := !crashed lor (1 lsl p);
     if keyed then put_term p s_rhi s_rlo
-  (* Apply prefix decision [ev] with the edge it names, after checking it the
-     way {!Exec.replay} does (and, in listing mode, listing its siblings).
-     Only a resumed checkpoint can carry a prefix that fails the check, and
-     those are all materialized before anything is explored. *)
-  and descend ev sleep trace_rev st =
-    let d = Array.unsafe_get prefix ev in
-    let p = d.Faults.proc in
-    let bad fmt =
-      Fmt.kstr (fun s -> invalid_arg ("Explore.run: cannot resume: " ^ s)) fmt
-    in
-    if p < 0 || p >= n_procs then bad "replay: no process %d" p;
-    if ev >= fuel then bad "replay: event %d is past the fuel" ev;
-    let sleep =
-      match listing with
-      | Some l when ev >= l.from -> list_siblings l ev sleep trace_rev d
-      | _ -> sleep
-    in
-    let bit = 1 lsl p in
-    let enabled = has_work p && (!crashed lor !stuck) land bit = 0 in
-    let need_enabled () =
-      if not enabled then
-        bad "replay: process %d not enabled at event %d" p ev
-    in
-    let cl = cls_at ev in
-    let classify () =
-      classify_into cl p;
-      prestep cl p
-    in
-    match d.Faults.kind with
-    | Faults.Step i -> (
-      need_enabled ();
-      match classify () with
-      | exception (Type_spec.Bad_step _ | Value.Type_error _) ->
-        if derail then
-          bad "replay: p%d wedges at event %d (expected p%d.x)" p ev p
-        else bad "replay: p%d cannot step at event %d" p ev
-      | () -> (
-        match Array.unsafe_get cl.ck p with
-        | 0 ->
-          if i <> 0 then
-            bad "replay: p%d has 1 alternative(s) at event %d, not %d" p ev
-              (i + 1);
-          ret_child p cl (-1) (Array.unsafe_get cl.cnode p) sleep trace_rev st
-            no_tid
-        | k ->
-          let row = row_of cl p in
-          if i < 0 || i >= row.Step_table.n_alts then
-            bad "replay: p%d has %d alternative(s) at event %d, not %d" p
-              row.Step_table.n_alts ev (i + 1);
-          acc_child p cl (-1)
-            (Array.unsafe_get cl.cnode p)
-            (k = 2)
-            (Array.unsafe_get cl.cobj p)
-            row.Step_table.next.(i) row.Step_table.resps.(i) d sleep trace_rev
-            st no_tid))
-    | Faults.Glitch i -> (
-      need_enabled ();
-      let node, fresh, obj, rcs =
-        if !glitches_left > 0 then glitch_alts p else (-1, false, 0, [])
-      in
-      match if i < 0 then None else List.nth_opt rcs i with
-      | Some rc ->
-        glitch_child p cl node fresh obj rc d sleep trace_rev st no_tid
-      | None ->
-        bad "replay: no glitch alternative %d for p%d at event %d" i p ev)
-    | Faults.Crash ->
-      if !crashes_left <= 0 then
-        bad "replay: crash budget exhausted at event %d" ev;
-      if not enabled then
-        bad "replay: cannot crash p%d at event %d (not enabled)" p ev;
-      halt_child ~crash:true p cl d sleep trace_rev st no_tid
-    | Faults.Recover ->
-      if
-        not
-          (!recoveries_left > 0 && !crashed land bit <> 0
-          && !stuck land bit = 0 && has_work p)
-      then bad "replay: cannot recover p%d at event %d" p ev;
-      recover_child p cl d sleep trace_rev st no_tid
-    | Faults.Wedge -> (
-      need_enabled ();
-      match classify () with
-      | exception (Type_spec.Bad_step _ | Value.Type_error _) ->
-        halt_child ~crash:false p cl d sleep trace_rev st no_tid
-      | () -> bad "replay: p%d does not wedge at event %d" p ev)
   in
   (* Every slot is re-initialized at the next borrow, so the pool is
      returned even when a cut or an exception unwinds the run. *)
   match go (cls_at 0) (-1) 0 [] t.root no_tid with
-  | () -> cc.cc_pool <- Some ms
+  | () ->
+    cc.cc_pool <- Some ms;
+    (* The prefix node of depth [!entered] has no child its decision names. *)
+    if !entered < plen then
+      invalid_arg
+        (Fmt.str "Explore.run: cannot resume: no child %a at event %d"
+           Faults.pp_decision prefix.(!entered) !entered)
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
     cc.cc_pool <- Some ms;
@@ -1752,11 +1644,8 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
     | Some reason -> invalid_arg ("Explore.run: cannot resume: " ^ reason)
     | None -> ())
   | None -> ());
-  (* Sleep sets reason about base accesses only; crashes, recoveries and
-     glitches are distinct transitions of the same process that they would
-     wrongly put to sleep, so POR is disabled whenever fault branching is
-     on. *)
-  let opts = { options with por = options.por && Faults.is_none faults } in
+  (* POR is off under any fault adversary. *)
+  let opts = { options with por = Checkpoint.por_runs options faults } in
   (* Symmetry narrows further: the implementation must declare its program
      process-oblivious, every base spec must be port-oblivious, and a user
      tracker disables the reduction outright — tracker state is caller

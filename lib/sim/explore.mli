@@ -70,10 +70,11 @@
     run of the implementation (see {!compiled_rows}).
     Crashes, recoveries, glitches and wedges are edges of the same kernel.
     A checkpoint, a resume or a cut changes nothing about the traversal:
-    a resumed subtree is entered by applying its decision-trace prefix in
-    place, each decision checked as {!Exec.replay} checks it, and a cut's
-    remainder is read off the DFS path once the run has stopped (see
-    {!run}). {!Exec.explore} stays the reference semantics the kernel is
+    a resumed subtree is entered by walking its decision-trace prefix with
+    the kernel's own expansion, which at each node enters only the child
+    the prefix names, and a cut's remainder is read off the DFS path by
+    the same walk once the run has stopped (see {!run}). A node's children
+    and their order are stated once, in the kernel. {!Exec.explore} stays the reference semantics the kernel is
     tested against.
 
     The engine is sequential. A verification splits into independent
@@ -317,7 +318,7 @@ val run :
     for each depth of the path to it the siblings not yet explored, deepest
     first, each as the decision-trace prefix that reaches it — the order
     the uncut run would have explored them in. The remainder is derived
-    only when needed, by replaying the path once. Its counts include the
+    only when needed, by walking the path once more. Its counts include the
     edges to the listed siblings (and the siblings the sleep-set rule
     skips along the path), so under {!naive} the segments of a cut and
     resumed run visit exactly the uncut run's leaves and nodes, each once.
@@ -340,8 +341,9 @@ val run :
     [stats] and [completeness] — stitched across segments. Raises
     [Invalid_argument] if the checkpoint was taken for a different problem
     (engine options, fuel, adversary or workloads differ), if a frontier
-    prefix is not a path of the tree (each decision is checked as
-    {!Exec.replay} checks it, before anything is explored), or if combined
+    prefix is not a path of the tree (some decision names no child of the
+    node it is met at, among the children the run itself would explore
+    there; every prefix is walked before anything is explored), or if combined
     with a user [tracker] (tracker state cannot be serialized). A resumed
     prefix starts with an empty sleep set and an empty dedup table, so
     under reductions a resumed run explores a superset of what the uncut

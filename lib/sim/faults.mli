@@ -106,9 +106,9 @@ val equal : t -> t -> bool
 
 (** {1 Shared line codec}
 
-    The fault lines of the wfc-witness/1 text format, factored out so the
-    checkpoint format ({!Checkpoint}) reuses the same codec rather than
-    inventing a second one. *)
+    The fault lines of the wfc-witness/1 text format: {!Witness} and the
+    checkpoint format ({!Checkpoint}) both print and parse them with these
+    functions, so the two formats have one codec. *)
 
 val field_of_values : Value.t list -> string
 (** ['|']-separated value list, the field convention shared by workload

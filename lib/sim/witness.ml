@@ -191,40 +191,17 @@ let to_string w =
   let line fmt = Fmt.kstr (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "%s" header;
   List.iter (fun (k, v) -> line "meta %s %s" k v) w.meta;
-  line "faults crashes=%d recoveries=%d glitches=%d" w.faults.Faults.max_crashes
-    w.faults.Faults.max_recoveries w.faults.Faults.max_glitches;
-  List.iter
-    (fun (obj, d) ->
-      match d with
-      | Faults.Stale_reads depth -> line "degrade %d stale %d" obj depth
-      | Faults.Safe_reads domain ->
-        line "degrade %d safe %s" obj
-          (String.concat "|" (List.map Value.to_string domain)))
-    w.faults.Faults.degraded;
+  line "%s" (Faults.budgets_line w.faults);
+  List.iter (fun d -> line "%s" (Faults.degrade_line d)) w.faults.Faults.degraded;
   Array.iteri
     (fun p wl ->
       if wl = [] then line "workload %d" p
-      else
-        line "workload %d %s" p
-          (String.concat "|" (List.map Value.to_string wl)))
+      else line "workload %d %s" p (Faults.field_of_values wl))
     w.workloads;
   line "trace %s" (Faults.trace_to_string w.trace);
   Buffer.contents buf
 
 let ( let* ) = Result.bind
-
-let parse_values s =
-  let parts =
-    if String.trim s = "" then []
-    else String.split_on_char '|' s |> List.map String.trim
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | part :: rest ->
-      let* v = Value.of_string part in
-      go (v :: acc) rest
-  in
-  go [] parts
 
 let of_string s =
   let lines =
@@ -242,6 +219,7 @@ let of_string s =
         ( String.sub l 0 i,
           String.trim (String.sub l (i + 1) (String.length l - i - 1)) )
     in
+    let located r = Result.map_error (fun e -> "Witness.of_string: " ^ e) r in
     let meta = ref [] in
     let budgets = ref (0, 0, 0) in
     let degraded = ref [] in
@@ -256,45 +234,19 @@ let of_string s =
           let k, v = split2 body in
           meta := (k, v) :: !meta;
           go rest
-        | "faults" -> (
-          let fields =
-            String.split_on_char ' ' body
-            |> List.filter (fun w -> w <> "")
-            |> List.filter_map (fun w ->
-                   match String.split_on_char '=' w with
-                   | [ k; v ] -> Option.map (fun n -> (k, n)) (int_of_string_opt v)
-                   | _ -> None)
-          in
-          match
-            ( List.assoc_opt "crashes" fields,
-              List.assoc_opt "recoveries" fields,
-              List.assoc_opt "glitches" fields )
-          with
-          | Some c, Some r, Some g ->
-            budgets := (c, r, g);
-            go rest
-          | _ -> Error (Fmt.str "Witness.of_string: bad faults line %S" l))
-        | "degrade" -> (
-          match String.split_on_char ' ' body with
-          | obj :: "stale" :: [ depth ] -> (
-            match (int_of_string_opt obj, int_of_string_opt depth) with
-            | Some obj, Some depth ->
-              degraded := (obj, Faults.Stale_reads depth) :: !degraded;
-              go rest
-            | _ -> Error (Fmt.str "Witness.of_string: bad degrade line %S" l))
-          | obj :: "safe" :: domain -> (
-            match int_of_string_opt obj with
-            | Some obj ->
-              let* vs = parse_values (String.concat " " domain) in
-              degraded := (obj, Faults.Safe_reads vs) :: !degraded;
-              go rest
-            | None -> Error (Fmt.str "Witness.of_string: bad degrade line %S" l))
-          | _ -> Error (Fmt.str "Witness.of_string: bad degrade line %S" l))
+        | "faults" ->
+          let* budgets' = located (Faults.parse_budgets body) in
+          budgets := budgets';
+          go rest
+        | "degrade" ->
+          let* d = located (Faults.parse_degrade body) in
+          degraded := d :: !degraded;
+          go rest
         | "workload" -> (
           let idx, vals = split2 body in
           match int_of_string_opt idx with
           | Some p ->
-            let* vs = parse_values vals in
+            let* vs = located (Faults.values_of_field vals) in
             workloads := (p, vs) :: !workloads;
             go rest
           | None -> Error (Fmt.str "Witness.of_string: bad workload line %S" l))

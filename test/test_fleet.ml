@@ -710,6 +710,85 @@ let test_parity_chaos_mix () =
     "misses surfaced as degradation" true
     (fleet.Check.degraded >= stats.Coordinator.lease_misses)
 
+(* A coordinator that drops a connection on wire garbage may do so after
+   the worker wrote its lease's result into it: the write succeeded on the
+   worker's side and the result is lost, while the worker's reconnect
+   re-attaches the parked lease, which then waits out its expiry. So the
+   worker keeps its last result until its next lease and sends it again
+   after a reconnect's Hello. A scripted coordinator plays the other side:
+   it takes the result, closes the connection, and expects the result again
+   on the next one. *)
+let test_result_resent_after_reconnect () =
+  let module Transport = Wfc_fleet.Transport in
+  let socket = fresh_socket () in
+  let addr = Result.get_ok (Transport.parse socket) in
+  let listener = Transport.listen addr in
+  let pids = Local.spawn ~addr:socket 1 in
+  Fun.protect ~finally:(fun () ->
+      Local.shutdown pids;
+      Transport.close_noerr listener;
+      Transport.unlink_noerr addr)
+  @@ fun () ->
+  let within = 10. in
+  let rec accept deadline =
+    if Unix.gettimeofday () > deadline then Alcotest.fail "no connection";
+    match Unix.select [ listener ] [] [] 0.1 with
+    | [], _, _ -> accept deadline
+    | _ -> (
+      match Transport.accept listener with
+      | Some fd -> fd
+      | None -> accept deadline)
+  in
+  (* the next message other than a heartbeat *)
+  let rec next fd frames deadline =
+    match Codec.Frames.pop frames with
+    | Ok (Some (Codec.Heartbeat _)) -> next fd frames deadline
+    | Ok (Some msg) -> msg
+    | Error e -> Alcotest.fail e
+    | Ok None ->
+      if Unix.gettimeofday () > deadline then
+        Alcotest.fail "no message but heartbeats";
+      (match Unix.select [ fd ] [] [] 0.1 with
+      | [], _, _ -> ()
+      | _ ->
+        if Codec.Frames.read_from frames fd = 0 then
+          Alcotest.fail "the worker closed the connection");
+      next fd frames deadline
+  in
+  let connection () =
+    let fd = accept (Unix.gettimeofday () +. within) in
+    let frames = Codec.Frames.create () in
+    (match next fd frames (Unix.gettimeofday () +. within) with
+    | Codec.Hello _ -> ()
+    | _ -> Alcotest.fail "expected a Hello first");
+    (fd, frames)
+  in
+  let result fd frames =
+    match next fd frames (Unix.gettimeofday () +. within) with
+    | Codec.Result { shard = 7; outcome = Codec.Done ck } -> ck
+    | _ -> Alcotest.fail "expected shard 7's result"
+  in
+  let impl = impl_of "sticky" 3 in
+  let v = List.hd (Check.vectors impl) in
+  let job =
+    Checkpoint.make
+      ~meta:(Protocols.meta ~name:"sticky" ~procs:3)
+      ~engine:Wfc_sim.Explore.fast ~fuel:Wfc_sim.Explore.default_fuel
+      ~faults:Faults.none ~workloads:v.Check.workloads
+      ~counts:(Checkpoint.zero_counts ~n_objs:1)
+      ~frontier:[ [] ] ()
+  in
+  let c1, f1 = connection () in
+  Codec.write c1
+    (Codec.Lease { shard = 7; lease_s = 30.; quantum = 1_000_000; job });
+  let first = result c1 f1 in
+  Transport.close_noerr c1;
+  let c2, f2 = connection () in
+  let again = result c2 f2 in
+  Transport.close_noerr c2;
+  Alcotest.(check string) "the same result"
+    (Checkpoint.to_string first) (Checkpoint.to_string again)
+
 (* A flush that fails never ends the run: a directory at the checkpoint's
    path makes every save fail at its rename. Periodic flushes (interval 0)
    are reported and the run goes on to its verdict; a cut's final flush
@@ -1077,5 +1156,8 @@ let () =
             test_budget_ends_on_a_vector;
           Alcotest.test_case "a failed flush never ends the run" `Quick
             test_failed_flush;
+          Alcotest.test_case "a result written into a dropped connection is \
+                              re-sent"
+            `Quick test_result_resent_after_reconnect;
         ] );
     ]

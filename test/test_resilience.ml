@@ -218,6 +218,24 @@ let test_resume_refuses_other_mode () =
       | exception Invalid_argument _ -> ())
     [ Explore.Off; Explore.Exact ]
 
+(* [wfc checkpoint info] names the reductions that ran: a fault adversary
+   runs without POR whatever the options asked. *)
+let test_engine_summary () =
+  let summary engine faults =
+    Checkpoint.engine_summary
+      (Checkpoint.make ~engine ~fuel:Explore.default_fuel ~faults
+         ~workloads:workloads3
+         ~counts:(Checkpoint.zero_counts ~n_objs:1)
+         ~frontier:[] ())
+  in
+  Alcotest.(check string) "fast, no adversary" "dedup=symmetric por=on"
+    (summary Explore.fast Faults.none);
+  Alcotest.(check string) "fast under crashes"
+    "dedup=symmetric por=off (fault adversary)"
+    (summary Explore.fast (Faults.crashes 1));
+  Alcotest.(check string) "naive under crashes" "dedup=off por=off"
+    (summary Explore.naive (Faults.crashes 1))
+
 let contains s sub =
   let n = String.length sub in
   let rec go i =
@@ -225,48 +243,78 @@ let contains s sub =
   in
   go 0
 
-(* A frontier prefix must be a path of the tree, checked decision by
-   decision the way [Exec.replay] checks a witness: [p1.x] wedges a process
-   that steps fine, [p0.c p0.s0] steps a crashed process, and
-   [p0.s0 p1.x p1.s0] wedges one mid-path, and [p0.c p0.r] recovers with no
-   recovery budget. Resuming any of them would skip or invent subtrees, so
-   each is refused. *)
+(* A frontier prefix must be a path of the tree: each decision must name a
+   child the run itself would explore at the node it is met at. [p1.x]
+   wedges a process that steps fine, [p0.c p0.s0] steps a crashed process,
+   [p0.s0 p1.x p1.s0] wedges one mid-path, [p0.c p0.r] recovers with no
+   recovery budget, [p9.s0] names no process, [p0.s7] no alternative,
+   [p0.g0] a glitch with no glitch budget, and [p0.r] under a recovery
+   budget recovers a live process; a complete execution followed by
+   [p0.s0] steps past a leaf, and a prefix one decision longer than the
+   fuel steps past it. Resuming any of them would skip or invent subtrees,
+   so each is refused before a single leaf is visited. *)
 let test_resume_refuses_bad_frontier () =
   let impl = Protocols.from_cas ~procs:2 () in
-  let faults = Faults.crashes 1 in
   let workloads =
     match List.rev (Check.vectors ~repeat:false impl) with
     | v :: _ -> v.Check.workloads
     | [] -> Alcotest.fail "no input vectors"
   in
-  List.iter
-    (fun text ->
-      let trace =
-        match Faults.trace_of_string text with
-        | Ok tr -> tr
-        | Error e -> Alcotest.fail e
-      in
-      let ck =
-        Checkpoint.make ~engine:Explore.fast ~fuel:Explore.default_fuel ~faults
-          ~workloads
-          ~counts:
-            (Checkpoint.zero_counts
-               ~n_objs:(Array.length impl.Wfc_program.Implementation.objects))
-          ~frontier:[ trace ] ()
-      in
-      match
-        Explore.run impl ~workloads ~faults ~options:Explore.fast
-          ~resume_from:ck ()
-      with
-      | s ->
-        Alcotest.failf "frontier %S resumed to %d nodes, %d leaves" text
-          s.Explore.nodes s.Explore.leaves
-      | exception Invalid_argument msg ->
-        Alcotest.(check bool)
-          (Fmt.str "%S refused: %s" text msg)
-          true
-          (contains msg "cannot resume"))
-    [ "p1.x"; "p0.c p0.s0"; "p0.s0 p1.x p1.s0"; "p0.c p0.r" ]
+  let refused ?(fuel = Explore.default_fuel) faults text =
+    let trace =
+      match Faults.trace_of_string text with
+      | Ok tr -> tr
+      | Error e -> Alcotest.fail e
+    in
+    let ck =
+      Checkpoint.make ~engine:Explore.fast ~fuel ~faults ~workloads
+        ~counts:
+          (Checkpoint.zero_counts
+             ~n_objs:(Array.length impl.Wfc_program.Implementation.objects))
+        ~frontier:[ trace ] ()
+    in
+    let leaves = ref 0 in
+    match
+      Explore.run impl ~workloads ~fuel ~faults ~options:Explore.fast
+        ~on_leaf_trace:(fun _ _ -> incr leaves)
+        ~resume_from:ck ()
+    with
+    | s ->
+      Alcotest.failf "frontier %S resumed to %d nodes, %d leaves" text
+        s.Explore.nodes s.Explore.leaves
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Fmt.str "%S refused: %s" text msg)
+        true
+        (contains msg "cannot resume");
+      Alcotest.(check int) (Fmt.str "%S: no leaf visited" text) 0 !leaves
+  in
+  let crashes = Faults.crashes 1 in
+  List.iter (refused crashes)
+    [
+      "p1.x";
+      "p0.c p0.s0";
+      "p0.s0 p1.x p1.s0";
+      "p0.c p0.r";
+      "p9.s0";
+      "p0.s7";
+      "p0.g0";
+    ];
+  refused (Faults.crash_recovery ~crashes:1 ~recoveries:1) "p0.r";
+  (* the first complete execution, all steps in pid order *)
+  let complete =
+    let first = ref None in
+    ignore
+      (Explore.run impl ~workloads ~options:Explore.naive
+         ~on_leaf_trace:(fun tr _ -> if !first = None then first := Some tr)
+         ()
+        : Explore.stats);
+    match !first with
+    | Some tr -> Faults.trace_to_string tr
+    | None -> Alcotest.fail "no leaf"
+  in
+  refused crashes (complete ^ " p0.s0");
+  refused ~fuel:2 crashes "p0.s0 p0.s0 p1.s0"
 
 let test_checkpoint_missing_directory () =
   (* a path in a missing directory is refused by name before any search,
@@ -374,7 +422,13 @@ let gen_faults =
           Faults.max_crashes = c;
           max_recoveries = r;
           max_glitches = g;
-          degraded = (if g > 0 then [ (0, Faults.Stale_reads 1) ] else []);
+          degraded =
+            (if g > 0 then
+               [
+                 (0, Faults.Stale_reads 1);
+                 (1, Faults.Safe_reads [ Value.int 0; Value.truth; Value.unit ]);
+               ]
+             else []);
         })
       (int_bound 2) (int_bound 2) (int_bound 2))
 
@@ -412,6 +466,47 @@ let prop_witness_of_string_total =
       | Ok _ | Error _ -> true
       | exception e ->
         QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* The wfc-witness/1 bytes of a witness with both degradations and empty
+   workloads, which print as a bare [workload N] line; parsing them gives
+   back the same witness. *)
+let test_witness_bytes () =
+  let w =
+    Witness.make ~meta:[ ("protocol", "cas") ]
+      ~workloads:[| []; [ Ops.propose Value.truth; Ops.read ]; [] |]
+      ~faults:
+        (Faults.degrade ~glitches:2
+           [
+             (0, Faults.Stale_reads 2);
+             (1, Faults.Safe_reads [ Value.int 0; Value.truth; Value.unit ]);
+           ])
+      [
+        { Faults.proc = 1; kind = Faults.Step 0 };
+        { Faults.proc = 1; kind = Faults.Glitch 1 };
+      ]
+  in
+  let bytes =
+    "wfc-witness/1\n\
+     meta protocol cas\n\
+     faults crashes=0 recoveries=0 glitches=2\n\
+     degrade 0 stale 2\n\
+     degrade 1 safe 0|true|()\n\
+     workload 0\n\
+     workload 1 (propose, true)|read\n\
+     workload 2\n\
+     trace p1.s0 p1.g1\n"
+  in
+  Alcotest.(check string) "bytes" bytes (Witness.to_string w);
+  match Witness.of_string bytes with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok w' ->
+    Alcotest.(check bool) "same faults" true
+      (Faults.equal w.Witness.faults w'.Witness.faults);
+    Alcotest.(check bool) "same workloads and trace" true
+      (Array.for_all2 (List.equal Value.equal) w.Witness.workloads
+         w'.Witness.workloads
+      && w.Witness.trace = w'.Witness.trace
+      && w.Witness.meta = w'.Witness.meta)
 
 let test_witness_targeted_corruption () =
   let w =
@@ -785,6 +880,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_witness_of_string_total;
           Alcotest.test_case "targeted corruption" `Quick
             test_witness_targeted_corruption;
+          Alcotest.test_case "bytes of degraded and empty workloads" `Quick
+            test_witness_bytes;
         ] );
       ( "checkpoint/resume",
         [
@@ -796,6 +893,8 @@ let () =
             test_resume_refuses_other_mode;
           Alcotest.test_case "resume refuses bad frontiers" `Quick
             test_resume_refuses_bad_frontier;
+          Alcotest.test_case "info names the reductions that ran" `Quick
+            test_engine_summary;
         ] );
       ( "memory watchdog",
         [
