@@ -196,14 +196,20 @@ let from_cas_ids ~procs () =
 let names =
   [ "tas"; "faa"; "swap"; "queue"; "cas"; "cas-ids"; "sticky"; "broken" ]
 
+(* A builder for [procs] processes, refused below the protocol's minimum. *)
+let at_least name ~min ~procs build =
+  if procs < min then
+    Error (Fmt.str "%s needs at least %d process(es), got %d" name min procs)
+  else Ok (build ~procs ())
+
 let of_name ?(procs = 2) = function
   | "tas" -> Ok (from_tas ())
   | "faa" -> Ok (from_faa ())
   | "swap" -> Ok (from_swap ())
   | "queue" -> Ok (from_queue ())
-  | "cas" -> Ok (from_cas ~procs ())
-  | "cas-ids" -> Ok (from_cas_ids ~procs ())
-  | "sticky" -> Ok (from_sticky ~procs ())
+  | "cas" -> at_least "cas" ~min:1 ~procs from_cas
+  | "cas-ids" -> at_least "cas-ids" ~min:2 ~procs from_cas_ids
+  | "sticky" -> at_least "sticky" ~min:1 ~procs from_sticky
   | "broken" -> Ok (broken_register_only ())
   | p ->
     Error (Fmt.str "unknown protocol %s (try: %s)" p (String.concat ", " names))

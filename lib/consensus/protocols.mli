@@ -65,7 +65,9 @@ val names : string list
 
 val of_name : ?procs:int -> string -> (Implementation.t, string) result
 (** Build a protocol by its CLI name ([procs] defaults to 2 and only
-    matters for cas/cas-ids/sticky). The one name table shared by the CLI,
+    matters for cas/cas-ids/sticky). [Error] on an unknown name and on a
+    count below the protocol's minimum: 1 for cas and sticky, 2 for
+    cas-ids. The one name table shared by the CLI,
     witness replay and the fleet workers, so a serialized job always
     rebuilds the implementation it was created from. *)
 

@@ -218,13 +218,16 @@ let ops_cons ist ~op_index ~res ~steps ops =
 
    A compiled context's programs, held as ids. A node id names a program
    node met through the table. The node itself gives an [Invoke]'s object,
-   invocation and continuation; a [Return] entry also holds its result's
-   cell and its local's number, both made when the entry is made. A local
+   invocation and continuation; an [Invoke] entry also holds its
+   invocation's cell, and a [Return] entry its result's cell and its
+   local's number, all made when the entry is made. A local
    is numbered once ([Intern.Numbering]), and its number gives the value
    back by an array load, the way an object's state number does in its
    step table. A row ⟨node id, response cell id⟩ gives the successor's
    node id, and a top ⟨pid, invocation cell id, local number⟩ the node a
-   fresh operation starts at. Programs are deterministic functions of ⟨pid, invocation,
+   fresh operation starts at; an object's step table keys its rows on the
+   invocation cell too, so every node that invokes an equal invocation
+   shares one step row. Programs are deterministic functions of ⟨pid, invocation,
    local⟩ and continuations of their response, so a row is made once and
    reused by every later visit, of any run of the implementation. A program
    or continuation that raises makes no row, so its [Bad_step] or
@@ -238,7 +241,8 @@ module Ptable = struct
   type t = {
     ist : I.state;
     mutable nodes : node array;
-    mutable res : I.cell array;  (* a [Return]'s result *)
+    mutable cell : I.cell array;
+        (* an [Invoke]'s invocation, a [Return]'s result *)
     mutable loc : int array;  (* a [Return]'s local, as its number *)
     mutable n : int;
     rows : Imap.t;  (* ⟨node id, response cell id⟩ → node id *)
@@ -252,7 +256,7 @@ module Ptable = struct
     {
       ist;
       nodes = Array.make 64 dummy;
-      res = Array.make 64 (I.unit ist);
+      cell = Array.make 64 (I.unit ist);
       loc = Array.make 64 0;
       n = 0;
       rows = Imap.create 64;
@@ -271,7 +275,7 @@ module Ptable = struct
       Array.init cap (fun i -> if i < pt.n then a.(i) else fill)
     in
     pt.nodes <- extend pt.nodes dummy;
-    pt.res <- extend pt.res (I.unit pt.ist);
+    pt.cell <- extend pt.cell (I.unit pt.ist);
     pt.loc <- extend pt.loc 0
 
   (* A fresh entry for [node]. *)
@@ -281,14 +285,14 @@ module Ptable = struct
     pt.nodes.(id) <- node;
     (match node with
     | Program.Return (res, local) ->
-      pt.res.(id) <- I.intern pt.ist res;
+      pt.cell.(id) <- I.intern pt.ist res;
       pt.loc.(id) <- local_id pt local
-    | Program.Invoke _ -> ());
+    | Program.Invoke { inv; _ } -> pt.cell.(id) <- I.intern pt.ist inv);
     pt.n <- id + 1;
     id
 
   let node pt id = Array.unsafe_get pt.nodes id
-  let res pt id = Array.unsafe_get pt.res id
+  let cell pt id = Array.unsafe_get pt.cell id
   let loc pt id = Array.unsafe_get pt.loc id
 
   (* The successor of [Invoke] entry [id] on response cell [rc]. *)
@@ -1054,12 +1058,12 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     | Program.Return _ ->
       Array.unsafe_set cl.ck p 0;
       Array.unsafe_set cl.cnode p node
-    | Program.Invoke { obj; inv; _ } ->
+    | Program.Invoke { obj; _ } ->
       (* bounds-checked on purpose: validates [obj] for the whole frame *)
       let tbl = tables.(obj) in
       let r =
         Step_table.row_id tbl (Array.unsafe_get objs obj)
-          ~port:(port_of cc p obj) ~inv
+          ~port:(port_of cc p obj) ~inv:(Ptable.cell pt node)
       in
       let row = Step_table.row tbl r in
       Array.unsafe_set cl.ck p (if fresh then 2 else 1);
@@ -1390,7 +1394,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
   (* A fresh operation whose program returns without touching a base object:
      one completion child, no object mutation. *)
   and ret_child p cl child_dirty node child_sleep trace_rev st tid =
-    let res = Ptable.res pt node and local' = Ptable.loc pt node in
+    let res = Ptable.cell pt node and local' = Ptable.loc pt node in
     let tr = dec p 0 :: trace_rev in
     let s_nextop = Array.unsafe_get next_op p
     and s_local = Array.unsafe_get local p in
@@ -1466,7 +1470,7 @@ let run_compiled impl ~wl ~(opts : options) ~(faults : Faults.t) ~fuel
     let completed =
       match Ptable.node pt next with
       | Program.Return _ ->
-        let res = Ptable.res pt next and local' = Ptable.loc pt next in
+        let res = Ptable.cell pt next and local' = Ptable.loc pt next in
         let op =
           {
             Exec.proc = p;

@@ -373,4 +373,6 @@ val compiled_rows : Implementation.t -> int * int
     rows compiled so far for the implementation in this domain's compiled
     context, or [(0, 0)] if it has none. A run compiles an entry or a row
     the first time it meets it, so re-running the same workloads compiles
-    neither. Observability only. *)
+    neither. A step row stands for one ⟨object state, port, invocation⟩,
+    keyed on the invocation's interned cell: program entries that build
+    equal invocations share it. Observability only. *)

@@ -5,11 +5,12 @@
 
    The table numbers the states it meets densely ([Intern.Numbering]): the
    root a caller hands in and every successor of a compiled row. A state is
-   its number, a row is its index in [rows], and the hot path is one array
-   load on ⟨state, port⟩ plus a physical scan over the few invocations live
-   on that pair: no hashing, and nothing the caller stores is a pointer.
-   Every response handed out is the canonical cell of its intern state, so
-   physical equality downstream is structural equality. *)
+   its number, a row is its index in [rows], and the hot path is one
+   [Value.Imap] probe on ⟨state·ports + port, invocation cell id⟩ — the id
+   pairs the engine's program table keys its rows on — so one row stands
+   for every copy of an invocation, and nothing the caller stores is a
+   pointer. Every response handed out is the canonical cell of its intern
+   state, so physical equality downstream is structural equality. *)
 
 module I = Value.Intern
 
@@ -23,52 +24,31 @@ type row = {
   pure_read : bool;  (* deterministic and leaves the state unchanged *)
 }
 
-(* Rows are keyed on the *physical* invocation value. The compiled engine
-   hands in invocations straight off the program nodes its program table
-   keeps (hence physically stable); [alternatives] hands in the canonical
-   interned representative. Structurally equal but physically distinct
-   invocations just compile duplicate rows — sound, since rows are a pure
-   function of the structure, and rare enough not to matter. Distinct
-   invocations per (object, port, state) are few, so a physical scan beats
-   hashing. *)
 type t = {
   spec : Type_spec.t;
   ist : I.state;
   ports : int;
   states : I.Numbering.t;
-  mutable live : (Value.t * int) list array;
-      (* [s * ports + port]: the ⟨invocation, row⟩ pairs compiled there *)
+  index : Value.Imap.t;  (* ⟨s * ports + port, invocation cell id⟩ → row *)
   mutable rows : row array;
   mutable n_rows : int;  (* rows compiled so far (misses) *)
 }
 
 let create ?ist spec =
   let ist = match ist with Some s -> s | None -> I.create () in
-  let ports = max 1 spec.Type_spec.ports in
   {
     spec;
     ist;
-    ports;
+    ports = max 1 spec.Type_spec.ports;
     states = I.Numbering.create ();
-    live = Array.make (8 * ports) [];
+    index = Value.Imap.create 8;
     rows = [||];
     n_rows = 0;
   }
 
 let intern_state t = t.ist
 let compiled_rows t = t.n_rows
-
-(* Number [qc], making room for its row lists. *)
-let state t qc =
-  let s = I.Numbering.number t.states qc in
-  let need = (s + 1) * t.ports in
-  if need > Array.length t.live then begin
-    let live = Array.make (2 * need) [] in
-    Array.blit t.live 0 live 0 (Array.length t.live);
-    t.live <- live
-  end;
-  s
-
+let state t qc = I.Numbering.number t.states qc
 let value t s = I.value (I.Numbering.cell t.states s)
 let row t r = t.rows.(r)
 
@@ -95,7 +75,7 @@ let compile_row t s ~port ~inv =
   { alts; next; resps; n_alts = n; det; pure_read = det && next.(0) = s }
 
 let miss t s ~port ~inv =
-  let row = compile_row t s ~port ~inv in
+  let row = compile_row t s ~port ~inv:(I.value inv) in
   let r = t.n_rows in
   if r = Array.length t.rows then begin
     let rows = Array.make (max 8 (2 * r)) row in
@@ -104,8 +84,7 @@ let miss t s ~port ~inv =
   end;
   t.rows.(r) <- row;
   t.n_rows <- r + 1;
-  let i = (s * t.ports) + port in
-  t.live.(i) <- (inv, r) :: t.live.(i);
+  Value.Imap.add t.index ((s * t.ports) + port) (I.id inv) r;
   r
 
 let row_id t s ~port ~inv =
@@ -117,14 +96,9 @@ let row_id t s ~port ~inv =
             spec.Type_spec.ports));
   if s < 0 || s >= I.Numbering.length t.states then
     invalid_arg "Step_table.row_id: not a state of this table";
-  let rec find = function
-    | [] -> miss t s ~port ~inv
-    | (i, r) :: rest -> if i == inv then r else find rest
-  in
-  find (Array.unsafe_get t.live ((s * t.ports) + port))
+  let r = Value.Imap.find t.index ((s * t.ports) + port) (I.id inv) in
+  if r >= 0 then r else miss t s ~port ~inv
 
 let alternatives t q ~port ~inv =
-  (row t
-     (row_id t (state t (I.intern t.ist q)) ~port
-        ~inv:(I.value (I.intern t.ist inv))))
+  (row t (row_id t (state t (I.intern t.ist q)) ~port ~inv:(I.intern t.ist inv)))
     .alts

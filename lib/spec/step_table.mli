@@ -5,8 +5,8 @@
     per distinct (state, port, invocation) triple: the first visit runs the
     closure, interns the resulting successor/response pairs into the table's
     {!Value.Intern.state}, and caches the row; every later visit is one
-    array load on ⟨state, port⟩ plus a physical scan over the few
-    invocations live there.
+    {!Value.Imap} probe on ⟨state, port⟩ and the invocation's cell id. The
+    key is structural: every copy of an invocation finds the same row.
 
     A table numbers the states it meets densely: the ones a caller hands to
     {!state} and every successor of a compiled row. The exploration engine
@@ -62,17 +62,14 @@ val value : t -> int -> Value.t
 (** The value of a state number; [Invalid_argument] on a number the table
     never gave. *)
 
-val row_id : t -> int -> port:int -> inv:Value.t -> int
+val row_id : t -> int -> port:int -> inv:I.cell -> int
 (** [row_id t s ~port ~inv] is the number of the compiled row for state
-    number [s] under invocation [inv] on [port], compiling it on a miss.
-    Rows are keyed on the {e physical} identity of [inv]: callers should
-    hand in a stable representative (the invocation of a program node the
-    caller keeps, or the canonical interned value) so repeat lookups hit; a
-    structurally equal but physically fresh [inv] merely compiles a
-    duplicate row. Raises [Type_spec.Bad_step] on an out-of-range port
-    (same message as the interpreted path) and [Invalid_argument] on a
-    state number the table never gave; a [Bad_step] raised by the spec's
-    transition itself propagates uncached. *)
+    number [s] under invocation [inv] (a cell of [intern_state t]) on
+    [port], compiling it on a miss. Raises [Type_spec.Bad_step] on an
+    out-of-range port (same message as the interpreted path) and
+    [Invalid_argument] on a state number the table never gave; a
+    [Bad_step] raised by the spec's transition itself propagates
+    uncached. *)
 
 val row : t -> int -> row
 (** The row of a number {!row_id} returned. *)

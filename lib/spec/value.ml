@@ -205,7 +205,7 @@ module Imap = struct
   let create cap = { keys = Array.make cap 0; vals = Array.make cap (-1); count = 0 }
 
   (* One xor-shift-multiply round with a 63-bit odd constant. *)
-  let mix k =
+  let[@inline] mix k =
     let h = (k lxor (k lsr 31)) * 0x2545F4914F6CDD1D in
     h lxor (h lsr 29)
 
@@ -224,9 +224,19 @@ module Imap = struct
     done;
     !i
 
+  (* The probe written out, range check included: the kernel looks up a
+     step row, a program row or a top here on every edge, and a call to
+     [pack] and one to [slot] per lookup are a measurable share of it. *)
   let find t a b =
-    let key = pack a b in
-    Array.unsafe_get t.vals (slot t.keys t.vals key)
+    if (a lor b) lsr 31 <> 0 then
+      invalid_arg "Value.Imap: component out of range";
+    let key = (a lsl 31) lor b and keys = t.keys and vals = t.vals in
+    let mask = Array.length vals - 1 in
+    let i = ref (mix key land mask) in
+    while Array.unsafe_get vals !i >= 0 && Array.unsafe_get keys !i <> key do
+      i := (!i + 1) land mask
+    done;
+    Array.unsafe_get vals !i
 
   let put keys vals key v =
     let i = slot keys vals key in

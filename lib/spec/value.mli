@@ -70,7 +70,8 @@ module Set : Set.S with type elt = t
 (** Pairs ⟨a, b⟩ of ints in [\[0, 2{^31})] — ids — to non-negative ints,
     by open addressing (power-of-two capacity, linear probing, grown at
     half load). A hit allocates nothing. {!Intern} keeps its id-only tuples
-    in one, and the exploration kernel its program table's rows and tops.
+    in one, {!Step_table} its rows, and the exploration kernel its program
+    table's rows and tops.
     Every operation raises [Invalid_argument] on a component out of
     range. *)
 module Imap : sig

@@ -64,6 +64,28 @@ let test_repeat_invocations_cached () =
     Alcotest.(check int) "cached: zero accesses" 0 second.Wfc_sim.Exec.steps
   | _ -> Alcotest.fail "expected two ops")
 
+(* A count below a protocol's minimum is an [Error] naming the protocol, not
+   an exception out of its builder; the smallest allowed count builds. *)
+let test_of_name_refuses_counts () =
+  List.iter
+    (fun (name, procs) ->
+      match Protocols.of_name ~procs name with
+      | Ok _ -> Alcotest.failf "%s n=%d accepted" name procs
+      | Error e ->
+        Alcotest.(check bool) (Fmt.str "%s n=%d names it" name procs) true
+          (contains e name)
+      | exception e ->
+        Alcotest.failf "%s n=%d raised %s" name procs (Printexc.to_string e))
+    [ ("cas", 0); ("cas", -1); ("sticky", 0); ("cas-ids", 1); ("cas-ids", 0) ];
+  List.iter
+    (fun (name, procs) ->
+      match Protocols.of_name ~procs name with
+      | Ok impl ->
+        Alcotest.(check int) (Fmt.str "%s n=%d procs" name procs) procs
+          impl.Implementation.procs
+      | Error e -> Alcotest.failf "%s n=%d refused: %s" name procs e)
+    [ ("cas", 1); ("sticky", 1); ("cas-ids", 2) ]
+
 (* a deliberately non-wait-free "protocol": proc 0 decides and publishes,
    proc 1 spins until it sees the decision *)
 let spinning_consensus () =
@@ -654,6 +676,8 @@ let () =
           Alcotest.test_case "sticky n=4" `Quick test_sticky_four_procs;
           Alcotest.test_case "repeat invocations cached" `Quick
             test_repeat_invocations_cached;
+          Alcotest.test_case "of_name refuses impossible counts" `Quick
+            test_of_name_refuses_counts;
         ] );
       ( "impossibility (E11)",
         [

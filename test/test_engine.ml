@@ -368,6 +368,17 @@ let test_two_registers_compositional () =
       Fmt.(list bool)
       (oks results)
 
+(* Herlihy's universal construction over fetch-and-add mod 5 with the cells
+   the workloads need, and the workloads: process [p] fetch-adds each of
+   [addends.(p)]. *)
+let universal_faa addends =
+  let procs = Array.length addends in
+  let ops = List.length addends.(0) in
+  ( Wfc_consensus.Universal.construct
+      ~target:(Rmw.fetch_add_mod ~ports:procs ~modulus:5)
+      ~procs ~cells:((2 * procs * ops) + procs) (),
+    Array.map (List.map Ops.fetch_add) addends )
+
 (* Herlihy's universal construction over fetch-and-add mod 5 under the
    fused tracker, with every count of the run pinned: nodes, leaves,
    transitions, memo hits and frontier peak. The verdict alone does not see
@@ -378,14 +389,7 @@ let test_two_registers_compositional () =
 let test_universal_run_stats () =
   List.iter
     (fun (name, addends, (nodes, leaves, transitions, memo_hits, peak)) ->
-      let procs = Array.length addends in
-      let ops = List.length addends.(0) in
-      let impl =
-        Wfc_consensus.Universal.construct
-          ~target:(Rmw.fetch_add_mod ~ports:procs ~modulus:5)
-          ~procs ~cells:((2 * procs * ops) + procs) ()
-      in
-      let workloads = Array.map (List.map Ops.fetch_add) addends in
+      let impl, workloads = universal_faa addends in
       match Engine.verify impl ~workloads () with
       | Error v -> Alcotest.failf "%s: %a" name Engine.pp_violation v
       | Ok s ->
@@ -404,6 +408,20 @@ let test_universal_run_stats () =
       ("2x3", [| [ 1; 2; 3 ]; [ 4; 1; 2 ] |], (1671, 37, 136, 401, 2));
       ("3x2", [| [ 2; 2 ]; [ 3; 2 ]; [ 4; 3 ] |], (60363, 252, 1134, 14782, 6));
     ]
+
+(* The construction's continuations build their invocations ([propose],
+   [write]) afresh at every program node, so many nodes invoke equal
+   invocations. A step-table row is keyed on the invocation's structure:
+   the 3x2 job compiles one row per ⟨object state, port, invocation⟩ it
+   meets, however many nodes build that invocation. *)
+let test_universal_compiled_rows () =
+  let impl, workloads = universal_faa [| [ 2; 2 ]; [ 3; 2 ]; [ 4; 3 ] |] in
+  (match Engine.verify impl ~workloads () with
+  | Error v -> Alcotest.failf "3x2: %a" Engine.pp_violation v
+  | Ok _ -> ());
+  Alcotest.(check (pair int int))
+    "3x2: program entries, step-table rows" (1729, 200)
+    (Explore.compiled_rows impl)
 
 (* randomized differential test: implementation × workload × adversary,
    incremental (plain and compositional) vs the per-leaf oracle *)
@@ -467,6 +485,8 @@ let () =
             test_crash_adversary_all_modes;
           Alcotest.test_case "universal faa, pinned run stats" `Quick
             test_universal_run_stats;
+          Alcotest.test_case "universal faa, pinned compiled rows" `Quick
+            test_universal_compiled_rows;
         ] );
       ( "properties",
         [

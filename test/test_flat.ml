@@ -236,7 +236,9 @@ let prop_parity =
    order — on both the compiling first lookup and the cached second one.
    Disabled invocations (discipline-typed specs) agree on the empty list;
    out-of-range ports raise [Bad_step] on both sides. Nondeterministic
-   specs are in the sweep: rows cache the whole alternative list. *)
+   specs are in the sweep: rows cache the whole alternative list. A row is
+   keyed on the invocation's structure: a physically fresh copy of the
+   state and the invocation finds the same row and compiles nothing. *)
 
 let states_of (spec : Type_spec.t) =
   match spec.Type_spec.states with
@@ -272,7 +274,26 @@ let test_step_table_agrees_with_zoo () =
                   (Step_table.alternatives tbl q ~port ~inv);
                 (* second lookup hits the cached row *)
                 check_alts_equal ~msg:(msg ^ " (cached)") interp
-                  (Step_table.alternatives tbl q ~port ~inv))
+                  (Step_table.alternatives tbl q ~port ~inv);
+                let ist = Step_table.intern_state tbl in
+                let row_of q inv =
+                  Step_table.row_id tbl
+                    (Step_table.state tbl (Value.Intern.intern ist q))
+                    ~port ~inv:(Value.Intern.intern ist inv)
+                in
+                let copy v = Result.get_ok (Value.of_string (Value.to_string v)) in
+                let q' = copy q and inv' = copy inv in
+                Alcotest.(check bool) (msg ^ ": copy is fresh") true
+                  (inv = Value.Unit || inv' != inv);
+                let rows = Step_table.compiled_rows tbl in
+                Alcotest.(check int) (msg ^ ": a fresh copy's row")
+                  (row_of q inv) (row_of q' inv');
+                Alcotest.(check bool) (msg ^ ": a fresh copy's alternatives")
+                  true
+                  (Step_table.alternatives tbl q' ~port ~inv:inv'
+                  == Step_table.alternatives tbl q ~port ~inv);
+                Alcotest.(check int) (msg ^ ": copies compile no row") rows
+                  (Step_table.compiled_rows tbl))
               spec.Type_spec.invocations
           done)
         (states_of spec);
