@@ -115,16 +115,6 @@ let witness_out_arg =
   let doc = "On violation, store the shrunk replayable witness to $(docv)." in
   Arg.(value & opt (some string) None & info [ "witness" ] ~docv:"FILE" ~doc)
 
-let no_symmetry_arg =
-  let doc =
-    "Disable process-symmetry reduction (merging schedules that differ only \
-     by a permutation of equal-input processes of a symmetric protocol): \
-     duplicate states are keyed pid-exactly. Escape hatch for debugging; \
-     verdicts are identical either way, symmetry only shrinks the explored \
-     state space."
-  in
-  Arg.(value & flag & info [ "no-symmetry" ] ~doc)
-
 let checkpoint_arg =
   let doc =
     "Periodically (see $(b,--checkpoint-interval)) save a resumable \
@@ -208,8 +198,9 @@ let faults_of_flags impl ~crashes ~recoveries ~glitches ~degrade =
 
 (* Load-and-sanity-check a checkpoint named by --resume: shared between the
    single-process verifier and the fleet coordinator, which accept each
-   other's files. *)
-let load_resume ~name ~procs = function
+   other's files. A checkpoint of another problem is refused here, by
+   [Check.resumable], before any search starts. *)
+let load_resume ~name ~procs ~faults impl = function
   | None -> None
   | Some file -> (
     match Wfc_sim.Checkpoint.load file with
@@ -222,6 +213,9 @@ let load_resume ~name ~procs = function
         refuse "checkpoint %s was taken with %d processes, not %d" file k
           procs
       | _ -> ());
+      (match Check.resumable ~faults impl ck with
+      | Error why -> refuse "cannot resume: %s" why
+      | Ok _ -> ());
       Some ck)
 
 (* A checkpoint path in a missing directory would fail only at the first
@@ -306,7 +300,7 @@ let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
 
 let verify_cmd =
   let run name procs crashes recoveries glitches degrade budget deadline_s
-      witness_file no_symmetry ckpt_file ckpt_interval
+      witness_file ckpt_file ckpt_interval
       resume_file mem_budget_mb profile_file =
     require_checkpoint_dir ckpt_file;
     let impl = make_protocol ~procs name in
@@ -315,13 +309,7 @@ let verify_cmd =
     in
     if not (Wfc_sim.Faults.is_none faults) then
       Fmt.pr "adversary: %a@." Wfc_sim.Faults.pp faults;
-    let engine =
-      {
-        Wfc_sim.Explore.fast with
-        dedup = (if no_symmetry then Wfc_sim.Explore.Exact else Symmetric);
-      }
-    in
-    let resume = load_resume ~name ~procs resume_file in
+    let resume = load_resume ~name ~procs ~faults impl resume_file in
     let checkpoint =
       match (ckpt_file, resume_file) with
       | Some f, _ | None, Some f -> Some (f, ckpt_interval)
@@ -333,7 +321,7 @@ let verify_cmd =
     let meta = Protocols.meta ~name ~procs in
     Option.iter (fun _ -> Wfc_sim.Sampler.start ()) profile_file;
     let verdict =
-      Check.verify ~faults ?budget ?deadline_s ~engine ?checkpoint ?resume
+      Check.verify ~faults ?budget ?deadline_s ?checkpoint ?resume
         ?mem_budget_mb ?interrupt ~meta impl
     in
     Option.iter
@@ -355,11 +343,11 @@ let verify_cmd =
          "Exhaustively check a consensus protocol, optionally under a fault \
           adversary and/or an exploration budget")
     Term.(
-      const (fun n p c r g d b dl w ns cf ci rf mb pf ->
-          Stdlib.exit (run n p c r g d b dl w ns cf ci rf mb pf))
+      const (fun n p c r g d b dl w cf ci rf mb pf ->
+          Stdlib.exit (run n p c r g d b dl w cf ci rf mb pf))
       $ protocol_arg $ procs_arg $ crashes_arg $ recoveries_arg $ glitches_arg
       $ degrade_arg $ budget_arg $ deadline_arg $ witness_out_arg
-      $ no_symmetry_arg $ checkpoint_arg
+      $ checkpoint_arg
       $ checkpoint_interval_arg $ resume_arg $ mem_budget_arg $ profile_arg)
 
 (* --- serve / worker: the distributed fleet ---------------------------------- *)
@@ -451,7 +439,7 @@ let serve_cmd =
     in
     if not (Wfc_sim.Faults.is_none faults) then
       Fmt.pr "adversary: %a@." Wfc_sim.Faults.pp faults;
-    let resume = load_resume ~name ~procs resume_file in
+    let resume = load_resume ~name ~procs ~faults impl resume_file in
     let checkpoint =
       match (ckpt_file, resume_file) with
       | Some f, _ | None, Some f -> Some f

@@ -295,24 +295,29 @@ let ledger_of_checkpoint ck =
   Ok { vector; report }
 
 let resume_ledger ~vectors ~engine ~fuel ~faults ck =
-  let refuse why = invalid_arg ("Check: cannot resume: " ^ why) in
-  match ledger_of_checkpoint ck with
-  | Error e -> refuse e
-  | Ok l -> (
-    match List.find_opt (fun v -> v.pos = l.vector) vectors with
-    | None ->
-      refuse
+  let ( let* ) = Result.bind in
+  let* l = ledger_of_checkpoint ck in
+  let* v =
+    Option.to_result
+      (List.find_opt (fun v -> v.pos = l.vector) vectors)
+      ~none:
         (Fmt.str
            "checkpoint points at vector %d but only %d exist — was it taken \
             with different subsets/repeat/domain settings?"
            l.vector (List.length vectors))
-    | Some v -> (
-      match
-        Checkpoint.describe_mismatch ck ~engine ~fuel ~faults
-          ~workloads:v.workloads
-      with
-      | Some why -> refuse why
-      | None -> l))
+  in
+  match
+    Checkpoint.describe_mismatch ck ~engine ~fuel ~faults
+      ~workloads:v.workloads
+  with
+  | Some why -> Error why
+  | None -> Ok l
+
+let resumable ?subsets ?repeat ?domain ?(faults = Faults.none)
+    ?(fuel = Explore.default_fuel) ?(engine = Explore.fast) impl ck =
+  resume_ledger
+    ~vectors:(vectors ?subsets ?repeat ?domain impl)
+    ~engine ~fuel ~faults ck
 
 (* --- the run account, shared by [verify] and the fleet coordinator ------- *)
 
@@ -369,7 +374,10 @@ let book ?subsets ?repeat ?domain ?budget ?deadline_s ?interrupt ?resume
      checkpoint's counts and frontier. *)
   let l, ck =
     match resume with
-    | Some ck -> (resume_ledger ~vectors ~engine ~fuel ~faults ck, ck)
+    | Some ck -> (
+      match resume_ledger ~vectors ~engine ~fuel ~faults ck with
+      | Ok l -> (l, ck)
+      | Error why -> invalid_arg ("Check: cannot resume: " ^ why))
     | None -> ({ vector = 0; report = empty_report }, root)
   in
   let slot v =

@@ -86,13 +86,14 @@ val verify :
 (** [engine] (default {!Wfc_sim.Explore.fast}) selects the exploration
     engine options. Agreement/validity/wait-freedom are timing-insensitive,
     so duplicate-state pruning and partial-order reduction are sound here and
-    on by default, with the dedup key canonicalized under process symmetry
-    ([dedup = Symmetric]; agreement and validity are invariant under
-    permuting equal-input participants, and it only activates for
-    implementations declaring {!Wfc_program.Implementation.symmetric}). Pass
-    {!Wfc_sim.Explore.naive} to force the unreduced search (the property
-    suite asserts both give the same verdict), or change individual fields —
-    [wfc verify --no-symmetry] selects [dedup = Exact].
+    on by default. The dedup key is canonicalized under process symmetry
+    whenever the implementation declares
+    {!Wfc_program.Implementation.symmetric} (agreement and validity are
+    invariant under permuting equal-input participants); no option turns
+    that off, but [{ impl with symmetric = false }] keys processes by pid.
+    Pass {!Wfc_sim.Explore.naive} to force the unreduced search (the
+    property suite asserts both give the same verdict), or change
+    individual fields.
     [report.executions] counts the executions the engine actually visited.
 
     [subsets] (default true) also checks partial participation; [repeat]
@@ -254,6 +255,24 @@ val ledger_meta : ledger -> (string * string) list
 val ledger_of_checkpoint : Wfc_sim.Checkpoint.t -> (ledger, string) result
 (** [Error] names the first missing or malformed key. *)
 
+val resumable :
+  ?subsets:bool ->
+  ?repeat:bool ->
+  ?domain:Wfc_spec.Value.t list ->
+  ?faults:Wfc_sim.Faults.t ->
+  ?fuel:int ->
+  ?engine:Wfc_sim.Explore.options ->
+  Implementation.t ->
+  Wfc_sim.Checkpoint.t ->
+  (ledger, string) result
+(** The one resume check, with {!verify}'s arguments and defaults: the
+    checkpoint's ledger when a run with these arguments may resume from
+    it, or why not — a missing or malformed ledger key, a vector outside
+    the enumeration, or another problem's checkpoint
+    ({!Wfc_sim.Checkpoint.describe_mismatch}: engine options, fuel,
+    adversary or workloads). {!book} refuses what it refuses; [wfc] asks
+    it before any search starts. *)
+
 (** {2 The run account} *)
 
 type book
@@ -275,10 +294,8 @@ val book :
   Implementation.t ->
   book
 (** The account of a run over {!vectors}, with {!verify}'s arguments.
-    Raises [Invalid_argument "Check: cannot resume: …"] when [resume]'s
-    ledger has a missing or malformed key or a vector outside the
-    enumeration, or it is another problem's
-    ({!Wfc_sim.Checkpoint.describe_mismatch}). *)
+    Raises [Invalid_argument "Check: cannot resume: …"] with the reason
+    {!resumable} gives when [resume] is not this run's. *)
 
 val jobs : book -> (vector * Wfc_sim.Checkpoint.t) Seq.t
 (** The jobs the run starts with, in order, each built when reached: every

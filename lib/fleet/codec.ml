@@ -1,6 +1,6 @@
 open Wfc_sim
 
-let protocol = "wfc-fleet/2"
+let protocol = "wfc-fleet/3"
 
 (* A garbage length prefix must not make the reader allocate gigabytes:
    anything claiming to be larger than this is a framing violation and the
@@ -16,8 +16,7 @@ type outcome =
 type msg =
   | Hello of { pid : int; name : string; token : string }
   | Lease of { shard : int; lease_s : float; quantum : int; job : Checkpoint.t }
-  | Heartbeat of { shard : int; nodes : int }
-  | Progress of { shard : int; nodes : int; leaves : int }
+  | Heartbeat of { shard : int }
   | Result of { shard : int; outcome : outcome }
   | Steal of { shard : int }
   | Shutdown of { reason : string }
@@ -48,15 +47,9 @@ let encode msg =
     line "lease_s %.6g" lease_s;
     line "quantum %d" quantum;
     blob (Checkpoint.to_string job)
-  | Heartbeat { shard; nodes } ->
+  | Heartbeat { shard } ->
     line "%s heartbeat" protocol;
-    line "shard %d" shard;
-    line "nodes %d" nodes
-  | Progress { shard; nodes; leaves } ->
-    line "%s progress" protocol;
-    line "shard %d" shard;
-    line "nodes %d" nodes;
-    line "leaves %d" leaves
+    line "shard %d" shard
   | Result { shard; outcome } -> (
     line "%s result" protocol;
     line "shard %d" shard;
@@ -171,13 +164,7 @@ let decode payload =
       Ok (Lease { shard; lease_s; quantum; job })
     | "heartbeat" ->
       let* shard = int_field kvs "shard" in
-      let* nodes = int_field kvs "nodes" in
-      Ok (Heartbeat { shard; nodes })
-    | "progress" ->
-      let* shard = int_field kvs "shard" in
-      let* nodes = int_field kvs "nodes" in
-      let* leaves = int_field kvs "leaves" in
-      Ok (Progress { shard; nodes; leaves })
+      Ok (Heartbeat { shard })
     | "result" -> (
       let* shard = int_field kvs "shard" in
       let* outcome = field kvs "outcome" in
@@ -276,10 +263,7 @@ let pp_msg ppf = function
     Fmt.pf ppf "lease shard=%d lease_s=%g quantum=%d frontier=%d" shard
       lease_s quantum
       (List.length job.Checkpoint.frontier)
-  | Heartbeat { shard; nodes } ->
-    Fmt.pf ppf "heartbeat shard=%d nodes=%d" shard nodes
-  | Progress { shard; nodes; leaves } ->
-    Fmt.pf ppf "progress shard=%d nodes=%d leaves=%d" shard nodes leaves
+  | Heartbeat { shard } -> Fmt.pf ppf "heartbeat shard=%d" shard
   | Result { shard; outcome = Done ck } ->
     Fmt.pf ppf "result shard=%d done frontier=%d" shard
       (List.length ck.Checkpoint.frontier)

@@ -1,9 +1,9 @@
-(** The [wfc-fleet/2] wire protocol.
+(** The [wfc-fleet/3] wire protocol.
 
     Coordinator and workers exchange length-prefixed frames over a Unix
     domain or TCP socket ({!Transport}): a 4-byte big-endian payload length
     followed by a line-oriented text payload whose first line is
-    ["wfc-fleet/2 <type>"], then [key value] lines, then — for messages
+    ["wfc-fleet/3 <type>"], then [key value] lines, then — for messages
     carrying a job or a counterexample — a ["--"] separator line and a blob
     in an existing self-validating codec ({!Wfc_sim.Checkpoint} for jobs
     and results, {!Wfc_sim.Witness} for violations). Everything a shard
@@ -17,8 +17,10 @@
 open Wfc_sim
 
 val protocol : string
-(** ["wfc-fleet/2"] — v2 added the session [token] to [Hello] so a
-    reconnecting worker can re-attach to its live lease. *)
+(** ["wfc-fleet/3"] — v2 added the session [token] to [Hello] so a
+    reconnecting worker can re-attach to its live lease; v3 dropped the
+    unread [nodes] field from [Heartbeat] and the never-sent [Progress]
+    message. *)
 
 val max_frame : int
 (** Frames claiming a larger payload are rejected before allocation: a
@@ -49,9 +51,8 @@ type msg =
       (** coordinator → worker: run [job] for at most [quantum] nodes,
           heartbeating; the lease expires [lease_s] after the last
           heartbeat *)
-  | Heartbeat of { shard : int; nodes : int }
+  | Heartbeat of { shard : int }
       (** worker → coordinator: still alive ([shard = -1] when idle) *)
-  | Progress of { shard : int; nodes : int; leaves : int }
   | Result of { shard : int; outcome : outcome }
   | Steal of { shard : int }
       (** coordinator → worker: cut the running shard now and return the

@@ -290,8 +290,7 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
                r.shard.sid)
         | None -> cfg.log (Fmt.str "worker %s (pid %d) joined" name pid)
       end
-    | Codec.Heartbeat { shard; nodes = _ }
-    | Codec.Progress { shard; nodes = _; leaves = _ } -> (
+    | Codec.Heartbeat { shard } -> (
       match c.running with
       | Some r when r.shard.sid = shard ->
         r.expires <- Monotime.now () +. cfg.lease_s

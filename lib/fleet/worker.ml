@@ -261,7 +261,7 @@ let run_lease link ~shard ~lease_s ~quantum ~job =
              new connection is up (the coordinator parks the lease under
              our token until it expires). *)
           if ensure link then
-            ignore (send link (Codec.Heartbeat { shard; nodes = leaves }));
+            ignore (send link (Codec.Heartbeat { shard }));
           last_hb := now
         end;
         (* Non-blocking poll for Steal/Shutdown while the shard runs. *)
@@ -349,7 +349,7 @@ let run cfg =
   let rec loop () =
     let fd = await link in
     (match retry_eintr (fun () -> Unix.select [ fd ] [] [] cfg.hb_interval_s) with
-    | [], _, _ -> ignore (send link (Codec.Heartbeat { shard = -1; nodes = 0 }))
+    | [], _, _ -> ignore (send link (Codec.Heartbeat { shard = -1 }))
     | _ -> read_and_drain link handle);
     loop ()
   in

@@ -119,18 +119,6 @@ let pp_violation ppf v =
   | None -> ());
   Fmt.pf ppf "@]"
 
-let check_all_atomic impl ~workloads ?fuel ?(faults = Wfc_sim.Faults.none) ()
-    =
-  (* Atomicity {e is} linearizability against the register spec, so this is
-     the incremental engine with its fused frontier tracking — unlike
-     regularity/safeness below, which read raw overlap intervals and stay on
-     the naive engine. *)
-  match Engine.verify impl ~workloads ?fuel ~faults () with
-  | Ok stats -> Ok stats.Engine.explore
-  | Error v ->
-    Error
-      { failure = None; reason = v.Engine.reason; witness = v.Engine.witness }
-
 let check_all_regular impl ~init ~workloads ?fuel
     ?(faults = Wfc_sim.Faults.none) () =
   let violation = ref None in

@@ -43,20 +43,6 @@ type violation = {
       (** replayable decision trace of the offending interleaving *)
 }
 
-val check_all_atomic :
-  Wfc_program.Implementation.t ->
-  workloads:Value.t list array ->
-  ?fuel:int ->
-  ?faults:Wfc_sim.Faults.t ->
-  unit ->
-  (Wfc_sim.Explore.stats, violation) result
-(** The strong end of the §4.1 chain: atomicity, i.e. linearizability of
-    every explored history against [impl.target] — checked by the fused
-    incremental engine ({!Engine.verify}), so it runs on the reduced
-    exploration and a violation carries a replayable {!Wfc_sim.Witness.t}
-    like the weaker conditions below ([failure] is [None]: the diagnosis is
-    the non-linearizable prefix in [reason]). *)
-
 val check_all_regular :
   Wfc_program.Implementation.t ->
   init:Value.t ->

@@ -3,20 +3,7 @@ open Wfc_spec
 (* Defined here and re-exported by Explore: Checkpoint sits below Explore
    (Witness depends on Explore, Explore depends on Checkpoint), so the
    engine options, which a checkpoint stores whole, are defined first. *)
-type dedup = Off | Exact | Symmetric
-
-let dedup_to_string = function
-  | Off -> "off"
-  | Exact -> "exact"
-  | Symmetric -> "symmetric"
-
-let dedup_of_string = function
-  | "off" -> Some Off
-  | "exact" -> Some Exact
-  | "symmetric" -> Some Symmetric
-  | _ -> None
-
-type engine = { dedup : dedup; por : bool }
+type engine = { dedup : bool; por : bool }
 
 let por_runs engine faults = engine.por && Faults.is_none faults
 
@@ -88,7 +75,7 @@ let with_meta t meta =
 
 let engine_summary t =
   Fmt.str "dedup=%s por=%s"
-    (dedup_to_string t.engine.dedup)
+    (if t.engine.dedup then "on" else "off")
     (if not t.engine.por then "off"
      else if por_runs t.engine t.faults then "on"
      else "off (fault adversary)")
@@ -109,17 +96,18 @@ let make ?(meta = []) ~engine ~fuel ?budget_left ~faults ~workloads ~counts
    refused. Files of earlier formats are refused by name: /1 to /3, whose
    engine lines described since-deleted engine options, /4, whose
    counts line carried the spill count of the deleted breadth-first
-   frontier, and /5, whose counts line carried the flag of the deleted
-   second, inexact dedup tier. *)
+   frontier, /5, whose counts line carried the flag of the deleted
+   second, inexact dedup tier, and /6, whose engine line named one of
+   three dedup modes where there is now one switch. *)
 
-let header = "wfc-checkpoint/6"
+let header = "wfc-checkpoint/7"
 
 let body_lines t =
   let b = Buffer.create 512 in
   let line fmt = Fmt.kstr (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   List.iter (fun (k, v) -> line "meta %s %s" k v) t.meta;
-  line "engine dedup=%s por=%d"
-    (dedup_to_string t.engine.dedup)
+  line "engine dedup=%d por=%d"
+    (Bool.to_int t.engine.dedup)
     (Bool.to_int t.engine.por);
   line "fuel %d" t.fuel;
   (match t.budget_left with Some n -> line "budget %d" n | None -> ());
@@ -218,9 +206,9 @@ let of_string s =
         Ok ()
       | None -> Error (Fmt.str "bad meta line %S" l))
     | "engine" ->
-      let* dedup = field body "dedup" dedup_of_string in
+      let* dedup = field body "dedup" int_of_string_opt in
       let* por = field body "por" int_of_string_opt in
-      engine := Some { dedup; por = por <> 0 };
+      engine := Some { dedup = dedup <> 0; por = por <> 0 };
       Ok ()
     | "fuel" -> (
       match int_of_string_opt body with

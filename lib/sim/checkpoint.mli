@@ -13,30 +13,22 @@
 
     The file format is line-oriented text in the wfc-witness/1 style and
     reuses the {!Faults} line codec (fault budgets, degradations, workloads,
-    decision traces). The header is [wfc-checkpoint/6]; a [digest] line
+    decision traces). The header is [wfc-checkpoint/7]; a [digest] line
     carries the {!Wfc_spec.Fingerprint.hash_string} digest of the canonical
     body. {!of_string} refuses files whose digest does not match and files
-    of the earlier /1 to /5 formats (naming the header found), and
+    of the earlier /1 to /6 formats (naming the header found), and
     {!describe_mismatch} lets {!Explore.run} refuse to resume a checkpoint
     against a different problem. *)
 
 open Wfc_spec
 
-(** Duplicate-state pruning mode, re-exported as [Explore.dedup] (this
-    module sits below [Explore] in the dependency order, so the type lives
-    here). *)
-type dedup =
-  | Off  (** no pruning *)
-  | Exact  (** prune revisited configurations, keyed pid-exactly *)
-  | Symmetric
-      (** like [Exact], with the key canonicalized under permutations of
-          interchangeable processes (see [Explore.Symmetry]) *)
-
-val dedup_to_string : dedup -> string
-(** ["off"], ["exact"] or ["symmetric"] — the spelling in the file. *)
-
-type engine = { dedup : dedup; por : bool }
-(** The engine options, re-exported as [Explore.options]. *)
+type engine = { dedup : bool; por : bool }
+(** The engine options, re-exported as [Explore.options] (this module sits
+    below [Explore] in the dependency order, so the type lives here):
+    duplicate-state pruning and partial-order reduction, each on or off.
+    Whether the dedup key is pid-exact or symmetric is the problem's, not
+    an option (see [Explore.Symmetry]). The file spells it
+    [engine dedup=0|1 por=0|1]. *)
 
 val por_runs : engine -> Faults.t -> bool
 (** Whether a search with these options under this adversary runs with
@@ -104,7 +96,7 @@ val with_meta : t -> (string * string) list -> t
 
 val engine_summary : t -> string
 (** The reductions the checkpointed search ran with, e.g.
-    ["dedup=symmetric por=off (fault adversary)"]: POR is named as
+    ["dedup=on por=off (fault adversary)"]: POR is named as
     {!por_runs} decides, not as the options asked. *)
 
 val to_string : t -> string

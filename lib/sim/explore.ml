@@ -1,12 +1,10 @@
 open Wfc_spec
 open Wfc_program
 
-type dedup = Checkpoint.dedup = Off | Exact | Symmetric
+type options = Checkpoint.engine = { dedup : bool; por : bool }
 
-type options = Checkpoint.engine = { dedup : dedup; por : bool }
-
-let naive = { dedup = Off; por = false }
-let fast = { dedup = Symmetric; por = true }
+let naive = { dedup = false; por = false }
+let fast = { dedup = true; por = true }
 
 type partial_reason =
   | Budget_exhausted
@@ -186,7 +184,7 @@ end
      The key holds [next_op] and whether an operation is pending, and the
      workload is fixed for the run, so the todo list, the pending
      invocation and each completed op's invocation are functions of what
-     the key already holds for that pid. Under [Symmetric] the record is
+     the key already holds for that pid. Under symmetry the record is
      salted by its class representative instead of the pid, and
      {!Symmetry.of_impl} puts two pids in one class only when their
      workloads are equal, so the same holds for every member of a class.
@@ -1650,24 +1648,23 @@ let run impl ~workloads ?(fuel = default_fuel) ?(faults = Faults.none)
   | None -> ());
   (* POR is off under any fault adversary. *)
   let opts = { options with por = Checkpoint.por_runs options faults } in
-  (* Symmetry narrows further: the implementation must declare its program
-     process-oblivious, every base spec must be port-oblivious, and a user
-     tracker disables the reduction outright — tracker state is caller
-     -defined and we cannot check it is invariant under pid permutation, so
-     the sound composition with trackers is exact pid-ordered keys: every
-     process is its own class. *)
-  let salts =
-    match
-      if opts.dedup = Symmetric && not user_tracker then
-        Symmetry.of_impl impl ~workloads
-      else None
-    with
-    | Some g -> Symmetry.classes g
-    | None -> Array.init impl.Implementation.procs Fun.id
-  in
+  (* The problem decides how the dedup key names a process: by symmetry
+     class when the implementation declares its program process-oblivious
+     and every base spec is port-oblivious, by pid otherwise. A user
+     tracker keeps pids: tracker state is caller-defined and we cannot
+     check it is invariant under pid permutation, so the sound composition
+     with trackers is exact pid-ordered keys — every process is its own
+     class. *)
   let dd =
-    if opts.dedup = Off then None
+    if not opts.dedup then None
     else
+      let salts =
+        match
+          if user_tracker then None else Symmetry.of_impl impl ~workloads
+        with
+        | Some g -> Symmetry.classes g
+        | None -> Array.init impl.Implementation.procs Fun.id
+      in
       Some { threshold = dedup_threshold; salts; mem_budget_mb; table = None }
   in
   let lim = make_limiter ?budget ?deadline_s ?interrupt () in

@@ -10,7 +10,7 @@
     the naive engine's semantics and statistics contract while adding these
     optimizations:
 
-    - {b duplicate-state pruning} ([dedup = Exact]): configurations are
+    - {b duplicate-state pruning} ([dedup]): configurations are
       fingerprinted — object states, per-process control state (workload
       position, whether an operation is pending and its responses so far,
       local state), completed operations' positions, {e results} and step
@@ -19,7 +19,7 @@
       No invocation enters the key: the workloads are fixed for the run, so
       a process's workload position names its remaining operations, its
       pending invocation and each completed operation's invocation, and
-      under [Symmetric] only processes with equal workloads share a
+      under symmetry only processes with equal workloads share a
       class. The key is a
       fixed-width ⟨hi, lo⟩ 124-bit fingerprint ({!Wfc_spec.Fingerprint}):
       in each lane, a sum of per-object and per-process terms over interned
@@ -32,9 +32,12 @@
       instead of growing past the cap: the run forgets states and revisits
       them, but stays exhaustive. The other memory a run holds is its DFS
       path, so nothing else needs shedding;
-    - {b process-symmetry reduction} ([dedup = Symmetric]): the same key,
-      canonicalized under permutations of interchangeable processes (see
-      {!Symmetry});
+    - {b process-symmetry reduction}, part of [dedup] whenever the problem
+      allows it: the same key, canonicalized under permutations of
+      interchangeable processes (see {!Symmetry}). No option selects it:
+      the implementation's {!Wfc_program.Implementation.symmetric}
+      declaration and the workloads do, and a run on
+      [{ impl with symmetric = false }] keys every process by its pid;
     - {b partial-order reduction} ([por]): a source-set/sleep-set rule
       explores only one order of two adjacent steps when they are commuting
       deterministic accesses — to {e different} base objects, or state-
@@ -53,7 +56,7 @@
     the completion {e order} of concurrent operations, nor the number of
     leaves/nodes visited. Callers whose leaf predicate reads timestamps
     (linearizability, safeness/regularity of registers) must keep
-    [dedup = Off] and [por = false]. POR is
+    [dedup = false] and [por = false]. POR is
     additionally switched off automatically whenever the fault adversary
     branches at all (anything but {!Faults.is_none}: crashes, recoveries
     and glitches are per-process transitions the sleep-set rule does not
@@ -85,22 +88,16 @@
 open Wfc_program
 open Wfc_spec
 
-type dedup = Checkpoint.dedup =
-  | Off  (** no duplicate-state pruning *)
-  | Exact  (** prune revisited configurations, keyed pid-exactly *)
-  | Symmetric
-      (** like [Exact], with the key canonicalized under permutations of
-          interchangeable processes, so schedules differing only by a pid
-          permutation within a class merge. The reduction needs the
-          implementation to declare
-          {!Wfc_program.Implementation.symmetric}, every base spec to be
-          port-oblivious, no user tracker, and at least two processes with
-          equal workloads and equal initial locals (see {!Symmetry});
-          otherwise the keys stay pid-exact, as under [Exact] — which is why
-          it is safe as the default in {!fast}. *)
-
 type options = Checkpoint.engine = {
-  dedup : dedup;  (** duplicate-state pruning mode *)
+  dedup : bool;
+      (** duplicate-state pruning. The key is canonicalized under
+          permutations of interchangeable processes, so schedules differing
+          only by a pid permutation within a class merge, when
+          {!Symmetry.of_impl} finds a class and there is no user tracker:
+          the implementation declares
+          {!Wfc_program.Implementation.symmetric}, every base spec is
+          port-oblivious, and at least two processes have equal workloads
+          and equal initial locals. Otherwise the key is pid-exact. *)
   por : bool;  (** source-set dynamic partial-order reduction *)
 }
 (** The engine options, which are exactly what a checkpoint records. *)
@@ -110,8 +107,7 @@ val naive : options
     statistics, leaves and their timestamps) of {!Exec.explore}. *)
 
 val fast : options
-(** [dedup = Symmetric] + [por]. The right choice for timing-insensitive
-    verdicts. *)
+(** [dedup] + [por]. The right choice for timing-insensitive verdicts. *)
 
 val engine_of_options : options -> Checkpoint.engine
 (** The identity: [options] is the record checkpoints store. *)

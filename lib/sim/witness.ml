@@ -37,10 +37,11 @@ let pp ppf w =
    fixpoint, then the fault budgets are trimmed to what the final trace
    actually uses. *)
 
-(* Dedup speeds the re-search up; symmetry stays off — shrinking replays
-   concrete traces, so the search should see exactly the pid-exact state
-   space the trace was found in. *)
-let search_options = { Explore.dedup = Exact; por = false }
+(* Dedup speeds the re-search up. Its key is symmetric when the problem
+   allows it, which only prunes: the search still walks real
+   configurations, so every trace it returns is a real trace of the
+   scenario, and [shrink] adopts a trace only once [bad] holds on it. *)
+let search_options = { Explore.dedup = true; por = false }
 
 let find_bad impl ~bad ~budget ~faults workloads =
   let found = ref None in

@@ -76,6 +76,10 @@ let collect ?fuel ?faults ?(dedup_threshold = 0) ?checkpoint ?mem_budget_mb
 
 let leaf_set leaves = List.sort_uniq Value.compare leaves
 
+(* Pid-exact dedup is an input, not an option: the same implementation,
+   declaring no symmetry, keys every process by its pid. *)
+let pid_exact impl = { impl with Implementation.symmetric = false }
+
 let check_same_invariants ~msg (naive : Explore.stats) (s : Explore.stats) =
   Alcotest.(check int) (msg ^ ": max_events") naive.max_events s.max_events;
   Alcotest.(check int)
@@ -113,7 +117,7 @@ let assert_equiv ?fuel ?faults impl workloads =
   in
   let naive_set = leaf_set naive_leaves in
   List.iter
-    (fun (msg, options) ->
+    (fun (msg, options, impl) ->
       let s, leaves =
         collect ?fuel ?faults ~options ~proj:value_proj impl workloads
       in
@@ -122,9 +126,9 @@ let assert_equiv ?fuel ?faults impl workloads =
         naive_set (leaf_set leaves);
       check_same_invariants ~msg naive_stats s)
     [
-      ("dedup", { Explore.naive with dedup = Exact });
-      ("por", { Explore.naive with por = true });
-      ("fast", { Explore.fast with dedup = Exact });
+      ("dedup", { Explore.naive with dedup = true }, pid_exact impl);
+      ("por", { Explore.naive with por = true }, impl);
+      ("fast", Explore.fast, pid_exact impl);
     ];
   let s_sym, sym_leaves =
     collect ?fuel ?faults ~options:Explore.fast ~proj:value_proj impl
@@ -302,6 +306,7 @@ let test_capped_fault_cases () =
         List.iter
           (fun (sub, options) ->
             let msg = msg ^ "/" ^ sub in
+            let impl = pid_exact impl in
             let run ?mem_budget_mb () =
               collect ~faults ?mem_budget_mb ~options ~proj:value_proj impl
                 workloads
@@ -314,10 +319,7 @@ let test_capped_fault_cases () =
               (capped.Explore.completeness = Explore.Exhaustive);
             Alcotest.(check bool) (msg ^ ": no fewer nodes") true
               (capped.Explore.nodes >= uncapped.Explore.nodes))
-          [
-            ("dedup", { Explore.naive with dedup = Exact });
-            ("fast", { Explore.fast with dedup = Exact });
-          ]
+          [ ("dedup", { Explore.naive with dedup = true }); ("fast", Explore.fast) ]
       end)
     naive_cases
 
@@ -361,8 +363,8 @@ let test_dedup_strictly_prunes () =
   let naive, _ = collect ~options:Explore.naive ~proj:value_proj impl workloads in
   let dedup, _ =
     collect
-      ~options:{ Explore.naive with dedup = Exact }
-      ~proj:value_proj impl workloads
+      ~options:{ Explore.naive with dedup = true }
+      ~proj:value_proj (pid_exact impl) workloads
   in
   let fast, _ = collect ~options:Explore.fast ~proj:value_proj impl workloads in
   Alcotest.(check bool) "naive explores the full diamond" true
@@ -386,7 +388,8 @@ let test_dedup_threshold_laziness () =
      and no table is ever allocated — yet the observations are identical *)
   let impl = rw_impl ~procs:2 ~bits:2 ~coin:false in
   let workloads = [| [ wr 0 true; wr 0 false ]; [ wr 1 true; wr 1 false ] |] in
-  let options = { Explore.dedup = Exact; por = false } in
+  let impl = pid_exact impl in
+  let options = { Explore.dedup = true; por = false } in
   let eager, eager_leaves = collect ~options ~proj:value_proj impl workloads in
   let deferred, deferred_leaves =
     collect ~dedup_threshold:Explore.default_dedup_threshold ~options
@@ -449,9 +452,8 @@ let test_symmetry_node_reduction () =
   List.iter
     (fun (name, impl, workloads, cut) ->
       let nosym, _ =
-        collect
-          ~options:{ Explore.fast with dedup = Exact }
-          ~proj:value_proj impl workloads
+        collect ~options:Explore.fast ~proj:value_proj (pid_exact impl)
+          workloads
       in
       let sym, _ =
         collect ~options:Explore.fast ~proj:value_proj impl workloads
@@ -497,9 +499,9 @@ let test_symmetry_verdict_parity () =
   in
   let engines =
     [
-      ("naive", Explore.naive);
-      ("fast-nosym", { Explore.fast with dedup = Exact });
-      ("fast", Explore.fast);
+      ("naive", Explore.naive, Fun.id);
+      ("fast-nosym", Explore.fast, pid_exact);
+      ("fast", Explore.fast, Fun.id);
     ]
   in
   let cas3 = Protocols.from_cas ~procs:3 () in
@@ -508,7 +510,8 @@ let test_symmetry_verdict_parity () =
     (fun (pname, impl, faults, expected) ->
       let verdicts =
         List.map
-          (fun (ename, engine) ->
+          (fun (ename, engine, input) ->
+            let impl = input impl in
             let v = Check.verify ~engine ~faults impl in
             (match v with
             | Check.Falsified viol -> (
@@ -545,6 +548,123 @@ let test_symmetry_verdict_parity () =
         Faults.none,
         "falsified" );
     ]
+
+(* Dedup trusts [Implementation.symmetric] whenever it is on, so every
+   declaration in the library must be honest. The naive run's
+   timing-insensitive observations must be closed under swapping two pids
+   of one {!Explore.Symmetry} class: the swapped leaf (ops relabelled,
+   locals exchanged; port-oblivious objects hold no pid) is again a leaf.
+   [Error] names a leaf whose image is missing. *)
+let closed_under_class_swaps impl workloads =
+  let proj pid (leaf : Exec.leaf) =
+    value_proj
+      {
+        leaf with
+        locals = Array.mapi (fun p _ -> leaf.locals.(pid p)) leaf.locals;
+        ops =
+          List.map (fun (o : Exec.op) -> { o with proc = pid o.proc }) leaf.ops;
+      }
+  in
+  let leaves = ref [] in
+  ignore
+    (Exec.explore impl ~workloads ~on_leaf:(fun l -> leaves := l :: !leaves) ());
+  let seen = leaf_set (List.map (proj Fun.id) !leaves) in
+  let classes =
+    match Explore.Symmetry.of_impl impl ~workloads with
+    | Some g -> Explore.Symmetry.classes g
+    | None -> Alcotest.fail "fixture has no symmetry class"
+  in
+  let swaps =
+    List.concat_map
+      (fun q ->
+        List.filter_map
+          (fun p -> if classes.(p) = classes.(q) then Some (p, q) else None)
+          (List.init q Fun.id))
+      (List.init (Array.length classes) Fun.id)
+  in
+  let missing =
+    List.find_map
+      (fun (p, q) ->
+        let pid r = if r = p then q else if r = q then p else r in
+        List.find_map
+          (fun leaf ->
+            let img = proj pid leaf in
+            if List.exists (Value.equal img) seen then None
+            else Some (Fmt.str "swapping p%d and p%d: %a" p q Value.pp img))
+          !leaves)
+      swaps
+  in
+  match missing with None -> Ok () | Some m -> Error m
+
+let test_symmetric_declarations_honest () =
+  let open Wfc_consensus in
+  let verdict_str = function
+    | Check.Verified _ -> "verified"
+    | Check.Falsified _ -> "falsified"
+    | Check.Unknown _ -> "unknown"
+  in
+  let t = Ops.propose Value.truth and f = Ops.propose Value.falsity in
+  let fixtures =
+    List.concat_map
+      (fun n ->
+        let equal = Array.make n [ t ] in
+        (* two classes from n = 3 on *)
+        let mixed = Array.init n (fun p -> [ (if p < 2 then t else f) ]) in
+        let workloads =
+          ("equal", equal) :: (if n > 2 then [ ("mixed", mixed) ] else [])
+        in
+        List.map
+          (fun (name, impl) -> (Fmt.str "%s n=%d" name n, impl, workloads))
+          [
+            ("cas", Protocols.from_cas ~procs:n ());
+            ("sticky", Protocols.from_sticky ~procs:n ());
+            ( "identity consensus",
+              Implementation.identity (Consensus_type.binary ~ports:n) ~procs:n
+            );
+          ])
+      [ 2; 3; 4 ]
+  in
+  List.iter
+    (fun (name, impl, workloads) ->
+      Alcotest.(check bool) (name ^ ": declares symmetry") true
+        impl.Implementation.symmetric;
+      List.iter
+        (fun (wname, workloads) ->
+          match closed_under_class_swaps impl workloads with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s, %s workloads: %s" name wname e)
+        workloads;
+      Alcotest.(check string)
+        (name ^ ": same verdict on the pid-exact input")
+        (verdict_str (Check.verify ~engine:Explore.fast (pid_exact impl)))
+        (verdict_str (Check.verify ~engine:Explore.fast impl)))
+    fixtures;
+  let reg = Register.bit ~ports:3 in
+  let w = [ Ops.write Value.truth; Ops.read ] in
+  (match
+     closed_under_class_swaps
+       (Implementation.identity reg ~procs:3)
+       [| w; w; [ Ops.read ] |]
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "identity register: %s" e);
+  (* Negative control: declared symmetric, yet process 0 alone writes. *)
+  let liar =
+    Implementation.make ~target:reg ~procs:2 ~objects:[ (reg, Value.falsity) ]
+      ~symmetric:true
+      ~program:(fun ~proc ~inv:_ local ->
+        let open Program.Syntax in
+        if proc = 0 then
+          let+ _ = Program.invoke ~obj:0 (Ops.write Value.truth) in
+          (Value.sym "wrote", local)
+        else
+          let+ v = Program.invoke ~obj:0 Ops.read in
+          (v, local))
+      ()
+  in
+  Alcotest.(check bool) "a program branching on proc fails the closure" true
+    (Result.is_error
+       (closed_under_class_swaps liar [| [ Ops.read ]; [ Ops.read ] |]))
 
 (* --- checkpoint sinks, cuts and resumes --------------------------------------- *)
 
@@ -826,6 +946,8 @@ let () =
             test_symmetry_node_reduction;
           Alcotest.test_case "verdict parity incl. faults" `Quick
             test_symmetry_verdict_parity;
+          Alcotest.test_case "every symmetric declaration is honest" `Quick
+            test_symmetric_declarations_honest;
         ] );
       ( "frontier mode",
         [

@@ -103,11 +103,16 @@ let collect ?faults ?(dedup_threshold = 0) ?mem_budget_mb ~options impl
 
 (* --- flat engine: pinned counts and naive observation parity -------------- *)
 
+(* Pid-exact dedup is an input, not an option: the same implementation,
+   declaring no symmetry, keys every process by its pid. A mode is a name,
+   the engine options and the input it runs on. *)
+let pid_exact impl = { impl with Implementation.symmetric = false }
+
 let flat_configs =
   [
-    ("fast", { Explore.fast with dedup = Exact });
-    ("fast+symmetry", Explore.fast);
-    ("dedup-only", { Explore.naive with dedup = Exact });
+    ("fast", Explore.fast, pid_exact);
+    ("fast+symmetry", Explore.fast, Fun.id);
+    ("dedup-only", { Explore.naive with dedup = true }, pid_exact);
   ]
 
 (* The naive engine's observation set and statistics: every flat
@@ -126,8 +131,8 @@ let naive_reference ?faults impl workloads =
 let assert_naive_observations ?faults ~msg impl workloads =
   let (ns : Exec.stats), nobs = naive_reference ?faults impl workloads in
   List.iter
-    (fun (sub, options) ->
-      let s, obs = collect ?faults ~options impl workloads in
+    (fun (sub, options, input) ->
+      let s, obs = collect ?faults ~options (input impl) workloads in
       let msg = msg ^ "/" ^ sub in
       Alcotest.(check (list value))
         (msg ^ ": observation set")
@@ -147,8 +152,9 @@ let assert_naive_observations ?faults ~msg impl workloads =
    that merges or splits states moves them. *)
 let assert_pinned ?faults ~msg impl workloads expected =
   List.iter2
-    (fun (sub, options) (nodes, leaves, pruned, sleep_skips, max_events, acc) ->
-      let s, _ = collect ?faults ~options impl workloads in
+    (fun (sub, options, input)
+         (nodes, leaves, pruned, sleep_skips, max_events, acc) ->
+      let s, _ = collect ?faults ~options (input impl) workloads in
       let msg = msg ^ "/" ^ sub in
       Alcotest.(check int) (msg ^ ": nodes") nodes s.Explore.nodes;
       Alcotest.(check int) (msg ^ ": leaves") leaves s.Explore.leaves;
@@ -353,9 +359,9 @@ let run_replayed ?(dedup_threshold = 0) ~msg ~options impl workloads =
 
 let compiled_modes =
   [
-    ("fast", { Explore.fast with dedup = Exact });
-    ("fast+symmetry", Explore.fast);
-    ("por-only", { Explore.naive with por = true });
+    ("fast", Explore.fast, pid_exact);
+    ("fast+symmetry", Explore.fast, Fun.id);
+    ("por-only", { Explore.naive with por = true }, Fun.id);
   ]
 
 let assert_compiled_interp_parity ~msg impl workloads =
@@ -377,8 +383,10 @@ let assert_compiled_interp_parity ~msg impl workloads =
     (List.rev !interp) (List.rev !compiled);
   ("plain", plain)
   :: List.map
-       (fun (sub, options) ->
-         (sub, run_replayed ~msg:(msg ^ "/" ^ sub) ~options impl workloads))
+       (fun (sub, options, input) ->
+         ( sub,
+           run_replayed ~msg:(msg ^ "/" ^ sub) ~options (input impl) workloads
+         ))
        compiled_modes
 
 (* Counts recorded from the interpreted engine the kernel replaced. *)
@@ -809,10 +817,10 @@ let theorem5_vector_workloads () =
 let pinned_runs () =
   let modes =
     [
-      ("fast", { Explore.fast with dedup = Exact });
-      ("fast+symmetry", Explore.fast);
-      ("por-only", { Explore.naive with por = true });
-      ("plain", Explore.naive);
+      ("fast", Explore.fast, pid_exact);
+      ("fast+symmetry", Explore.fast, Fun.id);
+      ("por-only", { Explore.naive with por = true }, Fun.id);
+      ("plain", Explore.naive, Fun.id);
     ]
   in
   let random =
@@ -821,8 +829,8 @@ let pinned_runs () =
          (fun i (procs, bits, coin, wls) ->
            let impl = rw_impl ~procs ~bits ~coin in
            List.map
-             (fun (sub, options) ->
-               (Fmt.str "q%02d/%s" i sub, run_counts ~options impl wls))
+             (fun (sub, options, input) ->
+               (Fmt.str "q%02d/%s" i sub, run_counts ~options (input impl) wls))
              modes)
          (QCheck.Gen.generate ~rand:(Random.State.make [| 15 |]) ~n:40
             gen_workloads))
@@ -830,17 +838,17 @@ let pinned_runs () =
   let cr11 = Faults.crash_recovery ~crashes:1 ~recoveries:1 in
   let fault_modes =
     [
-      ("plain", Explore.naive);
-      ("exact", { Explore.fast with dedup = Exact });
-      ("fast", Explore.fast);
+      ("plain", Explore.naive, Fun.id);
+      ("exact", Explore.fast, pid_exact);
+      ("fast", Explore.fast, Fun.id);
     ]
   in
   let adversaries =
     List.concat_map
       (fun (name, impl, faults) ->
         List.map
-          (fun (sub, options) ->
-            (name ^ "/" ^ sub, over_vectors ~faults ~options impl))
+          (fun (sub, options, input) ->
+            (name ^ "/" ^ sub, over_vectors ~faults ~options (input impl)))
           fault_modes)
       [
         ("cas2 crash-recovery", proto "cas" 2, cr11);
@@ -860,14 +868,14 @@ let pinned_runs () =
   in
   let wedge =
     List.map
-      (fun (sub, options) ->
+      (fun (sub, options, input) ->
         ( "strict derail/" ^ sub,
           run_counts ~faults:cr11 ~options
-            (rw_impl ~procs:2 ~bits:1 ~coin:true)
+            (input (rw_impl ~procs:2 ~bits:1 ~coin:true))
             [|
               [ Value.sym "strict"; rd 0 ]; [ wr 0 true; Value.sym "strict" ];
             |] ))
-      [ ("plain", Explore.naive); ("exact", { Explore.fast with dedup = Exact }) ]
+      [ ("plain", Explore.naive, Fun.id); ("exact", Explore.fast, pid_exact) ]
   in
   let cas3 = proto "cas" 3 in
   let resumes =
@@ -898,7 +906,7 @@ let pinned_runs () =
         (name, counts_of s))
       [
         ("cas3 armed/plain", None, Explore.naive);
-        ("cas3 armed/por", None, { Explore.fast with dedup = Off });
+        ("cas3 armed/por", None, { Explore.fast with dedup = false });
         ("cas3 crash-recovery armed/plain", Some cr11, Explore.naive);
       ]
   in
@@ -1014,9 +1022,9 @@ let test_allocation_per_node () =
         (35, 0),
         36.8 );
       ( "cas6 T/F/T/F/T/F exact",
-        proto "cas" 6,
+        pid_exact (proto "cas" 6),
         Array.init 6 (fun i -> [ Ops.propose (Value.bool (i mod 2 = 0)) ]),
-        { Explore.fast with dedup = Exact },
+        Explore.fast,
         (2710, 187),
         54.21 );
       ( "cas5 T/F/T/F/T fast",
@@ -1167,8 +1175,9 @@ let test_verdict_expected () =
 let assert_capped_observations ?faults ~msg impl workloads =
   let _, nobs = naive_reference ?faults impl workloads in
   List.iter
-    (fun (sub, options) ->
+    (fun (sub, options, input) ->
       let msg = msg ^ "/" ^ sub in
+      let impl = input impl in
       let uncapped, _ = collect ?faults ~options impl workloads in
       let capped, obs =
         collect ?faults ~mem_budget_mb:0 ~options impl workloads
@@ -1937,34 +1946,37 @@ let test_pool_no_major_words () =
 
 (* A leaf callback exploring the same implementation finds the pool
    borrowed and allocates its own table; neither run may see the other's
-   entries. Alternating dedup modes reuses one table under other salts. *)
+   entries. Runs alternating with the pid-exact input, whose compiled
+   context keeps a pool of its own, change neither. *)
 let test_pool_reentrant () =
   let impl, workloads = cas5 () in
-  let exact = { Explore.fast with dedup = Exact } in
-  let alone options = Explore.run impl ~workloads ~options () in
-  let lone_fast = alone Explore.fast and lone_exact = alone exact in
-  Alcotest.(check bool) "modes differ" true (lone_fast <> lone_exact);
+  let exact = pid_exact impl in
+  let alone impl = Explore.run impl ~workloads ~options:Explore.fast () in
+  let lone_fast = alone impl and lone_exact = alone exact in
+  Alcotest.(check bool) "inputs differ" true (lone_fast <> lone_exact);
   for _ = 1 to 2 do
     Alcotest.(check bool) "exact after symmetric" true
       (alone exact = lone_exact);
     Alcotest.(check bool) "symmetric after exact" true
-      (alone Explore.fast = lone_fast)
+      (alone impl = lone_fast)
   done;
   let nested = ref [] in
   let outer =
     Explore.run impl ~workloads ~options:Explore.fast
-      ~on_leaf_trace:(fun _ _ -> nested := alone exact :: !nested)
+      ~on_leaf_trace:(fun _ _ ->
+        nested := (alone impl, alone exact) :: !nested)
       ()
   in
   Alcotest.(check bool) "outer run = lone run" true (outer = lone_fast);
   Alcotest.(check int) "one nested run per leaf" outer.Explore.leaves
     (List.length !nested);
   List.iter
-    (fun s ->
-      Alcotest.(check bool) "nested run = lone run" true (s = lone_exact))
+    (fun (s, e) ->
+      Alcotest.(check bool) "nested run = lone run" true (s = lone_fast);
+      Alcotest.(check bool) "nested exact run = lone run" true
+        (e = lone_exact))
     !nested;
-  Alcotest.(check bool) "a later run = lone run" true
-    (alone Explore.fast = lone_fast)
+  Alcotest.(check bool) "a later run = lone run" true (alone impl = lone_fast)
 
 let () =
   Alcotest.run "wfc_flat"

@@ -1,4 +1,4 @@
-(* Fleet tests — the wfc-fleet/2 wire codec (round-trip and totality under
+(* Fleet tests — the wfc-fleet/3 wire codec (round-trip and totality under
    byte fuzz), checkpoint split/merge and torn-write rejection, chaos plan
    specs, reconnect backoff, and chaos-parity integration: a forked worker
    pool driven through kill/stall/garbage/delayed-ack faults must produce
@@ -21,7 +21,7 @@ module Protocols = Wfc_consensus.Protocols
 
 let engine =
   {
-    Checkpoint.dedup = Checkpoint.Exact;
+    Checkpoint.dedup = true;
     por = true;
   }
 
@@ -78,9 +78,8 @@ let sample_msgs =
         quantum = 1;
         job = mk_ck ~frontier:[ sample_trace; [] ] ();
       };
-    Codec.Heartbeat { shard = -1; nodes = 0 };
-    Codec.Heartbeat { shard = 3; nodes = 99_999 };
-    Codec.Progress { shard = 12; nodes = 1000; leaves = 37 };
+    Codec.Heartbeat { shard = -1 };
+    Codec.Heartbeat { shard = 3 };
     Codec.Result { shard = 5; outcome = Codec.Done (mk_ck ~counts:(mk_counts 6) ()) };
     Codec.Result
       {
@@ -124,14 +123,16 @@ let test_codec_rejects () =
       "wfc-fleet/9 hello";
       (* v1 speakers have no session token: refused at the header *)
       "wfc-fleet/1 hello\npid 1\nname a";
-      "wfc-fleet/2 nonsense";
-      "wfc-fleet/2 hello";
+      (* a v2 heartbeat still carries its nodes field: refused at the header *)
+      "wfc-fleet/2 heartbeat\nshard 1\nnodes 5";
+      "wfc-fleet/3 nonsense";
+      "wfc-fleet/3 hello";
       (* missing token *)
-      "wfc-fleet/2 hello\npid 1\nname a";
+      "wfc-fleet/3 hello\npid 1\nname a";
       (* missing fields *)
-      "wfc-fleet/2 lease\nshard 1\nlease 1.0\nquantum 5";
+      "wfc-fleet/3 lease\nshard 1\nlease 1.0\nquantum 5";
       (* no job blob *)
-      "wfc-fleet/2 result\nshard 1\noutcome done\n--\ngarbage blob";
+      "wfc-fleet/3 result\nshard 1\noutcome done\n--\ngarbage blob";
     ]
   in
   List.iter
@@ -173,10 +174,7 @@ let arb_msg =
           (fun shard quantum job ->
             Codec.Lease { shard; lease_s = 1.5; quantum; job })
           small_nat small_nat ck;
-        map2 (fun shard nodes -> Codec.Heartbeat { shard; nodes }) small_nat small_nat;
-        map3
-          (fun shard nodes leaves -> Codec.Progress { shard; nodes; leaves })
-          small_nat small_nat small_nat;
+        map (fun shard -> Codec.Heartbeat { shard }) small_nat;
         map2 (fun shard outcome -> Codec.Result { shard; outcome }) small_nat outcome;
         map (fun shard -> Codec.Steal { shard }) small_nat;
         map (fun reason -> Codec.Shutdown { reason }) name;

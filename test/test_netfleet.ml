@@ -415,7 +415,7 @@ let test_queue_resume_passes_checkpoint () =
      receive it as its resume point *)
   let engine =
     {
-      Checkpoint.dedup = Checkpoint.Exact;
+      Checkpoint.dedup = true;
       por = true;
     }
   in

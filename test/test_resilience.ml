@@ -75,7 +75,7 @@ let sample_checkpoint () =
   in
   Checkpoint.make
     ~meta:[ ("protocol", "cas"); ("check.vector", "3") ]
-    ~engine:{ Checkpoint.dedup = Checkpoint.Exact; por = false }
+    ~engine:{ Checkpoint.dedup = true; por = false }
     ~fuel:10_000 ~budget_left:1234 ~faults
     ~workloads:
       [|
@@ -162,31 +162,29 @@ let test_checkpoint_mismatch_detected () =
   in
   Alcotest.(check bool) "adversary mismatch reported" true (wrong_faults <> None)
 
-(* Every dedup mode survives the text codec, and a resume refuses a
-   checkpoint taken under another mode. *)
+(* Every engine setting survives the text codec, and a resume refuses a
+   checkpoint taken under other options. *)
 let test_checkpoint_dedup_modes_roundtrip () =
   let ck = sample_checkpoint () in
   List.iter
-    (fun mode ->
-      let name = Checkpoint.dedup_to_string mode in
-      let ck =
-        { ck with Checkpoint.engine = { ck.Checkpoint.engine with dedup = mode } }
+    (fun (dedup, por) ->
+      let name =
+        Fmt.str "engine dedup=%d por=%d" (Bool.to_int dedup) (Bool.to_int por)
       in
+      let ck = { ck with Checkpoint.engine = { dedup; por } } in
       let s = Checkpoint.to_string ck in
       Alcotest.(check bool)
-        (name ^ ": engine line names the mode")
+        (name ^ ": engine line names the setting")
         true
-        (List.mem
-           (Fmt.str "engine dedup=%s por=0" name)
-           (String.split_on_char '\n' s));
+        (List.mem name (String.split_on_char '\n' s));
       match Checkpoint.of_string s with
       | Error e -> Alcotest.failf "%s: round-trip failed: %s" name e
       | Ok ck' ->
-        Alcotest.(check string) (name ^ ": mode preserved") name
-          (Checkpoint.dedup_to_string ck'.Checkpoint.engine.Checkpoint.dedup);
+        Alcotest.(check bool) (name ^ ": setting preserved") true
+          (ck'.Checkpoint.engine = ck.Checkpoint.engine);
         Alcotest.(check string) (name ^ ": canonical form stable") s
           (Checkpoint.to_string ck'))
-    [ Checkpoint.Off; Checkpoint.Exact; Checkpoint.Symmetric ]
+    [ (false, false); (false, true); (true, false); (true, true) ]
 
 let test_resume_refuses_other_mode () =
   let impl = cas3 () in
@@ -204,19 +202,19 @@ let test_resume_refuses_other_mode () =
     | Error e -> Alcotest.failf "checkpoint load failed: %s" e
   in
   Sys.remove path;
-  Alcotest.(check string) "checkpoint records the mode" "symmetric"
-    (Checkpoint.dedup_to_string ck.Checkpoint.engine.Checkpoint.dedup);
+  Alcotest.(check bool) "checkpoint records the options" true
+    (ck.Checkpoint.engine = Explore.fast);
   List.iter
-    (fun mode ->
-      let options = { Explore.fast with dedup = mode } in
+    (fun (name, options) ->
       match
         Explore.run impl ~workloads:workloads3 ~options ~resume_from:ck ()
       with
-      | _ ->
-        Alcotest.failf "resume under dedup=%s accepted"
-          (Checkpoint.dedup_to_string mode)
+      | _ -> Alcotest.failf "resume under %s accepted" name
       | exception Invalid_argument _ -> ())
-    [ Explore.Off; Explore.Exact ]
+    [
+      ("dedup off", { Explore.fast with dedup = false });
+      ("por off", { Explore.fast with por = false });
+    ]
 
 (* [wfc checkpoint info] names the reductions that ran: a fault adversary
    runs without POR whatever the options asked. *)
@@ -228,10 +226,10 @@ let test_engine_summary () =
          ~counts:(Checkpoint.zero_counts ~n_objs:1)
          ~frontier:[] ())
   in
-  Alcotest.(check string) "fast, no adversary" "dedup=symmetric por=on"
+  Alcotest.(check string) "fast, no adversary" "dedup=on por=on"
     (summary Explore.fast Faults.none);
   Alcotest.(check string) "fast under crashes"
-    "dedup=symmetric por=off (fault adversary)"
+    "dedup=on por=off (fault adversary)"
     (summary Explore.fast (Faults.crashes 1));
   Alcotest.(check string) "naive under crashes" "dedup=off por=off"
     (summary Explore.naive (Faults.crashes 1))
@@ -365,14 +363,14 @@ let test_checkpoint_legacy_headers_refused () =
           (contains e header))
     [
       "wfc-checkpoint/1"; "wfc-checkpoint/2"; "wfc-checkpoint/3";
-      "wfc-checkpoint/4"; "wfc-checkpoint/5";
+      "wfc-checkpoint/4"; "wfc-checkpoint/5"; "wfc-checkpoint/6";
     ]
 
 let test_checkpoint_meta_validation () =
   match
     Checkpoint.make
       ~meta:[ ("bad key", "v") ]
-      ~engine:{ Checkpoint.dedup = Checkpoint.Off; por = false }
+      ~engine:{ Checkpoint.dedup = false; por = false }
       ~fuel:1 ~faults:Faults.none ~workloads:[| [] |]
       ~counts:(Checkpoint.zero_counts ~n_objs:0)
       ~frontier:[] ()
@@ -764,6 +762,50 @@ let test_verify_periodic_save_across_vectors () =
   | v ->
     Alcotest.failf "expected Verified after resume, got %a" Check.pp_verdict v
 
+(* [Check.resumable] is the one resume check: it accepts the run a
+   checkpoint was taken by and names what differs for any other, and
+   [Check.verify] refuses with the same reason before it searches. *)
+let test_resumable_names_the_mismatch () =
+  let impl = Protocols.from_cas ~procs:3 () in
+  let faults = Faults.crashes 1 in
+  let path = temp_ck () in
+  (match Check.verify ~faults ~budget:200 ~checkpoint:(path, 3600.) impl with
+  | Check.Unknown _ -> ()
+  | v -> Alcotest.failf "expected Unknown, got %a" Check.pp_verdict v);
+  let ck =
+    match Checkpoint.load path with
+    | Ok ck -> ck
+    | Error e -> Alcotest.failf "checkpoint unreadable: %s" e
+  in
+  Sys.remove path;
+  (match Check.resumable ~faults impl ck with
+  | Ok l ->
+    Alcotest.(check (option string)) "the ledger's vector"
+      (Checkpoint.meta_find ck "check.vector")
+      (Some (string_of_int l.Check.vector))
+  | Error e -> Alcotest.failf "own run refused: %s" e);
+  List.iter
+    (fun (name, got, reason) ->
+      Alcotest.(check (result reject string)) name (Error reason)
+        (Result.map ignore got))
+    [
+      ( "no adversary",
+        Check.resumable impl ck,
+        "fault adversary differs from the checkpointed run" );
+      ( "other engine",
+        Check.resumable ~faults ~engine:Explore.naive impl ck,
+        "engine options differ from the checkpointed run" );
+      ( "other fuel",
+        Check.resumable ~faults ~fuel:99 impl ck,
+        Fmt.str "fuel differs (checkpoint %d, run 99)" Explore.default_fuel );
+    ];
+  match Check.verify impl ~resume:ck with
+  | _ -> Alcotest.fail "verify resumed another problem's checkpoint"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "verify's refusal"
+      "Check: cannot resume: fault adversary differs from the checkpointed run"
+      msg
+
 (* The ledger a checkpoint carries reads back as it was written, through
    the text format, and a missing key is named. *)
 let test_ledger_roundtrip () =
@@ -913,5 +955,7 @@ let () =
             test_verify_periodic_save_across_vectors;
           Alcotest.test_case "a failed save never ends the run" `Quick
             test_verify_failed_save;
+          Alcotest.test_case "resumable names the mismatch" `Quick
+            test_resumable_names_the_mismatch;
         ] );
     ]
