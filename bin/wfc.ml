@@ -117,19 +117,22 @@ let witness_out_arg =
 
 let checkpoint_arg =
   let doc =
-    "Periodically (see $(b,--checkpoint-interval)) save a resumable \
-     checkpoint of the search frontier to $(docv); on a budget, deadline or \
-     SIGINT/SIGTERM cut the final frontier is flushed there, and \
-     $(b,wfc verify PROTOCOL --resume) $(docv) continues the run. The file \
-     is removed once a definitive verdict is reached."
+    "Periodically save a resumable checkpoint of the search frontier to \
+     $(docv); on a budget, deadline or SIGINT/SIGTERM cut the final frontier \
+     is flushed there, and $(b,wfc verify PROTOCOL --resume) $(docv) \
+     continues the run. The file is removed once a definitive verdict is \
+     reached."
   in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+
+(* `wfc verify`'s default period of checkpoint saves; `serve` and `queue` use it. *)
+let checkpoint_interval_s = 5.0
 
 let checkpoint_interval_arg =
   let doc = "Seconds between periodic checkpoint saves." in
   Arg.(
     value
-    & opt float 5.0
+    & opt float checkpoint_interval_s
     & info [ "checkpoint-interval" ] ~docv:"SECONDS" ~doc)
 
 let resume_arg =
@@ -218,14 +221,15 @@ let load_resume ~name ~procs ~faults impl = function
       | Ok _ -> ());
       Some ck)
 
-(* A checkpoint path in a missing directory would fail only at the first
-   save, in the middle of the search: refuse it before anything runs. *)
-let require_checkpoint_dir = function
+(* An output path in a missing directory would fail only at its first
+   write, in the middle of the search or after it: refuse it before
+   anything runs. *)
+let require_dir what = function
   | None -> ()
   | Some path -> (
     match Wfc_sim.Checkpoint.check_path path with
     | Ok () -> ()
-    | Error e -> refuse "%s" e)
+    | Error e -> refuse "%s %s" what e)
 
 (* Arm SIGINT/SIGTERM as a cooperative cut: the engine (or coordinator)
    polls the flag, flushes a final checkpoint and reports UNKNOWN
@@ -274,10 +278,13 @@ let print_verdict ~name ~procs ~crashes ~recoveries ~glitches ~degrade
           Wfc_sim.Witness.meta = Protocols.meta ~name ~procs;
         }
       in
-      let oc = open_out file in
-      output_string oc (Wfc_sim.Witness.to_string w);
-      close_out oc;
-      Fmt.pr "witness stored to %s (replay with: wfc replay %s)@." file file
+      (match
+         Wfc_sim.Checkpoint.save_string (Wfc_sim.Witness.to_string w)
+           ~path:file
+       with
+      | Ok () ->
+        Fmt.pr "witness stored to %s (replay with: wfc replay %s)@." file file
+      | Error e -> Fmt.pr "witness not written: %s@." e)
     | Some _, None -> Fmt.pr "no witness to store for this violation@."
     | None, _ -> ());
     1
@@ -302,7 +309,8 @@ let verify_cmd =
   let run name procs crashes recoveries glitches degrade budget deadline_s
       witness_file ckpt_file ckpt_interval
       resume_file mem_budget_mb profile_file =
-    require_checkpoint_dir ckpt_file;
+    require_dir "checkpoint" ckpt_file;
+    require_dir "witness" witness_file;
     let impl = make_protocol ~procs name in
     let faults =
       faults_of_flags impl ~crashes ~recoveries ~glitches ~degrade
@@ -432,7 +440,8 @@ let serve_cmd =
   let run name procs crashes recoveries glitches degrade budget deadline_s
       witness_file ckpt_file resume_file socket workers lease_s quantum
       local_grace_s chaos chaos_seed verbose =
-    require_checkpoint_dir ckpt_file;
+    require_dir "checkpoint" ckpt_file;
+    require_dir "witness" witness_file;
     let impl = make_protocol ~procs name in
     let faults =
       faults_of_flags impl ~crashes ~recoveries ~glitches ~degrade
@@ -461,14 +470,15 @@ let serve_cmd =
       if verbose then fun m -> Fmt.epr "[serve] %s@." m else fun _ -> ()
     in
     let config =
-      Wfc_fleet.Coordinator.config ~lease_s ~quantum ~local_grace_s
-        ?checkpoint ~log socket
+      Wfc_fleet.Coordinator.config ~lease_s ~quantum ~local_grace_s ~log
+        socket
     in
     let meta = Protocols.meta ~name ~procs in
     let interrupt = arm_interrupt () in
     let verdict, fstats =
-      Wfc_fleet.Coordinator.serve ~faults ?budget ?deadline_s ?resume
-        ~interrupt ~meta ~config impl
+      Wfc_fleet.Coordinator.serve ~faults ?budget ?deadline_s
+        ?checkpoint:(Option.map (fun f -> (f, checkpoint_interval_s)) checkpoint)
+        ?resume ~interrupt ~meta ~config impl
     in
     Wfc_fleet.Local.shutdown pids;
     Fmt.pr
@@ -711,15 +721,14 @@ let queue_cmd =
       match Protocols.of_name ~procs:j.Wfc_fleet.Jobqueue.procs j.protocol with
       | Error e -> Error e
       | Ok impl -> (
-        let config =
-          Wfc_fleet.Coordinator.config ~lease_s ~quantum ~checkpoint ~log
-            socket
-        in
+        let config = Wfc_fleet.Coordinator.config ~lease_s ~quantum ~log socket in
         let meta = Protocols.meta ~name:j.protocol ~procs:j.procs in
         match
           Wfc_fleet.Coordinator.serve
             ~faults:(Wfc_sim.Faults.crashes j.crashes)
-            ?budget ?deadline_s ?resume ~interrupt ~meta ~config impl
+            ?budget ?deadline_s
+            ~checkpoint:(checkpoint, checkpoint_interval_s)
+            ?resume ~interrupt ~meta ~config impl
         with
         | Check.Verified _, _ -> Ok Wfc_fleet.Jobqueue.Verified
         | Check.Falsified _, _ -> Ok Wfc_fleet.Jobqueue.Falsified
@@ -805,9 +814,7 @@ let checkpoint_cmd =
       l
     in
     match Wfc_sim.Checkpoint.load file with
-    | Error e ->
-      Fmt.pr "cannot load %s: %s@." file e;
-      1
+    | Error e -> refuse "cannot load %s: %s" file e
     | Ok ck ->
       let c = ck.Wfc_sim.Checkpoint.counts in
       Fmt.pr "%s@." file;
@@ -937,6 +944,7 @@ let valence_cmd =
           ~doc:"Also write the valence-coloured execution tree as DOT.")
   in
   let run name procs dot =
+    require_dir "DOT" dot;
     let impl = make_protocol ~procs name in
     let inputs = List.init procs (fun p -> p mod 2 = 1) in
     match Valence.analyze impl ~inputs () with
@@ -947,15 +955,15 @@ let valence_cmd =
       match dot with
       | None -> 0
       | Some file -> (
-        match Valence.to_dot impl ~inputs () with
-        | Ok dot_src ->
-          let oc = open_out file in
-          output_string oc dot_src;
-          close_out oc;
+        match
+          Result.bind (Valence.to_dot impl ~inputs ())
+            (Wfc_sim.Checkpoint.save_string ~path:file)
+        with
+        | Ok () ->
           Fmt.pr "wrote %s@." file;
           0
         | Error e ->
-          Fmt.pr "dot export failed: %s@." e;
+          Fmt.pr "DOT not written: %s@." e;
           1))
     | Error e ->
       Fmt.pr "analysis failed: %s@." e;
@@ -1064,9 +1072,7 @@ let replay_cmd =
       s
     in
     match Wfc_sim.Witness.of_string contents with
-    | Error e ->
-      Fmt.pr "cannot parse %s: %s@." file e;
-      1
+    | Error e -> refuse "cannot parse %s: %s" file e
     | Ok w -> (
       let name, procs =
         match

@@ -504,35 +504,13 @@ let verify ?subsets ?repeat ?domain ?(faults = Faults.none)
   (* One clock for periodic saves across the whole run: the engine's own
      interval restarts with every job, so a run of short vectors would
      otherwise never save. *)
-  let last_save = ref (Monotime.now ()) in
-  (* Why the last save failed. A failed save is reported on stderr, once,
-     when the run goes on past it; the failed save of a cut is the
-     verdict's [unsaved] instead. *)
-  let failed = ref None and warned = ref false in
-  let warn_failed () =
-    match (!failed, armed) with
-    | Some e, Some (path, _) when not !warned ->
-      warned := true;
-      Fmt.epr "wfc: checkpoint not written to %s: %s; the run goes on@." path
-        e
-    | _ -> ()
-  in
-  let write ck =
-    Option.iter
-      (fun (path, _) ->
-        warn_failed ();
-        (failed :=
-           match Checkpoint.save ck ~path with
-           | Ok () -> None
-           | Error e -> Some e);
-        last_save := Monotime.now ())
+  let writer =
+    Option.map
+      (fun (path, interval_s) -> Checkpoint.writer ~path ~interval_s)
       armed
   in
-  let remove_checkpoint () =
-    Option.iter
-      (fun (path, _) -> try Sys.remove path with Sys_error _ -> ())
-      armed
-  in
+  let write ck = Option.iter (fun w -> Checkpoint.write w ck) writer in
+  let finish ~cut = Option.bind writer (Checkpoint.finish ~cut) in
   let sink =
     Option.map
       (fun (_, interval) -> (interval, fun ck -> write (stamp ~meta b ck)))
@@ -541,8 +519,7 @@ let verify ?subsets ?repeat ?domain ?(faults = Faults.none)
   let rec run jobs =
     match jobs () with
     | Seq.Nil ->
-      warn_failed ();
-      remove_checkpoint ();
+      ignore (finish ~cut:false);
       verdict b
     | Seq.Cons (((v : vector), (job : Checkpoint.t)), rest) -> (
       let save_job () =
@@ -552,23 +529,19 @@ let verify ?subsets ?repeat ?domain ?(faults = Faults.none)
       match allowance b with
       | Error reason ->
         save_job ();
-        verdict ~cut:reason ?unsaved:!failed b
+        verdict ~cut:reason ?unsaved:(finish ~cut:true) b
       | Ok (budget, deadline_s) -> (
-        (match armed with
-        | Some (_, interval) when Monotime.now () -. !last_save >= interval ->
-          save_job ()
-        | _ -> ());
+        if Option.fold ~none:false ~some:Checkpoint.due writer then save_job ();
         match
           run_job ?budget ?deadline_s ?interrupt ?mem_budget_mb
             ?checkpoint:sink impl job
         with
         | Violated v ->
-          warn_failed ();
-          remove_checkpoint ();
+          ignore (finish ~cut:false);
           Falsified (if shrink then shrink_violation impl v else v)
         | Cut { reason; remainder } ->
           record b v.pos ~from:job remainder ~left:1;
-          verdict ~cut:reason ?unsaved:!failed b
+          verdict ~cut:reason ?unsaved:(finish ~cut:true) b
         | Drained counts ->
           record b v.pos ~from:job { job with counts; frontier = [] } ~left:0;
           run rest))

@@ -133,9 +133,11 @@ val verify :
     budget, the deadline or [interrupt], the {!checkpoint} of the run is
     saved to [path]: the unexplored frontier of its first vector not
     drained (see {!Wfc_sim.Checkpoint}) with the {!type:ledger} of the
-    vectors before it. The file is deleted once the run ends; it survives
-    only a cut. [meta] adds caller entries (e.g. {!Protocols.meta}) to every
-    checkpoint written; keys must be space-free.
+    vectors before it. A {!Wfc_sim.Checkpoint.writer} writes it, under its
+    policy: a failed save never ends the run, a cut's is the verdict's
+    [unsaved], and the file survives only a cut. [meta] adds caller entries
+    (e.g. {!Protocols.meta}) to every checkpoint written; keys must be
+    space-free.
 
     [resume] continues a prior run from its loaded checkpoint: vectors
     before the checkpointed one are skipped (their results are in its
@@ -148,10 +150,6 @@ val verify :
     [interrupt] is polled by the engine at every node; setting it (e.g.
     from a SIGINT handler) makes the verdict
     [Unknown {reason = "interrupted"}] after a final checkpoint flush.
-
-    A save that fails (a full disk, a file-size limit) never ends the run:
-    a periodic one is reported once on stderr and the search goes on; the
-    final one of a cut is the verdict's [unsaved].
 
     [mem_budget_mb] caps each vector's duplicate-state table
     ({!Wfc_sim.Explore.run}): a full table is emptied instead of growing,

@@ -10,14 +10,12 @@ type config = {
   hello_grace_s : float;
   max_conns : int;
   io_deadline_s : float;
-  checkpoint : string option;
-  checkpoint_interval_s : float;
   log : string -> unit;
 }
 
 let config ?(lease_s = 10.) ?(quantum = 20_000) ?(local_grace_s = 1.)
-    ?(hello_grace_s = 5.) ?(max_conns = 64) ?(io_deadline_s = 5.) ?checkpoint
-    ?(checkpoint_interval_s = 2.) ?(log = ignore) addr =
+    ?(hello_grace_s = 5.) ?(max_conns = 64) ?(io_deadline_s = 5.)
+    ?(log = ignore) addr =
   let addr =
     match Transport.parse addr with
     | Ok a -> a
@@ -31,8 +29,6 @@ let config ?(lease_s = 10.) ?(quantum = 20_000) ?(local_grace_s = 1.)
     hello_grace_s;
     max_conns;
     io_deadline_s;
-    checkpoint;
-    checkpoint_interval_s;
     log;
   }
 
@@ -80,8 +76,8 @@ let retry_eintr f =
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
-    ?deadline_s ?(shrink = true) ?(engine = Explore.fast) ?resume ?interrupt
-    ?(meta = []) ~config:(cfg : config) (impl : Implementation.t) =
+    ?deadline_s ?(shrink = true) ?(engine = Explore.fast) ?checkpoint ?resume
+    ?interrupt ?(meta = []) ~config:(cfg : config) (impl : Implementation.t) =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let fuel = Option.value fuel ~default:Explore.default_fuel in
   (* The run's account: a checkpoint that is not this run's is refused
@@ -178,16 +174,16 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
     close_noerr listener;
     Transport.unlink_noerr cfg.addr
   in
-  let remove_checkpoint () =
-    match cfg.checkpoint with
-    | Some path -> ( try Sys.remove path with Sys_error _ -> ())
-    | None -> ()
+  let writer =
+    Option.map
+      (fun (path, interval_s) -> Checkpoint.writer ~path ~interval_s)
+      checkpoint
   in
+  let finish ~cut = Option.bind writer (Checkpoint.finish ~cut) in
   (* A cut between results leaves a single-process-compatible checkpoint,
      cut where the account cuts it: its frontier is the union of the
-     prefixes still pending for that vector, queued, leased or parked.
-     Returns why the save failed, if it did. *)
-  let flush_checkpoint () =
+     prefixes still pending for that vector, queued, leased or parked. *)
+  let flush_checkpoint w =
     let pending (v : Check.vector) =
       List.of_seq (Queue.to_seq queue)
       @ List.filter_map
@@ -201,26 +197,13 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
              else acc)
            []
     in
-    match (cfg.checkpoint, Check.checkpoint ~meta book ~frontier:pending) with
-    | Some path, Some ck -> (
-      match Checkpoint.save ck ~path with
-      | Ok () ->
+    Option.iter
+      (fun (ck : Checkpoint.t) ->
         cfg.log
-          (Fmt.str "flushed checkpoint (%d pending prefixes) to %s"
-             (List.length ck.frontier) path);
-        None
-      | Error e -> Some e)
-    | _ -> None
-  in
-  (* A failed periodic flush is reported once on stderr; the run goes on. *)
-  let warned = ref false in
-  let flush_periodic path =
-    match flush_checkpoint () with
-    | Some e when not !warned ->
-      warned := true;
-      Fmt.epr "wfc: checkpoint not written to %s: %s; the run goes on@." path
-        e
-    | _ -> ()
+          (Fmt.str "saving checkpoint (%d pending prefixes)"
+             (List.length ck.frontier));
+        Checkpoint.write w ck)
+      (Check.checkpoint ~meta book ~frontier:pending)
   in
   (* ---------- result handling ---------- *)
   let rec settle (s : shard) (outcome : Codec.outcome) =
@@ -413,7 +396,6 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
     go ()
   in
   let started = Monotime.now () in
-  let last_flush = ref started in
   let result =
     try
       while not (Check.finished book) do
@@ -444,10 +426,8 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
         (* periodic flush: a SIGKILL'd coordinator restarts from a recent
            cut instead of the beginning (the journal of `wfc queue` points
            its retry at this file) *)
-        (match cfg.checkpoint with
-        | Some path when now -. !last_flush >= cfg.checkpoint_interval_s ->
-          flush_periodic path;
-          last_flush := now
+        (match writer with
+        | Some w when Checkpoint.due w -> flush_checkpoint w
         | _ -> ());
         dispatch ();
         steal_if_starved ();
@@ -484,16 +464,17 @@ let serve ?subsets ?repeat ?domain ?(faults = Faults.none) ?fuel ?budget
           | Ok (Some quantum, _) -> run_local ~quantum (Queue.pop queue)
           | _ -> ()
       done;
-      remove_checkpoint ();
+      ignore (finish ~cut:false);
       cleanup ~reason:"run complete" ();
       Check.verdict book
     with
     | Found_v v ->
-      remove_checkpoint ();
+      ignore (finish ~cut:false);
       cleanup ~reason:"violation found" ();
       Check.Falsified (if shrink then Check.shrink_violation impl v else v)
     | Cut reason ->
-      let unsaved = flush_checkpoint () in
+      Option.iter flush_checkpoint writer;
+      let unsaved = finish ~cut:true in
       cleanup ~reason ();
       Check.verdict ~cut:reason ?unsaved book
     | e ->

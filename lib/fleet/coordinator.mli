@@ -42,10 +42,10 @@
     the budget left) and makes the verdict. A cut flushes its
     {!Wfc_consensus.Check.checkpoint}, whose frontier is the union of the
     first incomplete vector's pending shard prefixes, so [wfc verify
-    --resume] picks up a fleet run and vice versa. With a [checkpoint] path
-    configured the same file is also flushed every [checkpoint_interval_s],
-    so even a SIGKILL'd coordinator resumes from a recent cut (the
-    crash-safety `wfc queue` builds on). *)
+    --resume] picks up a fleet run and vice versa. With a [checkpoint]
+    armed the same file is also flushed periodically, so even a SIGKILL'd
+    coordinator resumes from a recent cut (the crash-safety `wfc queue`
+    builds on). *)
 
 open Wfc_program
 open Wfc_sim
@@ -63,9 +63,6 @@ type config = {
   max_conns : int;  (** concurrent-connection cap; excess is shed at accept *)
   io_deadline_s : float;
       (** per-write deadline on every coordinator socket write *)
-  checkpoint : string option;  (** flush target for cuts and periodic saves *)
-  checkpoint_interval_s : float;
-      (** how often to flush [checkpoint] while running *)
   log : string -> unit;
 }
 
@@ -76,16 +73,14 @@ val config :
   ?hello_grace_s:float ->
   ?max_conns:int ->
   ?io_deadline_s:float ->
-  ?checkpoint:string ->
-  ?checkpoint_interval_s:float ->
   ?log:(string -> unit) ->
   string ->
   config
 (** [config addr], where [addr] is parsed by {!Transport.parse} (a bare
     string is a Unix-domain socket path, backward compatible). Defaults:
     10 s leases, 20k-node quantum, 1 s local grace, 5 s hello grace, 64
-    connections, 5 s write deadline, no checkpoint, 2 s flush interval,
-    silent. Raises [Invalid_argument] on a malformed address. *)
+    connections, 5 s write deadline, silent. Raises [Invalid_argument] on
+    a malformed address. *)
 
 type fleet_stats = {
   workers_seen : int;
@@ -113,6 +108,7 @@ val serve :
   ?deadline_s:float ->
   ?shrink:bool ->
   ?engine:Explore.options ->
+  ?checkpoint:string * float ->
   ?resume:Checkpoint.t ->
   ?interrupt:bool Atomic.t ->
   ?meta:(string * string) list ->
@@ -122,10 +118,9 @@ val serve :
 (** Run the verification to a verdict, delegating to whatever workers
     connect. Parameters are {!Wfc_consensus.Check.verify}'s, with the same
     defaults, verdict semantics and checkpoint format, except that there is
-    no [mem_budget_mb] (shards' dedup tables are uncapped) and the
-    checkpoint path is [config.checkpoint]. A failed periodic flush is
-    reported once on stderr and the run goes on; a cut's failed flush is
-    the verdict's [unsaved]. [meta] must include the
+    no [mem_budget_mb] (shards' dedup tables are uncapped); [checkpoint]
+    is written by a {!Wfc_sim.Checkpoint.writer}, as [Check.verify]'s
+    is. [meta] must include the
     {!Wfc_consensus.Protocols.meta} entries workers rebuild the
     implementation from. [engine] is the
     per-worker engine configuration (default {!Explore.fast}).

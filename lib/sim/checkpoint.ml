@@ -371,7 +371,7 @@ let fsync_dir path =
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () -> fsync_noerr fd)
 
-let save t ~path =
+let save_string s ~path =
   let tmp = path ^ ".tmp" in
   match open_out_bin tmp with
   | exception Sys_error e -> Error e
@@ -380,7 +380,7 @@ let save t ~path =
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () ->
-          output_string oc (to_string t);
+          output_string oc s;
           flush oc;
           fsync_noerr (Unix.descr_of_out_channel oc));
       (* rename within a directory is atomic: a reader (or a resume after a
@@ -392,10 +392,49 @@ let save t ~path =
       (try Sys.remove tmp with Sys_error _ -> ());
       Error e)
 
+let save t ~path = save_string (to_string t) ~path
+
 let check_path path =
   let dir = Filename.dirname path in
   if Sys.file_exists dir && Sys.is_directory dir then Ok ()
-  else Error (Fmt.str "checkpoint directory %s does not exist" dir)
+  else Error (Fmt.str "directory %s does not exist" dir)
+
+(* --- the run's checkpoint file ------------------------------------------------ *)
+
+type writer = {
+  path : string;
+  interval_s : float;
+  mutable last : float;
+  mutable failed : string option;  (* why the last save failed *)
+  mutable reported : bool;
+}
+
+let writer ~path ~interval_s =
+  { path; interval_s; last = Monotime.now (); failed = None; reported = false }
+
+let due w = Monotime.now () -. w.last >= w.interval_s
+
+(* A failed save is reported once, when the run is seen to go on past it. *)
+let report w =
+  match w.failed with
+  | Some e when not w.reported ->
+    w.reported <- true;
+    Fmt.epr "wfc: checkpoint not written to %s: %s; the run goes on@." w.path e
+  | _ -> ()
+
+let write w t =
+  report w;
+  (w.failed <-
+     match save t ~path:w.path with Ok () -> None | Error e -> Some e);
+  w.last <- Monotime.now ()
+
+let finish w ~cut =
+  if cut then w.failed
+  else begin
+    report w;
+    (try Sys.remove w.path with Sys_error _ -> ());
+    None
+  end
 
 let load path =
   match open_in_bin path with

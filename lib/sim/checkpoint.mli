@@ -106,18 +106,42 @@ val of_string : string -> (t, string) result
     the digest by re-serializing the parsed checkpoint. *)
 
 val save : t -> path:string -> (unit, string) result
+(** [save_string (to_string t) ~path]. *)
+
+val save_string : string -> path:string -> (unit, string) result
 (** Atomic {e and} durable: writes [path ^ ".tmp"], fsyncs it, renames, and
-    fsyncs the directory — a crash mid-save leaves the previous checkpoint
-    intact, and a host crash right after [save] returns cannot surface a
-    renamed-but-truncated file. Sync failures (e.g. filesystems without
-    fsync) are swallowed; a failed open, write or rename (a full disk, a
-    file-size limit) is [Error] with the system's reason, never an
-    exception, and leaves no [.tmp] file behind. *)
+    fsyncs the directory — a crash mid-save leaves the previous file
+    intact, and a host crash right after [save_string] returns cannot
+    surface a renamed-but-truncated file. Sync failures (e.g. filesystems
+    without fsync) are swallowed; a failed open, write or rename (a full
+    disk, a file-size limit) is [Error] with the system's reason, never an
+    exception, and leaves no [.tmp] file behind. [wfc] writes its
+    checkpoints, witnesses and DOT files this way. *)
 
 val check_path : string -> (unit, string) result
-(** [Error] naming the directory when the one that would hold a checkpoint
-    at this path does not exist: a caller refuses the path before its
-    search starts instead of failing at the first save. *)
+(** [Error] naming the directory when the one that would hold a file at
+    this path does not exist: a caller refuses the path before its search
+    starts instead of failing at the first save. *)
+
+(** {2 The run's checkpoint file}
+
+    One policy for every driver of a run that checkpoints
+    ([Wfc_consensus.Check.verify] and the fleet coordinator):
+    - a save is {!due} once [interval_s] has passed since the writer was
+      made or last wrote;
+    - a failed save never ends the run: {!write} keeps it, and it is
+      reported on stderr, once per run, when a later save or a definitive
+      verdict shows that the run went on past it;
+    - a cut's failed save is not reported: {!finish} returns it, for the
+      verdict's [unsaved], and the file stays for a resume;
+    - a definitive verdict ([~cut:false]) deletes the file. *)
+
+type writer
+
+val writer : path:string -> interval_s:float -> writer
+val due : writer -> bool
+val write : writer -> t -> unit
+val finish : writer -> cut:bool -> string option
 
 val split : t -> into:int -> t list
 (** Partition the frontier round-robin into at most [into] shards (fewer

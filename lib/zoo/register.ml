@@ -31,5 +31,3 @@ let unbounded ~ports =
     ~invocations:[ Ops.read; Ops.write (Value.int 0) ]
     ~oblivious:true
     (fun q ~port:_ ~inv -> [ step q inv ])
-
-let initial_bit b = Value.bool b

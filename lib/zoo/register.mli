@@ -22,6 +22,3 @@ val unbounded : ports:int -> Type_spec.t
 (** Atomic register over all of [Value.t], initially [Int 0]. No state
     enumeration (infinite Q); used as the substrate that the §4.1 chain and
     the Theorem 5 compiler eliminate. *)
-
-val initial_bit : bool -> Value.t
-(** A non-default initial state for {!bit}. *)

@@ -63,18 +63,6 @@ let safe_bit ~ports = make ~safe:true ~name:"safe-bit" ~ports bool_domain
 let regular_bit ~ports =
   make ~safe:false ~name:"regular-bit" ~ports bool_domain
 
-let int_domain values = List.init values Value.int
-
-let regular_bounded ~ports ~values =
-  make ~safe:false
-    ~name:(Fmt.str "regular-reg%d" values)
-    ~ports (int_domain values)
-
-let safe_bounded ~ports ~values =
-  make ~safe:true
-    ~name:(Fmt.str "safe-reg%d" values)
-    ~ports (int_domain values)
-
 let safe_values ~ports ~domain =
   if domain = [] then invalid_arg "Weak_register.safe_values: empty domain";
   make ~safe:true ~name:"safe-values" ~ports domain

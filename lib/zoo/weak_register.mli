@@ -26,11 +26,6 @@ val regular_bit : ports:int -> Type_spec.t
 (** Regular Boolean register: a read overlapping a write returns the old or
     the new value. *)
 
-val regular_bounded : ports:int -> values:int -> Type_spec.t
-(** Regular register over [{0..values-1}]. *)
-
-val safe_bounded : ports:int -> values:int -> Type_spec.t
-
 val safe_values : ports:int -> domain:Value.t list -> Type_spec.t
 (** Safe register over an explicit value domain (an overlapping read may
     return any of them). Initial state: first domain element, idle. *)

@@ -562,11 +562,13 @@ let serve_fleet ?(workers = 2) ?(chaos = fun _ -> Chaos.none) ?budget
   let config =
     Coordinator.config ~lease_s:1.5 ~quantum:60
       ~local_grace_s:(if workers = 0 then 0.01 else 5.)
-      ?checkpoint socket
+      socket
   in
   let meta = [ ("protocol", name); ("procs", string_of_int procs) ] in
   Fun.protect ~finally:(fun () -> Local.shutdown pids) @@ fun () ->
-  Coordinator.serve ?budget ?resume ~meta ~config impl
+  Coordinator.serve ?budget
+    ?checkpoint:(Option.map (fun path -> (path, 2.)) checkpoint)
+    ?resume ~meta ~config impl
 
 let report_of = function
   | Check.Verified r -> r
@@ -798,11 +800,9 @@ let test_failed_flush () =
   let impl = impl_of "cas" 3 in
   let serve ?budget () =
     fst
-      (Coordinator.serve ?budget
+      (Coordinator.serve ?budget ~checkpoint:(dir, 0.)
          ~meta:(Protocols.meta ~name:"cas" ~procs:3)
-         ~config:
-           (Coordinator.config ~local_grace_s:0. ~checkpoint:dir
-              ~checkpoint_interval_s:0. (fresh_socket ()))
+         ~config:(Coordinator.config ~local_grace_s:0. (fresh_socket ()))
          impl)
   in
   (match serve () with
@@ -1001,11 +1001,10 @@ let test_cut_ledgers_agree () =
   | Check.Unknown _ -> ()
   | v -> Alcotest.failf "single process not cut: %a" Check.pp_verdict v);
   let config =
-    Coordinator.config ~quantum:100_000 ~local_grace_s:0.01
-      ~checkpoint:fleet_ck (fresh_socket ())
+    Coordinator.config ~quantum:100_000 ~local_grace_s:0.01 (fresh_socket ())
   in
   (match
-     Coordinator.serve ~budget
+     Coordinator.serve ~budget ~checkpoint:(fleet_ck, 2.)
        ~meta:(Protocols.meta ~name:"sticky" ~procs:3)
        ~config impl
    with

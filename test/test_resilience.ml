@@ -891,6 +891,43 @@ let test_verify_failed_save () =
   | Check.Unknown { unsaved = None; _ } -> ()
   | v -> Alcotest.failf "saved cut: %a" Check.pp_verdict v
 
+(* The checkpoint writer's policy, called directly. Each row makes one
+   save (to a directory at the path, for a failing one), then ends the
+   run: what [finish] returns, whether the file is left, and whether the
+   next save is due right after this one. No row leaves a [.tmp] file. *)
+let test_writer_policy () =
+  List.iter
+    (fun (what, failing, interval_s, cut, unsaved, kept) ->
+      let path = temp_ck () in
+      if failing then begin
+        Sys.remove path;
+        Sys.mkdir path 0o700
+      end;
+      Fun.protect
+        ~finally:(fun () ->
+          try if failing then Sys.rmdir path else Sys.remove path
+          with Sys_error _ -> ())
+      @@ fun () ->
+      let w = Checkpoint.writer ~path ~interval_s in
+      Checkpoint.write w (sample_checkpoint ());
+      Alcotest.(check bool) (what ^ ": due") (interval_s = 0.)
+        (Checkpoint.due w);
+      Alcotest.(check bool) (what ^ ": reason returned") unsaved
+        (Option.is_some (Checkpoint.finish w ~cut));
+      Alcotest.(check bool) (what ^ ": file kept") kept
+        (Sys.file_exists path && not (Sys.is_directory path));
+      if kept then
+        Alcotest.(check bool) (what ^ ": the kept file loads") true
+          (Result.is_ok (Checkpoint.load path));
+      Alcotest.(check bool) (what ^ ": no .tmp") false
+        (Sys.file_exists (path ^ ".tmp")))
+    [
+      ("good save, then a verdict", false, 3600., false, false, false);
+      ("good save, then a cut", false, 3600., true, false, true);
+      ("failing save, then a cut", true, 0., true, true, false);
+      ("failing save, then a verdict", true, 0., false, false, false);
+    ]
+
 let () =
   Alcotest.run "wfc_resilience"
     [
@@ -915,6 +952,7 @@ let () =
           Alcotest.test_case "ledger round-trip" `Quick test_ledger_roundtrip;
           Alcotest.test_case "missing directory refused" `Quick
             test_checkpoint_missing_directory;
+          Alcotest.test_case "writer policy" `Quick test_writer_policy;
         ] );
       ( "witness codec",
         [
