@@ -284,7 +284,9 @@ val run :
 (** Drop-in replacement for {!Exec.explore} (defaults: [fuel = 10_000],
     [faults = Faults.none], [options = naive]). Raises [Invalid_argument]
     on a [fuel] of 2{^31} or more: the dedup key packs access counts and
-    workload positions, both at most the fuel, into 31-bit fields.
+    workload positions, both at most the fuel, into 31-bit fields. Raises
+    it too on an implementation of more than [Sys.int_size] processes: the
+    engine holds sets of processes as pid bitmasks of one [int].
 
     [on_leaf_trace] is the one leaf callback: it receives each complete
     leaf with its decision {!Faults.trace}, the path identifier that

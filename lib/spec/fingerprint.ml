@@ -64,17 +64,24 @@ let component_lo pos state hist acc =
 (* Five-field records, salted by a class instead of a position: records
    that share a salt are interchangeable in a sum, so a segment of them
    hashes the multiset of records per salt and needs no canonical sort.
-   Three rounds per lane: ⟨salt, local⟩, ⟨chain + 1, next_op⟩ (a chain of
-   -1, no pending operation, packs as 0) and ⟨flags, ops⟩. *)
+   Three rounds per lane: ⟨salt, local⟩ (the head), then ⟨chain + 1,
+   next_op⟩ (a chain of -1, no pending operation, packs as 0) and ⟨flags,
+   ops⟩ (the rest). A record's salt and local change less often than the
+   rest, so a caller can keep the head and mix only the rest. *)
+let record_head_hi salt local = mix1 0x510E527F (pack salt local)
+let record_head_lo salt local = mix2 0x1F83D9AB (pack salt local)
+
+let record_rest_hi head next_op chain ops flags =
+  mix1 (mix1 head (pack (chain + 1) next_op)) (pack flags ops)
+
+let record_rest_lo head next_op chain ops flags =
+  mix2 (mix2 head (pack (chain + 1) next_op)) (pack flags ops)
+
 let record_hi salt local next_op chain ops flags =
-  mix1
-    (mix1 (mix1 0x510E527F (pack salt local)) (pack (chain + 1) next_op))
-    (pack flags ops)
+  record_rest_hi (record_head_hi salt local) next_op chain ops flags
 
 let record_lo salt local next_op chain ops flags =
-  mix2
-    (mix2 (mix2 0x1F83D9AB (pack salt local)) (pack (chain + 1) next_op))
-    (pack flags ops)
+  record_rest_lo (record_head_lo salt local) next_op chain ops flags
 
 (* A sleeping process's term is one more round over its awake term, so the
    sleep bit is a per-process adjustment of the sum: the awake term is kept

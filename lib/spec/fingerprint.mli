@@ -74,6 +74,17 @@ val record_lo : int -> int -> int -> int -> int -> int -> int
     interchangeable in the sum, so it hashes the multiset of records per
     salt. [chain] may be -1. *)
 
+val record_head_hi : int -> int -> int
+val record_head_lo : int -> int -> int
+val record_rest_hi : int -> int -> int -> int -> int -> int
+val record_rest_lo : int -> int -> int -> int -> int -> int
+(** A record's term in two parts: [record_head_hi salt local] is its first
+    mixer round, and [record_hi salt local next_op chain ops flags] is
+    exactly [record_rest_hi (record_head_hi salt local) next_op chain ops
+    flags] (likewise in the lo lane). A caller that keeps a record's head
+    while its salt and local stay the same mixes two rounds per lane
+    instead of three. *)
+
 val asleep_hi : int -> int
 val asleep_lo : int -> int
 (** [asleep_hi t] is the term a record whose awake hi-lane term is [t]
